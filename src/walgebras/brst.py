@@ -4,9 +4,11 @@ The complex tensors the current algebra (I) over j-variables with the
 ghost algebra (II) over phi / phi* pairs for the positive part n and its
 dual.  The differential d^c is chi-bracketing with the cubic element d;
 H^0 is computed by an exact linear solve over the ghost-free part, with
-the filtration ordering the unknowns.  The equivalence with the
-Hamiltonian reduction (imaginary-unit twist) is verified generator by
-generator and on whole bracket tables.
+the filtration ordering the unknowns; that solve, and the one behind the
+exactness witnesses, is the linear-ansatz solve of the reduction engine
+(wclassical).  The equivalence with the Hamiltonian reduction
+(imaginary-unit twist) is verified generator by generator and on whole
+bracket tables.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import matrix_inverse, vec_grat
-from .scalars import GRat, LinearSolveError, Scalar
+from .scalars import Scalar
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
-from .superpoly import Alphabet, FLAVOR_D, SuperPoly, enumerate_monomials
-from .swclassical import SUSYReductionContext, WGenerator
-from .wclassical import GeneratorError
+from .superpoly import Alphabet, FLAVOR_D, SuperPoly
+from .swclassical import SUSYReductionContext
+from .wclassical import (GeneratorError, WGenerator, ansatz_monomials,
+                         k_degree_bound, solve_ansatz)
 
 HALF = Fraction(1, 2)
 
@@ -301,66 +304,35 @@ def _solve_cohomology_generator(cplx, diff, j) -> WGenerator:
     ctx = cplx.ctx
     lead = ctx.star_index[(j, 0)]
     weight = HALF + ctx.db.spins[j]
-    parity = cplx.jalph.parities[lead]
-    allowed = []
-    for t in ctx.le0_indices:
-        base_w = cplx.jalph.weights[t]
-        m = 0
-        while base_w + m * HALF <= weight:
-            allowed.append((t, m))
-            m += 1
-    monos = enumerate_monomials(cplx.jalph, allowed, weight, parity,
-                                require_one_of={(t, m) for (t, m) in allowed
-                                                if t in ctx.highe_indices})
+    monos = ansatz_monomials(cplx.jalph, ctx.kept_indices, weight,
+                             cplx.jalph.parities[lead], ctx.highe_indices)
+
     # order unknowns by decreasing filtration level of the monomial
     def filt(mono):
         return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
 
     monos = sorted(monos, key=lambda mono: (-filt(mono), mono))
-    kmax = 0 if (ctx.k.is_constant() and diff.c.is_constant()) \
-        else int(2 * weight) + 3
-    columns = [(M, d) for M in monos for d in range(kmax + 1)]
-    rows = {}
-
-    def add(eqkey, col, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        cur = rows[eqkey][0].get(col, GRat(0)) + coeff
-        if cur:
-            rows[eqkey][0][col] = cur
-        else:
-            rows[eqkey][0].pop(col, None)
-
-    def add_rhs(eqkey, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        rows[eqkey][1][0] = rows[eqkey][1][0] + coeff
-
-    lead_val = cplx.building_block(lead)
-    base = diff.apply(lead_val)
-    for mono, s in base.terms.items():
-        for (kp, cp), gr in s.terms.items():
-            add_rhs((mono, kp, cp), -gr)
-    for M in monos:
-        val = cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()}))
-        dm = diff.apply(val)
-        for mono, s in dm.terms.items():
-            for (kp, cp), gr in s.terms.items():
-                for d in range(kmax + 1):
-                    add((mono, kp + d, cp), (M, d), gr)
-
-    from .scalars import solve_linear
-    eqs = [(coeffs, rhs[0]) for (coeffs, rhs) in rows.values()]
-    try:
-        sol = solve_linear(eqs, columns)
-    except LinearSolveError as e:
-        raise GeneratorError("filtration correction failed for generator %d: %s"
-                             % (j, e))
-    value_J = SuperPoly.variable(cplx.jalph, lead)
-    for (M, d), gr in sol.items():
-        if gr:
-            value_J = value_J + SuperPoly(cplx.jalph, {M: Scalar.term(d, 0, gr)})
+    known = diff.apply(cplx.building_block(lead))
+    value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
+        cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
+        _differential_terms(cplx, diff, known, monos),
+        "filtration correction for generator %d" % j)
     gen = WGenerator(j, cplx.from_J(value_J), weight)
     gen.value_J = value_J
     return gen
+
+
+def _differential_terms(cplx, diff, known, monos, in_J=False):
+    """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
+    monomials M; the conditions are read in j-, or with in_J in J-coordinates."""
+    for mono, s in known.terms.items():
+        yield None, mono, s
+    for M in monos:
+        dm = diff.apply(cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
+        if in_J:
+            dm = cplx.to_J(dm)
+        for mono, s in dm.terms.items():
+            yield M, mono, s
 
 
 def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
@@ -451,7 +423,7 @@ def check_thm_5_9(g, osp=None, k=None):
     differential, and equality of the two bracket tables after the twist.
     Returns a report list (empty = verified).
     """
-    from .swclassical import solve_all_susy_generators, susy_w_bracket_table
+    from .wclassical import solve_all_generators, w_bracket_table
     from .spva import susy_master_bracket as smb
     report = []
     ctx = SUSYReductionContext(g, osp=osp, k=k)
@@ -460,7 +432,7 @@ def check_thm_5_9(g, osp=None, k=None):
     if diff.verify():
         report.append("BRST differential fails d^2 = 0")
         return report
-    taus = solve_all_susy_generators(ctx)
+    taus = solve_all_generators(ctx)
     Es = cohomology_generators(cplx, diff)
     i_unit = Scalar.imag()
     for j, tau in enumerate(taus):
@@ -480,7 +452,7 @@ def check_thm_5_9(g, osp=None, k=None):
     # bracket tables after the symbol twist
     gens_r = {j: t for j, t in enumerate(taus)}
     gens_b = {j: e for j, e in enumerate(Es)}
-    red_table = susy_w_bracket_table(ctx, gens_r)
+    red_table = w_bracket_table(ctx, gens_r)
     brst_table = brst_bracket_table(cplx, diff, gens_b)
     galph = brst_table.alphabet
     sym_images = {}
@@ -516,7 +488,7 @@ def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
     Y = diff.apply(twist_to_complex(cplx, A))
     i_unit = Scalar.imag()
     for alpha, b in enumerate(cplx.n_idx):
-        X = ctx.rho_chi(smb(ctx.n_var(b), A, ctx.table))
+        X = ctx.rho_bracket(smb(ctx.n_var(b), A, ctx.table))
         if ctx.gstar.parities[b] % 2:
             X = X.scalar_mul(i_unit)
         s_beta = -1 if ctx.gstar.parities[b] % 2 else 1
@@ -543,47 +515,17 @@ def exactness_witness(cplx: BRSTComplex, diff: BRSTDifferential, X: SuperPoly):
     if w in (None, "inhomogeneous"):
         raise GeneratorError("exactness check needs a homogeneous input")
     ctx = cplx.ctx
-    allowed = []
-    for t in list(ctx.le0_indices) + [cplx.phibar_index(a) for a in range(cplx.nn)]:
-        base_w = cplx.jalph.weights[t]
-        m = 0
-        while base_w + m * HALF <= w:
-            allowed.append((t, m))
-            m += 1
+    ghosts = [cplx.phibar_index(a) for a in range(cplx.nn)]
     par = X.parity()
-    monos = enumerate_monomials(cplx.jalph, allowed, w,
-                                None if par is None else (par + 1) % 2)
+    monos = ansatz_monomials(cplx.jalph, ctx.kept_indices + ghosts, w,
+                             None if par is None else (par + 1) % 2)
     kmax = max((kp for s in X.terms.values() for (kp, cp) in s.terms), default=0) + 2
-    columns = [(M, d) for M in monos for d in range(kmax + 1)]
-    rows = {}
-
-    def add(eqkey, col, coeff):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        cur = rows[eqkey][0].get(col, GRat(0)) + coeff
-        if cur:
-            rows[eqkey][0][col] = cur
-        else:
-            rows[eqkey][0].pop(col, None)
-
-    for mono, s in X.terms.items():
-        for (kp, cp), gr in s.terms.items():
-            rows.setdefault((mono, kp, cp), ({}, [GRat(0)]))
-            rows[(mono, kp, cp)][1][0] = rows[(mono, kp, cp)][1][0] + gr
-    for M in monos:
-        val = cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()}))
-        dm = cplx.to_J(diff.apply(val))
-        for mono, s in dm.terms.items():
-            for (kp, cp), gr in s.terms.items():
-                for dd in range(kmax + 1):
-                    add((mono, kp + dd, cp), (M, dd), gr)
-    from .scalars import solve_linear
-    eqs = [(coeffs, rhs[0]) for (coeffs, rhs) in rows.values()]
-    # exactness solves may be underdetermined (many witnesses); use a
-    # least-structure approach: consistency of the system is what matters.
+    # exactness solves may be underdetermined (many witnesses); consistency
+    # of the system is what matters
     try:
-        sol = solve_linear(eqs, columns)
-    except LinearSolveError as e:
-        if "underdetermined" in str(e):
-            return True  # consistent with free witnesses
+        solve_ansatz(cplx.jalph, monos, kmax,
+                     _differential_terms(cplx, diff, -X, monos, in_J=True),
+                     "exactness witness", unique=False)
+    except GeneratorError:
         return False
     return True

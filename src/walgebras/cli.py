@@ -22,14 +22,14 @@ from .spva import (check_susy_skew, check_susy_jacobi,
 from .wclassical import (ReductionContext, compare_closed_direct,
                          solve_all_generators, w_bracket_direct,
                          w_bracket_closed, w_bracket_table)
-from .swclassical import (SUSYReductionContext, compare_susy_closed_direct,
-                          solve_all_susy_generators, susy_w_bracket_direct,
-                          susy_w_bracket_table)
+from .swclassical import SUSYReductionContext
 from .brst import (BRSTComplex, build_d, brst_bracket_table,
                    cohomology_generators, check_thm_5_9)
 
 SUITES = ("skew", "jacobi", "lemma-3-4", "lemma-6-4", "thm-3-6", "thm-6-5",
           "d-squared", "thm-5-9", "prop-4-3")
+# suites of W(g, f) alone: they pass vacuously on algebras without osp(1|2)
+SUSY_SUITES = ("lemma-6-4", "thm-6-5", "d-squared", "thm-5-9", "prop-4-3")
 
 
 class InputError(Exception):
@@ -95,39 +95,50 @@ def _susy_ctx(args, g):
     return SUSYReductionContext(g, k=_parse_k(args.k))
 
 
+def _bracket_line(ctx, i, j, value):
+    fl = ctx.flavor
+    return "{%s%s %s %s%s} = %s" % (fl.prefix, ctx.gen_labels[i], fl.name,
+                                    fl.prefix, ctx.gen_labels[j], value.render())
+
+
 def cmd_generators(args):
+    """generators / susy-generators: W(g, F) or W(g, f) generators."""
     g = _load(args)
-    ctx = _classical_ctx(args, g)
+    ctx = args.context(args, g)
     gens = solve_all_generators(ctx)
     cap = _max_weight(args)
     lines, objs = [], []
     for w in gens:
+        label = ctx.gen_labels[w.index]
         shown = ctx.to_input(w.value).truncate_weight(cap)
-        lines.append("w_%s = %s   (weight %s)"
-                     % (ctx.gen_labels[w.index], shown.render(), w.weight))
-        objs.append({"label": ctx.gen_labels[w.index], "weight": str(w.weight),
+        lines.append("%s%s = %s   (weight %s)"
+                     % (ctx.flavor.prefix, label, shown.render(), w.weight))
+        objs.append({"label": label, "weight": str(w.weight),
                      "value": shown.to_obj()})
-    doc = {"command": "generators", "algebra": g.name,
+    doc = {"command": args.command, "algebra": g.name,
            "alphabet": ctx.alph_in.to_obj(), "generators": objs}
     _emit(args, doc, lines)
     return 0
 
 
 def cmd_bracket(args):
+    """bracket / susy-bracket: one bracket of two generators."""
     g = _load(args)
-    ctx = _classical_ctx(args, g)
+    ctx = args.context(args, g)
     gens = {w.index: w for w in solve_all_generators(ctx)}
     i, j = args.i, args.j
     if not (0 <= i < len(gens) and 0 <= j < len(gens)):
         raise InputError("generator index out of range (have %d)" % len(gens))
-    lp = (w_bracket_closed if args.route == "closed" else w_bracket_direct)(
+    route = getattr(args, "route", None)   # susy-bracket: direct route only
+    value = (w_bracket_closed if route == "closed" else w_bracket_direct)(
         ctx, gens, i, j)
-    lines = ["{w_%s lambda w_%s} = %s" % (ctx.gen_labels[i], ctx.gen_labels[j],
-                                          lp.render())]
-    doc = {"command": "bracket", "algebra": g.name, "i": i, "j": j,
-           "route": args.route, "alphabet": ctx.gen_alph.to_obj(),
-           "value": lp.to_obj()}
-    _emit(args, doc, lines)
+    doc = {"command": args.command, "algebra": g.name, "i": i, "j": j,
+           "alphabet": ctx.gen_alph.to_obj(), "value": value.to_obj()}
+    if route is None:
+        doc["flavor"] = ctx.flavor.name
+    else:
+        doc["route"] = route
+    _emit(args, doc, [_bracket_line(ctx, i, j, value)])
     return 0
 
 
@@ -136,48 +147,10 @@ def cmd_bracket_table(args):
     ctx = _classical_ctx(args, g)
     gens = {w.index: w for w in solve_all_generators(ctx)}
     table = w_bracket_table(ctx, gens, route=args.route)
-    lines = []
-    for (i, j) in sorted(table.entries):
-        lines.append("{w_%s lambda w_%s} = %s"
-                     % (ctx.gen_labels[i], ctx.gen_labels[j],
-                        table.entry(i, j).render()))
+    lines = [_bracket_line(ctx, i, j, table.entry(i, j))
+             for (i, j) in sorted(table.entries)]
     doc = {"command": "bracket-table", "algebra": g.name, "route": args.route,
            "table": table.to_obj()}
-    _emit(args, doc, lines)
-    return 0
-
-
-def cmd_susy_generators(args):
-    g = _load(args)
-    ctx = _susy_ctx(args, g)
-    gens = solve_all_susy_generators(ctx)
-    cap = _max_weight(args)
-    lines, objs = [], []
-    for w in gens:
-        shown = ctx.to_input(w.value).truncate_weight(cap)
-        lines.append("t_%s = %s   (weight %s)"
-                     % (ctx.gen_labels[w.index], shown.render(), w.weight))
-        objs.append({"label": ctx.gen_labels[w.index], "weight": str(w.weight),
-                     "value": shown.to_obj()})
-    doc = {"command": "susy-generators", "algebra": g.name,
-           "alphabet": ctx.alph_in.to_obj(), "generators": objs}
-    _emit(args, doc, lines)
-    return 0
-
-
-def cmd_susy_bracket(args):
-    g = _load(args)
-    ctx = _susy_ctx(args, g)
-    gens = {w.index: w for w in solve_all_susy_generators(ctx)}
-    i, j = args.i, args.j
-    if not (0 <= i < len(gens) and 0 <= j < len(gens)):
-        raise InputError("generator index out of range (have %d)" % len(gens))
-    cp = susy_w_bracket_direct(ctx, gens, i, j)
-    lines = ["{t_%s chi t_%s} = %s" % (ctx.gen_labels[i], ctx.gen_labels[j],
-                                       cp.render())]
-    doc = {"command": "susy-bracket", "algebra": g.name, "i": i, "j": j,
-           "flavor": "chi", "alphabet": ctx.gen_alph.to_obj(),
-           "value": cp.to_obj()}
     _emit(args, doc, lines)
     return 0
 
@@ -238,35 +211,31 @@ def _suite_results(args, g, names):
     table_route = "closed" if route == "closed" else "direct"
     results = {}
 
-    def classical():
-        ctx = ReductionContext(g, k=k)
-        gens = {w.index: w for w in solve_all_generators(ctx)}
-        return ctx, gens
-
-    def susy():
-        ctx = SUSYReductionContext(g, k=k)
-        gens = {w.index: w for w in solve_all_susy_generators(ctx)}
-        return ctx, gens
+    def solved(make_context):
+        ctx = make_context(g, k=k)
+        return ctx, {w.index: w for w in solve_all_generators(ctx)}
 
     for name in names:
-        if name == "skew":
-            ctx, gens = classical()
+        if name in SUSY_SUITES and g.osp is None:
+            results[name] = []
+        elif name == "skew":
+            ctx, gens = solved(ReductionContext)
             bad = check_skew(ctx.table) + check_skew(
                 w_bracket_table(ctx, gens, route=table_route))
             if g.osp is not None:
-                sctx, sgens = susy()
+                sctx, sgens = solved(SUSYReductionContext)
                 bad += check_susy_skew(sctx.table)
-                bad += check_susy_skew(susy_w_bracket_table(sctx, sgens))
+                bad += check_susy_skew(w_bracket_table(sctx, sgens))
             results[name] = ["pair %s,%s" % p for p in bad]
         elif name == "jacobi":
-            ctx, gens = classical()
+            ctx, gens = solved(ReductionContext)
             bad = check_jacobi(ctx.table) + check_jacobi(
                 w_bracket_table(ctx, gens, route=table_route))
             bad += [f for f in random_property_suite(ctx.table, seed, rounds=2)]
             if g.osp is not None:
-                sctx, sgens = susy()
+                sctx, sgens = solved(SUSYReductionContext)
                 bad += check_susy_jacobi(sctx.table)
-                bad += check_susy_jacobi(susy_w_bracket_table(sctx, sgens))
+                bad += check_susy_jacobi(w_bracket_table(sctx, sgens))
                 bad += [f for f in random_susy_property_suite(sctx.table, seed,
                                                               rounds=2)]
             results[name] = ["%s" % (b,) for b in bad]
@@ -274,41 +243,23 @@ def _suite_results(args, g, names):
             db = dual_bases_F(g, g.sl2)
             results[name] = ["t=%s" % t for t in check_tensor_identity_F(db)]
         elif name == "lemma-6-4":
-            if g.osp is None:
-                results[name] = []
-                continue
             db = dual_bases_f(g, g.osp)
             results[name] = ["t=%s" % t for t in check_tensor_identity_f(db)]
-        elif name == "thm-3-6":
-            ctx, gens = classical()
+        elif name in ("thm-3-6", "thm-6-5"):
+            ctx, gens = solved(ReductionContext if name == "thm-3-6"
+                               else SUSYReductionContext)
             results[name] = ["pair %s,%s" % (a, b) for a, b, _, _ in
                              compare_closed_direct(ctx, gens)]
-        elif name == "thm-6-5":
-            if g.osp is None:
-                results[name] = []
-                continue
-            sctx, sgens = susy()
-            results[name] = ["pair %s,%s" % (a, b) for a, b, _, _ in
-                             compare_susy_closed_direct(sctx, sgens)]
         elif name == "d-squared":
-            if g.osp is None:
-                results[name] = []
-                continue
             sctx = SUSYReductionContext(g, k=k)
             results[name] = build_d(BRSTComplex(sctx), Scalar.c()).verify()
         elif name == "thm-5-9":
-            if g.osp is None:
-                results[name] = []
-                continue
             results[name] = check_thm_5_9(g, k=k)
         elif name == "prop-4-3":
-            if g.osp is None:
-                results[name] = []
-                continue
-            sctx, sgens = susy()
+            sctx, sgens = solved(SUSYReductionContext)
             bad = []
             for label, table in (("affine", sctx.table),
-                                 ("w", susy_w_bracket_table(sctx, sgens))):
+                                 ("w", w_bracket_table(sctx, sgens))):
                 lt = reduce_to_pva(table)
                 bad += ["%s %s,%s" % (label, a, b) for (a, b) in check_skew(lt)]
                 bad += ["%s %s,%s,%s" % (label, a, b, c)
@@ -320,6 +271,23 @@ def _suite_results(args, g, names):
     return results
 
 
+def _report_suites(args, g, names, doc):
+    """Run the suites and print PASS/FAIL for each; exit code 1 on a failure."""
+    results = _suite_results(args, g, names)
+    lines = []
+    for name in names:
+        bad = results[name]
+        if bad:
+            lines.append("FAIL %s (%d violations)" % (name, len(bad)))
+            lines += ["  " + b for b in bad[:10]]
+        else:
+            lines.append("PASS %s" % name)
+    failed = any(results[name] for name in names)
+    doc.update(results=results, passed=not failed)
+    _emit(args, doc, lines)
+    return 1 if failed else 0
+
+
 def cmd_verify(args):
     g = _load(args)
     if g.sl2 is None:
@@ -327,21 +295,8 @@ def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # thm-3-6 / thm-6-5 always compare both routes; --route picks the table
     # construction used by the axiom suites
-    results = _suite_results(args, g, names)
-    lines = []
-    failed = False
-    for name in names:
-        bad = results[name]
-        if bad:
-            failed = True
-            lines.append("FAIL %s (%d violations)" % (name, len(bad)))
-            lines += ["  " + b for b in bad[:10]]
-        else:
-            lines.append("PASS %s" % name)
-    doc = {"command": "verify", "algebra": g.name, "seed": args.seed,
-           "results": results, "passed": not failed}
-    _emit(args, doc, lines)
-    return 1 if failed else 0
+    return _report_suites(args, g, names, {"command": "verify", "algebra": g.name,
+                                           "seed": args.seed})
 
 
 def cmd_susy_verify(args):
@@ -351,21 +306,8 @@ def cmd_susy_verify(args):
     names = ["thm-6-5", "skew", "jacobi", "prop-4-3", "lemma-6-4"]
     if args.cross_brst:
         names += ["d-squared", "thm-5-9"]
-    results = _suite_results(args, g, names)
-    lines = []
-    failed = False
-    for name in names:
-        bad = results[name]
-        if bad:
-            failed = True
-            lines.append("FAIL %s (%d violations)" % (name, len(bad)))
-            lines += ["  " + b for b in bad[:10]]
-        else:
-            lines.append("PASS %s" % name)
-    doc = {"command": "susy-verify", "algebra": g.name, "results": results,
-           "passed": not failed}
-    _emit(args, doc, lines)
-    return 1 if failed else 0
+    return _report_suites(args, g, names, {"command": "susy-verify",
+                                           "algebra": g.name})
 
 
 def build_parser():
@@ -394,14 +336,14 @@ def build_parser():
 
     sp = sub.add_parser("generators", help="classical W generators")
     common(sp)
-    sp.set_defaults(fn=cmd_generators)
+    sp.set_defaults(fn=cmd_generators, context=_classical_ctx)
 
     sp = sub.add_parser("bracket", help="classical W bracket of two generators")
     common(sp)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
     sp.add_argument("--route", choices=("direct", "closed"), default="direct")
-    sp.set_defaults(fn=cmd_bracket)
+    sp.set_defaults(fn=cmd_bracket, context=_classical_ctx)
 
     sp = sub.add_parser("bracket-table", help="full classical W table")
     common(sp)
@@ -429,13 +371,13 @@ def build_parser():
 
     sp = sub.add_parser("susy-generators", help="SUSY W generators")
     common(sp)
-    sp.set_defaults(fn=cmd_susy_generators)
+    sp.set_defaults(fn=cmd_generators, context=_susy_ctx)
 
     sp = sub.add_parser("susy-bracket", help="SUSY W bracket of two generators")
     common(sp)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
-    sp.set_defaults(fn=cmd_susy_bracket)
+    sp.set_defaults(fn=cmd_bracket, context=_susy_ctx)
 
     sp = sub.add_parser("susy-verify", help="SUSY verification suites")
     common(sp)

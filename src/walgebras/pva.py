@@ -550,8 +550,3 @@ def random_property_suite(table: BracketTable, seed, rounds=6,
         if s2:
             failures.append(("sesquilinearity-2", r))
     return failures
-
-
-def conformal_weight(poly: SuperPoly):
-    """Weight of a homogeneous polynomial, or 'inhomogeneous'."""
-    return poly.conformal_weight()

@@ -20,7 +20,15 @@ class ScalarError(ArithmeticError):
 
 
 class LinearSolveError(Exception):
-    """Raised when an exact linear system is inconsistent or not unique."""
+    """Raised when an exact linear system is inconsistent or not unique.
+
+    reason: "inconsistent", "underdetermined" or "internal"; the message
+    is the reason, followed by details after a colon.
+    """
+
+    def __init__(self, reason, detail=None):
+        super().__init__(reason if detail is None else "%s: %s" % (reason, detail))
+        self.reason = reason
 
 
 class GRat:
@@ -312,7 +320,8 @@ def solve_linear(equations, unknowns):
     unknowns:  ordered list of column keys (pivot preference order)
 
     Returns {col: GRat} for the unique solution.  Raises LinearSolveError
-    with reason 'inconsistent' or 'underdetermined' otherwise.
+    with reason 'inconsistent' or 'underdetermined' otherwise ('internal'
+    flags a broken elimination invariant).
     """
     order = {col: n for n, col in enumerate(unknowns)}
     pivots = {}  # col -> (rowdict, rhs), row normalized, fully reduced
@@ -357,10 +366,10 @@ def solve_linear(equations, unknowns):
 
     free = [c for c in unknowns if c not in pivots]
     if free:
-        raise LinearSolveError("underdetermined: free columns %s" % free[:4])
+        raise LinearSolveError("underdetermined", "free columns %s" % free[:4])
     solution = {}
     for col, (row, rhs) in pivots.items():
         if row:
-            raise LinearSolveError("internal: unreduced pivot row")
+            raise LinearSolveError("internal", "unreduced pivot row")
         solution[col] = rhs
     return solution

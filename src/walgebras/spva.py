@@ -638,36 +638,14 @@ def susy_leibniz_defects(a, b, c, table, evaluator=susy_master_bracket):
                 if _sign(pb * pc) < 0:
                     t2 = -t2
                 right = right - t1 - t2
-                u1 = _arrow_with_parities(evaluator(ah, ch, table), pa, pc,
-                                          ChiPoly.of(bh))
+                u1 = chi_arrow_apply(evaluator(ah, ch, table), pa, pc, ChiPoly.of(bh))
                 if _sign(pb * pc) < 0:
                     u1 = -u1
-                u2 = _arrow_with_parities(evaluator(bh, ch, table), pb, pc,
-                                          ChiPoly.of(ah))
+                u2 = chi_arrow_apply(evaluator(bh, ch, table), pb, pc, ChiPoly.of(ah))
                 if _sign(pa * (pb + pc)) < 0:
                     u2 = -u2
                 left = left - u1 - u2
     return right, left
-
-
-def _arrow_with_parities(bracket: ChiPoly, px, py, tail: ChiPoly) -> ChiPoly:
-    """{x_{chi+D} y}_-> tail = sum_n s(xy)^n (x_[n]y)(chi+D)^n tail.
-
-    In the chi-left normal form the written order of the product costs an
-    extra (-1)^{n(n-1)/2}, the sign of normalizing (chi+D)^n; with it the
-    left Leibniz rule holds exactly against the master formula.
-    """
-    out = ChiPoly.zero(bracket.alphabet)
-    powers = {0: tail}
-    for n in range(1, bracket.max_power() + 1):
-        powers[n] = powers[n - 1].apply_chi_plus_D()
-    sxy = (px + py) % 2
-    for n, coeff in bracket.coeffs.items():
-        val = powers[n].mul_left(coeff)
-        if (sxy * n + (n * (n - 1)) // 2) % 2:
-            val = -val
-        out = out + val
-    return out
 
 
 def susy_sesquilinearity_defects(a, b, table, evaluator=susy_master_bracket):

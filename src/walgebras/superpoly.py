@@ -356,15 +356,6 @@ class SuperPoly:
                 return "inhomogeneous"
         return w
 
-    def weight_part(self, weight) -> "SuperPoly":
-        w = Fraction(weight)
-        out = {}
-        for mono, c in self.terms.items():
-            mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), Fraction(0))
-            if mw == w:
-                out[mono] = c
-        return SuperPoly(self.alphabet, out)
-
     def truncate_weight(self, max_weight) -> "SuperPoly":
         """Drop monomials of conformal weight above max_weight (debug aid)."""
         if max_weight is None:

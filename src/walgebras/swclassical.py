@@ -1,11 +1,14 @@
-"""SUSY classical W-algebra W(g, f) by Hamiltonian reduction.
+"""SUSY classical W-algebra W(g, f): the SUSY flavor of the reduction engine.
 
-Mirror of the even construction in chi-bracket language: the algebra is
-rebased onto the osp(1|2) chain basis, rho_S kills the g_{>0} variables up
-to (f|.) constants, and generators are solved from the ad_chi-invariance
-constraints with the closed chain-sum formula as cross-check for the
-linear part.  The bracket comes out both by direct reduction and by the
-closed formula, and the BRST route (brst module) provides the comparison
+The construction is the one of wclassical in chi-bracket language: the
+algebra is rebased onto the osp(1|2) chain basis, the variables are the
+parity-flipped bar-variables a~ of weight 1/2 - grading, rho_S kills the
+g_{>0} variables up to (f|.) constants, and generators are solved from the
+ad_chi-invariance constraints with the closed chain-sum formula as
+cross-check for the linear part. The closed bracket formula drops the
+chain signs and carries an overall s(a). This module holds that flavor
+record, the context constructor and the SUSY names of the shared
+functions; the BRST route (brst module) provides the comparison
 construction for the equivalence check.
 """
 
@@ -13,344 +16,61 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .liealg import admissible_chains, dual_bases_f
+from .liealg import dual_bases_f
 from .spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                    susy_master_bracket)
-from .scalars import GRat, LinearSolveError, Scalar
-from .superpoly import Alphabet, FLAVOR_D, SuperPoly, enumerate_monomials
-from .wclassical import GeneratorError, WGenerator
+from .superpoly import FLAVOR_D
+from .wclassical import (Flavor, ReductionContext, compare_closed_direct,
+                         evaluate_symbols, gamma_linear, membership_defects,
+                         rewrite_in_generators, solve_all_generators,
+                         solve_generator, w_bracket_closed, w_bracket_direct,
+                         w_bracket_table)
 
 HALF = Fraction(1, 2)
 
+# dual bases and master formula go through their module names, as in EVEN
+SUSY = Flavor(
+    name="chi", symbol=FLAVOR_D, shift=HALF, bar=True, letter="r",
+    prefix="t_", nilpotent="f", killed=lambda gr: gr > 0,
+    dual_bases=lambda g, osp: dual_bases_f(g, osp),
+    affine_table=susy_affine_table,
+    master=lambda a, b, table: susy_master_bracket(a, b, table),
+    poly=ChiPoly, table=SUSYBracketTable, plus_del=ChiPoly.apply_chi_plus_D,
+    signed_chains=False, signed_head=True)
 
-class SUSYReductionContext:
+
+class SUSYReductionContext(ReductionContext):
+    flavor = SUSY
+
     def __init__(self, g, osp=None, k=None):
-        self.g = g
         self.osp = g.osp if osp is None else osp
         if self.osp is None:
             raise ValueError("algebra carries no osp(1|2) data")
-        self.k = Scalar.k() if k is None else k
-        self.db = dual_bases_f(g, self.osp)
-        db = self.db
-        members = sorted(db.members(),
-                         key=lambda jn: (db.grade_of(*jn), jn[0], jn[1]))
-        self.members = members
-        self.star_index = {jn: t for t, jn in enumerate(members)}
-        vectors = [db.chain_lower[j][n] for (j, n) in members]
-        names = [self._member_name(j, n) for (j, n) in members]
-        self.gstar = g.rebase(vectors, names)
-        grads = self.gstar.gradings
-        # alphabet over bar-variables: parity flips, weight 1/2 - grading
-        self.alph = Alphabet(FLAVOR_D, [nm + "~" for nm in names],
-                             [(p + 1) % 2 for p in self.gstar.parities],
-                             [HALF - gr for gr in grads])
-        self.table = susy_affine_table(self.gstar, self.alph, self.k)
-        self.n_indices = [t for t, gr in enumerate(grads) if gr > 0]
-        self.le0_indices = [t for t, gr in enumerate(grads) if gr <= 0]
-        self.gf_indices = [self.star_index[(j, 0)] for j in range(db.count())]
-        self.highe_indices = [t for t, (j, n) in enumerate(members)
-                              if n >= 1 and grads[t] <= 0]
-        # rho_S: abar -> bar(pi_{<=0} a) + (f|a)
-        self._rho_images = {}
-        for t, (j, n) in enumerate(members):
-            if grads[t] > 0:
-                c = g.form_value(self.osp.f, db.chain_lower[j][n])
-                self._rho_images[t] = SuperPoly.const(self.alph, c)
-            else:
-                self._rho_images[t] = SuperPoly.variable(self.alph, t)
-        self._pi_images = {}
-        for t in range(len(members)):
-            if t in self.highe_indices:
-                self._pi_images[t] = SuperPoly.zero(self.alph)
-            else:
-                self._pi_images[t] = SuperPoly.variable(self.alph, t)
-        labels = []
-        for j in range(db.count()):
-            vec = db.lower[j]
-            hits = [(i, c) for i, c in enumerate(vec) if c]
-            if len(hits) == 1 and hits[0][1] == Scalar.one():
-                labels.append(g.names[hits[0][0]])
-            else:
-                labels.append("r%d" % j)
-        self.gen_labels = labels
-        self.gen_alph = Alphabet(
-            FLAVOR_D, ["t_" + lb for lb in labels],
-            [(g.parity_of_vec(db.lower[j]) + 1) % 2 for j in range(db.count())],
-            [HALF + db.spins[j] for j in range(db.count())])
-        self.alph_in = Alphabet(FLAVOR_D, [nm + "~" for nm in g.names],
-                                [(p + 1) % 2 for p in g.parities],
-                                [HALF - gr for gr in g.gradings])
-
-    def _member_name(self, j, n):
-        return "r%d" % j if n == 0 else "r%d^%d" % (j, n)
-
-    def rho(self, poly: SuperPoly) -> SuperPoly:
-        return poly.substitute(self._rho_images, self.alph)
-
-    def rho_chi(self, cp: ChiPoly) -> ChiPoly:
-        return ChiPoly(self.alph, {n: self.rho(p) for n, p in cp.coeffs.items()})
-
-    def pi(self, poly: SuperPoly) -> SuperPoly:
-        return poly.substitute(self._pi_images, self.alph)
-
-    def to_input(self, poly: SuperPoly) -> SuperPoly:
-        images = {}
-        for t, (j, n) in enumerate(self.members):
-            vec = self.db.chain_lower[j][n]
-            img = SuperPoly.zero(self.alph_in)
-            for i, c in enumerate(vec):
-                if c:
-                    img = img + SuperPoly.variable(self.alph_in, i, 0, c)
-            images[t] = img
-        return poly.substitute(images, self.alph_in)
-
-    def sharp_poly(self, vec) -> SuperPoly:
-        out = SuperPoly.zero(self.alph)
-        for j in range(self.db.count()):
-            c = self.g.form_value(self.db.upper[j], vec)
-            if c:
-                out = out + SuperPoly.variable(self.alph,
-                                               self.star_index[(j, 0)], 0, c)
-        return out
-
-    def sharp_symbols(self, vec) -> SuperPoly:
-        out = SuperPoly.zero(self.gen_alph)
-        for j in range(self.db.count()):
-            c = self.g.form_value(self.db.upper[j], vec)
-            if c:
-                out = out + SuperPoly.variable(self.gen_alph, j, 0, c)
-        return out
-
-    def n_var(self, t) -> SuperPoly:
-        return SuperPoly.variable(self.alph, t)
+        super().__init__(g, self.osp, k)
 
 
-def gamma_S_linear(ctx: SUSYReductionContext, j) -> SuperPoly:
-    """Chain-sum formula for the linear part of the SUSY generator."""
-    g, db = ctx.g, ctx.db
-    alpha = db.spins[j]
-    a = db.lower[j]
-    out = SuperPoly.zero(ctx.alph)
-    for chain in admissible_chains(db, -alpha, -HALF):
-        if not chain:
-            continue
-        jp, np_ = chain[-1]
-        val = SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)])
-        for t in range(len(chain) - 1, 0, -1):
-            x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
-            y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _chain_factor_S(ctx, x, y, val)
-        y = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _chain_factor_S(ctx, a, y, val)
-        out = out + val
-    return out
+gamma_S_linear = gamma_linear
+susy_membership_defects = membership_defects
+susy_rewrite_in_generators = rewrite_in_generators
+susy_evaluate_symbols = evaluate_symbols
+susy_w_bracket_table = w_bracket_table
+compare_susy_closed_direct = compare_closed_direct
 
 
-def _chain_factor_S(ctx, x, y, tail: SuperPoly) -> SuperPoly:
-    """(bar[x,y]^{sharp_S} - (x|y) k D) applied to the tail."""
-    sharp = ctx.sharp_poly(ctx.g.bracket(x, y))
-    c = ctx.g.form_value(x, y)
-    out = sharp * tail
-    if c:
-        out = out - tail.deriv().scalar_mul(c * ctx.k)
-    return out
+# The SUSY names that the benchmark tracer times (wbench/tracer.py) are
+# functions of their own, not aliases: the tracer wraps each traced name
+# once, and would wrap an alias a second time under its other name.
+def solve_susy_generator(ctx, j):
+    return solve_generator(ctx, j)
 
 
-def susy_membership_defects(ctx: SUSYReductionContext, w: SuperPoly):
-    out = []
-    for t in ctx.n_indices:
-        cp = ctx.rho_chi(susy_master_bracket(ctx.n_var(t), w, ctx.table))
-        if cp:
-            out.append((ctx.alph.names[t], cp))
-    return out
+def solve_all_susy_generators(ctx):
+    return solve_all_generators(ctx)
 
 
-def solve_susy_generator(ctx: SUSYReductionContext, j) -> WGenerator:
-    db = ctx.db
-    weight = HALF + db.spins[j]
-    lead = ctx.star_index[(j, 0)]
-    parity = ctx.alph.parities[lead]
-    allowed = []
-    for t in ctx.le0_indices:
-        base_w = ctx.alph.weights[t]
-        m = 0
-        while base_w + m * HALF <= weight:
-            allowed.append((t, m))
-            m += 1
-    monos = enumerate_monomials(ctx.alph, allowed, weight, parity,
-                                require_one_of={(t, m) for (t, m) in allowed
-                                                if t in ctx.highe_indices})
-    lead_poly = SuperPoly.variable(ctx.alph, lead)
-    kmax = 0 if ctx.k.is_constant() else int(2 * weight) + 3
-    solution = _solve_susy_membership(ctx, lead_poly, monos, kmax)
-    value = lead_poly + solution
-    gamma = gamma_S_linear(ctx, j)
-    if _highe_degree_part(ctx, value - lead_poly, 1) != gamma:
-        raise GeneratorError("SUSY solver linear part disagrees with the chain "
-                             "formula for generator %d" % j)
-    return WGenerator(j, value, weight)
+def susy_w_bracket_direct(ctx, gens, i, j):
+    return w_bracket_direct(ctx, gens, i, j)
 
 
-def _solve_susy_membership(ctx, lead_poly, monos, kmax):
-    alph = ctx.alph
-    columns = [(M, d) for M in monos for d in range(kmax + 1)]
-    rows = {}
-
-    def add(eqkey, col, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        cur = rows[eqkey][0].get(col, GRat(0)) + coeff
-        if cur:
-            rows[eqkey][0][col] = cur
-        else:
-            rows[eqkey][0].pop(col, None)
-
-    def add_rhs(eqkey, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        rows[eqkey][1][0] = rows[eqkey][1][0] + coeff
-
-    for t in ctx.n_indices:
-        nv = ctx.n_var(t)
-        base = ctx.rho_chi(susy_master_bracket(nv, lead_poly, ctx.table))
-        for ch, poly in base.coeffs.items():
-            for mono, s in poly.terms.items():
-                for (kp, cp), gr in s.terms.items():
-                    add_rhs((t, ch, mono, kp, cp), -gr)
-        for M in monos:
-            mp = SuperPoly(alph, {M: Scalar.one()})
-            bm = ctx.rho_chi(susy_master_bracket(nv, mp, ctx.table))
-            for ch, poly in bm.coeffs.items():
-                for mono, s in poly.terms.items():
-                    for (kp, cp), gr in s.terms.items():
-                        for d in range(kmax + 1):
-                            add((t, ch, mono, kp + d, cp), (M, d), gr)
-
-    eqs = [(coeffs, rhs[0]) for (coeffs, rhs) in rows.values()]
-    from .scalars import solve_linear
-    try:
-        sol = solve_linear(eqs, columns)
-    except LinearSolveError as e:
-        if "underdetermined" in str(e):
-            raise GeneratorError("non-unique SUSY generator solution: %s" % e)
-        raise GeneratorError("no SUSY generator solution: %s" % e)
-    out = SuperPoly.zero(alph)
-    for (M, d), gr in sol.items():
-        if gr:
-            out = out + SuperPoly(alph, {M: Scalar.term(d, 0, gr)})
-    return out
-
-
-def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
-    out = {}
-    for mono, c in poly.terms.items():
-        d = sum(e for (t, m), e in mono if t in ctx.highe_indices)
-        if d == degree:
-            out[mono] = c
-    return SuperPoly(ctx.alph, out)
-
-
-def solve_all_susy_generators(ctx: SUSYReductionContext):
-    return [solve_susy_generator(ctx, j) for j in range(ctx.db.count())]
-
-
-def susy_rewrite_in_generators(ctx, gens, A: SuperPoly) -> SuperPoly:
-    projected = ctx.pi(A)
-    images = {}
-    for t, (j, n) in enumerate(ctx.members):
-        if n == 0:
-            images[t] = SuperPoly.variable(ctx.gen_alph, j)
-        else:
-            images[t] = SuperPoly.zero(ctx.gen_alph)
-    sym = projected.substitute(images, ctx.gen_alph)
-    back = susy_evaluate_symbols(ctx, gens, sym)
-    if back != A:
-        raise GeneratorError("input not in W or generators not canonical")
-    return sym
-
-
-def susy_evaluate_symbols(ctx, gens, sym: SuperPoly) -> SuperPoly:
-    images = {j: gens[j].value for j in range(ctx.db.count())}
-    return sym.substitute(images, ctx.alph)
-
-
-def susy_w_bracket_direct(ctx, gens, i, j) -> ChiPoly:
-    raw = susy_master_bracket(gens[i].value, gens[j].value, ctx.table)
-    red = ctx.rho_chi(raw)
-    return ChiPoly(ctx.gen_alph,
-                   {n: susy_rewrite_in_generators(ctx, gens, p)
-                    for n, p in red.coeffs.items()})
-
-
-def susy_w_bracket_closed(ctx, gens, a, b) -> ChiPoly:
-    """Closed chain-sum bracket: s(a)(bar[a,b] + chi k(a|b)) minus the
-    chain sum with factors (omega_S(bar[.,.]^{sharp_S}) - k(.|.)(D+chi))."""
-    g, db = ctx.g, ctx.db
-    t1, t2 = db.spins[a], db.spins[b]
-    ra, rb = db.lower[a], db.lower[b]
-    pa = g.parity_of_vec(ra)
-    pb = g.parity_of_vec(rb)
-    sa = -1 if pa else 1
-    out = ChiPoly.zero(ctx.gen_alph)
-    br = ctx.sharp_symbols(g.bracket(ra, rb))
-    if br:
-        out = out + ChiPoly.of(br if sa > 0 else -br)
-    fv = g.form_value(ra, rb)
-    if fv:
-        c = fv * ctx.k
-        out = out + ChiPoly(ctx.gen_alph,
-                            {1: SuperPoly.const(ctx.gen_alph,
-                                                c if sa > 0 else -c)})
-    s_ab_a = -1 if (pa * pb + pa) % 2 else 1     # s(a,b) s(a)
-    total = ChiPoly.zero(ctx.gen_alph)
-    for chain in admissible_chains(db, -t2, t1 - HALF):
-        if not chain:
-            continue
-        jp, np_ = chain[-1]
-        x_last = db.chain_lower[jp][np_ + 1] if np_ + 1 < len(db.chain_lower[jp]) \
-            else g.zero_vec()
-        val = _closed_factor_S(ctx, g.bracket(x_last, ra),
-                               g.form_value(x_last, ra),
-                               ChiPoly.of(SuperPoly.one(ctx.gen_alph)))
-        for t in range(len(chain) - 1, 0, -1):
-            x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
-            y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _closed_factor_S(ctx, g.bracket(x, y), g.form_value(x, y), val)
-        y0 = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _closed_factor_S(ctx, g.bracket(rb, y0), g.form_value(rb, y0), val)
-        total = total + val
-    if s_ab_a > 0:
-        out = out - total
-    else:
-        out = out + total
-    return out
-
-
-def _closed_factor_S(ctx, bracket_vec, form_val: Scalar, tail: ChiPoly) -> ChiPoly:
-    sym = ctx.sharp_symbols(bracket_vec)
-    out = tail.mul_left(sym) if sym else ChiPoly.zero(ctx.gen_alph)
-    if form_val:
-        out = out - tail.apply_chi_plus_D().scalar_mul(form_val * ctx.k)
-    return out
-
-
-def susy_w_bracket_table(ctx, gens, route="direct") -> SUSYBracketTable:
-    table = SUSYBracketTable(ctx.gen_alph)
-    n = ctx.db.count()
-    for i in range(n):
-        for j in range(n):
-            if route == "direct":
-                table.set(i, j, susy_w_bracket_direct(ctx, gens, i, j))
-            else:
-                table.set(i, j, susy_w_bracket_closed(ctx, gens, i, j))
-    return table
-
-
-def compare_susy_closed_direct(ctx, gens):
-    mismatches = []
-    n = ctx.db.count()
-    for i in range(n):
-        for j in range(n):
-            d = susy_w_bracket_direct(ctx, gens, i, j)
-            c = susy_w_bracket_closed(ctx, gens, i, j)
-            if d != c:
-                mismatches.append((ctx.gen_labels[i], ctx.gen_labels[j], d, c))
-    return mismatches
+def susy_w_bracket_closed(ctx, gens, a, b):
+    return w_bracket_closed(ctx, gens, a, b)

@@ -1,26 +1,72 @@
-"""Classical W-algebra W(g, F): generators and bracket tables.
+"""Classical W-algebras W(g, F) and W(g, f): one reduction engine.
+
+The even W(g, F) lives in lambda-bracket language over the affine PVA; the
+SUSY W(g, f) is its chi-bracket analogue over the SUSY affine PVA. Both are
+built by the same reduction, the same chain-sum formulas and the same
+invariance solve. A Flavor record carries what differs: the dual chain
+bases (F or f), the weight shift (1 or 1/2), the SUSY bar-variables, the
+labels, the bracket calculus and the signs of the closed formulas. This
+module holds the engine and the EVEN flavor; swclassical holds SUSY.
 
 The reduction works in the chain-adapted coordinates: the algebra is
 rebased onto the dual-chain basis, in which the quotient map rho (kill
-g_{>=1} up to pairing constants) and the canonical-form projection pi
-(kill the [E, g_{<=-1/2}] variables) act variable by variable.
+g_{>=1}, resp. g_{>0}, up to pairing constants with F, resp. f) and the
+canonical-form projection pi (kill the [E, g_{<=-1/2}] variables) act
+variable by variable.
 
 Generators are produced two ways and cross-checked: by the closed
 chain-sum formula (linear part) and by an exact linear solve of the
 membership constraints (full generator, including higher-degree parts).
-Brackets likewise: closed chain-sum formula vs direct reduction.
+Brackets likewise: closed chain-sum formula vs direct reduction. The
+linear-ansatz solve (solve_ansatz) also serves the BRST cohomology.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .liealg import admissible_chains, dual_bases_F
 from .pva import BracketTable, LambdaPoly, affine_table, master_bracket
-from .scalars import GRat, LinearSolveError, Scalar
+from .scalars import GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, FLAVOR_DEL, SuperPoly, enumerate_monomials
 
 HALF = Fraction(1, 2)
+
+
+class Flavor(namedtuple("Flavor", "name symbol shift bar letter prefix "
+                        "nilpotent killed dual_bases affine_table master "
+                        "poly table plus_del signed_chains signed_head")):
+    """What the even reduction W(g, F) and the SUSY one W(g, f) differ in.
+
+    name, symbol    bracket variable ("lambda", "chi") and alphabet flavor
+    shift           a variable of grading j has conformal weight shift - j
+    bar             variables are bar-variables: parity flipped, name + "~"
+    letter, prefix  chain-member letter ("q", "r"), generator prefix ("w_", "t_")
+    nilpotent       the triple's element that rho pairs with ("F", "f")
+    killed          grading test of the variables that rho makes constant
+    dual_bases      builder of the dual chain bases
+    affine_table, master, poly, table, plus_del
+                    the bracket calculus: affine table, master formula,
+                    value and table classes, (lambda + del) or (chi + D)
+    signed_chains   a chain term carries the sign s(q) of each chain member
+    signed_head     the closed bracket of a and b carries an overall s(a)
+    """
+
+    __slots__ = ()
+
+
+# The traced module-level functions (dual bases, master formula) are called
+# through their names, so that wrappers installed on those names by the
+# benchmark tracer (wbench/tracer.py) see the calls.
+EVEN = Flavor(
+    name="lambda", symbol=FLAVOR_DEL, shift=1, bar=False, letter="q",
+    prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
+    dual_bases=lambda g, triple: dual_bases_F(g, triple),
+    affine_table=affine_table,
+    master=lambda a, b, table: master_bracket(a, b, table),
+    poly=LambdaPoly, table=BracketTable, plus_del=LambdaPoly.apply_lambda_del,
+    signed_chains=True, signed_head=False)
 
 
 class GeneratorError(RuntimeError):
@@ -36,40 +82,55 @@ class WGenerator:
         self.weight = weight
 
 
+def _alphabet(fl: Flavor, names, parities, gradings) -> Alphabet:
+    """Variables (bar-variables for SUSY) of weight shift - grading."""
+    suffix = "~" if fl.bar else ""
+    return Alphabet(fl.symbol, [nm + suffix for nm in names],
+                    [(p + fl.bar) % 2 for p in parities],
+                    [fl.shift - gr for gr in gradings])
+
+
 class ReductionContext:
+    """Reduction data in chain coordinates; the class's flavor picks the
+    construction (EVEN here, SUSY for swclassical.SUSYReductionContext)."""
+
+    flavor = EVEN
+
     def __init__(self, g, triple=None, k=None):
+        fl = self.flavor
         self.g = g
         self.triple = g.sl2 if triple is None else triple
         self.k = Scalar.k() if k is None else k
-        self.db = dual_bases_F(g, self.triple)
-        db = self.db
+        self.db = db = fl.dual_bases(g, self.triple)
         members = sorted(db.members(),
                          key=lambda jn: (db.grade_of(*jn), jn[0], jn[1]))
         self.members = members
         self.star_index = {jn: t for t, jn in enumerate(members)}
         vectors = [db.chain_lower[j][n] for (j, n) in members]
-        names = [self._member_name(j, n) for (j, n) in members]
+        names = ["%s%d" % (fl.letter, j) if n == 0
+                 else "%s%d^%d" % (fl.letter, j, n) for (j, n) in members]
         self.gstar = g.rebase(vectors, names)
-        weights = [1 - self.gstar.gradings[t] for t in range(len(members))]
-        self.alph = Alphabet(FLAVOR_DEL, names, self.gstar.parities, weights)
-        self.table = affine_table(self.gstar, self.alph, self.k)
         grads = self.gstar.gradings
+        self.alph = _alphabet(fl, names, self.gstar.parities, grads)
+        self.table = fl.affine_table(self.gstar, self.alph, self.k)
         self.n_indices = [t for t, gr in enumerate(grads) if gr > 0]
-        self.p_indices = [t for t, gr in enumerate(grads) if gr < 1]
-        self.gF_indices = [self.star_index[(j, 0)] for j in range(db.count())]
-        self.highE_indices = [t for t, (j, n) in enumerate(members)
-                              if n >= 1 and grads[t] < 1]
-        # rho: x -> pi_{<=1/2}(x) + (F|x), variable-diagonal in this basis
+        self.kept_indices = [t for t, gr in enumerate(grads)
+                             if not fl.killed(gr)]
+        self.gf_indices = [self.star_index[(j, 0)] for j in range(db.count())]
+        self.highe_indices = [t for t, (j, n) in enumerate(members)
+                              if n >= 1 and not fl.killed(grads[t])]
+        # rho: x -> pi_kept(x) + (F|x), variable-diagonal in this basis
+        nilpotent = getattr(self.triple, fl.nilpotent)
         self._rho_images = {}
         for t, (j, n) in enumerate(members):
-            if grads[t] >= 1:
-                c = g.form_value(self.triple.F, db.chain_lower[j][n])
+            if fl.killed(grads[t]):
+                c = g.form_value(nilpotent, db.chain_lower[j][n])
                 self._rho_images[t] = SuperPoly.const(self.alph, c)
             else:
                 self._rho_images[t] = SuperPoly.variable(self.alph, t)
         self._pi_images = {}
         for t in range(len(members)):
-            if t in self.highE_indices:
+            if t in self.highe_indices:
                 self._pi_images[t] = SuperPoly.zero(self.alph)
             else:
                 self._pi_images[t] = SuperPoly.variable(self.alph, t)
@@ -80,25 +141,27 @@ class ReductionContext:
             if len(hits) == 1 and hits[0][1] == Scalar.one():
                 labels.append(g.names[hits[0][0]])
             else:
-                labels.append("q%d" % j)
+                labels.append("%s%d" % (fl.letter, j))
         self.gen_labels = labels
         self.gen_alph = Alphabet(
-            FLAVOR_DEL, ["w_" + lb for lb in labels],
-            [g.parity_of_vec(db.lower[j]) for j in range(db.count())],
-            [1 + db.spins[j] for j in range(db.count())])
-        self.alph_in = Alphabet(FLAVOR_DEL, g.names, g.parities,
-                                [1 - gr for gr in g.gradings])
-
-    def _member_name(self, j, n):
-        return "q%d" % j if n == 0 else "q%d^%d" % (j, n)
+            fl.symbol, [fl.prefix + lb for lb in labels],
+            [(g.parity_of_vec(db.lower[j]) + fl.bar) % 2
+             for j in range(db.count())],
+            [fl.shift + db.spins[j] for j in range(db.count())])
+        self.alph_in = _alphabet(fl, g.names, g.parities, g.gradings)
 
     # -- maps ------------------------------------------------------------
+    def bracket(self, a: SuperPoly, b: SuperPoly):
+        """{a_lambda b} (resp. {a_chi b}) in the affine algebra."""
+        return self.flavor.master(a, b, self.table)
+
     def rho(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._rho_images, self.alph)
 
-    def rho_lambda(self, lp: LambdaPoly) -> LambdaPoly:
-        return LambdaPoly(self.alph, {n: self.rho(p)
-                                      for n, p in lp.coeffs.items()})
+    def rho_bracket(self, value):
+        """rho applied to every coefficient of a bracket value."""
+        return self.flavor.poly(self.alph, {n: self.rho(p)
+                                            for n, p in value.coeffs.items()})
 
     def pi(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._pi_images, self.alph)
@@ -138,36 +201,34 @@ class ReductionContext:
         return SuperPoly.variable(self.alph, t)
 
 
+def _odd_members(ctx: ReductionContext, chain) -> int:
+    return sum(1 for j, _n in chain if ctx.g.parity_of_vec(ctx.db.lower[j]))
+
+
 def gamma_linear(ctx: ReductionContext, j) -> SuperPoly:
     """Closed chain-sum formula for the part of the generator that is
     linear in the [E, g_{<=-1/2}] variables."""
-    g, db = ctx.g, ctx.db
-    alpha = db.spins[j]
-    q = db.lower[j]
+    db = ctx.db
     out = SuperPoly.zero(ctx.alph)
-    for chain in admissible_chains(db, -alpha, -HALF):
+    for chain in admissible_chains(db, -db.spins[j], -HALF):
         if not chain:
             continue
         jp, np_ = chain[-1]
         val = SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)])
-        sgn = 1
         for t in range(len(chain) - 1, 0, -1):
             x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
             y = db.chain_upper[chain[t][0]][chain[t][1]]
-            sgn *= -1 if g.parity_of_vec(db.lower[chain[t][0]]) else 1
             val = _chain_factor(ctx, x, y, val)
-        x = q
         y = db.chain_upper[chain[0][0]][chain[0][1]]
-        sgn *= -1 if g.parity_of_vec(db.lower[chain[0][0]]) else 1
-        val = _chain_factor(ctx, x, y, val)
-        if sgn < 0:
+        val = _chain_factor(ctx, db.lower[j], y, val)
+        if ctx.flavor.signed_chains and _odd_members(ctx, chain) % 2:
             val = -val
         out = out + val
     return out
 
 
 def _chain_factor(ctx, x, y, tail: SuperPoly) -> SuperPoly:
-    """([x, y]^sharp - (x|y) k del) applied to the tail."""
+    """([x, y]^sharp - (x|y) k del) applied to the tail (D for SUSY)."""
     sharp = ctx.sharp_poly(ctx.g.bracket(x, y))
     c = ctx.g.form_value(x, y)
     out = sharp * tail
@@ -180,88 +241,67 @@ def membership_defects(ctx: ReductionContext, w: SuperPoly):
     """rho{n_lambda w} for every basis element n of g_{>0}; all must vanish."""
     out = []
     for t in ctx.n_indices:
-        lp = ctx.rho_lambda(master_bracket(ctx.n_var(t), w, ctx.table))
-        if lp:
-            out.append((ctx.alph.names[t], lp))
+        value = ctx.rho_bracket(ctx.bracket(ctx.n_var(t), w))
+        if value:
+            out.append((ctx.alph.names[t], value))
     return out
 
 
-def _k_degree_bound(ctx, weight) -> int:
-    # corrections are polynomial in a symbolic k; constant k needs no expansion
-    return 0 if ctx.k.is_constant() else int(2 * weight) + 3
+# -- linear ansatz -----------------------------------------------------------
 
-
-def solve_generator(ctx: ReductionContext, j) -> WGenerator:
-    """Exact linear solve for the canonical generator with leading term q_j."""
-    db = ctx.db
-    weight = 1 + db.spins[j]
-    lead = ctx.star_index[(j, 0)]
-    parity = ctx.gstar.parities[lead]
-    allowed = []
-    for t in ctx.p_indices:
-        base_w = ctx.alph.weights[t]
+def ansatz_monomials(alph, indices, weight, parity, required=None):
+    """Monomials of the given weight and parity in the variables `indices`
+    and their derivatives; with `required`, each uses one of those."""
+    slots = []
+    for t in indices:
         m = 0
-        while base_w + m <= weight:
-            allowed.append((t, m))
+        while alph.var_weight((t, m)) <= weight:
+            slots.append((t, m))
             m += 1
-    monos = enumerate_monomials(ctx.alph, allowed, weight, parity,
-                                require_one_of={(t, m) for (t, m) in allowed
-                                                if t in ctx.highE_indices})
-    lead_poly = SuperPoly.variable(ctx.alph, lead)
-    kmax = _k_degree_bound(ctx, weight)
-    solution = _solve_membership(ctx, lead_poly, monos, kmax)
-    value = lead_poly + solution
-    gamma = gamma_linear(ctx, j)
-    if _highE_degree_part(ctx, value - lead_poly, 1) != gamma:
-        raise GeneratorError("solver linear part disagrees with the chain formula "
-                             "for generator %d" % j)
-    return WGenerator(j, value, weight)
+    need = None if required is None else {v for v in slots if v[0] in required}
+    return enumerate_monomials(alph, slots, weight, parity, require_one_of=need)
 
 
-def _solve_membership(ctx, lead_poly, monos, kmax):
-    """Solve rho{n_l lead + sum x_M M} = 0 for Scalar coefficients x_M."""
-    alph = ctx.alph
-    columns = []
-    for M in monos:
-        for d in range(kmax + 1):
-            columns.append((M, d))
+def k_degree_bound(weight, *levels) -> int:
+    """Highest power of k in an ansatz coefficient: corrections are
+    polynomial in a symbolic level; constant levels need no expansion."""
+    if all(level.is_constant() for level in levels):
+        return 0
+    return int(2 * weight) + 3
+
+
+def solve_ansatz(alph, monos, kmax, terms, what, unique=True):
+    """Solve for the coefficients x_{M,d} of the ansatz sum k^d M.
+
+    `terms` yields (M, key, s): the Scalar s is what the monomial M adds to
+    the linear condition `key`, or for M None the known part of it; each
+    power of k and c in a condition is one equation. Returns the solved
+    polynomial over alph. No solution, or several when `unique` is set,
+    raises GeneratorError naming `what`; without `unique`, several give None.
+    """
+    columns = [(M, d) for M in monos for d in range(kmax + 1)]
     rows = {}
-
-    def add(eqkey, col, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        cur = rows[eqkey][0].get(col, GRat(0)) + coeff
-        if cur:
-            rows[eqkey][0][col] = cur
-        else:
-            rows[eqkey][0].pop(col, None)
-
-    def add_rhs(eqkey, coeff: GRat):
-        rows.setdefault(eqkey, ({}, [GRat(0)]))
-        rows[eqkey][1][0] = rows[eqkey][1][0] + coeff
-
-    for t in ctx.n_indices:
-        nv = ctx.n_var(t)
-        base = ctx.rho_lambda(master_bracket(nv, lead_poly, ctx.table))
-        for lam, poly in base.coeffs.items():
-            for mono, s in poly.terms.items():
-                for (kp, cp), gr in s.terms.items():
-                    add_rhs((t, lam, mono, kp, cp), -gr)
-        for idx, M in enumerate(monos):
-            mp = SuperPoly(alph, {M: Scalar.one()})
-            bm = ctx.rho_lambda(master_bracket(nv, mp, ctx.table))
-            for lam, poly in bm.coeffs.items():
-                for mono, s in poly.terms.items():
-                    for (kp, cp), gr in s.terms.items():
-                        for d in range(kmax + 1):
-                            add((t, lam, mono, kp + d, cp), (M, d), gr)
-
-    eqs = [(coeffs, rhs[0]) for (coeffs, rhs) in rows.values()]
+    for M, key, s in terms:
+        for (kp, cp), gr in s.terms.items():
+            if M is None:
+                row = rows.setdefault((key, kp, cp), [{}, GR_ZERO])
+                row[1] = row[1] - gr
+                continue
+            for d in range(kmax + 1):
+                coeffs = rows.setdefault((key, kp + d, cp), [{}, GR_ZERO])[0]
+                cur = coeffs.get((M, d), GR_ZERO) + gr
+                if cur:
+                    coeffs[(M, d)] = cur
+                else:
+                    coeffs.pop((M, d), None)
     try:
-        sol = _lin(eqs, columns)
+        sol = solve_linear([tuple(row) for row in rows.values()], columns)
     except LinearSolveError as e:
-        if "underdetermined" in str(e):
-            raise GeneratorError("non-unique generator solution: %s" % e)
-        raise GeneratorError("no generator solution: %s" % e)
+        if e.reason != "underdetermined":
+            raise GeneratorError("no %s: %s" % (what, e))
+        if unique:
+            raise GeneratorError("non-unique %s: %s" % (what, e))
+        return None
     out = SuperPoly.zero(alph)
     for (M, d), gr in sol.items():
         if gr:
@@ -269,15 +309,40 @@ def _solve_membership(ctx, lead_poly, monos, kmax):
     return out
 
 
-def _lin(eqs, columns):
-    from .scalars import solve_linear
-    return solve_linear(eqs, columns)
+def solve_generator(ctx: ReductionContext, j) -> WGenerator:
+    """Exact linear solve for the canonical generator with leading term q_j."""
+    weight = ctx.flavor.shift + ctx.db.spins[j]
+    lead = ctx.star_index[(j, 0)]
+    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
+                             ctx.alph.parities[lead], ctx.highe_indices)
+    lead_poly = SuperPoly.variable(ctx.alph, lead)
+    solution = solve_ansatz(ctx.alph, monos, k_degree_bound(weight, ctx.k),
+                            _membership_terms(ctx, lead_poly, monos),
+                            "generator solution")
+    value = lead_poly + solution
+    if _highe_degree_part(ctx, solution, 1) != gamma_linear(ctx, j):
+        raise GeneratorError("solver linear part disagrees with the chain "
+                             "formula for generator %d" % j)
+    return WGenerator(j, value, weight)
 
 
-def _highE_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
+def _membership_terms(ctx, lead_poly, monos):
+    """rho{n_lambda lead + sum x_M M} = 0 for every n in g_{>0}."""
+    polys = [(None, lead_poly)] + [(M, SuperPoly(ctx.alph, {M: Scalar.one()}))
+                                   for M in monos]
+    for t in ctx.n_indices:
+        nv = ctx.n_var(t)
+        for M, poly in polys:
+            value = ctx.rho_bracket(ctx.bracket(nv, poly))
+            for lam, coeff in value.coeffs.items():
+                for mono, s in coeff.terms.items():
+                    yield M, (t, lam, mono), s
+
+
+def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
     out = {}
     for mono, c in poly.terms.items():
-        d = sum(e for (t, m), e in mono if t in ctx.highE_indices)
+        d = sum(e for (t, m), e in mono if t in ctx.highe_indices)
         if d == degree:
             out[mono] = c
     return SuperPoly(ctx.alph, out)
@@ -286,6 +351,8 @@ def _highE_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
 def solve_all_generators(ctx: ReductionContext):
     return [solve_generator(ctx, j) for j in range(ctx.db.count())]
 
+
+# -- generator coordinates and brackets --------------------------------------
 
 def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPoly:
     """pi(A) with g^F variables renamed to generator symbols; verifies that
@@ -309,81 +376,80 @@ def evaluate_symbols(ctx: ReductionContext, gens, sym: SuperPoly) -> SuperPoly:
     return sym.substitute(images, ctx.alph)
 
 
-def w_bracket_direct(ctx: ReductionContext, gens, i, j) -> LambdaPoly:
+def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators."""
-    raw = master_bracket(gens[i].value, gens[j].value, ctx.table)
-    red = ctx.rho_lambda(raw)
-    return LambdaPoly(ctx.gen_alph,
-                      {n: rewrite_in_generators(ctx, gens, p)
-                       for n, p in red.coeffs.items()})
+    red = ctx.rho_bracket(ctx.bracket(gens[i].value, gens[j].value))
+    return ctx.flavor.poly(ctx.gen_alph,
+                           {n: rewrite_in_generators(ctx, gens, p)
+                            for n, p in red.coeffs.items()})
 
 
-def w_bracket_closed(ctx: ReductionContext, gens, a, b) -> LambdaPoly:
-    """Closed chain-sum bracket formula evaluated in generator symbols."""
-    g, db = ctx.g, ctx.db
-    t1, t2 = db.spins[a], db.spins[b]
+def w_bracket_closed(ctx: ReductionContext, gens, a, b):
+    """Closed chain-sum bracket formula evaluated in generator symbols.
+
+    Even: [a,b] + lambda k(a|b) - s(a,b) (chain sum with factors
+    (omega([x,y]^sharp) - k(x|y)(lambda+del)) and chain signs). SUSY: the
+    same with chi, D and no chain signs, all times s(a).
+    """
+    g, db, fl = ctx.g, ctx.db, ctx.flavor
     qa, qb = db.lower[a], db.lower[b]
-    out = LambdaPoly.zero(ctx.gen_alph)
+    out = fl.poly.zero(ctx.gen_alph)
     br = ctx.sharp_symbols(g.bracket(qa, qb))
     if br:
-        out = out + LambdaPoly.of(br)
+        out = out + fl.poly.of(br)
     fv = g.form_value(qa, qb)
     if fv:
-        out = out + LambdaPoly(ctx.gen_alph,
-                               {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+        out = out + fl.poly(ctx.gen_alph,
+                            {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
     pa = g.parity_of_vec(qa)
     pb = g.parity_of_vec(qb)
-    s_ab = -1 if (pa * pb) % 2 else 1
-    total = LambdaPoly.zero(ctx.gen_alph)
-    for chain in admissible_chains(db, -t2, t1 - 1):
+    total = fl.poly.zero(ctx.gen_alph)
+    for chain in admissible_chains(db, -db.spins[b], db.spins[a] - fl.shift):
         if not chain:
             continue
-        sgn = 1
-        for (jj, _n) in chain:
-            sgn *= -1 if g.parity_of_vec(db.lower[jj]) else 1
         jp, np_ = chain[-1]
         x_last = db.chain_lower[jp][np_ + 1] if np_ + 1 < len(db.chain_lower[jp]) \
             else g.zero_vec()
         val = _closed_factor(ctx, g.bracket(x_last, qa),
                              g.form_value(x_last, qa),
-                             LambdaPoly.of(SuperPoly.one(ctx.gen_alph)),
-                             last=True)
+                             fl.poly.of(SuperPoly.one(ctx.gen_alph)))
         for t in range(len(chain) - 1, 0, -1):
+            # known defect: no bounds check here; on chains of length 3 or
+            # more (sl4-principal) this index runs past the chain
             x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
             y = db.chain_upper[chain[t][0]][chain[t][1]]
             val = _closed_factor(ctx, g.bracket(x, y), g.form_value(x, y), val)
         y0 = db.chain_upper[chain[0][0]][chain[0][1]]
         val = _closed_factor(ctx, g.bracket(qb, y0), g.form_value(qb, y0), val)
-        if sgn < 0:
+        if fl.signed_chains and _odd_members(ctx, chain) % 2:
             val = -val
         total = total + val
-    if s_ab > 0:
-        out = out - total
-    else:
+    if (pa * pb) % 2:
         out = out + total
+    else:
+        out = out - total
+    if fl.signed_head and pa:
+        out = -out
     return out
 
 
-def _closed_factor(ctx, bracket_vec, form_val: Scalar, tail: LambdaPoly,
-                   last=False) -> LambdaPoly:
+def _closed_factor(ctx, bracket_vec, form_val: Scalar, tail):
     """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail;
     on the trailing 1 the (lambda+del) reduces to a bare lambda."""
     sym = ctx.sharp_symbols(bracket_vec)
-    out = tail.mul_left(sym) if sym else LambdaPoly.zero(ctx.gen_alph)
+    out = tail.mul_left(sym) if sym else ctx.flavor.poly.zero(ctx.gen_alph)
     if form_val:
-        out = out - tail.apply_lambda_del().scalar_mul(form_val * ctx.k)
+        out = out - ctx.flavor.plus_del(tail).scalar_mul(form_val * ctx.k)
     return out
 
 
-def w_bracket_table(ctx: ReductionContext, gens, route="direct") -> BracketTable:
-    table = BracketTable(ctx.gen_alph)
+def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
+    bracket = w_bracket_direct if route == "direct" else w_bracket_closed
+    table = ctx.flavor.table(ctx.gen_alph)
     n = ctx.db.count()
     for i in range(n):
         for j in range(n):
-            if route == "direct":
-                table.set(i, j, w_bracket_direct(ctx, gens, i, j))
-            else:
-                table.set(i, j, w_bracket_closed(ctx, gens, i, j))
+            table.set(i, j, bracket(ctx, gens, i, j))
     return table
 
 

@@ -19,10 +19,10 @@ from walgebras.spva import (check_susy_jacobi, check_susy_skew,
 from walgebras.superpoly import SuperPoly
 from walgebras.swclassical import (SUSYReductionContext, compare_susy_closed_direct,
                                    gamma_S_linear, susy_membership_defects,
-                                   susy_w_bracket_table, _highe_degree_part)
+                                   susy_w_bracket_table)
 from walgebras.wclassical import (compare_closed_direct, gamma_linear,
                                   w_bracket_direct, w_bracket_table,
-                                  _highE_degree_part)
+                                  _highe_degree_part)
 
 K = Scalar.k()
 HALF = Fraction(1, 2)
@@ -49,7 +49,7 @@ def test_criterion_1_virasoro_reproduction():
     assert w_bracket_direct(ctx, gens, 0, 0) == golden_b
     # independent oracle: the golden bracket from the axioms-driven evaluator
     raw = bracket_oracle(gens[0].value, gens[0].value, ctx.table)
-    red = ctx.rho_lambda(raw)
+    red = ctx.rho_bracket(raw)
     from walgebras.wclassical import rewrite_in_generators
     assert LambdaPoly(ga, {n: rewrite_in_generators(ctx, gens, p)
                            for n, p in red.coeffs.items()}) == golden_b
@@ -62,7 +62,7 @@ def test_criterion_2_thm_3_3_and_3_6():
         ctx, gens = helpers.classical(name)
         for j, w in gens.items():
             lead = SuperPoly.variable(ctx.alph, ctx.star_index[(j, 0)])
-            assert _highE_degree_part(ctx, w.value - lead, 1) == gamma_linear(ctx, j)
+            assert _highe_degree_part(ctx, w.value - lead, 1) == gamma_linear(ctx, j)
         assert compare_closed_direct(ctx, gens) == []
     report("2 Thm 3.3 / Thm 3.6", time.time() - t0, 60)
 

@@ -155,8 +155,8 @@ def test_building_block_bracket_identity(name):
     ctx = SUSYReductionContext(g)
     cplx = BRSTComplex(ctx)
     gstar, alph = ctx.gstar, cplx.alph
-    for a in ctx.le0_indices:
-        for b in ctx.le0_indices:
+    for a in ctx.kept_indices:
+        for b in ctx.kept_indices:
             got = susy_master_bracket(cplx.building_block(a),
                                       cplx.building_block(b), cplx.table)
             pa, pb = gstar.parities[a], gstar.parities[b]
@@ -189,7 +189,7 @@ def test_d_on_building_blocks_display(name):
     def phibar(al):
         return SuperPoly.variable(alph, cplx.phibar_index(al))
 
-    for a in ctx.le0_indices:
+    for a in ctx.kept_indices:
         got = diff.d_chi(cplx.building_block(a))
         pa = gstar.parities[a]
         expect = ChiPoly.zero(alph)
@@ -246,7 +246,7 @@ def test_bigrade_bookkeeping():
     cplx, diff, gens = helpers.brst("osp12")
     ctx = cplx.ctx
     rng = random.Random(5)
-    smin = list(ctx.le0_indices) + [cplx.phibar_index(a) for a in range(cplx.nn)]
+    smin = list(ctx.kept_indices) + [cplx.phibar_index(a) for a in range(cplx.nn)]
     checked = 0
     for _ in range(10):
         poly = random_superpoly(cplx.jalph, rng, max_factors=2, max_order=1,
@@ -291,6 +291,15 @@ def test_bracket_with_exact_element_vanishes():
         assert diff.apply(poly).is_zero()
         assert brst_rewrite(cplx, gens, poly, ctx.gen_alph).is_zero()
         assert exactness_witness(cplx, diff, cplx.to_J(poly))
+
+
+@pytest.mark.parametrize("name", OSP)
+def test_cohomology_classes_not_exact(name):
+    cplx, diff, gens = helpers.brst(name)
+    classes = [cplx.to_J(E.value) for E in gens.values() if E.value]
+    assert classes
+    for X in classes:
+        assert not exactness_witness(cplx, diff, X)
 
 
 @pytest.mark.parametrize("name", OSP)

@@ -6,8 +6,8 @@ import pytest
 import helpers
 from walgebras.catalog import CATALOG
 from walgebras.pva import (BracketTable, LambdaPoly, bracket_oracle,
-                           check_jacobi, check_skew, conformal_weight,
-                           master_bracket, random_property_suite)
+                           check_jacobi, check_skew, master_bracket,
+                           random_property_suite)
 from walgebras.scalars import Scalar
 from walgebras.superpoly import SuperPoly, random_superpoly
 
@@ -79,13 +79,13 @@ def test_master_equals_axioms_oracle(name):
 def test_conformal_weights_sl2():
     g, alph, t = helpers.affine("sl2")
     E, H, F = (SuperPoly.variable(alph, i) for i in range(3))
-    assert conformal_weight(F) == 2
-    assert conformal_weight(H) == 1
-    assert conformal_weight(E) == 0
-    assert conformal_weight(H.deriv()) == 2
+    assert F.conformal_weight() == 2
+    assert H.conformal_weight() == 1
+    assert E.conformal_weight() == 0
+    assert H.deriv().conformal_weight() == 2
     w = F + SuperPoly.variable(alph, 1, 1).scalar_mul(K.scale(Fraction(1, 2))) \
         + (H * H).scale(Fraction(1, 4))
-    assert conformal_weight(w) == 2
+    assert w.conformal_weight() == 2
 
 
 def test_lambda_poly_machinery():

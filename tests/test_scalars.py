@@ -98,5 +98,10 @@ def test_solver_against_rref():
 
 def test_solver_inconsistent():
     eqs = [({0: GRat(1)}, GRat(1)), ({0: GRat(1)}, GRat(2))]
-    with pytest.raises(LinearSolveError, match="inconsistent"):
+    with pytest.raises(LinearSolveError, match="inconsistent") as err:
         solve_linear(eqs, [0])
+    assert err.value.reason == "inconsistent"
+    eqs = [({0: GRat(1), 1: GRat(1)}, GRat(1))]
+    with pytest.raises(LinearSolveError, match="underdetermined") as err:
+        solve_linear(eqs, [0, 1])
+    assert err.value.reason == "underdetermined"

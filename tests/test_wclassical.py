@@ -85,7 +85,7 @@ def test_canonical_form(name):
     for j, w in gens.items():
         corr = w.value - SuperPoly.variable(ctx.alph, ctx.star_index[(j, 0)])
         for mono, _c in corr.terms.items():
-            assert any(t in ctx.highE_indices for (t, _m), _e in mono)
+            assert any(t in ctx.highe_indices for (t, _m), _e in mono)
 
 
 @pytest.mark.parametrize("name", CLASSICAL)
@@ -162,7 +162,7 @@ def test_lemma_3_2_case_table():
             for (j, n) in db.members():
                 t2 = db.grade_of(j, n)
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
-                got = ctx.rho_lambda(master_bracket(up_poly, lo, ctx.table))
+                got = ctx.rho_bracket(master_bracket(up_poly, lo, ctx.table))
                 if t2 - t1 > 1:
                     assert got.is_zero()
                 elif t2 - t1 == 1:
