@@ -263,18 +263,29 @@ class SuperPoly:
         """The alphabet's derivation: even del for 'd', odd D for 'D'."""
         alph = self.alphabet
         odd_flavor = alph.flavor == FLAVOR_D
-        out = SuperPoly(alph)
+        out = {}
         for mono, coeff in self.terms.items():
             prefix_parity = 0
             for t, (v, e) in enumerate(mono):
                 c = coeff.scale(e) if e != 1 else coeff
                 if odd_flavor and prefix_parity:
                     c = -c
+                # (left) * v' * (right), v' moved into place with its sign
                 left_m = mono[:t] + (((v, e - 1),) if e > 1 else ())
-                raised = SuperPoly.variable(alph, v[0], v[1] + 1, c)
-                out = out + _ordered_product(alph, left_m, raised, mono[t + 1:])
+                m, s1 = _merge_monomials(alph, left_m, (((v[0], v[1] + 1), 1),))
+                if m is not None:
+                    m, s2 = _merge_monomials(alph, m, mono[t + 1:])
+                if m is not None:
+                    if s1 * s2 < 0:
+                        c = -c
+                    s = out.get(m)
+                    s = c if s is None else s + c
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
                 prefix_parity = (prefix_parity + alph.var_parity(v) * e) % 2
-        return out
+        return SuperPoly(alph, out)
 
     def partial(self, var) -> "SuperPoly":
         """Signed partial derivative with respect to variable (gen, order)."""
@@ -410,14 +421,6 @@ class SuperPoly:
             if c:
                 terms[mono] = c
         return SuperPoly(alph, terms)
-
-
-def _ordered_product(alph, left_mono, mid_poly, right_mono):
-    """Product (left monomial) * mid * (right monomial) honoring Koszul signs."""
-    out = SuperPoly(alph, {left_mono: Scalar.one()}) * mid_poly
-    if right_mono:
-        out = out * SuperPoly(alph, {right_mono: Scalar.one()})
-    return out
 
 
 def apply_del(poly: SuperPoly) -> SuperPoly:
