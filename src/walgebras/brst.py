@@ -4,11 +4,11 @@ The complex tensors the current algebra (I) over j-variables with the
 ghost algebra (II) over phi / phi* pairs for the positive part n and its
 dual.  The differential d^c is chi-bracketing with the cubic element d;
 H^0 is computed by an exact linear solve over the ghost-free part, with
-the filtration ordering the unknowns; that solve, and the one behind the
-exactness witnesses, is the linear-ansatz solve of the reduction engine
-(wclassical).  The equivalence with the Hamiltonian reduction
-(imaginary-unit twist) is verified generator by generator and on whole
-bracket tables.
+the filtration ordering the unknowns; that solve is the linear-ansatz
+solve of the reduction engine (wclassical), and _differential_terms also
+yields the rows of an exactness-witness solve in J-coordinates.  The
+equivalence with the Hamiltonian reduction (imaginary-unit twist) is
+verified generator by generator and on whole bracket tables.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from fractions import Fraction
 
 from .liealg import matrix_inverse, vec_grat
 from .scalars import Scalar
+from .pva import affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
 from .swclassical import SUSYReductionContext
 from .wclassical import (GeneratorError, WGenerator, ansatz_monomials,
-                         k_degree_bound, solve_ansatz)
+                         k_degree_bound, solve_all_generators, solve_ansatz,
+                         w_bracket_table)
 
 HALF = Fraction(1, 2)
 
@@ -88,55 +90,26 @@ class BRSTComplex:
 
     def phi_of_vector(self, vec) -> SuperPoly:
         """phi_x = phi_{pi_+ x}: expand the n-part of x over the phi ghosts."""
-        out = SuperPoly.zero(self.alph)
-        for pos, t in enumerate(self.n_idx):
-            c = vec[t]
-            if c:
-                out = out + SuperPoly.variable(self.alph, self.phi_index(pos), 0, c)
-        return out
+        return SuperPoly.linear(self.alph, ((self.phi_index(pos), vec[t])
+                                            for pos, t in enumerate(self.n_idx)))
 
     def phibar_of_vector(self, vec) -> SuperPoly:
         """phi^xbar = phi^{bar(pi_- x)}: expand over the dual-ghost basis."""
-        out = SuperPoly.zero(self.alph)
         g = self.ctx.gstar
-        for alpha, a in enumerate(self.n_idx):
-            # coefficient of u^alpha in pi_-(x) is (x | u_alpha)
-            c = g.form_value(vec, g.basis_vec(a))
-            if c:
-                out = out + SuperPoly.variable(self.alph, self.phibar_index(alpha),
-                                               0, c)
-        return out
+        # coefficient of u^alpha in pi_-(x) is (x | u_alpha)
+        return SuperPoly.linear(self.alph, (
+            (self.phibar_index(alpha), g.form_value(vec, g.basis_vec(a)))
+            for alpha, a in enumerate(self.n_idx)))
 
     def j_of_vector(self, vec) -> SuperPoly:
-        out = SuperPoly.zero(self.alph)
-        for t, c in enumerate(vec):
-            if c:
-                out = out + SuperPoly.variable(self.alph, t, 0, c)
-        return out
+        return SuperPoly.linear(self.alph, enumerate(vec))
 
     def _build_table(self) -> SUSYBracketTable:
+        """The affine chi-brackets of the j's, signed s(x, ybar), and
+        [ph*_a chi ph_a] = [ph_a chi ph*_a] = 1 for the ghost pairs."""
         g = self.ctx.gstar
-        k = self.ctx.k
-        table = SUSYBracketTable(self.alph)
-        for x in range(g.dim):
-            for y in range(g.dim):
-                sgn = -1 if (g.parities[x] * (g.parities[y] + 1)) % 2 else 1
-                coeffs = {}
-                br = g.struct.get((x, y))
-                if br is not None:
-                    poly = SuperPoly.zero(self.alph)
-                    for l, s in enumerate(br):
-                        if s:
-                            poly = poly + SuperPoly.variable(
-                                self.alph, l, 0, s if sgn > 0 else -s)
-                    if poly:
-                        coeffs[0] = poly
-                fv = g.form[x][y]
-                if fv:
-                    c = fv * k
-                    coeffs[1] = SuperPoly.const(self.alph, c if sgn > 0 else -c)
-                if coeffs:
-                    table.set(x, y, ChiPoly(self.alph, coeffs))
+        table = affine_table(g, self.alph, self.ctx.k, SUSYBracketTable,
+                             lambda x, y: g.parities[x] * (g.parities[y] + 1))
         one = Scalar.one()
         for alpha in range(self.nn):
             pb = self.phibar_index(alpha)
@@ -340,26 +313,12 @@ def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
     """Class of X in E-coordinates: J-coordinates, kill ghosts and
     non-kernel J variables, rename J(g^f) to generator symbols."""
     ctx = cplx.ctx
-    xj = cplx.to_J(X)
-    images = {}
-    for t in range(len(cplx.jalph)):
-        images[t] = SuperPoly.zero(gen_alph)
-    for j in range(ctx.db.count()):
-        images[ctx.star_index[(j, 0)]] = SuperPoly.variable(gen_alph, j)
-    projected = {}
-    for mono, c in xj.terms.items():
-        keep = True
-        for (t, _m), _e in mono:
-            if t >= cplx.gdim or (t < cplx.gdim and t in ctx.highe_indices):
-                keep = False
-                break
-            if t < cplx.gdim and t not in ctx.gf_indices:
-                keep = False
-                break
-        if keep:
-            projected[mono] = c
-    sym = SuperPoly(cplx.jalph, projected).substitute(images, gen_alph)
-    return sym
+    images = {ctx.star_index[(j, 0)]: SuperPoly.variable(gen_alph, j)
+              for j in range(ctx.db.count())}
+    # keep the monomials in J(g^f) alone: ghosts and other J's are killed
+    projected = {mono: c for mono, c in cplx.to_J(X).terms.items()
+                 if all(t in images for (t, _m), _e in mono)}
+    return SuperPoly(cplx.jalph, projected).substitute(images, gen_alph)
 
 
 def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential, gens,
@@ -423,8 +382,6 @@ def check_thm_5_9(g, osp=None, k=None):
     differential, and equality of the two bracket tables after the twist.
     Returns a report list (empty = verified).
     """
-    from .wclassical import solve_all_generators, w_bracket_table
-    from .spva import susy_master_bracket as smb
     report = []
     ctx = SUSYReductionContext(g, osp=osp, k=k)
     cplx = BRSTComplex(ctx)
@@ -483,12 +440,11 @@ def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
     """Coefficient-by-coefficient form of the membership <-> differential
     correspondence: the D^m phi* components of d(U(A)) against the chi^m
     coefficients of the twisted membership brackets."""
-    from .spva import susy_master_bracket as smb
     bad = []
     Y = diff.apply(twist_to_complex(cplx, A))
     i_unit = Scalar.imag()
     for alpha, b in enumerate(cplx.n_idx):
-        X = ctx.rho_bracket(smb(ctx.n_var(b), A, ctx.table))
+        X = ctx.rho_bracket(susy_master_bracket(ctx.n_var(b), A, ctx.table))
         if ctx.gstar.parities[b] % 2:
             X = X.scalar_mul(i_unit)
         s_beta = -1 if ctx.gstar.parities[b] % 2 else 1
@@ -506,26 +462,3 @@ def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
             if C != want:
                 bad.append((ctx.gstar.names[b], m))
     return bad
-
-
-def exactness_witness(cplx: BRSTComplex, diff: BRSTDifferential, X: SuperPoly):
-    """Solve X = d_[0] Y over the fixed-weight ghost-bearing part of S(R_-);
-    used as the honest exactness check in the tests."""
-    w = X.conformal_weight()
-    if w in (None, "inhomogeneous"):
-        raise GeneratorError("exactness check needs a homogeneous input")
-    ctx = cplx.ctx
-    ghosts = [cplx.phibar_index(a) for a in range(cplx.nn)]
-    par = X.parity()
-    monos = ansatz_monomials(cplx.jalph, ctx.kept_indices + ghosts, w,
-                             None if par is None else (par + 1) % 2)
-    kmax = max((kp for s in X.terms.values() for (kp, cp) in s.terms), default=0) + 2
-    # exactness solves may be underdetermined (many witnesses); consistency
-    # of the system is what matters
-    try:
-        solve_ansatz(cplx.jalph, monos, kmax,
-                     _differential_terms(cplx, diff, -X, monos, in_J=True),
-                     "exactness witness", unique=False)
-    except GeneratorError:
-        return False
-    return True

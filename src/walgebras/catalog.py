@@ -217,10 +217,6 @@ CATALOG = {
 }
 
 
-def catalog_names():
-    return sorted(CATALOG)
-
-
 def load_catalog_algebra(name) -> LieSuperalgebra:
     entry = CATALOG[name]
     path = importlib.resources.files("walgebras").joinpath("data", entry.file)

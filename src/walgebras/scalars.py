@@ -173,12 +173,6 @@ class Scalar:
     def constant_part(self) -> GRat:
         return self.terms.get((0, 0), GR_ZERO)
 
-    def k_degree(self) -> int:
-        return max((e[0] for e in self.terms), default=0)
-
-    def c_degree(self) -> int:
-        return max((e[1] for e in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented

@@ -165,6 +165,11 @@ class SuperPoly:
             return SuperPoly(alph)
         return SuperPoly(alph, {(((gen, order), 1),): c})
 
+    @staticmethod
+    def linear(alph, coeffs) -> "SuperPoly":
+        """sum_t c_t u_t over (t, c_t) pairs with distinct t; zeros drop out."""
+        return SuperPoly(alph, {(((t, 0), 1),): c for t, c in coeffs if c})
+
     # -- basics --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

@@ -17,9 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import dual_bases_f
-from .spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
-                   susy_master_bracket)
-from .superpoly import FLAVOR_D
+from .spva import SUSYBracketTable, susy_affine_table, susy_master_bracket
 from .wclassical import (Flavor, ReductionContext, compare_closed_direct,
                          evaluate_symbols, gamma_linear, membership_defects,
                          rewrite_in_generators, solve_all_generators,
@@ -30,13 +28,12 @@ HALF = Fraction(1, 2)
 
 # dual bases and master formula go through their module names, as in EVEN
 SUSY = Flavor(
-    name="chi", symbol=FLAVOR_D, shift=HALF, bar=True, letter="r",
+    name="chi", shift=HALF, bar=True, letter="r",
     prefix="t_", nilpotent="f", killed=lambda gr: gr > 0,
     dual_bases=lambda g, osp: dual_bases_f(g, osp),
     affine_table=susy_affine_table,
     master=lambda a, b, table: susy_master_bracket(a, b, table),
-    poly=ChiPoly, table=SUSYBracketTable, plus_del=ChiPoly.apply_chi_plus_D,
-    signed_chains=False, signed_head=True)
+    table=SUSYBracketTable, signed_chains=False, signed_head=True)
 
 
 class SUSYReductionContext(ReductionContext):

@@ -27,28 +27,29 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .liealg import admissible_chains, dual_bases_F
-from .pva import BracketTable, LambdaPoly, affine_table, master_bracket
+from .pva import BracketTable, affine_table, master_bracket
 from .scalars import GR_ZERO, LinearSolveError, Scalar, solve_linear
-from .superpoly import Alphabet, FLAVOR_DEL, SuperPoly, enumerate_monomials
+from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
 HALF = Fraction(1, 2)
 
 
-class Flavor(namedtuple("Flavor", "name symbol shift bar letter prefix "
-                        "nilpotent killed dual_bases affine_table master "
-                        "poly table plus_del signed_chains signed_head")):
+class Flavor(namedtuple("Flavor", "name shift bar letter prefix nilpotent "
+                        "killed dual_bases affine_table master table "
+                        "signed_chains signed_head")):
     """What the even reduction W(g, F) and the SUSY one W(g, f) differ in.
 
-    name, symbol    bracket variable ("lambda", "chi") and alphabet flavor
+    name            bracket variable ("lambda", "chi")
     shift           a variable of grading j has conformal weight shift - j
     bar             variables are bar-variables: parity flipped, name + "~"
     letter, prefix  chain-member letter ("q", "r"), generator prefix ("w_", "t_")
     nilpotent       the triple's element that rho pairs with ("F", "f")
     killed          grading test of the variables that rho makes constant
     dual_bases      builder of the dual chain bases
-    affine_table, master, poly, table, plus_del
-                    the bracket calculus: affine table, master formula,
-                    value and table classes, (lambda + del) or (chi + D)
+    affine_table, master, table
+                    the bracket calculus: affine table, master formula and
+                    table class; table.value is the value class, and its
+                    indeterminate record gives the alphabet flavor
     signed_chains   a chain term carries the sign s(q) of each chain member
     signed_head     the closed bracket of a and b carries an overall s(a)
     """
@@ -60,13 +61,12 @@ class Flavor(namedtuple("Flavor", "name symbol shift bar letter prefix "
 # through their names, so that wrappers installed on those names by the
 # benchmark tracer (wbench/tracer.py) see the calls.
 EVEN = Flavor(
-    name="lambda", symbol=FLAVOR_DEL, shift=1, bar=False, letter="q",
+    name="lambda", shift=1, bar=False, letter="q",
     prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
     dual_bases=lambda g, triple: dual_bases_F(g, triple),
     affine_table=affine_table,
     master=lambda a, b, table: master_bracket(a, b, table),
-    poly=LambdaPoly, table=BracketTable, plus_del=LambdaPoly.apply_lambda_del,
-    signed_chains=True, signed_head=False)
+    table=BracketTable, signed_chains=True, signed_head=False)
 
 
 class GeneratorError(RuntimeError):
@@ -85,7 +85,7 @@ class WGenerator:
 def _alphabet(fl: Flavor, names, parities, gradings) -> Alphabet:
     """Variables (bar-variables for SUSY) of weight shift - grading."""
     suffix = "~" if fl.bar else ""
-    return Alphabet(fl.symbol, [nm + suffix for nm in names],
+    return Alphabet(fl.table.value.var.symbol, [nm + suffix for nm in names],
                     [(p + fl.bar) % 2 for p in parities],
                     [fl.shift - gr for gr in gradings])
 
@@ -144,7 +144,7 @@ class ReductionContext:
                 labels.append("%s%d" % (fl.letter, j))
         self.gen_labels = labels
         self.gen_alph = Alphabet(
-            fl.symbol, [fl.prefix + lb for lb in labels],
+            fl.table.value.var.symbol, [fl.prefix + lb for lb in labels],
             [(g.parity_of_vec(db.lower[j]) + fl.bar) % 2
              for j in range(db.count())],
             [fl.shift + db.spins[j] for j in range(db.count())])
@@ -160,8 +160,8 @@ class ReductionContext:
 
     def rho_bracket(self, value):
         """rho applied to every coefficient of a bracket value."""
-        return self.flavor.poly(self.alph, {n: self.rho(p)
-                                            for n, p in value.coeffs.items()})
+        return type(value)(self.alph, {n: self.rho(p)
+                                       for n, p in value.coeffs.items()})
 
     def pi(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._pi_images, self.alph)
@@ -170,32 +170,21 @@ class ReductionContext:
         """Express a chain-coordinate polynomial over the input basis."""
         images = {}
         for t, (j, n) in enumerate(self.members):
-            vec = self.db.chain_lower[j][n]
-            img = SuperPoly.zero(self.alph_in)
-            for i, c in enumerate(vec):
-                if c:
-                    img = img + SuperPoly.variable(self.alph_in, i, 0, c)
-            images[t] = img
+            images[t] = SuperPoly.linear(self.alph_in,
+                                         enumerate(self.db.chain_lower[j][n]))
         return poly.substitute(images, self.alph_in)
 
     def sharp_poly(self, vec) -> SuperPoly:
         """g^F projection of an algebra vector, as a degree-1 polynomial."""
-        out = SuperPoly.zero(self.alph)
-        for j in range(self.db.count()):
-            c = self.g.form_value(self.db.upper[j], vec)
-            if c:
-                out = out + SuperPoly.variable(self.alph,
-                                               self.star_index[(j, 0)], 0, c)
-        return out
+        return SuperPoly.linear(self.alph, (
+            (self.star_index[(j, 0)], self.g.form_value(self.db.upper[j], vec))
+            for j in range(self.db.count())))
 
     def sharp_symbols(self, vec) -> SuperPoly:
         """g^F projection expanded in generator symbols."""
-        out = SuperPoly.zero(self.gen_alph)
-        for j in range(self.db.count()):
-            c = self.g.form_value(self.db.upper[j], vec)
-            if c:
-                out = out + SuperPoly.variable(self.gen_alph, j, 0, c)
-        return out
+        return SuperPoly.linear(self.gen_alph, (
+            (j, self.g.form_value(self.db.upper[j], vec))
+            for j in range(self.db.count())))
 
     def n_var(self, t) -> SuperPoly:
         return SuperPoly.variable(self.alph, t)
@@ -379,9 +368,8 @@ def evaluate_symbols(ctx: ReductionContext, gens, sym: SuperPoly) -> SuperPoly:
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators."""
     red = ctx.rho_bracket(ctx.bracket(gens[i].value, gens[j].value))
-    return ctx.flavor.poly(ctx.gen_alph,
-                           {n: rewrite_in_generators(ctx, gens, p)
-                            for n, p in red.coeffs.items()})
+    return type(red)(ctx.gen_alph, {n: rewrite_in_generators(ctx, gens, p)
+                                    for n, p in red.coeffs.items()})
 
 
 def w_bracket_closed(ctx: ReductionContext, gens, a, b):
@@ -392,18 +380,19 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     same with chi, D and no chain signs, all times s(a).
     """
     g, db, fl = ctx.g, ctx.db, ctx.flavor
+    value = fl.table.value
     qa, qb = db.lower[a], db.lower[b]
-    out = fl.poly.zero(ctx.gen_alph)
+    out = value.zero(ctx.gen_alph)
     br = ctx.sharp_symbols(g.bracket(qa, qb))
     if br:
-        out = out + fl.poly.of(br)
+        out = out + value.of(br)
     fv = g.form_value(qa, qb)
     if fv:
-        out = out + fl.poly(ctx.gen_alph,
-                            {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+        out = out + value(ctx.gen_alph,
+                          {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
     pa = g.parity_of_vec(qa)
     pb = g.parity_of_vec(qb)
-    total = fl.poly.zero(ctx.gen_alph)
+    total = value.zero(ctx.gen_alph)
     for chain in admissible_chains(db, -db.spins[b], db.spins[a] - fl.shift):
         if not chain:
             continue
@@ -412,7 +401,7 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
             else g.zero_vec()
         val = _closed_factor(ctx, g.bracket(x_last, qa),
                              g.form_value(x_last, qa),
-                             fl.poly.of(SuperPoly.one(ctx.gen_alph)))
+                             value.of(SuperPoly.one(ctx.gen_alph)))
         for t in range(len(chain) - 1, 0, -1):
             # known defect: no bounds check here; on chains of length 3 or
             # more (sl4-principal) this index runs past the chain
@@ -437,9 +426,9 @@ def _closed_factor(ctx, bracket_vec, form_val: Scalar, tail):
     """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail;
     on the trailing 1 the (lambda+del) reduces to a bare lambda."""
     sym = ctx.sharp_symbols(bracket_vec)
-    out = tail.mul_left(sym) if sym else ctx.flavor.poly.zero(ctx.gen_alph)
+    out = tail.mul_left(sym) if sym else tail.zero(ctx.gen_alph)
     if form_val:
-        out = out - ctx.flavor.plus_del(tail).scalar_mul(form_val * ctx.k)
+        out = out - tail.apply_plus_d().scalar_mul(form_val * ctx.k)
     return out
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import exactness_witness
 from walgebras.brst import (BRSTComplex, _input_to_star, build_complex,
-                            build_d, check_thm_5_9, brst_bracket_table,
-                            exactness_witness)
+                            build_d, check_thm_5_9, brst_bracket_table)
 from walgebras.scalars import Scalar
 from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
                             susy_master_bracket)

@@ -6,7 +6,8 @@ import helpers
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, \
     random_property_suite
 from walgebras.scalars import Scalar
-from walgebras.spva import (ChiDWord, ChiPoly, SUSYBracketTable,
+from helpers import ChiDWord
+from walgebras.spva import (ChiPoly, SUSYBracketTable,
                             check_susy_jacobi, check_susy_skew,
                             random_susy_property_suite, reduce_to_pva,
                             susy_master_bracket,
