@@ -48,8 +48,9 @@ class Indeterminate(namedtuple("Indeterminate", "parity glyphs left tag labels "
     master(pf, pg, pi, pj, m, n, pim, pjn)
                     sign of the (u_i^(m), u_j^(n)) term of the master
                     formula for {f_x g}; pim, pjn are the variables' parities
-    jacobi          signs (pa, pb, i, o) of the three Jacobi terms, by the
-                    x- or y-powers i of the inner and o of the outer bracket
+    jacobi          signs (pa, i, o), (pa, i, o) and (pa, pb, i, o) of the
+                    three Jacobi terms, by the x- or y-powers i of the inner
+                    and o of the outer bracket; only the third reads pb
     """
 
     __slots__ = ()
@@ -70,7 +71,7 @@ LAMBDA = Indeterminate(
     # superalgebras, and (-1)^m from (-lambda-del)^m
     master=lambda pf, pg, pi, pj, m, n, pim, pjn:
         pf * pg + pi * pj + pg * pj + pj + m,
-    jacobi=(lambda pa, pb, i, o: 0, lambda pa, pb, i, o: 1,
+    jacobi=(lambda pa, i, o: 0, lambda pa, i, o: 1,
             lambda pa, pb, i, o: 1 + pa * pb))
 
 
@@ -86,6 +87,12 @@ def _acc(out, key, poly):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _acc_value(out, value, e=0):
+    """out += (-1)^e value for a bracket value; out maps n -> SuperPoly."""
+    for n, p in value.coeffs.items():
+        _acc(out, n, -p if e % 2 else p)
 
 
 def _power(glyph, n):
@@ -197,10 +204,10 @@ class LambdaPoly:
 
     def flip(self):
         """sum_n (-x-d)^n f_n: the skew-symmetry substitution."""
-        out = self.zero(self.alphabet)
+        out = {}
         for n, p in self.coeffs.items():
-            out = out + _signed(self.of(p).apply_plus_d(n), n)
-        return out
+            _acc_value(out, self.of(p).apply_plus_d(n), n)
+        return type(self)(self.alphabet, out)
 
     subs_neg_lambda_del = flip
 
@@ -233,13 +240,13 @@ def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
     reproduces table entries at every chi power (pinned by the oracle;
     only powers >= 2 are sensitive to it)."""
     arrow = bracket.var.arrow
-    out = bracket.zero(bracket.alphabet)
+    out = {}
     powers = {0: tail}
     for n in range(1, bracket.max_power() + 1):
         powers[n] = powers[n - 1].apply_plus_d()
     for n, coeff in bracket.coeffs.items():
-        out = out + _signed(powers[n].mul_left(coeff), arrow(q, n))
-    return out
+        _acc_value(out, powers[n].mul_left(coeff), arrow(q, n))
+    return type(bracket)(bracket.alphabet, out)
 
 
 class BracketTable:
@@ -312,21 +319,19 @@ def _parts(poly: SuperPoly):
 def _master(f: SuperPoly, g: SuperPoly, table: BracketTable, max_weight):
     """Master formula: the implementation of master_bracket and
     spva.susy_master_bracket."""
-    alph = table.alphabet
-    out = table.value.zero(alph)
+    out = {}
     for pf, fh in _parts(f):
         for pg, gh in _parts(g):
-            out = out + _master_homog(fh, pf, gh, pg, table)
+            _master_homog(out, fh, pf, gh, pg, table)
     if max_weight is not None:
-        out = table.value(alph, {n: p.truncate_weight(max_weight)
-                                 for n, p in out.coeffs.items()})
-    return out
+        out = {n: p.truncate_weight(max_weight) for n, p in out.items()}
+    return table.value(table.alphabet, out)
 
 
-def _master_homog(f, pf, g, pg, table: BracketTable):
+def _master_homog(out, f, pf, g, pg, table: BracketTable):
+    """Adds the master formula of parity-homogeneous f, g to out."""
     alph = table.alphabet
     sign = table.value.var.master
-    out = table.value.zero(alph)
     gvars = g.variables()
     for (i, m) in f.variables():
         dfi = f.partial((i, m))
@@ -343,9 +348,8 @@ def _master_homog(f, pf, g, pg, table: BracketTable):
                 continue
             pj = alph.parities[j]
             val = arrow_apply(ent, inner, pi + pj).apply_plus_d(n).mul_left(dgj)
-            out = out + _signed(val, sign(pf, pg, pi, pj, m, n, pim,
-                                          alph.var_parity((j, n))))
-    return out
+            _acc_value(out, val, sign(pf, pg, pi, pj, m, n, pim,
+                                      alph.var_parity((j, n))))
 
 
 def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable,
@@ -358,13 +362,13 @@ def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):
     """Axioms-driven evaluation: the implementation of bracket_oracle and
     spva.susy_bracket_oracle. It never calls a master formula."""
     alph = table.alphabet
-    out = table.value.zero(alph)
+    out = {}
     for mono_a, ca in a.terms.items():
         fa = SuperPoly(alph, {mono_a: ca})
         for mono_b, cb in b.terms.items():
             fb = SuperPoly(alph, {mono_b: cb})
-            out = out + _oracle_mono(fa, mono_a, fb, mono_b, table)
-    return out
+            _acc_value(out, _oracle_mono(fa, mono_a, fb, mono_b, table))
+    return table.value(alph, out)
 
 
 def _factors(mono):
@@ -479,23 +483,27 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
     out = Lambda2Poly(table.alphabet, var)
-    split = [(pa, ah, pb, bh) for pa, ah in _parts(a) for pb, bh in _parts(b)]
-    # the lambda signs of the first two terms depend on no parity
-    whole = split if var.parity else [(0, a, 0, b)]
-    for pa, ah, pb, bh in whole:    # [a_x [b_y c]]
-        for i, p in evaluator(bh, c, table).coeffs.items():
+    a_parts = _parts(a)
+    # the first two signs read the parity of a only, the lambda ones none
+    a_split = a_parts if var.parity else [(0, a)]
+    bc = evaluator(b, c, table).coeffs
+    for pa, ah in a_split:          # [a_x [b_y c]]
+        for i, p in bc.items():
             for o, q in evaluator(ah, p, table).coeffs.items():
-                out.add_term(o, i, _signed(q, sign1(pa, pb, i, o)))
-    for pa, ah, pb, bh in whole:    # [[a_x b]_{x+y} c]
-        for i, p in evaluator(ah, bh, table).coeffs.items():
+                out.add_term(o, i, _signed(q, sign1(pa, i, o)))
+    for pa, ah in a_split:          # [[a_x b]_{x+y} c]
+        for i, p in evaluator(ah, b, table).coeffs.items():
             for o, q in evaluator(p, c, table).coeffs.items():
-                s = -1 if sign2(pa, pb, i, o) % 2 else 1
+                s = -1 if sign2(pa, i, o) % 2 else 1
                 for (t, u), coeff in var.binomial(o).items():
                     out.add_term(i + t, u, q.scale(s * coeff))
-    for pa, ah, pb, bh in split:    # [b_y [a_x c]]
-        for i, p in evaluator(ah, c, table).coeffs.items():
-            for o, q in evaluator(bh, p, table).coeffs.items():
-                out.add_term(i, o, _signed(q, sign3(pa, pb, i, o)))
+    b_parts = _parts(b)
+    for pa, ah in a_parts:          # [b_y [a_x c]]
+        ac = evaluator(ah, c, table).coeffs
+        for pb, bh in b_parts:
+            for i, p in ac.items():
+                for o, q in evaluator(bh, p, table).coeffs.items():
+                    out.add_term(i, o, _signed(q, sign3(pa, pb, i, o)))
     return out
 
 
@@ -513,24 +521,26 @@ def check_jacobi(table: BracketTable, triples=None, polys=None,
 def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
     """Right: {a_x bc} - {a_x b}c - s(b,c){a_x c}b.
     Left: {ab_x c} - s(b,c){a_{x+d}c}_->b - s(a,bc){b_{x+d}c}_->a."""
-    odd = table.value.var.parity
-    right = evaluator(a, b * c, table)
-    left = evaluator(a * b, c, table)
-    c_parts = _parts(c)
-    for pa, ah in _parts(a):
-        for pb, bh in _parts(b):
-            # {a_x b}c takes no sign; the chi side brackets once per part of c
-            for _pc, ch in (c_parts if odd else [(0, c)]):
-                right = right - evaluator(ah, bh, table).mul_right(ch)
-            for pc, ch in c_parts:
-                t = evaluator(ah, ch, table).mul_right(bh)
-                right = right - _signed(t, pb * pc)
-                t1 = arrow_apply(evaluator(ah, ch, table), table.value.of(bh),
-                                 pa + pc)
-                t2 = arrow_apply(evaluator(bh, ch, table), table.value.of(ah),
-                                 pb + pc)
-                left = left - _signed(t1, pb * pc) - _signed(t2, pa * (pb + pc))
-    return right, left
+    alph = table.alphabet
+    # {a_x b}c takes no sign
+    right = {}
+    _acc_value(right, evaluator(a, b * c, table))
+    _acc_value(right, evaluator(a, b, table).mul_right(c), 1)
+    left = {}
+    _acc_value(left, evaluator(a * b, c, table))
+    a_parts, b_parts, c_parts = _parts(a), _parts(b), _parts(c)
+    bc = {(pb, pc): evaluator(bh, ch, table)
+          for pb, bh in b_parts for pc, ch in c_parts}
+    for pa, ah in a_parts:
+        for pc, ch in c_parts:
+            ac = evaluator(ah, ch, table)
+            for pb, bh in b_parts:
+                _acc_value(right, ac.mul_right(bh), 1 + pb * pc)
+                _acc_value(left, arrow_apply(ac, table.value.of(bh), pa + pc),
+                           1 + pb * pc)
+                _acc_value(left, arrow_apply(bc[pb, pc], table.value.of(ah),
+                                             pb + pc), 1 + pa * (pb + pc))
+    return table.value(alph, right), table.value(alph, left)
 
 
 def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket):

@@ -6,6 +6,12 @@ rationals.  Division is only permitted by constants; any computation that
 would require dividing by a k- or c-dependent quantity raises instead of
 silently moving to a rational-function field.
 
+A Gaussian rational is fraction-free: integer numerators of its real and
+imaginary parts over one positive denominator, in lowest terms.  Adding
+values over equal denominators needs no cross-multiplication, multiplying
+real values no imaginary products, and scaling by an int (as ``deriv``
+and ``partial`` do) one gcd at most.
+
 Also provides the sparse exact linear solver used by the generator and
 cohomology solvers.
 """
@@ -13,6 +19,7 @@ cohomology solvers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarError(ArithmeticError):
@@ -32,49 +39,96 @@ class LinearSolveError(Exception):
 
 
 class GRat:
-    """Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """Gaussian rational ``(a + b*i)/d``: integers a, b and d > 0.
 
-    __slots__ = ("re", "im")
+    The fields are kept in normal form, gcd(a, b, d) = 1 and zero as
+    (0, 0, 1), so equal values have equal fields. Results are built by
+    ``_mk``/``_norm`` without re-validating; ``Fraction`` appears only in
+    the public constructor and in the ``re``/``im`` properties.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # both parts are reduced, so gcd(a, b, d) = 1 already
+        self.a = re.numerator * (d // q)
+        self.b = im.numerator * (d // s)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if not isinstance(other, GRat):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        return GRat(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            a, b = self.a + other.a, self.b + other.b
+            return _mk(a, b, 1) if d1 == 1 else _norm(a, b, d1)
+        a = self.a * d2 + other.a * d1
+        b = self.b * d2 + other.b * d1
+        # coprime denominators leave nothing to cancel
+        return _mk(a, b, d1 * d2) if gcd(d1, d2) == 1 else _norm(a, b, d1 * d2)
 
     def __sub__(self, other):
-        return GRat(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            a, b = self.a - other.a, self.b - other.b
+            return _mk(a, b, 1) if d1 == 1 else _norm(a, b, d1)
+        a = self.a * d2 - other.a * d1
+        b = self.b * d2 - other.b * d1
+        return _mk(a, b, d1 * d2) if gcd(d1, d2) == 1 else _norm(a, b, d1 * d2)
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _mk(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if not b1 and not b2:
+            a = a1 * a2
+            if d == 1:
+                return _mk(a, 0, 1)
+            g = gcd(a, d)
+            return _mk(a // g, 0, d // g)
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        return _mk(a, b, 1) if d == 1 else _norm(a, b, d)
 
     def __truediv__(self, other):
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GRat((self.re * other.re + self.im * other.im) / n,
-                    (self.im * other.re - self.re * other.im) / n)
+        # x/y = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        a2, b2 = other.a, other.b
+        if not b2:
+            if not a2:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _norm(self.a * other.d, self.b * other.d, self.d * a2)
+        a1, b1, d2 = self.a, self.b, other.d
+        return _norm((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                     self.d * (a2 * a2 + b2 * b2))
 
     def __str__(self):
-        if not self.im:
+        if not self.b:
             return _frac_str(self.re)
-        if not self.re:
+        if not self.a:
             return _imag_str(self.im)
         im = _imag_str(self.im)
         if im.startswith("-"):
@@ -82,6 +136,38 @@ class GRat:
         return "%s+%s" % (_frac_str(self.re), im)
 
     __repr__ = __str__
+
+
+_new = object.__new__
+
+
+def _mk(a, b, d) -> GRat:
+    """A GRat from fields already in normal form."""
+    g = _new(GRat)
+    g.a = a
+    g.b = b
+    g.d = d
+    return g
+
+
+def _norm(a, b, d) -> GRat:
+    """A GRat from any fields with d != 0: cancel gcd(a, b, d), make d > 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _mk(a, b, d)
+
+
+def _times_int(g: GRat, n: int) -> GRat:
+    """g * n for a nonzero int n."""
+    d = g.d
+    if d != 1:
+        h = gcd(n, d)
+        if h != 1:
+            n, d = n // h, d // h
+    return _mk(g.a * n, g.b * n, d)
 
 
 GR_ZERO = GRat(0)
@@ -136,8 +222,7 @@ class Scalar:
 
     @staticmethod
     def rational(value) -> "Scalar":
-        f = Fraction(value)
-        return Scalar({(0, 0): GRat(f)}) if f else Scalar()
+        return Scalar.gaussian(value)
 
     @staticmethod
     def gaussian(re, im=0) -> "Scalar":
@@ -201,6 +286,11 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # Q(i) has no zero divisors: the one product is nonzero
+            ((k1, c1), g1), = self.terms.items()
+            ((k2, c2), g2), = other.terms.items()
+            return Scalar({(k1 + k2, c1 + c2): g1 * g2})
         out = {}
         for (k1, c1), g1 in self.terms.items():
             for (k2, c2), g2 in other.terms.items():
@@ -213,6 +303,12 @@ class Scalar:
         return Scalar(out)
 
     def scale(self, rat) -> "Scalar":
+        if type(rat) is int:
+            if not rat:
+                return Scalar()
+            if rat == 1:
+                return self
+            return Scalar({e: _times_int(v, rat) for e, v in self.terms.items()})
         f = Fraction(rat)
         if not f:
             return Scalar()
@@ -230,7 +326,7 @@ class Scalar:
 
     def substitute(self, k_value=None, c_value=None) -> "Scalar":
         """Specialize k and/or c to GRat values (None keeps them symbolic)."""
-        out = Scalar()
+        out = {}
         for (kp, cp), g in self.terms.items():
             coeff = g
             ke, ce = kp, cp
@@ -240,8 +336,10 @@ class Scalar:
             if c_value is not None:
                 coeff = coeff * _grat_pow(c_value, cp)
                 ce = 0
-            out = out + Scalar.term(ke, ce, coeff)
-        return out
+            e = (ke, ce)
+            s = out.get(e)
+            out[e] = coeff if s is None else s + coeff
+        return Scalar({e: g for e, g in out.items() if g})
 
     # -- rendering / serialization -------------------------------------
     def render(self) -> str:

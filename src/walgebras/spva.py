@@ -42,8 +42,8 @@ CHI = Indeterminate(
         + n + m * n + (m * (m + 1)) // 2 + si * (n + m) + sj * m,
     # [a_chi[b_gam c]] + s(a)[[a_chi b]_{chi+gam} c]
     #   + s(a,b)s(a)s(b)[b_gam[a_chi c]]
-    jacobi=(lambda pa, pb, i, o: i * (1 + pa + o),
-            lambda pa, pb, i, o: pa + i,
+    jacobi=(lambda pa, i, o: i * (1 + pa + o),
+            lambda pa, i, o: pa + i,
             lambda pa, pb, i, o: pa * pb + pa + pb + i * (1 + pb)))
 
 

@@ -348,7 +348,7 @@ class SuperPoly:
                     cache[(gen, o)] = cur
             return cache[(gen, order)]
 
-        out = SuperPoly(target)
+        out = {}
         for mono, coeff in self.terms.items():
             term = SuperPoly.const(target, coeff)
             for v, e in mono:
@@ -357,8 +357,10 @@ class SuperPoly:
                     term = term * img
                 if term.is_zero():
                     break
-            out = out + term
-        return out
+            for m, c in term.terms.items():
+                s = out.get(m)
+                out[m] = c if s is None else s + c
+        return SuperPoly(target, {m: c for m, c in out.items() if c})
 
     # -- weights ----------------------------------------------------------
     def conformal_weight(self):

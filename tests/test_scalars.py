@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar,
-                               ScalarError, parse_coeff, solve_linear)
+                               ScalarError, _norm, parse_coeff, solve_linear)
 
 
 def rand_scalar(rng, with_c=False):
@@ -105,3 +106,125 @@ def test_solver_inconsistent():
     with pytest.raises(LinearSolveError, match="underdetermined") as err:
         solve_linear(eqs, [0, 1])
     assert err.value.reason == "underdetermined"
+
+
+# An independent model of Q(i): a pair (re, im) of Fractions.
+
+def model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def model_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def model_str(x):
+    def imag(f):
+        if f in (1, -1):
+            return "i" if f == 1 else "-i"
+        return ("%si" if f.denominator == 1 else "(%s)i") % f
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return imag(im)
+    # a fractional negative imaginary part is bracketed, "(-1/2)i", and
+    # then joined with "+"
+    s = imag(im)
+    return str(re) + (s if s.startswith("-") else "+" + s)
+
+
+def rand_part(rng):
+    """A Fraction, often 0 or an integer, over shared small denominators,
+    passed to GRat as an int, a Fraction or a non-reduced 'p/q' string."""
+    kind = rng.random()
+    if kind < 0.2:
+        value = 0
+    elif kind < 0.45:
+        value = rng.randint(-9, 9)
+    elif kind < 0.9:
+        value = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 12)))
+    else:
+        value = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+    f = Fraction(value)
+    if rng.random() < 0.3:
+        t = rng.randint(1, 5)
+        return f, "%d/%d" % (f.numerator * t, f.denominator * t)
+    return f, value
+
+
+def rand_grat(rng):
+    (re, re_in), (im, im_in) = rand_part(rng), rand_part(rng)
+    return GRat(re_in, im_in), (re, im)
+
+
+def assert_normal(g):
+    assert type(g.a) is int and type(g.b) is int and type(g.d) is int
+    assert g.d > 0
+    assert gcd(g.a, g.b, g.d) == 1
+    if not g.a and not g.b:
+        assert (g.a, g.b, g.d) == (0, 0, 1)
+
+
+def assert_models(g, x):
+    assert_normal(g)
+    assert (g.re, g.im) == x
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert bool(g) == bool(x[0] or x[1])
+    assert str(g) == repr(g) == model_str(x)
+    # equal values have equal fields, hence equal hashes
+    twin = GRat(*x)
+    assert g == twin and hash(g) == hash(twin)
+    assert (g.a, g.b, g.d) == (twin.a, twin.b, twin.d)
+
+
+def test_grat_against_pair_model():
+    rng = random.Random(20)
+    for _ in range(3000):
+        x, mx = rand_grat(rng)
+        y, my = rand_grat(rng)
+        assert_models(x, mx)
+        assert_models(-x, (-mx[0], -mx[1]))
+        assert_models(x + y, (mx[0] + my[0], mx[1] + my[1]))
+        assert_models(x - y, (mx[0] - my[0], mx[1] - my[1]))
+        assert_models(x * y, model_mul(mx, my))
+        assert (x == y) == (mx == my)
+        assert (x != y) == (mx != my)
+        if x == y:
+            assert hash(x) == hash(y)
+        if my[0] or my[1]:
+            assert_models(x / y, model_div(mx, my))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        n = rng.randint(-12, 12)
+        scaled = Scalar.term(0, 0, x).scale(n)
+        assert scaled == Scalar.term(0, 0, GRat(mx[0] * n, mx[1] * n))
+        assert_normal(scaled.constant_part())
+        obj = Scalar.term(1, 0, x).to_obj()
+        assert obj == ([[1, 0, str(mx[0]), str(mx[1])]] if x else [])
+        assert Scalar.from_obj(obj) == Scalar.term(1, 0, x)
+
+
+def test_grat_normaliser_on_raw_fields():
+    rng = random.Random(21)
+    for _ in range(3000):
+        t = rng.choice((1, 2, 6, 35))
+        a, b = rng.randint(-40, 40) * t, rng.randint(-40, 40) * t
+        d = rng.choice((-1, 1)) * rng.randint(1, 30) * t
+        g = _norm(a, b, d)
+        assert_normal(g)
+        assert (g.re, g.im) == (Fraction(a, d), Fraction(b, d))
+    zero = _norm(0, 0, -7)
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+
+
+def test_grat_zero_and_division_by_zero():
+    for zero in (GRat(), GRat(0, 0), GRat("0/5", Fraction(0)), GR_ZERO,
+                 GRat(3) - GRat(3), GRat(0, 2) * GRat(0)):
+        assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+        assert not zero and zero == GR_ZERO and hash(zero) == hash(GR_ZERO)
+        for x in (GRat(1), GRat(0, -1), GRat(Fraction(2, 3), 5)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
