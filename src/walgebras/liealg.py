@@ -6,6 +6,14 @@ osp(1|2) elements.  The basis must be an eigenbasis of ad H/2; the engine
 validates this and never diagonalizes.  Triples are inputs, not searched for.
 
 Elements are coefficient vectors (tuples of Scalar) over the basis.
+
+Brackets run on sparse vectors.  At construction the algebra indexes its
+nonzero structure constants once, as {(i, j): ((l, c), ...)} with
+[x_i, x_j] = sum c x_l, and one private helper brackets two sparse vectors
+{index: Scalar} through that index: the cost is a few lookups per pair of
+nonzero coordinates, not a pass over every structure constant.  The public
+``bracket`` converts dense tuples to and from this form; ``validate`` runs
+its per-basis-element checks on unit vectors {i: 1} directly.
 """
 
 from __future__ import annotations
@@ -103,6 +111,26 @@ def grat_vec_scalar(vec):
 # the algebra
 # ---------------------------------------------------------------------------
 
+def _in_range(i, dim) -> bool:
+    return isinstance(i, int) and 0 <= i < dim
+
+
+def _sparse(vec):
+    """Dense coefficient vector -> sparse {index: Scalar} of its nonzeros."""
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def _sparse_sum(terms):
+    """sum of sign * u over (sign, u) pairs of sparse vectors, zeros dropped."""
+    out = {}
+    for sign, u in terms:
+        for l, c in u.items():
+            c = c.scale(sign)
+            t = out.get(l)
+            out[l] = c if t is None else t + c
+    return {l: c for l, c in out.items() if c}
+
+
 class SL2Triple:
     """Vectors E, H, F with [H,E]=2E, [H,F]=-2F, [E,F]=H, (E|F)=(H|H)/2=1."""
 
@@ -126,6 +154,8 @@ class LieSuperalgebra:
 
         Missing (j, i) entries are completed by super-anticommutativity.
         Gradings are computed from ad H/2 when an sl2 triple is present.
+        Indices outside 0..dim-1, vectors of another length and a form
+        that is not dim x dim raise AlgebraError.
         """
         self.name = name
         self.names = tuple(names)
@@ -133,7 +163,13 @@ class LieSuperalgebra:
         self.dim = len(self.names)
         full = {}
         for (i, j), vec in struct.items():
+            if not (_in_range(i, self.dim) and _in_range(j, self.dim)):
+                raise AlgebraError("bracket index (%r, %r) out of range 0..%d"
+                                   % (i, j, self.dim - 1))
             vec = tuple(vec)
+            if len(vec) != self.dim:
+                raise AlgebraError("bracket (%d, %d) has %d coefficients, expected %d"
+                                   % (i, j, len(vec), self.dim))
             if any(vec):
                 full[(i, j)] = vec
         for (i, j), vec in list(full.items()):
@@ -143,7 +179,16 @@ class LieSuperalgebra:
                     else Scalar.one()
                 full[(j, i)] = tuple(x * s for x in vec)
         self.struct = full
+        self._index = {ij: tuple((l, c) for l, c in enumerate(vec) if c)
+                       for ij, vec in full.items()}
         self.form = tuple(tuple(row) for row in form)
+        if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
+            raise AlgebraError("form is not %d x %d" % (self.dim, self.dim))
+        for tag, triple in (("sl2", sl2), ("osp", osp)):
+            for nm, vec in vars(triple).items() if triple is not None else ():
+                if len(vec) != self.dim:
+                    raise AlgebraError("%s vector %s has %d entries, expected %d"
+                                       % (tag, nm, len(vec), self.dim))
         self.sl2 = sl2
         self.osp = osp
         self.gradings = self._compute_gradings() if sl2 is not None else None
@@ -156,26 +201,37 @@ class LieSuperalgebra:
         return tuple(Scalar.one() if j == i else Scalar.zero()
                      for j in range(self.dim))
 
+    def _br(self, u, v):
+        """[u, v] of sparse vectors {index: Scalar}, zero entries dropped."""
+        index = self._index
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                entry = index.get((i, j))
+                if entry:
+                    ab = a * b
+                    for l, c in entry:
+                        s = out.get(l)
+                        out[l] = ab * c if s is None else s + ab * c
+        return {l: s for l, s in out.items() if s}
+
+    def _form(self, u, v) -> Scalar:
+        """(u | v) of sparse vectors {index: Scalar}."""
+        out = Scalar.zero()
+        for i, a in u.items():
+            row = self.form[i]
+            for j, b in v.items():
+                if row[j]:
+                    out = out + a * b * row[j]
+        return out
+
     def bracket(self, x, y):
-        out = [Scalar.zero()] * self.dim
-        for (i, j), vec in self.struct.items():
-            c = x[i] * y[j]
-            if not c:
-                continue
-            for l, s in enumerate(vec):
-                if s:
-                    out[l] = out[l] + c * s
-        return tuple(out)
+        out = self._br(_sparse(x), _sparse(y))
+        zero = Scalar.zero()
+        return tuple(out.get(l, zero) for l in range(self.dim))
 
     def form_value(self, x, y) -> Scalar:
-        out = Scalar.zero()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj and self.form[i][j]:
-                    out = out + xi * yj * self.form[i][j]
-        return out
+        return self._form(_sparse(x), _sparse(y))
 
     def parity_of_vec(self, vec):
         p = None
@@ -199,21 +255,21 @@ class LieSuperalgebra:
 
     def _compute_gradings(self):
         """Eigenvalue of ad H/2 on every basis vector; raises if not diagonal."""
-        H = self.sl2.H
+        H = _sparse(self.sl2.H)
+        one = Scalar.one()
         grads = []
         for i in range(self.dim):
-            img = self.bracket(H, self.basis_vec(i))
+            img = self._br(H, {i: one})
             ev = None
-            for l, s in enumerate(img):
-                if s:
-                    if l != i:
-                        raise AlgebraError("basis not ad-H/2 homogeneous (index %d)" % i)
-                    if not s.is_constant():
-                        raise AlgebraError("non-constant ad-H eigenvalue")
-                    g = s.constant_part()
-                    if g.im:
-                        raise AlgebraError("non-rational ad-H eigenvalue")
-                    ev = g.re
+            for l in sorted(img):
+                if l != i:
+                    raise AlgebraError("basis not ad-H/2 homogeneous (index %d)" % i)
+                if not img[l].is_constant():
+                    raise AlgebraError("non-constant ad-H eigenvalue")
+                g = img[l].constant_part()
+                if g.im:
+                    raise AlgebraError("non-rational ad-H eigenvalue")
+                ev = g.re
             grads.append(Fraction(0) if ev is None else ev / 2)
         return tuple(grads)
 
@@ -221,32 +277,30 @@ class LieSuperalgebra:
     def validate(self):
         """Report every violated axiom; an empty list means valid."""
         report = []
-        basis = [self.basis_vec(i) for i in range(self.dim)]
+        one = Scalar.one()
+        unit = [{i: one} for i in range(self.dim)]
+        pair = [[self._br(u, v) for v in unit] for u in unit]
 
         for i in range(self.dim):
             for j in range(self.dim):
-                bij = self.bracket(basis[i], basis[j])
-                bji = self.bracket(basis[j], basis[i])
+                bij = pair[i][j]
                 sgn = (-1) ** (self.parities[i] * self.parities[j])
-                bad = [a + (b.scale(sgn)) for a, b in zip(bij, bji)]
-                if any(bad):
+                if _sparse_sum(((1, bij), (sgn, pair[j][i]))):
                     report.append("super-anticommutativity fails at (%s,%s)"
                                   % (self.names[i], self.names[j]))
-                pb = self.parity_of_vec(bij)
-                if pb is not None and bij != self.zero_vec() and \
-                        pb != (self.parities[i] + self.parities[j]) % 2:
+                pb = {self.parities[l] for l in bij}
+                if len(pb) == 1 and pb != {(self.parities[i] + self.parities[j]) % 2}:
                     report.append("bracket parity fails at (%s,%s)"
                                   % (self.names[i], self.names[j]))
 
         for i in range(self.dim):
             for j in range(self.dim):
+                sgn = (-1) ** (self.parities[i] * self.parities[j])
                 for l in range(self.dim):
-                    lhs = self.bracket(basis[i], self.bracket(basis[j], basis[l]))
-                    r1 = self.bracket(self.bracket(basis[i], basis[j]), basis[l])
-                    sgn = (-1) ** (self.parities[i] * self.parities[j])
-                    r2 = self.bracket(basis[j], self.bracket(basis[i], basis[l]))
-                    bad = [a - b - c.scale(sgn) for a, b, c in zip(lhs, r1, r2)]
-                    if any(bad):
+                    lhs = self._br(unit[i], pair[j][l])
+                    r1 = self._br(pair[i][j], unit[l])
+                    r2 = self._br(unit[j], pair[i][l])
+                    if _sparse_sum(((1, lhs), (-1, r1), (-sgn, r2))):
                         report.append("Jacobi fails at (%s,%s,%s)"
                                       % (self.names[i], self.names[j], self.names[l]))
 
@@ -263,26 +317,22 @@ class LieSuperalgebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 for l in range(self.dim):
-                    lhs = self.form_value(self.bracket(basis[i], basis[j]), basis[l])
-                    rhs = self.form_value(basis[i], self.bracket(basis[j], basis[l]))
-                    if lhs != rhs:
+                    if self._form(pair[i][j], unit[l]) != self._form(unit[i], pair[j][l]):
                         report.append("form not invariant at (%s,%s,%s)"
                                       % (self.names[i], self.names[j], self.names[l]))
 
         try:
             rows = [vec_grat(row) for row in self.form]
-            if matrix_rank(rows) != self.dim:
-                report.append("form degenerate (rank %d of %d)"
-                              % (matrix_rank(rows), self.dim))
         except AlgebraError as e:
             report.append("form entries not constant: %s" % e)
+        else:
+            rank = matrix_rank(rows)
+            if rank != self.dim:
+                report.append("form degenerate (rank %d of %d)" % (rank, self.dim))
 
+        # the sl2 eigenbasis condition was checked when the gradings were made
         if self.sl2 is not None:
             report.extend(self._validate_sl2(self.sl2))
-            try:
-                self._compute_gradings()
-            except AlgebraError as e:
-                report.append(str(e))
         if self.osp is not None:
             report.extend(self._validate_osp(self.osp))
         return report
@@ -756,6 +806,9 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
         for ent in obj["brackets"]:
             vec = [Scalar.zero()] * dim
             for l, cs in ent["coeffs"]:
+                if not _in_range(l, dim):
+                    raise AlgebraError("bracket (%r, %r): coefficient index %r out of range 0..%d"
+                                       % (ent["i"], ent["j"], l, dim - 1))
                 vec[l] = Scalar.term(0, 0, parse_coeff(cs))
             struct[(ent["i"], ent["j"])] = tuple(vec)
         form = [[Scalar.term(0, 0, parse_coeff(cs)) for cs in row]

@@ -1,9 +1,11 @@
 """Shared, lazily cached setups so expensive solves run once per session,
-and the test-only oracles: chi/D operator words and exactness witnesses."""
+and the test-only oracles: chi/D operator words, exactness witnesses and a
+dense reference for the Lie superalgebra bracket, form and validation."""
 
 from fractions import Fraction
 
-from walgebras.catalog import get_algebra
+from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
+from walgebras.liealg import AlgebraError, matrix_rank, vec_grat
 from walgebras.scalars import Scalar
 from walgebras.spva import ChiPoly
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
@@ -24,6 +26,31 @@ _brst = {}
 def algebra(name):
     if name not in _algebras:
         _algebras[name] = get_algebra(name)
+    return _algebras[name]
+
+
+def sl4_principal():
+    """sl4 as traceless 4x4 matrices (dim 15) with its principal sl2 triple
+    E = e12+e23+e34, H = diag(3,1,-1,-3), F = 3e21+4e32+3e43 and the trace
+    form scaled by 1/10; W-generator weights 2, 3 and 4."""
+    name = "sl4-principal"
+    if name not in _algebras:
+        n = 4
+        names, mats = [], []
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    names.append("E%d%d" % (i + 1, j + 1))
+                    mats.append(_e(n, i, j))
+        for i in range(n - 1):
+            names.append("H%d" % (i + 1))
+            mats.append(_mat(n, {(i, i): 1, (i + 1, i + 1): -1}))
+        E = _mat_add(_mat_add(_e(n, 0, 1), _e(n, 1, 2)), _e(n, 2, 3))
+        H = _mat(n, {(0, 0): 3, (1, 1): 1, (2, 2): -1, (3, 3): -3})
+        F = _mat_add(_mat_add(_e(n, 1, 0, 3), _e(n, 2, 1, 4)), _e(n, 3, 2, 3))
+        _algebras[name] = _build_matrix_algebra(
+            name, names, mats, [0] * len(mats), set(range(n)),
+            form_scale=Fraction(1, 10), sl2_mats=(E, H, F))
     return _algebras[name]
 
 
@@ -192,3 +219,145 @@ def exactness_witness(cplx, diff, X: SuperPoly):
     except GeneratorError:
         return False
     return True
+
+
+# Dense reference for liealg: the bracket as a loop over every structure
+# constant of g.struct, the form as a double loop over coordinates, and the
+# validation loops on dense basis vectors, written without the sparse index.
+
+def dense_bracket(g, x, y):
+    out = [Scalar.zero()] * g.dim
+    for (i, j), vec in g.struct.items():
+        if not (x[i] and y[j]):
+            continue
+        c = x[i] * y[j]
+        for l, s in enumerate(vec):
+            if s:
+                out[l] = out[l] + c * s
+    return tuple(out)
+
+
+def dense_form_value(g, x, y):
+    out = Scalar.zero()
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj and g.form[i][j]:
+                out = out + xi * yj * g.form[i][j]
+    return out
+
+
+def _dense_parity(g, vec):
+    ps = {g.parities[i] for i, c in enumerate(vec) if c}
+    return ps.pop() if len(ps) == 1 else None
+
+
+def _dense_scaled(vec, r):
+    return tuple(x.scale(r) for x in vec)
+
+
+def _dense_sl2_report(g, t, tag):
+    report = []
+    br = lambda x, y: dense_bracket(g, x, y)
+    for label, got, want in (("[H,E]=2E", br(t.H, t.E), _dense_scaled(t.E, 2)),
+                             ("[H,F]=-2F", br(t.H, t.F), _dense_scaled(t.F, -2)),
+                             ("[E,F]=H", br(t.E, t.F), t.H)):
+        if got != want:
+            report.append("%s: %s fails" % (tag, label))
+    if dense_form_value(g, t.E, t.F) != Scalar.one():
+        report.append("%s: (E|F)=1 fails" % tag)
+    if dense_form_value(g, t.H, t.H) != Scalar.rational(2):
+        report.append("%s: (H|H)=2 fails" % tag)
+    for v, nm in ((t.E, "E"), (t.H, "H"), (t.F, "F")):
+        if _dense_parity(g, v) not in (0, None):
+            report.append("%s: %s not even" % (tag, nm))
+    return report
+
+
+def _dense_osp_report(g, t):
+    report = _dense_sl2_report(g, t.sl2(), "osp")
+    br = lambda x, y: dense_bracket(g, x, y)
+    for label, got, want in (("[H,e]=e", br(t.H, t.e), t.e),
+                             ("[H,f]=-f", br(t.H, t.f), _dense_scaled(t.f, -1)),
+                             ("[e,e]=2E", br(t.e, t.e), _dense_scaled(t.E, 2)),
+                             ("[f,f]=-2F", br(t.f, t.f), _dense_scaled(t.F, -2)),
+                             ("[e,f]=-H", br(t.e, t.f), _dense_scaled(t.H, -1)),
+                             ("[F,e]=f", br(t.F, t.e), t.f),
+                             ("[E,f]=e", br(t.E, t.f), t.e)):
+        if got != want:
+            report.append("osp: %s fails" % label)
+    if dense_form_value(g, t.e, t.f) != Scalar.rational(-2):
+        report.append("osp: (e|f)=-2 fails")
+    for v, nm in ((t.e, "e"), (t.f, "f")):
+        if _dense_parity(g, v) not in (1, None):
+            report.append("osp: %s not odd" % nm)
+    return report
+
+
+def _dense_eigenbasis_error(g):
+    for i in range(g.dim):
+        img = dense_bracket(g, g.sl2.H, g.basis_vec(i))
+        for l, s in enumerate(img):
+            if s:
+                if l != i:
+                    return "basis not ad-H/2 homogeneous (index %d)" % i
+                if not s.is_constant():
+                    return "non-constant ad-H eigenvalue"
+                if s.constant_part().im:
+                    return "non-rational ad-H eigenvalue"
+    return None
+
+
+def dense_validate(g):
+    """The report of LieSuperalgebra.validate, from dense brackets."""
+    report = []
+    n, p, dim = g.names, g.parities, g.dim
+    basis = [g.basis_vec(i) for i in range(dim)]
+    zero = tuple(Scalar.zero() for _ in range(dim))
+    br = lambda x, y: dense_bracket(g, x, y)
+    pair = [[br(x, y) for y in basis] for x in basis]
+    for i in range(dim):
+        for j in range(dim):
+            bij, bji = pair[i][j], pair[j][i]
+            sgn = (-1) ** (p[i] * p[j])
+            if any(a + b.scale(sgn) for a, b in zip(bij, bji)):
+                report.append("super-anticommutativity fails at (%s,%s)" % (n[i], n[j]))
+            pb = _dense_parity(g, bij)
+            if pb is not None and bij != zero and pb != (p[i] + p[j]) % 2:
+                report.append("bracket parity fails at (%s,%s)" % (n[i], n[j]))
+    for i in range(dim):
+        for j in range(dim):
+            for l in range(dim):
+                lhs = br(basis[i], pair[j][l])
+                r1 = br(pair[i][j], basis[l])
+                sgn = (-1) ** (p[i] * p[j])
+                r2 = br(basis[j], pair[i][l])
+                if any(a - b - c.scale(sgn) for a, b, c in zip(lhs, r1, r2)):
+                    report.append("Jacobi fails at (%s,%s,%s)" % (n[i], n[j], n[l]))
+    for i in range(dim):
+        for j in range(dim):
+            fij = g.form[i][j]
+            if p[i] != p[j] and fij:
+                report.append("form not even at (%s,%s)" % (n[i], n[j]))
+            if fij != g.form[j][i].scale((-1) ** (p[i] * p[j])):
+                report.append("form not supersymmetric at (%s,%s)" % (n[i], n[j]))
+    for i in range(dim):
+        for j in range(dim):
+            for l in range(dim):
+                if dense_form_value(g, pair[i][j], basis[l]) != \
+                        dense_form_value(g, basis[i], pair[j][l]):
+                    report.append("form not invariant at (%s,%s,%s)" % (n[i], n[j], n[l]))
+    try:
+        rows = [vec_grat(row) for row in g.form]
+    except AlgebraError as e:
+        report.append("form entries not constant: %s" % e)
+    else:
+        if matrix_rank(rows) != dim:
+            report.append("form degenerate (rank %d of %d)" % (matrix_rank(rows), dim))
+    if g.sl2 is not None:
+        report.extend(_dense_sl2_report(g, g.sl2, "sl2"))
+        err = _dense_eigenbasis_error(g)
+        if err:
+            report.append(err)
+    if g.osp is not None:
+        report.extend(_dense_osp_report(g, g.osp))
+    return report

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from walgebras.cli import main
 from walgebras.pva import BracketTable
 from walgebras.spva import SUSYBracketTable
@@ -43,6 +45,37 @@ def test_invalid_algebra_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--algebra", str(p))
     assert code == 1
     assert "violation" in out
+
+
+def _sl2_obj():
+    import helpers
+    from walgebras.liealg import algebra_to_obj
+    return algebra_to_obj(helpers.algebra("sl2"))
+
+
+def _append(key, item):
+    return lambda obj: obj[key].append(item)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_append("brackets", {"i": 99, "j": 0, "coeffs": [[0, "1"]]}),
+     "bracket index (99, 0) out of range 0..2"),
+    (_append("brackets", {"i": 0, "j": -1, "coeffs": [[0, "1"]]}),
+     "bracket index (0, -1) out of range 0..2"),
+    (lambda obj: obj["brackets"][0]["coeffs"].append([-1, "1"]),
+     "coefficient index -1 out of range 0..2"),
+    (lambda obj: obj["form"][1].pop(), "form is not 3 x 3"),
+    (lambda obj: obj["form"][1].append("0"), "form is not 3 x 3"),
+    (lambda obj: obj["sl2"]["H"].pop(), "sl2 vector H has 2 entries, expected 3"),
+], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector"])
+def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
+    obj = _sl2_obj()
+    edit(obj)
+    p = tmp_path / "malformed_sl2.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", "--algebra", str(p))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_generators_text(capsys):

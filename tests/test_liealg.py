@@ -5,11 +5,11 @@ import pytest
 import helpers
 from walgebras.catalog import (CATALOG, build_osp12, build_sl2, build_sl21,
                                build_sl3_minimal, build_sl3_principal)
-from walgebras.liealg import (AlgebraError, LieSuperalgebra, SL2Triple,
-                              admissible_chains, check_tensor_identity_F,
-                              check_tensor_identity_f, dual_bases_F,
-                              dual_bases_f, load_algebra, save_algebra,
-                              sharp_project, validate_algebra)
+from walgebras.liealg import (AlgebraError, LieSuperalgebra, OSPTriple,
+                              SL2Triple, admissible_chains,
+                              check_tensor_identity_F, check_tensor_identity_f,
+                              dual_bases_F, dual_bases_f, load_algebra,
+                              save_algebra, sharp_project, validate_algebra)
 from walgebras.scalars import Scalar
 
 HALF = Fraction(1, 2)
@@ -220,3 +220,156 @@ def test_sl21_kernel_dimensions():
     assert sorted(db.spins) == [HALF, 1]
     dbF = dual_bases_F(g, g.sl2)
     assert dbF.count() == 4
+
+
+def test_sl4_principal_fixture():
+    g = helpers.sl4_principal()
+    assert g.dim == 15
+    assert validate_algebra(g) == []
+    assert {1 + s for s in dual_bases_F(g, g.sl2).spins} == {2, 3, 4}
+
+
+# -- the validator against the dense reference in helpers --------------------
+
+def _unit(g, m, r=1):
+    return tuple(Scalar.rational(r) if l == m else Scalar.zero() for l in range(g.dim))
+
+
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _copy(g, tag, struct=None, form=None, parities=None, triple=None):
+    """g with the given fields replaced; triple is (sl2, osp)."""
+    sl2, osp = triple if triple is not None else (g.sl2, g.osp)
+    return LieSuperalgebra(g.name + "-" + tag, g.names,
+                           g.parities if parities is None else parities,
+                           dict(g.struct) if struct is None else struct,
+                           g.form if form is None else form, sl2=sl2, osp=osp)
+
+
+def corrupted_copies(g, form_cases=True):
+    """Corrupted copies of g as (label, report fragment the copy must show,
+    algebra).  Brackets and triples are changed away from the support of H,
+    so that the basis stays an ad-H/2 eigenbasis and the copy constructs."""
+    p, gr, dim = g.parities, g.gradings, g.dim
+    supp_h = {l for l, c in enumerate(g.sl2.H) if c}
+    i, j = next((i, j) for (i, j) in sorted(g.struct)
+                if i < j and not {i, j} & supp_h)
+    sgn = (-1) ** (p[i] * p[j])
+    out = []
+
+    # Jacobi: one structure constant perturbed, (j, i) kept consistent
+    m = next(m for m in range(dim)
+             if p[m] == (p[i] + p[j]) % 2 and gr[m] != gr[i] + gr[j])
+    struct = dict(g.struct)
+    struct[(i, j)] = _add(g.struct[(i, j)], _unit(g, m))
+    struct[(j, i)] = sc(struct[(i, j)], -sgn)
+    out.append(("jacobi", "Jacobi fails", _copy(g, "jacobi", struct=struct)))
+
+    # (i, j) and (j, i) entries that disagree
+    struct = dict(g.struct)
+    struct[(j, i)] = sc(g.struct[(j, i)], -1)
+    out.append(("anticomm", "super-anticommutativity fails",
+                _copy(g, "anticomm", struct=struct)))
+
+    # a basis element of the wrong parity: every bracket with it is wrong
+    flipped = list(p)
+    flipped[i] = 1 - flipped[i]
+    out.append(("parity-flip", "bracket parity fails",
+                _copy(g, "parity-flip", parities=flipped)))
+
+    # a bracket of the wrong parity, and one of mixed parity (which the
+    # parity check leaves to the Jacobi check), where both parities exist
+    wrong = [m for m in range(dim) if p[m] != (p[i] + p[j]) % 2]
+    if wrong:
+        for tag, vec, fragment in (
+                ("parity-bracket", _unit(g, wrong[0]), "bracket parity fails"),
+                ("parity-mixed", _add(g.struct[(i, j)], _unit(g, wrong[0])),
+                 "Jacobi fails")):
+            struct = dict(g.struct)
+            struct[(i, j)] = vec
+            struct[(j, i)] = sc(vec, -sgn)
+            out.append((tag, fragment, _copy(g, tag, struct=struct)))
+
+    # a broken sl2 relation: F doubled (H is kept, so are the gradings)
+    if g.osp is None:
+        t = g.sl2
+        out.append(("sl2", "sl2: [E,F]=H fails",
+                    _copy(g, "sl2", triple=(SL2Triple(t.E, t.H, sc(t.F, 2)), None))))
+    else:
+        t = g.osp
+        osp = OSPTriple(t.E, t.e, t.H, sc(t.f, 2), t.F)
+        out.append(("osp", "osp: [e,f]=-H fails",
+                    _copy(g, "osp", triple=(osp.sl2(), osp))))
+    if not form_cases:
+        return out
+
+    def form_copy(tag, edit):
+        form = [list(row) for row in g.form]
+        edit(form)
+        return _copy(g, tag, form=form)
+
+    a, b = next((a, b) for a in range(dim) for b in range(a + 1, dim)
+                if g.form[a][b])
+    mixed = [(a2, b2) for a2 in range(dim) for b2 in range(dim)
+             if p[a2] == 0 and p[b2] == 1]
+    if mixed:
+        def uneven(form):
+            a2, b2 = mixed[0]
+            form[a2][b2] = form[b2][a2] = Scalar.one()
+        out.append(("form-odd", "form not even", form_copy("form-odd", uneven)))
+
+    def unsymmetric(form):
+        form[a][b] = form[a][b] + Scalar.one()
+    out.append(("form-sym", "form not supersymmetric", form_copy("form-sym", unsymmetric)))
+
+    def scaled(form):
+        form[a][b] = form[a][b].scale(2)
+        form[b][a] = form[b][a].scale(2)
+    out.append(("form-inv", "form not invariant", form_copy("form-inv", scaled)))
+
+    def degenerate(form):
+        for c in range(dim):
+            form[a][c] = form[c][a] = Scalar.zero()
+    out.append(("form-rank", "form degenerate", form_copy("form-rank", degenerate)))
+
+    def k_entry(form):
+        e = p.index(0)
+        form[e][e] = form[e][e] + Scalar.k()
+    out.append(("form-k", "form entries not constant", form_copy("form-k", k_entry)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "osp12", "sl21", "sl4-principal"])
+def test_validate_matches_dense_reference(name):
+    g = helpers.sl4_principal() if name == "sl4-principal" else helpers.algebra(name)
+    # the form cases cost a dense reference run each; on sl4 that is 1 s
+    cases = corrupted_copies(g, form_cases=name != "sl4-principal")
+    for label, fragment, bad in cases:
+        report = validate_algebra(bad)
+        assert report == helpers.dense_validate(bad), label
+        assert any(fragment in r for r in report), (label, report)
+
+
+def _random_scalar(rng):
+    r = rng.random()
+    if r < 0.4:
+        return Scalar.zero()
+    q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    s = Scalar.gaussian(q(), q() if r > 0.7 else 0)
+    if rng.random() < 0.3:
+        s = s + Scalar.k() * Scalar.gaussian(q(), q())
+    return s
+
+
+@pytest.mark.parametrize("name", ALL + ["sl4-principal"])
+def test_bracket_and_form_match_dense_reference(name):
+    import random
+    rng = random.Random("liealg-" + name)
+    g = helpers.sl4_principal() if name == "sl4-principal" else helpers.algebra(name)
+    for _ in range(40):
+        x = tuple(_random_scalar(rng) for _ in range(g.dim))
+        y = tuple(_random_scalar(rng) for _ in range(g.dim))
+        assert g.bracket(x, y) == helpers.dense_bracket(g, x, y)
+        assert g.form_value(x, y) == helpers.dense_form_value(g, x, y)
