@@ -93,17 +93,6 @@ class BRSTComplex:
         return SuperPoly.linear(self.alph, ((self.phi_index(pos), vec[t])
                                             for pos, t in enumerate(self.n_idx)))
 
-    def phibar_of_vector(self, vec) -> SuperPoly:
-        """phi^xbar = phi^{bar(pi_- x)}: expand over the dual-ghost basis."""
-        g = self.ctx.gstar
-        # coefficient of u^alpha in pi_-(x) is (x | u_alpha)
-        return SuperPoly.linear(self.alph, (
-            (self.phibar_index(alpha), g.form_value(vec, g.basis_vec(a)))
-            for alpha, a in enumerate(self.n_idx)))
-
-    def j_of_vector(self, vec) -> SuperPoly:
-        return SuperPoly.linear(self.alph, enumerate(vec))
-
     def _build_table(self) -> SUSYBracketTable:
         """The affine chi-brackets of the j's, signed s(x, ybar), and
         [ph*_a chi ph_a] = [ph_a chi ph*_a] = 1 for the ghost pairs."""
@@ -160,29 +149,6 @@ class BRSTComplex:
                 images[t] = SuperPoly.variable(self.alph, t)
             self._from_J_images = images
         return poly.substitute(self._from_J_images, self.alph)
-
-    def bigrade(self, var):
-        """gr of a J-alphabet variable: (g_a, -g_a) for J, the ghost rule
-        for ph*, None for the R_+ ghosts; D does not change the bigrade."""
-        t, _m = var
-        g = self.ctx.gstar
-        if t < self.gdim:
-            ga = g.gradings[t]
-            return (ga, -ga)
-        if t >= self.gdim + self.nn:
-            gb = g.gradings[self.n_idx[t - self.gdim - self.nn]]
-            return (-gb + HALF, gb + HALF)
-        return None
-
-    def bigrade_mono(self, mono):
-        p = q = Fraction(0)
-        for v, e in mono:
-            bg = self.bigrade(v)
-            if bg is None:
-                return None
-            p += bg[0] * e
-            q += bg[1] * e
-        return (p, q)
 
 
 def build_complex(g, osp=None, k=None) -> BRSTComplex:

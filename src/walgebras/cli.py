@@ -12,9 +12,8 @@ import sys
 from fractions import Fraction
 
 from .catalog import CATALOG, get_algebra
-from .liealg import (AlgebraError, check_tensor_identity_F,
-                     check_tensor_identity_f, dual_bases_F, dual_bases_f,
-                     validate_algebra)
+from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
+                     dual_bases_f, validate_algebra)
 from .scalars import Scalar
 from .pva import check_jacobi, check_skew, random_property_suite
 from .spva import (check_susy_skew, check_susy_jacobi,
@@ -239,12 +238,10 @@ def _suite_results(args, g, names):
                 bad += [f for f in random_susy_property_suite(sctx.table, seed,
                                                               rounds=2)]
             results[name] = ["%s" % (b,) for b in bad]
-        elif name == "lemma-3-4":
-            db = dual_bases_F(g, g.sl2)
-            results[name] = ["t=%s" % t for t in check_tensor_identity_F(db)]
-        elif name == "lemma-6-4":
-            db = dual_bases_f(g, g.osp)
-            results[name] = ["t=%s" % t for t in check_tensor_identity_f(db)]
+        elif name in ("lemma-3-4", "lemma-6-4"):
+            db = dual_bases_F(g, g.sl2) if name == "lemma-3-4" \
+                else dual_bases_f(g, g.osp)
+            results[name] = ["t=%s" % t for t in check_tensor_identity(db)]
         elif name in ("thm-3-6", "thm-6-5"):
             ctx, gens = solved(ReductionContext if name == "thm-3-6"
                                else SUSYReductionContext)

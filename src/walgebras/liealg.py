@@ -131,6 +131,12 @@ def _sparse_sum(terms):
     return {l: c for l, c in out.items() if c}
 
 
+def _swapped(vec, p, q):
+    """[x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j], for parities p, q of i, j."""
+    s = Scalar.one() if (p * q) % 2 else Scalar.rational(-1)
+    return tuple(x * s for x in vec)
+
+
 class SL2Triple:
     """Vectors E, H, F with [H,E]=2E, [H,F]=-2F, [E,F]=H, (E|F)=(H|H)/2=1."""
 
@@ -174,10 +180,7 @@ class LieSuperalgebra:
                 full[(i, j)] = vec
         for (i, j), vec in list(full.items()):
             if (j, i) not in full:
-                # [x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j]
-                s = Scalar.rational(-1) if (self.parities[i] * self.parities[j]) % 2 == 0 \
-                    else Scalar.one()
-                full[(j, i)] = tuple(x * s for x in vec)
+                full[(j, i)] = _swapped(vec, self.parities[i], self.parities[j])
         self.struct = full
         self._index = {ij: tuple((l, c) for l, c in enumerate(vec) if c)
                        for ij, vec in full.items()}
@@ -377,26 +380,6 @@ class LieSuperalgebra:
                 report.append("osp: %s not odd" % nm)
         return report
 
-    # -- graded subspaces -------------------------------------------------
-    def indices_where(self, pred):
-        if self.gradings is None:
-            raise AlgebraError("algebra carries no grading (no sl2 triple)")
-        return [i for i in range(self.dim) if pred(self.gradings[i])]
-
-    def subspaces(self):
-        """Index selectors for n = g_{>0}, m = g_{>=1}, p = g_{<1}."""
-        return {
-            "n": self.indices_where(lambda g: g > 0),
-            "m": self.indices_where(lambda g: g >= 1),
-            "p": self.indices_where(lambda g: g < 1),
-        }
-
-    def ge(self, j):
-        return self.indices_where(lambda g: g >= Fraction(j))
-
-    def le(self, j):
-        return self.indices_where(lambda g: g <= Fraction(j))
-
     # -- change of basis ---------------------------------------------------
     def rebase(self, vectors, names, new_name=None):
         """Express the algebra in a new basis (each vector homogeneous)."""
@@ -510,16 +493,6 @@ class DualBases:
             if c:
                 out = tuple(a + b * c for a, b in zip(out, self.lower[j]))
         return out
-
-    def full_coords(self, vec):
-        """Coordinates of vec in the complete chain basis {chain_lower[j][n]}."""
-        coords = {}
-        for j in range(len(self.lower)):
-            for n in range(len(self.chain_lower[j])):
-                c = self.g.form_value(self.chain_upper[j][n], vec)
-                if c:
-                    coords[(j, n)] = c
-        return coords
 
 
 def _graded_kernel_basis(g, ad_vec):
@@ -663,38 +636,6 @@ def _verify_chain_pairings(db: DualBases):
                             % (i, m, j, n, val))
 
 
-def sharp_project(db: DualBases, vec):
-    """Spec operation: exact projection onto g^F (resp. g^f)."""
-    return db.sharp(vec)
-
-
-# ---------------------------------------------------------------------------
-# partial orders and admissible chains
-# ---------------------------------------------------------------------------
-
-def admissible_chains(db: DualBases, min_grade, max_grade):
-    """All chains (j_0,n_0) < ... < (j_p,n_p) with consecutive grade gaps
-    >= 1 (kind F) or >= 1/2 (kind f), entries graded within
-    [min_grade, max_grade].  Includes the empty chain.
-    """
-    gap = Fraction(1) if db.kind == "F" else HALF
-    lo, hi = Fraction(min_grade), Fraction(max_grade)
-    items = [(db.grade_of(j, n), (j, n)) for (j, n) in db.members()
-             if lo <= db.grade_of(j, n) <= hi]
-    items.sort()
-    chains = [[]]
-
-    def extend(prefix, min_next):
-        for grade, jn in items:
-            if grade >= min_next:
-                chain = prefix + [jn]
-                chains.append(chain)
-                extend(chain, grade + gap)
-
-    extend([], lo)
-    return chains
-
-
 # ---------------------------------------------------------------------------
 # tensor identities (exact checks on the dual bases)
 # ---------------------------------------------------------------------------
@@ -715,40 +656,23 @@ def _tensor_sum(g, pairs):
     return out
 
 
-def check_tensor_identity_F(db: DualBases):
-    """For every t: sum_{J^F_{-t}} s(j) q^j_n (x) q_j^{n+1}
-    = - sum_{J^F_{t-1}} q_i^{m+1} (x) q^i_m.  Returns list of failing t."""
-    g = db.g
-    grades = sorted(db.index_sets)
-    ts = sorted({-gr for gr in grades} | {gr + 1 for gr in grades})
+def check_tensor_identity(db: DualBases):
+    """Lemma 3.4 (kind F) and Lemma 6.4 (kind f): for every t,
+    sum_{J_{-t}} s(j) q^j_n (x) q_j^{n+1} = - sum_{J_{t-step}} q_i^{m+1} (x) q^i_m,
+    where s(j) is the parity sign of q_j for kind F and 1 for kind f.
+    Returns the list of failing t."""
+    g, step = db.g, db.step
+    ts = sorted({-gr for gr in db.index_sets} | {gr + step for gr in db.index_sets})
     bad = []
     for t in ts:
         left_pairs = []
         for (j, n) in db.index_sets.get(-t, []):
-            sj = -1 if g.parity_of_vec(db.lower[j]) else 1
+            sj = -1 if db.kind == "F" and g.parity_of_vec(db.lower[j]) else 1
             left_pairs.append((sj, db.chain_upper_or_zero(j, n),
                                db.chain_lower_or_zero(j, n + 1)))
-        right_pairs = []
-        for (i, m) in db.index_sets.get(t - 1, []):
-            right_pairs.append((-1, db.chain_lower_or_zero(i, m + 1),
-                                db.chain_upper_or_zero(i, m)))
-        if _tensor_sum(g, left_pairs) != _tensor_sum(g, right_pairs):
-            bad.append(t)
-    return bad
-
-
-def check_tensor_identity_f(db: DualBases):
-    """For every t: sum_{J^f_{-t}} r^i_m (x) r_i^{m+1}
-    = - sum_{J^f_{t-1/2}} r_j^{n+1} (x) r^j_n."""
-    g = db.g
-    grades = sorted(db.index_sets)
-    ts = sorted({-gr for gr in grades} | {gr + HALF for gr in grades})
-    bad = []
-    for t in ts:
-        left_pairs = [(1, db.chain_upper_or_zero(i, m), db.chain_lower_or_zero(i, m + 1))
-                      for (i, m) in db.index_sets.get(-t, [])]
-        right_pairs = [(-1, db.chain_lower_or_zero(j, n + 1), db.chain_upper_or_zero(j, n))
-                       for (j, n) in db.index_sets.get(t - HALF, [])]
+        right_pairs = [(-1, db.chain_lower_or_zero(i, m + 1),
+                        db.chain_upper_or_zero(i, m))
+                       for (i, m) in db.index_sets.get(t - step, [])]
         if _tensor_sum(g, left_pairs) != _tensor_sum(g, right_pairs):
             bad.append(t)
     return bad
@@ -781,13 +705,14 @@ def algebra_to_obj(g: LieSuperalgebra):
         "brackets": [],
         "form": [[coeff_str(s) for s in row] for row in g.form],
     }
-    for (i, j) in sorted(g.struct):
-        if i <= j:
-            coeffs = [[l, coeff_str(s)] for l, s in enumerate(g.struct[(i, j)]) if s]
-            obj["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
-        elif (j, i) not in g.struct:
-            coeffs = [[l, coeff_str(s)] for l, s in enumerate(g.struct[(i, j)]) if s]
-            obj["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
+    # an (i, j) entry with i > j is left out only when loading completes it
+    # as it is, so an inconsistent (j, i) entry survives the round trip
+    for (i, j), vec in sorted(g.struct.items()):
+        if i > j and (j, i) in g.struct and vec == _swapped(
+                g.struct[(j, i)], g.parities[i], g.parities[j]):
+            continue
+        coeffs = [[l, coeff_str(s)] for l, s in enumerate(vec) if s]
+        obj["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
     if g.sl2 is not None:
         obj["sl2"] = {"E": vec_obj(g.sl2.E), "H": vec_obj(g.sl2.H), "F": vec_obj(g.sl2.F)}
     if g.osp is not None:
@@ -800,7 +725,12 @@ def algebra_to_obj(g: LieSuperalgebra):
 def algebra_from_obj(obj) -> LieSuperalgebra:
     try:
         names = [b["label"] for b in obj["basis"]]
-        parities = [1 if b["parity"] == "odd" else 0 for b in obj["basis"]]
+        parities = []
+        for b in obj["basis"]:
+            if b["parity"] not in ("even", "odd"):
+                raise AlgebraError('basis element %r: parity %r is not "even" or "odd"'
+                                   % (b["label"], b["parity"]))
+            parities.append(1 if b["parity"] == "odd" else 0)
         dim = len(names)
         struct = {}
         for ent in obj["brackets"]:

@@ -22,10 +22,6 @@ from fractions import Fraction
 from math import gcd
 
 
-class ScalarError(ArithmeticError):
-    pass
-
-
 class LinearSolveError(Exception):
     """Raised when an exact linear system is inconsistent or not unique.
 
@@ -314,15 +310,6 @@ class Scalar:
             return Scalar()
         g = GRat(f)
         return Scalar({e: v * g for e, v in self.terms.items()})
-
-    def divide_constant(self, other: "Scalar") -> "Scalar":
-        """Exact division by a k- and c-free scalar; raises otherwise."""
-        if not other.is_constant():
-            raise ScalarError("division by k- or c-dependent scalar: %s" % other)
-        d = other.constant_part()
-        if not d:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar({e: g / d for e, g in self.terms.items()})
 
     def substitute(self, k_value=None, c_value=None) -> "Scalar":
         """Specialize k and/or c to GRat values (None keeps them symbolic)."""

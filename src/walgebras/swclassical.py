@@ -19,7 +19,7 @@ from fractions import Fraction
 from .liealg import dual_bases_f
 from .spva import SUSYBracketTable, susy_affine_table, susy_master_bracket
 from .wclassical import (Flavor, ReductionContext, compare_closed_direct,
-                         evaluate_symbols, gamma_linear, membership_defects,
+                         gamma_linear, membership_defects,
                          rewrite_in_generators, solve_all_generators,
                          solve_generator, w_bracket_closed, w_bracket_direct,
                          w_bracket_table)
@@ -49,7 +49,6 @@ class SUSYReductionContext(ReductionContext):
 gamma_S_linear = gamma_linear
 susy_membership_defects = membership_defects
 susy_rewrite_in_generators = rewrite_in_generators
-susy_evaluate_symbols = evaluate_symbols
 susy_w_bracket_table = w_bracket_table
 compare_susy_closed_direct = compare_closed_direct
 

@@ -17,8 +17,11 @@ variable by variable.
 Generators are produced two ways and cross-checked: by the closed
 chain-sum formula (linear part) and by an exact linear solve of the
 membership constraints (full generator, including higher-degree parts).
-Brackets likewise: closed chain-sum formula vs direct reduction. The
-linear-ansatz solve (solve_ansatz) also serves the BRST cohomology.
+Brackets likewise: closed chain-sum formula vs direct reduction. Both
+chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator,
+_chain_sum, which fills a path sum over the chain members from the top grade
+down instead of listing the chains. The linear-ansatz solve (solve_ansatz)
+also serves the BRST cohomology.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .liealg import admissible_chains, dual_bases_F
+from .liealg import dual_bases_F
 from .pva import BracketTable, affine_table, master_bracket
 from .scalars import GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
@@ -190,30 +193,44 @@ class ReductionContext:
         return SuperPoly.variable(self.alph, t)
 
 
-def _odd_members(ctx: ReductionContext, chain) -> int:
-    return sum(1 for j, _n in chain if ctx.g.parity_of_vec(ctx.db.lower[j]))
+def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
+    """Sum over the admissible chains u_0 < ... < u_p of members graded in
+    [lo, hi], consecutive grades at least db.step apart, of
+    factor(head, y_0)[factor(x_0, y_1)[... factor(x_{p-1}, y_p)[last(u_p)]]],
+    times s(u_0)...s(u_p) when the flavor signs chains; x_t, y_t are the
+    successor chain_lower and the chain_upper vector of u_t.
+
+    Evaluated as a path sum, never listing chains: from the top grade down,
+    V(u) = s(u) (last(u) + sum_{grade v >= grade u + step} factor(x(u), y(v))[V(v)])
+    is the signed sum over the chains that start at u, because every factor
+    is linear in its tail. Returns the terms factor(head, y(u))[V(u)].
+    """
+    db, g = ctx.db, ctx.g
+    members = [jn for jn in ctx.members if lo <= db.grade_of(*jn) <= hi]
+    sums = []                      # (grade, y(v), V(v)), grades descending
+    for j, n in reversed(members):
+        grade = db.grade_of(j, n)
+        x = db.chain_lower_or_zero(j, n + 1)
+        val = last(j, n)
+        for grade_v, y, val_v in sums:
+            if grade_v < grade + db.step:
+                break
+            val = val + factor(ctx, x, y, val_v)
+        if ctx.flavor.signed_chains and g.parity_of_vec(db.lower[j]):
+            val = -val
+        sums.append((grade, db.chain_upper[j][n], val))
+    return [factor(ctx, head, y, val) for _grade, y, val in sums]
 
 
 def gamma_linear(ctx: ReductionContext, j) -> SuperPoly:
     """Closed chain-sum formula for the part of the generator that is
     linear in the [E, g_{<=-1/2}] variables."""
     db = ctx.db
-    out = SuperPoly.zero(ctx.alph)
-    for chain in admissible_chains(db, -db.spins[j], -HALF):
-        if not chain:
-            continue
-        jp, np_ = chain[-1]
-        val = SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)])
-        for t in range(len(chain) - 1, 0, -1):
-            x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
-            y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _chain_factor(ctx, x, y, val)
-        y = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _chain_factor(ctx, db.lower[j], y, val)
-        if ctx.flavor.signed_chains and _odd_members(ctx, chain) % 2:
-            val = -val
-        out = out + val
-    return out
+    terms = _chain_sum(
+        ctx, -db.spins[j], -HALF, db.lower[j],
+        lambda jp, np_: SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)]),
+        _chain_factor)
+    return sum(terms, SuperPoly.zero(ctx.alph))
 
 
 def _chain_factor(ctx, x, y, tail: SuperPoly) -> SuperPoly:
@@ -390,29 +407,13 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     if fv:
         out = out + value(ctx.gen_alph,
                           {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+    one = value.of(SuperPoly.one(ctx.gen_alph))
+    total = sum(_chain_sum(
+        ctx, -db.spins[b], db.spins[a] - fl.shift, qb,
+        lambda j, n: _closed_factor(ctx, db.chain_lower_or_zero(j, n + 1), qa, one),
+        _closed_factor), value.zero(ctx.gen_alph))
     pa = g.parity_of_vec(qa)
     pb = g.parity_of_vec(qb)
-    total = value.zero(ctx.gen_alph)
-    for chain in admissible_chains(db, -db.spins[b], db.spins[a] - fl.shift):
-        if not chain:
-            continue
-        jp, np_ = chain[-1]
-        x_last = db.chain_lower[jp][np_ + 1] if np_ + 1 < len(db.chain_lower[jp]) \
-            else g.zero_vec()
-        val = _closed_factor(ctx, g.bracket(x_last, qa),
-                             g.form_value(x_last, qa),
-                             value.of(SuperPoly.one(ctx.gen_alph)))
-        for t in range(len(chain) - 1, 0, -1):
-            # known defect: no bounds check here; on chains of length 3 or
-            # more (sl4-principal) this index runs past the chain
-            x = db.chain_lower[chain[t - 1][0]][chain[t - 1][1] + 1]
-            y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _closed_factor(ctx, g.bracket(x, y), g.form_value(x, y), val)
-        y0 = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _closed_factor(ctx, g.bracket(qb, y0), g.form_value(qb, y0), val)
-        if fl.signed_chains and _odd_members(ctx, chain) % 2:
-            val = -val
-        total = total + val
     if (pa * pb) % 2:
         out = out + total
     else:
@@ -422,11 +423,12 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     return out
 
 
-def _closed_factor(ctx, bracket_vec, form_val: Scalar, tail):
+def _closed_factor(ctx, x, y, tail):
     """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail;
     on the trailing 1 the (lambda+del) reduces to a bare lambda."""
-    sym = ctx.sharp_symbols(bracket_vec)
+    sym = ctx.sharp_symbols(ctx.g.bracket(x, y))
     out = tail.mul_left(sym) if sym else tail.zero(ctx.gen_alph)
+    form_val = ctx.g.form_value(x, y)
     if form_val:
         out = out - tail.apply_plus_d().scalar_mul(form_val * ctx.k)
     return out

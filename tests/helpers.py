@@ -1,8 +1,10 @@
 """Shared, lazily cached setups so expensive solves run once per session,
-and the test-only oracles: chi/D operator words, exactness witnesses and a
-dense reference for the Lie superalgebra bracket, form and validation."""
+and the test-only oracles: chi/D operator words, exactness witnesses, a
+dense reference for the Lie superalgebra bracket, form and validation, and
+a chain-enumerating reference for the closed chain sums."""
 
 from fractions import Fraction
+from functools import reduce
 
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import AlgebraError, matrix_rank, vec_grat
@@ -15,7 +17,8 @@ from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import (BRSTComplex, _differential_terms, build_d,
                             cohomology_generators)
-from walgebras.wclassical import GeneratorError, ansatz_monomials, solve_ansatz
+from walgebras.wclassical import (GeneratorError, HALF, _chain_factor,
+                                  _closed_factor, ansatz_monomials, solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -51,6 +54,38 @@ def sl4_principal():
         _algebras[name] = _build_matrix_algebra(
             name, names, mats, [0] * len(mats), set(range(n)),
             form_scale=Fraction(1, 10), sl2_mats=(E, H, F))
+    return _algebras[name]
+
+
+def sl32_principal():
+    """sl(3|2) as supertraceless 5x5 supermatrices with row parities
+    (0, 1, 0, 1, 0) (dim 24: the 20 E_ij and D_i = e_ii + e_(i+1)(i+1)),
+    its principal osp(1|2) e = E01+E12+E23+E34, f = -2E10+E21-E32+2E43,
+    H = diag(2, 1, 0, -1, -2), E = [e, e]/2, F = -[f, f]/2 and the
+    supertrace form scaled by 1/3."""
+    name = "sl32-principal"
+    if name not in _algebras:
+        n, rows = 5, (0, 1, 0, 1, 0)
+        names, mats, parities = [], [], []
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    names.append("E%d%d" % (i, j))
+                    mats.append(_e(n, i, j))
+                    parities.append((rows[i] + rows[j]) % 2)
+        for i in range(n - 1):
+            names.append("D%d" % i)
+            mats.append(_mat(n, {(i, i): 1, (i + 1, i + 1): 1}))
+            parities.append(0)
+        add = lambda *ms: reduce(_mat_add, ms)
+        e = add(_e(n, 0, 1), _e(n, 1, 2), _e(n, 2, 3), _e(n, 3, 4))
+        f = add(_e(n, 1, 0, -2), _e(n, 2, 1), _e(n, 3, 2, -1), _e(n, 4, 3, 2))
+        H = _mat(n, {(0, 0): 2, (1, 1): 1, (3, 3): -1, (4, 4): -2})
+        E = add(_e(n, 0, 2), _e(n, 1, 3), _e(n, 2, 4))
+        F = add(_e(n, 2, 0, 2), _e(n, 3, 1), _e(n, 4, 2, 2))
+        _algebras[name] = _build_matrix_algebra(
+            name, names, mats, parities, {0, 2, 4}, form_scale=Fraction(1, 3),
+            super_tr=True, osp_mats=(E, e, H, f, F))
     return _algebras[name]
 
 
@@ -196,6 +231,49 @@ def _d_through_chi(b, c):
                     nxt.pop(key, None)
         cur = nxt
     return cur
+
+
+def phibar_of_vector(cplx, vec) -> SuperPoly:
+    """phi^xbar = phi^{bar(pi_- x)}: expand over the dual-ghost basis."""
+    g = cplx.ctx.gstar
+    # coefficient of u^alpha in pi_-(x) is (x | u_alpha)
+    return SuperPoly.linear(cplx.alph, (
+        (cplx.phibar_index(alpha), g.form_value(vec, g.basis_vec(a)))
+        for alpha, a in enumerate(cplx.n_idx)))
+
+
+def j_of_vector(cplx, vec) -> SuperPoly:
+    return SuperPoly.linear(cplx.alph, enumerate(vec))
+
+
+def bigrade_mono(cplx, mono):
+    """gr of a J-alphabet monomial: (g_a, -g_a) for J, the ghost rule for
+    ph*, None when an R_+ ghost occurs; D does not change the bigrade."""
+    g = cplx.ctx.gstar
+    p = q = Fraction(0)
+    for (t, _m), e in mono:
+        if t < cplx.gdim:
+            ga = g.gradings[t]
+            bg = (ga, -ga)
+        elif t >= cplx.gdim + cplx.nn:
+            gb = g.gradings[cplx.n_idx[t - cplx.gdim - cplx.nn]]
+            bg = (-gb + HALF, gb + HALF)
+        else:
+            return None
+        p += bg[0] * e
+        q += bg[1] * e
+    return (p, q)
+
+
+def full_coords(db, vec):
+    """Coordinates of vec in the complete chain basis {chain_lower[j][n]}."""
+    coords = {}
+    for j in range(len(db.lower)):
+        for n in range(len(db.chain_lower[j])):
+            c = db.g.form_value(db.chain_upper[j][n], vec)
+            if c:
+                coords[(j, n)] = c
+    return coords
 
 
 def exactness_witness(cplx, diff, X: SuperPoly):
@@ -361,3 +439,95 @@ def dense_validate(g):
     if g.osp is not None:
         report.extend(_dense_osp_report(g, g.osp))
     return report
+
+
+# Chain-enumerating reference for the closed chain sums of wclassical: every
+# admissible chain listed, each chain's factors applied one after another.
+
+def admissible_chains(db, min_grade, max_grade):
+    """All chains (j_0,n_0) < ... < (j_p,n_p) with consecutive grade gaps
+    >= 1 (kind F) or >= 1/2 (kind f), entries graded within
+    [min_grade, max_grade].  Includes the empty chain.
+    """
+    gap = Fraction(1) if db.kind == "F" else HALF
+    lo, hi = Fraction(min_grade), Fraction(max_grade)
+    items = [(db.grade_of(j, n), (j, n)) for (j, n) in db.members()
+             if lo <= db.grade_of(j, n) <= hi]
+    items.sort()
+    chains = [[]]
+
+    def extend(prefix, min_next):
+        for grade, jn in items:
+            if grade >= min_next:
+                chain = prefix + [jn]
+                chains.append(chain)
+                extend(chain, grade + gap)
+
+    extend([], lo)
+    return chains
+
+
+def _odd_members(ctx, chain):
+    return sum(1 for j, _n in chain if ctx.g.parity_of_vec(ctx.db.lower[j]))
+
+
+def chain_gamma_linear(ctx, j):
+    """wclassical.gamma_linear, summed chain by chain."""
+    db = ctx.db
+    out = SuperPoly.zero(ctx.alph)
+    for chain in admissible_chains(db, -db.spins[j], -HALF):
+        if not chain:
+            continue
+        jp, np_ = chain[-1]
+        val = SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)])
+        for t in range(len(chain) - 1, 0, -1):
+            x = db.chain_lower_or_zero(chain[t - 1][0], chain[t - 1][1] + 1)
+            y = db.chain_upper[chain[t][0]][chain[t][1]]
+            val = _chain_factor(ctx, x, y, val)
+        y = db.chain_upper[chain[0][0]][chain[0][1]]
+        val = _chain_factor(ctx, db.lower[j], y, val)
+        if ctx.flavor.signed_chains and _odd_members(ctx, chain) % 2:
+            val = -val
+        out = out + val
+    return out
+
+
+def chain_w_bracket_closed(ctx, a, b):
+    """wclassical.w_bracket_closed, summed chain by chain."""
+    g, db, fl = ctx.g, ctx.db, ctx.flavor
+    value = fl.table.value
+    qa, qb = db.lower[a], db.lower[b]
+    out = value.zero(ctx.gen_alph)
+    br = ctx.sharp_symbols(g.bracket(qa, qb))
+    if br:
+        out = out + value.of(br)
+    fv = g.form_value(qa, qb)
+    if fv:
+        out = out + value(ctx.gen_alph,
+                          {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+    pa = g.parity_of_vec(qa)
+    pb = g.parity_of_vec(qb)
+    total = value.zero(ctx.gen_alph)
+    for chain in admissible_chains(db, -db.spins[b], db.spins[a] - fl.shift):
+        if not chain:
+            continue
+        jp, np_ = chain[-1]
+        x_last = db.chain_lower_or_zero(jp, np_ + 1)
+        val = _closed_factor(ctx, x_last, qa,
+                             value.of(SuperPoly.one(ctx.gen_alph)))
+        for t in range(len(chain) - 1, 0, -1):
+            x = db.chain_lower_or_zero(chain[t - 1][0], chain[t - 1][1] + 1)
+            y = db.chain_upper[chain[t][0]][chain[t][1]]
+            val = _closed_factor(ctx, x, y, val)
+        y0 = db.chain_upper[chain[0][0]][chain[0][1]]
+        val = _closed_factor(ctx, qb, y0, val)
+        if fl.signed_chains and _odd_members(ctx, chain) % 2:
+            val = -val
+        total = total + val
+    if (pa * pb) % 2:
+        out = out + total
+    else:
+        out = out - total
+    if fl.signed_head and pa:
+        out = -out
+    return out

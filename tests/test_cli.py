@@ -67,7 +67,9 @@ def _append(key, item):
     (lambda obj: obj["form"][1].pop(), "form is not 3 x 3"),
     (lambda obj: obj["form"][1].append("0"), "form is not 3 x 3"),
     (lambda obj: obj["sl2"]["H"].pop(), "sl2 vector H has 2 entries, expected 3"),
-], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector"])
+    (lambda obj: obj["basis"][0].update(parity="Odd"),
+     "basis element 'E': parity 'Odd' is not \"even\" or \"odd\""),
+], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector", "parity"])
 def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     obj = _sl2_obj()
     edit(obj)

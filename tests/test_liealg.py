@@ -1,15 +1,17 @@
+import importlib.resources
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from walgebras.catalog import (CATALOG, build_osp12, build_sl2, build_sl21,
-                               build_sl3_minimal, build_sl3_principal)
-from walgebras.liealg import (AlgebraError, LieSuperalgebra, OSPTriple,
-                              SL2Triple, admissible_chains,
-                              check_tensor_identity_F, check_tensor_identity_f,
+                               build_sl3_minimal, build_sl3_principal,
+                               regenerate_data)
+from walgebras.liealg import (AlgebraError, DualBases, LieSuperalgebra,
+                              OSPTriple, SL2Triple, algebra_from_obj,
+                              algebra_to_obj, check_tensor_identity,
                               dual_bases_F, dual_bases_f, load_algebra,
-                              save_algebra, sharp_project, validate_algebra)
+                              save_algebra, validate_algebra)
 from walgebras.scalars import Scalar
 
 HALF = Fraction(1, 2)
@@ -96,24 +98,6 @@ def test_non_eigenbasis_rejected():
         g.rebase(vecs, ["u", "H", "v"])
 
 
-def test_subspaces():
-    g = helpers.algebra("sl2")
-    sub = g.subspaces()
-    assert [g.names[i] for i in sub["n"]] == ["E"]
-    assert [g.names[i] for i in sub["m"]] == ["E"]
-    assert [g.names[i] for i in sub["p"]] == ["H", "F"]
-    go = helpers.algebra("osp12")
-    sub = go.subspaces()
-    assert [go.names[i] for i in sub["n"]] == ["E", "e"]
-    assert [go.names[i] for i in sub["m"]] == ["E"]
-    # p = g_{<1} contains the grading-1/2 vector e as well
-    assert [go.names[i] for i in sub["p"]] == ["e", "H", "f", "F"]
-    g3 = helpers.algebra("sl3-principal")
-    sub = g3.subspaces()
-    assert len(sub["n"]) == 3 and len(sub["m"]) == 3
-    assert g3.ge(2) == [2] and len(g3.le(0)) == 5
-
-
 def test_dual_bases_sl2():
     g = helpers.algebra("sl2")
     db = dual_bases_F(g, g.sl2)
@@ -123,8 +107,8 @@ def test_dual_bases_sl2():
     assert db.chain_lower[0] == [F, sc(H, -HALF), sc(E, -HALF)]
     # (q^0_1 | q_0^1) = (-H | -H/2) = 1
     assert g.form_value(db.chain_upper[0][1], db.chain_lower[0][1]) == Scalar.one()
-    assert not any(sharp_project(db, H))
-    assert sharp_project(db, F) == F
+    assert not any(db.sharp(H))
+    assert db.sharp(F) == F
 
 
 def test_dual_bases_sl3_principal():
@@ -189,7 +173,7 @@ def test_bases_not_dual_error():
 def test_admissible_chains_sl2():
     g = helpers.algebra("sl2")
     db = dual_bases_F(g, g.sl2)
-    chains = admissible_chains(db, Fraction(-1), Fraction(-1, 2))
+    chains = helpers.admissible_chains(db, Fraction(-1), Fraction(-1, 2))
     assert [] in chains  # the empty chain is always admissible
     assert [c for c in chains if c] == [[(0, 0)]]
 
@@ -197,20 +181,38 @@ def test_admissible_chains_sl2():
 def test_admissible_chains_osp():
     g = helpers.algebra("osp12")
     db = dual_bases_f(g, g.osp)
-    chains = [c for c in admissible_chains(db, Fraction(-1), Fraction(-1, 2)) if c]
+    chains = [c for c in helpers.admissible_chains(db, Fraction(-1), Fraction(-1, 2))
+              if c]
     assert sorted(chains) == [[(0, 0)], [(0, 0), (0, 1)], [(0, 1)]]
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_lemma_3_4_tensor_identity(name):
     g = helpers.algebra(name)
-    assert check_tensor_identity_F(dual_bases_F(g, g.sl2)) == []
+    assert check_tensor_identity(dual_bases_F(g, g.sl2)) == []
 
 
 @pytest.mark.parametrize("name", OSP)
 def test_lemma_6_4_tensor_identity(name):
     g = helpers.algebra(name)
-    assert check_tensor_identity_f(dual_bases_f(g, g.osp)) == []
+    assert check_tensor_identity(dual_bases_f(g, g.osp)) == []
+
+
+def _doubled_interior(db):
+    """db with one interior chain_lower vector doubled."""
+    j = next(j for j, chain in enumerate(db.chain_lower) if len(chain) >= 3)
+    chain_lower = [list(chain) for chain in db.chain_lower]
+    chain_lower[j][1] = sc(chain_lower[j][1], 2)
+    return DualBases(db.g, db.kind, db.lower, db.upper, chain_lower,
+                     db.chain_upper, db.spins)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_tensor_identity_reports_corrupted_bases(name):
+    g = helpers.algebra(name)
+    assert check_tensor_identity(_doubled_interior(dual_bases_F(g, g.sl2)))
+    if g.osp is not None:
+        assert check_tensor_identity(_doubled_interior(dual_bases_f(g, g.osp)))
 
 
 def test_sl21_kernel_dimensions():
@@ -350,6 +352,23 @@ def test_validate_matches_dense_reference(name):
         report = validate_algebra(bad)
         assert report == helpers.dense_validate(bad), label
         assert any(fragment in r for r in report), (label, report)
+
+
+@pytest.mark.parametrize("name", ["sl2", "osp12", "sl21"])
+def test_file_roundtrip_keeps_violations(name):
+    for label, _fragment, bad in corrupted_copies(helpers.algebra(name)):
+        if label == "form-k":
+            continue  # algebra files carry constant coefficients only
+        back = algebra_from_obj(algebra_to_obj(bad))
+        assert validate_algebra(back) == validate_algebra(bad), label
+
+
+def test_saved_files_match_shipped_data(tmp_path):
+    regenerate_data(tmp_path)
+    data = importlib.resources.files("walgebras").joinpath("data")
+    for entry in CATALOG.values():
+        assert (tmp_path / entry.file).read_bytes() == \
+            data.joinpath(entry.file).read_bytes(), entry.name
 
 
 def _random_scalar(rng):

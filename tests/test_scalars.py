@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar,
-                               ScalarError, _norm, parse_coeff, solve_linear)
+from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar, _norm,
+                               parse_coeff, solve_linear)
 
 
 def rand_scalar(rng, with_c=False):
@@ -41,16 +41,6 @@ def test_gaussian_arithmetic():
     i = Scalar.imag()
     assert i * i == Scalar.rational(-1)
     assert (GRat(1, 2) / GRat(0, 1)) == GRat(2, -1)
-
-
-def test_division_rules():
-    k = Scalar.k()
-    half = Scalar.rational(Fraction(1, 2))
-    assert (k * half).divide_constant(half) == k
-    with pytest.raises(ScalarError):
-        k.divide_constant(k)
-    with pytest.raises(ZeroDivisionError):
-        k.divide_constant(Scalar.zero())
 
 
 def test_substitution():

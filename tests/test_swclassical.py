@@ -124,7 +124,7 @@ def test_lemma_6_2_case_table():
             h = db.grade_of(i, m)
             up = db.chain_upper[i][m]
             up_poly = sum((SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                           for jn, cv in db.full_coords(up).items()),
+                           for jn, cv in helpers.full_coords(db, up).items()),
                           SuperPoly.zero(ctx.alph))
             si = (-1 if g.parity_of_vec(db.lower[i]) else 1) * (1 if m % 2 == 0 else -1)
             for (j, n) in db.members():
@@ -143,7 +143,7 @@ def test_lemma_6_2_case_table():
                     br = g.bracket(up, db.chain_lower[j][n])
                     br_poly = ctx.rho(sum(
                         (SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                         for jn, cv in db.full_coords(br).items()),
+                         for jn, cv in helpers.full_coords(db, br).items()),
                         SuperPoly.zero(ctx.alph)))
                     expect = ChiPoly.of(br_poly.scale(si)) if br_poly \
                         else ChiPoly.zero(ctx.alph)

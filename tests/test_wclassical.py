@@ -157,7 +157,7 @@ def test_lemma_3_2_case_table():
             t1 = db.grade_of(i, m)
             up = db.chain_upper[i][m]
             up_poly = sum((SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                           for jn, cv in db.full_coords(up).items()),
+                           for jn, cv in helpers.full_coords(db, up).items()),
                           SuperPoly.zero(ctx.alph))
             for (j, n) in db.members():
                 t2 = db.grade_of(j, n)
@@ -174,7 +174,7 @@ def test_lemma_3_2_case_table():
                     br = g.bracket(up, db.chain_lower[j][n])
                     br_poly = ctx.rho(sum(
                         (SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                         for jn, cv in db.full_coords(br).items()),
+                         for jn, cv in helpers.full_coords(db, br).items()),
                         SuperPoly.zero(ctx.alph)))
                     expect = LambdaPoly.of(br_poly) if br_poly \
                         else LambdaPoly.zero(ctx.alph)
