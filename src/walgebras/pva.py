@@ -233,20 +233,32 @@ class LambdaPoly:
         return cls(alph, {n: SuperPoly.from_obj(alph, p) for n, p in obj})
 
 
+def _plus_d_power(powers, n):
+    """(x + d)^n powers[0], where powers lists (x + d)^p powers[0] for
+    p = 0, 1, ...; it is extended as far as n on demand."""
+    while len(powers) <= n:
+        powers.append(powers[-1].apply_plus_d())
+    return powers[n]
+
+
+def _arrow(bracket: LambdaPoly, powers, q) -> LambdaPoly:
+    """The arrow sum of arrow_apply, with the tail given as its list of
+    (x + d)-powers, which callers reuse across brackets."""
+    arrow = bracket.var.arrow
+    out = {}
+    for n, coeff in bracket.coeffs.items():
+        _acc_value(out, _plus_d_power(powers, n).mul_left(coeff), arrow(q, n))
+    return type(bracket)(bracket.alphabet, out)
+
+
 def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
     """{a_{x+d} b}_-> tail = sum_n (-1)^arrow(q,n) (a_(n)b) (x+d)^n tail,
     ab of parity q. For chi the sign is s(ab)^n times the normal-form
     factor (-1)^{n(n-1)/2} of (chi+D)^n, so that the master formula
     reproduces table entries at every chi power (pinned by the oracle;
-    only powers >= 2 are sensitive to it)."""
-    arrow = bracket.var.arrow
-    out = {}
-    powers = {0: tail}
-    for n in range(1, bracket.max_power() + 1):
-        powers[n] = powers[n - 1].apply_plus_d()
-    for n, coeff in bracket.coeffs.items():
-        _acc_value(out, powers[n].mul_left(coeff), arrow(q, n))
-    return type(bracket)(bracket.alphabet, out)
+    only powers >= 2 are sensitive to it). The master formula evaluates
+    the same sum through _arrow, sharing the powers of its tail."""
+    return _arrow(bracket, [tail], q)
 
 
 class BracketTable:
@@ -320,34 +332,37 @@ def _master(f: SuperPoly, g: SuperPoly, table: BracketTable, max_weight):
     """Master formula: the implementation of master_bracket and
     spva.susy_master_bracket."""
     out = {}
-    for pf, fh in _parts(f):
-        for pg, gh in _parts(g):
-            _master_homog(out, fh, pf, gh, pg, table)
+    for pf, fgrad in f.parity_gradients():
+        for pg, ggrad in g.parity_gradients():
+            _master_homog(out, fgrad, pf, ggrad, pg, table)
     if max_weight is not None:
         out = {n: p.truncate_weight(max_weight) for n, p in out.items()}
     return table.value(table.alphabet, out)
 
 
-def _master_homog(out, f, pf, g, pg, table: BracketTable):
-    """Adds the master formula of parity-homogeneous f, g to out."""
+def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
+    """Adds the master formula of parity-homogeneous f, g to out, given
+    their gradients fgrad, ggrad as (variable, partial) pairs: the sum over
+    variable pairs of +-dg/du_j^(n) (x+d)^n {u_i_{x+d} u_j}_-> (x+d)^m
+    df/du_i^(m).
+
+    For each u_i^(m), the (x+d)-powers of the inner term are built once,
+    as far as the highest entry power met; for each j, the arrow sum is
+    built once and its (x+d)-powers serve every u_j^(n)."""
     alph = table.alphabet
     sign = table.value.var.master
-    gvars = g.variables()
-    for (i, m) in f.variables():
-        dfi = f.partial((i, m))
-        if not dfi:
-            continue
+    for (i, m), dfi in fgrad:
         pi, pim = alph.parities[i], alph.var_parity((i, m))
-        inner = table.value.of(dfi).apply_plus_d(m)
-        for (j, n) in gvars:
-            dgj = g.partial((j, n))
-            if not dgj:
-                continue
+        inner = [table.value.of(dfi).apply_plus_d(m)]
+        outer = {}
+        for (j, n), dgj in ggrad:
             ent = table.entry(i, j)
             if not ent:
                 continue
             pj = alph.parities[j]
-            val = arrow_apply(ent, inner, pi + pj).apply_plus_d(n).mul_left(dgj)
+            if j not in outer:
+                outer[j] = [_arrow(ent, inner, pi + pj)]
+            val = _plus_d_power(outer[j], n).mul_left(dgj)
             _acc_value(out, val, sign(pf, pg, pi, pj, m, n, pim,
                                       alph.var_parity((j, n))))
 

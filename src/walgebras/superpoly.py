@@ -9,8 +9,14 @@ canonicalization multiplies coefficients by the Koszul sign of the
 reordering.  Canonical form is a normal form: two polynomials are equal
 iff their term dictionaries are equal.
 
-All values are immutable in practice (no method mutates its receiver), so
-any operation may run concurrently with any other.
+No method changes a value's alphabet or terms after it is built. The one
+internal state is a first-use memo: ``parity_gradients`` keeps its result
+in a private slot, so that a polynomial bracketed many times (the BRST
+element d, a generator value) is differentiated once. The memo is a pure
+function of the terms, which never change, and equality and hashing do not
+read it. Two threads that fill it at once compute equal results, and the
+slot is set by one atomic store, so a reader sees either no memo or a
+complete one; any operation may still run concurrently with any other.
 """
 
 from __future__ import annotations
@@ -139,11 +145,12 @@ def _merge_monomials(alph, m1, m2):
 class SuperPoly:
     """Sparse supercommutative polynomial with Scalar coefficients."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "terms", "_gradients")
 
     def __init__(self, alphabet, terms=None):
         self.alphabet = alphabet
         self.terms = {} if terms is None else terms
+        self._gradients = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -317,6 +324,40 @@ class SuperPoly:
                     break
                 prefix_parity = (prefix_parity + alph.var_parity(v) * e) % 2
         return SuperPoly(alph, out)
+
+    def gradient(self):
+        """Every nonzero partial derivative, {var: self.partial(var)} in
+        variable order, built in one pass over the terms."""
+        alph = self.alphabet
+        acc = {}
+        for mono, coeff in self.terms.items():
+            prefix_parity = 0
+            for t, (v, e) in enumerate(mono):
+                pv = alph.var_parity(v)
+                c = coeff.scale(e) if e != 1 else coeff
+                if pv and prefix_parity:
+                    c = -c
+                if e > 1:
+                    rest = mono[:t] + ((v, e - 1),) + mono[t + 1:]
+                else:
+                    rest = mono[:t] + mono[t + 1:]
+                # mono is rest with one more v, so no two terms share a rest
+                acc.setdefault(v, {})[rest] = c
+                prefix_parity = (prefix_parity + pv * e) % 2
+        return {v: SuperPoly(alph, acc[v]) for v in sorted(acc)}
+
+    def parity_gradients(self):
+        """(p, the gradient of the parity-p part as a tuple of (var,
+        partial) pairs) for each nonzero part, p = 0 first; computed on the
+        first call and kept (see the module docstring)."""
+        if self._gradients is None:
+            parts = ({}, {})
+            for mono, coeff in self.terms.items():
+                parts[_mono_parity(self.alphabet, mono)][mono] = coeff
+            self._gradients = tuple(
+                (p, tuple(SuperPoly(self.alphabet, part).gradient().items()))
+                for p, part in enumerate(parts) if part)
+        return self._gradients
 
     # -- substitution ----------------------------------------------------
     def substitute(self, images, target=None) -> "SuperPoly":

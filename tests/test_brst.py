@@ -9,7 +9,7 @@ from walgebras.brst import (BRSTComplex, _input_to_star, build_complex,
                             build_d, check_thm_5_9, brst_bracket_table)
 from walgebras.scalars import Scalar
 from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
-                            susy_master_bracket)
+                            susy_bracket_oracle, susy_master_bracket)
 from walgebras.superpoly import SuperPoly, random_superpoly
 from walgebras.swclassical import SUSYReductionContext
 
@@ -58,6 +58,22 @@ def test_d_squared_symbolic_c(name):
     assert diff.d.parity() == 0
     assert diff.d_squared_defect().is_zero()
     assert diff.verify() == []
+
+
+@pytest.mark.parametrize("name", OSP)
+def test_d_chi_with_kept_gradient_equals_oracle(name):
+    """d_chi differentiates d on its first call and reuses the gradient
+    after that; the oracle never differentiates d."""
+    cplx = build_complex(helpers.algebra(name))
+    diff = build_d(cplx, Scalar.c())
+    rng = random.Random(8)
+    inputs = [SuperPoly.variable(cplx.alph, t) for t in range(len(cplx.alph))]
+    inputs += [random_superpoly(cplx.alph, rng) for _ in range(3)]
+    for A in inputs:
+        want = susy_bracket_oracle(diff.d, A, cplx.table)
+        assert diff.d_chi(A) == want
+        assert diff.d_chi(A) == want
+    assert diff.d.parity_gradients() is diff.d.parity_gradients()
 
 
 def test_d0_is_odd_derivation():

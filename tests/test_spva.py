@@ -10,9 +10,10 @@ from helpers import ChiDWord
 from walgebras.spva import (ChiPoly, SUSYBracketTable,
                             check_susy_jacobi, check_susy_skew,
                             random_susy_property_suite, reduce_to_pva,
-                            susy_master_bracket,
+                            susy_bracket_oracle, susy_master_bracket,
                             susy_sesquilinearity_defects)
 from walgebras.superpoly import SuperPoly, random_superpoly
+from walgebras.swclassical import susy_w_bracket_table
 
 OSP = ["osp12", "sl21"]
 K = Scalar.k()
@@ -68,6 +69,26 @@ def test_susy_skew_jacobi_generators(name):
     g, alph, t = helpers.susy_affine(name)
     assert check_susy_skew(t) == []
     assert check_susy_jacobi(t) == []
+
+
+@pytest.mark.parametrize("name", OSP)
+def test_master_equals_oracle_on_w_table(name):
+    """The W tables have entries up to chi^5, so the master formula meets
+    the (chi+D)^n normal-form sign of the arrow sum at n >= 2, which no
+    affine table reaches."""
+    ctx, gens = helpers.susy(name)
+    table = susy_w_bracket_table(ctx, gens)
+    assert max(v.max_power() for v in table.entries.values()) >= 2
+    alph = table.alphabet
+    rng = random.Random(31)
+    polys = [SuperPoly.variable(alph, i, m)
+             for i in range(len(alph)) for m in (0, 1)]
+    polys += [random_superpoly(alph, rng, max_factors=2, terms=3)
+              for _ in range(6)]
+    for a in polys:
+        for b in polys:
+            assert susy_master_bracket(a, b, table) == \
+                susy_bracket_oracle(a, b, table)
 
 
 def test_corrupted_susy_entry_detected():

@@ -105,6 +105,33 @@ def test_koszul_signed_partials():
     assert (H * dH).partial((1, 1)) == H
 
 
+@pytest.mark.parametrize("alph", [Alphabet(FLAVOR_DEL, ["a", "b", "c"], [0, 1, 1]),
+                                  SUS], ids=["del", "D"])
+def test_gradient_equals_partials(alph):
+    rng = random.Random(17)
+    top_exponent = 0
+    for _ in range(40):
+        p = random_superpoly(alph, rng, max_factors=4, terms=4)
+        top_exponent = max([top_exponent] + [e for m in p.terms for _v, e in m])
+        want = {v: p.partial(v) for v in p.variables() if p.partial(v)}
+        grad = p.gradient()
+        assert grad == want
+        assert list(grad) == sorted(want)
+        parts = [(q, p.parity_part(q)) for q in (0, 1)]
+        assert p.parity_gradients() == tuple((q, tuple(h.gradient().items()))
+                                             for q, h in parts if h)
+        assert p.parity_gradients() is p.parity_gradients()
+    assert top_exponent >= 2
+
+
+def test_gradient_odd_prefix_sign():
+    # x odd, D(y) odd, z odd: d/dD(y) passes x, d/dz passes x D(y) (even)
+    x, Dy, z, y = var(SUS, 0), var(SUS, 1, 1), var(SUS, 2), var(SUS, 1)
+    p = x * Dy * z + (y * y * z).scale(3)
+    assert p.gradient() == {(0, 0): Dy * z, (1, 0): (y * z).scale(6),
+                            (1, 1): -(x * z), (2, 0): x * Dy + (y * y).scale(3)}
+
+
 def test_partial_commutator_with_D():
     # [d/du^[m], D] = d/du^[m-1], checked on u^[1] for m = 2
     u1 = var(SUS, 1, 1)
