@@ -1,6 +1,7 @@
 """Batch front end: algebra catalog, verification suites, table output.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 input error.
+Exit codes: 0 all checks passed, 1 verification failure, 2 input error,
+3 the engine could not compute (a generator or linear solve failed).
 Identical inputs and seed produce byte-identical output.
 """
 
@@ -14,13 +15,13 @@ from fractions import Fraction
 from .catalog import CATALOG, get_algebra
 from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
                      dual_bases_f, validate_algebra)
-from .scalars import Scalar
+from .scalars import LinearSolveError, Scalar
 from .pva import check_jacobi, check_skew, random_property_suite
 from .spva import (check_susy_skew, check_susy_jacobi,
                    random_susy_property_suite, reduce_to_pva)
-from .wclassical import (ReductionContext, compare_closed_direct,
-                         solve_all_generators, w_bracket_direct,
-                         w_bracket_closed, w_bracket_table)
+from .wclassical import (GeneratorError, ReductionContext,
+                         compare_closed_direct, solve_all_generators,
+                         w_bracket_direct, w_bracket_closed, w_bracket_table)
 from .swclassical import SUSYReductionContext
 from .brst import (BRSTComplex, build_d, brst_bracket_table,
                    cohomology_generators, check_thm_5_9)
@@ -395,6 +396,9 @@ def main(argv=None):
     except AlgebraError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
+    except (GeneratorError, LinearSolveError) as e:
+        sys.stderr.write("engine error: %s\n" % e)
+        return 3
 
 
 if __name__ == "__main__":

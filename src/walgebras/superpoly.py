@@ -9,6 +9,14 @@ canonicalization multiplies coefficients by the Koszul sign of the
 reordering.  Canonical form is a normal form: two polynomials are equal
 iff their term dictionaries are equal.
 
+The parity of u_i^(m) is ``parities[i] ^ (m & deriv_parity)``, read inline
+by the kernel loops. Variables sort as ``(gen, order)`` tuples, so u^(m+1)
+comes right after u^(m) and no variable lies between them. The derivative
+of a factor u^(m) of a canonical monomial therefore takes that factor's
+place (after u^(m)^(e-1) when its exponent e > 1, and then u^(m) is even)
+with no reordering and no crossing sign. It merges only with a factor
+u^(m+1) right after it, and that term vanishes when u^(m+1) is odd.
+
 No method changes a value's alphabet or terms after it is built. The one
 internal state is a first-use memo: ``parity_gradients`` keeps its result
 in a private slot, so that a polynomial bracketed many times (the BRST
@@ -36,7 +44,7 @@ class FlavorError(TypeError):
 class Alphabet:
     """Ordered generator set for one polynomial algebra."""
 
-    __slots__ = ("flavor", "names", "parities", "weights")
+    __slots__ = ("flavor", "names", "parities", "weights", "deriv_parity")
 
     def __init__(self, flavor, names, parities, weights=None):
         if flavor not in (FLAVOR_DEL, FLAVOR_D):
@@ -44,6 +52,9 @@ class Alphabet:
         self.flavor = flavor
         self.names = tuple(names)
         self.parities = tuple(int(p) % 2 for p in parities)
+        # the parity one derivation adds: u_i^(m) has parity
+        # parities[i] ^ (m & deriv_parity)
+        self.deriv_parity = 1 if flavor == FLAVOR_D else 0
         self.weights = None if weights is None else tuple(Fraction(w) for w in weights)
         if len(self.parities) != len(self.names):
             raise ValueError("names/parities length mismatch")
@@ -64,9 +75,7 @@ class Alphabet:
 
     def var_parity(self, var) -> int:
         i, m = var
-        if self.flavor == FLAVOR_D:
-            return (self.parities[i] + m) % 2
-        return self.parities[i]
+        return self.parities[i] ^ (m & self.deriv_parity)
 
     def var_weight(self, var) -> Fraction:
         if self.weights is None:
@@ -104,42 +113,60 @@ class Alphabet:
 
 
 def _mono_parity(alph, mono) -> int:
+    par, dp = alph.parities, alph.deriv_parity
     p = 0
-    for var, e in mono:
-        p += alph.var_parity(var) * e
-    return p % 2
+    for (i, m), e in mono:
+        p += (par[i] ^ (m & dp)) * e
+    return p & 1
 
 
-def _merge_monomials(alph, m1, m2):
-    """Supercommutative product of two canonical monomials.
+def _merge_monomials(par, dp, m1, m2):
+    """Supercommutative product of two canonical monomials over an alphabet
+    with parities par and deriv_parity dp.
 
     Returns (monomial, sign) or (None, 0) when an odd variable repeats.
-    Sign counts, for each odd factor of m2, the odd factors of m1 that
-    must be crossed to reach its sorted position.
+    One merge walk of the two sorted tuples; the sign counts, for each odd
+    factor of m1, the odd factors of m2 that must cross it, which are the
+    odd factors of m2 already taken.
     """
-    sign = 0
-    odd1 = [v for v, e in m1 if alph.var_parity(v)]
-    for v, e in m2:
-        if alph.var_parity(v):
-            crossings = 0
-            for w in odd1:
-                if w > v:
-                    crossings += 1
-                elif w == v:
-                    return None, 0
-            sign += crossings
-    merged = {}
-    for v, e in m1:
-        merged[v] = e
-    for v, e in m2:
-        if v in merged:
-            if alph.var_parity(v):
-                return None, 0
-            merged[v] += e
+    if not m1:
+        return m2, 1
+    if not m2:
+        return m1, 1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2, 1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    sign = odd2 = 0
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        va, vb = a[0], b[0]
+        if va < vb:
+            if odd2 and par[va[0]] ^ (va[1] & dp):
+                sign += odd2
+            out.append(a)
+            i += 1
+        elif vb < va:
+            if par[vb[0]] ^ (vb[1] & dp):
+                odd2 += 1
+            out.append(b)
+            j += 1
         else:
-            merged[v] = e
-    mono = tuple(sorted(merged.items()))
-    return mono, (-1) ** sign
+            if par[va[0]] ^ (va[1] & dp):
+                return None, 0
+            out.append((va, a[1] + b[1]))
+            i += 1
+            j += 1
+    if i < n1:
+        if odd2:
+            for (g, m), _e in m1[i:]:
+                if par[g] ^ (m & dp):
+                    sign += odd2
+        out.extend(m1[i:])
+    else:
+        out.extend(m2[j:])
+    return tuple(out), -1 if sign & 1 else 1
 
 
 class SuperPoly:
@@ -216,11 +243,11 @@ class SuperPoly:
 
     def __mul__(self, other):
         self._check(other)
-        alph = self.alphabet
+        par, dp = self.alphabet.parities, self.alphabet.deriv_parity
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono, sign = _merge_monomials(alph, m1, m2)
+                mono, sign = _merge_monomials(par, dp, m1, m2)
                 if mono is None:
                     continue
                 c = c1 * c2
@@ -259,9 +286,9 @@ class SuperPoly:
         return p
 
     def parity_part(self, p) -> "SuperPoly":
-        return SuperPoly(self.alphabet,
-                         {m: c for m, c in self.terms.items()
-                          if _mono_parity(self.alphabet, m) == p % 2})
+        alph = self.alphabet
+        return SuperPoly(alph, {m: c for m, c in self.terms.items()
+                                if _mono_parity(alph, m) == p % 2})
 
     def variables(self):
         seen = set()
@@ -272,37 +299,48 @@ class SuperPoly:
 
     # -- derivations ----------------------------------------------------
     def deriv(self) -> "SuperPoly":
-        """The alphabet's derivation: even del for 'd', odd D for 'D'."""
+        """The alphabet's derivation: even del for 'd', odd D for 'D'.
+
+        The derivative of factor t goes into place t (see the module
+        docstring), so the only sign is D passing the odd prefix."""
         alph = self.alphabet
-        odd_flavor = alph.flavor == FLAVOR_D
+        par, dp = alph.parities, alph.deriv_parity
         out = {}
         for mono, coeff in self.terms.items():
-            prefix_parity = 0
+            last = len(mono) - 1
+            odd_prefix = 0
             for t, (v, e) in enumerate(mono):
+                g, m = v
+                dv = (g, m + 1)
                 c = coeff.scale(e) if e != 1 else coeff
-                if odd_flavor and prefix_parity:
+                if odd_prefix:
                     c = -c
-                # (left) * v' * (right), v' moved into place with its sign
-                left_m = mono[:t] + (((v, e - 1),) if e > 1 else ())
-                m, s1 = _merge_monomials(alph, left_m, (((v[0], v[1] + 1), 1),))
-                if m is not None:
-                    m, s2 = _merge_monomials(alph, m, mono[t + 1:])
-                if m is not None:
-                    if s1 * s2 < 0:
-                        c = -c
-                    s = out.get(m)
+                if t < last and mono[t + 1][0] == dv:
+                    if par[g] ^ ((m + 1) & dp):
+                        mono_d = None   # the odd dv squares to zero
+                    else:
+                        e2 = mono[t + 1][1] + 1
+                        mono_d = mono[:t] + (((v, e - 1), (dv, e2)) if e > 1
+                                             else ((dv, e2),)) + mono[t + 2:]
+                else:
+                    mono_d = mono[:t] + (((v, e - 1), (dv, 1)) if e > 1
+                                         else ((dv, 1),)) + mono[t + 1:]
+                if mono_d is not None:
+                    s = out.get(mono_d)
                     s = c if s is None else s + c
                     if s:
-                        out[m] = s
+                        out[mono_d] = s
                     else:
-                        out.pop(m, None)
-                prefix_parity = (prefix_parity + alph.var_parity(v) * e) % 2
+                        out.pop(mono_d, None)
+                if dp:
+                    odd_prefix ^= (par[g] ^ (m & 1)) & e
         return SuperPoly(alph, out)
 
     def partial(self, var) -> "SuperPoly":
         """Signed partial derivative with respect to variable (gen, order)."""
         alph = self.alphabet
-        pv = alph.var_parity(var)
+        par, dp = alph.parities, alph.deriv_parity
+        pv = par[var[0]] ^ (var[1] & dp)
         out = {}
         for mono, coeff in self.terms.items():
             prefix_parity = 0
@@ -322,18 +360,19 @@ class SuperPoly:
                     else:
                         out.pop(rest, None)
                     break
-                prefix_parity = (prefix_parity + alph.var_parity(v) * e) % 2
+                prefix_parity ^= (par[v[0]] ^ (v[1] & dp)) & e
         return SuperPoly(alph, out)
 
     def gradient(self):
         """Every nonzero partial derivative, {var: self.partial(var)} in
         variable order, built in one pass over the terms."""
         alph = self.alphabet
+        par, dp = alph.parities, alph.deriv_parity
         acc = {}
         for mono, coeff in self.terms.items():
             prefix_parity = 0
             for t, (v, e) in enumerate(mono):
-                pv = alph.var_parity(v)
+                pv = par[v[0]] ^ (v[1] & dp)
                 c = coeff.scale(e) if e != 1 else coeff
                 if pv and prefix_parity:
                     c = -c
@@ -343,7 +382,7 @@ class SuperPoly:
                     rest = mono[:t] + mono[t + 1:]
                 # mono is rest with one more v, so no two terms share a rest
                 acc.setdefault(v, {})[rest] = c
-                prefix_parity = (prefix_parity + pv * e) % 2
+                prefix_parity ^= pv & e
         return {v: SuperPoly(alph, acc[v]) for v in sorted(acc)}
 
     def parity_gradients(self):
@@ -416,7 +455,8 @@ class SuperPoly:
         return w
 
     def truncate_weight(self, max_weight) -> "SuperPoly":
-        """Drop monomials of conformal weight above max_weight (debug aid)."""
+        """Drop monomials of conformal weight above max_weight; the identity
+        for None. master_bracket(max_weight=) truncates its values so."""
         if max_weight is None:
             return self
         w = Fraction(max_weight)

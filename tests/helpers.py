@@ -1,6 +1,6 @@
 """Shared, lazily cached setups so expensive solves run once per session,
-and the test-only oracles: chi/D operator words, exactness witnesses, a
-dense reference for the Lie superalgebra bracket, form and validation, and
+and the test-only oracles: a factor-list model of the SuperPoly kernel,
+chi/D operator words, exactness witnesses, a dense reference for the Lie superalgebra bracket, form and validation, and
 a chain-enumerating reference for the closed chain sums."""
 
 from fractions import Fraction
@@ -137,6 +137,92 @@ def brst(name, c=None):
         gens = {e.index: e for e in cohomology_generators(cplx, diff)}
         _brst[key] = (cplx, diff, gens)
     return _brst[key]
+
+
+# -- factor-list model of the SuperPoly kernel ----------------------------
+# A monomial is a list of variables with repeats. A product concatenates
+# the lists and bubble-sorts them, each swap of two odd neighbours a sign,
+# and vanishes on a repeated odd variable; the derivation applies the
+# Leibniz rule factor by factor. Nothing here calls the kernel.
+
+def model_var_parity(alph, var):
+    i, m = var
+    return (alph.parities[i] + (m if alph.flavor == FLAVOR_D else 0)) % 2
+
+
+def model_factors(mono):
+    return [v for v, e in mono for _ in range(e)]
+
+
+def _model_sort(alph, factors):
+    """(sorted factors, sign), or (None, 0) when an odd variable repeats."""
+    fs, sign = list(factors), 1
+    for end in range(len(fs) - 1, 0, -1):
+        for t in range(end):
+            if fs[t] > fs[t + 1]:
+                if model_var_parity(alph, fs[t]) and model_var_parity(alph, fs[t + 1]):
+                    sign = -sign
+                fs[t], fs[t + 1] = fs[t + 1], fs[t]
+    if any(a == b and model_var_parity(alph, a) for a, b in zip(fs, fs[1:])):
+        return None, 0
+    return fs, sign
+
+
+def model_poly(alph, terms):
+    """The polynomial sum c * factors over (factors, Scalar c) pairs."""
+    out = {}
+    for factors, c in terms:
+        fs, sign = _model_sort(alph, factors)
+        if fs is not None:
+            mono = tuple((v, fs.count(v)) for v in sorted(set(fs)))
+            out[mono] = out.get(mono, Scalar.zero()) + (c if sign > 0 else -c)
+    return SuperPoly(alph, {m: c for m, c in out.items() if c})
+
+
+def model_mul(a, b):
+    return model_poly(a.alphabet, [(model_factors(m1) + model_factors(m2), c1 * c2)
+                                   for m1, c1 in a.terms.items()
+                                   for m2, c2 in b.terms.items()])
+
+
+def model_deriv(a):
+    """d or D of a: the derivative of each factor in turn; D passing the
+    factors before it takes the sign of their parity."""
+    alph = a.alphabet
+    odd = alph.flavor == FLAVOR_D
+    terms = []
+    for mono, c in a.terms.items():
+        fs, prefix = model_factors(mono), 0
+        for t, (i, m) in enumerate(fs):
+            terms.append((fs[:t] + [(i, m + 1)] + fs[t + 1:],
+                          -c if odd and prefix % 2 else c))
+            prefix += model_var_parity(alph, (i, m))
+    return model_poly(alph, terms)
+
+
+def model_mono_parity(alph, mono):
+    return sum(model_var_parity(alph, v) for v in model_factors(mono)) % 2
+
+
+def model_parity(a):
+    """0 or 1 for a nonzero homogeneous a, else None."""
+    found = {model_mono_parity(a.alphabet, m) for m in a.terms}
+    return found.pop() if len(found) == 1 else None
+
+
+def model_parity_part(a, p):
+    return SuperPoly(a.alphabet, {m: c for m, c in a.terms.items()
+                                  if model_mono_parity(a.alphabet, m) == p})
+
+
+def random_model_poly(alph, rng, terms=3, max_factors=4, max_order=2):
+    """Seeded random polynomial built by the model, with repeated and
+    neighbouring variables (u^(m), u^(m+1)) common."""
+    return model_poly(alph, [
+        ([(rng.randrange(len(alph)), rng.randint(0, max_order))
+          for _ in range(rng.randint(0, max_factors))],
+         Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        for _ in range(terms)])
 
 
 class ChiDWord:

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from walgebras import wclassical
 from walgebras.cli import main
 from walgebras.pva import BracketTable
+from walgebras.scalars import LinearSolveError
 from walgebras.spva import SUSYBracketTable
 from walgebras.superpoly import Alphabet, SuperPoly
+from walgebras.wclassical import GeneratorError
 
 
 def run(capsys, *argv):
@@ -174,3 +177,19 @@ def test_susy_verify(capsys):
     assert code == 0
     for suite in ("thm-6-5", "d-squared", "thm-5-9", "prop-4-3"):
         assert "PASS %s" % suite in out
+
+
+@pytest.mark.parametrize("error", [
+    GeneratorError("no generator solution: inconsistent"),
+    LinearSolveError("internal", "unreduced pivot row")])
+def test_engine_error_exits_3(monkeypatch, capsys, error):
+    """A failed solve is an engine error: one stderr line and exit 3, not a
+    traceback with exit 1 (which reads as a verification failure)."""
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(wclassical, "solve_ansatz", failing_solve)
+    code, out, err = run(capsys, "generators", "--algebra", "sl2")
+    assert code == 3
+    assert out == ""
+    assert err == "engine error: %s\n" % error

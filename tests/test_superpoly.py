@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from walgebras.scalars import Scalar
 from walgebras.superpoly import (Alphabet, FLAVOR_D, FLAVOR_DEL, FlavorError,
                                  SuperPoly, apply_D, apply_del,
@@ -72,6 +73,49 @@ def test_derivation_property_randomized():
             else:
                 rhs = rhs + a * deriv(b)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("alph", [Alphabet(FLAVOR_DEL, ["u", "v", "w"], [0, 1, 0]),
+                                  Alphabet(FLAVOR_D, ["u", "v"], [1, 0])],
+                         ids=["del", "D"])
+def test_kernel_equals_factor_list_model(alph):
+    """Products, the derivation and parities against the factor-list model
+    of tests/helpers.py on seeded inputs with repeated and neighbouring
+    variables, so that the derivation's merge and vanish paths run."""
+    rng = random.Random(23)
+    merged = vanished = 0
+    for _ in range(60):
+        a = helpers.random_model_poly(alph, rng)
+        b = helpers.random_model_poly(alph, rng)
+        ab = a * b
+        assert ab == helpers.model_mul(a, b)
+        for p in (a, ab):
+            dp = p.deriv()
+            assert dp == helpers.model_deriv(p)
+            assert dp.deriv() == helpers.model_deriv(dp)
+            assert p.parity() == helpers.model_parity(p)
+            for q in (0, 1):
+                assert p.parity_part(q) == helpers.model_parity_part(p, q)
+            for mono in p.terms:
+                for (v, _e), (w, _f) in zip(mono, mono[1:]):
+                    if w == (v[0], v[1] + 1):
+                        if helpers.model_var_parity(alph, w):
+                            vanished += 1
+                        else:
+                            merged += 1
+    assert merged and vanished
+
+
+def test_deriv_merges_into_the_next_order():
+    # del flavor, u even: d(u' u'') = u''^2 + u' u'''
+    u1, u2, u3 = var(AFF, 0, 1), var(AFF, 0, 2), var(AFF, 0, 3)
+    assert apply_del(u1 * u2) == u2 * u2 + u1 * u3
+    assert (u2 * u2).terms == {(((0, 2), 2),): Scalar.one()}
+    # D flavor, u odd: D(u^[1] u^[2]) = u^[2] u^[2] + u^[1] u^[3], and the
+    # odd u^[2] squares to zero
+    x1, x2, x3 = var(SUS, 0, 1), var(SUS, 0, 2), var(SUS, 0, 3)
+    assert apply_D(x1 * x2) == x1 * x3
+    assert x1 * x3
 
 
 def test_flavor_guards():

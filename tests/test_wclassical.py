@@ -10,10 +10,11 @@ from walgebras.scalars import Scalar
 from walgebras.superpoly import SuperPoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   compare_closed_direct, gamma_linear,
-                                  membership_defects, rewrite_in_generators,
+                                  k_degree_bound, membership_defects, rewrite_in_generators,
                                   solve_all_generators, solve_generator,
                                   w_bracket_closed, w_bracket_direct,
                                   w_bracket_table)
+from walgebras.swclassical import solve_all_susy_generators
 
 CLASSICAL = ["sl2", "sl3-principal", "sl3-minimal", "osp12", "sl21"]
 K = Scalar.k()
@@ -201,3 +202,23 @@ def test_empty_chain_bracket_sl3_minimal():
             ctx.gen_alph, {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
     assert lp == expect
     assert lp == w_bracket_direct(ctx, gens, j0, j0)
+
+
+def _top_k_power(poly):
+    return max(kp for c in poly.terms.values() for kp, _cp in c.terms)
+
+
+@pytest.mark.parametrize("name, susy", [("sl4-principal", False),
+                                        ("osp12", True), ("sl21", True)])
+def test_k_degree_bound_leaves_room(name, susy):
+    """At symbolic k every solved generator uses powers of k strictly below
+    the ansatz bound, so the bound never cuts a solution short (sl4: the
+    weights 4, 3, 2 use k^3, k^2, k against the bounds 11, 9, 7)."""
+    if susy:
+        ctx, gens = helpers.susy(name)
+        gens = list(gens.values())
+    else:
+        ctx = ReductionContext(helpers.sl4_principal())
+        gens = solve_all_generators(ctx)
+    for w in gens:
+        assert 0 < _top_k_power(w.value) < k_degree_bound(w.weight, ctx.k), w.weight
