@@ -1,7 +1,8 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
-chi/D operator words, exactness witnesses, a dense reference for the Lie superalgebra bracket, form and validation, and
-a chain-enumerating reference for the closed chain sums."""
+chi/D operator words, exactness witnesses, a dense reference for the Lie
+superalgebra bracket, form and validation, and a chain-enumerating
+reference for the closed chain sums."""
 
 from fractions import Fraction
 from functools import reduce

@@ -10,7 +10,8 @@ from walgebras.scalars import Scalar
 from walgebras.superpoly import SuperPoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   compare_closed_direct, gamma_linear,
-                                  k_degree_bound, membership_defects, rewrite_in_generators,
+                                  k_degree_bound, membership_defects,
+                                  rewrite_in_generators,
                                   solve_all_generators, solve_generator,
                                   w_bracket_closed, w_bracket_direct,
                                   w_bracket_table)
