@@ -4,11 +4,17 @@ osp(1|2), and sl(2|1) with its principal osp(1|2) embedding.
 Each entry is shipped as a JSON algebra file (the stable external schema);
 the builders below construct the same algebras from matrix realizations and
 are used to regenerate the data files and to cross-check them in tests.
+
+The shipped files are read by path, from the ``data`` directory next to
+this module, so the package runs from a directory (an install or a source
+checkout), not from a zip.  ``importlib.resources`` would also serve a zip,
+but importing it pulls in tempfile, shutil, pathlib and zipfile, about half
+the import time of ``walgebras.cli``, which every ``walg`` command pays.
 """
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 from fractions import Fraction
 
 from .liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
@@ -217,11 +223,11 @@ CATALOG = {
 }
 
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
 def load_catalog_algebra(name) -> LieSuperalgebra:
-    entry = CATALOG[name]
-    path = importlib.resources.files("walgebras").joinpath("data", entry.file)
-    with importlib.resources.as_file(path) as p:
-        return load_algebra(p)
+    return load_algebra(os.path.join(DATA_DIR, CATALOG[name].file))
 
 
 def get_algebra(name_or_path) -> LieSuperalgebra:
@@ -232,14 +238,11 @@ def get_algebra(name_or_path) -> LieSuperalgebra:
 
 
 def regenerate_data(dirpath):
-    import os
     for entry in CATALOG.values():
         save_algebra(entry.builder(), os.path.join(dirpath, entry.file))
 
 
 if __name__ == "__main__":  # regenerate the shipped data files
-    import os
-    here = os.path.join(os.path.dirname(__file__), "data")
-    os.makedirs(here, exist_ok=True)
-    regenerate_data(here)
-    print("wrote %d algebra files to %s" % (len(CATALOG), here))
+    os.makedirs(DATA_DIR, exist_ok=True)
+    regenerate_data(DATA_DIR)
+    print("wrote %d algebra files to %s" % (len(CATALOG), DATA_DIR))

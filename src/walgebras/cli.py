@@ -1,7 +1,8 @@
 """Batch front end: algebra catalog, verification suites, table output.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 input error,
-3 the engine could not compute (a generator or linear solve failed).
+3 the engine could not compute (a generator or linear solve failed, or an
+unexpected internal error, reported as ``engine error: internal: ...``).
 Identical inputs and seed produce byte-identical output.
 """
 
@@ -398,6 +399,10 @@ def main(argv=None):
         return 2
     except (GeneratorError, LinearSolveError) as e:
         sys.stderr.write("engine error: %s\n" % e)
+        return 3
+    except Exception as e:  # a defect of the engine, not a failed check
+        sys.stderr.write("engine error: internal: %s: %s\n"
+                         % (type(e).__name__, str(e).replace("\n", " ")))
         return 3
 
 

@@ -382,45 +382,60 @@ class LieSuperalgebra:
 
     # -- change of basis ---------------------------------------------------
     def rebase(self, vectors, names, new_name=None):
-        """Express the algebra in a new basis (each vector homogeneous)."""
+        """Express the algebra in a new basis (each vector homogeneous).
+
+        With V the matrix whose columns are the new basis vectors, the
+        coordinates of x are V^-1 x.  V is inverted once and the columns of
+        V^-1 are kept sparse, as [(r, V^-1[r][c]), ...] over the nonzeros,
+        so a sparse bracket [v_i, v_j] maps through the columns of its own
+        nonzero entries, not through a dense dim x dim product.
+        """
         cols = [vec_grat(v) for v in vectors]
-        if len(cols) != self.dim:
-            raise AlgebraError("rebase needs %d vectors" % self.dim)
-        V = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        Vinv = matrix_inverse(V)  # coords(x) = Vinv @ x
+        dim = self.dim
+        if len(cols) != dim:
+            raise AlgebraError("rebase needs %d vectors" % dim)
+        Vinv = matrix_inverse([[cols[j][i] for j in range(dim)]
+                               for i in range(dim)])
+        inv_cols = [[(r, Vinv[r][c]) for r in range(dim) if Vinv[r][c]]
+                    for c in range(dim)]
 
         def coords(vec):
-            g = vec_grat(vec)
-            return [sum((Vinv[r][c] * g[c] for c in range(self.dim)), GR_ZERO)
-                    for r in range(self.dim)]
+            """New-basis coordinates of a sparse vector {index: Scalar}."""
+            out = {}
+            for l in sorted(vec):
+                s = vec[l]
+                if not s.is_constant():
+                    raise AlgebraError("expected k-free scalar, got %s" % s)
+                x = s.constant_part()
+                for r, m in inv_cols[l]:
+                    t = out.get(r)
+                    out[r] = m * x if t is None else t + m * x
+            return grat_vec_scalar([out.get(r, GR_ZERO) for r in range(dim)])
 
-        parities, struct, form = [], {}, []
+        parities, struct = [], {}
         for v in vectors:
             p = self.parity_of_vec(v)
             if p is None:
                 raise AlgebraError("rebase vector not parity homogeneous")
             parities.append(p)
-        for i, vi in enumerate(vectors):
-            for j, vj in enumerate(vectors):
-                b = self.bracket(vi, vj)
-                if any(b):
-                    struct[(i, j)] = grat_vec_scalar(coords(b))
-        for vi in vectors:
-            form.append(tuple(self.form_value(vi, vj) for vj in vectors))
+        sparse = [_sparse(v) for v in vectors]
+        for i, u in enumerate(sparse):
+            for j, v in enumerate(sparse):
+                b = self._br(u, v)
+                if b:
+                    struct[(i, j)] = coords(b)
+        form = [tuple(self._form(u, v) for v in sparse) for u in sparse]
 
-        def map_triple(t):
-            return SL2Triple(grat_vec_scalar(coords(t.E)),
-                             grat_vec_scalar(coords(t.H)),
-                             grat_vec_scalar(coords(t.F)))
+        def mapped(*triple):
+            return [coords(_sparse(x)) for x in triple]
 
-        sl2 = map_triple(self.sl2) if self.sl2 is not None else None
-        osp = None
+        sl2 = osp = None
+        if self.sl2 is not None:
+            t = self.sl2
+            sl2 = SL2Triple(*mapped(t.E, t.H, t.F))
         if self.osp is not None:
-            osp = OSPTriple(grat_vec_scalar(coords(self.osp.E)),
-                            grat_vec_scalar(coords(self.osp.e)),
-                            grat_vec_scalar(coords(self.osp.H)),
-                            grat_vec_scalar(coords(self.osp.f)),
-                            grat_vec_scalar(coords(self.osp.F)))
+            t = self.osp
+            osp = OSPTriple(*mapped(t.E, t.e, t.H, t.f, t.F))
         return LieSuperalgebra(new_name or self.name + "*", names, parities,
                                struct, form, sl2=sl2, osp=osp)
 

@@ -20,7 +20,6 @@ the lambda record and names; spva holds chi.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from math import comb
 
@@ -580,6 +579,7 @@ def random_property_suite(table: BracketTable, seed, rounds=6, allowed_gens=None
                           evaluator=master_bracket, oracle=bracket_oracle):
     """Seeded randomized checks: skew, Jacobi, Leibniz, sesquilinearity and
     master formula against the oracle."""
+    import random  # only the seeded suites draw inputs; keep it off start-up
     rng = random.Random(seed)
     alph = table.alphabet
     labels = table.value.var.labels

@@ -1,15 +1,16 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, exactness witnesses, a dense reference for the Lie
-superalgebra bracket, form and validation, and a chain-enumerating
+superalgebra bracket, form, validation and rebase, and a chain-enumerating
 reference for the closed chain sums."""
 
 from fractions import Fraction
 from functools import reduce
 
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
-from walgebras.liealg import AlgebraError, matrix_rank, vec_grat
-from walgebras.scalars import Scalar
+from walgebras.liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
+                              matrix_inverse, matrix_rank, vec_grat)
+from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import ChiPoly
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
 from walgebras.pva import affine_table
@@ -526,6 +527,44 @@ def dense_validate(g):
     if g.osp is not None:
         report.extend(_dense_osp_report(g, g.osp))
     return report
+
+
+def dense_rebase(g, vectors, names, new_name=None):
+    """LieSuperalgebra.rebase from dense brackets and forms: coordinates in
+    the new basis as the full product V^-1 x of each dense vector."""
+    cols = [vec_grat(v) for v in vectors]
+    if len(cols) != g.dim:
+        raise AlgebraError("rebase needs %d vectors" % g.dim)
+    Vinv = matrix_inverse([[cols[j][i] for j in range(g.dim)]
+                           for i in range(g.dim)])
+
+    def coords(vec):
+        x = vec_grat(vec)
+        return tuple(Scalar.term(0, 0, sum((Vinv[r][c] * x[c] for c in range(g.dim)),
+                                           GR_ZERO))
+                     for r in range(g.dim))
+
+    parities = []
+    for v in vectors:
+        p = _dense_parity(g, v)
+        if p is None:
+            raise AlgebraError("rebase vector not parity homogeneous")
+        parities.append(p)
+    struct = {}
+    for i, vi in enumerate(vectors):
+        for j, vj in enumerate(vectors):
+            b = dense_bracket(g, vi, vj)
+            if any(b):
+                struct[(i, j)] = coords(b)
+    form = [tuple(dense_form_value(g, vi, vj) for vj in vectors) for vi in vectors]
+    sl2 = osp = None
+    if g.sl2 is not None:
+        sl2 = SL2Triple(*(coords(x) for x in (g.sl2.E, g.sl2.H, g.sl2.F)))
+    if g.osp is not None:
+        t = g.osp
+        osp = OSPTriple(*(coords(x) for x in (t.E, t.e, t.H, t.f, t.F)))
+    return LieSuperalgebra(new_name or g.name + "*", names, parities,
+                           struct, form, sl2=sl2, osp=osp)
 
 
 # Chain-enumerating reference for the closed chain sums of wclassical: every

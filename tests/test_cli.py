@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from walgebras import wclassical
+from walgebras import cli, wclassical
 from walgebras.cli import main
 from walgebras.pva import BracketTable
 from walgebras.scalars import LinearSolveError
@@ -193,3 +196,45 @@ def test_engine_error_exits_3(monkeypatch, capsys, error):
     assert code == 3
     assert out == ""
     assert err == "engine error: %s\n" % error
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    """Any other exception inside the engine is an internal engine error:
+    one stderr line naming its type and exit 3, not a traceback."""
+    def broken_solve(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "solve_all_generators", broken_solve)
+    code, out, err = run(capsys, "generators", "--algebra", "sl2")
+    assert code == 3
+    assert out == ""
+    assert err == "engine error: internal: IndexError: list index out of range\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# stdlib modules that importlib.resources and random pull in; a walg command
+# uses none of them, so none may load at start-up
+COLD_START_UNUSED = ("importlib.resources", "tempfile", "shutil", "pathlib",
+                     "zipfile", "random")
+
+
+def _python(code, cwd, *args):
+    """Run `python -S -c code` on the source tree (no site-packages)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+
+
+def test_cold_start_imports_nothing_unused(tmp_path):
+    done = _python("import sys, walgebras.cli; "
+                   "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))",
+                   tmp_path, *COLD_START_UNUSED)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
+def test_catalog_lookup_does_not_depend_on_cwd(tmp_path):
+    done = _python("import sys; from walgebras.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))", tmp_path,
+                   "validate", "--algebra", "sl2")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "sl2: valid\n", "")

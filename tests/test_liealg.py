@@ -13,6 +13,8 @@ from walgebras.liealg import (AlgebraError, DualBases, LieSuperalgebra,
                               dual_bases_F, dual_bases_f, load_algebra,
                               save_algebra, validate_algebra)
 from walgebras.scalars import Scalar
+from walgebras.swclassical import SUSYReductionContext
+from walgebras.wclassical import ReductionContext
 
 HALF = Fraction(1, 2)
 ALL = sorted(CATALOG)
@@ -96,6 +98,63 @@ def test_non_eigenbasis_rejected():
             tuple(a - b for a, b in zip(E, F))]
     with pytest.raises(AlgebraError, match="ad-H"):
         g.rebase(vecs, ["u", "H", "v"])
+
+
+def _fixture(name):
+    if name == "sl4-principal":
+        return helpers.sl4_principal()
+    if name == "sl32-principal":
+        return helpers.sl32_principal()
+    return helpers.algebra(name)
+
+
+def _same_algebra(got, want):
+    assert got.name == want.name and got.names == want.names
+    assert got.parities == want.parities
+    assert got.struct == want.struct
+    assert got.form == want.form
+    assert got.gradings == want.gradings
+    for tag in ("sl2", "osp"):
+        a, b = getattr(got, tag), getattr(want, tag)
+        assert (a is None) == (b is None), tag
+        if a is not None:
+            assert vars(a) == vars(b), tag
+
+
+@pytest.mark.parametrize("name,context", [
+    *((name, ReductionContext) for name in ALL),
+    ("sl4-principal", ReductionContext), ("sl32-principal", ReductionContext),
+    ("osp12", SUSYReductionContext), ("sl21", SUSYReductionContext),
+    ("sl32-principal", SUSYReductionContext)])
+def test_rebase_matches_dense_oracle(monkeypatch, name, context):
+    """Every rebase a reduction context makes equals the dense V^-1 x one."""
+    sparse_rebase = LieSuperalgebra.rebase
+    calls = []
+
+    def checked(g, vectors, names, new_name=None):
+        got = sparse_rebase(g, vectors, names, new_name)
+        _same_algebra(got, helpers.dense_rebase(g, vectors, names, new_name))
+        calls.append(names)
+        return got
+
+    monkeypatch.setattr(LieSuperalgebra, "rebase", checked)
+    context(_fixture(name))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,bend,message", [
+    ("sl2", lambda E, H, F: [tuple(x * Scalar.k() for x in E), H, F],
+     "expected k-free scalar"),
+    ("osp12", lambda E, e, H, f, F: [tuple(a + b for a, b in zip(E, e)),
+                                     e, H, f, F],
+     "rebase vector not parity homogeneous")])
+def test_rebase_rejects_bad_vectors(name, bend, message):
+    g = helpers.algebra(name)
+    vecs = bend(*(g.basis_vec(i) for i in range(g.dim)))
+    names = ["v%d" % i for i in range(g.dim)]
+    for rebase in (g.rebase, lambda *a: helpers.dense_rebase(g, *a)):
+        with pytest.raises(AlgebraError, match=message):
+            rebase(vecs, names)
 
 
 def test_dual_bases_sl2():
@@ -345,7 +404,7 @@ def corrupted_copies(g, form_cases=True):
 
 @pytest.mark.parametrize("name", ["sl2", "osp12", "sl21", "sl4-principal"])
 def test_validate_matches_dense_reference(name):
-    g = helpers.sl4_principal() if name == "sl4-principal" else helpers.algebra(name)
+    g = _fixture(name)
     # the form cases cost a dense reference run each; on sl4 that is 1 s
     cases = corrupted_copies(g, form_cases=name != "sl4-principal")
     for label, fragment, bad in cases:
@@ -386,7 +445,7 @@ def _random_scalar(rng):
 def test_bracket_and_form_match_dense_reference(name):
     import random
     rng = random.Random("liealg-" + name)
-    g = helpers.sl4_principal() if name == "sl4-principal" else helpers.algebra(name)
+    g = _fixture(name)
     for _ in range(40):
         x = tuple(_random_scalar(rng) for _ in range(g.dim))
         y = tuple(_random_scalar(rng) for _ in range(g.dim))
