@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .liealg import matrix_inverse, vec_grat
 from .scalars import Scalar
 from .pva import affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
@@ -42,21 +41,6 @@ class BRSTComplex:
         self.gdim = g.dim
         self.n_idx = list(ctx.n_indices)
         self.nn = len(self.n_idx)
-        self.minus_idx = [t for t, gr in enumerate(g.gradings) if gr < 0]
-        if len(self.minus_idx) != self.nn:
-            raise GeneratorError("n and n_- dimensions differ")
-        # dual basis u^alpha of n_-: (u^alpha | u_beta) = delta
-        gram = [[g.form_value(g.basis_vec(a), g.basis_vec(b))
-                 for b in self.n_idx] for a in self.minus_idx]
-        inv = matrix_inverse([vec_grat(r) for r in gram])
-        self.dual_vectors = []
-        for alpha in range(self.nn):
-            vec = [Scalar.zero()] * g.dim
-            for a, mi in enumerate(self.minus_idx):
-                c = inv[alpha][a]
-                if c:
-                    vec[mi] = vec[mi] + Scalar.term(0, 0, c)
-            self.dual_vectors.append(tuple(vec))
         names, parities, weights = [], [], []
         for t in range(g.dim):
             names.append("j(%s)" % g.names[t])
@@ -75,8 +59,30 @@ class BRSTComplex:
         # J-coordinate alphabet: same names/parities, J(x) replacing j(x)
         jnames = ["J(%s)" % g.names[t] for t in range(g.dim)] + list(names[g.dim:])
         self.jalph = Alphabet(FLAVOR_D, jnames, parities, weights)
-        self._to_J_images = None
-        self._from_J_images = None
+        # the building blocks J_t (building_block): s(a,beta)s(a)s(beta) is
+        # -1 unless a and u_beta are both even
+        blocks = [self.jvar(t) for t in range(g.dim)]
+        for beta, b in enumerate(self.n_idx):
+            phibar = SuperPoly.variable(self.alph, self.phibar_index(beta))
+            for t in range(g.dim):
+                term = phibar * self.phi_of_vector(
+                    g.bracket(g.basis_vec(b), g.basis_vec(t)))
+                if term:
+                    odd = g.parities[t] or g.parities[b]
+                    blocks[t] = blocks[t] + term if odd else blocks[t] - term
+        # j_t -> J_t and back, and the twist abar -> i^{-p(a)} J_abar; the
+        # ghosts map to themselves, and j_t maps to J_t + (j_t - J_t)
+        minus_i = Scalar.gaussian(0, -1)
+        self._twist_images = {t: J.scalar_mul(minus_i) if g.parities[t] % 2
+                              else J for t, J in enumerate(blocks)}
+        self._from_J_images = dict(enumerate(blocks))
+        self._to_J_images = {
+            t: SuperPoly(self.jalph, {**SuperPoly.variable(self.jalph, t).terms,
+                                      **(self.jvar(t) - J).terms})
+            for t, J in enumerate(blocks)}
+        for t in range(g.dim, len(self.alph)):
+            self._from_J_images[t] = SuperPoly.variable(self.alph, t)
+            self._to_J_images[t] = SuperPoly.variable(self.jalph, t)
 
     # -- variable helpers ------------------------------------------------
     def jvar(self, t, order=0, coeff=None):
@@ -110,50 +116,19 @@ class BRSTComplex:
     # -- J coordinates -----------------------------------------------------
     def building_block(self, t) -> SuperPoly:
         """J_abar = j_abar - sum_beta s(a,beta)s(a)s(beta) ph*_beta ph_{[u_beta,a]}."""
-        g = self.ctx.gstar
-        out = self.jvar(t)
-        pa = g.parities[t]
-        for beta, b in enumerate(self.n_idx):
-            pb = g.parities[b]
-            br = g.bracket(g.basis_vec(b), g.basis_vec(t))
-            phipart = self.phi_of_vector(br)
-            if not phipart:
-                continue
-            term = SuperPoly.variable(self.alph, self.phibar_index(beta)) * phipart
-            if (pa * pb + pa + pb) % 2:
-                term = -term
-            out = out - term
-        return out
+        return self._from_J_images[t]
 
     def to_J(self, poly: SuperPoly) -> SuperPoly:
         """Rewrite a complex polynomial in building-block coordinates."""
-        if self._to_J_images is None:
-            images = {}
-            for t in range(self.gdim):
-                corr = self.jvar(t) - self.building_block(t)
-                img = SuperPoly.variable(self.jalph, t)
-                for mono, c in corr.terms.items():
-                    img = img + SuperPoly(self.jalph, {mono: c})
-                images[t] = img
-            for t in range(self.gdim, len(self.alph)):
-                images[t] = SuperPoly.variable(self.jalph, t)
-            self._to_J_images = images
         return poly.substitute(self._to_J_images, self.jalph)
 
     def from_J(self, poly: SuperPoly) -> SuperPoly:
-        if self._from_J_images is None:
-            images = {}
-            for t in range(self.gdim):
-                images[t] = self.building_block(t)
-            for t in range(self.gdim, len(self.alph)):
-                images[t] = SuperPoly.variable(self.alph, t)
-            self._from_J_images = images
         return poly.substitute(self._from_J_images, self.alph)
 
 
-def build_complex(g, osp=None, k=None) -> BRSTComplex:
+def build_complex(g, k=None) -> BRSTComplex:
     """Spec operation: the complex over a fresh reduction context."""
-    return BRSTComplex(SUSYReductionContext(g, osp=osp, k=k))
+    return BRSTComplex(SUSYReductionContext(g, k=k))
 
 
 class BRSTDifferential:
@@ -287,8 +262,8 @@ def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
     return SuperPoly(cplx.jalph, projected).substitute(images, gen_alph)
 
 
-def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential, gens,
-                       gen_alph=None) -> SUSYBracketTable:
+def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
+                       gens) -> SUSYBracketTable:
     """Chi-brackets of the cohomology generators, in E-coordinates.
 
     Each coefficient of the raw bracket is in ker d_[0]; the rewrite is the
@@ -297,10 +272,8 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential, gens,
     projection.
     """
     ctx = cplx.ctx
-    if gen_alph is None:
-        gen_alph = Alphabet(FLAVOR_D,
-                            ["E_" + lb for lb in ctx.gen_labels],
-                            ctx.gen_alph.parities, ctx.gen_alph.weights)
+    gen_alph = Alphabet(FLAVOR_D, ["E_" + lb for lb in ctx.gen_labels],
+                        ctx.gen_alph.parities, ctx.gen_alph.weights)
     table = SUSYBracketTable(gen_alph)
     n = ctx.db.count()
     values = {j: gens[j].value for j in range(n)}
@@ -328,18 +301,10 @@ def twist_to_complex(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
     """Reduction-side polynomial (bar variables over g_{<=0}) rewritten in
     j-coordinates of the complex and mapped through building blocks:
     abar -> i^{-p(a)} J_abar (the i^a twist of the equivalence theorem)."""
-    ctx = cplx.ctx
-    images = {}
-    minus_i = Scalar.gaussian(0, -1)
-    for t in range(ctx.gstar.dim):
-        img = cplx.building_block(t)
-        if ctx.gstar.parities[t] % 2:
-            img = img.scalar_mul(minus_i)
-        images[t] = img
-    return poly.substitute(images, cplx.alph)
+    return poly.substitute(cplx._twist_images, cplx.alph)
 
 
-def check_thm_5_9(g, osp=None, k=None):
+def check_thm_5_9(g, k=None):
     """Equivalence of the reduction and BRST(c = i) constructions.
 
     Verifies, generator by generator: d-closure of the twisted reduction
@@ -349,7 +314,7 @@ def check_thm_5_9(g, osp=None, k=None):
     Returns a report list (empty = verified).
     """
     report = []
-    ctx = SUSYReductionContext(g, osp=osp, k=k)
+    ctx = SUSYReductionContext(g, k=k)
     cplx = BRSTComplex(ctx)
     diff = build_d(cplx, Scalar.imag())
     if diff.verify():

@@ -52,7 +52,7 @@ def _max_weight(args):
         return None
     try:
         return Fraction(t)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InputError("bad --max-weight value %r" % t)
 
 
@@ -62,6 +62,9 @@ def _load(args):
     except (KeyError, FileNotFoundError):
         raise InputError("unknown algebra %r (catalog: %s or a file path)"
                          % (args.algebra, ", ".join(sorted(CATALOG))))
+    except OSError as e:
+        raise InputError("cannot read algebra file %r: %s"
+                         % (args.algebra, e.strerror or e))
     except AlgebraError as e:
         raise InputError(str(e))
 

@@ -1,4 +1,4 @@
-"""Lie superalgebra data: validation, gradings, dual bases, projections.
+"""Lie superalgebra data: validation, gradings, dual bases, file format.
 
 An algebra is described by a basis with parities, exact structure constants,
 an even supersymmetric invariant bilinear form, and distinguished sl2 /
@@ -381,7 +381,7 @@ class LieSuperalgebra:
         return report
 
     # -- change of basis ---------------------------------------------------
-    def rebase(self, vectors, names, new_name=None):
+    def rebase(self, vectors, names):
         """Express the algebra in a new basis (each vector homogeneous).
 
         With V the matrix whose columns are the new basis vectors, the
@@ -436,7 +436,7 @@ class LieSuperalgebra:
         if self.osp is not None:
             t = self.osp
             osp = OSPTriple(*mapped(t.E, t.e, t.H, t.f, t.F))
-        return LieSuperalgebra(new_name or self.name + "*", names, parities,
+        return LieSuperalgebra(self.name + "*", names, parities,
                                struct, form, sl2=sl2, osp=osp)
 
 
@@ -500,15 +500,6 @@ class DualBases:
                 out.append((j, n))
         return out
 
-    def sharp(self, vec):
-        """Projection onto ker ad F (resp. ker ad f) along [E,g] (resp. [e,g])."""
-        out = self.g.zero_vec()
-        for j, up in enumerate(self.upper):
-            c = self.g.form_value(up, vec)
-            if c:
-                out = tuple(a + b * c for a, b in zip(out, self.lower[j]))
-        return out
-
 
 def _graded_kernel_basis(g, ad_vec):
     """Kernel of ad(ad_vec), split into homogeneous pieces, sorted by grading."""
@@ -565,76 +556,63 @@ def _pair_dual(g, lows, ups):
     return lower, upper
 
 
-def dual_bases_F(g: LieSuperalgebra, triple: SL2Triple) -> DualBases:
-    """Chain bases for the even reduction (Lemma on dual bases, sl2 case)."""
-    lows = _graded_kernel_basis(g, triple.F)
-    ups = _graded_kernel_basis(g, triple.E)
-    lower, upper = _pair_dual(g, lows, ups)
-    spins = []
-    chain_lower, chain_upper = [], []
-    for j, q in enumerate(lower):
+def _chain_bases(g, kind, lowering, raising, length, norm) -> DualBases:
+    """Chain bases of either kind: the kernels of ad lowering and ad raising,
+    paired dually; chain_upper[j] applies ad lowering to q^j, chain_lower[j]
+    applies ad raising to q_j, each step n >= 1 scaled by
+    norm(n, 2 alpha_j, s(q_j)); length(alpha_j) is the length of chain j."""
+    lower, upper = _pair_dual(g, _graded_kernel_basis(g, lowering),
+                              _graded_kernel_basis(g, raising))
+    spins, chain_lower, chain_upper = [], [], []
+    for q, up in zip(lower, upper):
         grade = g.grading_of_vec(q)
         if grade is None:
             raise AlgebraError("kernel basis not graded")
-        alpha = -grade
-        spins.append(alpha)
-        two_alpha = int(2 * alpha)
-        up_chain = [upper[j]]
-        for n in range(1, two_alpha + 2):
-            up_chain.append(g.bracket(triple.F, up_chain[-1]))
-        if not any(up_chain[two_alpha]) or any(up_chain[two_alpha + 1]):
-            raise AlgebraError("chain length does not match spin %s" % alpha)
-        chain_upper.append([tuple(v) for v in up_chain[:two_alpha + 1]])
-        lo_chain = [q]
-        cur = q
-        for n in range(1, two_alpha + 1):
-            cur = g.bracket(triple.E, cur)
-            coeff = Fraction((-1) ** n, factorial(n) ** 2 * comb(two_alpha, n))
+        alpha = Fraction(-grade)
+        size = length(alpha)
+        up_chain = [up]
+        for _ in range(size):
+            up_chain.append(g.bracket(lowering, up_chain[-1]))
+        if not any(up_chain[size - 1]) or any(up_chain[size]):
+            raise AlgebraError("%schain length does not match spin %s"
+                               % ("SUSY " if kind == "f" else "", alpha))
+        sign = -1 if g.parity_of_vec(q) else 1
+        lo_chain, cur = [q], q
+        for n in range(1, size):
+            cur = g.bracket(raising, cur)
+            coeff = norm(n, int(2 * alpha), sign)
             lo_chain.append(tuple(x.scale(coeff) for x in cur))
+        spins.append(alpha)
+        chain_upper.append(up_chain[:size])
         chain_lower.append(lo_chain)
-    db = DualBases(g, "F", lower, upper, chain_lower, chain_upper,
-                   [Fraction(a) for a in spins])
+    db = DualBases(g, kind, lower, upper, chain_lower, chain_upper, spins)
     _verify_chain_pairings(db)
     return db
+
+
+def dual_bases_F(g: LieSuperalgebra, triple: SL2Triple) -> DualBases:
+    """Chain bases for the even reduction (Lemma on dual bases, sl2 case):
+    chains of length 2 alpha + 1, q_j^n = (-1)^n (ad E)^n q_j / (n!^2 C(2 alpha, n))."""
+    return _chain_bases(
+        g, "F", triple.F, triple.E, lambda alpha: int(2 * alpha) + 1,
+        lambda n, two_alpha, _s: Fraction((-1) ** n,
+                                          factorial(n) ** 2 * comb(two_alpha, n)))
+
+
+def _susy_norm(n, two_alpha, sj):
+    """C_{j,n}: 1/(m!^2 C(2 alpha, m)) at n = 2m,
+    -s(r_j)/((m+1)! m! C(2 alpha, m+1)) at n = 2m + 1."""
+    m, odd = divmod(n, 2)
+    if not odd:
+        return Fraction(1, factorial(m) ** 2 * comb(two_alpha, m))
+    return Fraction(-sj, factorial(m + 1) * factorial(m) * comb(two_alpha, m + 1))
 
 
 def dual_bases_f(g: LieSuperalgebra, osp: OSPTriple) -> DualBases:
-    """Chain bases for the SUSY reduction (C_{j,n} normalization)."""
-    lows = _graded_kernel_basis(g, osp.f)
-    ups = _graded_kernel_basis(g, osp.e)
-    lower, upper = _pair_dual(g, lows, ups)
-    spins = []
-    chain_lower, chain_upper = [], []
-    for j, r in enumerate(lower):
-        grade = g.grading_of_vec(r)
-        alpha = -grade
-        spins.append(alpha)
-        length = int(4 * alpha) + 1
-        up_chain = [upper[j]]
-        for n in range(1, length + 1):
-            up_chain.append(g.bracket(osp.f, up_chain[-1]))
-        if not any(up_chain[length - 1]) or any(up_chain[length]):
-            raise AlgebraError("SUSY chain length does not match spin %s" % alpha)
-        chain_upper.append([tuple(v) for v in up_chain[:length]])
-        lo_chain = [r]
-        cur = r
-        sj = -1 if g.parity_of_vec(r) else 1
-        two_alpha = int(2 * alpha)
-        for n in range(1, length):
-            cur = g.bracket(osp.e, cur)
-            if n % 2 == 0:
-                m = n // 2
-                coeff = Fraction(1, factorial(m) ** 2 * comb(two_alpha, m))
-            else:
-                m = (n - 1) // 2
-                coeff = Fraction(-sj, factorial(m + 1) * factorial(m)
-                                 * comb(two_alpha, m + 1))
-            lo_chain.append(tuple(x.scale(coeff) for x in cur))
-        chain_lower.append(lo_chain)
-    db = DualBases(g, "f", lower, upper, chain_lower, chain_upper,
-                   [Fraction(a) for a in spins])
-    _verify_chain_pairings(db)
-    return db
+    """Chain bases for the SUSY reduction: chains of length 4 alpha + 1,
+    r_j^n = C_{j,n} (ad e)^n r_j."""
+    return _chain_bases(g, "f", osp.f, osp.e, lambda alpha: int(4 * alpha) + 1,
+                        _susy_norm)
 
 
 def _verify_chain_pairings(db: DualBases):
@@ -737,6 +715,13 @@ def algebra_to_obj(g: LieSuperalgebra):
     return obj
 
 
+def _file_coeff(text, where) -> Scalar:
+    try:
+        return Scalar.term(0, 0, parse_coeff(text))
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraError("%s: coefficient %r is not a number" % (where, text))
+
+
 def algebra_from_obj(obj) -> LieSuperalgebra:
     try:
         names = [b["label"] for b in obj["basis"]]
@@ -750,27 +735,26 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
         struct = {}
         for ent in obj["brackets"]:
             vec = [Scalar.zero()] * dim
+            where = "bracket (%r, %r)" % (ent["i"], ent["j"])
             for l, cs in ent["coeffs"]:
                 if not _in_range(l, dim):
-                    raise AlgebraError("bracket (%r, %r): coefficient index %r out of range 0..%d"
-                                       % (ent["i"], ent["j"], l, dim - 1))
-                vec[l] = Scalar.term(0, 0, parse_coeff(cs))
+                    raise AlgebraError("%s: coefficient index %r out of range 0..%d"
+                                       % (where, l, dim - 1))
+                vec[l] = _file_coeff(cs, where)
             struct[(ent["i"], ent["j"])] = tuple(vec)
-        form = [[Scalar.term(0, 0, parse_coeff(cs)) for cs in row]
-                for row in obj["form"]]
+        form = [[_file_coeff(cs, "form row %d" % r) for cs in row]
+                for r, row in enumerate(obj["form"])]
 
-        def vec_of(field):
-            return tuple(Scalar.term(0, 0, parse_coeff(cs)) for cs in field)
+        def vec_of(tag, triple, name):
+            where = "%s vector %s" % (tag, name)
+            return tuple(_file_coeff(cs, where) for cs in triple[name])
 
         sl2 = osp = None
         if "osp" in obj and obj["osp"]:
-            o = obj["osp"]
-            osp = OSPTriple(vec_of(o["E"]), vec_of(o["e"]), vec_of(o["H"]),
-                            vec_of(o["f"]), vec_of(o["F"]))
+            osp = OSPTriple(*(vec_of("osp", obj["osp"], nm) for nm in "EeHfF"))
             sl2 = osp.sl2()
         if "sl2" in obj and obj["sl2"]:
-            s = obj["sl2"]
-            sl2 = SL2Triple(vec_of(s["E"]), vec_of(s["H"]), vec_of(s["F"]))
+            sl2 = SL2Triple(*(vec_of("sl2", obj["sl2"], nm) for nm in "EHF"))
         return LieSuperalgebra(obj.get("name", "?"), names, parities, struct,
                                form, sl2=sl2, osp=osp)
     except (KeyError, IndexError, TypeError) as e:

@@ -327,15 +327,13 @@ def _parts(poly: SuperPoly):
     return [(p, h) for p in (0, 1) for h in (poly.parity_part(p),) if h]
 
 
-def _master(f: SuperPoly, g: SuperPoly, table: BracketTable, max_weight):
+def _master(f: SuperPoly, g: SuperPoly, table: BracketTable):
     """Master formula: the implementation of master_bracket and
     spva.susy_master_bracket."""
     out = {}
     for pf, fgrad in f.parity_gradients():
         for pg, ggrad in g.parity_gradients():
             _master_homog(out, fgrad, pf, ggrad, pg, table)
-    if max_weight is not None:
-        out = {n: p.truncate_weight(max_weight) for n, p in out.items()}
     return table.value(table.alphabet, out)
 
 
@@ -366,10 +364,9 @@ def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
                                       alph.var_parity((j, n))))
 
 
-def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable,
-                   max_weight=None) -> LambdaPoly:
+def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPoly:
     """Master-formula evaluation of {f_lambda g} over the table."""
-    return _master(f, g, table, max_weight)
+    return _master(f, g, table)
 
 
 def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):
@@ -442,21 +439,12 @@ def skew_defect(f: SuperPoly, g: SuperPoly, table: BracketTable,
     return out
 
 
-def _labelled(table, polys):
-    """The polynomials to check and their labels: the generators by default."""
+def check_skew(table: BracketTable, evaluator=master_bracket):
+    """Report of the generator pairs that violate skewsymmetry."""
     alph = table.alphabet
-    if polys is None:
-        return ([SuperPoly.variable(alph, i) for i in range(len(alph))],
-                list(alph.names))
-    return polys, ["p%d" % t for t in range(len(polys))]
-
-
-def check_skew(table: BracketTable, polys=None, evaluator=master_bracket):
-    """Report of violating pairs; checks the generator table by default."""
-    polys, labels = _labelled(table, polys)
-    return [(labels[a], labels[b]) for a in range(len(polys))
-            for b in range(len(polys))
-            if skew_defect(polys[a], polys[b], table, evaluator)]
+    n, gens = len(alph), [SuperPoly.variable(alph, i) for i in range(len(alph))]
+    return [(alph.names[a], alph.names[b]) for a in range(n) for b in range(n)
+            if skew_defect(gens[a], gens[b], table, evaluator)]
 
 
 class Lambda2Poly:
@@ -521,15 +509,13 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     return out
 
 
-def check_jacobi(table: BracketTable, triples=None, polys=None,
-                 evaluator=master_bracket):
-    """Report of violating triples; defaults to all generator triples."""
-    polys, labels = _labelled(table, polys)
-    if triples is None:
-        n = len(polys)
-        triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    return [(labels[a], labels[b], labels[c]) for (a, b, c) in triples
-            if jacobi_defect(polys[a], polys[b], polys[c], table, evaluator)]
+def check_jacobi(table: BracketTable, evaluator=master_bracket):
+    """Report of the generator triples that violate the Jacobi identity."""
+    alph = table.alphabet
+    n, gens = len(alph), [SuperPoly.variable(alph, i) for i in range(len(alph))]
+    return [(alph.names[a], alph.names[b], alph.names[c])
+            for a in range(n) for b in range(n) for c in range(n)
+            if jacobi_defect(gens[a], gens[b], gens[c], table, evaluator)]
 
 
 def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
@@ -575,7 +561,7 @@ def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket)
     return d1, d2
 
 
-def random_property_suite(table: BracketTable, seed, rounds=6, allowed_gens=None,
+def random_property_suite(table: BracketTable, seed, rounds=6,
                           evaluator=master_bracket, oracle=bracket_oracle):
     """Seeded randomized checks: skew, Jacobi, Leibniz, sesquilinearity and
     master formula against the oracle."""
@@ -585,9 +571,9 @@ def random_property_suite(table: BracketTable, seed, rounds=6, allowed_gens=None
     labels = table.value.var.labels
     failures = []
     for r in range(rounds):
-        a = random_superpoly(alph, rng, allowed_gens=allowed_gens)
-        b = random_superpoly(alph, rng, allowed_gens=allowed_gens)
-        c = random_superpoly(alph, rng, allowed_gens=allowed_gens)
+        a = random_superpoly(alph, rng)
+        b = random_superpoly(alph, rng)
+        c = random_superpoly(alph, rng)
         found = [skew_defect(a, b, table, evaluator),
                  jacobi_defect(a, b, c, table, evaluator)]
         found += leibniz_defects(a, b, c, table, evaluator)

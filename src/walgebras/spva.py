@@ -70,10 +70,10 @@ def susy_affine_table(g, alphabet, k) -> SUSYBracketTable:
 # The SUSY names are functions of their own, with the SUSY master formula as
 # their default evaluator: the benchmark tracer (wbench/tracer.py) tells the
 # two master formulas and the two oracles apart by their names.
-def susy_master_bracket(a: SuperPoly, b: SuperPoly, table: SUSYBracketTable,
-                        max_weight=None) -> ChiPoly:
+def susy_master_bracket(a: SuperPoly, b: SuperPoly,
+                        table: SUSYBracketTable) -> ChiPoly:
     """Closed master-formula evaluation of {a_chi b}."""
-    return _master(a, b, table, max_weight)
+    return _master(a, b, table)
 
 
 def susy_bracket_oracle(a: SuperPoly, b: SuperPoly,
@@ -88,8 +88,8 @@ def susy_skew_defect(a, b, table, evaluator=susy_master_bracket) -> ChiPoly:
     return skew_defect(a, b, table, evaluator)
 
 
-def check_susy_skew(table, polys=None, evaluator=susy_master_bracket):
-    return check_skew(table, polys, evaluator)
+def check_susy_skew(table, evaluator=susy_master_bracket):
+    return check_skew(table, evaluator)
 
 
 def susy_jacobi_defect(a, b, c, table, evaluator=susy_master_bracket):
@@ -98,9 +98,8 @@ def susy_jacobi_defect(a, b, c, table, evaluator=susy_master_bracket):
     return jacobi_defect(a, b, c, table, evaluator)
 
 
-def check_susy_jacobi(table, triples=None, polys=None,
-                      evaluator=susy_master_bracket):
-    return check_jacobi(table, triples, polys, evaluator)
+def check_susy_jacobi(table, evaluator=susy_master_bracket):
+    return check_jacobi(table, evaluator)
 
 
 def susy_leibniz_defects(a, b, c, table, evaluator=susy_master_bracket):
@@ -114,9 +113,9 @@ def susy_sesquilinearity_defects(a, b, table, evaluator=susy_master_bracket):
     return sesquilinearity_defects(a, b, table, evaluator)
 
 
-def random_susy_property_suite(table, seed, rounds=5, allowed_gens=None,
+def random_susy_property_suite(table, seed, rounds=5,
                                evaluator=susy_master_bracket):
-    return random_property_suite(table, seed, rounds, allowed_gens, evaluator,
+    return random_property_suite(table, seed, rounds, evaluator,
                                  susy_bracket_oracle)
 
 

@@ -456,7 +456,7 @@ class SuperPoly:
 
     def truncate_weight(self, max_weight) -> "SuperPoly":
         """Drop monomials of conformal weight above max_weight; the identity
-        for None. master_bracket(max_weight=) truncates its values so."""
+        for None."""
         if max_weight is None:
             return self
         w = Fraction(max_weight)

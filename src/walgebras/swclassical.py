@@ -39,11 +39,11 @@ SUSY = Flavor(
 class SUSYReductionContext(ReductionContext):
     flavor = SUSY
 
-    def __init__(self, g, osp=None, k=None):
-        self.osp = g.osp if osp is None else osp
-        if self.osp is None:
+    def __init__(self, g, k=None):
+        if g.osp is None:
             raise ValueError("algebra carries no osp(1|2) data")
-        super().__init__(g, self.osp, k)
+        self.osp = g.osp
+        super().__init__(g, g.osp, k)
 
 
 gamma_S_linear = gamma_linear

@@ -330,6 +330,28 @@ def phibar_of_vector(cplx, vec) -> SuperPoly:
         for alpha, a in enumerate(cplx.n_idx)))
 
 
+def dual_vectors(cplx):
+    """The basis u^alpha of n_- dual to the n-basis u_beta of the complex,
+    (u^alpha | u_beta) = delta, from the inverse of the Gram matrix."""
+    g = cplx.ctx.gstar
+    minus = [t for t, gr in enumerate(g.gradings) if gr < 0]
+    gram = [[g.form_value(g.basis_vec(a), g.basis_vec(b)) for b in cplx.n_idx]
+            for a in minus]
+    inv = matrix_inverse([vec_grat(r) for r in gram])
+    return [tuple(Scalar.term(0, 0, inv[alpha][minus.index(t)]) if t in minus
+                  else Scalar.zero() for t in range(g.dim))
+            for alpha in range(cplx.nn)]
+
+
+def sharp(db, vec):
+    """Projection onto ker ad F (resp. ker ad f) along [E,g] (resp. [e,g])."""
+    out = db.g.zero_vec()
+    for up, low in zip(db.upper, db.lower):
+        c = db.g.form_value(up, vec)
+        out = tuple(a + b * c for a, b in zip(out, low))
+    return out
+
+
 def j_of_vector(cplx, vec) -> SuperPoly:
     return SuperPoly.linear(cplx.alph, enumerate(vec))
 
@@ -529,7 +551,7 @@ def dense_validate(g):
     return report
 
 
-def dense_rebase(g, vectors, names, new_name=None):
+def dense_rebase(g, vectors, names):
     """LieSuperalgebra.rebase from dense brackets and forms: coordinates in
     the new basis as the full product V^-1 x of each dense vector."""
     cols = [vec_grat(v) for v in vectors]
@@ -563,7 +585,7 @@ def dense_rebase(g, vectors, names, new_name=None):
     if g.osp is not None:
         t = g.osp
         osp = OSPTriple(*(coords(x) for x in (t.E, t.e, t.H, t.f, t.F)))
-    return LieSuperalgebra(new_name or g.name + "*", names, parities,
+    return LieSuperalgebra(g.name + "*", names, parities,
                            struct, form, sl2=sl2, osp=osp)
 
 

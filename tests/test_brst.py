@@ -142,13 +142,14 @@ def test_d_action_displays():
             expect = expect + t
         assert got == ChiPoly.of(expect)
 
+    duals = helpers.dual_vectors(cplx)
     for al in range(cplx.nn):
         got = diff.d_chi(phibar(al))
         pa = gstar.parities[cplx.n_idx[al]]
         expect = SuperPoly.zero(alph)
         for bt, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(b), cplx.dual_vectors[al])
+            br = gstar.bracket(gstar.basis_vec(b), duals[al])
             t = phibar(bt) * helpers.phibar_of_vector(cplx, br)
             if (pa * pb + pb) % 2:
                 t = -t
@@ -235,8 +236,9 @@ def test_d_on_building_blocks_display(name):
 def test_J_coordinates_roundtrip():
     cplx = build_complex(helpers.algebra("sl21"))
     rng = random.Random(6)
-    for _ in range(6):
-        p = random_superpoly(cplx.alph, rng, terms=2)
+    inputs = [SuperPoly.variable(cplx.alph, t) for t in range(len(cplx.alph))]
+    inputs += [random_superpoly(cplx.alph, rng, terms=2) for _ in range(6)]
+    for p in inputs:
         assert cplx.from_J(cplx.to_J(p)) == p
 
 

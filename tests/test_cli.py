@@ -75,7 +75,14 @@ def _append(key, item):
     (lambda obj: obj["sl2"]["H"].pop(), "sl2 vector H has 2 entries, expected 3"),
     (lambda obj: obj["basis"][0].update(parity="Odd"),
      "basis element 'E': parity 'Odd' is not \"even\" or \"odd\""),
-], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector", "parity"])
+    (lambda obj: obj["brackets"][0]["coeffs"][0].__setitem__(1, "abc"),
+     "bracket (0, 1): coefficient 'abc' is not a number"),
+    (lambda obj: obj["form"][1].__setitem__(1, "1/0"),
+     "form row 1: coefficient '1/0' is not a number"),
+    (lambda obj: obj["sl2"]["H"].__setitem__(1, "2/0"),
+     "sl2 vector H: coefficient '2/0' is not a number"),
+], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector", "parity",
+        "bracket-coeff", "form-coeff", "triple-coeff"])
 def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     obj = _sl2_obj()
     edit(obj)
@@ -84,6 +91,18 @@ def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     code, out, err = run(capsys, "validate", "--algebra", str(p))
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", "--algebra", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_max_weight_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "generators", "--algebra", "sl2",
+                         "--max-weight", "1/0")
+    assert (code, out, err) == (2, "", "input error: bad --max-weight value '1/0'\n")
 
 
 def test_generators_text(capsys):
