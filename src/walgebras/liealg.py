@@ -768,10 +768,12 @@ def save_algebra(g: LieSuperalgebra, path):
 
 
 def load_algebra(path) -> LieSuperalgebra:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise AlgebraError("parse error in %s at line %d: %s"
                                % (path, e.lineno, e.msg))
+        except UnicodeDecodeError as e:
+            raise AlgebraError("cannot decode %s as UTF-8: %s" % (path, e.reason))
     return algebra_from_obj(obj)

@@ -78,20 +78,82 @@ def _signed(value, e):
     return -value if e % 2 else value
 
 
-def _acc(out, key, poly):
-    """out[key] += poly, keeping no zero entries."""
+def _acc(out, key, poly, neg=0):
+    """out[key] += (-1)^neg poly, keeping no zero entries.
+
+    An entry is the caller's SuperPoly until its second addition; from then
+    on it is a private term dict that later additions add into, or subtract
+    from, in place (the first addition with neg set starts one at once).
+    Only _value turns the entries back into SuperPolys, so a private dict
+    never leaves the function that owns out, and no caller's value changes.
+    """
+    terms = poly.terms
+    if not terms:
+        return
     s = out.get(key)
-    s = poly if s is None else s + poly
-    if s:
-        out[key] = s
+    if s is None:
+        out[key] = {m: -c for m, c in terms.items()} if neg else poly
+        return
+    if type(s) is not dict:
+        s = out[key] = dict(s.terms)
+    if neg:
+        for m, c in terms.items():
+            t = s.get(m)
+            if t is None:
+                s[m] = -c
+            else:
+                t = t - c
+                if t:
+                    s[m] = t
+                else:
+                    del s[m]
     else:
-        out.pop(key, None)
+        for m, c in terms.items():
+            t = s.get(m)
+            if t is None:
+                s[m] = c
+            else:
+                t = t + c
+                if t:
+                    s[m] = t
+                else:
+                    del s[m]
+    if not s:
+        del out[key]
 
 
 def _acc_value(out, value, e=0):
-    """out += (-1)^e value for a bracket value; out maps n -> SuperPoly."""
+    """out += (-1)^e value for a bracket value; out is an _acc map."""
+    neg = e & 1
     for n, p in value.coeffs.items():
-        _acc(out, n, -p if e % 2 else p)
+        _acc(out, n, p, neg)
+
+
+def _built(alph, out):
+    """The entries of an _acc map as SuperPolys; out is spent."""
+    return {n: SuperPoly(alph, p) if type(p) is dict else p
+            for n, p in out.items()}
+
+
+def _value(cls, alph, out):
+    """The bracket value of class cls summed in the _acc map out."""
+    return cls(alph, _built(alph, out))
+
+
+def _mul_into(out, poly, q, value, neg=0):
+    """out += (-1)^neg poly * value for poly of parity q: the x^n term
+    takes (-1)^{pqn}, p the parity of x (q is read only for an odd x)."""
+    odd = q & value.var.parity
+    for n, p in value.coeffs.items():
+        r = poly * p
+        if r:
+            _acc(out, n, r, neg ^ (odd & n))
+
+
+def _left_parts(poly, var):
+    """poly as (parity, part) pairs for _mul_into: its parity parts when x
+    is odd, poly itself when x is even."""
+    return _parts(poly) if var.parity else ((0, poly),)
 
 
 def _power(glyph, n):
@@ -143,17 +205,19 @@ class LambdaPoly:
     def get(self, n) -> SuperPoly:
         return self.coeffs.get(n, SuperPoly.zero(self.alphabet))
 
-    def __add__(self, other):
+    def _plus(self, other, neg):
         out = dict(self.coeffs)
-        for n, p in other.coeffs.items():
-            _acc(out, n, p)
-        return type(self)(self.alphabet, out)
+        _acc_value(out, other, neg)
+        return _value(type(self), self.alphabet, out)
+
+    def __add__(self, other):
+        return self._plus(other, 0)
+
+    def __sub__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return type(self)(self.alphabet, {n: -p for n, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scalar_mul(self, s: Scalar):
         return type(self)(self.alphabet, {n: p.scalar_mul(s)
@@ -161,19 +225,10 @@ class LambdaPoly:
 
     def mul_left(self, poly: SuperPoly):
         """poly * self: a part of parity q passes x^n at the cost (-1)^{pqn}."""
-        if not self.var.parity:
-            return type(self)(self.alphabet, {n: poly * p
-                                              for n, p in self.coeffs.items()})
         out = {}
-        for q in (0, 1):
-            part = poly.parity_part(q)
-            if not part:
-                continue
-            for n, p in self.coeffs.items():
-                r = part * p
-                if r:
-                    _acc(out, n, -r if q and n % 2 else r)
-        return type(self)(self.alphabet, out)
+        for q, part in _left_parts(poly, self.var):
+            _mul_into(out, part, q, self)
+        return _value(type(self), self.alphabet, out)
 
     def mul_right(self, poly: SuperPoly):
         return type(self)(self.alphabet, {n: p * poly
@@ -187,26 +242,23 @@ class LambdaPoly:
         """(x + d)^times applied to self."""
         if not times:
             return self
-        odd = self.var.parity
+        alph, odd = self.alphabet, self.var.parity
         cur = self.coeffs
         for _ in range(times):
             out = {}
             for n, p in cur.items():
-                dp = p.deriv()
-                if odd and n % 2:
-                    p, dp = -p, -dp
-                _acc(out, n + 1, p)
-                if dp:
-                    _acc(out, n, dp)
-            cur = out
-        return type(self)(self.alphabet, cur)
+                neg = odd & n
+                _acc(out, n + 1, p, neg)
+                _acc(out, n, p.deriv(), neg)
+            cur = _built(alph, out)
+        return type(self)(alph, cur)
 
     def flip(self):
         """sum_n (-x-d)^n f_n: the skew-symmetry substitution."""
         out = {}
         for n, p in self.coeffs.items():
             _acc_value(out, self.of(p).apply_plus_d(n), n)
-        return type(self)(self.alphabet, out)
+        return _value(type(self), self.alphabet, out)
 
     subs_neg_lambda_del = flip
 
@@ -243,11 +295,13 @@ def _plus_d_power(powers, n):
 def _arrow(bracket: LambdaPoly, powers, q) -> LambdaPoly:
     """The arrow sum of arrow_apply, with the tail given as its list of
     (x + d)-powers, which callers reuse across brackets."""
-    arrow = bracket.var.arrow
+    var = bracket.var
     out = {}
     for n, coeff in bracket.coeffs.items():
-        _acc_value(out, _plus_d_power(powers, n).mul_left(coeff), arrow(q, n))
-    return type(bracket)(bracket.alphabet, out)
+        tail = _plus_d_power(powers, n)
+        for pc, part in _left_parts(coeff, var):
+            _mul_into(out, part, pc, tail, var.arrow(q, n) & 1)
+    return _value(type(bracket), bracket.alphabet, out)
 
 
 def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
@@ -334,7 +388,7 @@ def _master(f: SuperPoly, g: SuperPoly, table: BracketTable):
     for pf, fgrad in f.parity_gradients():
         for pg, ggrad in g.parity_gradients():
             _master_homog(out, fgrad, pf, ggrad, pg, table)
-    return table.value(table.alphabet, out)
+    return _value(table.value, table.alphabet, out)
 
 
 def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
@@ -343,25 +397,46 @@ def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
     variable pairs of +-dg/du_j^(n) (x+d)^n {u_i_{x+d} u_j}_-> (x+d)^m
     df/du_i^(m).
 
-    For each u_i^(m), the (x+d)-powers of the inner term are built once,
-    as far as the highest entry power met; for each j, the arrow sum is
-    built once and its (x+d)-powers serve every u_j^(n)."""
+    The sign reads n only through nu = n p(x) mod 2: the lambda sign does
+    not read n, and the chi sign reads n mod 2 and the parity of u_j^(n),
+    which j and n mod 2 fix (it differs between the two classes exactly
+    when g is even). The sum is therefore regrouped so that each
+    dg/du_j^(n) is multiplied in once:
+    1. the partials of g are grouped by (j, nu);
+    2. for each u_i^(m), the (x+d)-powers of the inner term are built once,
+       as far as the highest entry power met, the arrow sum is built once
+       per j, and it is added with its sign at n = nu into one sum B_{j,nu};
+    3. each dg/du_j^(n) multiplies (x+d)^n B_{j,nu}, whose (x+d)-powers
+       are built once."""
     alph = table.alphabet
-    sign = table.value.var.master
+    cls = table.value
+    sign = cls.var.master
+    groups = {}
+    for (j, n), dgj in ggrad:
+        groups.setdefault((j, n & cls.var.parity), []).append((n, dgj))
+    sums = {key: {} for key in groups}
     for (i, m), dfi in fgrad:
         pi, pim = alph.parities[i], alph.var_parity((i, m))
-        inner = [table.value.of(dfi).apply_plus_d(m)]
-        outer = {}
-        for (j, n), dgj in ggrad:
-            ent = table.entry(i, j)
-            if not ent:
+        inner = [cls.of(dfi).apply_plus_d(m)]
+        arrows = {}
+        for (j, nu), acc in sums.items():
+            ent = table.entries.get((i, j))
+            if ent is None:
                 continue
             pj = alph.parities[j]
-            if j not in outer:
-                outer[j] = [_arrow(ent, inner, pi + pj)]
-            val = _plus_d_power(outer[j], n).mul_left(dgj)
-            _acc_value(out, val, sign(pf, pg, pi, pj, m, n, pim,
-                                      alph.var_parity((j, n))))
+            arrow = arrows.get(j)
+            if arrow is None:
+                arrow = arrows[j] = _arrow(ent, inner, pi + pj)
+            _acc_value(acc, arrow, sign(pf, pg, pi, pj, m, nu, pim,
+                                        alph.var_parity((j, nu))))
+    for (j, nu), members in groups.items():
+        acc = sums[j, nu]
+        if not acc:
+            continue
+        powers = [_value(cls, alph, acc)]
+        for n, dgj in members:
+            _mul_into(out, dgj, pg ^ alph.var_parity((j, n)),
+                      _plus_d_power(powers, n))
 
 
 def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPoly:
@@ -379,7 +454,7 @@ def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):
         for mono_b, cb in b.terms.items():
             fb = SuperPoly(alph, {mono_b: cb})
             _acc_value(out, _oracle_mono(fa, mono_a, fb, mono_b, table))
-    return table.value(alph, out)
+    return _value(table.value, alph, out)
 
 
 def _factors(mono):
@@ -432,11 +507,12 @@ def skew_defect(f: SuperPoly, g: SuperPoly, table: BracketTable,
                 evaluator=master_bracket) -> LambdaPoly:
     """[f_x g] - (-1)^skew s(f,g)[g_{-x-d} f]; zero iff skew holds."""
     skew = table.value.var.skew
-    out = evaluator(f, g, table)
+    out = {}
+    _acc_value(out, evaluator(f, g, table))
     for pf, fh in _parts(f):
         for pg, gh in _parts(g):
-            out = out - _signed(evaluator(gh, fh, table).flip(), skew + pf * pg)
-    return out
+            _acc_value(out, evaluator(gh, fh, table).flip(), 1 + skew + pf * pg)
+    return _value(table.value, table.alphabet, out)
 
 
 def check_skew(table: BracketTable, evaluator=master_bracket):
@@ -449,20 +525,18 @@ def check_skew(table: BracketTable, evaluator=master_bracket):
 
 class Lambda2Poly:
     """Normal form sum x^i y^j f_ij in two indeterminates of one parity:
-    lambda and mu, or the anticommuting chi and gamma."""
+    lambda and mu, or the anticommuting chi and gamma; coeffs maps (i, j)
+    to f_ij."""
 
     __slots__ = ("alphabet", "var", "coeffs")
 
-    def __init__(self, alphabet, var):
+    def __init__(self, alphabet, var, coeffs=None):
         self.alphabet = alphabet
         self.var = var
-        self.coeffs = {}
+        self.coeffs = {ij: p for ij, p in (coeffs or {}).items() if p}
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def add_term(self, i, j, poly):
-        _acc(self.coeffs, (i, j), poly)
 
     def render(self):
         if not self.coeffs:
@@ -484,7 +558,7 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     for chi (x = chi, y = gamma), exactly; zero iff Jacobi holds."""
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
-    out = Lambda2Poly(table.alphabet, var)
+    out = {}   # an _acc map (i, j) -> f_ij
     a_parts = _parts(a)
     # the first two signs read the parity of a only, the lambda ones none
     a_split = a_parts if var.parity else [(0, a)]
@@ -492,21 +566,22 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     for pa, ah in a_split:          # [a_x [b_y c]]
         for i, p in bc.items():
             for o, q in evaluator(ah, p, table).coeffs.items():
-                out.add_term(o, i, _signed(q, sign1(pa, i, o)))
+                _acc(out, (o, i), q, sign1(pa, i, o) & 1)
     for pa, ah in a_split:          # [[a_x b]_{x+y} c]
         for i, p in evaluator(ah, b, table).coeffs.items():
             for o, q in evaluator(p, c, table).coeffs.items():
-                s = -1 if sign2(pa, i, o) % 2 else 1
+                neg = sign2(pa, i, o) & 1
                 for (t, u), coeff in var.binomial(o).items():
-                    out.add_term(i + t, u, q.scale(s * coeff))
+                    _acc(out, (i + t, u), q if coeff == 1 else q.scale(coeff),
+                         neg)
     b_parts = _parts(b)
     for pa, ah in a_parts:          # [b_y [a_x c]]
         ac = evaluator(ah, c, table).coeffs
         for pb, bh in b_parts:
             for i, p in ac.items():
                 for o, q in evaluator(bh, p, table).coeffs.items():
-                    out.add_term(i, o, _signed(q, sign3(pa, pb, i, o)))
-    return out
+                    _acc(out, (i, o), q, sign3(pa, pb, i, o) & 1)
+    return Lambda2Poly(table.alphabet, var, _built(table.alphabet, out))
 
 
 def check_jacobi(table: BracketTable, evaluator=master_bracket):
@@ -540,7 +615,7 @@ def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
                            1 + pb * pc)
                 _acc_value(left, arrow_apply(bc[pb, pc], table.value.of(ah),
                                              pb + pc), 1 + pa * (pb + pc))
-    return table.value(alph, right), table.value(alph, left)
+    return _value(table.value, alph, right), _value(table.value, alph, left)
 
 
 def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket):
@@ -551,13 +626,14 @@ def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket)
     var = table.value.var
     d1 = evaluator(a.deriv(), b, table)
     base = evaluator(a, b, table)
-    d1 = d1 - _signed(base.shift(), var.d_left)
+    d1 = d1 + base.shift() if var.d_left % 2 else d1 - base.shift()
     d2 = evaluator(a, b.deriv(), table)
     # a lambda-bracket needs no split by the parity of a
     parts = ([(pa, evaluator(ah, b, table)) for pa, ah in _parts(a)]
              if var.parity else [(0, base)])
     for pa, value in parts:
-        d2 = d2 - _signed(value.apply_plus_d(), var.d_right(pa))
+        plus_d = value.apply_plus_d()
+        d2 = d2 + plus_d if var.d_right(pa) % 2 else d2 - plus_d
     return d1, d2
 
 

@@ -277,7 +277,15 @@ class Scalar:
         return Scalar({e: -g for e, g in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for e, g in other.terms.items():
+            s = out.get(e)
+            s = -g if s is None else s - g
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return Scalar(out)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):

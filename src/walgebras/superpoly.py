@@ -251,10 +251,11 @@ class SuperPoly:
                 if mono is None:
                     continue
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
                 s = out.get(mono)
-                s = c if s is None else s + c
+                if sign < 0:
+                    s = -c if s is None else s - c
+                else:
+                    s = c if s is None else s + c
                 if s:
                     out[mono] = s
                 else:

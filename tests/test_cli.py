@@ -99,6 +99,14 @@ def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+def test_algebra_file_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "utf16_sl2.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(_sl2_obj()).encode("utf-16-le"))
+    code, out, err = run(capsys, "validate", "--algebra", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot decode ") and err.count("\n") == 1
+
+
 def test_max_weight_zero_denominator_exits_2(capsys):
     code, out, err = run(capsys, "generators", "--algebra", "sl2",
                          "--max-weight", "1/0")

@@ -3,7 +3,9 @@
 Every monomial pair of derivative order <= 1 is bracketed by the master
 formula and by the axioms-driven oracle: on sl2 every pair of degree <= 2,
 elsewhere degree 1 against degree <= 2 in both orders; lambda tables of all
-catalog algebras and chi tables of the osp(1|2) ones.
+catalog algebras and chi tables of the osp(1|2) ones. At derivative order
+2, polynomials that hold one generator at several orders pin the grouping
+of the master formula by (j, n mod 2).
 """
 
 from itertools import combinations_with_replacement
@@ -66,3 +68,32 @@ def test_pair_counts():
         assert len(_pairs(name, alph)) == size
     g, alph, t = helpers.susy_affine("osp12")
     assert len(_pairs("osp12", alph)) == 1100
+
+
+def _order2_polys(alph):
+    """Per generator u: u, u', u'', u + 2u'', u' - u'', u + k u' + u'',
+    u u'' and u u' u''. As g, u + 2u'' and u u'' hold two orders of one
+    class n mod 2. The master formula takes the parity parts of g one at a
+    time, and for chi u^(n) has the parity of u plus n, so a sum such as
+    u' - u'' splits into one order per part; a product such as u u' u''
+    holds orders of both classes in one part. The chi sign differs between
+    the classes exactly when g is even, which u u' u'' is for an odd u.
+    As f, each sum holds one generator at two or three orders m."""
+    k = Scalar.k()
+    out = []
+    for i in range(len(alph)):
+        u0, u1, u2 = (SuperPoly.variable(alph, i, m) for m in range(3))
+        out += [u0, u1, u2, u0 + u2.scale(2), u1 - u2,
+                u0 + u1.scalar_mul(k) + u2, u0 * u2, u0 * u1 * u2]
+    return out
+
+
+@pytest.mark.parametrize("name, susy", [("sl2", False), ("osp12", True),
+                                        ("sl21", True)])
+def test_master_equals_oracle_at_order_2(name, susy):
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    master, oracle = ((susy_master_bracket, susy_bracket_oracle) if susy
+                      else (master_bracket, bracket_oracle))
+    polys = _order2_polys(alph)
+    assert [(a.render(), b.render()) for a in polys for b in polys
+            if master(a, b, t) != oracle(a, b, t)] == []

@@ -6,8 +6,10 @@ import pytest
 import helpers
 from walgebras.catalog import CATALOG
 from walgebras.pva import (BracketTable, LambdaPoly, bracket_oracle,
-                           check_jacobi, check_skew, master_bracket,
-                           random_property_suite)
+                           check_jacobi, check_skew, jacobi_defect,
+                           leibniz_defects, master_bracket,
+                           random_property_suite, sesquilinearity_defects,
+                           skew_defect)
 from walgebras.scalars import Scalar
 from walgebras.superpoly import SuperPoly, random_superpoly
 
@@ -97,3 +99,46 @@ def test_lambda_poly_machinery():
     obj = lp.to_obj()
     assert LambdaPoly.from_obj(alph, obj) == lp
     assert BracketTable.from_obj(t.to_obj()).entries == t.entries
+
+
+def _contents(poly):
+    """poly's terms down to the term dicts of its Scalars."""
+    return {m: dict(c.terms) for m, c in poly.terms.items()}
+
+
+def _snapshot(polys, table):
+    """The contents of polys, of their memoized gradients and of every
+    table entry."""
+    return ([_contents(p) for p in polys],
+            [[(pp, [(v, _contents(d)) for v, d in grad])
+              for pp, grad in p.parity_gradients()] for p in polys],
+            {key: {n: _contents(p) for n, p in v.coeffs.items()}
+             for key, v in table.entries.items()})
+
+
+@pytest.mark.parametrize("name, susy", [("sl2", False), ("sl3-minimal", False),
+                                        ("osp12", True), ("sl21", True)])
+def test_defects_leave_inputs_unchanged(name, susy):
+    """The bracket-value accumulators add into private dicts only: the
+    polynomials given to them, the table entries and the values handed out
+    keep their contents, and every value handed out holds SuperPolys."""
+    # the shared checks read the calculus from the table, lambda or chi
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    rng = random.Random(41)
+    for _ in range(3):
+        a, b, c = (random_superpoly(alph, rng) for _ in range(3))
+        before = _snapshot((a, b, c), t)
+        bc = master_bracket(b, c, t)
+        bc_before = {n: _contents(p) for n, p in bc.coeffs.items()}
+        jac = jacobi_defect(a, b, c, t)
+        right, left = leibniz_defects(a, b, c, t)
+        values = [right, left, skew_defect(a, b, t),
+                  bc - master_bracket(b, c, t),
+                  master_bracket(a, b, t) - bracket_oracle(a, b, t)]
+        values += sesquilinearity_defects(a, b, t)
+        assert _snapshot((a, b, c), t) == before
+        assert {n: _contents(p) for n, p in bc.coeffs.items()} == bc_before
+        assert master_bracket(b, c, t) == bc
+        assert not jac and not any(values)
+        for v in values + [jac, bc]:
+            assert all(type(p) is SuperPoly for p in v.coeffs.values())

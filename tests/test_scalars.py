@@ -37,6 +37,32 @@ def test_zero_has_empty_support():
         assert all(v for v in a.terms.values())
 
 
+def test_sub_equals_add_negated():
+    half, i = Scalar.rational(Fraction(1, 2)), Scalar.imag()
+    k2 = Scalar.k(2).scale(3)
+    multi = half + k2 + Scalar.c() * i
+    cases = [
+        (half, Scalar.rational(Fraction(-1, 3))),      # single terms
+        (multi, k2 + Scalar.c()),                      # multi-term
+        (multi, half + k2 + Scalar.c() * i),           # cancels to zero
+        (Scalar.k(), Scalar.c(2) * i),                 # distinct exponents
+        (Scalar.zero(), multi),
+        (multi, Scalar.zero()),
+    ]
+    rng = random.Random(11)
+    cases += [(rand_scalar(rng, with_c=True), rand_scalar(rng, with_c=True))
+              for _ in range(100)]
+    for a, b in cases:
+        before = (dict(a.terms), dict(b.terms))
+        d = a - b
+        assert d == a + (-b)
+        assert all(d.terms.values())
+        assert (dict(a.terms), dict(b.terms)) == before
+    assert not (multi - (half + k2 + Scalar.c() * i)).terms
+    assert (Scalar.k() - Scalar.c(2) * i).terms == {
+        (1, 0): GRat(1), (0, 2): GRat(0, -1)}
+
+
 def test_gaussian_arithmetic():
     i = Scalar.imag()
     assert i * i == Scalar.rational(-1)
