@@ -13,8 +13,7 @@ verified generator by generator and on whole bracket tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .liealg import HALF
 from .scalars import Scalar
 from .pva import affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
@@ -23,8 +22,6 @@ from .swclassical import SUSYReductionContext
 from .wclassical import (GeneratorError, WGenerator, ansatz_monomials,
                          k_degree_bound, solve_all_generators, solve_ansatz,
                          w_bracket_table)
-
-HALF = Fraction(1, 2)
 
 
 class BRSTComplex:
@@ -142,7 +139,7 @@ class BRSTDifferential:
     def _assemble(self) -> SuperPoly:
         cplx = self.cplx
         g = cplx.ctx.gstar
-        fvec = _input_to_star(cplx.ctx, cplx.ctx.osp.f)
+        fvec = g.osp.f
         out = SuperPoly.zero(cplx.alph)
         for alpha, a in enumerate(cplx.n_idx):
             coeff = g.form_value(fvec, g.basis_vec(a))
@@ -188,16 +185,6 @@ class BRSTDifferential:
 
 def build_d(cplx: BRSTComplex, c: Scalar) -> BRSTDifferential:
     return BRSTDifferential(cplx, c)
-
-
-def _input_to_star(ctx, vec):
-    """Input-basis vector -> chain coordinates via the dual pairing."""
-    coords = [Scalar.zero()] * ctx.gstar.dim
-    for t, (j, n) in enumerate(ctx.members):
-        c = ctx.g.form_value(ctx.db.chain_upper[j][n], vec)
-        if c:
-            coords[t] = c
-    return tuple(coords)
 
 
 def cohomology_generators(cplx: BRSTComplex, diff: BRSTDifferential):

@@ -9,6 +9,7 @@ Identical inputs and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,16 +45,6 @@ def _parse_k(text) -> Scalar:
         return Scalar.rational(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise InputError("bad --k value %r (rational or 'symbolic')" % text)
-
-
-def _max_weight(args):
-    t = getattr(args, "max_weight", None)
-    if t is None:
-        return None
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("bad --max-weight value %r" % t)
 
 
 def _load(args):
@@ -110,11 +101,10 @@ def cmd_generators(args):
     g = _load(args)
     ctx = args.context(args, g)
     gens = solve_all_generators(ctx)
-    cap = _max_weight(args)
     lines, objs = [], []
     for w in gens:
         label = ctx.gen_labels[w.index]
-        shown = ctx.to_input(w.value).truncate_weight(cap)
+        shown = ctx.to_input(w.value)
         lines.append("%s%s = %s   (weight %s)"
                      % (ctx.flavor.prefix, label, shown.render(), w.weight))
         objs.append({"label": label, "weight": str(w.weight),
@@ -209,60 +199,61 @@ def cmd_brst_table(args):
 
 
 def _suite_results(args, g, names):
+    """Run the named suites; every suite of one run reads the same context,
+    generator solve and W table of each flavor, each built on first use."""
     k = _parse_k(args.k)
-    seed = args.seed
-    route = getattr(args, "route", "both")
-    table_route = "closed" if route == "closed" else "direct"
+
+    @functools.cache
+    def context(cls):
+        return cls(g, k=k)
+
+    @functools.cache
+    def gens(cls):
+        return {w.index: w for w in solve_all_generators(context(cls))}
+
+    @functools.cache
+    def table(cls):
+        return w_bracket_table(context(cls), gens(cls))
+
     results = {}
-
-    def solved(make_context):
-        ctx = make_context(g, k=k)
-        return ctx, {w.index: w for w in solve_all_generators(ctx)}
-
     for name in names:
         if name in SUSY_SUITES and g.osp is None:
             results[name] = []
         elif name == "skew":
-            ctx, gens = solved(ReductionContext)
-            bad = check_skew(ctx.table) + check_skew(
-                w_bracket_table(ctx, gens, route=table_route))
+            bad = (check_skew(context(ReductionContext).table)
+                   + check_skew(table(ReductionContext)))
             if g.osp is not None:
-                sctx, sgens = solved(SUSYReductionContext)
-                bad += check_susy_skew(sctx.table)
-                bad += check_susy_skew(w_bracket_table(sctx, sgens))
+                bad += check_susy_skew(context(SUSYReductionContext).table)
+                bad += check_susy_skew(table(SUSYReductionContext))
             results[name] = ["pair %s,%s" % p for p in bad]
         elif name == "jacobi":
-            ctx, gens = solved(ReductionContext)
-            bad = check_jacobi(ctx.table) + check_jacobi(
-                w_bracket_table(ctx, gens, route=table_route))
-            bad += [f for f in random_property_suite(ctx.table, seed, rounds=2)]
+            affine = context(ReductionContext).table
+            bad = check_jacobi(affine) + check_jacobi(table(ReductionContext))
+            bad += random_property_suite(affine, args.seed, rounds=2)
             if g.osp is not None:
-                sctx, sgens = solved(SUSYReductionContext)
-                bad += check_susy_jacobi(sctx.table)
-                bad += check_susy_jacobi(w_bracket_table(sctx, sgens))
-                bad += [f for f in random_susy_property_suite(sctx.table, seed,
-                                                              rounds=2)]
+                affine = context(SUSYReductionContext).table
+                bad += check_susy_jacobi(affine)
+                bad += check_susy_jacobi(table(SUSYReductionContext))
+                bad += random_susy_property_suite(affine, args.seed, rounds=2)
             results[name] = ["%s" % (b,) for b in bad]
         elif name in ("lemma-3-4", "lemma-6-4"):
             db = dual_bases_F(g, g.sl2) if name == "lemma-3-4" \
                 else dual_bases_f(g, g.osp)
             results[name] = ["t=%s" % t for t in check_tensor_identity(db)]
         elif name in ("thm-3-6", "thm-6-5"):
-            ctx, gens = solved(ReductionContext if name == "thm-3-6"
-                               else SUSYReductionContext)
+            cls = ReductionContext if name == "thm-3-6" else SUSYReductionContext
             results[name] = ["pair %s,%s" % (a, b) for a, b, _, _ in
-                             compare_closed_direct(ctx, gens)]
+                             compare_closed_direct(context(cls), gens(cls))]
         elif name == "d-squared":
-            sctx = SUSYReductionContext(g, k=k)
-            results[name] = build_d(BRSTComplex(sctx), Scalar.c()).verify()
+            cplx = BRSTComplex(context(SUSYReductionContext))
+            results[name] = build_d(cplx, Scalar.c()).verify()
         elif name == "thm-5-9":
             results[name] = check_thm_5_9(g, k=k)
         elif name == "prop-4-3":
-            sctx, sgens = solved(SUSYReductionContext)
             bad = []
-            for label, table in (("affine", sctx.table),
-                                 ("w", w_bracket_table(sctx, sgens))):
-                lt = reduce_to_pva(table)
+            for label, tab in (("affine", context(SUSYReductionContext).table),
+                               ("w", table(SUSYReductionContext))):
+                lt = reduce_to_pva(tab)
                 bad += ["%s %s,%s" % (label, a, b) for (a, b) in check_skew(lt)]
                 bad += ["%s %s,%s,%s" % (label, a, b, c)
                         for (a, b, c) in check_jacobi(lt)]
@@ -295,8 +286,6 @@ def cmd_verify(args):
     if g.sl2 is None:
         raise InputError("algebra %s carries no sl2 triple" % g.name)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # thm-3-6 / thm-6-5 always compare both routes; --route picks the table
-    # construction used by the axiom suites
     return _report_suites(args, g, names, {"command": "verify", "algebra": g.name,
                                            "seed": args.seed})
 
@@ -318,7 +307,7 @@ def build_parser():
         description="Exact engine for classical and SUSY W-algebra structures")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, k=True):
+    def common(sp, k=True, seed=False):
         sp.add_argument("--algebra", required=True,
                         help="catalog name (%s) or algebra file"
                         % ", ".join(sorted(CATALOG)))
@@ -327,10 +316,8 @@ def build_parser():
         if k:
             sp.add_argument("--k", default="symbolic",
                             help="level: a rational or 'symbolic'")
-        sp.add_argument("--seed", type=int, default=2024)
-        sp.add_argument("--max-weight", type=str, default=None, dest="max_weight",
-                        help="truncate displayed values above this conformal "
-                             "weight (debugging aid)")
+        if seed:   # the jacobi suite's random inputs
+            sp.add_argument("--seed", type=int, default=2024)
 
     sp = sub.add_parser("validate", help="check all algebra axioms")
     common(sp, k=False)
@@ -353,10 +340,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_bracket_table)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--suite", default="all", help="one of %s or 'all'" % (SUITES,))
-    sp.add_argument("--route", choices=("direct", "closed", "both"),
-                    default="both")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("brst-check", help="d^2 = 0 with symbolic c")
@@ -382,7 +367,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_bracket, context=_susy_ctx)
 
     sp = sub.add_parser("susy-verify", help="SUSY verification suites")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--cross-brst", action="store_true",
                     help="also verify the BRST route and the equivalence")
     sp.set_defaults(fn=cmd_susy_verify)

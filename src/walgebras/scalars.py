@@ -319,23 +319,6 @@ class Scalar:
         g = GRat(f)
         return Scalar({e: v * g for e, v in self.terms.items()})
 
-    def substitute(self, k_value=None, c_value=None) -> "Scalar":
-        """Specialize k and/or c to GRat values (None keeps them symbolic)."""
-        out = {}
-        for (kp, cp), g in self.terms.items():
-            coeff = g
-            ke, ce = kp, cp
-            if k_value is not None:
-                coeff = coeff * _grat_pow(k_value, kp)
-                ke = 0
-            if c_value is not None:
-                coeff = coeff * _grat_pow(c_value, cp)
-                ce = 0
-            e = (ke, ce)
-            s = out.get(e)
-            out[e] = coeff if s is None else s + coeff
-        return Scalar({e: g for e, g in out.items() if g})
-
     # -- rendering / serialization -------------------------------------
     def render(self) -> str:
         if not self.terms:
@@ -380,13 +363,6 @@ class Scalar:
             if g:
                 terms[(kp, cp)] = g
         return Scalar(terms)
-
-
-def _grat_pow(g: GRat, n: int) -> GRat:
-    out = GR_ONE
-    for _ in range(n):
-        out = out * g
-    return out
 
 
 def join_signed(parts) -> str:

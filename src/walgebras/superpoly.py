@@ -455,19 +455,6 @@ class SuperPoly:
                 return "inhomogeneous"
         return w
 
-    def truncate_weight(self, max_weight) -> "SuperPoly":
-        """Drop monomials of conformal weight above max_weight; the identity
-        for None."""
-        if max_weight is None:
-            return self
-        w = Fraction(max_weight)
-        out = {}
-        for mono, c in self.terms.items():
-            mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), Fraction(0))
-            if mw <= w:
-                out[mono] = c
-        return SuperPoly(self.alphabet, out)
-
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
         if not self.terms:

@@ -14,17 +14,13 @@ construction for the equivalence check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .liealg import dual_bases_f
+from .liealg import HALF, dual_bases_f
 from .spva import SUSYBracketTable, susy_affine_table, susy_master_bracket
 from .wclassical import (Flavor, ReductionContext, compare_closed_direct,
                          gamma_linear, membership_defects,
                          rewrite_in_generators, solve_all_generators,
                          solve_generator, w_bracket_closed, w_bracket_direct,
                          w_bracket_table)
-
-HALF = Fraction(1, 2)
 
 # dual bases and master formula go through their module names, as in EVEN
 SUSY = Flavor(

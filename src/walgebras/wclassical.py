@@ -27,14 +27,11 @@ also serves the BRST cohomology.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .liealg import dual_bases_F
+from .liealg import HALF, dual_bases_F
 from .pva import BracketTable, affine_table, master_bracket
 from .scalars import GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
-
-HALF = Fraction(1, 2)
 
 
 class Flavor(namedtuple("Flavor", "name shift bar letter prefix nilpotent "
@@ -119,7 +116,6 @@ class ReductionContext:
         self.n_indices = [t for t, gr in enumerate(grads) if gr > 0]
         self.kept_indices = [t for t, gr in enumerate(grads)
                              if not fl.killed(gr)]
-        self.gf_indices = [self.star_index[(j, 0)] for j in range(db.count())]
         self.highe_indices = [t for t, (j, n) in enumerate(members)
                               if n >= 1 and not fl.killed(grads[t])]
         # rho: x -> pi_kept(x) + (F|x), variable-diagonal in this basis

@@ -8,8 +8,8 @@ from fractions import Fraction
 from functools import reduce
 
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
-from walgebras.liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
-                              matrix_inverse, matrix_rank, vec_grat)
+from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
+                              SL2Triple, matrix_inverse, matrix_rank, vec_grat)
 from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import ChiPoly
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
@@ -19,8 +19,8 @@ from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import (BRSTComplex, _differential_terms, build_d,
                             cohomology_generators)
-from walgebras.wclassical import (GeneratorError, HALF, _chain_factor,
-                                  _closed_factor, ansatz_monomials, solve_ansatz)
+from walgebras.wclassical import (GeneratorError, _chain_factor, _closed_factor,
+                                  ansatz_monomials, solve_ansatz)
 
 _algebras = {}
 _classical = {}

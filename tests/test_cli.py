@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,22 @@ from walgebras.scalars import LinearSolveError
 from walgebras.spva import SUSYBracketTable
 from walgebras.superpoly import Alphabet, SuperPoly
 from walgebras.wclassical import GeneratorError
+
+COMMON = {"algebra", "format", "k"}
+# what each subcommand reads from its parsed arguments
+READS = {
+    "validate": {"algebra", "format"},
+    "generators": COMMON,
+    "bracket": COMMON | {"i", "j", "route"},
+    "bracket-table": COMMON | {"route"},
+    "verify": COMMON | {"seed", "suite"},
+    "brst-check": COMMON,
+    "brst-generators": COMMON,
+    "brst-table": COMMON,
+    "susy-generators": COMMON,
+    "susy-bracket": COMMON | {"i", "j"},
+    "susy-verify": COMMON | {"seed", "cross_brst"},
+}
 
 
 def run(capsys, *argv):
@@ -107,10 +124,97 @@ def test_algebra_file_not_utf8_exits_2(tmp_path, capsys):
     assert err.startswith("input error: cannot decode ") and err.count("\n") == 1
 
 
-def test_max_weight_zero_denominator_exits_2(capsys):
-    code, out, err = run(capsys, "generators", "--algebra", "sl2",
-                         "--max-weight", "1/0")
-    assert (code, out, err) == (2, "", "input error: bad --max-weight value '1/0'\n")
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _dests(sp):
+    return {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_each_command_accepts_what_it_reads():
+    subs = _subparsers()
+    assert {name: _dests(sp) for name, sp in subs.items()} == READS
+    assert sum(len(_dests(sp)) for sp in subs.values()) == 42
+
+
+class RecordingNamespace(argparse.Namespace):
+    def __getattribute__(self, name):
+        if not name.startswith("__"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--algebra", "sl2"],
+    ["generators", "--algebra", "sl2"],
+    ["bracket", "--algebra", "sl2", "0", "0"],
+    ["bracket-table", "--algebra", "sl2"],
+    ["verify", "--algebra", "sl2", "--suite", "lemma-3-4"],
+    ["brst-check", "--algebra", "osp12"],
+    ["brst-generators", "--algebra", "osp12"],
+    ["brst-table", "--algebra", "osp12"],
+    ["susy-generators", "--algebra", "osp12"],
+    ["susy-bracket", "--algebra", "osp12", "0", "0"],
+    ["susy-verify", "--algebra", "osp12"],
+], ids=lambda argv: argv[0])
+def test_each_option_is_read(capsys, argv):
+    args = cli.build_parser().parse_args(argv, namespace=RecordingNamespace())
+    args.__dict__.pop("_read", None)   # the parser's own lookups
+    assert args.fn(args) == 0
+    capsys.readouterr()
+    assert _dests(_subparsers()[argv[0]]) <= args.__dict__["_read"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generators", "--algebra", "sl2", "--seed", "5"],
+    ["generators", "--algebra", "sl2", "--max-weight", "2"],
+    ["verify", "--algebra", "sl2", "--route", "both"],
+])
+def test_removed_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_all_builds_each_piece_once(monkeypatch, capsys):
+    built = []
+
+    def counting(name, kind):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built.append((kind, out.flavor.name if kind == "context"
+                          else args[0].flavor.name))
+            return out
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("ReductionContext", "context")
+    counting("SUSYReductionContext", "context")
+    counting("solve_all_generators", "solve")
+    counting("w_bracket_table", "table")
+    code, out, err = run(capsys, "verify", "--algebra", "osp12", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["PASS %s" % name for name in cli.SUITES]
+    assert sorted(built) == sorted(
+        (kind, flavor) for kind in ("context", "solve", "table")
+        for flavor in ("lambda", "chi"))
+
+
+def test_verify_all_equals_each_suite_alone(capsys):
+    def results(suite):
+        code, out, _ = run(capsys, "verify", "--algebra", "osp12",
+                           "--suite", suite, "--format", "structured")
+        return code, json.loads(out)["results"]
+
+    code, together = results("all")
+    assert code == 0 and sorted(together) == sorted(cli.SUITES)
+    for name in cli.SUITES:
+        assert results(name) == (0, {name: together[name]})
 
 
 def test_generators_text(capsys):

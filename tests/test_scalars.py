@@ -69,12 +69,6 @@ def test_gaussian_arithmetic():
     assert (GRat(1, 2) / GRat(0, 1)) == GRat(2, -1)
 
 
-def test_substitution():
-    s = Scalar.k(2) + Scalar.c() * Scalar.rational(3)
-    assert s.substitute(k_value=GRat(2)) == Scalar.rational(4) + Scalar.c().scale(3)
-    assert s.substitute(k_value=GRat(0), c_value=GRat(1)) == Scalar.rational(3)
-
-
 def test_render_and_parse():
     assert Scalar.zero().render() == "0"
     assert (Scalar.k(2).scale(Fraction(1, 2))).render() == "1/2*k^2"
