@@ -298,7 +298,8 @@ def cmd_susy_verify(args):
     if args.cross_brst:
         names += ["d-squared", "thm-5-9"]
     return _report_suites(args, g, names, {"command": "susy-verify",
-                                           "algebra": g.name})
+                                           "algebra": g.name,
+                                           "seed": args.seed})
 
 
 def build_parser():

@@ -19,6 +19,7 @@ cohomology solvers.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -382,57 +383,69 @@ def solve_linear(equations, unknowns):
     equations: iterable of (coeffs: {col: GRat}, rhs: GRat)
     unknowns:  ordered list of column keys (pivot preference order)
 
-    Returns {col: GRat} for the unique solution.  Raises LinearSolveError
-    with reason 'inconsistent' or 'underdetermined' otherwise ('internal'
-    flags a broken elimination invariant).
+    Returns {col: GRat} for the unique solution, in the order of unknowns.
+    Raises LinearSolveError with reason 'inconsistent' or 'underdetermined'
+    otherwise ('internal' flags a broken elimination invariant).
+
+    Sparse forward elimination, then back substitution. The rows are taken
+    sparsest first (a stable sort by entry count). Each row is reduced
+    against the pivots in the order they were created, through a heap of
+    the pivot columns it holds: a pivot row holds no column of an older
+    pivot, so eliminating pivot p brings in only columns of pivots created
+    after p, and each pivot is applied at most once. A reduced row that is
+    not zero makes its lowest-order column (in `unknowns`) a pivot, and
+    the pivot rows are solved in reverse creation order at the end.
+
+    Neither the result nor the error depends on the order of elimination:
+    a uniquely solvable system has one solution; a row reduces to
+    0 = c != 0 in some order exactly when the system is inconsistent; and
+    the pivots are the lowest-order columns of the vectors in the row
+    space, so the free columns named by 'underdetermined' are the same.
     """
     order = {col: n for n, col in enumerate(unknowns)}
-    pivots = {}  # col -> (rowdict, rhs), row normalized, fully reduced
+    pivot_of = {}  # col -> creation number of its pivot
+    pivots = []    # (col, row without col, rhs), lead normalized to 1
 
-    for coeffs, rhs in equations:
+    for coeffs, rhs in sorted(equations, key=lambda eq: len(eq[0])):
         row = {c: g for c, g in coeffs.items() if g}
-        # reduce against existing pivots (pivot rows are stored without
-        # their own pivot column, so drop it from the row explicitly)
-        for col in sorted(row, key=order.__getitem__):
-            if col in pivots and row.get(col):
-                factor = row.pop(col)
-                prow, prhs = pivots[col]
-                for c2, g2 in prow.items():
-                    s = row.get(c2, GR_ZERO) - factor * g2
+        heap = [pivot_of[c] for c in row if c in pivot_of]
+        heapify(heap)
+        while heap:
+            col, prow, prhs = pivots[heappop(heap)]
+            factor = row.pop(col, None)
+            if factor is None:  # cancelled, or queued twice
+                continue
+            for c2, g2 in prow.items():
+                s = row.get(c2)
+                if s is None:
+                    row[c2] = -(factor * g2)
+                    if c2 in pivot_of:
+                        heappush(heap, pivot_of[c2])
+                else:
+                    s = s - factor * g2
                     if s:
                         row[c2] = s
                     else:
-                        row.pop(c2, None)
-                rhs = rhs - factor * prhs
-        row = {c: g for c, g in row.items() if g}
+                        del row[c2]
+            rhs = rhs - factor * prhs
         if not row:
             if rhs:
                 raise LinearSolveError("inconsistent")
             continue
         col = min(row, key=order.__getitem__)
         lead = row.pop(col)
-        row = {c: g / lead for c, g in row.items()}
-        rhs = rhs / lead
-        # eliminate the new pivot column from older pivot rows
-        for pcol, (prow, prhs) in list(pivots.items()):
-            f = prow.get(col)
-            if f:
-                del prow[col]
-                for c2, g2 in row.items():
-                    s = prow.get(c2, GR_ZERO) - f * g2
-                    if s:
-                        prow[c2] = s
-                    else:
-                        prow.pop(c2, None)
-                pivots[pcol] = (prow, prhs - f * rhs)
-        pivots[col] = (row, rhs)
+        pivot_of[col] = len(pivots)
+        pivots.append((col, {c: g / lead for c, g in row.items()}, rhs / lead))
 
-    free = [c for c in unknowns if c not in pivots]
+    free = [c for c in unknowns if c not in pivot_of]
     if free:
         raise LinearSolveError("underdetermined", "free columns %s" % free[:4])
     solution = {}
-    for col, (row, rhs) in pivots.items():
-        if row:
-            raise LinearSolveError("internal", "unreduced pivot row")
+    for col, row, rhs in reversed(pivots):
+        for c2, g2 in row.items():
+            if c2 not in solution:
+                raise LinearSolveError("internal", "pivot row reaches an "
+                                       "unsolved column")
+            rhs = rhs - g2 * solution[c2]
         solution[col] = rhs
-    return solution
+    return {col: solution[col] for col in unknowns}

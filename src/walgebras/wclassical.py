@@ -27,6 +27,7 @@ also serves the BRST cohomology.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
 from .pva import BracketTable, affine_table, master_bracket
@@ -154,6 +155,23 @@ class ReductionContext:
         """{a_lambda b} (resp. {a_chi b}) in the affine algebra."""
         return self.flavor.master(a, b, self.table)
 
+    @cached_property
+    def reduced_table(self):
+        """rho of every entry of the affine table, built on first use.
+
+        rho is a differential-algebra homomorphism that fixes the kept
+        variables, so rho{a_lambda b} is the master formula of a and b over
+        this table whenever every partial derivative of a and of b is fixed
+        by rho: for a and b in the kept variables, and for a single variable
+        a (an n of g_{>0}, killed or not) with b in the kept variables. For
+        any other input use rho_bracket(bracket(a, b)). A first-use memo:
+        it reads `table` when first asked for and is not rebuilt after.
+        """
+        reduced = self.flavor.table(self.alph)
+        for (i, j), value in self.table.entries.items():
+            reduced.set(i, j, self.rho_bracket(value))
+        return reduced
+
     def rho(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._rho_images, self.alph)
 
@@ -240,7 +258,8 @@ def _chain_factor(ctx, x, y, tail: SuperPoly) -> SuperPoly:
 
 
 def membership_defects(ctx: ReductionContext, w: SuperPoly):
-    """rho{n_lambda w} for every basis element n of g_{>0}; all must vanish."""
+    """rho{n_lambda w} for every basis element n of g_{>0}; all must vanish.
+    w may be any polynomial, so rho is applied to each bracket value."""
     out = []
     for t in ctx.n_indices:
         value = ctx.rho_bracket(ctx.bracket(ctx.n_var(t), w))
@@ -329,13 +348,16 @@ def solve_generator(ctx: ReductionContext, j) -> WGenerator:
 
 
 def _membership_terms(ctx, lead_poly, monos):
-    """rho{n_lambda lead + sum x_M M} = 0 for every n in g_{>0}."""
+    """rho{n_lambda lead + sum x_M M} = 0 for every n in g_{>0}; lead and
+    the monomials are in the kept variables, so each rho{n_lambda M} is the
+    master formula over ctx.reduced_table."""
     polys = [(None, lead_poly)] + [(M, SuperPoly(ctx.alph, {M: Scalar.one()}))
                                    for M in monos]
+    master, table = ctx.flavor.master, ctx.reduced_table
     for t in ctx.n_indices:
         nv = ctx.n_var(t)
         for M, poly in polys:
-            value = ctx.rho_bracket(ctx.bracket(nv, poly))
+            value = master(nv, poly, table)
             for lam, coeff in value.coeffs.items():
                 for mono, s in coeff.terms.items():
                     yield M, (t, lam, mono), s
@@ -379,8 +401,10 @@ def evaluate_symbols(ctx: ReductionContext, gens, sym: SuperPoly) -> SuperPoly:
 
 
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
-    """Master bracket in P(g), reduced mod I_F, rewritten in generators."""
-    red = ctx.rho_bracket(ctx.bracket(gens[i].value, gens[j].value))
+    """Master bracket in P(g), reduced mod I_F, rewritten in generators;
+    the generators are in the kept variables, so the reduced bracket is
+    the master formula over ctx.reduced_table."""
+    red = ctx.flavor.master(gens[i].value, gens[j].value, ctx.reduced_table)
     return type(red)(ctx.gen_alph, {n: rewrite_in_generators(ctx, gens, p)
                                     for n, p in red.coeffs.items()})
 

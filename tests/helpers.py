@@ -1,8 +1,9 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, exactness witnesses, a dense reference for the Lie
-superalgebra bracket, form, validation and rebase, and a chain-enumerating
-reference for the closed chain sums."""
+superalgebra bracket, form, validation and rebase, a chain-enumerating
+reference for the closed chain sums, and a Gauss-Jordan reference for the
+exact linear solver."""
 
 from fractions import Fraction
 from functools import reduce
@@ -10,7 +11,7 @@ from functools import reduce
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
                               SL2Triple, matrix_inverse, matrix_rank, vec_grat)
-from walgebras.scalars import GR_ZERO, Scalar
+from walgebras.scalars import GR_ZERO, LinearSolveError, Scalar
 from walgebras.spva import ChiPoly
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
 from walgebras.pva import affine_table
@@ -29,6 +30,12 @@ _brst = {}
 
 
 def algebra(name):
+    """A catalog algebra, or one of the fixtures sl4-principal and
+    sl32-principal."""
+    if name == "sl4-principal":
+        return sl4_principal()
+    if name == "sl32-principal":
+        return sl32_principal()
     if name not in _algebras:
         _algebras[name] = get_algebra(name)
     return _algebras[name]
@@ -679,3 +686,68 @@ def chain_w_bracket_closed(ctx, a, b):
     if fl.signed_head and pa:
         out = -out
     return out
+
+
+def gauss_jordan_solve(equations, unknowns):
+    """Reference for scalars.solve_linear: Gauss-Jordan elimination in the
+    given row order, every pivot row kept fully reduced (each new pivot is
+    eliminated from all older pivot rows). Same contract: the solution by
+    column, or LinearSolveError with the same reason and message."""
+    order = {col: n for n, col in enumerate(unknowns)}
+    pivots = {}  # col -> (rowdict, rhs), row normalized, fully reduced
+
+    for coeffs, rhs in equations:
+        row = {c: g for c, g in coeffs.items() if g}
+        # reduce against existing pivots (pivot rows are stored without
+        # their own pivot column, so drop it from the row explicitly)
+        for col in sorted(row, key=order.__getitem__):
+            if col in pivots and row.get(col):
+                factor = row.pop(col)
+                prow, prhs = pivots[col]
+                for c2, g2 in prow.items():
+                    s = row.get(c2, GR_ZERO) - factor * g2
+                    if s:
+                        row[c2] = s
+                    else:
+                        row.pop(c2, None)
+                rhs = rhs - factor * prhs
+        row = {c: g for c, g in row.items() if g}
+        if not row:
+            if rhs:
+                raise LinearSolveError("inconsistent")
+            continue
+        col = min(row, key=order.__getitem__)
+        lead = row.pop(col)
+        row = {c: g / lead for c, g in row.items()}
+        rhs = rhs / lead
+        # eliminate the new pivot column from older pivot rows
+        for pcol, (prow, prhs) in list(pivots.items()):
+            f = prow.get(col)
+            if f:
+                del prow[col]
+                for c2, g2 in row.items():
+                    s = prow.get(c2, GR_ZERO) - f * g2
+                    if s:
+                        prow[c2] = s
+                    else:
+                        prow.pop(c2, None)
+                pivots[pcol] = (prow, prhs - f * rhs)
+        pivots[col] = (row, rhs)
+
+    free = [c for c in unknowns if c not in pivots]
+    if free:
+        raise LinearSolveError("underdetermined", "free columns %s" % free[:4])
+    solution = {}
+    for col, (row, rhs) in pivots.items():
+        if row:
+            raise LinearSolveError("internal", "unreduced pivot row")
+        solution[col] = rhs
+    return solution
+
+
+def solve_outcome(solver, equations, unknowns):
+    """("solved", solution) or (reason, message) of a LinearSolveError."""
+    try:
+        return "solved", solver(equations, unknowns)
+    except LinearSolveError as e:
+        return e.reason, str(e)

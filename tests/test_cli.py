@@ -217,6 +217,17 @@ def test_verify_all_equals_each_suite_alone(capsys):
         assert results(name) == (0, {name: together[name]})
 
 
+def test_susy_verify_structured_names_its_seed(capsys):
+    # the jacobi suite draws its random inputs from --seed, so the document
+    # that reports its result names the seed, as verify's does
+    code, out, err = run(capsys, "susy-verify", "--algebra", "osp12",
+                         "--seed", "9", "--format", "structured")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["command"] == "susy-verify" and doc["seed"] == 9
+    assert doc["passed"] is True and "jacobi" in doc["results"]
+
+
 def test_generators_text(capsys):
     code, out, _ = run(capsys, "generators", "--algebra", "sl2")
     assert code == 0

@@ -100,14 +100,6 @@ def test_non_eigenbasis_rejected():
         g.rebase(vecs, ["u", "H", "v"])
 
 
-def _fixture(name):
-    if name == "sl4-principal":
-        return helpers.sl4_principal()
-    if name == "sl32-principal":
-        return helpers.sl32_principal()
-    return helpers.algebra(name)
-
-
 def _same_algebra(got, want):
     assert got.name == want.name and got.names == want.names
     assert got.parities == want.parities
@@ -138,7 +130,7 @@ def test_rebase_matches_dense_oracle(monkeypatch, name, context):
         return got
 
     monkeypatch.setattr(LieSuperalgebra, "rebase", checked)
-    context(_fixture(name))
+    context(helpers.algebra(name))
     assert len(calls) == 1
 
 
@@ -404,7 +396,7 @@ def corrupted_copies(g, form_cases=True):
 
 @pytest.mark.parametrize("name", ["sl2", "osp12", "sl21", "sl4-principal"])
 def test_validate_matches_dense_reference(name):
-    g = _fixture(name)
+    g = helpers.algebra(name)
     # the form cases cost a dense reference run each; on sl4 that is 1 s
     cases = corrupted_copies(g, form_cases=name != "sl4-principal")
     for label, fragment, bad in cases:
@@ -445,7 +437,7 @@ def _random_scalar(rng):
 def test_bracket_and_form_match_dense_reference(name):
     import random
     rng = random.Random("liealg-" + name)
-    g = _fixture(name)
+    g = helpers.algebra(name)
     for _ in range(40):
         x = tuple(_random_scalar(rng) for _ in range(g.dim))
         y = tuple(_random_scalar(rng) for _ in range(g.dim))

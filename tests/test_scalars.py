@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import helpers
 from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar, _norm,
                                parse_coeff, solve_linear)
 
@@ -105,6 +106,57 @@ def test_solver_against_rref():
                            GR_ZERO) == b[i] for i in range(m))
         except LinearSolveError as e:
             assert rank < n, e
+
+
+def _rand_grat(rng):
+    return GRat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                rng.randint(-1, 1))
+
+
+def _random_system(rng, kind):
+    """Sparse random equations over Q(i) in n unknowns that the reference
+    solver classifies as `kind`: "solved" (unique), "inconsistent" or
+    "underdetermined". The rows are rank random base rows and random
+    combinations of them, the right-hand sides those of a random solution;
+    an inconsistent system gets one more combination whose right-hand side
+    is off by one."""
+    while True:
+        n = rng.randint(2, 7)
+        rank = n if kind == "solved" else rng.randint(1, n - 1)
+        base = [{c: _rand_grat(rng) for c in range(n) if rng.random() < 0.5}
+                for _ in range(rank)]
+        rows = [dict(b) for b in base]
+        for _ in range(rng.randint(0, 3) + (kind == "inconsistent")):
+            row = {}
+            for b in base:
+                if rng.random() < 0.6:
+                    f = GRat(rng.randint(-3, 3))
+                    for c, g in b.items():
+                        row[c] = row.get(c, GR_ZERO) + f * g
+            rows.append(row)
+        x = [_rand_grat(rng) for _ in range(n)]
+        eqs = [(row, sum((g * x[c] for c, g in row.items()), GR_ZERO))
+               for row in rows]
+        if kind == "inconsistent":
+            eqs[-1] = (eqs[-1][0], eqs[-1][1] + GRat(1))
+        unknowns = list(range(n))
+        rng.shuffle(unknowns)
+        if helpers.solve_outcome(helpers.gauss_jordan_solve, eqs, unknowns)[0] == kind:
+            return eqs, unknowns
+
+
+@pytest.mark.parametrize("kind", ["solved", "inconsistent", "underdetermined"])
+def test_solver_matches_gauss_jordan(kind):
+    """The sparse solver gives the Gauss-Jordan reference's solution, or
+    its error reason and message, whatever the order of the rows."""
+    rng = random.Random(13)
+    for _ in range(150):
+        eqs, unknowns = _random_system(rng, kind)
+        want = helpers.solve_outcome(helpers.gauss_jordan_solve, eqs, unknowns)
+        for _ in range(4):
+            rng.shuffle(eqs)
+            assert helpers.solve_outcome(solve_linear, eqs, unknowns) == want
+            assert helpers.solve_outcome(helpers.gauss_jordan_solve, eqs, unknowns) == want
 
 
 def test_solver_inconsistent():

@@ -3,19 +3,22 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from walgebras import wclassical
 from walgebras.catalog import build_sl2
 from walgebras.liealg import LieSuperalgebra, SL2Triple
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
-from walgebras.scalars import Scalar
+from walgebras.scalars import Scalar, solve_linear
 from walgebras.superpoly import SuperPoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
-                                  compare_closed_direct, gamma_linear,
+                                  ansatz_monomials, compare_closed_direct,
+                                  gamma_linear,
                                   k_degree_bound, membership_defects,
                                   rewrite_in_generators,
                                   solve_all_generators, solve_generator,
                                   w_bracket_closed, w_bracket_direct,
                                   w_bracket_table)
-from walgebras.swclassical import solve_all_susy_generators
+from walgebras.swclassical import (SUSYReductionContext,
+                                   solve_all_susy_generators)
 
 CLASSICAL = ["sl2", "sl3-principal", "sl3-minimal", "osp12", "sl21"]
 K = Scalar.k()
@@ -209,17 +212,71 @@ def _top_k_power(poly):
     return max(kp for c in poly.terms.values() for kp, _cp in c.terms)
 
 
-@pytest.mark.parametrize("name, susy", [("sl4-principal", False),
-                                        ("osp12", True), ("sl21", True)])
+@pytest.mark.parametrize("name, susy", [
+    ("sl4-principal", False), ("sl32-principal", False),
+    ("osp12", True), ("sl21", True), ("sl32-principal", True)])
 def test_k_degree_bound_leaves_room(name, susy):
     """At symbolic k every solved generator uses powers of k strictly below
     the ansatz bound, so the bound never cuts a solution short (sl4: the
-    weights 4, 3, 2 use k^3, k^2, k against the bounds 11, 9, 7)."""
-    if susy:
-        ctx, gens = helpers.susy(name)
-        gens = list(gens.values())
-    else:
-        ctx = ReductionContext(helpers.sl4_principal())
-        gens = solve_all_generators(ctx)
-    for w in gens:
-        assert 0 < _top_k_power(w.value) < k_degree_bound(w.weight, ctx.k), w.weight
+    weights 4, 3, 2 use k^3, k^2, k against the bounds 11, 9, 7; sl(3|2):
+    the even weights 3 down to 1 use k^2, k^2, k^2, k, k, k, k, k^0 against
+    the bounds 9 down to 5, the SUSY weights 5/2 down to 1 use k^4, k^3,
+    k^2, k). The weight-1 even generator of sl(3|2) is k-free, so only the
+    upper half holds there."""
+    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
+    for w in gens.values():
+        top = _top_k_power(w.value)
+        assert top < k_degree_bound(w.weight, ctx.k), w.weight
+        assert top > 0 or (not susy and w.weight == 1), w.weight
+
+
+SOLVED = [(name, False) for name in CLASSICAL + ["sl4-principal"]] + [
+    ("osp12", True), ("sl21", True)]
+
+
+@pytest.mark.parametrize("name, susy", [p for p in SOLVED
+                                        if p[0] != "sl4-principal"])
+def test_generator_systems_match_gauss_jordan(monkeypatch, name, susy):
+    """Every generator solve on the catalog algebras, both flavors, gives
+    what the Gauss-Jordan reference gives on the same system: the same
+    solution, or the same error reason and message."""
+    solved = []
+
+    def both(equations, unknowns):
+        want = helpers.solve_outcome(helpers.gauss_jordan_solve, equations,
+                                     unknowns)
+        assert helpers.solve_outcome(solve_linear, equations, unknowns) == want
+        solved.append(want[0])
+        return solve_linear(equations, unknowns)
+
+    monkeypatch.setattr(wclassical, "solve_linear", both)
+    cls = SUSYReductionContext if susy else ReductionContext
+    gens = solve_all_generators(cls(helpers.algebra(name)))
+    assert solved == ["solved"] * len(gens)
+
+
+@pytest.mark.parametrize("name, susy", SOLVED)
+def test_reduced_table_matches_rho_of_bracket(name, susy):
+    """rho{a_x b} by the master formula over ctx.reduced_table equals rho
+    applied to the bracket over the affine table, on what the solver and
+    the direct route bracket: each n of g_{>0} with the leading variable and
+    each ansatz monomial of every generator, and every pair of generators."""
+    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
+    master = ctx.flavor.master
+
+    def check(a, b):
+        want = ctx.rho_bracket(ctx.bracket(a, b))
+        assert master(a, b, ctx.reduced_table) == want
+
+    for w in gens.values():
+        lead = ctx.star_index[(w.index, 0)]
+        monos = ansatz_monomials(ctx.alph, ctx.kept_indices, w.weight,
+                                 ctx.alph.parities[lead], ctx.highe_indices)
+        polys = [ctx.n_var(lead)] + [SuperPoly(ctx.alph, {M: Scalar.one()})
+                                     for M in monos]
+        for t in ctx.n_indices:
+            for poly in polys:
+                check(ctx.n_var(t), poly)
+    for a in gens.values():
+        for b in gens.values():
+            check(a.value, b.value)
