@@ -5,13 +5,28 @@ ghost algebra (II) over phi / phi* pairs for the positive part n and its
 dual.  The differential d^c is chi-bracketing with the cubic element d;
 H^0 is computed by an exact linear solve over the ghost-free part, with
 the filtration ordering the unknowns; that solve is the linear-ansatz
-solve of the reduction engine (wclassical), and _differential_terms also
-yields the rows of an exactness-witness solve in J-coordinates.  The
-equivalence with the Hamiltonian reduction (imaginary-unit twist) is
-verified generator by generator and on whole bracket tables.
+solve of the reduction engine (wclassical).  The equivalence with the
+Hamiltonian reduction (imaginary-unit twist) is verified generator by
+generator and on whole bracket tables.
+
+Coordinates.  The building blocks J_a replace the j-variables one for
+one, and from_J (J_a -> its j-expansion, ghosts fixed) is a
+differential-algebra isomorphism with inverse to_J.  So the chi-brackets
+of the J-alphabet, written in J-coordinates (BRSTComplex.jtable), are the
+structure of the complex in those coordinates: the master formula over
+jtable, applied to J-coordinate polynomials, is to_J of their bracket in
+the complex.  The H^0 solve, d_[0] of its ansatz monomials, the
+cohomology bracket table and the Thm 5.9 checks run there, where the
+generators are short (on sl(2|1) 7 and 3 terms against 52 and 17 in
+j-coordinates).  What stays in j-coordinates: the complex's own table and
+d, with d^2 = 0 (BRSTDifferential.verify, d_chi and apply), the printed
+generator values E.value, and the D^m phi* partials of the
+membership <-> differential correspondence check.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .liealg import HALF
 from .scalars import Scalar
@@ -70,8 +85,9 @@ class BRSTComplex:
         # j_t -> J_t and back, and the twist abar -> i^{-p(a)} J_abar; the
         # ghosts map to themselves, and j_t maps to J_t + (j_t - J_t)
         minus_i = Scalar.gaussian(0, -1)
-        self._twist_images = {t: J.scalar_mul(minus_i) if g.parities[t] % 2
-                              else J for t, J in enumerate(blocks)}
+        self._twist_images = {t: SuperPoly.variable(
+            self.jalph, t, 0, minus_i if g.parities[t] % 2 else None)
+            for t in range(g.dim)}
         self._from_J_images = dict(enumerate(blocks))
         self._to_J_images = {
             t: SuperPoly(self.jalph, {**SuperPoly.variable(self.jalph, t).terms,
@@ -122,6 +138,24 @@ class BRSTComplex:
     def from_J(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._from_J_images, self.alph)
 
+    @cached_property
+    def jtable(self) -> SUSYBracketTable:
+        """The chi-brackets of the J-alphabet in J-coordinates, built on
+        first use: entry (s, t) is to_J of {from_J(J_s) chi from_J(J_t)}.
+
+        from_J is a differential-algebra isomorphism and to_J its inverse,
+        so the master formula over this table, applied to J-coordinate
+        polynomials A and B, is to_J{from_J(A) chi from_J(B)}.
+        """
+        table = SUSYBracketTable(self.jalph)
+        images = [self._from_J_images[t] for t in range(len(self.jalph))]
+        for s, a in enumerate(images):
+            for t, b in enumerate(images):
+                value = susy_master_bracket(a, b, self.table)
+                table.set(s, t, ChiPoly(self.jalph, {
+                    n: self.to_J(p) for n, p in value.coeffs.items()}))
+        return table
+
 
 def build_complex(g, k=None) -> BRSTComplex:
     """Spec operation: the complex over a fresh reduction context."""
@@ -168,6 +202,16 @@ class BRSTDifferential:
         """d_[0] A = {d_chi A}|_{chi=0}."""
         return self.d_chi(A).get(0)
 
+    @cached_property
+    def d_J(self) -> SuperPoly:
+        """d in J-coordinates."""
+        return self.cplx.to_J(self.d)
+
+    def apply_J(self, A: SuperPoly) -> SuperPoly:
+        """d_[0] of a J-coordinate polynomial, in J-coordinates: the master
+        formula over the complex's jtable."""
+        return susy_master_bracket(self.d_J, A, self.cplx.jtable).get(0)
+
     def d_squared_defect(self) -> ChiPoly:
         return self.d_chi(self.d)
 
@@ -213,38 +257,37 @@ def _solve_cohomology_generator(cplx, diff, j) -> WGenerator:
         return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
 
     monos = sorted(monos, key=lambda mono: (-filt(mono), mono))
-    known = diff.apply(cplx.building_block(lead))
-    value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
+    lead_J = SuperPoly.variable(cplx.jalph, lead)
+    value_J = lead_J + solve_ansatz(
         cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
-        _differential_terms(cplx, diff, known, monos),
+        _differential_terms(diff, diff.apply_J(lead_J), monos),
         "filtration correction for generator %d" % j)
     gen = WGenerator(j, cplx.from_J(value_J), weight)
     gen.value_J = value_J
     return gen
 
 
-def _differential_terms(cplx, diff, known, monos, in_J=False):
+def _differential_terms(diff, known, monos):
     """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
-    monomials M; the conditions are read in j-, or with in_J in J-coordinates."""
+    monomials M, read in J-coordinates."""
     for mono, s in known.terms.items():
         yield None, mono, s
+    one = Scalar.one()
     for M in monos:
-        dm = diff.apply(cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
-        if in_J:
-            dm = cplx.to_J(dm)
+        dm = diff.apply_J(SuperPoly(diff.cplx.jalph, {M: one}))
         for mono, s in dm.terms.items():
             yield M, mono, s
 
 
 def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
                  gen_alph) -> SuperPoly:
-    """Class of X in E-coordinates: J-coordinates, kill ghosts and
-    non-kernel J variables, rename J(g^f) to generator symbols."""
+    """Class of a J-coordinate polynomial X in E-coordinates: kill ghosts
+    and non-kernel J variables, rename J(g^f) to generator symbols."""
     ctx = cplx.ctx
     images = {ctx.star_index[(j, 0)]: SuperPoly.variable(gen_alph, j)
               for j in range(ctx.db.count())}
     # keep the monomials in J(g^f) alone: ghosts and other J's are killed
-    projected = {mono: c for mono, c in cplx.to_J(X).terms.items()
+    projected = {mono: c for mono, c in X.terms.items()
                  if all(t in images for (t, _m), _e in mono)}
     return SuperPoly(cplx.jalph, projected).substitute(images, gen_alph)
 
@@ -253,7 +296,8 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
                        gens) -> SUSYBracketTable:
     """Chi-brackets of the cohomology generators, in E-coordinates.
 
-    Each coefficient of the raw bracket is in ker d_[0]; the rewrite is the
+    The generators are bracketed in J-coordinates, over cplx.jtable. Each
+    coefficient of the raw bracket is in ker d_[0]; the rewrite is the
     ghost-and-correction-killing projection, verified by checking that the
     difference from the evaluated symbols is d_[0]-closed with zero
     projection.
@@ -263,20 +307,20 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
                         ctx.gen_alph.parities, ctx.gen_alph.weights)
     table = SUSYBracketTable(gen_alph)
     n = ctx.db.count()
-    values = {j: gens[j].value for j in range(n)}
+    values = {j: gens[j].value_J for j in range(n)}
     for i in range(n):
         for j in range(n):
-            raw = susy_master_bracket(gens[i].value, gens[j].value, cplx.table)
+            raw = susy_master_bracket(values[i], values[j], cplx.jtable)
             coeffs = {}
             for p, poly in raw.coeffs.items():
-                if diff.apply(poly):
+                if diff.apply_J(poly):
                     raise GeneratorError("bracket coefficient not d-closed")
                 sym = brst_rewrite(cplx, gens, poly, gen_alph)
-                back = sym.substitute(values, cplx.alph)
+                back = sym.substitute(values, cplx.jalph)
                 resid = poly - back
                 if brst_rewrite(cplx, gens, resid, gen_alph):
                     raise GeneratorError("representative not reduced")
-                if diff.apply(resid):
+                if diff.apply_J(resid):
                     raise GeneratorError("residual not d-closed")
                 if sym:
                     coeffs[p] = sym
@@ -284,11 +328,11 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
     return table
 
 
-def twist_to_complex(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
-    """Reduction-side polynomial (bar variables over g_{<=0}) rewritten in
-    j-coordinates of the complex and mapped through building blocks:
-    abar -> i^{-p(a)} J_abar (the i^a twist of the equivalence theorem)."""
-    return poly.substitute(cplx._twist_images, cplx.alph)
+def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
+    """Reduction-side polynomial (bar variables over g_{<=0}) mapped to the
+    J-coordinates of the complex: abar -> i^{-p(a)} J_abar (the i^a twist
+    of the equivalence theorem)."""
+    return poly.substitute(cplx._twist_images, cplx.jalph)
 
 
 def check_thm_5_9(g, k=None):
@@ -311,13 +355,13 @@ def check_thm_5_9(g, k=None):
     Es = cohomology_generators(cplx, diff)
     i_unit = Scalar.imag()
     for j, tau in enumerate(taus):
-        image = twist_to_complex(cplx, tau.value)
-        if diff.apply(image):
+        image = twist_to_J(cplx, tau.value)
+        if diff.apply_J(image):
             report.append("twisted generator %d not d-closed" % j)
             continue
         expected = image.scalar_mul(i_unit) \
             if ctx.g.parity_of_vec(ctx.db.lower[j]) else image
-        if Es[j].value != expected:
+        if Es[j].value_J != expected:
             report.append("generator %d: BRST and twisted reduction "
                           "representatives differ" % j)
         rep511 = _check_correspondence_511(cplx, diff, ctx, tau.value)
@@ -357,9 +401,10 @@ def check_thm_5_9(g, k=None):
 def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
     """Coefficient-by-coefficient form of the membership <-> differential
     correspondence: the D^m phi* components of d(U(A)) against the chi^m
-    coefficients of the twisted membership brackets."""
+    coefficients of the twisted membership brackets; the D^m phi*
+    partials are taken in j-coordinates."""
     bad = []
-    Y = diff.apply(twist_to_complex(cplx, A))
+    Y = cplx.from_J(diff.apply_J(twist_to_J(cplx, A)))
     i_unit = Scalar.imag()
     for alpha, b in enumerate(cplx.n_idx):
         X = ctx.rho_bracket(susy_master_bracket(ctx.n_var(b), A, ctx.table))
@@ -374,7 +419,7 @@ def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
             if (n0 % 2):
                 K = -K  # chi^{2n0+n1} = (-1)^{n0} (-chi^2)^{n0} chi^{n1}
             C = Y.partial((cplx.phibar_index(alpha), m))
-            want = twist_to_complex(cplx, K)
+            want = cplx.from_J(twist_to_J(cplx, K))
             if n1 and s_beta < 0:
                 want = -want
             if C != want:

@@ -12,16 +12,17 @@ from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_alg
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
                               SL2Triple, matrix_inverse, matrix_rank, vec_grat)
 from walgebras.scalars import GR_ZERO, LinearSolveError, Scalar
-from walgebras.spva import ChiPoly
+from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
+                            susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
 from walgebras.pva import affine_table
-from walgebras.spva import susy_affine_table
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
-from walgebras.brst import (BRSTComplex, _differential_terms, build_d,
+from walgebras.brst import (BRSTComplex, brst_rewrite, build_d,
                             cohomology_generators)
-from walgebras.wclassical import (GeneratorError, _chain_factor, _closed_factor,
-                                  ansatz_monomials, solve_ansatz)
+from walgebras.wclassical import (GeneratorError, WGenerator, _chain_factor,
+                                  _closed_factor, ansatz_monomials,
+                                  k_degree_bound, solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -393,6 +394,79 @@ def full_coords(db, vec):
     return coords
 
 
+# The BRST side in j-coordinates: d_[0] of the from_J image of each ansatz
+# monomial and the brackets over the complex's own table, with no use of
+# BRSTComplex.jtable. It is the reference for the J-coordinate engine.
+
+def j_route_differential_terms(cplx, diff, known, monos, in_J=False):
+    """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
+    monomials M, with d_[0] applied to from_J(M) in j-coordinates; the
+    conditions are read in j-, or with in_J in J-coordinates."""
+    for mono, s in known.terms.items():
+        yield None, mono, s
+    for M in monos:
+        dm = diff.apply(cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
+        if in_J:
+            dm = cplx.to_J(dm)
+        for mono, s in dm.terms.items():
+            yield M, mono, s
+
+
+def j_route_cohomology_generators(cplx, diff):
+    """The cohomology generators solved with the conditions read in
+    j-coordinates, as {index: WGenerator} with value and value_J."""
+    ctx = cplx.ctx
+    out = {}
+    for j in range(ctx.db.count()):
+        lead = ctx.star_index[(j, 0)]
+        weight = HALF + ctx.db.spins[j]
+        monos = ansatz_monomials(cplx.jalph, ctx.kept_indices, weight,
+                                 cplx.jalph.parities[lead], ctx.highe_indices)
+
+        def filt(mono):
+            return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
+
+        monos = sorted(monos, key=lambda mono: (-filt(mono), mono))
+        known = diff.apply(cplx.building_block(lead))
+        value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
+            cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
+            j_route_differential_terms(cplx, diff, known, monos),
+            "filtration correction for generator %d" % j)
+        gen = WGenerator(j, cplx.from_J(value_J), weight)
+        gen.value_J = value_J
+        out[j] = gen
+    return out
+
+
+def j_route_bracket_table(cplx, diff, gens):
+    """brst_bracket_table with the generators bracketed in j-coordinates
+    over cplx.table, and every check read there."""
+    ctx = cplx.ctx
+    gen_alph = Alphabet(FLAVOR_D, ["E_" + lb for lb in ctx.gen_labels],
+                        ctx.gen_alph.parities, ctx.gen_alph.weights)
+    table = SUSYBracketTable(gen_alph)
+    n = ctx.db.count()
+    values = {j: gens[j].value for j in range(n)}
+    for i in range(n):
+        for j in range(n):
+            raw = susy_master_bracket(gens[i].value, gens[j].value, cplx.table)
+            coeffs = {}
+            for p, poly in raw.coeffs.items():
+                if diff.apply(poly):
+                    raise GeneratorError("bracket coefficient not d-closed")
+                sym = brst_rewrite(cplx, gens, cplx.to_J(poly), gen_alph)
+                back = sym.substitute(values, cplx.alph)
+                resid = poly - back
+                if brst_rewrite(cplx, gens, cplx.to_J(resid), gen_alph):
+                    raise GeneratorError("representative not reduced")
+                if diff.apply(resid):
+                    raise GeneratorError("residual not d-closed")
+                if sym:
+                    coeffs[p] = sym
+            table.set(i, j, ChiPoly(gen_alph, coeffs))
+    return table
+
+
 def exactness_witness(cplx, diff, X: SuperPoly):
     """Solve X = d_[0] Y over the fixed-weight ghost-bearing part of S(R_-);
     used as the honest exactness check in the tests."""
@@ -409,7 +483,7 @@ def exactness_witness(cplx, diff, X: SuperPoly):
     # of the system is what matters
     try:
         solve_ansatz(cplx.jalph, monos, kmax,
-                     _differential_terms(cplx, diff, -X, monos, in_J=True),
+                     j_route_differential_terms(cplx, diff, -X, monos, in_J=True),
                      "exactness witness", unique=False)
     except GeneratorError:
         return False

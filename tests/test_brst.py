@@ -6,7 +6,8 @@ import pytest
 import helpers
 from helpers import exactness_witness
 from walgebras.brst import (BRSTComplex, build_complex, build_d,
-                            check_thm_5_9, brst_bracket_table)
+                            check_thm_5_9, brst_bracket_table,
+                            cohomology_generators)
 from walgebras.scalars import Scalar
 from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
                             susy_bracket_oracle, susy_master_bracket)
@@ -60,7 +61,7 @@ def test_complex_table_axioms(name):
         assert check_susy_jacobi(cplx.table) == []
 
 
-@pytest.mark.parametrize("name", OSP)
+@pytest.mark.parametrize("name", OSP + ["sl32-principal"])
 def test_d_squared_symbolic_c(name):
     cplx = build_complex(helpers.algebra(name))
     diff = build_d(cplx, Scalar.c())
@@ -242,6 +243,32 @@ def test_d_on_building_blocks_display(name):
         assert got == expect
 
 
+@pytest.mark.parametrize("name", OSP)
+def test_jtable_axioms(name):
+    cplx = build_complex(helpers.algebra(name))
+    assert check_susy_skew(cplx.jtable) == []
+    if name == "osp12":
+        assert check_susy_jacobi(cplx.jtable) == []
+
+
+@pytest.mark.parametrize("name", OSP)
+@pytest.mark.parametrize("k", [None, Scalar.rational(HALF)], ids=["k", "k=1/2"])
+def test_J_route_matches_j_route(name, k):
+    """The generators and the bracket table computed over jtable equal the
+    j-coordinate reference, at c = i."""
+    cplx = BRSTComplex(SUSYReductionContext(helpers.algebra(name), k=k))
+    diff = build_d(cplx, Scalar.imag())
+    gens = {e.index: e for e in cohomology_generators(cplx, diff)}
+    want = helpers.j_route_cohomology_generators(cplx, diff)
+    assert sorted(gens) == sorted(want)
+    for j, E in gens.items():
+        assert E.value == want[j].value
+        assert E.value_J == want[j].value_J
+    table = brst_bracket_table(cplx, diff, gens)
+    assert table.entries
+    assert table.entries == helpers.j_route_bracket_table(cplx, diff, want).entries
+
+
 def test_J_coordinates_roundtrip():
     cplx = build_complex(helpers.algebra("sl21"))
     rng = random.Random(6)
@@ -316,7 +343,7 @@ def test_bracket_with_exact_element_vanishes():
     from walgebras.brst import brst_rewrite
     for p, poly in raw.coeffs.items():
         assert diff.apply(poly).is_zero()
-        assert brst_rewrite(cplx, gens, poly, ctx.gen_alph).is_zero()
+        assert brst_rewrite(cplx, gens, cplx.to_J(poly), ctx.gen_alph).is_zero()
         assert exactness_witness(cplx, diff, cplx.to_J(poly))
 
 

@@ -237,13 +237,13 @@ def test_admissible_chains_osp():
     assert sorted(chains) == [[(0, 0)], [(0, 0), (0, 1)], [(0, 1)]]
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", ALL + ["sl32-principal"])
 def test_lemma_3_4_tensor_identity(name):
     g = helpers.algebra(name)
     assert check_tensor_identity(dual_bases_F(g, g.sl2)) == []
 
 
-@pytest.mark.parametrize("name", OSP)
+@pytest.mark.parametrize("name", OSP + ["sl32-principal"])
 def test_lemma_6_4_tensor_identity(name):
     g = helpers.algebra(name)
     assert check_tensor_identity(dual_bases_f(g, g.osp)) == []
