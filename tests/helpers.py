@@ -1,9 +1,9 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
-chi/D operator words, exactness witnesses, a dense reference for the Lie
-superalgebra bracket, form, validation and rebase, a chain-enumerating
-reference for the closed chain sums, and a Gauss-Jordan reference for the
-exact linear solver."""
+chi/D operator words, the BRST solve and bracket table in j-coordinates,
+exactness witnesses, a dense reference for the Lie superalgebra bracket,
+form, validation and rebase, a chain-enumerating reference for the closed
+chain sums, and a Gauss-Jordan reference for the exact linear solver."""
 
 from fractions import Fraction
 from functools import reduce
