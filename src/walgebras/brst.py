@@ -20,8 +20,8 @@ cohomology bracket table and the Thm 5.9 checks run there, where the
 generators are short (on sl(2|1) 7 and 3 terms against 52 and 17 in
 j-coordinates).  What stays in j-coordinates: the complex's own table and
 d, with d^2 = 0 (BRSTDifferential.verify, d_chi and apply), the printed
-generator values E.value, and the D^m phi* partials of the
-membership <-> differential correspondence check.
+generator values E.value (expanded from E.value_J on first read), and the
+D^m phi* partials of the membership <-> differential correspondence check.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def cohomology_generators(cplx: BRSTComplex, diff: BRSTDifferential):
     return out
 
 
-def _solve_cohomology_generator(cplx, diff, j) -> WGenerator:
+def _solve_cohomology_generator(cplx, diff, j) -> "CohomologyGenerator":
     ctx = cplx.ctx
     lead = ctx.star_index[(j, 0)]
     weight = HALF + ctx.db.spins[j]
@@ -262,9 +262,24 @@ def _solve_cohomology_generator(cplx, diff, j) -> WGenerator:
         cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
         _differential_terms(diff, diff.apply_J(lead_J), monos),
         "filtration correction for generator %d" % j)
-    gen = WGenerator(j, cplx.from_J(value_J), weight)
-    gen.value_J = value_J
-    return gen
+    return CohomologyGenerator(cplx, j, value_J, weight)
+
+
+class CohomologyGenerator(WGenerator):
+    """An H^0 generator, solved in J-coordinates (value_J). Its value in
+    j-coordinates, from_J(value_J), is built on first read: on sl(3|2) the
+    expansion is most of the H^0 solve, and only the printed generators
+    read it; the bracket table and the Thm 5.9 checks use value_J."""
+
+    def __init__(self, cplx, index, value_J, weight):
+        self.index = index
+        self.value_J = value_J
+        self.weight = weight
+        self._cplx = cplx
+
+    @cached_property
+    def value(self):
+        return self._cplx.from_J(self.value_J)
 
 
 def _differential_terms(diff, known, monos):

@@ -15,17 +15,16 @@ the import time of ``walgebras.cli``, which every ``walg`` command pays.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
                      _rref, load_algebra, save_algebra)
-from .scalars import GRat, GR_ZERO, Scalar
+from .scalars import GRat, GR_ONE, GR_ZERO, Scalar, rat
 
 
 def _mat(n, entries):
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[GR_ZERO] * n for _ in range(n)]
     for (i, j), v in entries.items():
-        m[i][j] = Fraction(v)
+        m[i][j] = GRat(v)
     return tuple(tuple(r) for r in m)
 
 
@@ -35,7 +34,7 @@ def _e(n, i, j, v=1):
 
 def _mat_mul(a, b):
     n = len(a)
-    return tuple(tuple(sum((a[i][l] * b[l][j] for l in range(n)), Fraction(0))
+    return tuple(tuple(sum((a[i][l] * b[l][j] for l in range(n)), GR_ZERO)
                        for j in range(n)) for i in range(n))
 
 
@@ -49,10 +48,10 @@ def _super_bracket(a, pa, b, pb):
     return _mat_add(_mat_mul(a, b), _mat_mul(b, a), -sign)
 
 
-def _trace_pair(a, b, even_rows, scale=Fraction(1), super_tr=False):
+def _trace_pair(a, b, even_rows, scale=GR_ONE, super_tr=False):
     ab = _mat_mul(a, b)
     n = len(ab)
-    tr = Fraction(0)
+    tr = GR_ZERO
     for i in range(n):
         if super_tr and i not in even_rows:
             tr -= ab[i][i]
@@ -92,7 +91,7 @@ class _MatrixBasis:
 
 
 def _build_matrix_algebra(name, names, mats, parities, even_rows,
-                          form_scale=Fraction(1), super_tr=False,
+                          form_scale=GR_ONE, super_tr=False,
                           sl2_mats=None, osp_mats=None):
     basis = _MatrixBasis(mats)
     dim = len(mats)
@@ -135,7 +134,7 @@ def build_sl3_principal() -> LieSuperalgebra:
     F = _mat_add(_e(n, 1, 0, 2), _e(n, 2, 1, 2))
     return _build_matrix_algebra(
         "sl3-principal", names, mats, [0] * 8, {0, 1, 2},
-        form_scale=Fraction(1, 4), sl2_mats=(E, H, F))
+        form_scale=rat(1, 4), sl2_mats=(E, H, F))
 
 
 def build_sl3_minimal() -> LieSuperalgebra:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from fractions import Fraction
 
 from .catalog import CATALOG, get_algebra
 from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
                      dual_bases_f, validate_algebra)
-from .scalars import LinearSolveError, Scalar
+from .scalars import LinearSolveError, Scalar, parse_rational
 from .pva import check_jacobi, check_skew, random_property_suite
 from .spva import (check_susy_skew, check_susy_jacobi,
                    random_susy_property_suite, reduce_to_pva)
@@ -42,7 +42,7 @@ def _parse_k(text) -> Scalar:
     if text in (None, "symbolic", "k"):
         return Scalar.k()
     try:
-        return Scalar.rational(Fraction(text))
+        return Scalar.rational(parse_rational(text))
     except (ValueError, ZeroDivisionError):
         raise InputError("bad --k value %r (rational or 'symbolic')" % text)
 
@@ -302,11 +302,40 @@ def cmd_susy_verify(args):
                                            "seed": args.seed})
 
 
+def _terminal_columns():
+    """shutil.get_terminal_size().columns, without importing shutil: a
+    positive COLUMNS, else the width of the terminal on stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter at its own default width. The stock one
+    reads the width through shutil, whose import (with bz2, lzma, zlib and
+    fnmatch) every ``walg`` command would pay on its first add_argument."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24,
+                 width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="walg",
+        prog="walg", formatter_class=_HelpFormatter,
         description="Exact engine for classical and SUSY W-algebra structures")
     sub = p.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
     def common(sp, k=True, seed=False):
         sp.add_argument("--algebra", required=True,
@@ -320,54 +349,54 @@ def build_parser():
         if seed:   # the jacobi suite's random inputs
             sp.add_argument("--seed", type=int, default=2024)
 
-    sp = sub.add_parser("validate", help="check all algebra axioms")
+    sp = add_parser("validate", help="check all algebra axioms")
     common(sp, k=False)
     sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("generators", help="classical W generators")
+    sp = add_parser("generators", help="classical W generators")
     common(sp)
     sp.set_defaults(fn=cmd_generators, context=_classical_ctx)
 
-    sp = sub.add_parser("bracket", help="classical W bracket of two generators")
+    sp = add_parser("bracket", help="classical W bracket of two generators")
     common(sp)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
     sp.add_argument("--route", choices=("direct", "closed"), default="direct")
     sp.set_defaults(fn=cmd_bracket, context=_classical_ctx)
 
-    sp = sub.add_parser("bracket-table", help="full classical W table")
+    sp = add_parser("bracket-table", help="full classical W table")
     common(sp)
     sp.add_argument("--route", choices=("direct", "closed"), default="direct")
     sp.set_defaults(fn=cmd_bracket_table)
 
-    sp = sub.add_parser("verify", help="run verification suites")
+    sp = add_parser("verify", help="run verification suites")
     common(sp, seed=True)
     sp.add_argument("--suite", default="all", help="one of %s or 'all'" % (SUITES,))
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("brst-check", help="d^2 = 0 with symbolic c")
+    sp = add_parser("brst-check", help="d^2 = 0 with symbolic c")
     common(sp)
     sp.set_defaults(fn=cmd_brst_check)
 
-    sp = sub.add_parser("brst-generators", help="H^0 generators (c = i)")
+    sp = add_parser("brst-generators", help="H^0 generators (c = i)")
     common(sp)
     sp.set_defaults(fn=cmd_brst_generators)
 
-    sp = sub.add_parser("brst-table", help="bracket table on H^0 (c = i)")
+    sp = add_parser("brst-table", help="bracket table on H^0 (c = i)")
     common(sp)
     sp.set_defaults(fn=cmd_brst_table)
 
-    sp = sub.add_parser("susy-generators", help="SUSY W generators")
+    sp = add_parser("susy-generators", help="SUSY W generators")
     common(sp)
     sp.set_defaults(fn=cmd_generators, context=_susy_ctx)
 
-    sp = sub.add_parser("susy-bracket", help="SUSY W bracket of two generators")
+    sp = add_parser("susy-bracket", help="SUSY W bracket of two generators")
     common(sp)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
     sp.set_defaults(fn=cmd_bracket, context=_susy_ctx)
 
-    sp = sub.add_parser("susy-verify", help="SUSY verification suites")
+    sp = add_parser("susy-verify", help="SUSY verification suites")
     common(sp, seed=True)
     sp.add_argument("--cross-brst", action="store_true",
                     help="also verify the BRST route and the equivalence")

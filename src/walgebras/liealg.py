@@ -19,12 +19,11 @@ its per-basis-element checks on unit vectors {i: 1} directly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import comb, factorial
 
-from .scalars import GR_ZERO, GR_ONE, Scalar, parse_coeff
+from .scalars import GR_ZERO, GR_ONE, Scalar, parse_coeff, rat
 
-HALF = Fraction(1, 2)
+HALF = rat(1, 2)
 
 
 class AlgebraError(ValueError):
@@ -269,11 +268,10 @@ class LieSuperalgebra:
                     raise AlgebraError("basis not ad-H/2 homogeneous (index %d)" % i)
                 if not img[l].is_constant():
                     raise AlgebraError("non-constant ad-H eigenvalue")
-                g = img[l].constant_part()
-                if g.im:
+                ev = img[l].constant_part()
+                if ev.b:
                     raise AlgebraError("non-rational ad-H eigenvalue")
-                ev = g.re
-            grads.append(Fraction(0) if ev is None else ev / 2)
+            grads.append(GR_ZERO if ev is None else ev / 2)
         return tuple(grads)
 
     # -- validation ------------------------------------------------------
@@ -467,7 +465,7 @@ class DualBases:
         self.chain_lower = chain_lower
         self.chain_upper = chain_upper
         self.spins = spins
-        self.step = Fraction(1) if kind == "F" else HALF
+        self.step = GR_ONE if kind == "F" else HALF
         # index sets: grade -> [(j, n)]
         self.index_sets = {}
         for j, alpha in enumerate(spins):
@@ -568,7 +566,7 @@ def _chain_bases(g, kind, lowering, raising, length, norm) -> DualBases:
         grade = g.grading_of_vec(q)
         if grade is None:
             raise AlgebraError("kernel basis not graded")
-        alpha = Fraction(-grade)
+        alpha = -grade
         size = length(alpha)
         up_chain = [up]
         for _ in range(size):
@@ -595,8 +593,8 @@ def dual_bases_F(g: LieSuperalgebra, triple: SL2Triple) -> DualBases:
     chains of length 2 alpha + 1, q_j^n = (-1)^n (ad E)^n q_j / (n!^2 C(2 alpha, n))."""
     return _chain_bases(
         g, "F", triple.F, triple.E, lambda alpha: int(2 * alpha) + 1,
-        lambda n, two_alpha, _s: Fraction((-1) ** n,
-                                          factorial(n) ** 2 * comb(two_alpha, n)))
+        lambda n, two_alpha, _s: rat((-1) ** n,
+                                     factorial(n) ** 2 * comb(two_alpha, n)))
 
 
 def _susy_norm(n, two_alpha, sj):
@@ -604,8 +602,8 @@ def _susy_norm(n, two_alpha, sj):
     -s(r_j)/((m+1)! m! C(2 alpha, m+1)) at n = 2m + 1."""
     m, odd = divmod(n, 2)
     if not odd:
-        return Fraction(1, factorial(m) ** 2 * comb(two_alpha, m))
-    return Fraction(-sj, factorial(m + 1) * factorial(m) * comb(two_alpha, m + 1))
+        return rat(1, factorial(m) ** 2 * comb(two_alpha, m))
+    return rat(-sj, factorial(m + 1) * factorial(m) * comb(two_alpha, m + 1))
 
 
 def dual_bases_f(g: LieSuperalgebra, osp: OSPTriple) -> DualBases:
@@ -682,11 +680,12 @@ def algebra_to_obj(g: LieSuperalgebra):
         gr = s.constant_part()
         if not s.is_constant():
             raise AlgebraError("algebra files carry constant coefficients only")
-        if gr.im and gr.re:
+        if gr.b and gr.a:
             raise AlgebraError("mixed Gaussian coefficient in file")
-        if gr.im:
-            return ("%si" % gr.im) if gr.im not in (1, -1) else ("i" if gr.im == 1 else "-i")
-        return str(gr.re)
+        if gr.b:
+            im = rat(gr.b, gr.d)
+            return ("%si" % im) if im not in (1, -1) else ("i" if im == 1 else "-i")
+        return str(gr)
 
     def vec_obj(vec):
         return [coeff_str(s) for s in vec]

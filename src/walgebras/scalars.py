@@ -18,7 +18,7 @@ cohomology solvers.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -40,8 +40,17 @@ class GRat:
 
     The fields are kept in normal form, gcd(a, b, d) = 1 and zero as
     (0, 0, 1), so equal values have equal fields. Results are built by
-    ``_mk``/``_norm`` without re-validating; ``Fraction`` appears only in
-    the public constructor and in the ``re``/``im`` properties.
+    ``_mk``/``_norm`` without re-validating.
+
+    GRat is also the engine's one exact rational: gradings, spins and
+    weights are real GRats. A real GRat equals, orders and hashes like the
+    equal ``int`` or ``Fraction``, and ints and Fractions mix with GRats on
+    either side of + - * /. Two GRats meet in the fields directly; any other
+    operand is handled in an ``except`` branch, so the kernel's GRat-by-GRat
+    path pays nothing for it. An int n is applied to the fields (a + n*d
+    over d is in normal form when a/d is), a Fraction is converted first.
+    ``Fraction`` itself is imported only by the ``re``/``im`` properties
+    and by ``parse_rational`` for spellings other than integers and p/q.
     """
 
     __slots__ = ("a", "b", "d")
@@ -50,20 +59,20 @@ class GRat:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
-        q, s = re.denominator, im.denominator
-        d = q * s // gcd(q, s)
-        # both parts are reduced, so gcd(a, b, d) = 1 already
-        self.a = re.numerator * (d // q)
-        self.b = im.numerator * (d // s)
-        self.d = d
+        g = _real(re)
+        if type(im) is not int or im:
+            h = _real(im)
+            g = g + _mk(-h.b, h.a, h.d)  # re + i*im
+        self.a, self.b, self.d = g.a, g.b, g.d
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
+        from fractions import Fraction
         return Fraction(self.a, self.d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
+        from fractions import Fraction
         return Fraction(self.b, self.d)
 
     def __bool__(self):
@@ -71,14 +80,67 @@ class GRat:
 
     def __eq__(self, other):
         if not isinstance(other, GRat):
-            return NotImplemented
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        a, b, d = self.a, self.b, self.d
+        if b:
+            return hash((a, b, d))
+        if d == 1:
+            return hash(a)
+        # the numeric hash of a/d, as int, Fraction and float compute it
+        try:
+            dinv = pow(d, -1, _HASH_MODULUS)
+        except ValueError:
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(a)) * dinv)
+        if a < 0:
+            h = -h
+        return -2 if h == -1 else h
+
+    def __lt__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c >= 0
+
+    def __int__(self):
+        if self.b:
+            raise TypeError("int() of a Gaussian rational with an imaginary part")
+        a, d = self.a, self.d
+        return a // d if a >= 0 else -(-a // d)
+
+    def __floordiv__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        if self.b or other.b:
+            raise TypeError("floor division of a Gaussian rational with an "
+                            "imaginary part")
+        return (self.a * other.d) // (other.a * self.d)
 
     def __add__(self, other):
-        d1, d2 = self.d, other.d
+        try:
+            d1, d2 = self.d, other.d
+        except AttributeError:
+            if isinstance(other, int):
+                return _mk(self.a + other * self.d, self.b, self.d)
+            other = _operand(other)
+            return NotImplemented if other is None else self + other
         if d1 == d2:
             a, b = self.a + other.a, self.b + other.b
             return _mk(a, b, 1) if d1 == 1 else _norm(a, b, d1)
@@ -87,8 +149,16 @@ class GRat:
         # coprime denominators leave nothing to cancel
         return _mk(a, b, d1 * d2) if gcd(d1, d2) == 1 else _norm(a, b, d1 * d2)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        d1, d2 = self.d, other.d
+        try:
+            d1, d2 = self.d, other.d
+        except AttributeError:
+            if isinstance(other, int):
+                return _mk(self.a - other * self.d, self.b, self.d)
+            other = _operand(other)
+            return NotImplemented if other is None else self - other
         if d1 == d2:
             a, b = self.a - other.a, self.b - other.b
             return _mk(a, b, 1) if d1 == 1 else _norm(a, b, d1)
@@ -96,11 +166,23 @@ class GRat:
         b = self.b * d2 - other.b * d1
         return _mk(a, b, d1 * d2) if gcd(d1, d2) == 1 else _norm(a, b, d1 * d2)
 
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return _mk(other * self.d - self.a, -self.b, self.d)
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
+
     def __neg__(self):
         return _mk(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        try:
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        except AttributeError:
+            if isinstance(other, int):
+                return _times_int(self, other) if other else GR_ZERO
+            other = _operand(other)
+            return NotImplemented if other is None else self * other
         d = self.d * other.d
         if not b1 and not b2:
             a = a1 * a2
@@ -111,9 +193,17 @@ class GRat:
         a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
         return _mk(a, b, 1) if d == 1 else _norm(a, b, d)
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
         # x/y = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
-        a2, b2 = other.a, other.b
+        try:
+            a2, b2 = other.a, other.b
+        except AttributeError:
+            if isinstance(other, int) and other:
+                return _norm(self.a, self.b, self.d * other)
+            other = _operand(other)
+            return NotImplemented if other is None else self / other
         if not b2:
             if not a2:
                 raise ZeroDivisionError("division by zero Gaussian rational")
@@ -122,20 +212,28 @@ class GRat:
         return _norm((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
                      self.d * (a2 * a2 + b2 * b2))
 
+    def __rtruediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else other / self
+
     def __str__(self):
-        if not self.b:
-            return _frac_str(self.re)
-        if not self.a:
-            return _imag_str(self.im)
-        im = _imag_str(self.im)
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return str(a) if d == 1 else "%d/%d" % (a, d)
+        im = _imag_str(rat(b, d))
+        if not a:
+            return im
+        # a bracketed negative part, "(-1/2)i", is joined with "+" too
         if im.startswith("-"):
-            return "%s%s" % (_frac_str(self.re), im)
-        return "%s+%s" % (_frac_str(self.re), im)
+            return "%s%s" % (rat(a, d), im)
+        return "%s+%s" % (rat(a, d), im)
 
     __repr__ = __str__
 
 
 _new = object.__new__
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _mk(a, b, d) -> GRat:
@@ -167,22 +265,86 @@ def _times_int(g: GRat, n: int) -> GRat:
     return _mk(g.a * n, g.b * n, d)
 
 
+def _operand(x):
+    """x as a GRat if it is one, an int or a Fraction (any exact rational
+    with numerator and denominator); None otherwise."""
+    if isinstance(x, GRat):
+        return x
+    try:
+        n, d = x.numerator, x.denominator
+    except AttributeError:
+        return None
+    return _norm(n, 0, d)
+
+
+def _compare(x: GRat, y):
+    """An int with the sign of x - y, for real x and a real GRat, int or
+    Fraction y; NotImplemented for other y."""
+    y = _operand(y)
+    if y is None:
+        return NotImplemented
+    if x.b or y.b:
+        raise TypeError("Gaussian rationals with an imaginary part are not ordered")
+    return x.a * y.d - y.a * x.d
+
+
+def rat(n, d=1) -> GRat:
+    """The real GRat n/d, for ints n and d != 0."""
+    if not d:
+        raise ZeroDivisionError("rat(%s, 0)" % n)
+    return _norm(n, 0, d)
+
+
 GR_ZERO = GRat(0)
 GR_ONE = GRat(1)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _imag_str(f: Fraction) -> str:
-    if f == 1:
+def _imag_str(y: GRat) -> str:
+    """y * i for a real y: 'i', '-i', '2i' or '(1/2)i'."""
+    if y.d != 1:
+        return "(%s)i" % y
+    if y.a == 1:
         return "i"
-    if f == -1:
+    if y.a == -1:
         return "-i"
-    if f.denominator == 1:
-        return "%si" % f
-    return "(%s)i" % f
+    return "%di" % y.a
+
+
+def parse_rational(text: str) -> GRat:
+    """A real GRat from text: the value Fraction(text) has, or its error.
+
+    Integers and p/q (a sign, then ASCII digits) are read with int. Any
+    other spelling ('0.5', '1e-1', '1_000', spaces) goes to Fraction, so
+    the accepted inputs, their values and the errors are Fraction's.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isdigit() and digits.isascii()
+            and (not slash or den.isdigit() and den.isascii())):
+        n, d = int(num), int(den) if slash else 1
+        if not d:
+            raise ZeroDivisionError("Fraction(%s, 0)" % n)
+        return _norm(n, 0, d)
+    return _via_fraction(text)
+
+
+def _via_fraction(x) -> GRat:
+    """Fraction(x) as a GRat: the fallback for spellings and types (a float,
+    a Decimal) that parse_rational and _operand do not read themselves."""
+    from fractions import Fraction
+    f = Fraction(x)
+    return _mk(f.numerator, 0, f.denominator)
+
+
+def _real(x) -> GRat:
+    """x as a GRat: a GRat, an int, a Fraction, a string or anything else
+    that Fraction accepts."""
+    g = _operand(x)
+    if g is not None:
+        return g
+    if isinstance(x, str):
+        return parse_rational(x)
+    return _via_fraction(x)
 
 
 def parse_coeff(text) -> GRat:
@@ -196,8 +358,8 @@ def parse_coeff(text) -> GRat:
             return GRat(0, 1)
         if body == "-":
             return GRat(0, -1)
-        return GRat(0, Fraction(body))
-    return GRat(Fraction(s))
+        return GRat(0, parse_rational(body))
+    return parse_rational(s)
 
 
 class Scalar:
@@ -307,17 +469,16 @@ class Scalar:
                     out.pop(e, None)
         return Scalar(out)
 
-    def scale(self, rat) -> "Scalar":
-        if type(rat) is int:
-            if not rat:
+    def scale(self, factor) -> "Scalar":
+        if type(factor) is int:
+            if not factor:
                 return Scalar()
-            if rat == 1:
+            if factor == 1:
                 return self
-            return Scalar({e: _times_int(v, rat) for e, v in self.terms.items()})
-        f = Fraction(rat)
-        if not f:
+            return Scalar({e: _times_int(v, factor) for e, v in self.terms.items()})
+        g = _real(factor)
+        if not g:
             return Scalar()
-        g = GRat(f)
         return Scalar({e: v * g for e, v in self.terms.items()})
 
     # -- rendering / serialization -------------------------------------
@@ -353,14 +514,14 @@ class Scalar:
     __repr__ = render
 
     def to_obj(self):
-        return [[e[0], e[1], str(g.re), str(g.im)]
+        return [[e[0], e[1], str(rat(g.a, g.d)), str(rat(g.b, g.d))]
                 for e, g in sorted(self.terms.items())]
 
     @staticmethod
     def from_obj(obj) -> "Scalar":
         terms = {}
         for kp, cp, re, im in obj:
-            g = GRat(Fraction(re), Fraction(im))
+            g = GRat(re, im)
             if g:
                 terms[(kp, cp)] = g
         return Scalar(terms)

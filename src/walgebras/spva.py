@@ -11,13 +11,13 @@ axiom checks) and the reduction of a SUSY PVA to a PVA.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .pva import (BracketTable, Indeterminate, LambdaPoly, _master, _oracle,
                   affine_table, check_jacobi, check_skew, jacobi_defect,
                   leibniz_defects, random_property_suite,
                   sesquilinearity_defects, skew_defect)
+from .scalars import rat
 from .superpoly import FLAVOR_DEL, Alphabet, SuperPoly
 
 
@@ -130,7 +130,7 @@ def doubled_alphabet(alph):
         names.extend([nm, "D" + nm])
         parities.extend([alph.parities[i], (alph.parities[i] + 1) % 2])
         if alph.weights is not None:
-            weights.extend([alph.weights[i], alph.weights[i] + Fraction(1, 2)])
+            weights.extend([alph.weights[i], alph.weights[i] + rat(1, 2)])
     return Alphabet(FLAVOR_DEL, names, parities,
                     None if alph.weights is None else weights)
 

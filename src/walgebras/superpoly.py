@@ -29,12 +29,11 @@ complete one; any operation may still run concurrently with any other.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Scalar, join_signed
+from .scalars import GR_ONE, GR_ZERO, GRat, Scalar, join_signed, rat
 
 FLAVOR_DEL = "d"   # even derivation, variables u^(m)
 FLAVOR_D = "D"     # odd derivation, variables u^[m]
+_HALF = rat(1, 2)  # the weight one D adds
 
 
 class FlavorError(TypeError):
@@ -55,7 +54,7 @@ class Alphabet:
         # the parity one derivation adds: u_i^(m) has parity
         # parities[i] ^ (m & deriv_parity)
         self.deriv_parity = 1 if flavor == FLAVOR_D else 0
-        self.weights = None if weights is None else tuple(Fraction(w) for w in weights)
+        self.weights = None if weights is None else tuple(GRat(w) for w in weights)
         if len(self.parities) != len(self.names):
             raise ValueError("names/parities length mismatch")
         if self.weights is not None and len(self.weights) != len(self.names):
@@ -77,11 +76,11 @@ class Alphabet:
         i, m = var
         return self.parities[i] ^ (m & self.deriv_parity)
 
-    def var_weight(self, var) -> Fraction:
+    def var_weight(self, var) -> GRat:
         if self.weights is None:
             raise ValueError("alphabet carries no weights")
         i, m = var
-        step = Fraction(1, 2) if self.flavor == FLAVOR_D else Fraction(1)
+        step = _HALF if self.flavor == FLAVOR_D else GR_ONE
         return self.weights[i] + m * step
 
     def var_name(self, var) -> str:
@@ -109,7 +108,7 @@ class Alphabet:
     def from_obj(obj) -> "Alphabet":
         w = obj.get("weights")
         return Alphabet(obj["flavor"], obj["names"], obj["parities"],
-                        None if w is None else [Fraction(x) for x in w])
+                        None if w is None else [GRat(x) for x in w])
 
 
 def _mono_parity(alph, mono) -> int:
@@ -448,7 +447,7 @@ class SuperPoly:
         """Common conformal weight, or None for 0, or 'inhomogeneous'."""
         w = None
         for mono in self.terms:
-            mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), Fraction(0))
+            mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), GR_ZERO)
             if w is None:
                 w = mw
             elif w != mw:
@@ -521,11 +520,11 @@ def enumerate_monomials(alph, allowed_vars, weight, parity=None,
     require_one_of: optional set of variables; keep only monomials using
     at least one of them (counted with multiplicity >= 1).
     """
-    target = Fraction(weight)
+    target = GRat(weight)
     vars_sorted = sorted(allowed_vars)
-    for v in vars_sorted:
-        if alph.var_weight(v) <= 0:
-            raise ValueError("enumeration requires positive-weight variables")
+    weights = [alph.var_weight(v) for v in vars_sorted]
+    if any(w <= 0 for w in weights):
+        raise ValueError("enumeration requires positive-weight variables")
     out = []
 
     def rec(idx, remaining, acc):
@@ -539,8 +538,7 @@ def enumerate_monomials(alph, allowed_vars, weight, parity=None,
             return
         if idx == len(vars_sorted):
             return
-        v = vars_sorted[idx]
-        w = alph.var_weight(v)
+        v, w = vars_sorted[idx], weights[idx]
         max_e = int(remaining // w)
         if alph.var_parity(v):
             max_e = min(max_e, 1)
@@ -567,7 +565,7 @@ def random_superpoly(alph, rng, max_factors=3, max_order=2, allowed_gens=None,
             g = rng.choice(gens)
             m = rng.randint(0, max_order)
             mono = mono * SuperPoly.variable(alph, g, m)
-        c = Scalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        c = Scalar.rational(rat(rng.randint(-4, 4), rng.randint(1, 3)))
         if with_k and rng.random() < 0.4:
             c = c * Scalar.k()
         poly = poly + mono.scalar_mul(c)

@@ -679,7 +679,7 @@ def admissible_chains(db, min_grade, max_grade):
     [min_grade, max_grade].  Includes the empty chain.
     """
     gap = Fraction(1) if db.kind == "F" else HALF
-    lo, hi = Fraction(min_grade), Fraction(max_grade)
+    lo, hi = min_grade, max_grade
     items = [(db.grade_of(j, n), (j, n)) for (j, n) in db.members()
              if lo <= db.grade_of(j, n) <= hi]
     items.sort()

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from helpers import exactness_witness
+from walgebras import brst
 from walgebras.brst import (BRSTComplex, build_complex, build_d,
                             check_thm_5_9, brst_bracket_table,
                             cohomology_generators)
@@ -267,6 +268,26 @@ def test_J_route_matches_j_route(name, k):
     table = brst_bracket_table(cplx, diff, gens)
     assert table.entries
     assert table.entries == helpers.j_route_bracket_table(cplx, diff, want).entries
+
+
+def test_cohomology_value_is_built_on_first_read(monkeypatch):
+    """E.value is from_J(E.value_J), expanded when read; the Thm 5.9 check
+    reads value_J alone and never expands it."""
+    cplx = build_complex(helpers.algebra("sl21"))
+    gens = cohomology_generators(cplx, build_d(cplx, Scalar.imag()))
+    for E in gens:
+        assert "value" not in vars(E)
+        assert E.value == cplx.from_J(E.value_J)
+        assert "value" in vars(E)
+    solved = []
+
+    def recording(cplx, diff):
+        solved.extend(cohomology_generators(cplx, diff))
+        return solved
+
+    monkeypatch.setattr(brst, "cohomology_generators", recording)
+    assert check_thm_5_9(helpers.algebra("osp12")) == []
+    assert solved and not any("value" in vars(E) for E in solved)
 
 
 def test_J_coordinates_roundtrip():

@@ -257,6 +257,52 @@ def test_numeric_k(capsys):
     assert code == 2
 
 
+def test_k_spellings(capsys):
+    """Any spelling Fraction reads is a level; 1/0 is an input error."""
+    want = run(capsys, "generators", "--algebra", "sl2", "--k", "1/2")
+    assert want[0] == 0
+    for k in ("0.5", "2/4", " 1/2", "5e-1"):
+        assert run(capsys, "generators", "--algebra", "sl2", "--k", k) == want
+    code, out, err = run(capsys, "generators", "--algebra", "sl2", "--k", "1/0")
+    assert (code, out) == (2, "") and err.startswith("input error: bad --k")
+
+
+def _parser_pair(monkeypatch):
+    """walg's parser, and the same parser on argparse's stock formatter."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        stock = cli.build_parser()
+    return cli.build_parser(), stock
+
+
+def _all_parsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return [parser] + [action.choices[name] for name in sorted(action.choices)]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "120"])
+def test_help_matches_stock_formatter(monkeypatch, capsys, columns):
+    """The shutil-free formatter reads the width as argparse does: help,
+    usage and the usage error of a bad argument are byte-identical."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    ours, stock = _parser_pair(monkeypatch)
+    for a, b in zip(_all_parsers(ours), _all_parsers(stock), strict=True):
+        assert a.prog == b.prog
+        assert a.format_help() == b.format_help()
+        assert a.format_usage() == b.format_usage()
+    errors = []
+    for parser in (ours, stock):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(["bracket", "--algebra", "sl2", "x", "0"])
+        errors.append((exit_.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert errors[0][1].startswith("usage: walg bracket")
+
+
 def test_byte_identical_runs(capsys):
     args = ("verify", "--algebra", "sl2", "--suite", "jacobi", "--seed", "5")
     _, out1, _ = run(capsys, *args)
@@ -373,6 +419,29 @@ def test_cold_start_imports_nothing_unused(tmp_path):
                    tmp_path, *COLD_START_UNUSED)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "\n"
+
+
+# never loaded by a walg command: shutil (argparse's width lookup), and
+# fractions with decimal (GRat is the engine's rational)
+STARTUP_UNUSED = ("shutil", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--algebra", "sl2"],
+    ["generators", "--algebra", "sl3-minimal", "--k", "1/2"],
+    ["bracket", "--algebra", "sl2", "0", "0", "--route", "closed"],
+    ["susy-bracket", "--algebra", "osp12", "0", "0", "--k", "3/2"],
+    ["brst-generators", "--algebra", "osp12"],
+    ["verify", "--algebra", "sl21", "--suite", "skew", "--format", "structured"],
+], ids=lambda argv: argv[0])
+def test_commands_start_without_shutil_or_fractions(tmp_path, argv):
+    done = _python("import sys; from walgebras.cli import main; "
+                   "code = main(sys.argv[1:]); "
+                   "sys.stdout.write(' '.join(m for m in %r if m in sys.modules)); "
+                   "sys.exit(code)" % (STARTUP_UNUSED,), tmp_path, *argv)
+    assert done.returncode == 0, done.stderr
+    output, loaded = done.stdout.rsplit("\n", 1)
+    assert output and loaded == ""
 
 
 def test_catalog_lookup_does_not_depend_on_cwd(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar, _norm,
-                               parse_coeff, solve_linear)
+                               parse_coeff, parse_rational, rat, solve_linear)
 
 
 def rand_scalar(rng, with_c=False):
@@ -290,3 +290,98 @@ def test_grat_zero_and_division_by_zero():
         for x in (GRat(1), GRat(0, -1), GRat(Fraction(2, 3), 5)):
             with pytest.raises(ZeroDivisionError):
                 x / zero
+
+
+# GRat as the engine's one exact rational: a real GRat must behave like the
+# equal Fraction wherever gradings, spins and weights meet ints and Fractions.
+
+REALS = sorted({Fraction(p, q) for p in range(-7, 8) for q in (1, 2, 3, 4, 6)})
+# (2+i)/2 has fields (2, 1, 2): its real part 1 is not reduced by the normal form
+NON_REAL = [GRat(1, Fraction(1, 2)), GRat(Fraction(3, 4), Fraction(-1, 2)),
+            GRat(0, Fraction(-5, 3)), GRat(-2, 1)]
+
+
+def test_real_grat_interoperates_like_fraction():
+    for f in REALS:
+        g = GRat(f)
+        assert g == f and f == g and not g != f
+        assert hash(g) == hash(f)
+        assert str(g) == repr(g) == str(f)
+        assert int(g) == int(f)
+        for n in (-3, -1, 0, 1, 2, 5):
+            assert n + g == n + f and g + n == f + n
+            assert n - g == n - f and g - n == f - n
+            assert g * n == f * n and n * g == n * f
+            for r in (n + g, g - n, n - g, g * n):
+                assert type(r) is GRat
+                assert_normal(r)
+            if n:
+                assert g / n == f / n
+            if f:
+                assert n / g == n / f
+        for h in REALS[::5]:
+            assert (g < h, g <= h, g > h, g >= h) == (f < h, f <= h, f > h, f >= h)
+            assert (h < g, h <= g) == (h < f, h <= f)
+            assert (g == GRat(h)) == (f == h)
+            assert g + h == f + h and h - g == h - f and type(h + g) is GRat
+            if h:
+                assert g // GRat(h) == f // h
+    # sets and dicts mix GRats with the equal ints and Fractions
+    assert {1 + GRat(f) for f in REALS} == {1 + f for f in REALS}
+    assert {GRat(n): n for n in range(-3, 4)}[2] == 2 and {2: 0}[GRat(2)] == 0
+
+
+def test_non_real_grat_is_unequal_and_unordered():
+    for g in NON_REAL:
+        assert g.b
+        assert g != g.re and g.re != g and g != int(g.re)
+        model = (g.re, g.im)
+        assert str(g) == model_str(model)
+        for n in (-2, 0, 3):
+            assert (n + g, g * n, n - g) == (
+                GRat(n + model[0], model[1]), GRat(model[0] * n, model[1] * n),
+                GRat(n - model[0], -model[1]))
+            for r in (n + g, g * n, n - g, g / 4):
+                assert_normal(r)
+        for bad in (lambda: g < 0, lambda: g <= GRat(1), lambda: 0 >= g,
+                    lambda: int(g), lambda: g // 1):
+            with pytest.raises(TypeError):
+                bad()
+
+
+# every spelling a level or a coefficient may come in, accepted or not
+SPELLINGS = ["0", "1", "-3", "+4", "007", "1/2", "-6/4", "+6/4", "010/004",
+             "1/0", "-1/0", "0/0", "0.5", "-.25", "1e-1", "2E3", "1_000",
+             "1_0/4", " 1/2 ", "1 / 2", "\t3\n", "1/-2", "1/+2", "--1", "+-1",
+             "", " ", "-", "+", "/", "1/", "/2", "a", "1.5/2", "1/2/3",
+             "0x10", "\u00b2", "\u0661", "\u0661/2", "inf", "nan", "1e400",
+             "1__0", "_1", "1_"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_parse_rational_accepts_what_fraction_accepts(text):
+    want = _outcome(Fraction, text)
+    got = _outcome(parse_rational, text)
+    assert got == want
+    if isinstance(got, GRat):
+        assert (got.a, got.b, got.d) == (want.numerator, 0, want.denominator)
+
+
+def test_rat_and_constructors_agree_with_fraction():
+    for p in range(-6, 7):
+        for q in (1, 2, 3, 4, 6, -4):
+            f = Fraction(p, q)
+            for g in (rat(p, q), GRat(f), GRat("%d/%d" % (p, q)) if q > 0
+                      else GRat(f), Scalar.rational(f).constant_part()):
+                assert (g.a, g.b, g.d) == (f.numerator, 0, f.denominator)
+    with pytest.raises(ZeroDivisionError):
+        rat(1, 0)
+    assert GRat(0.75) == Fraction(3, 4) and GRat(Fraction(1, 2), "1/3") == GRat(
+        Fraction(1, 2), Fraction(1, 3))
