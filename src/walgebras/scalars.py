@@ -50,7 +50,9 @@ class GRat:
     path pays nothing for it. An int n is applied to the fields (a + n*d
     over d is in normal form when a/d is), a Fraction is converted first.
     ``Fraction`` itself is imported only by the ``re``/``im`` properties
-    and by ``parse_rational`` for spellings other than integers and p/q.
+    and by ``_via_fraction``, which reads what ``parse_rational`` and the
+    constructor do not read themselves: spellings other than integers and
+    p/q, floats and Decimals.
     """
 
     __slots__ = ("a", "b", "d")
