@@ -106,9 +106,8 @@ class Alphabet:
 
     @staticmethod
     def from_obj(obj) -> "Alphabet":
-        w = obj.get("weights")
         return Alphabet(obj["flavor"], obj["names"], obj["parities"],
-                        None if w is None else [GRat(x) for x in w])
+                        obj.get("weights"))
 
 
 def _mono_parity(alph, mono) -> int:
