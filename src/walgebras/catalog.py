@@ -17,8 +17,9 @@ from __future__ import annotations
 import os
 
 from .liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
-                     _rref, load_algebra, save_algebra)
-from .scalars import GRat, GR_ONE, GR_ZERO, Scalar, rat
+                     load_algebra, save_algebra)
+from .scalars import (GRat, GR_ONE, GR_ZERO, LinearSolveError, Scalar, rat,
+                      solve_linear)
 
 
 def _mat(n, entries):
@@ -60,46 +61,30 @@ def _trace_pair(a, b, even_rows, scale=GR_ONE, super_tr=False):
     return tr * scale
 
 
-class _MatrixBasis:
-    def __init__(self, mats):
-        self.mats = mats
-        n = len(mats[0])
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                rows.append([GRat(m[i][j]) for m in mats])
-        aug_cols = len(mats)
-        self._rows = rows
-        self._n = n
-        self._ncols = aug_cols
-
-    def coords(self, target):
-        """Expand target in the basis; raises if not in the span."""
-        n = self._n
-        rhs = []
-        for i in range(n):
-            for j in range(n):
-                rhs.append(GRat(target[i][j]))
-        aug = [row + [rhs[r]] for r, row in enumerate(self._rows)]
-        red, pivots = _rref(aug)
-        coords = [GR_ZERO] * self._ncols
-        for r, pc in enumerate(pivots):
-            if pc == self._ncols:
-                raise AlgebraError("matrix not in basis span")
-            coords[pc] = red[r][self._ncols]
-        return tuple(Scalar.term(0, 0, c) for c in coords)
+def _coords(mats, target):
+    """Coordinates of the matrix target in the basis mats, from one exact
+    solve; raises if target is not in their span."""
+    n = len(target)
+    eqs = [({b: m[i][j] for b, m in enumerate(mats) if m[i][j]},
+            target[i][j]) for i in range(n) for j in range(n)]
+    try:
+        coords = solve_linear(eqs, range(len(mats)))
+    except LinearSolveError as e:
+        if e.reason == "inconsistent":
+            raise AlgebraError("matrix not in basis span")
+        raise AlgebraError("basis matrices not independent (%s)" % e)
+    return tuple(Scalar.term(0, 0, c) for c in coords.values())
 
 
 def _build_matrix_algebra(name, names, mats, parities, even_rows,
                           form_scale=GR_ONE, super_tr=False,
                           sl2_mats=None, osp_mats=None):
-    basis = _MatrixBasis(mats)
     dim = len(mats)
     struct = {}
     for i in range(dim):
         for j in range(dim):
             br = _super_bracket(mats[i], parities[i], mats[j], parities[j])
-            vec = basis.coords(br)
+            vec = _coords(mats, br)
             if any(vec):
                 struct[(i, j)] = vec
     form = [[Scalar.rational(_trace_pair(mats[i], mats[j], even_rows,
@@ -107,11 +92,11 @@ def _build_matrix_algebra(name, names, mats, parities, even_rows,
              for j in range(dim)] for i in range(dim)]
     sl2 = osp = None
     if osp_mats is not None:
-        E, e, H, f, F = (basis.coords(m) for m in osp_mats)
+        E, e, H, f, F = (_coords(mats, m) for m in osp_mats)
         osp = OSPTriple(E, e, H, f, F)
         sl2 = osp.sl2()
     elif sl2_mats is not None:
-        E, H, F = (basis.coords(m) for m in sl2_mats)
+        E, H, F = (_coords(mats, m) for m in sl2_mats)
         sl2 = SL2Triple(E, H, F)
     return LieSuperalgebra(name, names, parities, struct, form, sl2=sl2, osp=osp)
 

@@ -217,9 +217,7 @@ def _suite_results(args, g, names):
 
     results = {}
     for name in names:
-        if name in SUSY_SUITES and g.osp is None:
-            results[name] = []
-        elif name == "skew":
+        if name == "skew":
             bad = (check_skew(context(ReductionContext).table)
                    + check_skew(table(ReductionContext)))
             if g.osp is not None:
@@ -243,7 +241,8 @@ def _suite_results(args, g, names):
         elif name in ("thm-3-6", "thm-6-5"):
             cls = ReductionContext if name == "thm-3-6" else SUSYReductionContext
             results[name] = ["pair %s,%s" % (a, b) for a, b, _, _ in
-                             compare_closed_direct(context(cls), gens(cls))]
+                             compare_closed_direct(context(cls), gens(cls),
+                                                   table(cls))]
         elif name == "d-squared":
             cplx = BRSTComplex(context(SUSYReductionContext))
             results[name] = build_d(cplx, Scalar.c()).verify()
@@ -265,18 +264,25 @@ def _suite_results(args, g, names):
 
 
 def _report_suites(args, g, names, doc):
-    """Run the suites and print PASS/FAIL for each; exit code 1 on a failure."""
-    results = _suite_results(args, g, names)
+    """Run the suites and print PASS/FAIL for each, and SKIP for a SUSY suite
+    on an algebra without osp(1|2) data (listed under "skipped" in the
+    structured document, not under "results"); exit code 1 on a failure."""
+    skipped = [name for name in names if name in SUSY_SUITES and g.osp is None]
+    results = _suite_results(args, g, [n for n in names if n not in skipped])
     lines = []
     for name in names:
-        bad = results[name]
-        if bad:
+        bad = results.get(name)
+        if bad is None:
+            lines.append("SKIP %s (no osp(1|2) data)" % name)
+        elif bad:
             lines.append("FAIL %s (%d violations)" % (name, len(bad)))
             lines += ["  " + b for b in bad[:10]]
         else:
             lines.append("PASS %s" % name)
-    failed = any(results[name] for name in names)
+    failed = any(results.values())
     doc.update(results=results, passed=not failed)
+    if skipped:
+        doc["skipped"] = skipped
     _emit(args, doc, lines)
     return 1 if failed else 0
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 import json
 from math import comb, factorial
 
-from .scalars import GR_ZERO, GR_ONE, Scalar, parse_coeff, rat
+from .scalars import (GR_ZERO, GR_ONE, Scalar, back_substitute, parse_coeff,
+                      rat, row_echelon)
 
 HALF = rat(1, 2)
+_MINUS_ONE = -GR_ONE
 
 
 class AlgebraError(ValueError):
@@ -31,65 +33,53 @@ class AlgebraError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra over Gaussian rationals
+# exact linear algebra over Gaussian rationals, on scalars.row_echelon
 # ---------------------------------------------------------------------------
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _echelon(rows, ncols):
+    """Pivots of the homogeneous system whose matrix has the given rows."""
+    rows = ({c: x for c, x in enumerate(r) if x} for r in rows)
+    return row_echelon([(r, GR_ZERO) for r in rows if r], range(ncols))
 
 
 def matrix_rank(rows) -> int:
-    return len(_rref(rows)[0])
+    return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
 def nullspace(rows, ncols):
-    """Deterministic basis of the right nullspace of a GRat matrix."""
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Deterministic basis of the right nullspace of a GRat matrix: for each
+    free column in order, the kernel vector that is 1 there and 0 at the
+    other free columns. The free columns are those of the reduced row
+    echelon form (see scalars.row_echelon), and a kernel vector is fixed by
+    its free entries, so this is the basis read off the RREF."""
+    pivots = _echelon(rows, ncols)
+    pivot_cols = {col for col, _, _ in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free:
-        vec = [GR_ZERO] * ncols
-        vec[fc] = GR_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
+        x = back_substitute(pivots, {c: GR_ONE if c == fc else GR_ZERO
+                                     for c in free})
+        basis.append([x[c] for c in range(ncols)])
     return basis
 
 
 def matrix_inverse(rows):
+    """The inverse of a square GRat matrix A, read off the kernel of
+    [A | -1]: that matrix has rank n, its pivot columns are those of A
+    exactly when A is invertible, and then the kernel vector that is 1 at
+    column n + j and 0 at the rest of the -1 block is (A^-1 e_j, e_j)."""
     n = len(rows)
-    aug = [list(r) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
+    if any(len(r) != n for r in rows):
         raise AlgebraError("matrix not invertible")
-    return [r[n:] for r in red]
+    pivots = _echelon([list(r) + [_MINUS_ONE if c == i else GR_ZERO
+                                  for c in range(n)]
+                       for i, r in enumerate(rows)], 2 * n)
+    if any(col >= n for col, _, _ in pivots):
+        raise AlgebraError("matrix not invertible")
+    cols = [back_substitute(pivots, {n + i: GR_ONE if i == j else GR_ZERO
+                                     for i in range(n)})
+            for j in range(n)]
+    return [[x[i] for x in cols] for i in range(n)]
 
 
 def vec_grat(vec):

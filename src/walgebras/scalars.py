@@ -540,30 +540,25 @@ def join_signed(parts) -> str:
     return out
 
 
-def solve_linear(equations, unknowns):
-    """Solve an exact linear system over Gaussian rationals.
+def row_echelon(equations, unknowns):
+    """Sparse forward elimination of an exact system over Gaussian rationals.
 
     equations: iterable of (coeffs: {col: GRat}, rhs: GRat)
     unknowns:  ordered list of column keys (pivot preference order)
 
-    Returns {col: GRat} for the unique solution, in the order of unknowns.
-    Raises LinearSolveError with reason 'inconsistent' or 'underdetermined'
-    otherwise ('internal' flags a broken elimination invariant).
+    Returns the pivots in creation order as (col, row, rhs): the row scaled
+    to 1 at col, its lowest-order column, and kept without it. Raises
+    LinearSolveError('inconsistent') if a row reduces to 0 = c != 0.
 
-    Sparse forward elimination, then back substitution. The rows are taken
-    sparsest first (a stable sort by entry count). Each row is reduced
-    against the pivots in the order they were created, through a heap of
-    the pivot columns it holds: a pivot row holds no column of an older
-    pivot, so eliminating pivot p brings in only columns of pivots created
-    after p, and each pivot is applied at most once. A reduced row that is
-    not zero makes its lowest-order column (in `unknowns`) a pivot, and
-    the pivot rows are solved in reverse creation order at the end.
-
-    Neither the result nor the error depends on the order of elimination:
-    a uniquely solvable system has one solution; a row reduces to
-    0 = c != 0 in some order exactly when the system is inconsistent; and
-    the pivots are the lowest-order columns of the vectors in the row
-    space, so the free columns named by 'underdetermined' are the same.
+    The rows are taken sparsest first (a stable sort by entry count). Each
+    is reduced against the pivots in creation order, through a heap of the
+    pivot columns it holds: a pivot row holds no column of an older pivot,
+    so eliminating pivot p brings in only columns of newer pivots, and each
+    pivot is applied at most once. A reduced row that is not zero makes its
+    lowest-order column a pivot. The pivot rows have distinct lowest-order
+    columns, so these are the lowest-order columns of the row space: the
+    pivot and free columns are those of the reduced row echelon form,
+    whatever the order of elimination.
     """
     order = {col: n for n, col in enumerate(unknowns)}
     pivot_of = {}  # col -> creation number of its pivot
@@ -599,16 +594,36 @@ def solve_linear(equations, unknowns):
         lead = row.pop(col)
         pivot_of[col] = len(pivots)
         pivots.append((col, {c: g / lead for c, g in row.items()}, rhs / lead))
+    return pivots
 
-    free = [c for c in unknowns if c not in pivot_of]
-    if free:
-        raise LinearSolveError("underdetermined", "free columns %s" % free[:4])
-    solution = {}
+
+def back_substitute(pivots, solution):
+    """Fill solution ({col: GRat}, set at every free column) with the pivot
+    columns of row_echelon's pivots, newest first, and return it."""
     for col, row, rhs in reversed(pivots):
         for c2, g2 in row.items():
-            if c2 not in solution:
+            x = solution.get(c2)
+            if x is None:
                 raise LinearSolveError("internal", "pivot row reaches an "
                                        "unsolved column")
-            rhs = rhs - g2 * solution[c2]
+            if x:
+                rhs = rhs - g2 * x
         solution[col] = rhs
+    return solution
+
+
+def solve_linear(equations, unknowns):
+    """The unique solution {col: GRat} of row_echelon's system, in the order
+    of unknowns. Raises LinearSolveError with reason 'inconsistent' or
+    'underdetermined' otherwise ('internal' flags a broken elimination
+    invariant). Neither the result nor the error depends on the order of
+    elimination: a uniquely solvable system has one solution, a row reduces
+    to 0 = c != 0 in some order exactly when the system is inconsistent, and
+    the free columns named are those of the reduced row echelon form."""
+    pivots = row_echelon(equations, unknowns)
+    solved = {col for col, _, _ in pivots}
+    free = [c for c in unknowns if c not in solved]
+    if free:
+        raise LinearSolveError("underdetermined", "free columns %s" % free[:4])
+    solution = back_substitute(pivots, {})
     return {col: solution[col] for col in unknowns}

@@ -464,13 +464,14 @@ def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
     return table
 
 
-def compare_closed_direct(ctx: ReductionContext, gens):
-    """Per-pair report of closed-formula vs direct-reduction brackets."""
+def compare_closed_direct(ctx: ReductionContext, gens, direct):
+    """Per-pair report of closed-formula brackets against `direct`, the
+    W table by the direct route (w_bracket_table(ctx, gens))."""
     mismatches = []
     n = ctx.db.count()
     for i in range(n):
         for j in range(n):
-            d = w_bracket_direct(ctx, gens, i, j)
+            d = direct.entry(i, j)
             c = w_bracket_closed(ctx, gens, i, j)
             if d != c:
                 mismatches.append((ctx.gen_labels[i], ctx.gen_labels[j], d, c))

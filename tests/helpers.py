@@ -3,15 +3,16 @@ and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, the BRST solve and bracket table in j-coordinates,
 exactness witnesses, a dense reference for the Lie superalgebra bracket,
 form, validation and rebase, a chain-enumerating reference for the closed
-chain sums, and a Gauss-Jordan reference for the exact linear solver."""
+chain sums, and Gauss-Jordan references for the exact linear solver and for
+matrix rank, nullspace and inverse."""
 
 from fractions import Fraction
 from functools import reduce
 
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
-                              SL2Triple, matrix_inverse, matrix_rank, vec_grat)
-from walgebras.scalars import GR_ZERO, LinearSolveError, Scalar
+                              SL2Triple, vec_grat)
+from walgebras.scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
@@ -345,7 +346,7 @@ def dual_vectors(cplx):
     minus = [t for t, gr in enumerate(g.gradings) if gr < 0]
     gram = [[g.form_value(g.basis_vec(a), g.basis_vec(b)) for b in cplx.n_idx]
             for a in minus]
-    inv = matrix_inverse([vec_grat(r) for r in gram])
+    inv = dense_inverse([vec_grat(r) for r in gram])
     return [tuple(Scalar.term(0, 0, inv[alpha][minus.index(t)]) if t in minus
                   else Scalar.zero() for t in range(g.dim))
             for alpha in range(cplx.nn)]
@@ -490,6 +491,67 @@ def exactness_witness(cplx, diff, X: SuperPoly):
     return True
 
 
+# Dense Gauss-Jordan reference for liealg's rank, nullspace and inverse
+# (which run on the sparse scalars.row_echelon).
+
+def dense_rref(rows):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def dense_rank(rows) -> int:
+    return len(dense_rref(rows)[0])
+
+
+def dense_nullspace(rows, ncols):
+    """The nullspace basis read off the RREF: one vector per free column."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [GR_ZERO] * ncols
+        vec[fc] = GR_ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_inverse(rows):
+    """The right half of the RREF of [A | 1]; AlgebraError if A is singular."""
+    n = len(rows)
+    aug = [list(r) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
+           for i, r in enumerate(rows)]
+    red, pivots = dense_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise AlgebraError("matrix not invertible")
+    return [r[n:] for r in red]
+
+
 # Dense reference for liealg: the bracket as a loop over every structure
 # constant of g.struct, the form as a double loop over coordinates, and the
 # validation loops on dense basis vectors, written without the sparse index.
@@ -620,8 +682,8 @@ def dense_validate(g):
     except AlgebraError as e:
         report.append("form entries not constant: %s" % e)
     else:
-        if matrix_rank(rows) != dim:
-            report.append("form degenerate (rank %d of %d)" % (matrix_rank(rows), dim))
+        if dense_rank(rows) != dim:
+            report.append("form degenerate (rank %d of %d)" % (dense_rank(rows), dim))
     if g.sl2 is not None:
         report.extend(_dense_sl2_report(g, g.sl2, "sl2"))
         err = _dense_eigenbasis_error(g)
@@ -638,8 +700,8 @@ def dense_rebase(g, vectors, names):
     cols = [vec_grat(v) for v in vectors]
     if len(cols) != g.dim:
         raise AlgebraError("rebase needs %d vectors" % g.dim)
-    Vinv = matrix_inverse([[cols[j][i] for j in range(g.dim)]
-                           for i in range(g.dim)])
+    Vinv = dense_inverse([[cols[j][i] for j in range(g.dim)]
+                          for i in range(g.dim)])
 
     def coords(vec):
         x = vec_grat(vec)

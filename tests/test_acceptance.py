@@ -62,7 +62,7 @@ def test_criterion_2_thm_3_3_and_3_6():
         for j, w in gens.items():
             lead = SuperPoly.variable(ctx.alph, ctx.star_index[(j, 0)])
             assert _highe_degree_part(ctx, w.value - lead, 1) == gamma_linear(ctx, j)
-        assert compare_closed_direct(ctx, gens) == []
+        assert compare_closed_direct(ctx, gens, w_bracket_table(ctx, gens)) == []
     report("2 Thm 3.3 / Thm 3.6", time.time() - t0, 60)
 
 
@@ -95,7 +95,8 @@ def test_criterion_5_susy_w_construction():
             assert susy_membership_defects(ctx, w.value) == []
             lead = SuperPoly.variable(ctx.alph, ctx.star_index[(j, 0)])
             assert _highe_degree_part(ctx, w.value - lead, 1) == gamma_S_linear(ctx, j)
-        assert compare_susy_closed_direct(ctx, gens) == []
+        assert compare_susy_closed_direct(
+            ctx, gens, susy_w_bracket_table(ctx, gens)) == []
     report("5 SUSY W construction", time.time() - t0, 120)
 
 

@@ -14,7 +14,7 @@ from walgebras.liealg import (dual_bases_F, dual_bases_f, save_algebra,
 from walgebras.swclassical import SUSYReductionContext
 from walgebras.wclassical import (ReductionContext, compare_closed_direct,
                                   gamma_linear, solve_all_generators,
-                                  w_bracket_closed)
+                                  w_bracket_closed, w_bracket_table)
 
 HALF = Fraction(1, 2)
 
@@ -67,7 +67,7 @@ def test_sl32_chi_path_sum_matches_chain_enumeration():
 def test_sl4_closed_route_matches_direct():
     ctx = ReductionContext(helpers.sl4_principal())
     gens = {w.index: w for w in solve_all_generators(ctx)}
-    assert compare_closed_direct(ctx, gens) == []
+    assert compare_closed_direct(ctx, gens, w_bracket_table(ctx, gens)) == []
 
 
 def test_sl4_cli_closed_route(tmp_path, capsys):

@@ -205,6 +205,50 @@ def test_verify_all_builds_each_piece_once(monkeypatch, capsys):
         for flavor in ("lambda", "chi"))
 
 
+@pytest.mark.parametrize("algebra,extra,counts", [
+    ("osp12", [], {"lambda": 4, "chi": 2}),
+    ("sl21", ["--k", "1/2"], {"lambda": 16, "chi": 8})])
+def test_verify_all_brackets_each_pair_once(monkeypatch, capsys, algebra,
+                                            extra, counts):
+    """thm-3-6 and thm-6-5 read the run's direct W table: each generator
+    pair goes through the direct route once per flavor, plus once more for
+    chi in the table that check_thm_5_9 builds for its own context."""
+    direct = wclassical.w_bracket_direct
+    calls = {"lambda": 0, "chi": 0}
+
+    def counting(ctx, *args):
+        calls[ctx.flavor.name] += 1
+        return direct(ctx, *args)
+
+    monkeypatch.setattr(wclassical, "w_bracket_direct", counting)
+    code, _, err = run(capsys, "verify", "--algebra", algebra, "--suite",
+                       "all", *extra)
+    assert (code, err) == (0, "")
+    assert calls == counts
+
+
+@pytest.mark.parametrize("suite", ["thm-5-9", "all"])
+def test_susy_suites_on_even_algebra_are_skipped(capsys, suite):
+    """sl2 carries no osp(1|2) data, so the SUSY suites do not run: each
+    prints SKIP, and the structured document lists it under "skipped", not
+    under "results"; the exit code stays 0."""
+    names = list(cli.SUITES) if suite == "all" else [suite]
+    skipped = [name for name in names if name in cli.SUSY_SUITES]
+    code, out, err = run(capsys, "verify", "--algebra", "sl2",
+                         "--suite", suite)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        ("SKIP %s (no osp(1|2) data)" if name in skipped else "PASS %s")
+        % name for name in names]
+    code, out, err = run(capsys, "verify", "--algebra", "sl2",
+                         "--suite", suite, "--format", "structured")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["skipped"] == skipped
+    assert sorted(doc["results"]) == sorted(set(names) - set(skipped))
+    assert doc["passed"] is True
+
+
 def test_verify_all_equals_each_suite_alone(capsys):
     def results(suite):
         code, out, _ = run(capsys, "verify", "--algebra", "osp12",

@@ -1,4 +1,5 @@
 import importlib.resources
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from walgebras.catalog import (CATALOG, build_osp12, build_sl2, build_sl21,
 from walgebras.liealg import (AlgebraError, DualBases, LieSuperalgebra,
                               OSPTriple, SL2Triple, algebra_from_obj,
                               algebra_to_obj, check_tensor_identity,
-                              dual_bases_F, dual_bases_f, load_algebra,
-                              save_algebra, validate_algebra)
-from walgebras.scalars import Scalar
+                              _pair_dual, dual_bases_F, dual_bases_f,
+                              load_algebra, matrix_inverse, matrix_rank,
+                              nullspace, save_algebra, validate_algebra)
+from walgebras.scalars import GRat, GR_ONE, GR_ZERO, Scalar
 from walgebras.swclassical import SUSYReductionContext
 from walgebras.wclassical import ReductionContext
 
@@ -219,6 +221,79 @@ def test_bases_not_dual_error():
                           form, sl2=g.sl2)
     with pytest.raises(AlgebraError, match="not dual|singular"):
         dual_bases_F(bad, bad.sl2)
+
+
+def test_singular_gram_block_names_singular_pairing():
+    # two copies of F against two copies of E: the Gram block [[1, 1], [1, 1]]
+    # at grade -1 is nonzero and singular
+    g = helpers.algebra("sl2")
+    E, _H, F = (g.basis_vec(i) for i in range(3))
+    with pytest.raises(AlgebraError, match=r"bases not dual \(singular "
+                       r"pairing at grade \(-1, 0\)\)"):
+        _pair_dual(g, [(-1, 0, F), (-1, 0, F)], [(1, 0, E), (1, 0, E)])
+
+
+def _random_matrix(rng, m, n):
+    """An m x n matrix of Gaussian rationals; in some, a zero row, a zero
+    column, and rows that are combinations of the others (rank deficient)."""
+    a = [[GRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+               rng.choice((0, 0, rng.randint(-2, 2))))
+          if rng.random() < 0.7 else GR_ZERO for _ in range(n)]
+         for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(m), 2)
+        f = GRat(rng.randint(-2, 2), rng.randint(-1, 1))
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+    if m and rng.random() < 0.2:
+        a[rng.randrange(m)] = [GR_ZERO] * n
+    if n and rng.random() < 0.2:
+        c = rng.randrange(n)
+        for row in a:
+            row[c] = GR_ZERO
+    return a
+
+
+def _times(a, v):
+    return [sum((x * y for x, y in zip(row, v)), GR_ZERO) for row in a]
+
+
+def test_rank_and_nullspace_match_dense_reference():
+    rng = random.Random(16)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(300)]
+    deficient = 0
+    for m, n in shapes:
+        a = _random_matrix(rng, m, n)
+        rank = matrix_rank(a)
+        assert rank == helpers.dense_rank(a)
+        basis = nullspace(a, n)
+        assert basis == helpers.dense_nullspace(a, n)
+        assert len(basis) == n - rank
+        assert all(not any(_times(a, v)) for v in basis)
+        deficient += rank < min(m, n)
+    assert deficient > 30
+
+
+def test_inverse_matches_dense_reference():
+    rng = random.Random(61)
+    singular = 0
+    for n in [0, 1, 1] + [rng.randint(1, 6) for _ in range(300)]:
+        a = _random_matrix(rng, n, n)
+        try:
+            want = helpers.dense_inverse(a)
+        except AlgebraError:
+            singular += 1
+            with pytest.raises(AlgebraError, match="^matrix not invertible$"):
+                matrix_inverse(a)
+            continue
+        inv = matrix_inverse(a)
+        assert inv == want
+        assert all(_times(a, [row[j] for row in inv]) ==
+                   [GR_ONE if i == j else GR_ZERO for i in range(n)]
+                   for j in range(n))
+    assert 30 < singular < 270
+    with pytest.raises(AlgebraError, match="^matrix not invertible$"):
+        matrix_inverse([[GR_ONE, GR_ZERO]])  # not square
 
 
 def test_admissible_chains_sl2():

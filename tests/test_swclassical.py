@@ -76,7 +76,8 @@ def test_canonical_form(name):
 @pytest.mark.parametrize("name", OSP)
 def test_thm_6_5_closed_equals_direct(name):
     ctx, gens = helpers.susy(name)
-    assert compare_susy_closed_direct(ctx, gens) == []
+    assert compare_susy_closed_direct(
+        ctx, gens, susy_w_bracket_table(ctx, gens)) == []
 
 
 @pytest.mark.parametrize("name", OSP)
@@ -157,4 +158,5 @@ def test_k0_specialization():
     ctx = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar.zero())
     gens = {0: solve_susy_generator(ctx, 0)}
     assert susy_membership_defects(ctx, gens[0].value) == []
-    assert compare_susy_closed_direct(ctx, gens) == []
+    assert compare_susy_closed_direct(
+        ctx, gens, susy_w_bracket_table(ctx, gens)) == []

@@ -96,7 +96,20 @@ def test_canonical_form(name):
 @pytest.mark.parametrize("name", CLASSICAL)
 def test_thm_3_6_closed_equals_direct(name):
     ctx, gens = helpers.classical(name)
-    assert compare_closed_direct(ctx, gens) == []
+    assert compare_closed_direct(ctx, gens, w_bracket_table(ctx, gens)) == []
+
+
+def test_thm_3_6_reports_a_corrupted_direct_entry():
+    # compare_closed_direct reads the direct table it is given: a changed
+    # entry is reported at its pair, with that entry as the direct value
+    ctx, gens = helpers.classical("sl3-principal")
+    direct = w_bracket_table(ctx, gens)
+    bad = direct.entry(0, 1) + LambdaPoly(ctx.gen_alph, {
+        0: SuperPoly.const(ctx.gen_alph, Scalar.one())})
+    direct.set(0, 1, bad)
+    assert [(a, b, d) for a, b, d, _ in
+            compare_closed_direct(ctx, gens, direct)] == [
+        (ctx.gen_labels[0], ctx.gen_labels[1], bad)]
 
 
 @pytest.mark.parametrize("name", CLASSICAL)
