@@ -285,13 +285,13 @@ class CohomologyGenerator(WGenerator):
 def _differential_terms(diff, known, monos):
     """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
     monomials M, read in J-coordinates."""
-    for mono, s in known.terms.items():
-        yield None, mono, s
+    for mono, kp, cp, gr in known.coefficients():
+        yield None, mono, kp, cp, gr
     one = Scalar.one()
     for M in monos:
         dm = diff.apply_J(SuperPoly(diff.cplx.jalph, {M: one}))
-        for mono, s in dm.terms.items():
-            yield M, mono, s
+        for mono, kp, cp, gr in dm.coefficients():
+            yield M, mono, kp, cp, gr
 
 
 def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
@@ -302,9 +302,10 @@ def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
     images = {ctx.star_index[(j, 0)]: SuperPoly.variable(gen_alph, j)
               for j in range(ctx.db.count())}
     # keep the monomials in J(g^f) alone: ghosts and other J's are killed
-    projected = {mono: c for mono, c in X.terms.items()
-                 if all(t in images for (t, _m), _e in mono)}
-    return SuperPoly(cplx.jalph, projected).substitute(images, gen_alph)
+    projected = SuperPoly.from_coefficients(cplx.jalph, (
+        term for term in X.coefficients()
+        if all(t in images for (t, _m), _e in term[0])))
+    return projected.substitute(images, gen_alph)
 
 
 def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
@@ -351,25 +352,35 @@ def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
 
 
 def check_thm_5_9(g, k=None):
+    """Equivalence of the reduction and BRST(c = i) constructions for the
+    algebra g at level k (symbolic when None); see compare_brst_reduction,
+    to which it passes a new SUSY context, its generator solve and its W
+    bracket table. Returns a report list (empty = verified)."""
+    ctx = SUSYReductionContext(g, k=k)
+    taus = {w.index: w for w in solve_all_generators(ctx)}
+    return compare_brst_reduction(ctx, taus, w_bracket_table(ctx, taus))
+
+
+def compare_brst_reduction(ctx, taus, red_table):
     """Equivalence of the reduction and BRST(c = i) constructions.
 
-    Verifies, generator by generator: d-closure of the twisted reduction
-    generators, equality with the canonical cohomology generators, the
-    coefficient correspondence between ad_chi-membership data and the
-    differential, and equality of the two bracket tables after the twist.
-    Returns a report list (empty = verified).
+    ctx is a SUSY reduction context, taus its generators {j: WGenerator}
+    and red_table their W bracket table. Verifies, generator by generator:
+    d-closure of the twisted reduction generators, equality with the
+    canonical cohomology generators, the coefficient correspondence between
+    ad_chi-membership data and the differential, and equality of the two
+    bracket tables after the twist. Returns a report list (empty =
+    verified).
     """
     report = []
-    ctx = SUSYReductionContext(g, k=k)
     cplx = BRSTComplex(ctx)
     diff = build_d(cplx, Scalar.imag())
     if diff.verify():
         report.append("BRST differential fails d^2 = 0")
         return report
-    taus = solve_all_generators(ctx)
     Es = cohomology_generators(cplx, diff)
     i_unit = Scalar.imag()
-    for j, tau in enumerate(taus):
+    for j, tau in taus.items():
         image = twist_to_J(cplx, tau.value)
         if diff.apply_J(image):
             report.append("twisted generator %d not d-closed" % j)
@@ -384,9 +395,7 @@ def check_thm_5_9(g, k=None):
             report.append("generator %d: coefficient correspondence fails: %s"
                           % (j, rep511[:2]))
     # bracket tables after the symbol twist
-    gens_r = {j: t for j, t in enumerate(taus)}
     gens_b = {j: e for j, e in enumerate(Es)}
-    red_table = w_bracket_table(ctx, gens_r)
     brst_table = brst_bracket_table(cplx, diff, gens_b)
     galph = brst_table.alphabet
     sym_images = {}

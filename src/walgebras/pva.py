@@ -25,7 +25,8 @@ from math import comb
 
 from .scalars import Scalar, join_signed
 from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, SuperPoly,
-                        random_superpoly)
+                        accumulate_product, random_superpoly)
+from .superpoly import accumulate as _acc, accumulated as _built
 
 
 class Indeterminate(namedtuple("Indeterminate", "parity glyphs left tag labels "
@@ -78,65 +79,15 @@ def _signed(value, e):
     return -value if e % 2 else value
 
 
-def _acc(out, key, poly, neg=0):
-    """out[key] += (-1)^neg poly, keeping no zero entries.
-
-    An entry is the caller's SuperPoly until its second addition; from then
-    on it is a private term dict that later additions add into, or subtract
-    from, in place (the first addition with neg set starts one at once).
-    Only _value turns the entries back into SuperPolys, so a private dict
-    never leaves the function that owns out, and no caller's value changes.
-    """
-    terms = poly.terms
-    if not terms:
-        return
-    s = out.get(key)
-    if s is None:
-        out[key] = {m: -c for m, c in terms.items()} if neg else poly
-        return
-    if type(s) is not dict:
-        s = out[key] = dict(s.terms)
-    if neg:
-        for m, c in terms.items():
-            t = s.get(m)
-            if t is None:
-                s[m] = -c
-            else:
-                t = t - c
-                if t:
-                    s[m] = t
-                else:
-                    del s[m]
-    else:
-        for m, c in terms.items():
-            t = s.get(m)
-            if t is None:
-                s[m] = c
-            else:
-                t = t + c
-                if t:
-                    s[m] = t
-                else:
-                    del s[m]
-    if not s:
-        del out[key]
-
-
 def _acc_value(out, value, e=0):
-    """out += (-1)^e value for a bracket value; out is an _acc map."""
+    """out += (-1)^e value for a bracket value; out is a sum map."""
     neg = e & 1
     for n, p in value.coeffs.items():
         _acc(out, n, p, neg)
 
 
-def _built(alph, out):
-    """The entries of an _acc map as SuperPolys; out is spent."""
-    return {n: SuperPoly(alph, p) if type(p) is dict else p
-            for n, p in out.items()}
-
-
 def _value(cls, alph, out):
-    """The bracket value of class cls summed in the _acc map out."""
+    """The bracket value of class cls summed in the sum map out."""
     return cls(alph, _built(alph, out))
 
 
@@ -145,9 +96,7 @@ def _mul_into(out, poly, q, value, neg=0):
     takes (-1)^{pqn}, p the parity of x (q is read only for an odd x)."""
     odd = q & value.var.parity
     for n, p in value.coeffs.items():
-        r = poly * p
-        if r:
-            _acc(out, n, r, neg ^ (odd & n))
+        accumulate_product(out, n, poly, p, neg ^ (odd & n))
 
 
 def _left_parts(poly, var):
@@ -397,11 +346,14 @@ def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
     variable pairs of +-dg/du_j^(n) (x+d)^n {u_i_{x+d} u_j}_-> (x+d)^m
     df/du_i^(m).
 
-    The sign reads n only through nu = n p(x) mod 2: the lambda sign does
-    not read n, and the chi sign reads n mod 2 and the parity of u_j^(n),
-    which j and n mod 2 fix (it differs between the two classes exactly
-    when g is even). The sum is therefore regrouped so that each
-    dg/du_j^(n) is multiplied in once:
+    The lambda sign does not read n. The chi sign reads n mod 2 and the
+    parity of u_j^(n), which is p(u_j) + n. Raising n by one flips both,
+    and the terms of spva.CHI.master change by, in order,
+    (p(f) + p(g)) + (p(f) + p(u_i^(m))) + 1 + m + p(u_i) = p(g) + 1 mod 2,
+    as p(u_i^(m)) = p(u_i) + m. So for an odd g every n of a generator j
+    has one sign, and for an even g the sign reads only nu = n mod 2. Let
+    nu be n mod 2 for chi and an even g, and 0 otherwise. The sum is
+    therefore regrouped so that each dg/du_j^(n) is multiplied in once:
     1. the partials of g are grouped by (j, nu);
     2. for each u_i^(m), the (x+d)-powers of the inner term are built once,
        as far as the highest entry power met, the arrow sum is built once
@@ -411,9 +363,10 @@ def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
     alph = table.alphabet
     cls = table.value
     sign = cls.var.master
+    nu_mask = cls.var.parity & (pg ^ 1)
     groups = {}
     for (j, n), dgj in ggrad:
-        groups.setdefault((j, n & cls.var.parity), []).append((n, dgj))
+        groups.setdefault((j, n & nu_mask), []).append((n, dgj))
     sums = {key: {} for key in groups}
     for (i, m), dfi in fgrad:
         pi, pim = alph.parities[i], alph.var_parity((i, m))
@@ -446,14 +399,21 @@ def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPol
 
 def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):
     """Axioms-driven evaluation: the implementation of bracket_oracle and
-    spva.susy_bracket_oracle. It never calls a master formula."""
+    spva.susy_bracket_oracle. It never calls a master formula. The bracket
+    is bilinear over Q(i)[k, c], so each pair of monomials is bracketed
+    once, with coefficient 1, and taken with the product of the two
+    coefficients of every pair of terms."""
     alph = table.alphabet
     out = {}
-    for mono_a, ca in a.terms.items():
-        fa = SuperPoly(alph, {mono_a: ca})
-        for mono_b, cb in b.terms.items():
-            fb = SuperPoly(alph, {mono_b: cb})
-            _acc_value(out, _oracle_mono(fa, mono_a, fb, mono_b, table))
+    units = {}
+    for mono_a, ka, ca, ga in a.coefficients():
+        for mono_b, kb, cb, gb in b.coefficients():
+            unit = units.get((mono_a, mono_b))
+            if unit is None:
+                unit = units[mono_a, mono_b] = _oracle_mono(mono_a, mono_b,
+                                                            table)
+            _acc_value(out, unit.scalar_mul(Scalar.term(ka + kb, ca + cb,
+                                                        ga * gb)))
     return _value(table.value, alph, out)
 
 
@@ -464,7 +424,8 @@ def _factors(mono):
     return out
 
 
-def _oracle_mono(fa, mono_a, fb, mono_b, table):
+def _oracle_mono(mono_a, mono_b, table):
+    """The bracket of the coefficient-1 monomials mono_a and mono_b."""
     alph = table.alphabet
     var = table.value.var
     fac_a = _factors(mono_a)
@@ -477,24 +438,23 @@ def _oracle_mono(fa, mono_a, fb, mono_b, table):
         wpoly = SuperPoly.variable(alph, w[0], w[1])
         (v, e), rest_t = mono_b[0], mono_b[1:]
         rest_mono = ((v, e - 1),) + rest_t if e > 1 else rest_t
-        rest = SuperPoly(alph, {rest_mono: fb.terms[mono_b]})
-        t1 = _oracle_mono(fa, mono_a, wpoly, ((w, 1),), table).mul_right(rest)
+        rest = SuperPoly(alph, {rest_mono: Scalar.one()})
+        t1 = _oracle_mono(mono_a, ((w, 1),), table).mul_right(rest)
         pw = alph.var_parity(w)
         prest = sum(alph.var_parity(u) for u in _factors(rest_mono))
-        t2 = _oracle_mono(fa, mono_a, rest, rest_mono, table).mul_right(wpoly)
+        t2 = _oracle_mono(mono_a, rest_mono, table).mul_right(wpoly)
         return t1 + _signed(t2, pw * prest)
     if len(fac_a) > 1:
         # skew: {A_x B} = (-1)^skew s(A,B){B_{-x-d} A}; B is now composite
         pa = sum(alph.var_parity(v) for v in fac_a)
         pb = sum(alph.var_parity(v) for v in fac_b)
-        rev = _oracle_mono(fb, mono_b, fa, mono_a, table).flip()
+        rev = _oracle_mono(mono_b, mono_a, table).flip()
         return _signed(rev, var.skew + pa * pb)
     (i, m), = fac_a
     (j, n), = fac_b
     # sesquilinearity in both arguments, from the table entry
     val = _signed(table.entry(i, j).shift(m), var.d_left * m)
-    val = _signed(val.apply_plus_d(n), var.d_right(alph.var_parity((i, m))) * n)
-    return val.scalar_mul(fa.terms[mono_a] * fb.terms[mono_b])
+    return _signed(val.apply_plus_d(n), var.d_right(alph.var_parity((i, m))) * n)
 
 
 def bracket_oracle(a: SuperPoly, b: SuperPoly, table: BracketTable) -> LambdaPoly:
@@ -558,7 +518,7 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     for chi (x = chi, y = gamma), exactly; zero iff Jacobi holds."""
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
-    out = {}   # an _acc map (i, j) -> f_ij
+    out = {}   # a sum map (i, j) -> f_ij
     a_parts = _parts(a)
     # the first two signs read the parity of a only, the lambda ones none
     a_split = a_parts if var.parity else [(0, a)]

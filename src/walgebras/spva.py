@@ -138,8 +138,8 @@ def doubled_alphabet(alph):
 def to_doubled(poly: SuperPoly, target) -> SuperPoly:
     """Rewrite a D-flavored polynomial over generators {u, Du} with del=D^2."""
     out = SuperPoly.zero(target)
-    for mono, c in poly.terms.items():
-        term = SuperPoly.const(target, c)
+    for mono, kp, cp, gr in poly.coefficients():
+        term = SuperPoly.from_coefficients(target, [((), kp, cp, gr)])
         for (i, m), e in mono:
             img = SuperPoly.variable(target, 2 * i + (m % 2), m // 2)
             for _ in range(e):

@@ -18,22 +18,44 @@ with no reordering and no crossing sign. It merges only with a factor
 u^(m+1) right after it, and that term vanishes when u^(m+1) is odd.
 
 No method changes a value's alphabet or terms after it is built. The one
-internal state is a first-use memo: ``parity_gradients`` keeps its result
-in a private slot, so that a polynomial bracketed many times (the BRST
-element d, a generator value) is differentiated once. The memo is a pure
-function of the terms, which never change, and equality and hashing do not
-read it. Two threads that fill it at once compute equal results, and the
-slot is set by one atomic store, so a reader sees either no memo or a
-complete one; any operation may still run concurrently with any other.
+internal state is two first-use memos: ``parity_gradients`` keeps its
+result in a private slot, so that a polynomial bracketed many times (the
+BRST element d, a generator value) is differentiated once, and ``terms``
+keeps the view described below. Each memo is a pure function of the terms,
+which never change, and equality and hashing do not read them. Two threads
+that fill one at once compute equal results, and the slot is set by one
+atomic store, so a reader sees either no memo or a complete one; any
+operation may still run concurrently with any other.
+
+Storage. A polynomial is one flat dict ``{(monomial, k power, c power):
+GRat}`` with no zero values: the term g k^a c^b M is the entry
+``(M, a, b): g``, and a monomial whose coefficient in Q(i)[k, c] has n
+terms holds n entries. Every kernel loop (sum, product, derivation,
+partials, substitution, equality, hashing) runs on that dict, so a product
+term costs one GRat operation and one key, with no Scalar or coefficient
+dict built around it; at a numeric level every key has powers (0, 0). Only
+this module reads the layout. The public ``SuperPoly(alph, {M: Scalar})``
+still builds a polynomial, dropping zero coefficients; ``terms`` is a
+read-only ``{M: Scalar}`` view of it, built on first read (rendering and
+serialization read it); ``coefficients()`` yields ``(M, k power, c power,
+GRat)`` for the readers that take the coefficients apart, and
+``from_coefficients`` is its inverse. ``accumulate`` and
+``accumulate_product`` add a value, or a product, in place into a sum map
+(pva's dicts of bracket-value coefficients), and ``accumulated`` turns the
+map back into SuperPolys.
 """
 
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GRat, Scalar, join_signed, rat
+from types import MappingProxyType
+
+from .scalars import (GR_ONE, GR_ZERO, GRat, Scalar, _times_int, join_signed,
+                      rat)
 
 FLAVOR_DEL = "d"   # even derivation, variables u^(m)
 FLAVOR_D = "D"     # odd derivation, variables u^[m]
 _HALF = rat(1, 2)  # the weight one D adds
+_new = object.__new__
 
 
 class FlavorError(TypeError):
@@ -167,108 +189,202 @@ def _merge_monomials(par, dp, m1, m2):
     return tuple(out), -1 if sign & 1 else 1
 
 
-class SuperPoly:
-    """Sparse supercommutative polynomial with Scalar coefficients."""
+def _poly(alph, flat) -> "SuperPoly":
+    """A SuperPoly over alph that takes over flat, a term dict in the
+    storage layout with no zero values."""
+    p = _new(SuperPoly)
+    p.alphabet = alph
+    p._flat = flat
+    p._terms = None
+    p._gradients = None
+    return p
 
-    __slots__ = ("alphabet", "terms", "_gradients")
+
+def _monomial_terms(mono, scalar):
+    """The flat terms of scalar * mono."""
+    return {(mono, kp, cp): g for (kp, cp), g in scalar.terms.items() if g}
+
+
+def _add_flat(out, flat, neg=0):
+    """out += (-1)^neg flat in place, keeping no zero values."""
+    get = out.get
+    if neg:
+        for key, g in flat.items():
+            s = get(key)
+            if s is None:
+                out[key] = -g
+            else:
+                s = s - g
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    else:
+        for key, g in flat.items():
+            s = get(key)
+            if s is None:
+                out[key] = g
+            else:
+                s = s + g
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+
+
+def _mul_flat(out, flat1, flat2, par, dp, neg=0):
+    """out += (-1)^neg flat1 * flat2 in place, keeping no zero values, over
+    an alphabet with parities par and deriv_parity dp."""
+    get = out.get
+    for (m1, k1, c1), g1 in flat1.items():
+        if neg:
+            g1 = -g1
+        for (m2, k2, c2), g2 in flat2.items():
+            mono, sign = _merge_monomials(par, dp, m1, m2)
+            if mono is None:
+                continue
+            key = (mono, k1 + k2, c1 + c2)
+            g = g1 * g2
+            s = get(key)
+            if s is None:
+                out[key] = -g if sign < 0 else g
+            else:
+                s = s - g if sign < 0 else s + g
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+
+
+class SuperPoly:
+    """Sparse supercommutative polynomial with Scalar coefficients, stored
+    flat (see the module docstring)."""
+
+    __slots__ = ("alphabet", "_flat", "_terms", "_gradients")
 
     def __init__(self, alphabet, terms=None):
+        """sum_M c_M M over terms {M: Scalar c_M} of canonical monomials M;
+        zero coefficients drop out."""
         self.alphabet = alphabet
-        self.terms = {} if terms is None else terms
+        self._flat = {(mono, kp, cp): g for mono, c in (terms or {}).items()
+                      for (kp, cp), g in c.terms.items() if g}
+        self._terms = None
         self._gradients = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(alph) -> "SuperPoly":
-        return SuperPoly(alph)
+        return _poly(alph, {})
 
     @staticmethod
     def const(alph, scalar: Scalar) -> "SuperPoly":
-        return SuperPoly(alph, {(): scalar} if scalar else {})
+        return _poly(alph, _monomial_terms((), scalar))
 
     @staticmethod
     def one(alph) -> "SuperPoly":
-        return SuperPoly.const(alph, Scalar.one())
+        return _poly(alph, {((), 0, 0): GR_ONE})
 
     @staticmethod
     def variable(alph, gen, order=0, coeff=None) -> "SuperPoly":
-        c = Scalar.one() if coeff is None else coeff
-        if not c:
-            return SuperPoly(alph)
-        return SuperPoly(alph, {(((gen, order), 1),): c})
+        mono = (((gen, order), 1),)
+        if coeff is None:
+            return _poly(alph, {(mono, 0, 0): GR_ONE})
+        return _poly(alph, _monomial_terms(mono, coeff))
 
     @staticmethod
     def linear(alph, coeffs) -> "SuperPoly":
         """sum_t c_t u_t over (t, c_t) pairs with distinct t; zeros drop out."""
-        return SuperPoly(alph, {(((t, 0), 1),): c for t, c in coeffs if c})
+        return _poly(alph, {((((t, 0), 1),), kp, cp): g for t, c in coeffs
+                            for (kp, cp), g in c.terms.items() if g})
+
+    @staticmethod
+    def from_coefficients(alph, items) -> "SuperPoly":
+        """sum g k^kpow c^cpow M over (M, kpow, cpow, g) items, M a canonical
+        monomial and g a GRat; equal (M, kpow, cpow) add up, zeros drop out."""
+        out = {}
+        for mono, kp, cp, g in items:
+            key = (mono, kp, cp)
+            s = out.get(key)
+            s = g if s is None else s + g
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return _poly(alph, out)
 
     # -- basics --------------------------------------------------------
+    @property
+    def terms(self):
+        """A read-only {monomial: Scalar} view, built on first read."""
+        view = self._terms
+        if view is None:
+            by_mono = {}
+            for (mono, kp, cp), g in self._flat.items():
+                s = by_mono.get(mono)
+                if s is None:
+                    by_mono[mono] = Scalar({(kp, cp): g})
+                else:
+                    s.terms[(kp, cp)] = g
+            view = self._terms = MappingProxyType(by_mono)
+        return view
+
+    def coefficients(self):
+        """(M, kpow, cpow, g) for each nonzero term g k^kpow c^cpow M, g a
+        GRat; a monomial appears once per power pair of its coefficient."""
+        return ((mono, kp, cp, g) for (mono, kp, cp), g in self._flat.items())
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._flat)
 
     def __eq__(self, other):
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        return self.alphabet == other.alphabet and self._flat == other._flat
 
     def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
+        return hash((self.alphabet, frozenset(self._flat.items())))
 
     def _check(self, other):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise FlavorError("polynomials over different alphabets")
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return SuperPoly(self.alphabet, out)
+        out = dict(self._flat)
+        _add_flat(out, other._flat)
+        return _poly(self.alphabet, out)
 
     def __neg__(self):
-        return SuperPoly(self.alphabet, {m: -c for m, c in self.terms.items()})
+        return _poly(self.alphabet, {key: -g for key, g in self._flat.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self._flat)
+        _add_flat(out, other._flat, 1)
+        return _poly(self.alphabet, out)
 
     def __mul__(self, other):
         self._check(other)
-        par, dp = self.alphabet.parities, self.alphabet.deriv_parity
+        alph = self.alphabet
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono, sign = _merge_monomials(par, dp, m1, m2)
-                if mono is None:
-                    continue
-                c = c1 * c2
-                s = out.get(mono)
-                if sign < 0:
-                    s = -c if s is None else s - c
-                else:
-                    s = c if s is None else s + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return SuperPoly(self.alphabet, out)
+        _mul_flat(out, self._flat, other._flat, alph.parities, alph.deriv_parity)
+        return _poly(alph, out)
 
     def scalar_mul(self, scalar: Scalar) -> "SuperPoly":
-        if not scalar:
-            return SuperPoly(self.alphabet)
-        out = {}
-        for m, c in self.terms.items():
-            s = c * scalar
-            if s:
-                out[m] = s
-        return SuperPoly(self.alphabet, out)
+        st = scalar.terms
+        if len(st) != 1:
+            return self * SuperPoly.const(self.alphabet, scalar)
+        ((k2, c2), g2), = st.items()
+        # Q(i) has no zero divisors: no product vanishes
+        if k2 or c2:
+            out = {(m, k + k2, c + c2): g * g2
+                   for (m, k, c), g in self._flat.items()}
+        else:
+            out = {key: g * g2 for key, g in self._flat.items()}
+        return _poly(self.alphabet, out)
 
     def scale(self, rat) -> "SuperPoly":
         return self.scalar_mul(Scalar.rational(rat))
@@ -276,7 +392,7 @@ class SuperPoly:
     def parity(self):
         """0, 1, or None when the polynomial mixes parities."""
         p = None
-        for m in self.terms:
+        for m, _kp, _cp in self._flat:
             q = _mono_parity(self.alphabet, m)
             if p is None:
                 p = q
@@ -286,12 +402,12 @@ class SuperPoly:
 
     def parity_part(self, p) -> "SuperPoly":
         alph = self.alphabet
-        return SuperPoly(alph, {m: c for m, c in self.terms.items()
-                                if _mono_parity(alph, m) == p % 2})
+        return _poly(alph, {key: g for key, g in self._flat.items()
+                            if _mono_parity(alph, key[0]) == p % 2})
 
     def variables(self):
         seen = set()
-        for m in self.terms:
+        for m, _kp, _cp in self._flat:
             for v, _e in m:
                 seen.add(v)
         return sorted(seen)
@@ -305,15 +421,13 @@ class SuperPoly:
         alph = self.alphabet
         par, dp = alph.parities, alph.deriv_parity
         out = {}
-        for mono, coeff in self.terms.items():
+        get = out.get
+        for (mono, kp, cp), coeff in self._flat.items():
             last = len(mono) - 1
             odd_prefix = 0
             for t, (v, e) in enumerate(mono):
                 g, m = v
                 dv = (g, m + 1)
-                c = coeff.scale(e) if e != 1 else coeff
-                if odd_prefix:
-                    c = -c
                 if t < last and mono[t + 1][0] == dv:
                     if par[g] ^ ((m + 1) & dp):
                         mono_d = None   # the odd dv squares to zero
@@ -325,15 +439,21 @@ class SuperPoly:
                     mono_d = mono[:t] + (((v, e - 1), (dv, 1)) if e > 1
                                          else ((dv, 1),)) + mono[t + 1:]
                 if mono_d is not None:
-                    s = out.get(mono_d)
-                    s = c if s is None else s + c
-                    if s:
-                        out[mono_d] = s
+                    c = coeff if e == 1 and not odd_prefix \
+                        else _times_int(coeff, -e if odd_prefix else e)
+                    key = (mono_d, kp, cp)
+                    s = get(key)
+                    if s is None:
+                        out[key] = c
                     else:
-                        out.pop(mono_d, None)
+                        s = s + c
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
                 if dp:
                     odd_prefix ^= (par[g] ^ (m & 1)) & e
-        return SuperPoly(alph, out)
+        return _poly(alph, out)
 
     def partial(self, var) -> "SuperPoly":
         """Signed partial derivative with respect to variable (gen, order)."""
@@ -341,26 +461,23 @@ class SuperPoly:
         par, dp = alph.parities, alph.deriv_parity
         pv = par[var[0]] ^ (var[1] & dp)
         out = {}
-        for mono, coeff in self.terms.items():
+        for (mono, kp, cp), coeff in self._flat.items():
             prefix_parity = 0
             for t, (v, e) in enumerate(mono):
                 if v == var:
-                    c = coeff.scale(e) if e != 1 else coeff
-                    if pv and prefix_parity:
-                        c = -c
+                    neg = pv and prefix_parity
+                    c = coeff if e == 1 and not neg \
+                        else _times_int(coeff, -e if neg else e)
                     if e > 1:
                         rest = mono[:t] + ((v, e - 1),) + mono[t + 1:]
                     else:
                         rest = mono[:t] + mono[t + 1:]
-                    s = out.get(rest)
-                    s = c if s is None else s + c
-                    if s:
-                        out[rest] = s
-                    else:
-                        out.pop(rest, None)
+                    # mono is rest with one more var, so no two terms share
+                    # a key
+                    out[(rest, kp, cp)] = c
                     break
                 prefix_parity ^= (par[v[0]] ^ (v[1] & dp)) & e
-        return SuperPoly(alph, out)
+        return _poly(alph, out)
 
     def gradient(self):
         """Every nonzero partial derivative, {var: self.partial(var)} in
@@ -368,32 +485,33 @@ class SuperPoly:
         alph = self.alphabet
         par, dp = alph.parities, alph.deriv_parity
         acc = {}
-        for mono, coeff in self.terms.items():
+        for (mono, kp, cp), coeff in self._flat.items():
             prefix_parity = 0
             for t, (v, e) in enumerate(mono):
                 pv = par[v[0]] ^ (v[1] & dp)
-                c = coeff.scale(e) if e != 1 else coeff
-                if pv and prefix_parity:
-                    c = -c
+                neg = pv and prefix_parity
+                c = coeff if e == 1 and not neg \
+                    else _times_int(coeff, -e if neg else e)
                 if e > 1:
                     rest = mono[:t] + ((v, e - 1),) + mono[t + 1:]
                 else:
                     rest = mono[:t] + mono[t + 1:]
-                # mono is rest with one more v, so no two terms share a rest
-                acc.setdefault(v, {})[rest] = c
+                # mono is rest with one more v, so no two terms share a key
+                acc.setdefault(v, {})[(rest, kp, cp)] = c
                 prefix_parity ^= pv & e
-        return {v: SuperPoly(alph, acc[v]) for v in sorted(acc)}
+        return {v: _poly(alph, acc[v]) for v in sorted(acc)}
 
     def parity_gradients(self):
         """(p, the gradient of the parity-p part as a tuple of (var,
         partial) pairs) for each nonzero part, p = 0 first; computed on the
         first call and kept (see the module docstring)."""
         if self._gradients is None:
+            alph = self.alphabet
             parts = ({}, {})
-            for mono, coeff in self.terms.items():
-                parts[_mono_parity(self.alphabet, mono)][mono] = coeff
+            for key, g in self._flat.items():
+                parts[_mono_parity(alph, key[0])][key] = g
             self._gradients = tuple(
-                (p, tuple(SuperPoly(self.alphabet, part).gradient().items()))
+                (p, tuple(_poly(alph, part).gradient().items()))
                 for p, part in enumerate(parts) if part)
         return self._gradients
 
@@ -427,25 +545,31 @@ class SuperPoly:
                     cache[(gen, o)] = cur
             return cache[(gen, order)]
 
+        # the image of each monomial is built once and takes every power
+        # pair of its coefficient
+        coeffs = {}
+        for (mono, kp, cp), g in self._flat.items():
+            coeffs.setdefault(mono, {})[((), kp, cp)] = g
+        par, dp = target.parities, target.deriv_parity
         out = {}
-        for mono, coeff in self.terms.items():
-            term = SuperPoly.const(target, coeff)
+        for mono, coeff in coeffs.items():
+            term = {((), 0, 0): GR_ONE}
             for v, e in mono:
-                img = image_of(v)
+                img = image_of(v)._flat
                 for _ in range(e):
-                    term = term * img
-                if term.is_zero():
+                    prod = {}
+                    _mul_flat(prod, term, img, par, dp)
+                    term = prod
+                if not term:
                     break
-            for m, c in term.terms.items():
-                s = out.get(m)
-                out[m] = c if s is None else s + c
-        return SuperPoly(target, {m: c for m, c in out.items() if c})
+            _mul_flat(out, term, coeff, par, dp)
+        return _poly(target, out)
 
     # -- weights ----------------------------------------------------------
     def conformal_weight(self):
         """Common conformal weight, or None for 0, or 'inhomogeneous'."""
         w = None
-        for mono in self.terms:
+        for mono, _kp, _cp in self._flat:
             mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), GR_ZERO)
             if w is None:
                 w = mw
@@ -455,11 +579,12 @@ class SuperPoly:
 
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono in sorted(terms):
+            c = terms[mono]
             factors = []
             for v, e in mono:
                 vs = self.alphabet.var_name(v)
@@ -488,13 +613,55 @@ class SuperPoly:
 
     @staticmethod
     def from_obj(alph, obj) -> "SuperPoly":
-        terms = {}
-        for mono_obj, c_obj in obj:
-            mono = tuple(((g, m), e) for g, m, e in mono_obj)
-            c = Scalar.from_obj(c_obj)
-            if c:
-                terms[mono] = c
-        return SuperPoly(alph, terms)
+        return SuperPoly(alph, {tuple(((g, m), e) for g, m, e in mono_obj):
+                                Scalar.from_obj(c_obj) for mono_obj, c_obj in obj})
+
+
+def accumulate(out, key, poly, neg=0):
+    """out[key] += (-1)^neg poly in a sum map, keeping no zero entries.
+
+    An entry of a sum map is the caller's SuperPoly until its second
+    addition; from then on it is a private term dict that later additions
+    add into, or subtract from, in place (the first addition with neg set
+    starts one at once). Only accumulated turns the entries back into
+    SuperPolys, so a private dict never leaves the function that owns out,
+    and no caller's value changes.
+    """
+    flat = poly._flat
+    if not flat:
+        return
+    s = out.get(key)
+    if s is None:
+        out[key] = {k: -g for k, g in flat.items()} if neg else poly
+        return
+    if type(s) is not dict:
+        s = out[key] = dict(s._flat)
+    _add_flat(s, flat, neg)
+    if not s:
+        del out[key]
+
+
+def accumulate_product(out, key, a, b, neg=0):
+    """out[key] += (-1)^neg a * b in a sum map (see accumulate), with no
+    SuperPoly built for the product."""
+    a._check(b)
+    s = out.get(key)
+    if s is None:
+        s = {}
+    elif type(s) is not dict:
+        s = dict(s._flat)
+    alph = a.alphabet
+    _mul_flat(s, a._flat, b._flat, alph.parities, alph.deriv_parity, neg)
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def accumulated(alph, out):
+    """The entries of a sum map as SuperPolys over alph; out is spent."""
+    return {key: _poly(alph, p) if type(p) is dict else p
+            for key, p in out.items()}
 
 
 def apply_del(poly: SuperPoly) -> SuperPoly:

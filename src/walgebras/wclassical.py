@@ -294,27 +294,27 @@ def k_degree_bound(weight, *levels) -> int:
 def solve_ansatz(alph, monos, kmax, terms, what, unique=True):
     """Solve for the coefficients x_{M,d} of the ansatz sum k^d M.
 
-    `terms` yields (M, key, s): the Scalar s is what the monomial M adds to
-    the linear condition `key`, or for M None the known part of it; each
-    power of k and c in a condition is one equation. Returns the solved
-    polynomial over alph. No solution, or several when `unique` is set,
-    raises GeneratorError naming `what`; without `unique`, several give None.
+    `terms` yields (M, key, kp, cp, gr): the GRat gr is the coefficient of
+    k^kp c^cp in what the monomial M adds to the linear condition `key`, or
+    for M None in the known part of it; each power of k and c in a
+    condition is one equation. Returns the solved polynomial over alph. No
+    solution, or several when `unique` is set, raises GeneratorError naming
+    `what`; without `unique`, several give None.
     """
     columns = [(M, d) for M in monos for d in range(kmax + 1)]
     rows = {}
-    for M, key, s in terms:
-        for (kp, cp), gr in s.terms.items():
-            if M is None:
-                row = rows.setdefault((key, kp, cp), [{}, GR_ZERO])
-                row[1] = row[1] - gr
-                continue
-            for d in range(kmax + 1):
-                coeffs = rows.setdefault((key, kp + d, cp), [{}, GR_ZERO])[0]
-                cur = coeffs.get((M, d), GR_ZERO) + gr
-                if cur:
-                    coeffs[(M, d)] = cur
-                else:
-                    coeffs.pop((M, d), None)
+    for M, key, kp, cp, gr in terms:
+        if M is None:
+            row = rows.setdefault((key, kp, cp), [{}, GR_ZERO])
+            row[1] = row[1] - gr
+            continue
+        for d in range(kmax + 1):
+            coeffs = rows.setdefault((key, kp + d, cp), [{}, GR_ZERO])[0]
+            cur = coeffs.get((M, d), GR_ZERO) + gr
+            if cur:
+                coeffs[(M, d)] = cur
+            else:
+                coeffs.pop((M, d), None)
     try:
         sol = solve_linear([tuple(row) for row in rows.values()], columns)
     except LinearSolveError as e:
@@ -323,11 +323,8 @@ def solve_ansatz(alph, monos, kmax, terms, what, unique=True):
         if unique:
             raise GeneratorError("non-unique %s: %s" % (what, e))
         return None
-    out = SuperPoly.zero(alph)
-    for (M, d), gr in sol.items():
-        if gr:
-            out = out + SuperPoly(alph, {M: Scalar.term(d, 0, gr)})
-    return out
+    return SuperPoly.from_coefficients(
+        alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
 
 
 def solve_generator(ctx: ReductionContext, j) -> WGenerator:
@@ -359,17 +356,15 @@ def _membership_terms(ctx, lead_poly, monos):
         for M, poly in polys:
             value = master(nv, poly, table)
             for lam, coeff in value.coeffs.items():
-                for mono, s in coeff.terms.items():
-                    yield M, (t, lam, mono), s
+                for mono, kp, cp, gr in coeff.coefficients():
+                    yield M, (t, lam, mono), kp, cp, gr
 
 
 def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
-    out = {}
-    for mono, c in poly.terms.items():
-        d = sum(e for (t, m), e in mono if t in ctx.highe_indices)
-        if d == degree:
-            out[mono] = c
-    return SuperPoly(ctx.alph, out)
+    highe = ctx.highe_indices
+    return SuperPoly.from_coefficients(ctx.alph, (
+        term for term in poly.coefficients()
+        if sum(e for (t, _m), e in term[0] if t in highe) == degree))
 
 
 def solve_all_generators(ctx: ReductionContext):

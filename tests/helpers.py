@@ -12,7 +12,7 @@ from functools import reduce
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
                               SL2Triple, vec_grat)
-from walgebras.scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar
+from walgebras.scalars import GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
@@ -226,13 +226,57 @@ def model_parity_part(a, p):
                                   if model_mono_parity(a.alphabet, m) == p})
 
 
+def model_partial(a, var):
+    """The signed partial derivative of a by var: each occurrence of var in
+    a factor list is taken out in turn, passing the factors before it with
+    the sign of their parity when var is odd."""
+    alph = a.alphabet
+    odd = model_var_parity(alph, var)
+    terms = []
+    for mono, c in a.terms.items():
+        fs, prefix = model_factors(mono), 0
+        for t, v in enumerate(fs):
+            if v == var:
+                terms.append((fs[:t] + fs[t + 1:],
+                              -c if odd and prefix % 2 else c))
+            prefix += model_var_parity(alph, v)
+    return model_poly(alph, terms)
+
+
+def model_substitute(a, images, target):
+    """u_i^(m) -> the m-th model_deriv of images[i], applied factor by
+    factor: the factor lists of the images are concatenated in order and
+    sorted once, by model_poly."""
+    terms = []
+    for mono, c in a.terms.items():
+        expanded = [([], c)]
+        for i, m in model_factors(mono):
+            img = images[i]
+            for _ in range(m):
+                img = model_deriv(img)
+            expanded = [(fs + model_factors(m2), s * s2) for fs, s in expanded
+                        for m2, s2 in img.terms.items()]
+        terms += expanded
+    return model_poly(target, terms)
+
+
+def random_scalar(rng):
+    """One or two terms r k^a c^b with r in {-3..3}/{1, 2} and a, b <= 2,
+    such as (1/2 + 3k)c; zero terms drop out."""
+    s = Scalar.zero()
+    for _ in range(rng.randint(1, 2)):
+        s = s + Scalar.term(rng.randint(0, 2), rng.randint(0, 2), GRat(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+    return s
+
+
 def random_model_poly(alph, rng, terms=3, max_factors=4, max_order=2):
     """Seeded random polynomial built by the model, with repeated and
-    neighbouring variables (u^(m), u^(m+1)) common."""
+    neighbouring variables (u^(m), u^(m+1)) common and coefficients in
+    Q[k, c] (random_scalar)."""
     return model_poly(alph, [
         ([(rng.randrange(len(alph)), rng.randint(0, max_order))
-          for _ in range(rng.randint(0, max_factors))],
-         Scalar.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+          for _ in range(rng.randint(0, max_factors))], random_scalar(rng))
         for _ in range(terms)])
 
 
@@ -404,13 +448,15 @@ def j_route_differential_terms(cplx, diff, known, monos, in_J=False):
     monomials M, with d_[0] applied to from_J(M) in j-coordinates; the
     conditions are read in j-, or with in_J in J-coordinates."""
     for mono, s in known.terms.items():
-        yield None, mono, s
+        for (kp, cp), gr in s.terms.items():
+            yield None, mono, kp, cp, gr
     for M in monos:
         dm = diff.apply(cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
         if in_J:
             dm = cplx.to_J(dm)
         for mono, s in dm.terms.items():
-            yield M, mono, s
+            for (kp, cp), gr in s.terms.items():
+                yield M, mono, kp, cp, gr
 
 
 def j_route_cohomology_generators(cplx, diff):

@@ -205,26 +205,34 @@ def test_verify_all_builds_each_piece_once(monkeypatch, capsys):
         for flavor in ("lambda", "chi"))
 
 
-@pytest.mark.parametrize("algebra,extra,counts", [
-    ("osp12", [], {"lambda": 4, "chi": 2}),
-    ("sl21", ["--k", "1/2"], {"lambda": 16, "chi": 8})])
+@pytest.mark.parametrize("algebra,extra,counts,solves", [
+    ("osp12", [], {"lambda": 4, "chi": 1}, {"lambda": 2, "chi": 1}),
+    ("sl21", ["--k", "1/2"], {"lambda": 16, "chi": 4},
+     {"lambda": 4, "chi": 2})])
 def test_verify_all_brackets_each_pair_once(monkeypatch, capsys, algebra,
-                                            extra, counts):
-    """thm-3-6 and thm-6-5 read the run's direct W table: each generator
-    pair goes through the direct route once per flavor, plus once more for
-    chi in the table that check_thm_5_9 builds for its own context."""
-    direct = wclassical.w_bracket_direct
+                                            extra, counts, solves):
+    """thm-3-6, thm-6-5 and thm-5-9 read the run's direct W table: each
+    generator pair goes through the direct route once per flavor, and each
+    generator is solved once per flavor."""
+    direct, solve = wclassical.w_bracket_direct, wclassical.solve_generator
     calls = {"lambda": 0, "chi": 0}
+    solved = {"lambda": 0, "chi": 0}
 
     def counting(ctx, *args):
         calls[ctx.flavor.name] += 1
         return direct(ctx, *args)
 
+    def counting_solve(ctx, j):
+        solved[ctx.flavor.name] += 1
+        return solve(ctx, j)
+
     monkeypatch.setattr(wclassical, "w_bracket_direct", counting)
+    monkeypatch.setattr(wclassical, "solve_generator", counting_solve)
     code, _, err = run(capsys, "verify", "--algebra", algebra, "--suite",
                        "all", *extra)
     assert (code, err) == (0, "")
     assert calls == counts
+    assert solved == solves
 
 
 @pytest.mark.parametrize("suite", ["thm-5-9", "all"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from walgebras.scalars import Scalar
+from walgebras.scalars import GRat, Scalar
 from walgebras.superpoly import (Alphabet, FLAVOR_D, FLAVOR_DEL, FlavorError,
                                  SuperPoly, apply_D, apply_del,
                                  enumerate_monomials, random_superpoly)
@@ -75,15 +75,27 @@ def test_derivation_property_randomized():
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("alph", [Alphabet(FLAVOR_DEL, ["u", "v", "w"], [0, 1, 0]),
-                                  Alphabet(FLAVOR_D, ["u", "v"], [1, 0])],
-                         ids=["del", "D"])
+MODEL_ALPHABETS = [Alphabet(FLAVOR_DEL, ["u", "v", "w"], [0, 1, 0]),
+                   Alphabet(FLAVOR_D, ["u", "v"], [1, 0])]
+
+
+def _powers(p):
+    """The (k power, c power) pairs in p, and the number of monomials whose
+    coefficient has more than one term."""
+    pairs = {(kp, cp) for _m, kp, cp, _g in p.coefficients()}
+    return pairs, sum(len(c.terms) > 1 for c in p.terms.values())
+
+
+@pytest.mark.parametrize("alph", MODEL_ALPHABETS, ids=["del", "D"])
 def test_kernel_equals_factor_list_model(alph):
-    """Products, the derivation and parities against the factor-list model
-    of tests/helpers.py on seeded inputs with repeated and neighbouring
-    variables, so that the derivation's merge and vanish paths run."""
+    """Products, the derivation, partials, gradients and parities against
+    the factor-list model of tests/helpers.py on seeded inputs with
+    repeated and neighbouring variables, so that the derivation's merge and
+    vanish paths run, and with coefficients in Q[k, c] of one and two
+    terms, so that the (k power, c power) bookkeeping runs."""
     rng = random.Random(23)
-    merged = vanished = 0
+    merged = vanished = multi = 0
+    pairs = set()
     for _ in range(60):
         a = helpers.random_model_poly(alph, rng)
         b = helpers.random_model_poly(alph, rng)
@@ -96,6 +108,13 @@ def test_kernel_equals_factor_list_model(alph):
             assert p.parity() == helpers.model_parity(p)
             for q in (0, 1):
                 assert p.parity_part(q) == helpers.model_parity_part(p, q)
+            want = {v: helpers.model_partial(p, v) for v in p.variables()}
+            assert p.gradient() == {v: d for v, d in want.items() if d}
+            for v, d in want.items():
+                assert p.partial(v) == d
+            found, n = _powers(p)
+            pairs |= found
+            multi += n
             for mono in p.terms:
                 for (v, _e), (w, _f) in zip(mono, mono[1:]):
                     if w == (v[0], v[1] + 1):
@@ -103,7 +122,26 @@ def test_kernel_equals_factor_list_model(alph):
                             vanished += 1
                         else:
                             merged += 1
-    assert merged and vanished
+    assert merged and vanished and multi
+    assert {(0, 0), (2, 2), (4, 4)} <= pairs
+
+
+@pytest.mark.parametrize("alph", MODEL_ALPHABETS, ids=["del", "D"])
+def test_substitute_equals_model(alph):
+    """substitute against the model on seeded polynomials and images with
+    coefficients in Q[k, c]; the image of each generator is homogeneous of
+    its parity, and its derivatives are the model's."""
+    rng = random.Random(31)
+    multi = 0
+    for _ in range(25):
+        a = helpers.random_model_poly(alph, rng, max_factors=3)
+        images = {i: helpers.model_parity_part(
+            helpers.random_model_poly(alph, rng, terms=2, max_factors=2),
+            alph.parities[i]) for i in range(len(alph))}
+        got = a.substitute(images, alph)
+        assert got == helpers.model_substitute(a, images, alph)
+        multi += _powers(got)[1]
+    assert multi
 
 
 def test_deriv_merges_into_the_next_order():
@@ -264,3 +302,37 @@ def test_canonical_form_is_normal_form():
     p1 = (x * y) * z + z * (y * x)
     p2 = (z * y) * x + x * (y * z)
     assert p1.terms == p2.terms
+
+
+def test_zero_coefficients_drop_out():
+    """A zero coefficient given to the constructor leaves no term, so the
+    canonical form stays a normal form."""
+    mono = (((0, 0), 1),)
+    zero = SuperPoly.zero(AFF)
+    for given in (Scalar.zero(), Scalar({(1, 0): GRat(0)})):
+        p = SuperPoly(AFF, {mono: given})
+        assert not p and p.is_zero()
+        assert p == zero and hash(p) == hash(zero)
+        assert p.render() == "0" and dict(p.terms) == {}
+        q = SuperPoly(AFF, {mono: Scalar.one(), (): given})
+        assert q == var(AFF, 0) and q.render() == "E"
+    assert SuperPoly.from_coefficients(
+        AFF, [(mono, 1, 0, GRat(2)), (mono, 1, 0, GRat(-2))]) == zero
+    assert not SuperPoly.const(AFF, Scalar.zero())
+    assert not var(AFF, 0).scalar_mul(Scalar.zero())
+
+
+def test_terms_view_is_read_only():
+    """poly.terms is a {monomial: Scalar} view built once; writing into it
+    raises TypeError and the polynomial keeps its value."""
+    k = Scalar.k()
+    p = var(AFF, 0).scalar_mul(k + Scalar.c()) + SuperPoly.one(AFF)
+    assert p.terms is p.terms
+    assert dict(p.terms) == {(): Scalar.one(), (((0, 0), 1),): k + Scalar.c()}
+    with pytest.raises(TypeError):
+        p.terms[()] = k
+    with pytest.raises(TypeError):
+        del p.terms[()]
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p == var(AFF, 0).scalar_mul(k + Scalar.c()) + SuperPoly.one(AFF)
