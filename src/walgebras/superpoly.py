@@ -545,15 +545,14 @@ class SuperPoly:
                     cache[(gen, o)] = cur
             return cache[(gen, order)]
 
-        # the image of each monomial is built once and takes every power
-        # pair of its coefficient
+        # each monomial's coefficient, with all its power pairs, is
+        # multiplied by the images of the monomial's factors in one pass
         coeffs = {}
         for (mono, kp, cp), g in self._flat.items():
             coeffs.setdefault(mono, {})[((), kp, cp)] = g
         par, dp = target.parities, target.deriv_parity
         out = {}
-        for mono, coeff in coeffs.items():
-            term = {((), 0, 0): GR_ONE}
+        for mono, term in coeffs.items():
             for v, e in mono:
                 img = image_of(v)._flat
                 for _ in range(e):
@@ -562,7 +561,7 @@ class SuperPoly:
                     term = prod
                 if not term:
                     break
-            _mul_flat(out, term, coeff, par, dp)
+            _add_flat(out, term)
         return _poly(target, out)
 
     # -- weights ----------------------------------------------------------
