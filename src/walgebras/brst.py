@@ -177,7 +177,7 @@ class BRSTDifferential:
         out = SuperPoly.zero(cplx.alph)
         for alpha, a in enumerate(cplx.n_idx):
             coeff = g.form_value(fvec, g.basis_vec(a))
-            head = cplx.jvar(a) - SuperPoly.const(cplx.alph, self.c * coeff)
+            head = cplx.jvar(a) - SuperPoly.const(cplx.alph, self.c.scale(coeff))
             out = out + head * SuperPoly.variable(cplx.alph, cplx.phibar_index(alpha))
         for alpha, a in enumerate(cplx.n_idx):
             pa = g.parities[a]

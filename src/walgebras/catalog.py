@@ -18,7 +18,7 @@ import os
 
 from .liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
                      load_algebra, save_algebra)
-from .scalars import (GRat, GR_ONE, GR_ZERO, LinearSolveError, Scalar, rat,
+from .scalars import (GRat, GR_ONE, GR_ZERO, LinearSolveError, rat,
                       solve_linear)
 
 
@@ -73,7 +73,7 @@ def _coords(mats, target):
         if e.reason == "inconsistent":
             raise AlgebraError("matrix not in basis span")
         raise AlgebraError("basis matrices not independent (%s)" % e)
-    return tuple(Scalar.term(0, 0, c) for c in coords.values())
+    return tuple(coords.values())
 
 
 def _build_matrix_algebra(name, names, mats, parities, even_rows,
@@ -87,8 +87,7 @@ def _build_matrix_algebra(name, names, mats, parities, even_rows,
             vec = _coords(mats, br)
             if any(vec):
                 struct[(i, j)] = vec
-    form = [[Scalar.rational(_trace_pair(mats[i], mats[j], even_rows,
-                                         form_scale, super_tr))
+    form = [[_trace_pair(mats[i], mats[j], even_rows, form_scale, super_tr)
              for j in range(dim)] for i in range(dim)]
     sl2 = osp = None
     if osp_mats is not None:
@@ -142,9 +141,9 @@ def build_osp12() -> LieSuperalgebra:
     iE, ie, iH, if_, iF = range(5)
 
     def vec(**kw):
-        out = [Scalar.zero()] * 5
+        out = [GR_ZERO] * 5
         for nm, c in kw.items():
-            out[names.index(nm)] = Scalar.rational(c)
+            out[names.index(nm)] = GRat(c)
         return tuple(out)
 
     struct = {
@@ -153,11 +152,11 @@ def build_osp12() -> LieSuperalgebra:
         (ie, ie): vec(E=2), (if_, if_): vec(F=-2), (ie, if_): vec(H=-1),
         (iF, ie): vec(f=1), (iE, if_): vec(e=1),
     }
-    form = [[Scalar.zero()] * 5 for _ in range(5)]
-    form[iE][iF] = Scalar.one(); form[iF][iE] = Scalar.one()
-    form[iH][iH] = Scalar.rational(2)
-    form[ie][if_] = Scalar.rational(-2); form[if_][ie] = Scalar.rational(2)
-    osp = OSPTriple(*(tuple(Scalar.one() if i == j else Scalar.zero() for i in range(5))
+    form = [[GR_ZERO] * 5 for _ in range(5)]
+    form[iE][iF] = form[iF][iE] = GR_ONE
+    form[iH][iH] = GRat(2)
+    form[ie][if_], form[if_][ie] = GRat(-2), GRat(2)
+    osp = OSPTriple(*(tuple(GR_ONE if i == j else GR_ZERO for i in range(5))
                       for j in (iE, ie, iH, if_, iF)))
     return LieSuperalgebra("osp12", names, parities, struct, form,
                            sl2=osp.sl2(), osp=osp)

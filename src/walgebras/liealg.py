@@ -5,15 +5,21 @@ an even supersymmetric invariant bilinear form, and distinguished sl2 /
 osp(1|2) elements.  The basis must be an eigenbasis of ad H/2; the engine
 validates this and never diagonalizes.  Triples are inputs, not searched for.
 
-Elements are coefficient vectors (tuples of Scalar) over the basis.
+All of it lives in Q(i): the level k enters only in the affine table
+(pva.affine_table).  Elements are coefficient vectors (tuples of GRat) over
+the basis; structure constants, form entries and the values of ``bracket``
+and ``form_value`` are GRats.  Numbers are converted once, at the boundary:
+the file reader parses coefficients straight into GRats, and the
+constructor, the triples and ``rebase`` take ints, Fractions, GRats and
+constant Scalars, and raise AlgebraError on a k- or c-dependent Scalar.
 
 Brackets run on sparse vectors.  At construction the algebra indexes its
 nonzero structure constants once, as {(i, j): ((l, c), ...)} with
 [x_i, x_j] = sum c x_l, and one private helper brackets two sparse vectors
-{index: Scalar} through that index: the cost is a few lookups per pair of
+{index: GRat} through that index: the cost is a few lookups per pair of
 nonzero coordinates, not a pass over every structure constant.  The public
-``bracket`` converts dense tuples to and from this form; ``validate`` runs
-its per-basis-element checks on unit vectors {i: 1} directly.
+``bracket`` converts dense tuples to and from this form; ``validate`` sums
+products of structure constants read from the index.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 import json
 from math import comb, factorial
 
-from .scalars import (GR_ZERO, GR_ONE, Scalar, back_substitute, parse_coeff,
-                      rat, row_echelon)
+from .scalars import (GR_ZERO, GR_ONE, GRat, Scalar, back_substitute,
+                      parse_coeff, rat, row_echelon)
 
 HALF = rat(1, 2)
 _MINUS_ONE = -GR_ONE
@@ -82,18 +88,18 @@ def matrix_inverse(rows):
     return [[x[i] for x in cols] for i in range(n)]
 
 
-def vec_grat(vec):
-    """Scalar vector -> GRat vector; entries must be constant."""
-    out = []
-    for s in vec:
-        if not s.is_constant():
-            raise AlgebraError("expected k-free scalar, got %s" % s)
-        out.append(s.constant_part())
-    return out
-
-
-def grat_vec_scalar(vec):
-    return tuple(Scalar.term(0, 0, g) for g in vec)
+def _vector(vec, what, *args):
+    """vec as a tuple of GRats, from ints, Fractions, GRats and constant
+    Scalars; what % args names it in the error on a k- or c-dependent entry."""
+    out = tuple(vec)
+    if all(type(x) is GRat for x in out):
+        return out
+    for n, x in enumerate(out):
+        if isinstance(x, Scalar) and not x.is_constant():
+            raise AlgebraError("%s, entry %d: expected k-free scalar, got %s"
+                               % (what % args, n, x))
+    return tuple(x.constant_part() if isinstance(x, Scalar) else GRat(x)
+                 for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -101,43 +107,58 @@ def grat_vec_scalar(vec):
 # ---------------------------------------------------------------------------
 
 def _in_range(i, dim) -> bool:
-    return isinstance(i, int) and 0 <= i < dim
+    return type(i) is int and 0 <= i < dim
 
 
 def _sparse(vec):
-    """Dense coefficient vector -> sparse {index: Scalar} of its nonzeros."""
+    """Dense coefficient vector -> sparse {index: GRat} of its nonzeros."""
     return {i: c for i, c in enumerate(vec) if c}
 
 
-def _sparse_sum(terms):
-    """sum of sign * u over (sign, u) pairs of sparse vectors, zeros dropped."""
-    out = {}
-    for sign, u in terms:
-        for l, c in u.items():
-            c = c.scale(sign)
-            t = out.get(l)
-            out[l] = c if t is None else t + c
-    return {l: c for l, c in out.items() if c}
+def _scaled(vec, r):
+    return tuple(x * r for x in vec)
 
 
 def _swapped(vec, p, q):
     """[x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j], for parities p, q of i, j."""
-    s = Scalar.one() if (p * q) % 2 else Scalar.rational(-1)
-    return tuple(x * s for x in vec)
+    return vec if (p * q) % 2 else tuple(-x for x in vec)
+
+
+def _common(values, vec):
+    """The value values[i] shared by every nonzero vec[i]; None when they
+    differ or vec is zero."""
+    seen = {values[i] for i, c in enumerate(vec) if c}
+    return seen.pop() if len(seen) == 1 else None
+
+
+def _add_products(out, pairs, rows, neg=False):
+    """out[n] += (-1)^neg x y over (m, x) in pairs and (n, y) in rows[m]; for
+    pairs from [u, v] and rows[m] from [x_m, w], that adds [[u, v], w]."""
+    for m, x in pairs:
+        row = rows.get(m)
+        if row:
+            if neg:
+                x = -x
+            for n, y in row:
+                s = out.get(n)
+                out[n] = x * y if s is None else s + x * y
 
 
 class SL2Triple:
     """Vectors E, H, F with [H,E]=2E, [H,F]=-2F, [E,F]=H, (E|F)=(H|H)/2=1."""
 
     def __init__(self, E, H, F):
-        self.E, self.H, self.F = tuple(E), tuple(H), tuple(F)
+        self.E, self.H, self.F = (_vector(v, "sl2 vector %s", nm)
+                                  for v, nm in zip((E, H, F), "EHF"))
 
 
 class OSPTriple:
     """Quintuple (E, e, H, f, F) spanning a copy of osp(1|2); e, f odd."""
 
     def __init__(self, E, e, H, f, F):
-        self.E, self.e, self.H, self.f, self.F = map(tuple, (E, e, H, f, F))
+        self.E, self.e, self.H, self.f, self.F = (
+            _vector(v, "osp vector %s", nm)
+            for v, nm in zip((E, e, H, f, F), "EeHfF"))
 
     def sl2(self) -> SL2Triple:
         return SL2Triple(self.E, self.H, self.F)
@@ -149,11 +170,19 @@ class LieSuperalgebra:
 
         Missing (j, i) entries are completed by super-anticommutativity.
         Gradings are computed from ad H/2 when an sl2 triple is present.
-        Indices outside 0..dim-1, vectors of another length and a form
-        that is not dim x dim raise AlgebraError.
+        A name or basis label that is not a string, a repeated label,
+        indices outside 0..dim-1, vectors of another length, a form that is
+        not dim x dim and a k- or c-dependent entry raise AlgebraError.
         """
+        if not isinstance(name, str):
+            raise AlgebraError("algebra name %r is not a string" % (name,))
         self.name = name
         self.names = tuple(names)
+        for n, label in enumerate(self.names):
+            if not isinstance(label, str):
+                raise AlgebraError("basis label %r is not a string" % (label,))
+            if label in self.names[:n]:
+                raise AlgebraError("basis label %r is repeated" % label)
         self.parities = tuple(int(p) % 2 for p in parities)
         self.dim = len(self.names)
         full = {}
@@ -161,7 +190,7 @@ class LieSuperalgebra:
             if not (_in_range(i, self.dim) and _in_range(j, self.dim)):
                 raise AlgebraError("bracket index (%r, %r) out of range 0..%d"
                                    % (i, j, self.dim - 1))
-            vec = tuple(vec)
+            vec = _vector(vec, "bracket (%d, %d)", i, j)
             if len(vec) != self.dim:
                 raise AlgebraError("bracket (%d, %d) has %d coefficients, expected %d"
                                    % (i, j, len(vec), self.dim))
@@ -173,7 +202,8 @@ class LieSuperalgebra:
         self.struct = full
         self._index = {ij: tuple((l, c) for l, c in enumerate(vec) if c)
                        for ij, vec in full.items()}
-        self.form = tuple(tuple(row) for row in form)
+        self.form = tuple(_vector(row, "form row %d", r)
+                          for r, row in enumerate(form))
         if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
             raise AlgebraError("form is not %d x %d" % (self.dim, self.dim))
         for tag, triple in (("sl2", sl2), ("osp", osp)):
@@ -181,20 +211,18 @@ class LieSuperalgebra:
                 if len(vec) != self.dim:
                     raise AlgebraError("%s vector %s has %d entries, expected %d"
                                        % (tag, nm, len(vec), self.dim))
-        self.sl2 = sl2
-        self.osp = osp
+        self.sl2, self.osp = sl2, osp
         self.gradings = self._compute_gradings() if sl2 is not None else None
 
     # -- element helpers -----------------------------------------------
     def zero_vec(self):
-        return tuple(Scalar.zero() for _ in range(self.dim))
+        return (GR_ZERO,) * self.dim
 
     def basis_vec(self, i):
-        return tuple(Scalar.one() if j == i else Scalar.zero()
-                     for j in range(self.dim))
+        return tuple(GR_ONE if j == i else GR_ZERO for j in range(self.dim))
 
     def _br(self, u, v):
-        """[u, v] of sparse vectors {index: Scalar}, zero entries dropped."""
+        """[u, v] of sparse vectors {index: GRat}, zero entries dropped."""
         index = self._index
         out = {}
         for i, a in u.items():
@@ -207,9 +235,9 @@ class LieSuperalgebra:
                         out[l] = ab * c if s is None else s + ab * c
         return {l: s for l, s in out.items() if s}
 
-    def _form(self, u, v) -> Scalar:
-        """(u | v) of sparse vectors {index: Scalar}."""
-        out = Scalar.zero()
+    def _form(self, u, v) -> GRat:
+        """(u | v) of sparse vectors {index: GRat}."""
+        out = GR_ZERO
         for i, a in u.items():
             row = self.form[i]
             for j, b in v.items():
@@ -219,107 +247,105 @@ class LieSuperalgebra:
 
     def bracket(self, x, y):
         out = self._br(_sparse(x), _sparse(y))
-        zero = Scalar.zero()
-        return tuple(out.get(l, zero) for l in range(self.dim))
+        return tuple(out.get(l, GR_ZERO) for l in range(self.dim))
 
-    def form_value(self, x, y) -> Scalar:
+    def form_value(self, x, y) -> GRat:
         return self._form(_sparse(x), _sparse(y))
 
     def parity_of_vec(self, vec):
-        p = None
-        for i, c in enumerate(vec):
-            if c:
-                if p is None:
-                    p = self.parities[i]
-                elif p != self.parities[i]:
-                    return None
-        return p
+        return _common(self.parities, vec)
 
     def grading_of_vec(self, vec):
-        g = None
-        for i, c in enumerate(vec):
-            if c:
-                if g is None:
-                    g = self.gradings[i]
-                elif g != self.gradings[i]:
-                    return None
-        return g
+        return _common(self.gradings, vec)
 
     def _compute_gradings(self):
         """Eigenvalue of ad H/2 on every basis vector; raises if not diagonal."""
         H = _sparse(self.sl2.H)
-        one = Scalar.one()
         grads = []
         for i in range(self.dim):
-            img = self._br(H, {i: one})
-            ev = None
+            img = self._br(H, {i: GR_ONE})
+            ev = GR_ZERO
             for l in sorted(img):
                 if l != i:
                     raise AlgebraError("basis not ad-H/2 homogeneous (index %d)" % i)
-                if not img[l].is_constant():
-                    raise AlgebraError("non-constant ad-H eigenvalue")
-                ev = img[l].constant_part()
+                ev = img[l]
                 if ev.b:
                     raise AlgebraError("non-rational ad-H eigenvalue")
-            grads.append(GR_ZERO if ev is None else ev / 2)
+            grads.append(ev / 2)
         return tuple(grads)
 
     # -- validation ------------------------------------------------------
     def validate(self):
-        """Report every violated axiom; an empty list means valid."""
+        """Report every violated axiom; an empty list means valid.
+
+        Each check sums products of structure constants ([x_i, x_j] =
+        sum_m c_ij^m x_m) read from the index, one dict per pair or triple,
+        with s = (-1)^{p_i p_j}: c_ij + s c_ji = 0; the Jacobiator of
+        (i, j, l), sum_m c_jl^m c_im - c_ij^m c_ml - s c_il^m c_jm; and
+        invariance, sum_m c_ij^m F_ml = sum_m F_im c_jl^m for every l.
+        """
         report = []
-        one = Scalar.one()
-        unit = [{i: one} for i in range(self.dim)]
-        pair = [[self._br(u, v) for v in unit] for u in unit]
+        dim, p, names, form = self.dim, self.parities, self.names, self.form
+        index = self._index
+        left = [{} for _ in range(dim)]    # left[i][m]: entries of [x_i, x_m]
+        right = [{} for _ in range(dim)]   # right[l][m]: of [x_m, x_l]
+        over = [{} for _ in range(dim)]    # over[j][m]: (l, c_jl^m) pairs
+        for (i, j), entry in index.items():
+            left[i][j] = right[j][i] = entry
+            for m, c in entry:
+                over[i].setdefault(m, []).append((j, c))
+        rows = {m: tuple((l, f) for l, f in enumerate(row) if f)
+                for m, row in enumerate(form)}
 
-        for i in range(self.dim):
-            for j in range(self.dim):
-                bij = pair[i][j]
-                sgn = (-1) ** (self.parities[i] * self.parities[j])
-                if _sparse_sum(((1, bij), (sgn, pair[j][i]))):
+        for i in range(dim):
+            for j in range(dim):
+                bij = index.get((i, j), ())
+                odd = p[i] * p[j]
+                # nonzero entries only, so c_ij = -s c_ji as dicts
+                if dict(bij) != {l: c if odd else -c
+                                 for l, c in index.get((j, i), ())}:
                     report.append("super-anticommutativity fails at (%s,%s)"
-                                  % (self.names[i], self.names[j]))
-                pb = {self.parities[l] for l in bij}
-                if len(pb) == 1 and pb != {(self.parities[i] + self.parities[j]) % 2}:
+                                  % (names[i], names[j]))
+                pb = {p[l] for l, _c in bij}
+                if len(pb) == 1 and pb != {(p[i] + p[j]) % 2}:
                     report.append("bracket parity fails at (%s,%s)"
-                                  % (self.names[i], self.names[j]))
+                                  % (names[i], names[j]))
 
-        for i in range(self.dim):
-            for j in range(self.dim):
-                sgn = (-1) ** (self.parities[i] * self.parities[j])
-                for l in range(self.dim):
-                    lhs = self._br(unit[i], pair[j][l])
-                    r1 = self._br(pair[i][j], unit[l])
-                    r2 = self._br(unit[j], pair[i][l])
-                    if _sparse_sum(((1, lhs), (-1, r1), (-sgn, r2))):
+        for i in range(dim):
+            for j in range(dim):
+                bij = index.get((i, j), ())
+                odd = p[i] * p[j]
+                for l in range(dim):
+                    out = {}
+                    _add_products(out, index.get((j, l), ()), left[i])
+                    _add_products(out, bij, right[l], neg=True)
+                    _add_products(out, index.get((i, l), ()), left[j], neg=not odd)
+                    if any(out.values()):
                         report.append("Jacobi fails at (%s,%s,%s)"
-                                      % (self.names[i], self.names[j], self.names[l]))
+                                      % (names[i], names[j], names[l]))
 
-        for i in range(self.dim):
-            for j in range(self.dim):
-                fij = self.form[i][j]
-                if self.parities[i] != self.parities[j] and fij:
-                    report.append("form not even at (%s,%s)" % (self.names[i], self.names[j]))
-                sgn = (-1) ** (self.parities[i] * self.parities[j])
-                if fij != self.form[j][i].scale(sgn):
+        for i in range(dim):
+            for j in range(dim):
+                fij, fji = form[i][j], form[j][i]
+                if p[i] != p[j] and fij:
+                    report.append("form not even at (%s,%s)" % (names[i], names[j]))
+                if fij != (-fji if p[i] * p[j] else fji):
                     report.append("form not supersymmetric at (%s,%s)"
-                                  % (self.names[i], self.names[j]))
+                                  % (names[i], names[j]))
 
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for l in range(self.dim):
-                    if self._form(pair[i][j], unit[l]) != self._form(unit[i], pair[j][l]):
+        for i in range(dim):
+            for j in range(dim):
+                lhs, rhs = {}, {}
+                _add_products(lhs, index.get((i, j), ()), rows)
+                _add_products(rhs, rows[i], over[j])
+                for l in range(dim):
+                    if lhs.get(l, GR_ZERO) != rhs.get(l, GR_ZERO):
                         report.append("form not invariant at (%s,%s,%s)"
-                                      % (self.names[i], self.names[j], self.names[l]))
+                                      % (names[i], names[j], names[l]))
 
-        try:
-            rows = [vec_grat(row) for row in self.form]
-        except AlgebraError as e:
-            report.append("form entries not constant: %s" % e)
-        else:
-            rank = matrix_rank(rows)
-            if rank != self.dim:
-                report.append("form degenerate (rank %d of %d)" % (rank, self.dim))
+        rank = matrix_rank(form)
+        if rank != dim:
+            report.append("form degenerate (rank %d of %d)" % (rank, dim))
 
         # the sl2 eigenbasis condition was checked when the gradings were made
         if self.sl2 is not None:
@@ -331,16 +357,16 @@ class LieSuperalgebra:
     def _validate_sl2(self, t, tag="sl2"):
         report = []
         checks = [
-            ("[H,E]=2E", self.bracket(t.H, t.E), tuple(x.scale(2) for x in t.E)),
-            ("[H,F]=-2F", self.bracket(t.H, t.F), tuple(x.scale(-2) for x in t.F)),
+            ("[H,E]=2E", self.bracket(t.H, t.E), _scaled(t.E, 2)),
+            ("[H,F]=-2F", self.bracket(t.H, t.F), _scaled(t.F, -2)),
             ("[E,F]=H", self.bracket(t.E, t.F), t.H),
         ]
         for label, got, want in checks:
             if got != want:
                 report.append("%s: %s fails" % (tag, label))
-        if self.form_value(t.E, t.F) != Scalar.one():
+        if self.form_value(t.E, t.F) != 1:
             report.append("%s: (E|F)=1 fails" % tag)
-        if self.form_value(t.H, t.H) != Scalar.rational(2):
+        if self.form_value(t.H, t.H) != 2:
             report.append("%s: (H|H)=2 fails" % tag)
         for v, nm in ((t.E, "E"), (t.H, "H"), (t.F, "F")):
             if self.parity_of_vec(v) not in (0, None):
@@ -351,17 +377,17 @@ class LieSuperalgebra:
         report = self._validate_sl2(t.sl2(), tag="osp")
         checks = [
             ("[H,e]=e", self.bracket(t.H, t.e), t.e),
-            ("[H,f]=-f", self.bracket(t.H, t.f), tuple(x.scale(-1) for x in t.f)),
-            ("[e,e]=2E", self.bracket(t.e, t.e), tuple(x.scale(2) for x in t.E)),
-            ("[f,f]=-2F", self.bracket(t.f, t.f), tuple(x.scale(-2) for x in t.F)),
-            ("[e,f]=-H", self.bracket(t.e, t.f), tuple(x.scale(-1) for x in t.H)),
+            ("[H,f]=-f", self.bracket(t.H, t.f), _scaled(t.f, -1)),
+            ("[e,e]=2E", self.bracket(t.e, t.e), _scaled(t.E, 2)),
+            ("[f,f]=-2F", self.bracket(t.f, t.f), _scaled(t.F, -2)),
+            ("[e,f]=-H", self.bracket(t.e, t.f), _scaled(t.H, -1)),
             ("[F,e]=f", self.bracket(t.F, t.e), t.f),
             ("[E,f]=e", self.bracket(t.E, t.f), t.e),
         ]
         for label, got, want in checks:
             if got != want:
                 report.append("osp: %s fails" % label)
-        if self.form_value(t.e, t.f) != Scalar.rational(-2):
+        if self.form_value(t.e, t.f) != -2:
             report.append("osp: (e|f)=-2 fails")
         for v, nm in ((t.e, "e"), (t.f, "f")):
             if self.parity_of_vec(v) not in (1, None):
@@ -376,36 +402,31 @@ class LieSuperalgebra:
         coordinates of x are V^-1 x.  V is inverted once and the columns of
         V^-1 are kept sparse, as [(r, V^-1[r][c]), ...] over the nonzeros,
         so a sparse bracket [v_i, v_j] maps through the columns of its own
-        nonzero entries, not through a dense dim x dim product.
+        nonzero entries, not through a dense dim x dim product.  The
+        vectors are read as the constructor reads its inputs, so a k- or
+        c-dependent entry raises AlgebraError; the rest is GRat arithmetic.
         """
-        cols = [vec_grat(v) for v in vectors]
+        vectors = [_vector(v, "rebase vector %d", n) for n, v in enumerate(vectors)]
         dim = self.dim
-        if len(cols) != dim:
+        if len(vectors) != dim:
             raise AlgebraError("rebase needs %d vectors" % dim)
-        Vinv = matrix_inverse([[cols[j][i] for j in range(dim)]
-                               for i in range(dim)])
+        Vinv = matrix_inverse([[v[i] for v in vectors] for i in range(dim)])
         inv_cols = [[(r, Vinv[r][c]) for r in range(dim) if Vinv[r][c]]
                     for c in range(dim)]
 
         def coords(vec):
-            """New-basis coordinates of a sparse vector {index: Scalar}."""
+            """New-basis coordinates of a sparse vector {index: GRat}."""
             out = {}
-            for l in sorted(vec):
-                s = vec[l]
-                if not s.is_constant():
-                    raise AlgebraError("expected k-free scalar, got %s" % s)
-                x = s.constant_part()
+            for l, x in vec.items():
                 for r, m in inv_cols[l]:
                     t = out.get(r)
                     out[r] = m * x if t is None else t + m * x
-            return grat_vec_scalar([out.get(r, GR_ZERO) for r in range(dim)])
+            return tuple(out.get(r, GR_ZERO) for r in range(dim))
 
-        parities, struct = [], {}
-        for v in vectors:
-            p = self.parity_of_vec(v)
-            if p is None:
-                raise AlgebraError("rebase vector not parity homogeneous")
-            parities.append(p)
+        parities = [self.parity_of_vec(v) for v in vectors]
+        if None in parities:
+            raise AlgebraError("rebase vector not parity homogeneous")
+        struct = {}
         sparse = [_sparse(v) for v in vectors]
         for i, u in enumerate(sparse):
             for j, v in enumerate(sparse):
@@ -414,18 +435,13 @@ class LieSuperalgebra:
                     struct[(i, j)] = coords(b)
         form = [tuple(self._form(u, v) for v in sparse) for u in sparse]
 
-        def mapped(*triple):
-            return [coords(_sparse(x)) for x in triple]
+        def mapped(cls, triple):
+            return None if triple is None else cls(
+                *(coords(_sparse(x)) for x in vars(triple).values()))
 
-        sl2 = osp = None
-        if self.sl2 is not None:
-            t = self.sl2
-            sl2 = SL2Triple(*mapped(t.E, t.H, t.F))
-        if self.osp is not None:
-            t = self.osp
-            osp = OSPTriple(*mapped(t.E, t.e, t.H, t.f, t.F))
-        return LieSuperalgebra(self.name + "*", names, parities,
-                               struct, form, sl2=sl2, osp=osp)
+        return LieSuperalgebra(self.name + "*", names, parities, struct, form,
+                               sl2=mapped(SL2Triple, self.sl2),
+                               osp=mapped(OSPTriple, self.osp))
 
 
 def validate_algebra(g: LieSuperalgebra):
@@ -472,30 +488,22 @@ class DualBases:
         return -self.spins[j] + n * self.step
 
     def chain_lower_or_zero(self, j, n):
-        if n < len(self.chain_lower[j]):
-            return self.chain_lower[j][n]
-        return self.g.zero_vec()
+        chain = self.chain_lower[j]
+        return chain[n] if n < len(chain) else self.g.zero_vec()
 
     def chain_upper_or_zero(self, j, n):
-        if n < len(self.chain_upper[j]):
-            return self.chain_upper[j][n]
-        return self.g.zero_vec()
+        chain = self.chain_upper[j]
+        return chain[n] if n < len(chain) else self.g.zero_vec()
 
     def members(self):
-        out = []
-        for j in range(len(self.lower)):
-            for n in range(len(self.chain_lower[j])):
-                out.append((j, n))
-        return out
+        return [(j, n) for j in range(len(self.lower))
+                for n in range(len(self.chain_lower[j]))]
 
 
 def _graded_kernel_basis(g, ad_vec):
     """Kernel of ad(ad_vec), split into homogeneous pieces, sorted by grading."""
     dim = g.dim
-    cols = []
-    for i in range(dim):
-        img = g.bracket(ad_vec, g.basis_vec(i))
-        cols.append(vec_grat(img))
+    cols = [g.bracket(ad_vec, g.basis_vec(i)) for i in range(dim)]
     groups = {}
     for i in range(dim):
         groups.setdefault((g.gradings[i], g.parities[i]), []).append(i)
@@ -504,11 +512,9 @@ def _graded_kernel_basis(g, ad_vec):
         idxs = groups[(grade, par)]
         rows = [[cols[i][r] for i in idxs] for r in range(dim)]
         for nv in nullspace(rows, len(idxs)):
-            vec = [Scalar.zero()] * dim
-            for pos, i in enumerate(idxs):
-                if nv[pos]:
-                    vec[i] = Scalar.term(0, 0, nv[pos])
-            members.append((grade, par, tuple(vec)))
+            coords = dict(zip(idxs, nv))
+            members.append((grade, par, tuple(coords.get(i, GR_ZERO)
+                                              for i in range(dim))))
     members.sort(key=lambda t: (t[0], t[1]))
     return members
 
@@ -529,18 +535,13 @@ def _pair_dual(g, lows, ups):
             raise AlgebraError("bases not dual (mismatched kernels at grade %s)" % (key,))
         gram = [[g.form_value(u, l) for l in lvs] for u in uvs]
         try:
-            inv = matrix_inverse([vec_grat(r) for r in gram])
+            inv = matrix_inverse(gram)
         except AlgebraError:
             raise AlgebraError("bases not dual (singular pairing at grade %s)" % (key,))
         for r in range(len(lvs)):
-            vec = [Scalar.zero()] * g.dim
-            for a in range(len(uvs)):
-                c = inv[r][a]
-                if c:
-                    for t in range(g.dim):
-                        vec[t] = vec[t] + uvs[a][t] * Scalar.term(0, 0, c)
             lower.append(lvs[r])
-            upper.append(tuple(vec))
+            upper.append(tuple(sum((u[t] * c for u, c in zip(uvs, inv[r]) if c),
+                                   GR_ZERO) for t in range(g.dim)))
     return lower, upper
 
 
@@ -569,7 +570,7 @@ def _chain_bases(g, kind, lowering, raising, length, norm) -> DualBases:
         for n in range(1, size):
             cur = g.bracket(raising, cur)
             coeff = norm(n, int(2 * alpha), sign)
-            lo_chain.append(tuple(x.scale(coeff) for x in cur))
+            lo_chain.append(_scaled(cur, coeff))
         spins.append(alpha)
         chain_upper.append(up_chain[:size])
         chain_lower.append(lo_chain)
@@ -605,13 +606,13 @@ def dual_bases_f(g: LieSuperalgebra, osp: OSPTriple) -> DualBases:
 
 def _verify_chain_pairings(db: DualBases):
     g = db.g
-    for i in range(db.count()):
-        for m in range(len(db.chain_upper[i])):
-            for j in range(db.count()):
-                for n in range(len(db.chain_lower[j])):
-                    val = g.form_value(db.chain_upper[i][m], db.chain_lower[j][n])
-                    want = Scalar.one() if (i == j and m == n) else Scalar.zero()
-                    if val != want:
+    lows = [[_sparse(v) for v in chain] for chain in db.chain_lower]
+    for i, chain in enumerate(db.chain_upper):
+        for m, up in enumerate(map(_sparse, chain)):
+            for j, los in enumerate(lows):
+                for n, lo in enumerate(los):
+                    val = g._form(up, lo)
+                    if val != (GR_ONE if (i == j and m == n) else GR_ZERO):
                         raise AlgebraError(
                             "bases not dual: (chain_up[%d][%d]|chain_lo[%d][%d]) = %s"
                             % (i, m, j, n, val))
@@ -622,18 +623,13 @@ def _verify_chain_pairings(db: DualBases):
 # ---------------------------------------------------------------------------
 
 def _tensor_sum(g, pairs):
-    """Sum of outer products sum c * x (x) y as a dim x dim Scalar matrix."""
-    out = [[Scalar.zero()] * g.dim for _ in range(g.dim)]
+    """Sum of outer products sum c * x (x) y as a dim x dim GRat matrix."""
+    out = [[GR_ZERO] * g.dim for _ in range(g.dim)]
     for sign, x, y in pairs:
-        for a in range(g.dim):
-            if not x[a]:
-                continue
-            for b in range(g.dim):
-                if y[b]:
-                    v = x[a] * y[b]
-                    if sign < 0:
-                        v = -v
-                    out[a][b] = out[a][b] + v
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y) if xa else ():
+                if yb:
+                    out[a][b] = out[a][b] + (xa * yb if sign > 0 else -(xa * yb))
     return out
 
 
@@ -664,21 +660,13 @@ def check_tensor_identity(db: DualBases):
 # ---------------------------------------------------------------------------
 
 def algebra_to_obj(g: LieSuperalgebra):
-    def coeff_str(s: Scalar):
-        if not s:
-            return "0"
-        gr = s.constant_part()
-        if not s.is_constant():
-            raise AlgebraError("algebra files carry constant coefficients only")
+    def coeff_str(gr: GRat):
         if gr.b and gr.a:
             raise AlgebraError("mixed Gaussian coefficient in file")
         if gr.b:
             im = rat(gr.b, gr.d)
             return ("%si" % im) if im not in (1, -1) else ("i" if im == 1 else "-i")
         return str(gr)
-
-    def vec_obj(vec):
-        return [coeff_str(s) for s in vec]
 
     obj = {
         "name": g.name,
@@ -695,20 +683,26 @@ def algebra_to_obj(g: LieSuperalgebra):
             continue
         coeffs = [[l, coeff_str(s)] for l, s in enumerate(vec) if s]
         obj["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
-    if g.sl2 is not None:
-        obj["sl2"] = {"E": vec_obj(g.sl2.E), "H": vec_obj(g.sl2.H), "F": vec_obj(g.sl2.F)}
-    if g.osp is not None:
-        obj["osp"] = {"E": vec_obj(g.osp.E), "e": vec_obj(g.osp.e),
-                      "H": vec_obj(g.osp.H), "f": vec_obj(g.osp.f),
-                      "F": vec_obj(g.osp.F)}
+    for tag in ("sl2", "osp"):
+        if getattr(g, tag) is not None:
+            obj[tag] = {nm: [coeff_str(s) for s in vec]
+                        for nm, vec in vars(getattr(g, tag)).items()}
     return obj
 
 
-def _file_coeff(text, where) -> Scalar:
+def _file_coeff(text, where) -> GRat:
     try:
-        return Scalar.term(0, 0, parse_coeff(text))
+        return parse_coeff(text)
     except (ValueError, ZeroDivisionError):
         raise AlgebraError("%s: coefficient %r is not a number" % (where, text))
+
+
+def _file_list(value, where):
+    """A JSON array of the file; anything else (a string would be read
+    character by character) raises AlgebraError naming the field."""
+    if not isinstance(value, list):
+        raise AlgebraError("%s is not a list: %r" % (where, value))
+    return value
 
 
 def algebra_from_obj(obj) -> LieSuperalgebra:
@@ -723,20 +717,26 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
         dim = len(names)
         struct = {}
         for ent in obj["brackets"]:
-            vec = [Scalar.zero()] * dim
+            vec = [GR_ZERO] * dim
             where = "bracket (%r, %r)" % (ent["i"], ent["j"])
-            for l, cs in ent["coeffs"]:
+            for pair in _file_list(ent["coeffs"], where + " coeffs"):
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise AlgebraError("%s: coefficient %r is not an [index, "
+                                       "value] pair" % (where, pair))
+                l, cs = pair
                 if not _in_range(l, dim):
                     raise AlgebraError("%s: coefficient index %r out of range 0..%d"
                                        % (where, l, dim - 1))
                 vec[l] = _file_coeff(cs, where)
             struct[(ent["i"], ent["j"])] = tuple(vec)
-        form = [[_file_coeff(cs, "form row %d" % r) for cs in row]
-                for r, row in enumerate(obj["form"])]
+        form = [[_file_coeff(cs, "form row %d" % r)
+                 for cs in _file_list(row, "form row %d" % r)]
+                for r, row in enumerate(_file_list(obj["form"], "form"))]
 
         def vec_of(tag, triple, name):
             where = "%s vector %s" % (tag, name)
-            return tuple(_file_coeff(cs, where) for cs in triple[name])
+            return tuple(_file_coeff(cs, where)
+                         for cs in _file_list(triple[name], where))
 
         sl2 = osp = None
         if "osp" in obj and obj["osp"]:

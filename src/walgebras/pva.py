@@ -319,8 +319,7 @@ def affine_table(g, alphabet, k: Scalar, table_cls=BracketTable,
                     alphabet, ((l, -s if neg else s) for l, s in enumerate(br)))
             fv = g.form[i][j]
             if fv:
-                c = fv * k
-                coeffs[1] = SuperPoly.const(alphabet, -c if neg else c)
+                coeffs[1] = SuperPoly.const(alphabet, k.scale(-fv if neg else fv))
             table.set(i, j, table.value(alphabet, coeffs))
     return table
 

@@ -293,9 +293,9 @@ class SuperPoly:
 
     @staticmethod
     def linear(alph, coeffs) -> "SuperPoly":
-        """sum_t c_t u_t over (t, c_t) pairs with distinct t; zeros drop out."""
-        return _poly(alph, {((((t, 0), 1),), kp, cp): g for t, c in coeffs
-                            for (kp, cp), g in c.terms.items() if g})
+        """sum_t c_t u_t over (t, c_t) pairs with distinct t and GRat c_t (the
+        coordinates of an algebra element); zeros drop out."""
+        return _poly(alph, {((((t, 0), 1),), 0, 0): c for t, c in coeffs if c})
 
     @staticmethod
     def from_coefficients(alph, items) -> "SuperPoly":

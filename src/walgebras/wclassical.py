@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
 from .pva import BracketTable, affine_table, master_bracket
-from .scalars import GR_ZERO, LinearSolveError, Scalar, solve_linear
+from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
 
@@ -125,7 +125,8 @@ class ReductionContext:
         for t, (j, n) in enumerate(members):
             if fl.killed(grads[t]):
                 c = g.form_value(nilpotent, db.chain_lower[j][n])
-                self._rho_images[t] = SuperPoly.const(self.alph, c)
+                self._rho_images[t] = SuperPoly.from_coefficients(
+                    self.alph, [((), 0, 0, c)])
             else:
                 self._rho_images[t] = SuperPoly.variable(self.alph, t)
         self._pi_images = {}
@@ -138,7 +139,7 @@ class ReductionContext:
         for j in range(db.count()):
             vec = db.lower[j]
             hits = [(i, c) for i, c in enumerate(vec) if c]
-            if len(hits) == 1 and hits[0][1] == Scalar.one():
+            if len(hits) == 1 and hits[0][1] == GR_ONE:
                 labels.append(g.names[hits[0][0]])
             else:
                 labels.append("%s%d" % (fl.letter, j))
@@ -253,7 +254,7 @@ def _chain_factor(ctx, x, y, tail: SuperPoly) -> SuperPoly:
     c = ctx.g.form_value(x, y)
     out = sharp * tail
     if c:
-        out = out - tail.deriv().scalar_mul(c * ctx.k)
+        out = out - tail.deriv().scalar_mul(ctx.k.scale(c))
     return out
 
 
@@ -421,7 +422,7 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     fv = g.form_value(qa, qb)
     if fv:
         out = out + value(ctx.gen_alph,
-                          {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+                          {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
     one = value.of(SuperPoly.one(ctx.gen_alph))
     total = sum(_chain_sum(
         ctx, -db.spins[b], db.spins[a] - fl.shift, qb,
@@ -445,7 +446,7 @@ def _closed_factor(ctx, x, y, tail):
     out = tail.mul_left(sym) if sym else tail.zero(ctx.gen_alph)
     form_val = ctx.g.form_value(x, y)
     if form_val:
-        out = out - tail.apply_plus_d().scalar_mul(form_val * ctx.k)
+        out = out - tail.apply_plus_d().scalar_mul(ctx.k.scale(form_val))
     return out
 
 

@@ -11,7 +11,7 @@ from functools import reduce
 
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
-                              SL2Triple, vec_grat)
+                              SL2Triple)
 from walgebras.scalars import GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
@@ -390,9 +390,9 @@ def dual_vectors(cplx):
     minus = [t for t, gr in enumerate(g.gradings) if gr < 0]
     gram = [[g.form_value(g.basis_vec(a), g.basis_vec(b)) for b in cplx.n_idx]
             for a in minus]
-    inv = dense_inverse([vec_grat(r) for r in gram])
-    return [tuple(Scalar.term(0, 0, inv[alpha][minus.index(t)]) if t in minus
-                  else Scalar.zero() for t in range(g.dim))
+    inv = dense_inverse(gram)
+    return [tuple(inv[alpha][minus.index(t)] if t in minus else GR_ZERO
+                  for t in range(g.dim))
             for alpha in range(cplx.nn)]
 
 
@@ -598,12 +598,13 @@ def dense_inverse(rows):
     return [r[n:] for r in red]
 
 
-# Dense reference for liealg: the bracket as a loop over every structure
-# constant of g.struct, the form as a double loop over coordinates, and the
-# validation loops on dense basis vectors, written without the sparse index.
+# Dense reference for liealg, in GRat arithmetic: the bracket as a loop over
+# every structure constant of g.struct, the form as a double loop over
+# coordinates, and the validation loops on dense basis vectors, written
+# without the sparse structure-constant index.
 
 def dense_bracket(g, x, y):
-    out = [Scalar.zero()] * g.dim
+    out = [GR_ZERO] * g.dim
     for (i, j), vec in g.struct.items():
         if not (x[i] and y[j]):
             continue
@@ -615,7 +616,7 @@ def dense_bracket(g, x, y):
 
 
 def dense_form_value(g, x, y):
-    out = Scalar.zero()
+    out = GR_ZERO
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             if xi and yj and g.form[i][j]:
@@ -629,7 +630,7 @@ def _dense_parity(g, vec):
 
 
 def _dense_scaled(vec, r):
-    return tuple(x.scale(r) for x in vec)
+    return tuple(x * r for x in vec)
 
 
 def _dense_sl2_report(g, t, tag):
@@ -640,9 +641,9 @@ def _dense_sl2_report(g, t, tag):
                              ("[E,F]=H", br(t.E, t.F), t.H)):
         if got != want:
             report.append("%s: %s fails" % (tag, label))
-    if dense_form_value(g, t.E, t.F) != Scalar.one():
+    if dense_form_value(g, t.E, t.F) != GR_ONE:
         report.append("%s: (E|F)=1 fails" % tag)
-    if dense_form_value(g, t.H, t.H) != Scalar.rational(2):
+    if dense_form_value(g, t.H, t.H) != GRat(2):
         report.append("%s: (H|H)=2 fails" % tag)
     for v, nm in ((t.E, "E"), (t.H, "H"), (t.F, "F")):
         if _dense_parity(g, v) not in (0, None):
@@ -662,7 +663,7 @@ def _dense_osp_report(g, t):
                              ("[E,f]=e", br(t.E, t.f), t.e)):
         if got != want:
             report.append("osp: %s fails" % label)
-    if dense_form_value(g, t.e, t.f) != Scalar.rational(-2):
+    if dense_form_value(g, t.e, t.f) != GRat(-2):
         report.append("osp: (e|f)=-2 fails")
     for v, nm in ((t.e, "e"), (t.f, "f")):
         if _dense_parity(g, v) not in (1, None):
@@ -677,9 +678,7 @@ def _dense_eigenbasis_error(g):
             if s:
                 if l != i:
                     return "basis not ad-H/2 homogeneous (index %d)" % i
-                if not s.is_constant():
-                    return "non-constant ad-H eigenvalue"
-                if s.constant_part().im:
+                if s.im:
                     return "non-rational ad-H eigenvalue"
     return None
 
@@ -689,14 +688,14 @@ def dense_validate(g):
     report = []
     n, p, dim = g.names, g.parities, g.dim
     basis = [g.basis_vec(i) for i in range(dim)]
-    zero = tuple(Scalar.zero() for _ in range(dim))
+    zero = (GR_ZERO,) * dim
     br = lambda x, y: dense_bracket(g, x, y)
     pair = [[br(x, y) for y in basis] for x in basis]
     for i in range(dim):
         for j in range(dim):
             bij, bji = pair[i][j], pair[j][i]
             sgn = (-1) ** (p[i] * p[j])
-            if any(a + b.scale(sgn) for a, b in zip(bij, bji)):
+            if any(a + b * sgn for a, b in zip(bij, bji)):
                 report.append("super-anticommutativity fails at (%s,%s)" % (n[i], n[j]))
             pb = _dense_parity(g, bij)
             if pb is not None and bij != zero and pb != (p[i] + p[j]) % 2:
@@ -708,14 +707,14 @@ def dense_validate(g):
                 r1 = br(pair[i][j], basis[l])
                 sgn = (-1) ** (p[i] * p[j])
                 r2 = br(basis[j], pair[i][l])
-                if any(a - b - c.scale(sgn) for a, b, c in zip(lhs, r1, r2)):
+                if any(a - b - c * sgn for a, b, c in zip(lhs, r1, r2)):
                     report.append("Jacobi fails at (%s,%s,%s)" % (n[i], n[j], n[l]))
     for i in range(dim):
         for j in range(dim):
             fij = g.form[i][j]
             if p[i] != p[j] and fij:
                 report.append("form not even at (%s,%s)" % (n[i], n[j]))
-            if fij != g.form[j][i].scale((-1) ** (p[i] * p[j])):
+            if fij != g.form[j][i] * (-1) ** (p[i] * p[j]):
                 report.append("form not supersymmetric at (%s,%s)" % (n[i], n[j]))
     for i in range(dim):
         for j in range(dim):
@@ -723,13 +722,8 @@ def dense_validate(g):
                 if dense_form_value(g, pair[i][j], basis[l]) != \
                         dense_form_value(g, basis[i], pair[j][l]):
                     report.append("form not invariant at (%s,%s,%s)" % (n[i], n[j], n[l]))
-    try:
-        rows = [vec_grat(row) for row in g.form]
-    except AlgebraError as e:
-        report.append("form entries not constant: %s" % e)
-    else:
-        if dense_rank(rows) != dim:
-            report.append("form degenerate (rank %d of %d)" % (dense_rank(rows), dim))
+    if dense_rank(g.form) != dim:
+        report.append("form degenerate (rank %d of %d)" % (dense_rank(g.form), dim))
     if g.sl2 is not None:
         report.extend(_dense_sl2_report(g, g.sl2, "sl2"))
         err = _dense_eigenbasis_error(g)
@@ -740,19 +734,30 @@ def dense_validate(g):
     return report
 
 
+def _dense_grats(vec):
+    """vec as a tuple of GRats; a Scalar entry must be constant."""
+    out = []
+    for x in vec:
+        if isinstance(x, Scalar):
+            if any(e != (0, 0) for e in x.terms):
+                raise AlgebraError("expected k-free scalar, got %s" % x)
+            x = x.terms.get((0, 0), GR_ZERO)
+        out.append(GRat(x))
+    return tuple(out)
+
+
 def dense_rebase(g, vectors, names):
     """LieSuperalgebra.rebase from dense brackets and forms: coordinates in
-    the new basis as the full product V^-1 x of each dense vector."""
-    cols = [vec_grat(v) for v in vectors]
-    if len(cols) != g.dim:
+    the new basis as the full product V^-1 x of each dense vector. The
+    vectors may hold ints, Fractions, GRats or constant Scalars."""
+    vectors = [_dense_grats(v) for v in vectors]
+    if len(vectors) != g.dim:
         raise AlgebraError("rebase needs %d vectors" % g.dim)
-    Vinv = dense_inverse([[cols[j][i] for j in range(g.dim)]
+    Vinv = dense_inverse([[vectors[j][i] for j in range(g.dim)]
                           for i in range(g.dim)])
 
-    def coords(vec):
-        x = vec_grat(vec)
-        return tuple(Scalar.term(0, 0, sum((Vinv[r][c] * x[c] for c in range(g.dim)),
-                                           GR_ZERO))
+    def coords(x):
+        return tuple(sum((Vinv[r][c] * x[c] for c in range(g.dim)), GR_ZERO)
                      for r in range(g.dim))
 
     parities = []
@@ -841,7 +846,7 @@ def chain_w_bracket_closed(ctx, a, b):
     fv = g.form_value(qa, qb)
     if fv:
         out = out + value(ctx.gen_alph,
-                          {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+                          {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
     pa = g.parity_of_vec(qa)
     pb = g.parity_of_vec(qb)
     total = value.zero(ctx.gen_alph)

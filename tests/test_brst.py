@@ -9,7 +9,7 @@ from walgebras import brst
 from walgebras.brst import (BRSTComplex, build_complex, build_d,
                             check_thm_5_9, brst_bracket_table,
                             cohomology_generators)
-from walgebras.scalars import Scalar
+from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
                             susy_bracket_oracle, susy_master_bracket)
 from walgebras.superpoly import SuperPoly, random_superpoly
@@ -132,7 +132,7 @@ def test_d_action_displays():
             expect = expect + ChiPoly.of(t1)
             fv = gstar.form_value(gstar.basis_vec(b), gstar.basis_vec(a))
             if fv:
-                term = ChiPoly.of(phibar(al)).apply_chi_plus_D().scalar_mul(fv * K)
+                term = ChiPoly.of(phibar(al)).apply_chi_plus_D().scalar_mul(K.scale(fv))
                 if pb % 2 == 0:
                     term = -term
                 expect = expect + term
@@ -143,7 +143,7 @@ def test_d_action_displays():
         pa = gstar.parities[a]
         expect = cplx.jvar(a, 0, Scalar.rational(-sgnp(pa)))
         expect = expect - SuperPoly.const(
-            alph, c * gstar.form_value(fstar, gstar.basis_vec(a)))
+            alph, c.scale(gstar.form_value(fstar, gstar.basis_vec(a))))
         for bt, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
             br = gstar.bracket(gstar.basis_vec(b), gstar.basis_vec(a))
@@ -192,13 +192,13 @@ def test_building_block_bracket_identity(name):
             Jbr = SuperPoly.zero(alph)
             for l, s_ in enumerate(br):
                 if s_:
-                    Jbr = Jbr + cplx.building_block(l).scalar_mul(s_)
+                    Jbr = Jbr + cplx.building_block(l).scale(s_)
             if (pa * pb + pa) % 2:
                 Jbr = -Jbr
             expect = ChiPoly.of(Jbr) if Jbr else ChiPoly.zero(alph)
             fv = gstar.form_value(gstar.basis_vec(a), gstar.basis_vec(b))
             if fv:
-                expect = expect + ChiPoly(alph, {1: SuperPoly.const(alph, fv * K)})
+                expect = expect + ChiPoly(alph, {1: SuperPoly.const(alph, K.scale(fv))})
             assert got == expect
 
 
@@ -224,20 +224,20 @@ def test_d_on_building_blocks_display(name):
         for al, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
             br = gstar.bracket(gstar.basis_vec(b), gstar.basis_vec(a))
-            br_le0 = tuple(x if gstar.gradings[l] <= 0 else Scalar.zero()
+            br_le0 = tuple(x if gstar.gradings[l] <= 0 else GR_ZERO
                            for l, x in enumerate(br))
             Jpart = SuperPoly.zero(alph)
             for l, s_ in enumerate(br_le0):
                 if s_:
-                    Jpart = Jpart + cplx.building_block(l).scalar_mul(s_)
-            inner = Jpart + SuperPoly.const(alph, c * gstar.form_value(fstar, br))
+                    Jpart = Jpart + cplx.building_block(l).scale(s_)
+            inner = Jpart + SuperPoly.const(alph, c.scale(gstar.form_value(fstar, br)))
             t1 = phibar(al) * inner
             if (pa * pb + pb) % 2:
                 t1 = -t1
             expect = expect + ChiPoly.of(t1)
             fv = gstar.form_value(gstar.basis_vec(b), gstar.basis_vec(a))
             if fv:
-                t2 = ChiPoly.of(phibar(al)).apply_chi_plus_D().scalar_mul(fv * K)
+                t2 = ChiPoly.of(phibar(al)).apply_chi_plus_D().scalar_mul(K.scale(fv))
                 if pb % 2 == 0:
                     t2 = -t2
                 expect = expect + t2

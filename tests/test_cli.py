@@ -111,6 +111,33 @@ def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     assert message in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["brackets"][0].update(coeffs=[[0]]),
+     "bracket (0, 1): coefficient [0] is not an [index, value] pair"),
+    (lambda obj: obj["brackets"][0].update(coeffs=[[0, "1", 2]]),
+     "bracket (0, 1): coefficient [0, '1', 2] is not an [index, value] pair"),
+    (lambda obj: obj["sl2"].update(E="123"), "sl2 vector E is not a list: '123'"),
+    (lambda obj: obj["brackets"][0]["coeffs"][0].__setitem__(0, True),
+     "bracket (0, 1): coefficient index True out of range 0..2"),
+    (lambda obj: obj["brackets"][0].update(i=True),
+     "bracket index (True, 1) out of range 0..2"),
+    (lambda obj: obj["basis"][0].update(label=5), "basis label 5 is not a string"),
+    (lambda obj: obj.update(name=7), "algebra name 7 is not a string"),
+    (lambda obj: obj["basis"][1].update(label="E"), "basis label 'E' is repeated"),
+], ids=["coeff-pair-short", "coeff-pair-long", "vector-string", "true-coeff-index",
+        "true-bracket-index", "label-int", "name-int", "label-repeated"])
+@pytest.mark.parametrize("command", ["validate", "generators"])
+def test_malformed_shapes_exit_2(tmp_path, capsys, edit, message, command):
+    """Shapes the reader once let through: read character by character, as
+    True for 1, as an int label, or escaping as an internal error (exit 3)."""
+    obj = _sl2_obj()
+    edit(obj)
+    p = tmp_path / "malformed_sl2.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, "--algebra", str(p))
+    assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
 def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--algebra", str(tmp_path))
     assert (code, out) == (2, "")

@@ -24,7 +24,7 @@ OSP = ["osp12", "sl21"]
 
 
 def sc(vec, r):
-    return tuple(x.scale(r) for x in vec)
+    return tuple(x * r for x in vec)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -70,8 +70,7 @@ def test_flipped_sl2_reports_triple_violation():
     g = build_sl2()
     struct = dict(g.struct)
     iE, iH, iF = 0, 1, 2
-    minusH = tuple(x.scale(-1) for x in g.basis_vec(iH))
-    struct[(iE, iF)] = minusH
+    struct[(iE, iF)] = sc(g.basis_vec(iH), -1)
     struct[(iF, iE)] = g.basis_vec(iH)
     bad = LieSuperalgebra("sl2-flipped", g.names, g.parities, struct, g.form,
                           sl2=g.sl2)
@@ -137,7 +136,7 @@ def test_rebase_matches_dense_oracle(monkeypatch, name, context):
 
 
 @pytest.mark.parametrize("name,bend,message", [
-    ("sl2", lambda E, H, F: [tuple(x * Scalar.k() for x in E), H, F],
+    ("sl2", lambda E, H, F: [tuple(Scalar.term(1, 0, x) for x in E), H, F],
      "expected k-free scalar"),
     ("osp12", lambda E, e, H, f, F: [tuple(a + b for a, b in zip(E, e)),
                                      e, H, f, F],
@@ -159,7 +158,7 @@ def test_dual_bases_sl2():
     assert db.chain_upper[0] == [E, sc(H, -1), sc(F, -2)]
     assert db.chain_lower[0] == [F, sc(H, -HALF), sc(E, -HALF)]
     # (q^0_1 | q_0^1) = (-H | -H/2) = 1
-    assert g.form_value(db.chain_upper[0][1], db.chain_lower[0][1]) == Scalar.one()
+    assert g.form_value(db.chain_upper[0][1], db.chain_lower[0][1]) == GR_ONE
     assert not any(helpers.sharp(db, H))
     assert helpers.sharp(db, F) == F
 
@@ -182,7 +181,7 @@ def test_dual_bases_osp():
                                  sc(E, -HALF)]
     # C_{0,1} = -1/2 realized on the chain: r_0^1 = -1/2 [e, F] = f/2
     assert db.chain_lower[0][1] == sc(g.bracket(e, F), Fraction(-1, 2))
-    assert g.form_value(db.chain_upper[0][2], db.chain_lower[0][2]) == Scalar.one()
+    assert g.form_value(db.chain_upper[0][2], db.chain_lower[0][2]) == GR_ONE
     assert not any(helpers.sharp(db, H)) and not any(helpers.sharp(db, f))
     assert helpers.sharp(db, F) == F
 
@@ -195,7 +194,7 @@ def test_chain_pairings_are_identity(name):
         for m in range(len(db.chain_upper[i])):
             for j in range(db.count()):
                 for n in range(len(db.chain_lower[j])):
-                    want = Scalar.one() if (i == j and m == n) else Scalar.zero()
+                    want = GR_ONE if (i == j and m == n) else GR_ZERO
                     assert g.form_value(db.chain_upper[i][m],
                                         db.chain_lower[j][n]) == want
 
@@ -360,7 +359,7 @@ def test_sl4_principal_fixture():
 # -- the validator against the dense reference in helpers --------------------
 
 def _unit(g, m, r=1):
-    return tuple(Scalar.rational(r) if l == m else Scalar.zero() for l in range(g.dim))
+    return tuple(GRat(r) if l == m else GR_ZERO for l in range(g.dim))
 
 
 def _add(x, y):
@@ -445,31 +444,27 @@ def corrupted_copies(g, form_cases=True):
     if mixed:
         def uneven(form):
             a2, b2 = mixed[0]
-            form[a2][b2] = form[b2][a2] = Scalar.one()
+            form[a2][b2] = form[b2][a2] = GR_ONE
         out.append(("form-odd", "form not even", form_copy("form-odd", uneven)))
 
     def unsymmetric(form):
-        form[a][b] = form[a][b] + Scalar.one()
+        form[a][b] = form[a][b] + 1
     out.append(("form-sym", "form not supersymmetric", form_copy("form-sym", unsymmetric)))
 
     def scaled(form):
-        form[a][b] = form[a][b].scale(2)
-        form[b][a] = form[b][a].scale(2)
+        form[a][b] = form[a][b] * 2
+        form[b][a] = form[b][a] * 2
     out.append(("form-inv", "form not invariant", form_copy("form-inv", scaled)))
 
     def degenerate(form):
         for c in range(dim):
-            form[a][c] = form[c][a] = Scalar.zero()
+            form[a][c] = form[c][a] = GR_ZERO
     out.append(("form-rank", "form degenerate", form_copy("form-rank", degenerate)))
-
-    def k_entry(form):
-        e = p.index(0)
-        form[e][e] = form[e][e] + Scalar.k()
-    out.append(("form-k", "form entries not constant", form_copy("form-k", k_entry)))
     return out
 
 
-@pytest.mark.parametrize("name", ["sl2", "osp12", "sl21", "sl4-principal"])
+@pytest.mark.parametrize("name", ["sl2", "sl3-minimal", "osp12", "sl21",
+                                  "sl4-principal"])
 def test_validate_matches_dense_reference(name):
     g = helpers.algebra(name)
     # the form cases cost a dense reference run each; on sl4 that is 1 s
@@ -483,8 +478,6 @@ def test_validate_matches_dense_reference(name):
 @pytest.mark.parametrize("name", ["sl2", "osp12", "sl21"])
 def test_file_roundtrip_keeps_violations(name):
     for label, _fragment, bad in corrupted_copies(helpers.algebra(name)):
-        if label == "form-k":
-            continue  # algebra files carry constant coefficients only
         back = algebra_from_obj(algebra_to_obj(bad))
         assert validate_algebra(back) == validate_algebra(bad), label
 
@@ -497,24 +490,55 @@ def test_saved_files_match_shipped_data(tmp_path):
             data.joinpath(entry.file).read_bytes(), entry.name
 
 
-def _random_scalar(rng):
+def _random_gaussian(rng):
     r = rng.random()
     if r < 0.4:
-        return Scalar.zero()
+        return GR_ZERO
     q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    s = Scalar.gaussian(q(), q() if r > 0.7 else 0)
-    if rng.random() < 0.3:
-        s = s + Scalar.k() * Scalar.gaussian(q(), q())
-    return s
+    return GRat(q(), q() if r > 0.7 else 0)
 
 
 @pytest.mark.parametrize("name", ALL + ["sl4-principal"])
 def test_bracket_and_form_match_dense_reference(name):
-    import random
     rng = random.Random("liealg-" + name)
     g = helpers.algebra(name)
     for _ in range(40):
-        x = tuple(_random_scalar(rng) for _ in range(g.dim))
-        y = tuple(_random_scalar(rng) for _ in range(g.dim))
+        x = tuple(_random_gaussian(rng) for _ in range(g.dim))
+        y = tuple(_random_gaussian(rng) for _ in range(g.dim))
         assert g.bracket(x, y) == helpers.dense_bracket(g, x, y)
         assert g.form_value(x, y) == helpers.dense_form_value(g, x, y)
+
+
+def test_k_dependent_entries_rejected_at_the_boundary():
+    """Algebra data lives in Q(i): the constructor, the triples and rebase
+    refuse a k- or c-dependent entry, naming it, and read constant Scalars,
+    ints and Fractions as the equal GRats."""
+    g = helpers.algebra("osp12")
+    form = [list(row) for row in g.form]
+    form[2][2] = Scalar.k() + Scalar.term(0, 0, form[2][2])
+    with pytest.raises(AlgebraError, match=r"^form row 2, entry 2: expected "
+                       r"k-free scalar, got 2 \+ k$"):
+        _copy(g, "form-k", form=form)
+    struct = dict(g.struct)
+    struct[(0, 3)] = (Scalar.zero(), Scalar.c()) + g.struct[(0, 3)][2:]
+    with pytest.raises(AlgebraError, match=r"^bracket \(0, 3\), entry 1: "
+                       r"expected k-free scalar, got c$"):
+        _copy(g, "struct-c", struct=struct)
+    with pytest.raises(AlgebraError, match=r"^osp vector f, entry 3: expected "
+                       r"k-free scalar, got k$"):
+        OSPTriple(g.osp.E, g.osp.e, g.osp.H, _unit(g, 3, 0)[:3]
+                  + (Scalar.k(), GR_ZERO), g.osp.F)
+    with pytest.raises(AlgebraError, match=r"^rebase vector 4, entry 4: "
+                       r"expected k-free scalar, got k$"):
+        g.rebase([g.basis_vec(i) for i in range(4)] + [_unit(g, 0, 0)[:4]
+                                                       + (Scalar.k(),)],
+                 ["v%d" % i for i in range(5)])
+    lifted = LieSuperalgebra(
+        g.name, g.names, g.parities,
+        {ij: tuple(Scalar.term(0, 0, x) for x in vec)
+         for ij, vec in g.struct.items()},
+        [[Fraction(x.re) if x.d > 1 else int(x.re) for x in row] for row in g.form],
+        sl2=g.sl2, osp=OSPTriple(*(tuple(Scalar.term(0, 0, x) for x in v)
+                                   for v in vars(g.osp).values())))
+    _same_algebra(lifted, g)
+    assert all(type(x) is GRat for row in lifted.form for x in row)

@@ -124,9 +124,9 @@ def test_lemma_6_2_case_table():
         for (i, m) in db.members():
             h = db.grade_of(i, m)
             up = db.chain_upper[i][m]
-            up_poly = sum((SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                           for jn, cv in helpers.full_coords(db, up).items()),
-                          SuperPoly.zero(ctx.alph))
+            up_poly = SuperPoly.linear(ctx.alph, (
+                (ctx.star_index[jn], cv)
+                for jn, cv in helpers.full_coords(db, up).items()))
             si = (-1 if g.parity_of_vec(db.lower[i]) else 1) * (1 if m % 2 == 0 else -1)
             for (j, n) in db.members():
                 t = db.grade_of(j, n)
@@ -142,10 +142,9 @@ def test_lemma_6_2_case_table():
                     assert got == expect
                 else:
                     br = g.bracket(up, db.chain_lower[j][n])
-                    br_poly = ctx.rho(sum(
-                        (SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                         for jn, cv in helpers.full_coords(db, br).items()),
-                        SuperPoly.zero(ctx.alph)))
+                    br_poly = ctx.rho(SuperPoly.linear(ctx.alph, (
+                        (ctx.star_index[jn], cv)
+                        for jn, cv in helpers.full_coords(db, br).items())))
                     expect = ChiPoly.of(br_poly.scale(si)) if br_poly \
                         else ChiPoly.zero(ctx.alph)
                     if i == j and m == n:

@@ -174,9 +174,9 @@ def test_lemma_3_2_case_table():
         for (i, m) in db.members():
             t1 = db.grade_of(i, m)
             up = db.chain_upper[i][m]
-            up_poly = sum((SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                           for jn, cv in helpers.full_coords(db, up).items()),
-                          SuperPoly.zero(ctx.alph))
+            up_poly = SuperPoly.linear(ctx.alph, (
+                (ctx.star_index[jn], cv)
+                for jn, cv in helpers.full_coords(db, up).items()))
             for (j, n) in db.members():
                 t2 = db.grade_of(j, n)
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
@@ -190,10 +190,9 @@ def test_lemma_3_2_case_table():
                     assert got == expect
                 else:
                     br = g.bracket(up, db.chain_lower[j][n])
-                    br_poly = ctx.rho(sum(
-                        (SuperPoly.variable(ctx.alph, ctx.star_index[jn], 0, cv)
-                         for jn, cv in helpers.full_coords(db, br).items()),
-                        SuperPoly.zero(ctx.alph)))
+                    br_poly = ctx.rho(SuperPoly.linear(ctx.alph, (
+                        (ctx.star_index[jn], cv)
+                        for jn, cv in helpers.full_coords(db, br).items())))
                     expect = LambdaPoly.of(br_poly) if br_poly \
                         else LambdaPoly.zero(ctx.alph)
                     if i == j and m == n:
@@ -216,7 +215,7 @@ def test_empty_chain_bracket_sl3_minimal():
     fv = ctx.g.form_value(qa, qa)
     if fv:
         expect = expect + LambdaPoly(
-            ctx.gen_alph, {1: SuperPoly.const(ctx.gen_alph, fv * ctx.k)})
+            ctx.gen_alph, {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
     assert lp == expect
     assert lp == w_bracket_direct(ctx, gens, j0, j0)
 
