@@ -116,12 +116,12 @@ def _sparse(vec):
 
 
 def _scaled(vec, r):
-    return tuple(x * r for x in vec)
+    return tuple(x * r if x else x for x in vec)
 
 
 def _swapped(vec, p, q):
     """[x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j], for parities p, q of i, j."""
-    return vec if (p * q) % 2 else tuple(-x for x in vec)
+    return vec if (p * q) % 2 else tuple(-x if x else x for x in vec)
 
 
 def _common(values, vec):
@@ -538,9 +538,9 @@ def _pair_dual(g, lows, ups):
             inv = matrix_inverse(gram)
         except AlgebraError:
             raise AlgebraError("bases not dual (singular pairing at grade %s)" % (key,))
-        for r in range(len(lvs)):
-            lower.append(lvs[r])
-            upper.append(tuple(sum((u[t] * c for u, c in zip(uvs, inv[r]) if c),
+        lower.extend(lvs)
+        for row in inv:
+            upper.append(tuple(sum((u[t] * c for u, c in zip(uvs, row) if c and u[t]),
                                    GR_ZERO) for t in range(g.dim)))
     return lower, upper
 
@@ -626,10 +626,10 @@ def _tensor_sum(g, pairs):
     """Sum of outer products sum c * x (x) y as a dim x dim GRat matrix."""
     out = [[GR_ZERO] * g.dim for _ in range(g.dim)]
     for sign, x, y in pairs:
-        for a, xa in enumerate(x):
-            for b, yb in enumerate(y) if xa else ():
-                if yb:
-                    out[a][b] = out[a][b] + (xa * yb if sign > 0 else -(xa * yb))
+        ys = _sparse(y)
+        for a, xa in _sparse(x).items():
+            for b, yb in ys.items():
+                out[a][b] = out[a][b] + (xa * yb if sign > 0 else -(xa * yb))
     return out
 
 
