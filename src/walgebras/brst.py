@@ -30,13 +30,13 @@ from functools import cached_property
 
 from .liealg import HALF
 from .scalars import Scalar
-from .pva import affine_table
+from .pva import LeftBracket, affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
 from .swclassical import SUSYReductionContext
 from .wclassical import (GeneratorError, WGenerator, ansatz_monomials,
-                         k_degree_bound, solve_all_generators, solve_ansatz,
-                         w_bracket_table)
+                         gamma_linear, k_degree, k_degree_bound,
+                         solve_all_generators, solve_ansatz, w_bracket_table)
 
 
 class BRSTComplex:
@@ -203,14 +203,15 @@ class BRSTDifferential:
         return self.d_chi(A).get(0)
 
     @cached_property
-    def d_J(self) -> SuperPoly:
-        """d in J-coordinates."""
-        return self.cplx.to_J(self.d)
+    def d_J_bracket(self) -> LeftBracket:
+        """{d_chi .} in J-coordinates: the master formula over the complex's
+        jtable with d in J-coordinates fixed on the left, built on first
+        use and shared by every apply_J."""
+        return LeftBracket(self.cplx.to_J(self.d), self.cplx.jtable)
 
     def apply_J(self, A: SuperPoly) -> SuperPoly:
-        """d_[0] of a J-coordinate polynomial, in J-coordinates: the master
-        formula over the complex's jtable."""
-        return susy_master_bracket(self.d_J, A, self.cplx.jtable).get(0)
+        """d_[0] of a J-coordinate polynomial, in J-coordinates."""
+        return self.d_J_bracket(A).get(0)
 
     def d_squared_defect(self) -> ChiPoly:
         return self.d_chi(self.d)
@@ -237,6 +238,8 @@ def cohomology_generators(cplx: BRSTComplex, diff: BRSTDifferential):
     The ansatz is the ghost-free part of S(R_-): monomials in the
     building-block variables over g_{<=0}, each containing at least one
     [e, g_{<=-1/2}] variable; unknowns are ordered by filtration level.
+    The solve starts at the top power of k of the linear part of the
+    reduction generator (wclassical.gamma_linear), as solve_generator does.
     """
     ctx = cplx.ctx
     out = []
@@ -261,7 +264,8 @@ def _solve_cohomology_generator(cplx, diff, j) -> "CohomologyGenerator":
     value_J = lead_J + solve_ansatz(
         cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
         _differential_terms(diff, diff.apply_J(lead_J), monos),
-        "filtration correction for generator %d" % j)
+        "filtration correction for generator %d" % j,
+        start=k_degree(gamma_linear(ctx, j)))
     return CohomologyGenerator(cplx, j, value_J, weight)
 
 

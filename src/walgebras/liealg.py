@@ -691,7 +691,11 @@ def algebra_to_obj(g: LieSuperalgebra):
 
 
 def _file_coeff(text, where) -> GRat:
+    """A coefficient of the file; a JSON true or false is not a number,
+    though parse_coeff would read it as the int 1 or 0."""
     try:
+        if isinstance(text, bool):
+            raise ValueError(text)
         return parse_coeff(text)
     except (ValueError, ZeroDivisionError):
         raise AlgebraError("%s: coefficient %r is not a number" % (where, text))

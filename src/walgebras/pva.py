@@ -11,7 +11,8 @@ the two differ in; the rest follows from the parity p of x:
     the skew flip of sum_n x^n f_n is sum_n (-1)^n (x + d)^n f_n.
 
 The master formula evaluates the bracket of two arbitrary differential
-polynomials from a generator table; the axioms-driven evaluator
+polynomials from a generator table, through an operator (LeftBracket)
+that keeps what its left argument contributes; the axioms-driven evaluator
 (sesquilinearity, right Leibniz, skew) is its independent oracle.
 Skew-symmetry, Leibniz rules and sesquilinearity are checked exactly, and
 the Jacobi identity in two independent indeterminates. This module holds
@@ -329,21 +330,11 @@ def _parts(poly: SuperPoly):
     return [(p, h) for p in (0, 1) for h in (poly.parity_part(p),) if h]
 
 
-def _master(f: SuperPoly, g: SuperPoly, table: BracketTable):
-    """Master formula: the implementation of master_bracket and
-    spva.susy_master_bracket."""
-    out = {}
-    for pf, fgrad in f.parity_gradients():
-        for pg, ggrad in g.parity_gradients():
-            _master_homog(out, fgrad, pf, ggrad, pg, table)
-    return _value(table.value, table.alphabet, out)
-
-
-def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
-    """Adds the master formula of parity-homogeneous f, g to out, given
-    their gradients fgrad, ggrad as (variable, partial) pairs: the sum over
-    variable pairs of +-dg/du_j^(n) (x+d)^n {u_i_{x+d} u_j}_-> (x+d)^m
-    df/du_i^(m).
+class LeftBracket:
+    """The master formula with its left argument f fixed: calling the
+    operator on g gives {f_x g} over the table, the sum over variable pairs
+    of +-dg/du_j^(n) (x+d)^n {u_i_{x+d} u_j}_-> (x+d)^m df/du_i^(m), taken
+    over the parity parts of f and of g.
 
     The lambda sign does not read n. The chi sign reads n mod 2 and the
     parity of u_j^(n), which is p(u_j) + n. Raising n by one flips both,
@@ -351,49 +342,71 @@ def _master_homog(out, fgrad, pf, ggrad, pg, table: BracketTable):
     (p(f) + p(g)) + (p(f) + p(u_i^(m))) + 1 + m + p(u_i) = p(g) + 1 mod 2,
     as p(u_i^(m)) = p(u_i) + m. So for an odd g every n of a generator j
     has one sign, and for an even g the sign reads only nu = n mod 2. Let
-    nu be n mod 2 for chi and an even g, and 0 otherwise. The sum is
-    therefore regrouped so that each dg/du_j^(n) is multiplied in once:
-    1. the partials of g are grouped by (j, nu);
-    2. for each u_i^(m), the (x+d)-powers of the inner term are built once,
-       as far as the highest entry power met, the arrow sum is built once
-       per j, and it is added with its sign at n = nu into one sum B_{j,nu};
-    3. each dg/du_j^(n) multiplies (x+d)^n B_{j,nu}, whose (x+d)-powers
-       are built once."""
-    alph = table.alphabet
-    cls = table.value
-    sign = cls.var.master
-    nu_mask = cls.var.parity & (pg ^ 1)
-    groups = {}
-    for (j, n), dgj in ggrad:
-        groups.setdefault((j, n & nu_mask), []).append((n, dgj))
-    sums = {key: {} for key in groups}
-    for (i, m), dfi in fgrad:
-        pi, pim = alph.parities[i], alph.var_parity((i, m))
-        inner = [cls.of(dfi).apply_plus_d(m)]
-        arrows = {}
-        for (j, nu), acc in sums.items():
+    nu be n mod 2 for chi and an even g, and 0 otherwise. Everything but
+    the factor dg/du_j^(n) then reads f alone, and the operator builds on
+    demand, and keeps:
+    1. for each partial df/du_i^(m) of a parity part of f, the (x+d)-powers
+       of (x+d)^m df/du_i^(m), as far as the highest entry power met;
+    2. for each such partial and each j, the arrow sum with the entry (i, j);
+    3. for each (p(g), j, nu), the sum B of those arrow sums over the
+       partials of f, each with its sign at n = nu, and the (x+d)-powers of
+       B.
+    A call multiplies each dg/du_j^(n) of g into (x+d)^n B_{p(g),j,nu}, so
+    an operator applied to many right arguments builds each of these once.
+    The memos are private: f and the table are read, never changed, and
+    every value handed out is new. The table must not change while the
+    operator is in use."""
+
+    def __init__(self, f: SuperPoly, table: BracketTable):
+        self.table = table
+        self._partials = [(pf, i, m, dfi) for pf, grad in f.parity_gradients()
+                          for (i, m), dfi in grad]
+        self._inner = {}   # partial index -> (x+d)-powers of its inner term
+        self._arrows = {}  # (partial index, j) -> arrow sum
+        self._sums = {}    # (p(g), j, nu) -> (x+d)-powers of B, or None
+
+    def _sum_powers(self, pg, j, nu):
+        """The (x+d)-powers of B_{pg,j,nu}, built on first use; None for 0."""
+        key = (pg, j, nu)
+        if key in self._sums:
+            return self._sums[key]
+        table = self.table
+        alph, cls = table.alphabet, table.value
+        sign = cls.var.master
+        pj, pjn = alph.parities[j], alph.var_parity((j, nu))
+        acc = {}
+        for t, (pf, i, m, dfi) in enumerate(self._partials):
             ent = table.entries.get((i, j))
             if ent is None:
                 continue
-            pj = alph.parities[j]
-            arrow = arrows.get(j)
+            pi = alph.parities[i]
+            arrow = self._arrows.get((t, j))
             if arrow is None:
-                arrow = arrows[j] = _arrow(ent, inner, pi + pj)
-            _acc_value(acc, arrow, sign(pf, pg, pi, pj, m, nu, pim,
-                                        alph.var_parity((j, nu))))
-    for (j, nu), members in groups.items():
-        acc = sums[j, nu]
-        if not acc:
-            continue
-        powers = [_value(cls, alph, acc)]
-        for n, dgj in members:
-            _mul_into(out, dgj, pg ^ alph.var_parity((j, n)),
-                      _plus_d_power(powers, n))
+                inner = self._inner.get(t)
+                if inner is None:
+                    inner = self._inner[t] = [cls.of(dfi).apply_plus_d(m)]
+                arrow = self._arrows[t, j] = _arrow(ent, inner, pi + pj)
+            _acc_value(acc, arrow, sign(pf, pg, pi, pj, m, nu,
+                                        alph.var_parity((i, m)), pjn))
+        powers = self._sums[key] = [_value(cls, alph, acc)] if acc else None
+        return powers
+
+    def __call__(self, g: SuperPoly) -> LambdaPoly:
+        alph, cls = self.table.alphabet, self.table.value
+        out = {}
+        for pg, grad in g.parity_gradients():
+            nu_mask = cls.var.parity & (pg ^ 1)
+            for (j, n), dgj in grad:
+                powers = self._sum_powers(pg, j, n & nu_mask)
+                if powers is not None:
+                    _mul_into(out, dgj, pg ^ alph.var_parity((j, n)),
+                              _plus_d_power(powers, n))
+        return _value(cls, alph, out)
 
 
 def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPoly:
     """Master-formula evaluation of {f_lambda g} over the table."""
-    return _master(f, g, table)
+    return LeftBracket(f, table)(g)
 
 
 def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .pva import (BracketTable, Indeterminate, LambdaPoly, _master, _oracle,
-                  affine_table, check_jacobi, check_skew, jacobi_defect,
-                  leibniz_defects, random_property_suite,
+from .pva import (BracketTable, Indeterminate, LambdaPoly, LeftBracket,
+                  _oracle, affine_table, check_jacobi, check_skew,
+                  jacobi_defect, leibniz_defects, random_property_suite,
                   sesquilinearity_defects, skew_defect)
 from .scalars import rat
 from .superpoly import FLAVOR_DEL, Alphabet, SuperPoly
@@ -69,11 +69,12 @@ def susy_affine_table(g, alphabet, k) -> SUSYBracketTable:
 
 # The SUSY names are functions of their own, with the SUSY master formula as
 # their default evaluator: the benchmark tracer (wbench/tracer.py) tells the
-# two master formulas and the two oracles apart by their names.
+# two master formulas and the two oracles apart by their names. Evaluations
+# through a pva.LeftBracket (membership terms, brst's apply_J) go unseen.
 def susy_master_bracket(a: SuperPoly, b: SuperPoly,
                         table: SUSYBracketTable) -> ChiPoly:
     """Closed master-formula evaluation of {a_chi b}."""
-    return _master(a, b, table)
+    return LeftBracket(a, table)(b)
 
 
 def susy_bracket_oracle(a: SuperPoly, b: SuperPoly,

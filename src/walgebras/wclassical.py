@@ -21,7 +21,8 @@ Brackets likewise: closed chain-sum formula vs direct reduction. Both
 chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator,
 _chain_sum, which fills a path sum over the chain members from the top grade
 down instead of listing the chains. The linear-ansatz solve (solve_ansatz)
-also serves the BRST cohomology.
+also serves the BRST cohomology; it expands the unknowns in k only as far
+as the linear part's top power of k, and further only when that fails.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
-from .pva import BracketTable, affine_table, master_bracket
+from .pva import BracketTable, LeftBracket, affine_table, master_bracket
 from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
@@ -60,7 +61,8 @@ class Flavor(namedtuple("Flavor", "name shift bar letter prefix nilpotent "
 
 # The traced module-level functions (dual bases, master formula) are called
 # through their names, so that wrappers installed on those names by the
-# benchmark tracer (wbench/tracer.py) see the calls.
+# benchmark tracer (wbench/tracer.py) see the calls. The membership terms of
+# a solve apply one pva.LeftBracket per n instead, unseen by the tracer.
 EVEN = Flavor(
     name="lambda", shift=1, bar=False, letter="q",
     prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
@@ -285,15 +287,22 @@ def ansatz_monomials(alph, indices, weight, parity, required=None):
 
 
 def k_degree_bound(weight, *levels) -> int:
-    """Highest power of k in an ansatz coefficient: corrections are
-    polynomial in a symbolic level; constant levels need no expansion."""
+    """The cap on the powers of k in an ansatz coefficient: corrections are
+    polynomial in a symbolic level, and constant levels need no expansion.
+    A heuristic; solve_ansatz solves at the cap only when asked to, or when
+    no lower degree gives a consistent system."""
     if all(level.is_constant() for level in levels):
         return 0
     return int(2 * weight) + 3
 
 
-def solve_ansatz(alph, monos, kmax, terms, what, unique=True):
-    """Solve for the coefficients x_{M,d} of the ansatz sum k^d M.
+def k_degree(poly: SuperPoly) -> int:
+    """The top power of k in poly (0 for zero)."""
+    return max((kp for _mono, kp, _cp, _gr in poly.coefficients()), default=0)
+
+
+def solve_ansatz(alph, monos, kmax, terms, what, unique=True, start=None):
+    """Solve for the coefficients x_{M,d} of the ansatz sum k^d M, d <= kmax.
 
     `terms` yields (M, key, kp, cp, gr): the GRat gr is the coefficient of
     k^kp c^cp in what the monomial M adds to the linear condition `key`, or
@@ -301,45 +310,70 @@ def solve_ansatz(alph, monos, kmax, terms, what, unique=True):
     condition is one equation. Returns the solved polynomial over alph. No
     solution, or several when `unique` is set, raises GeneratorError naming
     `what`; without `unique`, several give None.
+
+    Without `start` the system is solved once, at d <= kmax. With it, the
+    trial degree D starts at start and grows, D -> min(2D + 1, kmax), while
+    the system truncated to d <= D is inconsistent. Every column at D is a
+    column at any larger D, and a solution at D is one at D' > D with zeros
+    in the new columns. So a consistent D stays consistent, two solutions
+    at D stay two, and when the solve at kmax has one solution the first
+    consistent D returns it. An underdetermined D is solved again at kmax,
+    so the error reads as there. Only one case reads differently: one
+    solution at D but several at kmax. Their difference would be a nonzero
+    element of W built from ansatz monomials alone, each with a
+    [E, g_{<=-1/2}] variable; pi kills every such monomial, and pi is
+    injective on W (De Sole-Kac-Valeri, JEMS 2016; W is freely generated),
+    so that case does not occur on a valid algebra.
     """
-    columns = [(M, d) for M in monos for d in range(kmax + 1)]
-    rows = {}
+    known, cells = {}, {}
     for M, key, kp, cp, gr in terms:
         if M is None:
-            row = rows.setdefault((key, kp, cp), [{}, GR_ZERO])
-            row[1] = row[1] - gr
-            continue
-        for d in range(kmax + 1):
-            coeffs = rows.setdefault((key, kp + d, cp), [{}, GR_ZERO])[0]
-            cur = coeffs.get((M, d), GR_ZERO) + gr
-            if cur:
-                coeffs[(M, d)] = cur
-            else:
-                coeffs.pop((M, d), None)
-    try:
-        sol = solve_linear([tuple(row) for row in rows.values()], columns)
-    except LinearSolveError as e:
-        if e.reason != "underdetermined":
-            raise GeneratorError("no %s: %s" % (what, e))
-        if unique:
-            raise GeneratorError("non-unique %s: %s" % (what, e))
-        return None
-    return SuperPoly.from_coefficients(
-        alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
+            known[key, kp, cp] = known.get((key, kp, cp), GR_ZERO) - gr
+        else:
+            cells[key, kp, cp, M] = cells.get((key, kp, cp, M), GR_ZERO) + gr
+    cells = {cell: gr for cell, gr in cells.items() if gr}
+    degree = kmax if start is None else min(start, kmax)
+    while True:
+        rows = {row: ({}, rhs) for row, rhs in known.items()}
+        for (key, kp, cp, M), gr in cells.items():
+            for d in range(degree + 1):
+                row = rows.get((key, kp + d, cp))
+                if row is None:
+                    row = rows[key, kp + d, cp] = ({}, GR_ZERO)
+                row[0][M, d] = gr
+        try:
+            sol = solve_linear(list(rows.values()), [
+                (M, d) for M in monos for d in range(degree + 1)])
+        except LinearSolveError as e:
+            if degree < kmax and e.reason == "inconsistent":
+                degree = min(2 * degree + 1, kmax)
+                continue
+            if degree < kmax and unique and e.reason == "underdetermined":
+                degree = kmax
+                continue
+            if e.reason != "underdetermined":
+                raise GeneratorError("no %s: %s" % (what, e))
+            if unique:
+                raise GeneratorError("non-unique %s: %s" % (what, e))
+            return None
+        return SuperPoly.from_coefficients(
+            alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
 
 
 def solve_generator(ctx: ReductionContext, j) -> WGenerator:
-    """Exact linear solve for the canonical generator with leading term q_j."""
+    """Exact linear solve for the canonical generator with leading term q_j,
+    starting at the top power of k of its linear part."""
     weight = ctx.flavor.shift + ctx.db.spins[j]
     lead = ctx.star_index[(j, 0)]
     monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
                              ctx.alph.parities[lead], ctx.highe_indices)
     lead_poly = SuperPoly.variable(ctx.alph, lead)
+    linear = gamma_linear(ctx, j)
     solution = solve_ansatz(ctx.alph, monos, k_degree_bound(weight, ctx.k),
                             _membership_terms(ctx, lead_poly, monos),
-                            "generator solution")
+                            "generator solution", start=k_degree(linear))
     value = lead_poly + solution
-    if _highe_degree_part(ctx, solution, 1) != gamma_linear(ctx, j):
+    if _highe_degree_part(ctx, solution, 1) != linear:
         raise GeneratorError("solver linear part disagrees with the chain "
                              "formula for generator %d" % j)
     return WGenerator(j, value, weight)
@@ -348,15 +382,13 @@ def solve_generator(ctx: ReductionContext, j) -> WGenerator:
 def _membership_terms(ctx, lead_poly, monos):
     """rho{n_lambda lead + sum x_M M} = 0 for every n in g_{>0}; lead and
     the monomials are in the kept variables, so each rho{n_lambda M} is the
-    master formula over ctx.reduced_table."""
+    master formula over ctx.reduced_table, through one LeftBracket per n."""
     polys = [(None, lead_poly)] + [(M, SuperPoly(ctx.alph, {M: Scalar.one()}))
                                    for M in monos]
-    master, table = ctx.flavor.master, ctx.reduced_table
     for t in ctx.n_indices:
-        nv = ctx.n_var(t)
+        bracket = LeftBracket(ctx.n_var(t), ctx.reduced_table)
         for M, poly in polys:
-            value = master(nv, poly, table)
-            for lam, coeff in value.coeffs.items():
+            for lam, coeff in bracket(poly).coeffs.items():
                 for mono, kp, cp, gr in coeff.coefficients():
                     yield M, (t, lam, mono), kp, cp, gr
 

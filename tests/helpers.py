@@ -1,10 +1,11 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, the BRST solve and bracket table in j-coordinates,
-exactness witnesses, a dense reference for the Lie superalgebra bracket,
-form, validation and rebase, a chain-enumerating reference for the closed
-chain sums, and Gauss-Jordan references for the exact linear solver and for
-matrix rank, nullspace and inverse."""
+generator solves at the k-degree cap, exactness witnesses, a dense
+reference for the Lie superalgebra bracket, form, validation and rebase, a
+chain-enumerating reference for the closed chain sums, and Gauss-Jordan
+references for the exact linear solver and for matrix rank, nullspace and
+inverse."""
 
 from fractions import Fraction
 from functools import reduce
@@ -19,11 +20,12 @@ from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
 from walgebras.pva import affine_table
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
-from walgebras.brst import (BRSTComplex, brst_rewrite, build_d,
-                            cohomology_generators)
+from walgebras.brst import (BRSTComplex, _differential_terms, brst_rewrite,
+                            build_d, cohomology_generators)
 from walgebras.wclassical import (GeneratorError, WGenerator, _chain_factor,
-                                  _closed_factor, ansatz_monomials,
-                                  k_degree_bound, solve_ansatz)
+                                  _closed_factor, _membership_terms,
+                                  ansatz_monomials, k_degree_bound,
+                                  solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -459,21 +461,28 @@ def j_route_differential_terms(cplx, diff, known, monos, in_J=False):
                 yield M, mono, kp, cp, gr
 
 
+def cohomology_ansatz(cplx, j):
+    """(lead index, weight, monomials by decreasing filtration level) of the
+    H^0 solve for generator j."""
+    ctx = cplx.ctx
+    lead = ctx.star_index[(j, 0)]
+    weight = HALF + ctx.db.spins[j]
+    monos = ansatz_monomials(cplx.jalph, ctx.kept_indices, weight,
+                             cplx.jalph.parities[lead], ctx.highe_indices)
+
+    def filt(mono):
+        return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
+
+    return lead, weight, sorted(monos, key=lambda mono: (-filt(mono), mono))
+
+
 def j_route_cohomology_generators(cplx, diff):
     """The cohomology generators solved with the conditions read in
     j-coordinates, as {index: WGenerator} with value and value_J."""
     ctx = cplx.ctx
     out = {}
     for j in range(ctx.db.count()):
-        lead = ctx.star_index[(j, 0)]
-        weight = HALF + ctx.db.spins[j]
-        monos = ansatz_monomials(cplx.jalph, ctx.kept_indices, weight,
-                                 cplx.jalph.parities[lead], ctx.highe_indices)
-
-        def filt(mono):
-            return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
-
-        monos = sorted(monos, key=lambda mono: (-filt(mono), mono))
+        lead, weight, monos = cohomology_ansatz(cplx, j)
         known = diff.apply(cplx.building_block(lead))
         value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
             cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
@@ -512,6 +521,33 @@ def j_route_bracket_table(cplx, diff, gens):
                     coeffs[p] = sym
             table.set(i, j, ChiPoly(gen_alph, coeffs))
     return table
+
+
+# One solve at k_degree_bound, with no starting degree: the reference for
+# the growing k-degree of solve_ansatz, on the same terms as the engine.
+
+def cap_generator_value(ctx, j):
+    """The value of solve_generator(ctx, j), from its membership terms
+    solved once at k_degree_bound."""
+    weight = ctx.flavor.shift + ctx.db.spins[j]
+    lead = ctx.star_index[(j, 0)]
+    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
+                             ctx.alph.parities[lead], ctx.highe_indices)
+    lead_poly = SuperPoly.variable(ctx.alph, lead)
+    return lead_poly + solve_ansatz(
+        ctx.alph, monos, k_degree_bound(weight, ctx.k),
+        _membership_terms(ctx, lead_poly, monos), "generator solution")
+
+
+def cap_cohomology_value_J(cplx, diff, j):
+    """The value_J of H^0 generator j, from the J-coordinate terms of the
+    engine solved once at k_degree_bound."""
+    lead, weight, monos = cohomology_ansatz(cplx, j)
+    lead_J = SuperPoly.variable(cplx.jalph, lead)
+    return lead_J + solve_ansatz(
+        cplx.jalph, monos, k_degree_bound(weight, cplx.ctx.k, diff.c),
+        _differential_terms(diff, diff.apply_J(lead_J), monos),
+        "filtration correction for generator %d" % j)
 
 
 def exactness_witness(cplx, diff, X: SuperPoly):

@@ -270,6 +270,16 @@ def test_J_route_matches_j_route(name, k):
     assert table.entries == helpers.j_route_bracket_table(cplx, diff, want).entries
 
 
+@pytest.mark.parametrize("name", OSP)
+def test_adaptive_H0_solve_matches_cap_solve(name):
+    """Each H^0 generator, solved from the top power of k of the reduction
+    generator's linear part up, equals the one solved once at
+    k_degree_bound from the same J-coordinate terms."""
+    cplx, diff, gens = helpers.brst(name)
+    for j, E in gens.items():
+        assert E.value_J == helpers.cap_cohomology_value_J(cplx, diff, j), j
+
+
 def test_cohomology_value_is_built_on_first_read(monkeypatch):
     """E.value is from_J(E.value_J), expanded when read; the Thm 5.9 check
     reads value_J alone and never expands it."""

@@ -124,12 +124,20 @@ def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     (lambda obj: obj["basis"][0].update(label=5), "basis label 5 is not a string"),
     (lambda obj: obj.update(name=7), "algebra name 7 is not a string"),
     (lambda obj: obj["basis"][1].update(label="E"), "basis label 'E' is repeated"),
+    (lambda obj: obj["form"][0].__setitem__(2, True),
+     "form row 0: coefficient True is not a number"),
+    (lambda obj: obj["brackets"][0]["coeffs"][0].__setitem__(1, False),
+     "bracket (0, 1): coefficient False is not a number"),
+    (lambda obj: obj["sl2"]["F"].__setitem__(2, True),
+     "sl2 vector F: coefficient True is not a number"),
 ], ids=["coeff-pair-short", "coeff-pair-long", "vector-string", "true-coeff-index",
-        "true-bracket-index", "label-int", "name-int", "label-repeated"])
+        "true-bracket-index", "label-int", "name-int", "label-repeated",
+        "true-form-value", "false-bracket-value", "true-vector-value"])
 @pytest.mark.parametrize("command", ["validate", "generators"])
 def test_malformed_shapes_exit_2(tmp_path, capsys, edit, message, command):
     """Shapes the reader once let through: read character by character, as
-    True for 1, as an int label, or escaping as an internal error (exit 3)."""
+    True for 1 (an index or a value), as an int label, or escaping as an
+    internal error (exit 3)."""
     obj = _sl2_obj()
     edit(obj)
     p = tmp_path / "malformed_sl2.json"

@@ -5,9 +5,9 @@ import pytest
 
 import helpers
 from walgebras.catalog import CATALOG
-from walgebras.pva import (BracketTable, LambdaPoly, bracket_oracle,
-                           check_jacobi, check_skew, jacobi_defect,
-                           leibniz_defects, master_bracket,
+from walgebras.pva import (BracketTable, LambdaPoly, LeftBracket,
+                           bracket_oracle, check_jacobi, check_skew,
+                           jacobi_defect, leibniz_defects, master_bracket,
                            random_property_suite, sesquilinearity_defects,
                            skew_defect)
 from walgebras.scalars import Scalar
@@ -76,6 +76,40 @@ def test_master_equals_axioms_oracle(name):
         a = random_superpoly(alph, rng, terms=2)
         b = random_superpoly(alph, rng, terms=2)
         assert master_bracket(a, b, t) == bracket_oracle(a, b, t)
+
+
+@pytest.mark.parametrize("name, susy", [("sl21", False), ("osp12", True),
+                                        ("sl21", True)])
+def test_left_bracket_reused_across_right_arguments(name, susy):
+    """One LeftBracket applied in turn to even, odd, mixed-parity and zero
+    right arguments, and to the first again, gives each time what a fresh
+    master formula and the axioms oracle give: nothing kept for one
+    argument's parity, generator or n mod 2 leaks into the next."""
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    rng = random.Random(19)
+
+    def mixed():
+        while True:
+            p = random_superpoly(alph, rng, terms=4)
+            if p.parity_part(0) and p.parity_part(1):
+                return p
+
+    f, b, c = mixed(), mixed(), mixed()
+    # every generator and its first derivative: each table entry is read
+    line = sum((SuperPoly.variable(alph, j, n) for j in range(len(alph))
+                for n in (0, 1)), SuperPoly.zero(alph))
+    rights = [b.parity_part(0), b.parity_part(1), b, SuperPoly.zero(alph),
+              c.parity_part(1), line.parity_part(0), c, line,
+              b.parity_part(0)]
+    # the right arguments reach odd derivative orders (nu = 1 for chi)
+    assert any(n % 2 for r in rights for _p, grad in r.parity_gradients()
+               for (_j, n), _d in grad)
+    bracket = LeftBracket(f, t)
+    for r in rights:
+        got = bracket(r)
+        assert got == master_bracket(f, r, t)
+        assert got == bracket_oracle(f, r, t)
+    assert not bracket(SuperPoly.zero(alph))
 
 
 def test_conformal_weights_sl2():

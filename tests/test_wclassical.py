@@ -7,11 +7,11 @@ from walgebras import wclassical
 from walgebras.catalog import build_sl2
 from walgebras.liealg import LieSuperalgebra, SL2Triple
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
-from walgebras.scalars import Scalar, solve_linear
-from walgebras.superpoly import SuperPoly
+from walgebras.scalars import GR_ONE, Scalar, solve_linear
+from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   ansatz_monomials, compare_closed_direct,
-                                  gamma_linear,
+                                  gamma_linear, k_degree,
                                   k_degree_bound, membership_defects,
                                   rewrite_in_generators,
                                   solve_all_generators, solve_generator,
@@ -229,17 +229,98 @@ def _top_k_power(poly):
     ("osp12", True), ("sl21", True), ("sl32-principal", True)])
 def test_k_degree_bound_leaves_room(name, susy):
     """At symbolic k every solved generator uses powers of k strictly below
-    the ansatz bound, so the bound never cuts a solution short (sl4: the
+    the ansatz bound, so the bound never cuts a solution short, and its top
+    power is that of its linear part, where its solve starts (sl4: the
     weights 4, 3, 2 use k^3, k^2, k against the bounds 11, 9, 7; sl(3|2):
     the even weights 3 down to 1 use k^2, k^2, k^2, k, k, k, k, k^0 against
     the bounds 9 down to 5, the SUSY weights 5/2 down to 1 use k^4, k^3,
-    k^2, k). The weight-1 even generator of sl(3|2) is k-free, so only the
-    upper half holds there."""
+    k^2, k). The weight-1 even generator of sl(3|2) is k-free, so there
+    the top power may be 0."""
     ctx, gens = (helpers.susy if susy else helpers.classical)(name)
     for w in gens.values():
         top = _top_k_power(w.value)
         assert top < k_degree_bound(w.weight, ctx.k), w.weight
         assert top > 0 or (not susy and w.weight == 1), w.weight
+        # the solve starts at the linear part's top power and needs no more
+        assert top == k_degree(gamma_linear(ctx, w.index)), w.weight
+    if susy and name in ("osp12", "sl21"):
+        # so does the BRST H^0 solve, which starts at the same power
+        for j, E in helpers.brst(name)[2].items():
+            assert _top_k_power(E.value_J) == k_degree(gamma_linear(ctx, j))
+
+
+@pytest.mark.parametrize("name, susy", [
+    ("sl4-principal", False), ("sl32-principal", False),
+    ("sl32-principal", True)])
+def test_adaptive_solve_matches_cap_solve(name, susy):
+    """Each generator, solved from the top power of k of its linear part
+    up, equals the one solved once at k_degree_bound from the same terms."""
+    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
+    for j, w in gens.items():
+        assert w.value == helpers.cap_generator_value(ctx, j), j
+
+
+def _recording_solves(monkeypatch):
+    """(trial degree, outcome) of every linear solve of solve_ansatz."""
+    attempts = []
+
+    def recording(equations, unknowns):
+        outcome = helpers.solve_outcome(solve_linear, equations, unknowns)[0]
+        attempts.append((max(d for _M, d in unknowns), outcome))
+        return solve_linear(equations, unknowns)
+
+    monkeypatch.setattr(wclassical, "solve_linear", recording)
+    return attempts
+
+
+def test_solve_from_degree_zero_grows_to_the_generator(monkeypatch):
+    """sl4's weight-4 generator uses k^3. Solved from degree 0, its system
+    is inconsistent at 0 and 1 and solved at 3, with the same generator."""
+    ctx, gens = helpers.classical("sl4-principal")
+    (w,) = [w for w in gens.values() if w.weight == 4]
+    assert _top_k_power(w.value) == 3
+    lead = ctx.star_index[(w.index, 0)]
+    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, w.weight,
+                             ctx.alph.parities[lead], ctx.highe_indices)
+    lead_poly = SuperPoly.variable(ctx.alph, lead)
+    attempts = _recording_solves(monkeypatch)
+    got = wclassical.solve_ansatz(
+        ctx.alph, monos, k_degree_bound(w.weight, ctx.k),
+        wclassical._membership_terms(ctx, lead_poly, monos),
+        "generator solution", start=0)
+    assert lead_poly + got == w.value
+    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
+                        (3, "solved")]
+
+
+def test_solve_schedule_on_a_hand_built_system(monkeypatch):
+    """Conditions x_u(k) = k^4 and x_u(k) + x_uu(k) = 1 on the ansatz
+    x_u u + x_uu u^2: the first is inconsistent below degree 4, so it is
+    tried at 0, 1, 3 and the cap, and raises only there; the second is
+    underdetermined, and raises non-unique with the cap solve's message."""
+    alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
+    u, uu = (((0, 0), 1),), (((0, 0), 2),)
+    one = GR_ONE
+    needs_k4 = [(None, "a", 4, 0, -one), (u, "a", 0, 0, one)]
+    attempts = _recording_solves(monkeypatch)
+    got = wclassical.solve_ansatz(alph, [u], 5, needs_k4, "test", start=0)
+    assert got == SuperPoly(alph, {u: Scalar.term(4, 0, one)})
+    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
+                        (3, "inconsistent"), (5, "solved")]
+    del attempts[:]
+    with pytest.raises(GeneratorError, match=r"^no test: inconsistent$"):
+        wclassical.solve_ansatz(alph, [u], 3, needs_k4, "test", start=0)
+    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
+                        (3, "inconsistent")]
+    free = [(None, "a", 0, 0, -one), (u, "a", 0, 0, one), (uu, "a", 0, 0, one)]
+    with pytest.raises(GeneratorError) as at_cap:
+        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test")
+    del attempts[:]
+    with pytest.raises(GeneratorError) as grown:
+        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test", start=0)
+    assert str(grown.value) == str(at_cap.value)
+    assert str(grown.value).startswith("non-unique test: underdetermined")
+    assert attempts == [(0, "underdetermined"), (3, "underdetermined")]
 
 
 SOLVED = [(name, False) for name in CLASSICAL + ["sl4-principal"]] + [
