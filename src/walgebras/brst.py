@@ -195,12 +195,18 @@ class BRSTDifferential:
                 out = out + term.scale(HALF)
         return out
 
+    @cached_property
+    def d_bracket(self) -> LeftBracket:
+        """{d_chi .} over the complex's table, built on first use and shared
+        by d_chi, apply and d_squared_defect."""
+        return LeftBracket(self.d, self.cplx.table)
+
     def d_chi(self, A: SuperPoly) -> ChiPoly:
-        return susy_master_bracket(self.d, A, self.cplx.table)
+        return self.d_bracket(A)
 
     def apply(self, A: SuperPoly) -> SuperPoly:
-        """d_[0] A = {d_chi A}|_{chi=0}."""
-        return self.d_chi(A).get(0)
+        """d_[0] A = {d_chi A}|_{chi=0}, computed alone (at_zero)."""
+        return self.d_bracket.at_zero(A)
 
     @cached_property
     def d_J_bracket(self) -> LeftBracket:
@@ -210,8 +216,8 @@ class BRSTDifferential:
         return LeftBracket(self.cplx.to_J(self.d), self.cplx.jtable)
 
     def apply_J(self, A: SuperPoly) -> SuperPoly:
-        """d_[0] of a J-coordinate polynomial, in J-coordinates."""
-        return self.d_J_bracket(A).get(0)
+        """d_[0] of a J-coordinate polynomial, in J-coordinates (at_zero)."""
+        return self.d_J_bracket.at_zero(A)
 
     def d_squared_defect(self) -> ChiPoly:
         return self.d_chi(self.d)

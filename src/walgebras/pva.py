@@ -352,10 +352,11 @@ class LeftBracket:
        partials of f, each with its sign at n = nu, and the (x+d)-powers of
        B.
     A call multiplies each dg/du_j^(n) of g into (x+d)^n B_{p(g),j,nu}, so
-    an operator applied to many right arguments builds each of these once.
-    The memos are private: f and the table are read, never changed, and
-    every value handed out is new. The table must not change while the
-    operator is in use."""
+    an operator applied to many right arguments builds each of these once;
+    at_zero(g) keeps the d-powers of the x^0 coefficient of each B. The
+    memos are private: f and the table are read, never changed, and every
+    value handed out is new. The table must not change while the operator
+    is in use."""
 
     def __init__(self, f: SuperPoly, table: BracketTable):
         self.table = table
@@ -363,10 +364,11 @@ class LeftBracket:
                           for (i, m), dfi in grad]
         self._inner = {}   # partial index -> (x+d)-powers of its inner term
         self._arrows = {}  # (partial index, j) -> arrow sum
-        self._sums = {}    # (p(g), j, nu) -> (x+d)-powers of B, or None
+        self._sums = {}    # (p(g), j, nu) -> powers of B and B_0, or None
 
     def _sum_powers(self, pg, j, nu):
-        """The (x+d)-powers of B_{pg,j,nu}, built on first use; None for 0."""
+        """The (x+d)-powers of B_{pg,j,nu} and the d-powers of its x^0
+        coefficient (filled by at_zero), built on first use; None for 0."""
         key = (pg, j, nu)
         if key in self._sums:
             return self._sums[key]
@@ -388,20 +390,41 @@ class LeftBracket:
                 arrow = self._arrows[t, j] = _arrow(ent, inner, pi + pj)
             _acc_value(acc, arrow, sign(pf, pg, pi, pj, m, nu,
                                         alph.var_parity((i, m)), pjn))
-        powers = self._sums[key] = [_value(cls, alph, acc)] if acc else None
-        return powers
+        sums = self._sums[key] = ([_value(cls, alph, acc)], []) if acc else None
+        return sums
+
+    def _partials_of(self, g):
+        """(dg/du_j^(n), its parity, n, the powers of B) for each partial of
+        g with a nonzero B: the one loop over g of both evaluations."""
+        alph = self.table.alphabet
+        odd_x = self.table.value.var.parity
+        for pg, grad in g.parity_gradients():
+            nu_mask = odd_x & (pg ^ 1)
+            for (j, n), dgj in grad:
+                sums = self._sum_powers(pg, j, n & nu_mask)
+                if sums is not None:
+                    yield dgj, pg ^ alph.var_parity((j, n)), n, sums
 
     def __call__(self, g: SuperPoly) -> LambdaPoly:
-        alph, cls = self.table.alphabet, self.table.value
         out = {}
-        for pg, grad in g.parity_gradients():
-            nu_mask = cls.var.parity & (pg ^ 1)
-            for (j, n), dgj in grad:
-                powers = self._sum_powers(pg, j, n & nu_mask)
-                if powers is not None:
-                    _mul_into(out, dgj, pg ^ alph.var_parity((j, n)),
-                              _plus_d_power(powers, n))
-        return _value(cls, alph, out)
+        for dgj, q, n, (powers, _zeros) in self._partials_of(g):
+            _mul_into(out, dgj, q, _plus_d_power(powers, n))
+        return _value(self.table.value, self.table.alphabet, out)
+
+    def at_zero(self, g: SuperPoly) -> SuperPoly:
+        """The x^0 coefficient of {f_x g}. x + d never lowers the power of
+        x, so that of (x+d)^n B is d^n B_0, B_0 the x^0 coefficient of B,
+        and it takes no sign from passing dg/du_j^(n)."""
+        alph = self.table.alphabet
+        out = {}
+        for dgj, _q, n, (powers, zeros) in self._partials_of(g):
+            if not zeros:
+                zeros.append(powers[0].get(0))
+            while len(zeros) <= n:
+                zeros.append(zeros[-1].deriv())
+            if zeros[n]:
+                accumulate_product(out, 0, dgj, zeros[n])
+        return _built(alph, out).get(0, SuperPoly.zero(alph))
 
 
 def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPoly:

@@ -70,7 +70,7 @@ def susy_affine_table(g, alphabet, k) -> SUSYBracketTable:
 # The SUSY names are functions of their own, with the SUSY master formula as
 # their default evaluator: the benchmark tracer (wbench/tracer.py) tells the
 # two master formulas and the two oracles apart by their names. Evaluations
-# through a pva.LeftBracket (membership terms, brst's apply_J) go unseen.
+# through a pva.LeftBracket (membership terms, brst's differential) go unseen.
 def susy_master_bracket(a: SuperPoly, b: SuperPoly,
                         table: SUSYBracketTable) -> ChiPoly:
     """Closed master-formula evaluation of {a_chi b}."""

@@ -131,12 +131,6 @@ class ReductionContext:
                     self.alph, [((), 0, 0, c)])
             else:
                 self._rho_images[t] = SuperPoly.variable(self.alph, t)
-        self._pi_images = {}
-        for t in range(len(members)):
-            if t in self.highe_indices:
-                self._pi_images[t] = SuperPoly.zero(self.alph)
-            else:
-                self._pi_images[t] = SuperPoly.variable(self.alph, t)
         labels = []
         for j in range(db.count()):
             vec = db.lower[j]
@@ -152,6 +146,7 @@ class ReductionContext:
              for j in range(db.count())],
             [fl.shift + db.spins[j] for j in range(db.count())])
         self.alph_in = _alphabet(fl, g.names, g.parities, g.gradings)
+        self._chain_constants = {}   # filled by chain_constants
 
     # -- maps ------------------------------------------------------------
     def bracket(self, a: SuperPoly, b: SuperPoly):
@@ -184,7 +179,9 @@ class ReductionContext:
                                        for n, p in value.coeffs.items()})
 
     def pi(self, poly: SuperPoly) -> SuperPoly:
-        return poly.substitute(self._pi_images, self.alph)
+        """The canonical-form projection: it kills the [E, g_{<=-1/2}]
+        variables and fixes the others, so it drops the monomials with one."""
+        return _highe_degree_part(self, poly, 0)
 
     def to_input(self, poly: SuperPoly) -> SuperPoly:
         """Express a chain-coordinate polynomial over the input basis."""
@@ -194,17 +191,27 @@ class ReductionContext:
                                          enumerate(self.db.chain_lower[j][n]))
         return poly.substitute(images, self.alph_in)
 
-    def sharp_poly(self, vec) -> SuperPoly:
-        """g^F projection of an algebra vector, as a degree-1 polynomial."""
-        return SuperPoly.linear(self.alph, (
-            (self.star_index[(j, 0)], self.g.form_value(self.db.upper[j], vec))
-            for j in range(self.db.count())))
-
-    def sharp_symbols(self, vec) -> SuperPoly:
-        """g^F projection expanded in generator symbols."""
-        return SuperPoly.linear(self.gen_alph, (
-            (j, self.g.form_value(self.db.upper[j], vec))
-            for j in range(self.db.count())))
+    def chain_constants(self, x, y, y_upper=True):
+        """([x, y]^sharp in chain coordinates and in generator symbols,
+        (x|y)) for x the chain_lower vector of member x and y the
+        chain_upper (or chain_lower) vector of member y, members given by
+        star index; computed on first use and kept."""
+        key = (x, y, y_upper)
+        found = self._chain_constants.get(key)
+        if found is None:
+            db, g = self.db, self.g
+            j, n = self.members[x]
+            vx = db.chain_lower[j][n]
+            j, n = self.members[y]
+            vy = (db.chain_upper if y_upper else db.chain_lower)[j][n]
+            br = g.bracket(vx, vy)
+            sharp = [(j, g.form_value(db.upper[j], br))
+                     for j in range(db.count())]
+            found = self._chain_constants[key] = (
+                SuperPoly.linear(self.alph, ((self.star_index[(j, 0)], c)
+                                             for j, c in sharp)),
+                SuperPoly.linear(self.gen_alph, sharp), g.form_value(vx, vy))
+        return found
 
     def n_var(self, t) -> SuperPoly:
         return SuperPoly.variable(self.alph, t)
@@ -215,7 +222,10 @@ def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
     [lo, hi], consecutive grades at least db.step apart, of
     factor(head, y_0)[factor(x_0, y_1)[... factor(x_{p-1}, y_p)[last(u_p)]]],
     times s(u_0)...s(u_p) when the flavor signs chains; x_t, y_t are the
-    successor chain_lower and the chain_upper vector of u_t.
+    successor chain_lower and the chain_upper vector of u_t. Members are
+    star indices: head names a chain_lower vector, last gets the successor
+    of u_p (None for x_p = 0), and a factor gets ctx.chain_constants of its
+    two members. Where x_t = 0 the factors vanish and are skipped.
 
     Evaluated as a path sum, never listing chains: from the top grade down,
     V(u) = s(u) (last(u) + sum_{grade v >= grade u + step} factor(x(u), y(v))[V(v)])
@@ -223,20 +233,23 @@ def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
     is linear in its tail. Returns the terms factor(head, y(u))[V(u)].
     """
     db, g = ctx.db, ctx.g
-    members = [jn for jn in ctx.members if lo <= db.grade_of(*jn) <= hi]
-    sums = []                      # (grade, y(v), V(v)), grades descending
-    for j, n in reversed(members):
-        grade = db.grade_of(j, n)
-        x = db.chain_lower_or_zero(j, n + 1)
-        val = last(j, n)
-        for grade_v, y, val_v in sums:
-            if grade_v < grade + db.step:
-                break
-            val = val + factor(ctx, x, y, val_v)
+    sums = []                      # (grade, v, V(v)), grades descending
+    for t in reversed(range(len(ctx.members))):
+        (j, n), grade = ctx.members[t], db.grade_of(*ctx.members[t])
+        if not lo <= grade <= hi:
+            continue
+        x = ctx.star_index.get((j, n + 1))
+        val = last(x)
+        if x is not None:
+            for grade_v, v, val_v in sums:
+                if grade_v < grade + db.step:
+                    break
+                val = val + factor(ctx, ctx.chain_constants(x, v), val_v)
         if ctx.flavor.signed_chains and g.parity_of_vec(db.lower[j]):
             val = -val
-        sums.append((grade, db.chain_upper[j][n], val))
-    return [factor(ctx, head, y, val) for _grade, y, val in sums]
+        sums.append((grade, t, val))
+    return [factor(ctx, ctx.chain_constants(head, v), val)
+            for _grade, v, val in sums]
 
 
 def gamma_linear(ctx: ReductionContext, j) -> SuperPoly:
@@ -244,16 +257,16 @@ def gamma_linear(ctx: ReductionContext, j) -> SuperPoly:
     linear in the [E, g_{<=-1/2}] variables."""
     db = ctx.db
     terms = _chain_sum(
-        ctx, -db.spins[j], -HALF, db.lower[j],
-        lambda jp, np_: SuperPoly.variable(ctx.alph, ctx.star_index[(jp, np_ + 1)]),
+        ctx, -db.spins[j], -HALF, ctx.star_index[(j, 0)],
+        lambda x: SuperPoly.variable(ctx.alph, x),
         _chain_factor)
     return sum(terms, SuperPoly.zero(ctx.alph))
 
 
-def _chain_factor(ctx, x, y, tail: SuperPoly) -> SuperPoly:
-    """([x, y]^sharp - (x|y) k del) applied to the tail (D for SUSY)."""
-    sharp = ctx.sharp_poly(ctx.g.bracket(x, y))
-    c = ctx.g.form_value(x, y)
+def _chain_factor(ctx, constants, tail: SuperPoly) -> SuperPoly:
+    """([x, y]^sharp - (x|y) k del) applied to the tail (D for SUSY), from
+    the ctx.chain_constants of x and y."""
+    sharp, _symbols, c = constants
     out = sharp * tail
     if c:
         out = out - tail.deriv().scalar_mul(ctx.k.scale(c))
@@ -394,7 +407,8 @@ def _membership_terms(ctx, lead_poly, monos):
 
 
 def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
-    highe = ctx.highe_indices
+    """The terms of poly of degree `degree` in the [E, g_{<=-1/2}] variables."""
+    highe = set(ctx.highe_indices)
     return SuperPoly.from_coefficients(ctx.alph, (
         term for term in poly.coefficients()
         if sum(e for (t, _m), e in term[0] if t in highe) == degree))
@@ -417,15 +431,11 @@ def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPol
         else:
             images[t] = SuperPoly.zero(ctx.gen_alph)
     sym = projected.substitute(images, ctx.gen_alph)
-    back = evaluate_symbols(ctx, gens, sym)
+    back = sym.substitute({j: gens[j].value for j in range(ctx.db.count())},
+                          ctx.alph)
     if back != A:
         raise GeneratorError("input not in W or generators not canonical")
     return sym
-
-
-def evaluate_symbols(ctx: ReductionContext, gens, sym: SuperPoly) -> SuperPoly:
-    images = {j: gens[j].value for j in range(ctx.db.count())}
-    return sym.substitute(images, ctx.alph)
 
 
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
@@ -446,22 +456,22 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     """
     g, db, fl = ctx.g, ctx.db, ctx.flavor
     value = fl.table.value
-    qa, qb = db.lower[a], db.lower[b]
+    ta, tb = ctx.star_index[(a, 0)], ctx.star_index[(b, 0)]
     out = value.zero(ctx.gen_alph)
-    br = ctx.sharp_symbols(g.bracket(qa, qb))
+    _sharp, br, fv = ctx.chain_constants(ta, tb, False)
     if br:
         out = out + value.of(br)
-    fv = g.form_value(qa, qb)
     if fv:
         out = out + value(ctx.gen_alph,
                           {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
-    one = value.of(SuperPoly.one(ctx.gen_alph))
+    one, zero = value.of(SuperPoly.one(ctx.gen_alph)), value.zero(ctx.gen_alph)
     total = sum(_chain_sum(
-        ctx, -db.spins[b], db.spins[a] - fl.shift, qb,
-        lambda j, n: _closed_factor(ctx, db.chain_lower_or_zero(j, n + 1), qa, one),
-        _closed_factor), value.zero(ctx.gen_alph))
-    pa = g.parity_of_vec(qa)
-    pb = g.parity_of_vec(qb)
+        ctx, -db.spins[b], db.spins[a] - fl.shift, tb,
+        lambda x: zero if x is None else
+        _closed_factor(ctx, ctx.chain_constants(x, ta, False), one),
+        _closed_factor), zero)
+    pa = g.parity_of_vec(db.lower[a])
+    pb = g.parity_of_vec(db.lower[b])
     if (pa * pb) % 2:
         out = out + total
     else:
@@ -471,12 +481,12 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     return out
 
 
-def _closed_factor(ctx, x, y, tail):
-    """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail;
-    on the trailing 1 the (lambda+del) reduces to a bare lambda."""
-    sym = ctx.sharp_symbols(ctx.g.bracket(x, y))
+def _closed_factor(ctx, constants, tail):
+    """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail,
+    from the ctx.chain_constants of x and y; on the trailing 1 the
+    (lambda+del) reduces to a bare lambda."""
+    _sharp, sym, form_val = constants
     out = tail.mul_left(sym) if sym else tail.zero(ctx.gen_alph)
-    form_val = ctx.g.form_value(x, y)
     if form_val:
         out = out - tail.apply_plus_d().scalar_mul(ctx.k.scale(form_val))
     return out

@@ -22,10 +22,9 @@ from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import (BRSTComplex, _differential_terms, brst_rewrite,
                             build_d, cohomology_generators)
-from walgebras.wclassical import (GeneratorError, WGenerator, _chain_factor,
-                                  _closed_factor, _membership_terms,
-                                  ansatz_monomials, k_degree_bound,
-                                  solve_ansatz)
+from walgebras.wclassical import (GeneratorError, WGenerator,
+                                  _membership_terms, ansatz_monomials,
+                                  k_degree_bound, solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -443,7 +442,15 @@ def full_coords(db, vec):
 
 # The BRST side in j-coordinates: d_[0] of the from_J image of each ansatz
 # monomial and the brackets over the complex's own table, with no use of
-# BRSTComplex.jtable. It is the reference for the J-coordinate engine.
+# BRSTComplex.jtable. It is the reference for the J-coordinate engine, and
+# takes d_[0] as the chi^0 coefficient of the whole master bracket, not
+# through BRSTDifferential.apply.
+
+def j_route_d0(diff, A):
+    """d_[0] A, read off the full bracket {d_chi A} over the complex's
+    table."""
+    return susy_master_bracket(diff.d, A, diff.cplx.table).get(0)
+
 
 def j_route_differential_terms(cplx, diff, known, monos, in_J=False):
     """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
@@ -453,7 +460,7 @@ def j_route_differential_terms(cplx, diff, known, monos, in_J=False):
         for (kp, cp), gr in s.terms.items():
             yield None, mono, kp, cp, gr
     for M in monos:
-        dm = diff.apply(cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
+        dm = j_route_d0(diff, cplx.from_J(SuperPoly(cplx.jalph, {M: Scalar.one()})))
         if in_J:
             dm = cplx.to_J(dm)
         for mono, s in dm.terms.items():
@@ -483,7 +490,7 @@ def j_route_cohomology_generators(cplx, diff):
     out = {}
     for j in range(ctx.db.count()):
         lead, weight, monos = cohomology_ansatz(cplx, j)
-        known = diff.apply(cplx.building_block(lead))
+        known = j_route_d0(diff, cplx.building_block(lead))
         value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
             cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
             j_route_differential_terms(cplx, diff, known, monos),
@@ -508,14 +515,14 @@ def j_route_bracket_table(cplx, diff, gens):
             raw = susy_master_bracket(gens[i].value, gens[j].value, cplx.table)
             coeffs = {}
             for p, poly in raw.coeffs.items():
-                if diff.apply(poly):
+                if j_route_d0(diff, poly):
                     raise GeneratorError("bracket coefficient not d-closed")
                 sym = brst_rewrite(cplx, gens, cplx.to_J(poly), gen_alph)
                 back = sym.substitute(values, cplx.alph)
                 resid = poly - back
                 if brst_rewrite(cplx, gens, cplx.to_J(resid), gen_alph):
                     raise GeneratorError("representative not reduced")
-                if diff.apply(resid):
+                if j_route_d0(diff, resid):
                     raise GeneratorError("residual not d-closed")
                 if sym:
                     coeffs[p] = sym
@@ -849,6 +856,57 @@ def _odd_members(ctx, chain):
     return sum(1 for j, _n in chain if ctx.g.parity_of_vec(ctx.db.lower[j]))
 
 
+def pi_by_substitution(ctx, poly):
+    """ReductionContext.pi as the substitution that sends each
+    [E, g_{<=-1/2}] variable to 0 and fixes the others."""
+    images = {t: SuperPoly.zero(ctx.alph) if t in ctx.highe_indices
+              else SuperPoly.variable(ctx.alph, t)
+              for t in range(len(ctx.members))}
+    return poly.substitute(images, ctx.alph)
+
+
+def sharp_poly(ctx, vec):
+    """g^F projection of an algebra vector, as a degree-1 polynomial in the
+    chain coordinates of ctx."""
+    db = ctx.db
+    return SuperPoly.linear(ctx.alph, (
+        (ctx.star_index[(j, 0)], ctx.g.form_value(db.upper[j], vec))
+        for j in range(db.count())))
+
+
+def sharp_symbols(ctx, vec):
+    """g^F projection of an algebra vector, in generator symbols."""
+    db = ctx.db
+    return SuperPoly.linear(ctx.gen_alph, (
+        (j, ctx.g.form_value(db.upper[j], vec)) for j in range(db.count())))
+
+
+def chain_constants(ctx, x, y):
+    """The triple of ReductionContext.chain_constants, computed from the
+    vectors x and y themselves."""
+    br = ctx.g.bracket(x, y)
+    return sharp_poly(ctx, br), sharp_symbols(ctx, br), ctx.g.form_value(x, y)
+
+
+def chain_factor(ctx, x, y, tail):
+    """([x, y]^sharp - (x|y) k del) applied to the tail, from the vectors."""
+    sharp, _sym, c = chain_constants(ctx, x, y)
+    out = sharp * tail
+    if c:
+        out = out - tail.deriv().scalar_mul(ctx.k.scale(c))
+    return out
+
+
+def closed_factor(ctx, x, y, tail):
+    """(omega([x,y]^sharp) - (x|y) k (lambda+del)) applied to the tail,
+    from the vectors."""
+    _sharp, sym, c = chain_constants(ctx, x, y)
+    out = tail.mul_left(sym) if sym else tail.zero(ctx.gen_alph)
+    if c:
+        out = out - tail.apply_plus_d().scalar_mul(ctx.k.scale(c))
+    return out
+
+
 def chain_gamma_linear(ctx, j):
     """wclassical.gamma_linear, summed chain by chain."""
     db = ctx.db
@@ -861,9 +919,9 @@ def chain_gamma_linear(ctx, j):
         for t in range(len(chain) - 1, 0, -1):
             x = db.chain_lower_or_zero(chain[t - 1][0], chain[t - 1][1] + 1)
             y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _chain_factor(ctx, x, y, val)
+            val = chain_factor(ctx, x, y, val)
         y = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _chain_factor(ctx, db.lower[j], y, val)
+        val = chain_factor(ctx, db.lower[j], y, val)
         if ctx.flavor.signed_chains and _odd_members(ctx, chain) % 2:
             val = -val
         out = out + val
@@ -876,7 +934,7 @@ def chain_w_bracket_closed(ctx, a, b):
     value = fl.table.value
     qa, qb = db.lower[a], db.lower[b]
     out = value.zero(ctx.gen_alph)
-    br = ctx.sharp_symbols(g.bracket(qa, qb))
+    br = sharp_symbols(ctx, g.bracket(qa, qb))
     if br:
         out = out + value.of(br)
     fv = g.form_value(qa, qb)
@@ -891,14 +949,14 @@ def chain_w_bracket_closed(ctx, a, b):
             continue
         jp, np_ = chain[-1]
         x_last = db.chain_lower_or_zero(jp, np_ + 1)
-        val = _closed_factor(ctx, x_last, qa,
-                             value.of(SuperPoly.one(ctx.gen_alph)))
+        val = closed_factor(ctx, x_last, qa,
+                            value.of(SuperPoly.one(ctx.gen_alph)))
         for t in range(len(chain) - 1, 0, -1):
             x = db.chain_lower_or_zero(chain[t - 1][0], chain[t - 1][1] + 1)
             y = db.chain_upper[chain[t][0]][chain[t][1]]
-            val = _closed_factor(ctx, x, y, val)
+            val = closed_factor(ctx, x, y, val)
         y0 = db.chain_upper[chain[0][0]][chain[0][1]]
-        val = _closed_factor(ctx, qb, y0, val)
+        val = closed_factor(ctx, qb, y0, val)
         if fl.signed_chains and _odd_members(ctx, chain) % 2:
             val = -val
         total = total + val

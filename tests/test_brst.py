@@ -9,6 +9,7 @@ from walgebras import brst
 from walgebras.brst import (BRSTComplex, build_complex, build_d,
                             check_thm_5_9, brst_bracket_table,
                             cohomology_generators)
+from walgebras.pva import LeftBracket
 from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
                             susy_bracket_oracle, susy_master_bracket)
@@ -85,6 +86,36 @@ def test_d_chi_with_kept_gradient_equals_oracle(name):
         assert diff.d_chi(A) == want
         assert diff.d_chi(A) == want
     assert diff.d.parity_gradients() is diff.d.parity_gradients()
+
+
+@pytest.mark.parametrize("name", OSP)
+def test_d0_is_the_chi0_coefficient_of_the_bracket(name):
+    """apply_J and apply read the chi^0 coefficient alone. It equals that
+    of the whole bracket {d chi A}: over jtable with a fresh operator for
+    apply_J, and over the complex's table through the shared d_chi and a
+    fresh master formula for apply. The inputs are the J variables and
+    their first derivatives, the ansatz monomials of the H^0 solves and
+    random polynomials."""
+    cplx = build_complex(helpers.algebra(name))
+    diff = build_d(cplx, Scalar.imag())
+    full_J = LeftBracket(cplx.to_J(diff.d), cplx.jtable)
+    rng = random.Random(31)
+    inputs = [SuperPoly.variable(cplx.jalph, t, n)
+              for t in range(len(cplx.jalph)) for n in (0, 1)]
+    for j in range(cplx.ctx.db.count()):
+        inputs += [SuperPoly(cplx.jalph, {M: Scalar.one()})
+                   for M in helpers.cohomology_ansatz(cplx, j)[2]]
+    inputs += [random_superpoly(cplx.jalph, rng, terms=3) for _ in range(4)]
+    nonzero = 0
+    for A in inputs:
+        want = full_J(A).get(0)
+        assert diff.apply_J(A) == want
+        nonzero += bool(want)
+        a = cplx.from_J(A)
+        want = susy_master_bracket(diff.d, a, cplx.table).get(0)
+        assert diff.apply(a) == want
+        assert diff.d_chi(a).get(0) == want
+    assert nonzero > len(inputs) // 2
 
 
 def test_d0_is_odd_derivation():

@@ -64,6 +64,32 @@ def test_sl32_chi_path_sum_matches_chain_enumeration():
     assert_matches_enumeration(ctx, pairs)
 
 
+@pytest.mark.parametrize("name, susy", [("sl4-principal", False),
+                                        ("sl32-principal", False),
+                                        ("sl32-principal", True)])
+def test_one_context_serves_every_closed_bracket(name, susy):
+    """One context's chain constants, filled on first use, serve every
+    closed bracket in reverse pair order and then every gamma_linear; each
+    result equals that of a fresh context, and each kept triple equals the
+    one computed from the two chain vectors."""
+    g = helpers.algebra(name)
+    cls = SUSYReductionContext if susy else ReductionContext
+    ctx = cls(g)
+    n = ctx.db.count()
+    pairs = [(a, b) for a in range(n) for b in range(n)][::-1]
+    shared = [w_bracket_closed(ctx, None, a, b) for a, b in pairs]
+    for (a, b), got in zip(pairs, shared):
+        assert got == w_bracket_closed(cls(g), None, a, b), (a, b)
+    for j in range(n):
+        assert gamma_linear(ctx, j) == gamma_linear(cls(g), j), j
+    db = ctx.db
+    for (x, y, y_upper), got in ctx._chain_constants.items():
+        vx = db.chain_lower[ctx.members[x][0]][ctx.members[x][1]]
+        chain = db.chain_upper if y_upper else db.chain_lower
+        vy = chain[ctx.members[y][0]][ctx.members[y][1]]
+        assert got == helpers.chain_constants(ctx, vx, vy), (x, y, y_upper)
+
+
 def test_sl4_closed_route_matches_direct():
     ctx = ReductionContext(helpers.sl4_principal())
     gens = {w.index: w for w in solve_all_generators(ctx)}

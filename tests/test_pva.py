@@ -11,6 +11,7 @@ from walgebras.pva import (BracketTable, LambdaPoly, LeftBracket,
                            random_property_suite, sesquilinearity_defects,
                            skew_defect)
 from walgebras.scalars import Scalar
+from walgebras.spva import susy_bracket_oracle
 from walgebras.superpoly import SuperPoly, random_superpoly
 
 ALL = sorted(CATALOG)
@@ -110,6 +111,44 @@ def test_left_bracket_reused_across_right_arguments(name, susy):
         assert got == master_bracket(f, r, t)
         assert got == bracket_oracle(f, r, t)
     assert not bracket(SuperPoly.zero(alph))
+
+
+@pytest.mark.parametrize("name, susy", [("sl21", False), ("osp12", True),
+                                        ("sl21", True)])
+def test_left_bracket_at_zero_equals_oracle(name, susy):
+    """LeftBracket.at_zero is the x^0 coefficient of the axioms oracle's
+    bracket, for even, odd, mixed-parity, constant and zero arguments on
+    either side, with one operator per left argument serving every right
+    argument and asked for the whole bracket in between."""
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    oracle = susy_bracket_oracle if susy else bracket_oracle
+    rng = random.Random(23)
+
+    def mixed():
+        while True:
+            p = random_superpoly(alph, rng, terms=4)
+            if p.parity_part(0) and p.parity_part(1):
+                return p
+
+    f, b, c = mixed(), mixed(), mixed()
+    const = SuperPoly.const(alph, K + Scalar.one())
+    zero = SuperPoly.zero(alph)
+    # every generator up to its second derivative: odd and even n >= 1
+    line = sum((SuperPoly.variable(alph, j, n) for j in range(len(alph))
+                for n in (0, 1, 2)), zero)
+    lefts = [f, f.parity_part(0), f.parity_part(1), line, const, zero]
+    rights = [b.parity_part(0), b.parity_part(1), b, zero, const,
+              c.parity_part(1), line.parity_part(0), c, line, b.parity_part(0)]
+    nonzero = 0
+    for left in lefts:
+        bracket = LeftBracket(left, t)
+        for n, r in enumerate(rights):
+            want = oracle(left, r, t).get(0)
+            if n % 2:
+                assert bracket(r).get(0) == want
+            assert bracket.at_zero(r) == want
+            nonzero += bool(want)
+    assert nonzero >= 10
 
 
 def test_conformal_weights_sl2():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from walgebras.catalog import build_sl2
 from walgebras.liealg import LieSuperalgebra, SL2Triple
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
 from walgebras.scalars import GR_ONE, Scalar, solve_linear
-from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly
+from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   ansatz_monomials, compare_closed_direct,
                                   gamma_linear, k_degree,
@@ -209,7 +210,7 @@ def test_empty_chain_bracket_sl3_minimal():
     lp = w_bracket_closed(ctx, gens, j0, j0)
     qa = ctx.db.lower[j0]
     expect = LambdaPoly.zero(ctx.gen_alph)
-    br = ctx.sharp_symbols(ctx.g.bracket(qa, qa))
+    br = helpers.sharp_symbols(ctx, ctx.g.bracket(qa, qa))
     if br:
         expect = expect + LambdaPoly.of(br)
     fv = ctx.g.form_value(qa, qa)
@@ -218,6 +219,31 @@ def test_empty_chain_bracket_sl3_minimal():
             ctx.gen_alph, {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
     assert lp == expect
     assert lp == w_bracket_direct(ctx, gens, j0, j0)
+
+
+@pytest.mark.parametrize("name", CLASSICAL + ["sl4-principal",
+                                             "sl32-principal"])
+def test_pi_filter_matches_substitution(name):
+    """ReductionContext.pi drops the monomials with an [E, g_{<=-1/2}]
+    variable; the substitution that sends those variables to 0 is its
+    reference, over every context alphabet."""
+    g = helpers.algebra(name)
+    ctxs = [ReductionContext(g)]
+    if g.osp is not None:
+        ctxs.append(SUSYReductionContext(g))
+    rng = random.Random(11)
+    for ctx in ctxs:
+        zero = SuperPoly.zero(ctx.alph)
+        line = sum((SuperPoly.variable(ctx.alph, t, n)
+                    for t in range(len(ctx.alph)) for n in (0, 1)), zero)
+        polys = [line, line * line, zero, SuperPoly.one(ctx.alph)]
+        polys += [random_superpoly(ctx.alph, rng, terms=6) for _ in range(8)]
+        changed = 0
+        for A in polys:
+            got = ctx.pi(A)
+            assert got == helpers.pi_by_substitution(ctx, A)
+            changed += got != A
+        assert changed >= 3
 
 
 def _top_k_power(poly):
