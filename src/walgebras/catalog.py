@@ -107,31 +107,30 @@ def build_sl2() -> LieSuperalgebra:
         sl2_mats=(E, H, F))
 
 
-def build_sl3_principal() -> LieSuperalgebra:
+def _sl3_basis():
+    """The names and matrices of the root-vector basis of sl3."""
     n = 3
     names = ["E12", "E23", "E13", "H1", "H2", "E21", "E32", "E31"]
     mats = [_e(n, 0, 1), _e(n, 1, 2), _e(n, 0, 2),
             _mat(n, {(0, 0): 1, (1, 1): -1}), _mat(n, {(1, 1): 1, (2, 2): -1}),
             _e(n, 1, 0), _e(n, 2, 1), _e(n, 2, 0)]
+    return names, mats
+
+
+def build_sl3_principal() -> LieSuperalgebra:
+    n = 3
     E = _mat_add(_e(n, 0, 1), _e(n, 1, 2))
     H = _mat(n, {(0, 0): 2, (2, 2): -2})
     F = _mat_add(_e(n, 1, 0, 2), _e(n, 2, 1, 2))
     return _build_matrix_algebra(
-        "sl3-principal", names, mats, [0] * 8, {0, 1, 2},
+        "sl3-principal", *_sl3_basis(), [0] * 8, {0, 1, 2},
         form_scale=rat(1, 4), sl2_mats=(E, H, F))
 
 
 def build_sl3_minimal() -> LieSuperalgebra:
-    n = 3
-    names = ["E12", "E23", "E13", "H1", "H2", "E21", "E32", "E31"]
-    mats = [_e(n, 0, 1), _e(n, 1, 2), _e(n, 0, 2),
-            _mat(n, {(0, 0): 1, (1, 1): -1}), _mat(n, {(1, 1): 1, (2, 2): -1}),
-            _e(n, 1, 0), _e(n, 2, 1), _e(n, 2, 0)]
-    E = _e(n, 0, 2)
-    H = _mat(n, {(0, 0): 1, (2, 2): -1})
-    F = _e(n, 2, 0)
+    E, H, F = _e(3, 0, 2), _mat(3, {(0, 0): 1, (2, 2): -1}), _e(3, 2, 0)
     return _build_matrix_algebra(
-        "sl3-minimal", names, mats, [0] * 8, {0, 1, 2}, sl2_mats=(E, H, F))
+        "sl3-minimal", *_sl3_basis(), [0] * 8, {0, 1, 2}, sl2_mats=(E, H, F))
 
 
 def build_osp12() -> LieSuperalgebra:

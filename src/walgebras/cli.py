@@ -19,12 +19,11 @@ from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
                      dual_bases_f, validate_algebra)
 from .scalars import LinearSolveError, Scalar, parse_rational
 from .pva import check_jacobi, check_skew, random_property_suite
-from .spva import (check_susy_skew, check_susy_jacobi,
-                   random_susy_property_suite, reduce_to_pva)
-from .wclassical import (GeneratorError, ReductionContext,
+from .spva import reduce_to_pva
+from .wclassical import (EVEN, GeneratorError, ReductionContext,
                          compare_closed_direct, solve_all_generators,
                          w_bracket_direct, w_bracket_closed, w_bracket_table)
-from .swclassical import SUSYReductionContext
+from .swclassical import SUSY, SUSYReductionContext
 from .brst import (BRSTComplex, build_d, brst_bracket_table,
                    cohomology_generators, compare_brst_reduction)
 
@@ -48,8 +47,10 @@ def _parse_k(text) -> Scalar:
 
 
 def _load(args):
+    """The algebra of --algebra, with the triple of the command's flavor
+    checked before --k is read: a missing triple is reported first."""
     try:
-        return get_algebra(args.algebra)
+        g = get_algebra(args.algebra)
     except (KeyError, FileNotFoundError):
         raise InputError("unknown algebra %r (catalog: %s or a file path)"
                          % (args.algebra, ", ".join(sorted(CATALOG))))
@@ -58,6 +59,9 @@ def _load(args):
                          % (args.algebra, e.strerror or e))
     except AlgebraError as e:
         raise InputError(str(e))
+    if args.flavor is not None:
+        args.flavor.triple_of(g)
+    return g
 
 
 def _emit(args, doc, text_lines):
@@ -78,16 +82,10 @@ def cmd_validate(args):
     return 0 if not report else 1
 
 
-def _classical_ctx(args, g):
-    if g.sl2 is None:
-        raise InputError("algebra %s carries no sl2 triple" % g.name)
-    return ReductionContext(g, k=_parse_k(args.k))
-
-
-def _susy_ctx(args, g):
-    if g.osp is None:
-        raise InputError("algebra %s carries no osp(1|2) data" % g.name)
-    return SUSYReductionContext(g, k=_parse_k(args.k))
+def _context(g, flavor, k):
+    """g's reduction context of the flavor at level k."""
+    cls = SUSYReductionContext if flavor is SUSY else ReductionContext
+    return cls(g, k=k)
 
 
 def _bracket_line(ctx, i, j, value):
@@ -99,7 +97,7 @@ def _bracket_line(ctx, i, j, value):
 def cmd_generators(args):
     """generators / susy-generators: W(g, F) or W(g, f) generators."""
     g = _load(args)
-    ctx = args.context(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     gens = solve_all_generators(ctx)
     lines, objs = [], []
     for w in gens:
@@ -118,7 +116,7 @@ def cmd_generators(args):
 def cmd_bracket(args):
     """bracket / susy-bracket: one bracket of two generators."""
     g = _load(args)
-    ctx = args.context(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     gens = {w.index: w for w in solve_all_generators(ctx)}
     i, j = args.i, args.j
     if not (0 <= i < len(gens) and 0 <= j < len(gens)):
@@ -138,7 +136,7 @@ def cmd_bracket(args):
 
 def cmd_bracket_table(args):
     g = _load(args)
-    ctx = _classical_ctx(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     gens = {w.index: w for w in solve_all_generators(ctx)}
     table = w_bracket_table(ctx, gens, route=args.route)
     lines = [_bracket_line(ctx, i, j, table.entry(i, j))
@@ -151,7 +149,7 @@ def cmd_bracket_table(args):
 
 def cmd_brst_check(args):
     g = _load(args)
-    ctx = _susy_ctx(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     diff = build_d(BRSTComplex(ctx), Scalar.c())
     report = diff.verify()
     ok = not report
@@ -165,7 +163,7 @@ def cmd_brst_check(args):
 
 def cmd_brst_generators(args):
     g = _load(args)
-    ctx = _susy_ctx(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     cplx = BRSTComplex(ctx)
     diff = build_d(cplx, Scalar.imag())
     gens = cohomology_generators(cplx, diff)
@@ -183,7 +181,7 @@ def cmd_brst_generators(args):
 
 def cmd_brst_table(args):
     g = _load(args)
-    ctx = _susy_ctx(args, g)
+    ctx = _context(g, args.flavor, _parse_k(args.k))
     cplx = BRSTComplex(ctx)
     diff = build_d(cplx, Scalar.imag())
     gens = {e.index: e for e in cohomology_generators(cplx, diff)}
@@ -204,56 +202,51 @@ def _suite_results(args, g, names):
     k = _parse_k(args.k)
 
     @functools.cache
-    def context(cls):
-        return cls(g, k=k)
+    def context(flavor):
+        return _context(g, flavor, k)
 
     @functools.cache
-    def gens(cls):
-        return {w.index: w for w in solve_all_generators(context(cls))}
+    def gens(flavor):
+        return {w.index: w for w in solve_all_generators(context(flavor))}
 
     @functools.cache
-    def table(cls):
-        return w_bracket_table(context(cls), gens(cls))
+    def table(flavor):
+        return w_bracket_table(context(flavor), gens(flavor))
 
+    flavors = [EVEN] + ([SUSY] if g.osp is not None else [])
     results = {}
     for name in names:
-        if name == "skew":
-            bad = (check_skew(context(ReductionContext).table)
-                   + check_skew(table(ReductionContext)))
-            if g.osp is not None:
-                bad += check_susy_skew(context(SUSYReductionContext).table)
-                bad += check_susy_skew(table(SUSYReductionContext))
-            results[name] = ["pair %s,%s" % p for p in bad]
-        elif name == "jacobi":
-            affine = context(ReductionContext).table
-            bad = check_jacobi(affine) + check_jacobi(table(ReductionContext))
-            bad += random_property_suite(affine, args.seed, rounds=2)
-            if g.osp is not None:
-                affine = context(SUSYReductionContext).table
-                bad += check_susy_jacobi(affine)
-                bad += check_susy_jacobi(table(SUSYReductionContext))
-                bad += random_susy_property_suite(affine, args.seed, rounds=2)
-            results[name] = ["%s" % (b,) for b in bad]
+        if name in ("skew", "jacobi"):
+            check = check_skew if name == "skew" else check_jacobi
+            bad = []
+            for flavor in flavors:
+                ctx = context(flavor)
+                master = ctx.flavor.master
+                bad += check(ctx.table, master) + check(table(flavor), master)
+                if name == "jacobi":
+                    bad += random_property_suite(ctx.table, args.seed, 2,
+                                                 master, ctx.flavor.oracle)
+            results[name] = (["pair %s,%s" % p for p in bad] if name == "skew"
+                             else ["%s" % (b,) for b in bad])
         elif name in ("lemma-3-4", "lemma-6-4"):
             db = dual_bases_F(g, g.sl2) if name == "lemma-3-4" \
                 else dual_bases_f(g, g.osp)
             results[name] = ["t=%s" % t for t in check_tensor_identity(db)]
         elif name in ("thm-3-6", "thm-6-5"):
-            cls = ReductionContext if name == "thm-3-6" else SUSYReductionContext
+            flavor = EVEN if name == "thm-3-6" else SUSY
             results[name] = ["pair %s,%s" % (a, b) for a, b, _, _ in
-                             compare_closed_direct(context(cls), gens(cls),
-                                                   table(cls))]
+                             compare_closed_direct(context(flavor),
+                                                   gens(flavor), table(flavor))]
         elif name == "d-squared":
-            cplx = BRSTComplex(context(SUSYReductionContext))
+            cplx = BRSTComplex(context(SUSY))
             results[name] = build_d(cplx, Scalar.c()).verify()
         elif name == "thm-5-9":
-            cls = SUSYReductionContext
-            results[name] = compare_brst_reduction(context(cls), gens(cls),
-                                                   table(cls))
+            results[name] = compare_brst_reduction(context(SUSY), gens(SUSY),
+                                                   table(SUSY))
         elif name == "prop-4-3":
             bad = []
-            for label, tab in (("affine", context(SUSYReductionContext).table),
-                               ("w", table(SUSYReductionContext))):
+            for label, tab in (("affine", context(SUSY).table),
+                               ("w", table(SUSY))):
                 lt = reduce_to_pva(tab)
                 bad += ["%s %s,%s" % (label, a, b) for (a, b) in check_skew(lt)]
                 bad += ["%s %s,%s,%s" % (label, a, b, c)
@@ -291,8 +284,6 @@ def _report_suites(args, g, names, doc):
 
 def cmd_verify(args):
     g = _load(args)
-    if g.sl2 is None:
-        raise InputError("algebra %s carries no sl2 triple" % g.name)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     return _report_suites(args, g, names, {"command": "verify", "algebra": g.name,
                                            "seed": args.seed})
@@ -300,8 +291,6 @@ def cmd_verify(args):
 
 def cmd_susy_verify(args):
     g = _load(args)
-    if g.osp is None:
-        raise InputError("algebra %s carries no osp(1|2) data" % g.name)
     names = ["thm-6-5", "skew", "jacobi", "prop-4-3", "lemma-6-4"]
     if args.cross_brst:
         names += ["d-squared", "thm-5-9"]
@@ -345,7 +334,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    def common(sp, k=True, seed=False):
+    def common(sp, k=True, seed=False, flavor=EVEN):
+        sp.set_defaults(flavor=flavor)
         sp.add_argument("--algebra", required=True,
                         help="catalog name (%s) or algebra file"
                         % ", ".join(sorted(CATALOG)))
@@ -358,19 +348,19 @@ def build_parser():
             sp.add_argument("--seed", type=int, default=2024)
 
     sp = add_parser("validate", help="check all algebra axioms")
-    common(sp, k=False)
+    common(sp, k=False, flavor=None)
     sp.set_defaults(fn=cmd_validate)
 
     sp = add_parser("generators", help="classical W generators")
     common(sp)
-    sp.set_defaults(fn=cmd_generators, context=_classical_ctx)
+    sp.set_defaults(fn=cmd_generators)
 
     sp = add_parser("bracket", help="classical W bracket of two generators")
     common(sp)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
     sp.add_argument("--route", choices=("direct", "closed"), default="direct")
-    sp.set_defaults(fn=cmd_bracket, context=_classical_ctx)
+    sp.set_defaults(fn=cmd_bracket)
 
     sp = add_parser("bracket-table", help="full classical W table")
     common(sp)
@@ -383,29 +373,29 @@ def build_parser():
     sp.set_defaults(fn=cmd_verify)
 
     sp = add_parser("brst-check", help="d^2 = 0 with symbolic c")
-    common(sp)
+    common(sp, flavor=SUSY)
     sp.set_defaults(fn=cmd_brst_check)
 
     sp = add_parser("brst-generators", help="H^0 generators (c = i)")
-    common(sp)
+    common(sp, flavor=SUSY)
     sp.set_defaults(fn=cmd_brst_generators)
 
     sp = add_parser("brst-table", help="bracket table on H^0 (c = i)")
-    common(sp)
+    common(sp, flavor=SUSY)
     sp.set_defaults(fn=cmd_brst_table)
 
     sp = add_parser("susy-generators", help="SUSY W generators")
-    common(sp)
-    sp.set_defaults(fn=cmd_generators, context=_susy_ctx)
+    common(sp, flavor=SUSY)
+    sp.set_defaults(fn=cmd_generators)
 
     sp = add_parser("susy-bracket", help="SUSY W bracket of two generators")
-    common(sp)
+    common(sp, flavor=SUSY)
     sp.add_argument("i", type=int)
     sp.add_argument("j", type=int)
-    sp.set_defaults(fn=cmd_bracket, context=_susy_ctx)
+    sp.set_defaults(fn=cmd_bracket)
 
     sp = add_parser("susy-verify", help="SUSY verification suites")
-    common(sp, seed=True)
+    common(sp, seed=True, flavor=SUSY)
     sp.add_argument("--cross-brst", action="store_true",
                     help="also verify the BRST route and the equivalence")
     sp.set_defaults(fn=cmd_susy_verify)
@@ -417,10 +407,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        sys.stderr.write("input error: %s\n" % e)
-        return 2
-    except AlgebraError as e:
+    except (InputError, AlgebraError) as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
     except (GeneratorError, LinearSolveError) as e:

@@ -210,8 +210,6 @@ class LambdaPoly:
             _acc_value(out, self.of(p).apply_plus_d(n), n)
         return _value(type(self), self.alphabet, out)
 
-    subs_neg_lambda_del = flip
-
     def max_power(self):
         return max(self.coeffs, default=-1)
 

@@ -4,9 +4,11 @@ The calculus of pva with its odd indeterminate: values live in
 C[chi] (x) P with chi written to the left of coefficients, and the
 C[D]-module structure obeys chi D + D chi = -2 chi^2, which forces
 D(chi^n f) = (-1)^n chi^n Df - (1-(-1)^n) chi^{n+1} f. This module holds
-the chi record, the value and table classes, the SUSY names of the shared
-functions (the closed master formula, its axioms-driven oracle and the
-axiom checks) and the reduction of a SUSY PVA to a PVA.
+the chi record, the value and table classes, the SUSY master formula and
+its axioms-driven oracle, and the reduction of a SUSY PVA to a PVA. The
+axiom checks are pva's, called with susy_master_bracket as evaluator; the
+SUSY-named defect functions below exist only because the benchmark binds
+them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 from math import comb
 
 from .pva import (BracketTable, Indeterminate, LambdaPoly, LeftBracket,
-                  _oracle, affine_table, check_jacobi, check_skew,
-                  jacobi_defect, leibniz_defects, random_property_suite,
+                  _oracle, affine_table, jacobi_defect, leibniz_defects,
                   sesquilinearity_defects, skew_defect)
 from .scalars import rat
 from .superpoly import FLAVOR_DEL, Alphabet, SuperPoly
@@ -52,7 +53,6 @@ class ChiPoly(LambdaPoly):
 
     __slots__ = ()
     var = CHI
-    apply_chi_plus_D = LambdaPoly.apply_plus_d
 
 
 class SUSYBracketTable(BracketTable):
@@ -67,10 +67,10 @@ def susy_affine_table(g, alphabet, k) -> SUSYBracketTable:
                         lambda i, j: g.parities[i])
 
 
-# The SUSY names are functions of their own, with the SUSY master formula as
-# their default evaluator: the benchmark tracer (wbench/tracer.py) tells the
-# two master formulas and the two oracles apart by their names. Evaluations
-# through a pva.LeftBracket (membership terms, brst's differential) go unseen.
+# The SUSY master formula and oracle are functions of their own: the
+# benchmark tracer (wbench/tracer.py) tells the two master formulas and the
+# two oracles apart by their names. Evaluations through a pva.LeftBracket
+# (membership terms, brst's differential) go unseen.
 def susy_master_bracket(a: SuperPoly, b: SuperPoly,
                         table: SUSYBracketTable) -> ChiPoly:
     """Closed master-formula evaluation of {a_chi b}."""
@@ -84,23 +84,18 @@ def susy_bracket_oracle(a: SuperPoly, b: SuperPoly,
     return _oracle(a, b, table)
 
 
+# The benchmark's axioms workload (wbench/workloads.py) calls these four by
+# name, with susy_master_bracket as default evaluator; the pva functions
+# serve both flavors everywhere else.
 def susy_skew_defect(a, b, table, evaluator=susy_master_bracket) -> ChiPoly:
     """[a_chi b] - s(a,b)[b_{-chi-D} a]."""
     return skew_defect(a, b, table, evaluator)
-
-
-def check_susy_skew(table, evaluator=susy_master_bracket):
-    return check_skew(table, evaluator)
 
 
 def susy_jacobi_defect(a, b, c, table, evaluator=susy_master_bracket):
     """[a_chi[b_gam c]] + s(a)[[a_chi b]_{chi+gam} c]
     + s(a,b)s(a)s(b)[b_gam[a_chi c]]; zero iff the Jacobi identity holds."""
     return jacobi_defect(a, b, c, table, evaluator)
-
-
-def check_susy_jacobi(table, evaluator=susy_master_bracket):
-    return check_jacobi(table, evaluator)
 
 
 def susy_leibniz_defects(a, b, c, table, evaluator=susy_master_bracket):
@@ -112,12 +107,6 @@ def susy_leibniz_defects(a, b, c, table, evaluator=susy_master_bracket):
 def susy_sesquilinearity_defects(a, b, table, evaluator=susy_master_bracket):
     """([Da_chi b] - chi[a_chi b],  [a_chi Db] + s(a)(D+chi)[a_chi b])."""
     return sesquilinearity_defects(a, b, table, evaluator)
-
-
-def random_susy_property_suite(table, seed, rounds=5,
-                               evaluator=susy_master_bracket):
-    return random_property_suite(table, seed, rounds, evaluator,
-                                 susy_bracket_oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -456,28 +456,10 @@ class SuperPoly:
         return _poly(alph, out)
 
     def partial(self, var) -> "SuperPoly":
-        """Signed partial derivative with respect to variable (gen, order)."""
-        alph = self.alphabet
-        par, dp = alph.parities, alph.deriv_parity
-        pv = par[var[0]] ^ (var[1] & dp)
-        out = {}
-        for (mono, kp, cp), coeff in self._flat.items():
-            prefix_parity = 0
-            for t, (v, e) in enumerate(mono):
-                if v == var:
-                    neg = pv and prefix_parity
-                    c = coeff if e == 1 and not neg \
-                        else _times_int(coeff, -e if neg else e)
-                    if e > 1:
-                        rest = mono[:t] + ((v, e - 1),) + mono[t + 1:]
-                    else:
-                        rest = mono[:t] + mono[t + 1:]
-                    # mono is rest with one more var, so no two terms share
-                    # a key
-                    out[(rest, kp, cp)] = c
-                    break
-                prefix_parity ^= (par[v[0]] ^ (v[1] & dp)) & e
-        return _poly(alph, out)
+        """Signed partial derivative with respect to variable (gen, order):
+        the var entry of gradient(), zero when there is none."""
+        found = self.gradient().get(var)
+        return SuperPoly.zero(self.alphabet) if found is None else found
 
     def gradient(self):
         """Every nonzero partial derivative, {var: self.partial(var)} in

@@ -30,45 +30,57 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .liealg import HALF, dual_bases_F
-from .pva import BracketTable, LeftBracket, affine_table, master_bracket
+from .liealg import HALF, AlgebraError, dual_bases_F
+from .pva import (BracketTable, LeftBracket, affine_table, bracket_oracle,
+                  master_bracket)
 from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
 
-class Flavor(namedtuple("Flavor", "name shift bar letter prefix nilpotent "
-                        "killed dual_bases affine_table master table "
-                        "signed_chains signed_head")):
+class Flavor(namedtuple("Flavor", "name triple shift bar letter prefix "
+                        "nilpotent killed dual_bases affine_table master "
+                        "oracle table signed_chains signed_head")):
     """What the even reduction W(g, F) and the SUSY one W(g, f) differ in.
 
     name            bracket variable ("lambda", "chi")
+    triple          the algebra attribute holding the triple, and its display
+                    name: ("sl2", "sl2 triple") or ("osp", "osp(1|2) data")
     shift           a variable of grading j has conformal weight shift - j
     bar             variables are bar-variables: parity flipped, name + "~"
     letter, prefix  chain-member letter ("q", "r"), generator prefix ("w_", "t_")
     nilpotent       the triple's element that rho pairs with ("F", "f")
     killed          grading test of the variables that rho makes constant
     dual_bases      builder of the dual chain bases
-    affine_table, master, table
-                    the bracket calculus: affine table, master formula and
-                    table class; table.value is the value class, and its
-                    indeterminate record gives the alphabet flavor
+    affine_table, master, oracle, table
+                    the bracket calculus: affine table, master formula, its
+                    axioms-driven oracle and table class; table.value is the
+                    value class, whose indeterminate gives the alphabet flavor
     signed_chains   a chain term carries the sign s(q) of each chain member
     signed_head     the closed bracket of a and b carries an overall s(a)
     """
 
     __slots__ = ()
 
+    def triple_of(self, g):
+        """g's triple of this flavor; an AlgebraError when g carries none."""
+        attr, shown = self.triple
+        triple = getattr(g, attr)
+        if triple is None:
+            raise AlgebraError("algebra %s carries no %s" % (g.name, shown))
+        return triple
 
-# The traced module-level functions (dual bases, master formula) are called
-# through their names, so that wrappers installed on those names by the
-# benchmark tracer (wbench/tracer.py) see the calls. The membership terms of
-# a solve apply one pva.LeftBracket per n instead, unseen by the tracer.
+
+# The traced module-level functions (dual bases, master formula, oracle) are
+# called through their names, so that wrappers installed on those names by
+# the benchmark tracer (wbench/tracer.py) see the calls. The membership terms
+# of a solve apply one pva.LeftBracket per n instead, unseen by the tracer.
 EVEN = Flavor(
-    name="lambda", shift=1, bar=False, letter="q",
-    prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
+    name="lambda", triple=("sl2", "sl2 triple"), shift=1, bar=False,
+    letter="q", prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
     dual_bases=lambda g, triple: dual_bases_F(g, triple),
     affine_table=affine_table,
     master=lambda a, b, table: master_bracket(a, b, table),
+    oracle=lambda a, b, table: bracket_oracle(a, b, table),
     table=BracketTable, signed_chains=True, signed_head=False)
 
 
@@ -95,14 +107,15 @@ def _alphabet(fl: Flavor, names, parities, gradings) -> Alphabet:
 
 class ReductionContext:
     """Reduction data in chain coordinates; the class's flavor picks the
-    construction (EVEN here, SUSY for swclassical.SUSYReductionContext)."""
+    construction and the triple of g it reads (EVEN here, SUSY for
+    swclassical.SUSYReductionContext)."""
 
     flavor = EVEN
 
-    def __init__(self, g, triple=None, k=None):
+    def __init__(self, g, k=None):
         fl = self.flavor
         self.g = g
-        self.triple = g.sl2 if triple is None else triple
+        self.triple = fl.triple_of(g)
         self.k = Scalar.k() if k is None else k
         self.db = db = fl.dual_bases(g, self.triple)
         members = sorted(db.members(),

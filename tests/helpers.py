@@ -346,7 +346,7 @@ class ChiDWord:
         for (a, b), c in self.terms.items():
             cur = value
             for _ in range(b):
-                cur = cur.apply_chi_plus_D() - cur.shift()   # D = (chi+D) - chi
+                cur = cur.apply_plus_d() - cur.shift()   # D = (chi+D) - chi
             out = out + cur.shift(a).scalar_mul(c)
         return out
 

@@ -13,15 +13,13 @@ from walgebras.liealg import check_tensor_identity, dual_bases_F, dual_bases_f
 from walgebras.pva import (LambdaPoly, bracket_oracle, check_jacobi,
                            check_skew, random_property_suite)
 from walgebras.scalars import Scalar
-from walgebras.spva import (check_susy_jacobi, check_susy_skew,
-                            random_susy_property_suite, reduce_to_pva)
+from walgebras.spva import (reduce_to_pva, susy_bracket_oracle,
+                            susy_master_bracket)
 from walgebras.superpoly import SuperPoly
-from walgebras.swclassical import (SUSYReductionContext, compare_susy_closed_direct,
-                                   gamma_S_linear, susy_membership_defects,
-                                   susy_w_bracket_table)
+from walgebras.swclassical import SUSYReductionContext
 from walgebras.wclassical import (compare_closed_direct, gamma_linear,
-                                  w_bracket_direct, w_bracket_table,
-                                  _highe_degree_part)
+                                  membership_defects, w_bracket_direct,
+                                  w_bracket_table, _highe_degree_part)
 
 K = Scalar.k()
 HALF = Fraction(1, 2)
@@ -92,11 +90,11 @@ def test_criterion_5_susy_w_construction():
         ctx, gens = helpers.susy(name)
         assert len(gens) == ctx.db.count()
         for j, w in gens.items():
-            assert susy_membership_defects(ctx, w.value) == []
+            assert membership_defects(ctx, w.value) == []
             lead = SuperPoly.variable(ctx.alph, ctx.star_index[(j, 0)])
-            assert _highe_degree_part(ctx, w.value - lead, 1) == gamma_S_linear(ctx, j)
-        assert compare_susy_closed_direct(
-            ctx, gens, susy_w_bracket_table(ctx, gens)) == []
+            assert _highe_degree_part(ctx, w.value - lead, 1) == gamma_linear(ctx, j)
+        assert compare_closed_direct(
+            ctx, gens, w_bracket_table(ctx, gens)) == []
     report("5 SUSY W construction", time.time() - t0, 120)
 
 
@@ -120,12 +118,12 @@ def test_criterion_7_axiom_suites():
         assert check_jacobi(wt) == []
     for name in ("osp12", "sl21"):
         g, alph, st = helpers.susy_affine(name)
-        assert check_susy_skew(st) == []
-        assert check_susy_jacobi(st) == []
+        assert check_skew(st, susy_master_bracket) == []
+        assert check_jacobi(st, susy_master_bracket) == []
         ctx, gens = helpers.susy(name)
-        swt = susy_w_bracket_table(ctx, gens)
-        assert check_susy_skew(swt) == []
-        assert check_susy_jacobi(swt) == []
+        swt = w_bracket_table(ctx, gens)
+        assert check_skew(swt, susy_master_bracket) == []
+        assert check_jacobi(swt, susy_master_bracket) == []
         for table in (st, swt):
             lt = reduce_to_pva(table)
             assert check_skew(lt) == []
@@ -134,7 +132,8 @@ def test_criterion_7_axiom_suites():
     g, alph, t = helpers.affine("sl3-minimal")
     assert random_property_suite(t, seed, rounds=2) == []
     g, alph, st = helpers.susy_affine("osp12")
-    assert random_susy_property_suite(st, seed, rounds=2) == []
+    assert random_property_suite(st, seed, 2, susy_master_bracket,
+                                 susy_bracket_oracle) == []
     report("7 axiom suites", time.time() - t0, 60)
 
 

@@ -146,6 +146,33 @@ def test_malformed_shapes_exit_2(tmp_path, capsys, edit, message, command):
     assert (code, out, err) == (2, "", "input error: %s\n" % message)
 
 
+@pytest.mark.parametrize("k", [[], ["--k", "x/y"]], ids=["k", "bad-k"])
+@pytest.mark.parametrize("argv, shown", [
+    (["generators"], "sl2 triple"),
+    (["bracket-table", "--route", "closed"], "sl2 triple"),
+    (["verify"], "sl2 triple"),
+    (["susy-generators", "--algebra", "sl2"], "osp(1|2) data"),
+    (["brst-check", "--algebra", "sl2"], "osp(1|2) data"),
+    (["susy-verify", "--algebra", "sl2"], "osp(1|2) data"),
+], ids=["generators", "bracket-table", "verify", "susy-generators",
+        "brst-check", "susy-verify"])
+def test_missing_triple_exits_2(tmp_path, capsys, argv, shown, k):
+    """A command on an algebra without its flavor's triple prints the
+    engine's one-line input error and exits 2; the triple is checked before
+    --k is read, so a bad level does not change the message. The even
+    commands read sl2.json without its sl2 entry, the SUSY ones the catalog
+    sl2, which has no osp(1|2) data."""
+    if "--algebra" not in argv:
+        obj = _sl2_obj()
+        del obj["sl2"]
+        p = tmp_path / "no_triple_sl2.json"
+        p.write_text(json.dumps(obj))
+        argv = argv + ["--algebra", str(p)]
+    code, out, err = run(capsys, *argv, *k)
+    assert (code, out, err) == (2, "", "input error: algebra sl2 carries no "
+                                "%s\n" % shown)
+
+
 def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--algebra", str(tmp_path))
     assert (code, out) == (2, "")

@@ -7,13 +7,11 @@ from walgebras.pva import LambdaPoly, check_jacobi, check_skew, \
     random_property_suite
 from walgebras.scalars import Scalar
 from helpers import ChiDWord
-from walgebras.spva import (ChiPoly, SUSYBracketTable,
-                            check_susy_jacobi, check_susy_skew,
-                            random_susy_property_suite, reduce_to_pva,
+from walgebras.spva import (ChiPoly, SUSYBracketTable, reduce_to_pva,
                             susy_bracket_oracle, susy_master_bracket,
                             susy_sesquilinearity_defects)
 from walgebras.superpoly import SuperPoly, random_superpoly
-from walgebras.swclassical import susy_w_bracket_table
+from walgebras.wclassical import w_bracket_table
 
 OSP = ["osp12", "sl21"]
 K = Scalar.k()
@@ -67,8 +65,8 @@ def test_master_reproduces_table(name):
 @pytest.mark.parametrize("name", OSP)
 def test_susy_skew_jacobi_generators(name):
     g, alph, t = helpers.susy_affine(name)
-    assert check_susy_skew(t) == []
-    assert check_susy_jacobi(t) == []
+    assert check_skew(t, susy_master_bracket) == []
+    assert check_jacobi(t, susy_master_bracket) == []
 
 
 @pytest.mark.parametrize("name", OSP)
@@ -77,7 +75,7 @@ def test_master_equals_oracle_on_w_table(name):
     the (chi+D)^n normal-form sign of the arrow sum at n >= 2, which no
     affine table reaches."""
     ctx, gens = helpers.susy(name)
-    table = susy_w_bracket_table(ctx, gens)
+    table = w_bracket_table(ctx, gens)
     assert max(v.max_power() for v in table.entries.values()) >= 2
     alph = table.alphabet
     rng = random.Random(31)
@@ -95,8 +93,8 @@ def test_corrupted_susy_entry_detected():
     g, alph, t = helpers.susy_affine("osp12")
     bad = SUSYBracketTable(alph, dict(t.entries))
     bad.set(1, 3, t.entry(1, 3).scalar_mul(Scalar.rational(-1)))
-    assert check_susy_skew(bad) != []
-    assert check_susy_jacobi(bad) != []
+    assert check_skew(bad, susy_master_bracket) != []
+    assert check_jacobi(bad, susy_master_bracket) != []
 
 
 def test_sesquilinearity_displays():
@@ -113,7 +111,8 @@ def test_sesquilinearity_displays():
 @pytest.mark.parametrize("name", OSP)
 def test_random_suite_and_oracle(name):
     g, alph, t = helpers.susy_affine(name)
-    assert random_susy_property_suite(t, seed=2024, rounds=2) == []
+    assert random_property_suite(t, 2024, 2, susy_master_bracket,
+                                 susy_bracket_oracle) == []
 
 
 def test_reduce_to_pva_examples():

@@ -5,15 +5,13 @@ import pytest
 import helpers
 from walgebras.pva import check_jacobi, check_skew
 from walgebras.scalars import Scalar
-from walgebras.spva import (ChiPoly, check_susy_jacobi, check_susy_skew,
-                            reduce_to_pva, susy_master_bracket)
+from walgebras.spva import ChiPoly, reduce_to_pva, susy_master_bracket
 from walgebras.superpoly import SuperPoly
-from walgebras.swclassical import (SUSYReductionContext, compare_susy_closed_direct,
-                                   gamma_S_linear, solve_susy_generator,
-                                   susy_membership_defects,
-                                   susy_rewrite_in_generators,
-                                   susy_w_bracket_direct,
-                                   susy_w_bracket_table)
+from walgebras.swclassical import (SUSYReductionContext, solve_susy_generator,
+                                   susy_w_bracket_direct)
+from walgebras.wclassical import (compare_closed_direct, gamma_linear,
+                                  membership_defects, rewrite_in_generators,
+                                  w_bracket_table)
 
 OSP = ["osp12", "sl21"]
 K = Scalar.k()
@@ -22,7 +20,7 @@ HALF = Fraction(1, 2)
 
 def test_gamma_S_golden_osp12():
     ctx, gens = helpers.susy("osp12")
-    gl = ctx.to_input(gamma_S_linear(ctx, 0))
+    gl = ctx.to_input(gamma_linear(ctx, 0))
     ain = ctx.alph_in
     Df = SuperPoly.variable(ain, 3, 1)
     D2H = SuperPoly.variable(ain, 2, 2)
@@ -34,14 +32,14 @@ def test_gamma_S_golden_osp12():
 def test_gamma_S_zero_cases():
     # k = 0 and all projected chain brackets zero for osp(1|2) F-chain
     ctx0 = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar.zero())
-    assert gamma_S_linear(ctx0, 0).is_zero()
+    assert gamma_linear(ctx0, 0).is_zero()
 
 
 def test_osp12_generator():
     ctx, gens = helpers.susy("osp12")
     tau = gens[0]
     assert tau.weight == Fraction(3, 2)
-    assert susy_membership_defects(ctx, tau.value) == []
+    assert membership_defects(ctx, tau.value) == []
     # linear part = gamma_S, leading = F~, quadratic corrections in H~, f~
     shown = ctx.to_input(tau.value)
     ain = ctx.alph_in
@@ -58,7 +56,7 @@ def test_generator_count_weights_membership(name):
     ctx, gens = helpers.susy(name)
     assert len(gens) == ctx.db.count()  # = dim g^f
     for j, w in gens.items():
-        assert susy_membership_defects(ctx, w.value) == []
+        assert membership_defects(ctx, w.value) == []
         assert w.value.conformal_weight() == w.weight
         assert w.weight == HALF + ctx.db.spins[j]
         assert w.value.parity() == (ctx.g.parity_of_vec(ctx.db.lower[j]) + 1) % 2
@@ -76,22 +74,22 @@ def test_canonical_form(name):
 @pytest.mark.parametrize("name", OSP)
 def test_thm_6_5_closed_equals_direct(name):
     ctx, gens = helpers.susy(name)
-    assert compare_susy_closed_direct(
-        ctx, gens, susy_w_bracket_table(ctx, gens)) == []
+    assert compare_closed_direct(
+        ctx, gens, w_bracket_table(ctx, gens)) == []
 
 
 @pytest.mark.parametrize("name", OSP)
 def test_susy_w_table_axioms(name):
     ctx, gens = helpers.susy(name)
-    table = susy_w_bracket_table(ctx, gens)
-    assert check_susy_skew(table) == []
-    assert check_susy_jacobi(table) == []
+    table = w_bracket_table(ctx, gens)
+    assert check_skew(table, susy_master_bracket) == []
+    assert check_jacobi(table, susy_master_bracket) == []
 
 
 @pytest.mark.parametrize("name", OSP)
 def test_susy_w_reduces_to_valid_pva(name):
     ctx, gens = helpers.susy(name)
-    table = susy_w_bracket_table(ctx, gens)
+    table = w_bracket_table(ctx, gens)
     lt = reduce_to_pva(table)
     assert check_skew(lt) == []
     assert check_jacobi(lt) == []
@@ -114,7 +112,7 @@ def test_rewrite_rejects_non_members():
     bad = SuperPoly.variable(ctx.alph, ctx.star_index[(0, 1)])
     from walgebras.wclassical import GeneratorError
     with pytest.raises(GeneratorError, match="not in W"):
-        susy_rewrite_in_generators(ctx, gens, bad)
+        rewrite_in_generators(ctx, gens, bad)
 
 
 def test_lemma_6_2_case_table():
@@ -156,6 +154,32 @@ def test_lemma_6_2_case_table():
 def test_k0_specialization():
     ctx = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar.zero())
     gens = {0: solve_susy_generator(ctx, 0)}
-    assert susy_membership_defects(ctx, gens[0].value) == []
-    assert compare_susy_closed_direct(
-        ctx, gens, susy_w_bracket_table(ctx, gens)) == []
+    assert membership_defects(ctx, gens[0].value) == []
+    assert compare_closed_direct(
+        ctx, gens, w_bracket_table(ctx, gens)) == []
+
+
+def test_benchmark_bound_susy_names_stay_distinct_functions():
+    """The SUSY names that the benchmark traces or calls are functions of
+    their own, not aliases of the shared ones: its tracer wraps every
+    module attribute bound to a traced function, so an alias would be
+    wrapped a second time under its other name. SUSYReductionContext keeps
+    an __init__ in its own namespace, which is where the tracer looks."""
+    from walgebras import pva, spva, swclassical, wclassical
+    for susy, shared in [
+            (swclassical.solve_susy_generator, wclassical.solve_generator),
+            (swclassical.solve_all_susy_generators,
+             wclassical.solve_all_generators),
+            (swclassical.susy_w_bracket_direct, wclassical.w_bracket_direct),
+            (swclassical.susy_w_bracket_closed, wclassical.w_bracket_closed),
+            (spva.susy_master_bracket, pva.master_bracket),
+            (spva.susy_bracket_oracle, pva.bracket_oracle)]:
+        assert susy is not shared
+    assert "__init__" in vars(swclassical.SUSYReductionContext)
+    for susy, shared in [(spva.susy_skew_defect, pva.skew_defect),
+                         (spva.susy_jacobi_defect, pva.jacobi_defect),
+                         (spva.susy_leibniz_defects, pva.leibniz_defects),
+                         (spva.susy_sesquilinearity_defects,
+                          pva.sesquilinearity_defects)]:
+        assert susy is not shared
+        assert susy.__defaults__ == (spva.susy_master_bracket,)

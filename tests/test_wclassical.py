@@ -1,12 +1,15 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from walgebras import wclassical
-from walgebras.catalog import build_sl2
-from walgebras.liealg import LieSuperalgebra, SL2Triple
+from walgebras import brst, wclassical
+from walgebras.catalog import DATA_DIR, build_sl2
+from walgebras.liealg import (AlgebraError, LieSuperalgebra, SL2Triple,
+                              algebra_from_obj)
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
 from walgebras.scalars import GR_ONE, Scalar, solve_linear
 from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
@@ -399,3 +402,24 @@ def test_reduced_table_matches_rho_of_bracket(name, susy):
     for a in gens.values():
         for b in gens.values():
             check(a.value, b.value)
+
+
+@pytest.mark.parametrize("build, shown", [
+    (ReductionContext, "sl2 triple"),
+    (SUSYReductionContext, "osp(1|2) data"),
+    (brst.build_complex, "osp(1|2) data"),
+    (brst.check_thm_5_9, "osp(1|2) data"),
+], ids=["ReductionContext", "SUSYReductionContext", "build_complex",
+        "check_thm_5_9"])
+def test_missing_triple_is_an_algebra_error(build, shown):
+    """sl2.json without its sl2 entry carries neither triple: building a
+    context of either flavor raises the engine's AlgebraError, which names
+    the algebra and the triple (an input error, exit 2, in the cli)."""
+    with open(os.path.join(DATA_DIR, "sl2.json")) as fh:
+        obj = json.load(fh)
+    del obj["sl2"]
+    g = algebra_from_obj(obj)
+    assert (g.sl2, g.osp) == (None, None)
+    with pytest.raises(AlgebraError) as exc:
+        build(g)
+    assert str(exc.value) == "algebra sl2 carries no %s" % shown
