@@ -1,7 +1,7 @@
 """Exact symbolic engine for classical and SUSY W-algebra structures."""
 
 from .scalars import GRat, Scalar
-from .superpoly import Alphabet, SuperPoly, apply_D, apply_del
+from .superpoly import Alphabet, SuperPoly
 from .liealg import (LieSuperalgebra, OSPTriple, SL2Triple, dual_bases_F,
                      dual_bases_f, load_algebra, save_algebra,
                      validate_algebra)

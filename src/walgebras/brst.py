@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .liealg import HALF
-from .scalars import Scalar
+from .scalars import GRat, Scalar
 from .pva import LeftBracket, affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
@@ -84,7 +84,7 @@ class BRSTComplex:
                     blocks[t] = blocks[t] + term if odd else blocks[t] - term
         # j_t -> J_t and back, and the twist abar -> i^{-p(a)} J_abar; the
         # ghosts map to themselves, and j_t maps to J_t + (j_t - J_t)
-        minus_i = Scalar.gaussian(0, -1)
+        minus_i = Scalar.rational(GRat(0, -1))
         self._twist_images = {t: SuperPoly.variable(
             self.jalph, t, 0, minus_i if g.parities[t] % 2 else None)
             for t in range(g.dim)}
@@ -98,8 +98,8 @@ class BRSTComplex:
             self._to_J_images[t] = SuperPoly.variable(self.jalph, t)
 
     # -- variable helpers ------------------------------------------------
-    def jvar(self, t, order=0, coeff=None):
-        return SuperPoly.variable(self.alph, t, order, coeff)
+    def jvar(self, t):
+        return SuperPoly.variable(self.alph, t)
 
     def phi_index(self, alpha):
         return self.gdim + alpha
@@ -304,8 +304,7 @@ def _differential_terms(diff, known, monos):
             yield M, mono, kp, cp, gr
 
 
-def brst_rewrite(cplx: BRSTComplex, gens, X: SuperPoly,
-                 gen_alph) -> SuperPoly:
+def brst_rewrite(cplx: BRSTComplex, X: SuperPoly, gen_alph) -> SuperPoly:
     """Class of a J-coordinate polynomial X in E-coordinates: kill ghosts
     and non-kernel J variables, rename J(g^f) to generator symbols."""
     ctx = cplx.ctx
@@ -341,10 +340,10 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
             for p, poly in raw.coeffs.items():
                 if diff.apply_J(poly):
                     raise GeneratorError("bracket coefficient not d-closed")
-                sym = brst_rewrite(cplx, gens, poly, gen_alph)
+                sym = brst_rewrite(cplx, poly, gen_alph)
                 back = sym.substitute(values, cplx.jalph)
                 resid = poly - back
-                if brst_rewrite(cplx, gens, resid, gen_alph):
+                if brst_rewrite(cplx, resid, gen_alph):
                     raise GeneratorError("representative not reduced")
                 if diff.apply_J(resid):
                     raise GeneratorError("residual not d-closed")
@@ -400,7 +399,7 @@ def compare_brst_reduction(ctx, taus, red_table):
         if Es[j].value_J != expected:
             report.append("generator %d: BRST and twisted reduction "
                           "representatives differ" % j)
-        rep511 = _check_correspondence_511(cplx, diff, ctx, tau.value)
+        rep511 = _check_correspondence_511(cplx, diff, tau.value)
         if rep511:
             report.append("generator %d: coefficient correspondence fails: %s"
                           % (j, rep511[:2]))
@@ -412,7 +411,7 @@ def compare_brst_reduction(ctx, taus, red_table):
     for c in range(ctx.db.count()):
         img = SuperPoly.variable(galph, c)
         if ctx.g.parity_of_vec(ctx.db.lower[c]) % 2:
-            img = img.scalar_mul(Scalar.gaussian(0, -1))
+            img = img.scalar_mul(Scalar.rational(GRat(0, -1)))
         sym_images[c] = img
     n = ctx.db.count()
     for a in range(n):
@@ -432,11 +431,12 @@ def compare_brst_reduction(ctx, taus, red_table):
     return report
 
 
-def _check_correspondence_511(cplx, diff, ctx, A: SuperPoly):
+def _check_correspondence_511(cplx, diff, A: SuperPoly):
     """Coefficient-by-coefficient form of the membership <-> differential
     correspondence: the D^m phi* components of d(U(A)) against the chi^m
     coefficients of the twisted membership brackets; the D^m phi*
     partials are taken in j-coordinates."""
+    ctx = cplx.ctx
     bad = []
     Y = cplx.from_J(diff.apply_J(twist_to_J(cplx, A)))
     i_unit = Scalar.imag()

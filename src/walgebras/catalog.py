@@ -93,7 +93,6 @@ def _build_matrix_algebra(name, names, mats, parities, even_rows,
     if osp_mats is not None:
         E, e, H, f, F = (_coords(mats, m) for m in osp_mats)
         osp = OSPTriple(E, e, H, f, F)
-        sl2 = osp.sl2()
     elif sl2_mats is not None:
         E, H, F = (_coords(mats, m) for m in sl2_mats)
         sl2 = SL2Triple(E, H, F)
@@ -157,8 +156,7 @@ def build_osp12() -> LieSuperalgebra:
     form[ie][if_], form[if_][ie] = GRat(-2), GRat(2)
     osp = OSPTriple(*(tuple(GR_ONE if i == j else GR_ZERO for i in range(5))
                       for j in (iE, ie, iH, if_, iF)))
-    return LieSuperalgebra("osp12", names, parities, struct, form,
-                           sl2=osp.sl2(), osp=osp)
+    return LieSuperalgebra("osp12", names, parities, struct, form, osp=osp)
 
 
 def build_sl21() -> LieSuperalgebra:
@@ -181,27 +179,17 @@ def build_sl21() -> LieSuperalgebra:
 
 
 class CatalogEntry:
-    def __init__(self, name, file, builder, triple_kinds, notes):
-        self.name = name
+    def __init__(self, file, builder):
         self.file = file
         self.builder = builder
-        self.triple_kinds = triple_kinds
-        self.notes = notes
 
 
 CATALOG = {
-    "sl2": CatalogEntry("sl2", "sl2.json", build_sl2, ("sl2",),
-                        "principal nilpotent; Virasoro check"),
-    "sl3-principal": CatalogEntry("sl3-principal", "sl3_principal.json",
-                                  build_sl3_principal, ("sl2",),
-                                  "principal nilpotent; integer gradings"),
-    "sl3-minimal": CatalogEntry("sl3-minimal", "sl3_minimal.json",
-                                build_sl3_minimal, ("sl2",),
-                                "minimal nilpotent; half-integer gradings"),
-    "osp12": CatalogEntry("osp12", "osp12.json", build_osp12, ("sl2", "osp"),
-                          "principal osp(1|2); smallest SUSY case"),
-    "sl21": CatalogEntry("sl21", "sl21.json", build_sl21, ("sl2", "osp"),
-                         "principal osp(1|2) embedding in sl(2|1)"),
+    "sl2": CatalogEntry("sl2.json", build_sl2),
+    "sl3-principal": CatalogEntry("sl3_principal.json", build_sl3_principal),
+    "sl3-minimal": CatalogEntry("sl3_minimal.json", build_sl3_minimal),
+    "osp12": CatalogEntry("osp12.json", build_osp12),
+    "sl21": CatalogEntry("sl21.json", build_sl21),
 }
 
 

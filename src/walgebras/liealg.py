@@ -169,6 +169,8 @@ class LieSuperalgebra:
         """struct: {(i, j): vector} for the nonzero brackets [x_i, x_j].
 
         Missing (j, i) entries are completed by super-anticommutativity.
+        With osp(1|2) data, sl2 defaults to its triple (E, H, F); a given
+        sl2 must share its H, as g is graded once, by that H.
         Gradings are computed from ad H/2 when an sl2 triple is present.
         A name or basis label that is not a string, a repeated label,
         indices outside 0..dim-1, vectors of another length, a form that is
@@ -211,6 +213,11 @@ class LieSuperalgebra:
                 if len(vec) != self.dim:
                     raise AlgebraError("%s vector %s has %d entries, expected %d"
                                        % (tag, nm, len(vec), self.dim))
+        if osp is not None:
+            if sl2 is None:
+                sl2 = osp.sl2()
+            elif sl2.H != osp.H:
+                raise AlgebraError("sl2 triple and osp(1|2) data have different H")
         self.sl2, self.osp = sl2, osp
         self.gradings = self._compute_gradings() if sl2 is not None else None
 
@@ -579,11 +586,12 @@ def _chain_bases(g, kind, lowering, raising, length, norm) -> DualBases:
     return db
 
 
-def dual_bases_F(g: LieSuperalgebra, triple: SL2Triple) -> DualBases:
-    """Chain bases for the even reduction (Lemma on dual bases, sl2 case):
-    chains of length 2 alpha + 1, q_j^n = (-1)^n (ad E)^n q_j / (n!^2 C(2 alpha, n))."""
+def dual_bases_F(g: LieSuperalgebra) -> DualBases:
+    """Chain bases for the even reduction over g's sl2 triple (Lemma on dual
+    bases, sl2 case): chains of length 2 alpha + 1,
+    q_j^n = (-1)^n (ad E)^n q_j / (n!^2 C(2 alpha, n))."""
     return _chain_bases(
-        g, "F", triple.F, triple.E, lambda alpha: int(2 * alpha) + 1,
+        g, "F", g.sl2.F, g.sl2.E, lambda alpha: int(2 * alpha) + 1,
         lambda n, two_alpha, _s: rat((-1) ** n,
                                      factorial(n) ** 2 * comb(two_alpha, n)))
 
@@ -597,11 +605,11 @@ def _susy_norm(n, two_alpha, sj):
     return rat(-sj, factorial(m + 1) * factorial(m) * comb(two_alpha, m + 1))
 
 
-def dual_bases_f(g: LieSuperalgebra, osp: OSPTriple) -> DualBases:
-    """Chain bases for the SUSY reduction: chains of length 4 alpha + 1,
-    r_j^n = C_{j,n} (ad e)^n r_j."""
-    return _chain_bases(g, "f", osp.f, osp.e, lambda alpha: int(4 * alpha) + 1,
-                        _susy_norm)
+def dual_bases_f(g: LieSuperalgebra) -> DualBases:
+    """Chain bases for the SUSY reduction over g's osp(1|2) data: chains of
+    length 4 alpha + 1, r_j^n = C_{j,n} (ad e)^n r_j."""
+    return _chain_bases(g, "f", g.osp.f, g.osp.e,
+                        lambda alpha: int(4 * alpha) + 1, _susy_norm)
 
 
 def _verify_chain_pairings(db: DualBases):
@@ -745,7 +753,6 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
         sl2 = osp = None
         if "osp" in obj and obj["osp"]:
             osp = OSPTriple(*(vec_of("osp", obj["osp"], nm) for nm in "EeHfF"))
-            sl2 = osp.sl2()
         if "sl2" in obj and obj["sl2"]:
             sl2 = SL2Triple(*(vec_of("sl2", obj["sl2"], nm) for nm in "EHF"))
         return LieSuperalgebra(obj.get("name", "?"), names, parities, struct,

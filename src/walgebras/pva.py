@@ -138,11 +138,8 @@ class LambdaPoly:
         return cls(alph)
 
     @classmethod
-    def of(cls, poly: SuperPoly, power=0):
-        return cls(poly.alphabet, {power: poly})
-
-    def is_zero(self):
-        return not self.coeffs
+    def of(cls, poly: SuperPoly):
+        return cls(poly.alphabet, {0: poly})
 
     def __bool__(self):
         return bool(self.coeffs)

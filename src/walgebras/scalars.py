@@ -49,10 +49,9 @@ class GRat:
     operand is handled in an ``except`` branch, so the kernel's GRat-by-GRat
     path pays nothing for it. An int n is applied to the fields (a + n*d
     over d is in normal form when a/d is), a Fraction is converted first.
-    ``Fraction`` itself is imported only by the ``re``/``im`` properties
-    and by ``_via_fraction``, which reads what ``parse_rational`` and the
-    constructor do not read themselves: spellings other than integers and
-    p/q, floats and Decimals.
+    ``Fraction`` itself is imported only by ``_via_fraction``, which reads
+    what ``parse_rational`` and the constructor do not read themselves:
+    spellings other than integers and p/q, floats and Decimals.
     """
 
     __slots__ = ("a", "b", "d")
@@ -66,16 +65,6 @@ class GRat:
             h = _real(im)
             g = g + _mk(-h.b, h.a, h.d)  # re + i*im
         self.a, self.b, self.d = g.a, g.b, g.d
-
-    @property
-    def re(self):
-        from fractions import Fraction
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self):
-        from fractions import Fraction
-        return Fraction(self.b, self.d)
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -374,20 +363,12 @@ class Scalar:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "Scalar":
-        return Scalar()
-
-    @staticmethod
     def one() -> "Scalar":
         return Scalar({(0, 0): GR_ONE})
 
     @staticmethod
     def rational(value) -> "Scalar":
-        return Scalar.gaussian(value)
-
-    @staticmethod
-    def gaussian(re, im=0) -> "Scalar":
-        g = GRat(re, im)
+        g = GRat(value)
         return Scalar({(0, 0): g}) if g else Scalar()
 
     @staticmethod
@@ -395,21 +376,18 @@ class Scalar:
         return Scalar({(0, 0): GRat(0, 1)})
 
     @staticmethod
-    def k(power: int = 1) -> "Scalar":
-        return Scalar({(power, 0): GR_ONE})
+    def k() -> "Scalar":
+        return Scalar({(1, 0): GR_ONE})
 
     @staticmethod
-    def c(power: int = 1) -> "Scalar":
-        return Scalar({(0, power): GR_ONE})
+    def c() -> "Scalar":
+        return Scalar({(0, 1): GR_ONE})
 
     @staticmethod
     def term(kpow, cpow, coeff: GRat) -> "Scalar":
         return Scalar({(kpow, cpow): coeff}) if coeff else Scalar()
 
     # -- predicates ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

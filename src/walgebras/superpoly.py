@@ -49,8 +49,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .scalars import (GR_ONE, GR_ZERO, GRat, Scalar, _times_int, join_signed,
-                      rat)
+from .scalars import GR_ONE, GRat, Scalar, _times_int, join_signed, rat
 
 FLAVOR_DEL = "d"   # even derivation, variables u^(m)
 FLAVOR_D = "D"     # odd derivation, variables u^[m]
@@ -117,9 +116,6 @@ class Alphabet:
         if m == 2:
             return name + "''"
         return "%s^(%d)" % (name, m)
-
-    def index(self, name) -> int:
-        return self.names.index(name)
 
     def to_obj(self):
         return {"flavor": self.flavor, "names": list(self.names),
@@ -333,9 +329,6 @@ class SuperPoly:
         GRat; a monomial appears once per power pair of its coefficient."""
         return ((mono, kp, cp, g) for (mono, kp, cp), g in self._flat.items())
 
-    def is_zero(self) -> bool:
-        return not self._flat
-
     def __bool__(self):
         return bool(self._flat)
 
@@ -404,13 +397,6 @@ class SuperPoly:
         alph = self.alphabet
         return _poly(alph, {key: g for key, g in self._flat.items()
                             if _mono_parity(alph, key[0]) == p % 2})
-
-    def variables(self):
-        seen = set()
-        for m, _kp, _cp in self._flat:
-            for v, _e in m:
-                seen.add(v)
-        return sorted(seen)
 
     # -- derivations ----------------------------------------------------
     def deriv(self) -> "SuperPoly":
@@ -498,16 +484,13 @@ class SuperPoly:
         return self._gradients
 
     # -- substitution ----------------------------------------------------
-    def substitute(self, images, target=None) -> "SuperPoly":
+    def substitute(self, images, target) -> "SuperPoly":
         """Differential-algebra homomorphism sending generator i to images[i].
 
         images maps every generator index that occurs to a SuperPoly over
         the target alphabet; u^(m) goes to the m-th derivative of the image.
         Parity mismatches raise FlavorError.
         """
-        if target is None:
-            sample = next(iter(images.values()), None)
-            target = self.alphabet if sample is None else sample.alphabet
         cache = {}
 
         def image_of(var):
@@ -545,18 +528,6 @@ class SuperPoly:
                     break
             _add_flat(out, term)
         return _poly(target, out)
-
-    # -- weights ----------------------------------------------------------
-    def conformal_weight(self):
-        """Common conformal weight, or None for 0, or 'inhomogeneous'."""
-        w = None
-        for mono, _kp, _cp in self._flat:
-            mw = sum((self.alphabet.var_weight(v) * e for v, e in mono), GR_ZERO)
-            if w is None:
-                w = mw
-            elif w != mw:
-                return "inhomogeneous"
-        return w
 
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
@@ -643,20 +614,6 @@ def accumulated(alph, out):
     """The entries of a sum map as SuperPolys over alph; out is spent."""
     return {key: _poly(alph, p) if type(p) is dict else p
             for key, p in out.items()}
-
-
-def apply_del(poly: SuperPoly) -> SuperPoly:
-    """Even derivation; defined on the del-flavored algebra."""
-    if poly.alphabet.flavor != FLAVOR_DEL:
-        raise FlavorError("apply_del requires the del flavor")
-    return poly.deriv()
-
-
-def apply_D(poly: SuperPoly) -> SuperPoly:
-    """Odd derivation D; D^2 equals the induced even derivation."""
-    if poly.alphabet.flavor != FLAVOR_D:
-        raise FlavorError("apply_D requires the D flavor")
-    return poly.deriv()
 
 
 def enumerate_monomials(alph, allowed_vars, weight, parity=None,

@@ -26,7 +26,7 @@ from .wclassical import (Flavor, ReductionContext, solve_all_generators,
 SUSY = Flavor(
     name="chi", triple=("osp", "osp(1|2) data"), shift=HALF, bar=True,
     letter="r", prefix="t_", nilpotent="f", killed=lambda gr: gr > 0,
-    dual_bases=lambda g, osp: dual_bases_f(g, osp),
+    dual_bases=lambda g: dual_bases_f(g),
     affine_table=susy_affine_table,
     master=lambda a, b, table: susy_master_bracket(a, b, table),
     oracle=lambda a, b, table: susy_bracket_oracle(a, b, table),

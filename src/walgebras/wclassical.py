@@ -50,7 +50,7 @@ class Flavor(namedtuple("Flavor", "name triple shift bar letter prefix "
     letter, prefix  chain-member letter ("q", "r"), generator prefix ("w_", "t_")
     nilpotent       the triple's element that rho pairs with ("F", "f")
     killed          grading test of the variables that rho makes constant
-    dual_bases      builder of the dual chain bases
+    dual_bases      builder of the dual chain bases over g's own triple
     affine_table, master, oracle, table
                     the bracket calculus: affine table, master formula, its
                     axioms-driven oracle and table class; table.value is the
@@ -77,7 +77,7 @@ class Flavor(namedtuple("Flavor", "name triple shift bar letter prefix "
 EVEN = Flavor(
     name="lambda", triple=("sl2", "sl2 triple"), shift=1, bar=False,
     letter="q", prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
-    dual_bases=lambda g, triple: dual_bases_F(g, triple),
+    dual_bases=lambda g: dual_bases_F(g),
     affine_table=affine_table,
     master=lambda a, b, table: master_bracket(a, b, table),
     oracle=lambda a, b, table: bracket_oracle(a, b, table),
@@ -117,7 +117,7 @@ class ReductionContext:
         self.g = g
         self.triple = fl.triple_of(g)
         self.k = Scalar.k() if k is None else k
-        self.db = db = fl.dual_bases(g, self.triple)
+        self.db = db = fl.dual_bases(g)
         members = sorted(db.members(),
                          key=lambda jn: (db.grade_of(*jn), jn[0], jn[1]))
         self.members = members
@@ -315,8 +315,9 @@ def ansatz_monomials(alph, indices, weight, parity, required=None):
 def k_degree_bound(weight, *levels) -> int:
     """The cap on the powers of k in an ansatz coefficient: corrections are
     polynomial in a symbolic level, and constant levels need no expansion.
-    A heuristic; solve_ansatz solves at the cap only when asked to, or when
-    no lower degree gives a consistent system."""
+    A heuristic; solve_ansatz solves at the cap only when its start reaches
+    it, when no lower degree gives a consistent system, or to report several
+    solutions."""
     if all(level.is_constant() for level in levels):
         return 0
     return int(2 * weight) + 3
@@ -327,24 +328,23 @@ def k_degree(poly: SuperPoly) -> int:
     return max((kp for _mono, kp, _cp, _gr in poly.coefficients()), default=0)
 
 
-def solve_ansatz(alph, monos, kmax, terms, what, unique=True, start=None):
+def solve_ansatz(alph, monos, kmax, terms, what, start):
     """Solve for the coefficients x_{M,d} of the ansatz sum k^d M, d <= kmax.
 
     `terms` yields (M, key, kp, cp, gr): the GRat gr is the coefficient of
     k^kp c^cp in what the monomial M adds to the linear condition `key`, or
     for M None in the known part of it; each power of k and c in a
     condition is one equation. Returns the solved polynomial over alph. No
-    solution, or several when `unique` is set, raises GeneratorError naming
-    `what`; without `unique`, several give None.
+    solution, or several, raises GeneratorError naming `what`.
 
-    Without `start` the system is solved once, at d <= kmax. With it, the
-    trial degree D starts at start and grows, D -> min(2D + 1, kmax), while
-    the system truncated to d <= D is inconsistent. Every column at D is a
-    column at any larger D, and a solution at D is one at D' > D with zeros
-    in the new columns. So a consistent D stays consistent, two solutions
-    at D stay two, and when the solve at kmax has one solution the first
-    consistent D returns it. An underdetermined D is solved again at kmax,
-    so the error reads as there. Only one case reads differently: one
+    The trial degree D starts at min(start, kmax) and grows,
+    D -> min(2D + 1, kmax), while the system truncated to d <= D is
+    inconsistent. Every column at D is a column at any larger D, and a
+    solution at D is one at D' > D with zeros in the new columns. So a
+    consistent D stays consistent, two solutions at D stay two, and when
+    the solve at kmax has one solution the first consistent D returns it.
+    An underdetermined D is solved again at kmax, so the error reads as
+    there. Only one case reads differently: one
     solution at D but several at kmax. Their difference would be a nonzero
     element of W built from ansatz monomials alone, each with a
     [E, g_{<=-1/2}] variable; pi kills every such monomial, and pi is
@@ -358,7 +358,7 @@ def solve_ansatz(alph, monos, kmax, terms, what, unique=True, start=None):
         else:
             cells[key, kp, cp, M] = cells.get((key, kp, cp, M), GR_ZERO) + gr
     cells = {cell: gr for cell, gr in cells.items() if gr}
-    degree = kmax if start is None else min(start, kmax)
+    degree = min(start, kmax)
     while True:
         rows = {row: ({}, rhs) for row, rhs in known.items()}
         for (key, kp, cp, M), gr in cells.items():
@@ -371,17 +371,12 @@ def solve_ansatz(alph, monos, kmax, terms, what, unique=True, start=None):
             sol = solve_linear(list(rows.values()), [
                 (M, d) for M in monos for d in range(degree + 1)])
         except LinearSolveError as e:
-            if degree < kmax and e.reason == "inconsistent":
-                degree = min(2 * degree + 1, kmax)
+            under = e.reason == "underdetermined"
+            if degree < kmax and (under or e.reason == "inconsistent"):
+                degree = kmax if under else min(2 * degree + 1, kmax)
                 continue
-            if degree < kmax and unique and e.reason == "underdetermined":
-                degree = kmax
-                continue
-            if e.reason != "underdetermined":
-                raise GeneratorError("no %s: %s" % (what, e))
-            if unique:
-                raise GeneratorError("non-unique %s: %s" % (what, e))
-            return None
+            raise GeneratorError("%s %s: %s" % ("non-unique" if under else "no",
+                                                what, e))
         return SuperPoly.from_coefficients(
             alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
 

@@ -1,7 +1,8 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, the BRST solve and bracket table in j-coordinates,
-generator solves at the k-degree cap, exactness witnesses, a dense
+generator solves at the k-degree cap, the conformal weight of a
+polynomial (the criterion-8 oracle), exactness witnesses, a dense
 reference for the Lie superalgebra bracket, form, validation and rebase, a
 chain-enumerating reference for the closed chain sums, and Gauss-Jordan
 references for the exact linear solver and for matrix rank, nullspace and
@@ -187,7 +188,7 @@ def model_poly(alph, terms):
         fs, sign = _model_sort(alph, factors)
         if fs is not None:
             mono = tuple((v, fs.count(v)) for v in sorted(set(fs)))
-            out[mono] = out.get(mono, Scalar.zero()) + (c if sign > 0 else -c)
+            out[mono] = out.get(mono, Scalar()) + (c if sign > 0 else -c)
     return SuperPoly(alph, {m: c for m, c in out.items() if c})
 
 
@@ -264,7 +265,7 @@ def model_substitute(a, images, target):
 def random_scalar(rng):
     """One or two terms r k^a c^b with r in {-3..3}/{1, 2} and a, b <= 2,
     such as (1/2 + 3k)c; zero terms drop out."""
-    s = Scalar.zero()
+    s = Scalar()
     for _ in range(rng.randint(1, 2)):
         s = s + Scalar.term(rng.randint(0, 2), rng.randint(0, 2), GRat(
             Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
@@ -316,7 +317,7 @@ class ChiDWord:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, Scalar.zero()) + v
+            s = out.get(k, Scalar()) + v
             if s:
                 out[k] = s
             else:
@@ -334,7 +335,7 @@ class ChiDWord:
                 # chi^a D^b chi^c D^d: move D^b through chi^c
                 for (x, y), coeff in _d_through_chi(b, c).items():
                     key = (a + x, y + d)
-                    s = out.get(key, Scalar.zero()) + ca * cb * coeff
+                    s = out.get(key, Scalar()) + ca * cb * coeff
                     if s:
                         out[key] = s
                     else:
@@ -359,14 +360,14 @@ def _d_through_chi(b, c):
         for (n, m), coeff in cur.items():
             # D chi^n = (-1)^n chi^n D + (n odd: -2 chi^{n+1})
             key = (n, m + 1)
-            s = nxt.get(key, Scalar.zero()) + (coeff.scale(-1) if n % 2 else coeff)
+            s = nxt.get(key, Scalar()) + (coeff.scale(-1) if n % 2 else coeff)
             if s:
                 nxt[key] = s
             else:
                 nxt.pop(key, None)
             if n % 2:
                 key = (n + 1, m)
-                s = nxt.get(key, Scalar.zero()) + coeff.scale(-2)
+                s = nxt.get(key, Scalar()) + coeff.scale(-2)
                 if s:
                     nxt[key] = s
                 else:
@@ -491,10 +492,11 @@ def j_route_cohomology_generators(cplx, diff):
     for j in range(ctx.db.count()):
         lead, weight, monos = cohomology_ansatz(cplx, j)
         known = j_route_d0(diff, cplx.building_block(lead))
+        kmax = k_degree_bound(weight, ctx.k, diff.c)
         value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
-            cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
+            cplx.jalph, monos, kmax,
             j_route_differential_terms(cplx, diff, known, monos),
-            "filtration correction for generator %d" % j)
+            "filtration correction for generator %d" % j, start=kmax)
         gen = WGenerator(j, cplx.from_J(value_J), weight)
         gen.value_J = value_J
         out[j] = gen
@@ -517,10 +519,10 @@ def j_route_bracket_table(cplx, diff, gens):
             for p, poly in raw.coeffs.items():
                 if j_route_d0(diff, poly):
                     raise GeneratorError("bracket coefficient not d-closed")
-                sym = brst_rewrite(cplx, gens, cplx.to_J(poly), gen_alph)
+                sym = brst_rewrite(cplx, cplx.to_J(poly), gen_alph)
                 back = sym.substitute(values, cplx.alph)
                 resid = poly - back
-                if brst_rewrite(cplx, gens, cplx.to_J(resid), gen_alph):
+                if brst_rewrite(cplx, cplx.to_J(resid), gen_alph):
                     raise GeneratorError("representative not reduced")
                 if j_route_d0(diff, resid):
                     raise GeneratorError("residual not d-closed")
@@ -530,8 +532,8 @@ def j_route_bracket_table(cplx, diff, gens):
     return table
 
 
-# One solve at k_degree_bound, with no starting degree: the reference for
-# the growing k-degree of solve_ansatz, on the same terms as the engine.
+# One solve at k_degree_bound, started there: the reference for the
+# growing k-degree of solve_ansatz, on the same terms as the engine.
 
 def cap_generator_value(ctx, j):
     """The value of solve_generator(ctx, j), from its membership terms
@@ -541,9 +543,10 @@ def cap_generator_value(ctx, j):
     monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
                              ctx.alph.parities[lead], ctx.highe_indices)
     lead_poly = SuperPoly.variable(ctx.alph, lead)
+    kmax = k_degree_bound(weight, ctx.k)
     return lead_poly + solve_ansatz(
-        ctx.alph, monos, k_degree_bound(weight, ctx.k),
-        _membership_terms(ctx, lead_poly, monos), "generator solution")
+        ctx.alph, monos, kmax, _membership_terms(ctx, lead_poly, monos),
+        "generator solution", start=kmax)
 
 
 def cap_cohomology_value_J(cplx, diff, j):
@@ -551,16 +554,30 @@ def cap_cohomology_value_J(cplx, diff, j):
     engine solved once at k_degree_bound."""
     lead, weight, monos = cohomology_ansatz(cplx, j)
     lead_J = SuperPoly.variable(cplx.jalph, lead)
+    kmax = k_degree_bound(weight, cplx.ctx.k, diff.c)
     return lead_J + solve_ansatz(
-        cplx.jalph, monos, k_degree_bound(weight, cplx.ctx.k, diff.c),
+        cplx.jalph, monos, kmax,
         _differential_terms(diff, diff.apply_J(lead_J), monos),
-        "filtration correction for generator %d" % j)
+        "filtration correction for generator %d" % j, start=kmax)
+
+
+def conformal_weight(poly):
+    """The common conformal weight of poly's monomials, read from its
+    alphabet's generator weights (u^(m) adds m, u^[m] adds m/2): the
+    criterion-8 oracle. None for 0, "inhomogeneous" when two differ."""
+    alph = poly.alphabet
+    step = HALF if alph.flavor == FLAVOR_D else 1
+    weights = {sum((alph.weights[i] + m * step) * e for (i, m), e in mono)
+               for mono in poly.terms}
+    if not weights:
+        return None
+    return weights.pop() if len(weights) == 1 else "inhomogeneous"
 
 
 def exactness_witness(cplx, diff, X: SuperPoly):
     """Solve X = d_[0] Y over the fixed-weight ghost-bearing part of S(R_-);
     used as the honest exactness check in the tests."""
-    w = X.conformal_weight()
+    w = conformal_weight(X)
     if w in (None, "inhomogeneous"):
         raise GeneratorError("exactness check needs a homogeneous input")
     ctx = cplx.ctx
@@ -574,9 +591,9 @@ def exactness_witness(cplx, diff, X: SuperPoly):
     try:
         solve_ansatz(cplx.jalph, monos, kmax,
                      j_route_differential_terms(cplx, diff, -X, monos, in_J=True),
-                     "exactness witness", unique=False)
-    except GeneratorError:
-        return False
+                     "exactness witness", start=kmax)
+    except GeneratorError as e:
+        return str(e).startswith("non-unique ")
     return True
 
 
@@ -721,7 +738,7 @@ def _dense_eigenbasis_error(g):
             if s:
                 if l != i:
                     return "basis not ad-H/2 homogeneous (index %d)" % i
-                if s.im:
+                if s.b:
                     return "non-rational ad-H eigenvalue"
     return None
 

@@ -68,9 +68,9 @@ def test_criterion_3_tensor_identities():
     t0 = time.time()
     for name in ("sl2", "sl3-principal", "sl3-minimal", "osp12", "sl21"):
         g = helpers.algebra(name)
-        assert check_tensor_identity(dual_bases_F(g, g.sl2)) == []
+        assert check_tensor_identity(dual_bases_F(g)) == []
         if g.osp is not None:
-            assert check_tensor_identity(dual_bases_f(g, g.osp)) == []
+            assert check_tensor_identity(dual_bases_f(g)) == []
     report("3 Lemma 3.4 / Lemma 6.4", time.time() - t0, 5)
 
 
@@ -79,7 +79,7 @@ def test_criterion_4_brst_soundness():
     for name in ("osp12", "sl21"):
         cplx = BRSTComplex(SUSYReductionContext(helpers.algebra(name)))
         diff = build_d(cplx, Scalar.c())
-        assert diff.d_squared_defect().is_zero()
+        assert not diff.d_squared_defect()
         assert diff.verify() == []
     report("4 BRST d^2 = 0 (symbolic c)", time.time() - t0, 10)
 
@@ -143,14 +143,14 @@ def test_criterion_8_conformal_weights():
         ctx, gens = helpers.classical(name)
         for j, w in gens.items():
             grade = -ctx.db.spins[j]
-            assert w.value.conformal_weight() == 1 - grade == w.weight
+            assert helpers.conformal_weight(w.value) == 1 - grade == w.weight
     for name in ("osp12", "sl21"):
         ctx, gens = helpers.susy(name)
         for j, w in gens.items():
             grade = -ctx.db.spins[j]
-            assert w.value.conformal_weight() == HALF - grade == w.weight
+            assert helpers.conformal_weight(w.value) == HALF - grade == w.weight
         cplx, diff, egens = helpers.brst(name)
         for j, e in egens.items():
             grade = -cplx.ctx.db.spins[j]
-            assert e.value.conformal_weight() == HALF - grade
+            assert helpers.conformal_weight(e.value) == HALF - grade
     report("8 conformal weights", time.time() - t0, 60)

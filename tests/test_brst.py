@@ -50,8 +50,8 @@ def test_ghost_pairing_and_decoupling():
             assert ent == (one if a == b else ChiPoly.zero(cplx.alph))
     for x in range(cplx.gdim):
         for a in range(cplx.nn):
-            assert cplx.table.entry(x, cplx.phi_index(a)).is_zero()
-            assert cplx.table.entry(x, cplx.phibar_index(a)).is_zero()
+            assert not cplx.table.entry(x, cplx.phi_index(a))
+            assert not cplx.table.entry(x, cplx.phibar_index(a))
 
 
 @pytest.mark.parametrize("name", OSP)
@@ -67,7 +67,7 @@ def test_d_squared_symbolic_c(name):
     cplx = build_complex(helpers.algebra(name))
     diff = build_d(cplx, Scalar.c())
     assert diff.d.parity() == 0
-    assert diff.d_squared_defect().is_zero()
+    assert not diff.d_squared_defect()
     assert diff.verify() == []
 
 
@@ -171,7 +171,7 @@ def test_d_action_displays():
     for al, a in enumerate(cplx.n_idx):
         got = diff.d_chi(phi(al))
         pa = gstar.parities[a]
-        expect = cplx.jvar(a, 0, Scalar.rational(-sgnp(pa)))
+        expect = SuperPoly.variable(cplx.alph, a, 0, Scalar.rational(-sgnp(pa)))
         expect = expect - SuperPoly.const(
             alph, c.scale(gstar.form_value(fstar, gstar.basis_vec(a))))
         for bt, b in enumerate(cplx.n_idx):
@@ -345,10 +345,10 @@ def test_cohomology_generators(name):
     cplx, diff, gens = helpers.brst(name)
     assert len(gens) == cplx.ctx.db.count()
     for j, E in gens.items():
-        assert diff.apply(E.value).is_zero()
+        assert not diff.apply(E.value)
         assert E.weight == HALF - cplx.ctx.gstar.gradings[
             cplx.ctx.star_index[(j, 0)]]
-        assert E.value.conformal_weight() == E.weight
+        assert helpers.conformal_weight(E.value) == E.weight
         lead = cplx.ctx.star_index[(j, 0)]
         corr = E.value_J - SuperPoly.variable(cplx.jalph, lead)
         gi = cplx.ctx.gstar.gradings[lead]
@@ -372,14 +372,14 @@ def test_bigrade_bookkeeping():
                 continue
             X = cplx.from_J(SuperPoly(cplx.jalph, {mono: c}))
             dX = cplx.to_J(diff.apply(X))
-            w0 = SuperPoly(cplx.jalph, {mono: c}).conformal_weight()
+            w0 = helpers.conformal_weight(SuperPoly(cplx.jalph, {mono: c}))
             for m2, _c2 in dX.terms.items():
                 bg2 = helpers.bigrade_mono(cplx, m2)
                 assert bg2 is not None
                 assert bg2[0] + bg2[1] == bg[0] + bg[1] + 1
                 assert bg2[0] >= bg[0]
             if dX:
-                assert dX.conformal_weight() == w0
+                assert helpers.conformal_weight(dX) == w0
                 checked += 1
     assert checked
 
@@ -399,12 +399,12 @@ def test_bracket_with_exact_element_vanishes():
     Y = cplx.from_J(SuperPoly.variable(cplx.jalph, ctx.star_index[(0, 1)])
                     * SuperPoly.variable(cplx.jalph, ctx.star_index[(0, 2)]))
     X = diff.apply(Y)
-    assert X and diff.apply(X).is_zero()
+    assert X and not diff.apply(X)
     raw = susy_master_bracket(gens[0].value, X, cplx.table)
     from walgebras.brst import brst_rewrite
     for p, poly in raw.coeffs.items():
-        assert diff.apply(poly).is_zero()
-        assert brst_rewrite(cplx, gens, cplx.to_J(poly), ctx.gen_alph).is_zero()
+        assert not diff.apply(poly)
+        assert not brst_rewrite(cplx, cplx.to_J(poly), ctx.gen_alph)
         assert exactness_witness(cplx, diff, cplx.to_J(poly))
 
 
@@ -423,4 +423,4 @@ def test_thm_5_9(name):
 
 
 def test_thm_5_9_at_k0():
-    assert check_thm_5_9(helpers.algebra("osp12"), k=Scalar.zero()) == []
+    assert check_thm_5_9(helpers.algebra("osp12"), k=Scalar()) == []

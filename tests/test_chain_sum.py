@@ -43,9 +43,9 @@ def test_sl32_fixture():
     g = helpers.sl32_principal()
     assert g.dim == 24
     assert validate_algebra(g) == []
-    assert sorted(dual_bases_F(g, g.sl2).spins, reverse=True) == \
+    assert sorted(dual_bases_F(g).spins, reverse=True) == \
         [2, 3 * HALF, 3 * HALF, 1, 1, HALF, HALF, 0]
-    assert sorted(dual_bases_f(g, g.osp).spins, reverse=True) == [2, 3 * HALF, 1, HALF]
+    assert sorted(dual_bases_f(g).spins, reverse=True) == [2, 3 * HALF, 1, HALF]
 
 
 def test_sl32_lambda_path_sum_matches_chain_enumeration():

@@ -173,6 +173,27 @@ def test_missing_triple_exits_2(tmp_path, capsys, argv, shown, k):
                                 "%s\n" % shown)
 
 
+@pytest.mark.parametrize("command", ["validate", "generators",
+                                     "susy-generators"])
+def test_sl2_triple_with_another_H_exits_2(tmp_path, capsys, command):
+    """sl21.json with its sl2 block set to (F, -H, E), a valid sl2 triple
+    whose H is not the one of the osp(1|2) data: the file is rejected when
+    it is read, with one input-error line and exit 2, before any SUSY
+    gradings are read."""
+    import helpers
+    from walgebras.liealg import algebra_to_obj
+    g = helpers.algebra("sl21")
+    obj = algebra_to_obj(g)
+    obj["sl2"] = {"E": [str(x) for x in g.sl2.F],
+                  "H": [str(-x) for x in g.sl2.H],
+                  "F": [str(x) for x in g.sl2.E]}
+    p = tmp_path / "flipped_sl21.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, "--algebra", str(p))
+    assert (code, out, err) == (2, "", "input error: sl2 triple and osp(1|2) "
+                                "data have different H\n")
+
+
 def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--algebra", str(tmp_path))
     assert (code, out) == (2, "")
@@ -458,7 +479,7 @@ def test_structured_roundtrip_generators(capsys):
     doc = json.loads(out)
     alph = Alphabet.from_obj(doc["alphabet"])
     vals = [SuperPoly.from_obj(alph, g["value"]) for g in doc["generators"]]
-    assert len(vals) == 1 and not vals[0].is_zero()
+    assert len(vals) == 1 and vals[0]
     # round-trip through json again
     assert json.loads(json.dumps(doc)) == doc
 
@@ -557,6 +578,28 @@ def test_commands_start_without_shutil_or_fractions(tmp_path, argv):
     assert done.returncode == 0, done.stderr
     output, loaded = done.stdout.rsplit("\n", 1)
     assert output and loaded == ""
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141(tmp_path, buffered):
+    """A reader that closed stdout is not an engine defect: nothing on
+    stderr and exit 141 (128 + SIGPIPE), whether a write or the flush at
+    the end of the command meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-S", "-m", "walgebras.cli", "generators",
+             "--algebra", "sl2"], cwd=tmp_path, env=env, stdout=write_end,
+            stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_catalog_lookup_does_not_depend_on_cwd(tmp_path):

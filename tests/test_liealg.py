@@ -91,6 +91,29 @@ def test_osp_wrong_form_normalization_reported():
     assert any("invariant" in r for r in report)
 
 
+def test_sl2_triple_must_share_the_osp_H():
+    """g is graded once, by the H of its sl2 triple, and the SUSY chain
+    bases read those gradings: without an sl2 triple the constructor takes
+    (E, H, F) of the osp(1|2) data, and a triple with another H, such as
+    (F, -H, E) on sl(2|1), is an AlgebraError. The flipped triple is itself
+    a valid sl2 triple."""
+    g = build_sl21()
+    osp = g.osp
+
+    def build(sl2):
+        return LieSuperalgebra("sl21", g.names, g.parities, dict(g.struct),
+                               g.form, sl2=sl2, osp=osp)
+
+    assert vars(build(None).sl2) == vars(osp.sl2())
+    assert validate_algebra(build(None)) == []
+    flipped = SL2Triple(osp.F, sc(osp.H, -1), osp.E)
+    assert validate_algebra(LieSuperalgebra(
+        "sl21", g.names, g.parities, dict(g.struct), g.form, sl2=flipped)) == []
+    with pytest.raises(AlgebraError) as err:
+        build(flipped)
+    assert str(err.value) == "sl2 triple and osp(1|2) data have different H"
+
+
 def test_non_eigenbasis_rejected():
     # rotate the sl2 basis so H-action is no longer diagonal
     g = build_sl2()
@@ -152,7 +175,7 @@ def test_rebase_rejects_bad_vectors(name, bend, message):
 
 def test_dual_bases_sl2():
     g = helpers.algebra("sl2")
-    db = dual_bases_F(g, g.sl2)
+    db = dual_bases_F(g)
     E, H, F = (g.basis_vec(i) for i in range(3))
     assert db.spins == [1]
     assert db.chain_upper[0] == [E, sc(H, -1), sc(F, -2)]
@@ -165,14 +188,14 @@ def test_dual_bases_sl2():
 
 def test_dual_bases_sl3_principal():
     g = helpers.algebra("sl3-principal")
-    db = dual_bases_F(g, g.sl2)
+    db = dual_bases_F(g)
     assert sorted(db.spins) == [1, 2]
     assert sorted(len(c) for c in db.chain_lower) == [3, 5]
 
 
 def test_dual_bases_osp():
     g = helpers.algebra("osp12")
-    db = dual_bases_f(g, g.osp)
+    db = dual_bases_f(g)
     E, e, H, f, F = (g.basis_vec(i) for i in range(5))
     assert [v for v in db.lower] == [F]
     assert [v for v in db.upper] == [E]
@@ -189,7 +212,7 @@ def test_dual_bases_osp():
 @pytest.mark.parametrize("name", ALL)
 def test_chain_pairings_are_identity(name):
     g = helpers.algebra(name)
-    db = dual_bases_F(g, g.sl2)
+    db = dual_bases_F(g)
     for i in range(db.count()):
         for m in range(len(db.chain_upper[i])):
             for j in range(db.count()):
@@ -202,7 +225,7 @@ def test_chain_pairings_are_identity(name):
 @pytest.mark.parametrize("name", ALL)
 def test_sharp_idempotent(name):
     g = helpers.algebra(name)
-    db = dual_bases_F(g, g.sl2)
+    db = dual_bases_F(g)
     for i in range(g.dim):
         v = g.basis_vec(i)
         s = helpers.sharp(db, v)
@@ -214,12 +237,12 @@ def test_sharp_idempotent(name):
 def test_bases_not_dual_error():
     g = build_sl2()
     form = [list(row) for row in g.form]
-    form[0][2] = Scalar.zero()
-    form[2][0] = Scalar.zero()
+    form[0][2] = Scalar()
+    form[2][0] = Scalar()
     bad = LieSuperalgebra("sl2-degform", g.names, g.parities, dict(g.struct),
                           form, sl2=g.sl2)
     with pytest.raises(AlgebraError, match="not dual|singular"):
-        dual_bases_F(bad, bad.sl2)
+        dual_bases_F(bad)
 
 
 def test_singular_gram_block_names_singular_pairing():
@@ -297,7 +320,7 @@ def test_inverse_matches_dense_reference():
 
 def test_admissible_chains_sl2():
     g = helpers.algebra("sl2")
-    db = dual_bases_F(g, g.sl2)
+    db = dual_bases_F(g)
     chains = helpers.admissible_chains(db, Fraction(-1), Fraction(-1, 2))
     assert [] in chains  # the empty chain is always admissible
     assert [c for c in chains if c] == [[(0, 0)]]
@@ -305,7 +328,7 @@ def test_admissible_chains_sl2():
 
 def test_admissible_chains_osp():
     g = helpers.algebra("osp12")
-    db = dual_bases_f(g, g.osp)
+    db = dual_bases_f(g)
     chains = [c for c in helpers.admissible_chains(db, Fraction(-1), Fraction(-1, 2))
               if c]
     assert sorted(chains) == [[(0, 0)], [(0, 0), (0, 1)], [(0, 1)]]
@@ -314,13 +337,13 @@ def test_admissible_chains_osp():
 @pytest.mark.parametrize("name", ALL + ["sl32-principal"])
 def test_lemma_3_4_tensor_identity(name):
     g = helpers.algebra(name)
-    assert check_tensor_identity(dual_bases_F(g, g.sl2)) == []
+    assert check_tensor_identity(dual_bases_F(g)) == []
 
 
 @pytest.mark.parametrize("name", OSP + ["sl32-principal"])
 def test_lemma_6_4_tensor_identity(name):
     g = helpers.algebra(name)
-    assert check_tensor_identity(dual_bases_f(g, g.osp)) == []
+    assert check_tensor_identity(dual_bases_f(g)) == []
 
 
 def _doubled_interior(db):
@@ -335,17 +358,17 @@ def _doubled_interior(db):
 @pytest.mark.parametrize("name", ALL)
 def test_tensor_identity_reports_corrupted_bases(name):
     g = helpers.algebra(name)
-    assert check_tensor_identity(_doubled_interior(dual_bases_F(g, g.sl2)))
+    assert check_tensor_identity(_doubled_interior(dual_bases_F(g)))
     if g.osp is not None:
-        assert check_tensor_identity(_doubled_interior(dual_bases_f(g, g.osp)))
+        assert check_tensor_identity(_doubled_interior(dual_bases_f(g)))
 
 
 def test_sl21_kernel_dimensions():
     g = helpers.algebra("sl21")
-    db = dual_bases_f(g, g.osp)
+    db = dual_bases_f(g)
     assert db.count() == 2
     assert sorted(db.spins) == [HALF, 1]
-    dbF = dual_bases_F(g, g.sl2)
+    dbF = dual_bases_F(g)
     assert dbF.count() == 4
 
 
@@ -353,7 +376,7 @@ def test_sl4_principal_fixture():
     g = helpers.sl4_principal()
     assert g.dim == 15
     assert validate_algebra(g) == []
-    assert {1 + s for s in dual_bases_F(g, g.sl2).spins} == {2, 3, 4}
+    assert {1 + s for s in dual_bases_F(g).spins} == {2, 3, 4}
 
 
 # -- the validator against the dense reference in helpers --------------------
@@ -485,9 +508,9 @@ def test_file_roundtrip_keeps_violations(name):
 def test_saved_files_match_shipped_data(tmp_path):
     regenerate_data(tmp_path)
     data = importlib.resources.files("walgebras").joinpath("data")
-    for entry in CATALOG.values():
+    for name, entry in CATALOG.items():
         assert (tmp_path / entry.file).read_bytes() == \
-            data.joinpath(entry.file).read_bytes(), entry.name
+            data.joinpath(entry.file).read_bytes(), name
 
 
 def _random_gaussian(rng):
@@ -520,7 +543,7 @@ def test_k_dependent_entries_rejected_at_the_boundary():
                        r"k-free scalar, got 2 \+ k$"):
         _copy(g, "form-k", form=form)
     struct = dict(g.struct)
-    struct[(0, 3)] = (Scalar.zero(), Scalar.c()) + g.struct[(0, 3)][2:]
+    struct[(0, 3)] = (Scalar(), Scalar.c()) + g.struct[(0, 3)][2:]
     with pytest.raises(AlgebraError, match=r"^bracket \(0, 3\), entry 1: "
                        r"expected k-free scalar, got c$"):
         _copy(g, "struct-c", struct=struct)
@@ -537,7 +560,7 @@ def test_k_dependent_entries_rejected_at_the_boundary():
         g.name, g.names, g.parities,
         {ij: tuple(Scalar.term(0, 0, x) for x in vec)
          for ij, vec in g.struct.items()},
-        [[Fraction(x.re) if x.d > 1 else int(x.re) for x in row] for row in g.form],
+        [[Fraction(x.a, x.d) if x.d > 1 else x.a for x in row] for row in g.form],
         sl2=g.sl2, osp=OSPTriple(*(tuple(Scalar.term(0, 0, x) for x in v)
                                    for v in vars(g.osp).values())))
     _same_algebra(lifted, g)

@@ -23,7 +23,7 @@ def test_affine_sl2_entries():
     E, H, F = (SuperPoly.variable(alph, i) for i in range(3))
     assert t.entry(0, 2) == LambdaPoly(alph, {0: H, 1: SuperPoly.const(alph, K)})
     assert t.entry(1, 1) == LambdaPoly(alph, {1: SuperPoly.const(alph, K.scale(2))})
-    assert t.entry(2, 2).is_zero()
+    assert not t.entry(2, 2)
 
 
 def test_master_examples_sl2():
@@ -33,7 +33,7 @@ def test_master_examples_sl2():
     assert master_bracket(H * H, H, t) == LambdaPoly(
         alph, {1: H.scalar_mul(K.scale(4)), 0: dH.scalar_mul(K.scale(4))})
     assert master_bracket(F, H * H, t) == LambdaPoly.of((H * F).scale(4))
-    assert master_bracket(E, SuperPoly.one(alph), t).is_zero()
+    assert not master_bracket(E, SuperPoly.one(alph), t)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -154,13 +154,13 @@ def test_left_bracket_at_zero_equals_oracle(name, susy):
 def test_conformal_weights_sl2():
     g, alph, t = helpers.affine("sl2")
     E, H, F = (SuperPoly.variable(alph, i) for i in range(3))
-    assert F.conformal_weight() == 2
-    assert H.conformal_weight() == 1
-    assert E.conformal_weight() == 0
-    assert H.deriv().conformal_weight() == 2
+    assert helpers.conformal_weight(F) == 2
+    assert helpers.conformal_weight(H) == 1
+    assert helpers.conformal_weight(E) == 0
+    assert helpers.conformal_weight(H.deriv()) == 2
     w = F + SuperPoly.variable(alph, 1, 1).scalar_mul(K.scale(Fraction(1, 2))) \
         + (H * H).scale(Fraction(1, 4))
-    assert w.conformal_weight() == 2
+    assert helpers.conformal_weight(w) == 2
 
 
 def test_lambda_poly_machinery():

@@ -10,7 +10,7 @@ from walgebras.scalars import (GRat, GR_ZERO, LinearSolveError, Scalar, _norm,
 
 
 def rand_scalar(rng, with_c=False):
-    s = Scalar.zero()
+    s = Scalar()
     for _ in range(rng.randint(0, 3)):
         g = GRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                  Fraction(rng.randint(-2, 2)))
@@ -27,7 +27,7 @@ def test_ring_axioms_randomized():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert (a - a).is_zero()
+        assert not a - a
 
 
 def test_zero_has_empty_support():
@@ -40,15 +40,15 @@ def test_zero_has_empty_support():
 
 def test_sub_equals_add_negated():
     half, i = Scalar.rational(Fraction(1, 2)), Scalar.imag()
-    k2 = Scalar.k(2).scale(3)
+    k2 = (Scalar.k() * Scalar.k()).scale(3)
     multi = half + k2 + Scalar.c() * i
     cases = [
         (half, Scalar.rational(Fraction(-1, 3))),      # single terms
         (multi, k2 + Scalar.c()),                      # multi-term
         (multi, half + k2 + Scalar.c() * i),           # cancels to zero
-        (Scalar.k(), Scalar.c(2) * i),                 # distinct exponents
-        (Scalar.zero(), multi),
-        (multi, Scalar.zero()),
+        (Scalar.k(), Scalar.c() * Scalar.c() * i),     # distinct exponents
+        (Scalar(), multi),
+        (multi, Scalar()),
     ]
     rng = random.Random(11)
     cases += [(rand_scalar(rng, with_c=True), rand_scalar(rng, with_c=True))
@@ -60,7 +60,7 @@ def test_sub_equals_add_negated():
         assert all(d.terms.values())
         assert (dict(a.terms), dict(b.terms)) == before
     assert not (multi - (half + k2 + Scalar.c() * i)).terms
-    assert (Scalar.k() - Scalar.c(2) * i).terms == {
+    assert (Scalar.k() - Scalar.c() * Scalar.c() * i).terms == {
         (1, 0): GRat(1), (0, 2): GRat(0, -1)}
 
 
@@ -71,8 +71,8 @@ def test_gaussian_arithmetic():
 
 
 def test_render_and_parse():
-    assert Scalar.zero().render() == "0"
-    assert (Scalar.k(2).scale(Fraction(1, 2))).render() == "1/2*k^2"
+    assert Scalar().render() == "0"
+    assert (Scalar.k() * Scalar.k()).scale(Fraction(1, 2)).render() == "1/2*k^2"
     assert Scalar.imag().render() == "i"
     assert parse_coeff("-2/3") == GRat(Fraction(-2, 3))
     assert parse_coeff("i") == GRat(0, 1)
@@ -230,8 +230,7 @@ def assert_normal(g):
 
 def assert_models(g, x):
     assert_normal(g)
-    assert (g.re, g.im) == x
-    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert (Fraction(g.a, g.d), Fraction(g.b, g.d)) == x
     assert bool(g) == bool(x[0] or x[1])
     assert str(g) == repr(g) == model_str(x)
     # equal values have equal fields, hence equal hashes
@@ -276,7 +275,8 @@ def test_grat_normaliser_on_raw_fields():
         d = rng.choice((-1, 1)) * rng.randint(1, 30) * t
         g = _norm(a, b, d)
         assert_normal(g)
-        assert (g.re, g.im) == (Fraction(a, d), Fraction(b, d))
+        assert (Fraction(g.a, g.d), Fraction(g.b, g.d)) == (Fraction(a, d),
+                                                            Fraction(b, d))
     zero = _norm(0, 0, -7)
     assert (zero.a, zero.b, zero.d) == (0, 0, 1)
 
@@ -333,8 +333,8 @@ def test_real_grat_interoperates_like_fraction():
 def test_non_real_grat_is_unequal_and_unordered():
     for g in NON_REAL:
         assert g.b
-        assert g != g.re and g.re != g and g != int(g.re)
-        model = (g.re, g.im)
+        model = (Fraction(g.a, g.d), Fraction(g.b, g.d))
+        assert g != model[0] and model[0] != g and g != int(model[0])
         assert str(g) == model_str(model)
         for n in (-2, 0, 3):
             assert (n + g, g * n, n - g) == (

@@ -24,7 +24,7 @@ def test_affine_susy_table_osp12():
     assert t.entry(ie, if_) == ChiPoly(alph, {0: Hb,
                                               1: SuperPoly.const(alph, K.scale(2))})
     assert t.entry(iH, iH) == ChiPoly(alph, {1: SuperPoly.const(alph, K.scale(2))})
-    assert t.entry(iF, iF).is_zero()
+    assert not t.entry(iF, iF)
 
 
 def test_chidword_relation_and_confluence():
@@ -49,8 +49,8 @@ def test_chi_relation_annihilates_values():
     rel = (ChiDWord.from_word(["chi", "D"]) + ChiDWord.from_word(["D", "chi"])
            + ChiDWord.from_word(["chi", "chi"]).scalar_mul(Scalar.rational(2)))
     for _ in range(10):
-        v = ChiPoly.of(random_superpoly(alph, rng, terms=2), power=rng.randint(0, 2))
-        assert rel.apply(v).is_zero()
+        v = ChiPoly(alph, {rng.randint(0, 2): random_superpoly(alph, rng, terms=2)})
+        assert not rel.apply(v)
 
 
 @pytest.mark.parametrize("name", OSP)
@@ -105,7 +105,7 @@ def test_sesquilinearity_displays():
         a = random_superpoly(alph, rng, terms=2)
         b = random_superpoly(alph, rng, terms=2)
         d1, d2 = susy_sesquilinearity_defects(a, b, t)
-        assert d1.is_zero() and d2.is_zero()
+        assert not d1 and not d2
 
 
 @pytest.mark.parametrize("name", OSP)
@@ -119,13 +119,13 @@ def test_reduce_to_pva_examples():
     g, alph, t = helpers.susy_affine("osp12")
     lt = reduce_to_pva(t)
     d = lt.alphabet
-    iH = alph.index("H~")
+    iH = alph.names.index("H~")
     # [H~_chi H~] = 2k chi  ->  {H~_l H~} = 2k
     assert lt.entry(2 * iH, 2 * iH) == LambdaPoly.of(
         SuperPoly.const(d, K.scale(2)))
     # zero chi-bracket -> zero lambda-bracket
-    iF = alph.index("F~")
-    assert lt.entry(2 * iF, 2 * iF).is_zero()
+    iF = alph.names.index("F~")
+    assert not lt.entry(2 * iF, 2 * iF)
 
 
 @pytest.mark.parametrize("name", OSP)

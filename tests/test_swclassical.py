@@ -31,8 +31,8 @@ def test_gamma_S_golden_osp12():
 
 def test_gamma_S_zero_cases():
     # k = 0 and all projected chain brackets zero for osp(1|2) F-chain
-    ctx0 = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar.zero())
-    assert gamma_linear(ctx0, 0).is_zero()
+    ctx0 = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar())
+    assert not gamma_linear(ctx0, 0)
 
 
 def test_osp12_generator():
@@ -57,7 +57,7 @@ def test_generator_count_weights_membership(name):
     assert len(gens) == ctx.db.count()  # = dim g^f
     for j, w in gens.items():
         assert membership_defects(ctx, w.value) == []
-        assert w.value.conformal_weight() == w.weight
+        assert helpers.conformal_weight(w.value) == w.weight
         assert w.weight == HALF + ctx.db.spins[j]
         assert w.value.parity() == (ctx.g.parity_of_vec(ctx.db.lower[j]) + 1) % 2
 
@@ -104,7 +104,7 @@ def test_tau_bracket_closes_on_tau():
             assert mono == () or (len(mono) == 1 and mono[0][1] == 1
                                   and mono[0][0][0] == 0 and mono[0][0][1] <= 2)
     # central chi^5 term present with weight bookkeeping 0
-    assert 5 in cp.coeffs and cp.coeffs[5].conformal_weight() == 0
+    assert 5 in cp.coeffs and helpers.conformal_weight(cp.coeffs[5]) == 0
 
 
 def test_rewrite_rejects_non_members():
@@ -131,7 +131,7 @@ def test_lemma_6_2_case_table():
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
                 got = ctx.rho_bracket(susy_master_bracket(up_poly, lo, ctx.table))
                 if t - h > HALF:
-                    assert got.is_zero()
+                    assert not got
                 elif t - h == HALF:
                     want = si if (i == j and n == m + 1) else 0
                     expect = ChiPoly.of(SuperPoly.const(
@@ -152,7 +152,7 @@ def test_lemma_6_2_case_table():
 
 
 def test_k0_specialization():
-    ctx = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar.zero())
+    ctx = SUSYReductionContext(helpers.algebra("osp12"), k=Scalar())
     gens = {0: solve_susy_generator(ctx, 0)}
     assert membership_defects(ctx, gens[0].value) == []
     assert compare_closed_direct(

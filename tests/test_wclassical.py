@@ -36,8 +36,8 @@ def test_gamma_linear_sl2():
 
 
 def test_gamma_linear_sl2_at_k0():
-    ctx = ReductionContext(helpers.algebra("sl2"), k=Scalar.zero())
-    assert gamma_linear(ctx, 0).is_zero()
+    ctx = ReductionContext(helpers.algebra("sl2"), k=Scalar())
+    assert not gamma_linear(ctx, 0)
 
 
 def test_golden_virasoro_generator():
@@ -71,9 +71,9 @@ def test_virasoro_membership_independent_oracle():
     lp = master_bracket(E, w, t)
     # rho: E -> 1, derivatives of E -> 0 (I_F reduction for sl2)
     images = {0: SuperPoly.one(alph), 1: H, 2: F}
-    reduced = LambdaPoly(alph, {n: p.substitute(images)
+    reduced = LambdaPoly(alph, {n: p.substitute(images, alph)
                                 for n, p in lp.coeffs.items()})
-    assert reduced.is_zero()
+    assert not reduced
 
 
 @pytest.mark.parametrize("name", CLASSICAL)
@@ -82,7 +82,7 @@ def test_generators_membership_weights(name):
     assert len(gens) == ctx.db.count()
     for j, w in gens.items():
         assert membership_defects(ctx, w.value) == []
-        assert w.value.conformal_weight() == w.weight
+        assert helpers.conformal_weight(w.value) == w.weight
         assert w.weight == 1 + ctx.db.spins[j]
         assert w.value.parity() == ctx.g.parity_of_vec(ctx.db.lower[j])
 
@@ -147,11 +147,11 @@ def test_center_like_generator_is_bare():
     parities = list(g.parities) + [0]
     struct = {}
     for (i, j), vec in g.struct.items():
-        struct[(i, j)] = tuple(vec) + (Scalar.zero(),)
-    form = [list(row) + [Scalar.zero()] for row in g.form]
-    form.append([Scalar.zero()] * 3 + [Scalar.one()])
-    sl2 = SL2Triple(g.sl2.E + (Scalar.zero(),), g.sl2.H + (Scalar.zero(),),
-                    g.sl2.F + (Scalar.zero(),))
+        struct[(i, j)] = tuple(vec) + (Scalar(),)
+    form = [list(row) + [Scalar()] for row in g.form]
+    form.append([Scalar()] * 3 + [Scalar.one()])
+    sl2 = SL2Triple(g.sl2.E + (Scalar(),), g.sl2.H + (Scalar(),),
+                    g.sl2.F + (Scalar(),))
     gz = LieSuperalgebra("sl2+center", names, parities, struct, form, sl2=sl2)
     assert gz.validate() == []
     ctx = ReductionContext(gz)
@@ -186,9 +186,9 @@ def test_lemma_3_2_case_table():
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
                 got = ctx.rho_bracket(master_bracket(up_poly, lo, ctx.table))
                 if t2 - t1 > 1:
-                    assert got.is_zero()
+                    assert not got
                 elif t2 - t1 == 1:
-                    want = Scalar.one() if (i == j and n == m + 1) else Scalar.zero()
+                    want = Scalar.one() if (i == j and n == m + 1) else Scalar()
                     expect = LambdaPoly.of(SuperPoly.const(ctx.alph, want)) \
                         if want else LambdaPoly.zero(ctx.alph)
                     assert got == expect
@@ -343,7 +343,7 @@ def test_solve_schedule_on_a_hand_built_system(monkeypatch):
                         (3, "inconsistent")]
     free = [(None, "a", 0, 0, -one), (u, "a", 0, 0, one), (uu, "a", 0, 0, one)]
     with pytest.raises(GeneratorError) as at_cap:
-        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test")
+        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test", start=3)
     del attempts[:]
     with pytest.raises(GeneratorError) as grown:
         wclassical.solve_ansatz(alph, [u, uu], 3, free, "test", start=0)
