@@ -61,7 +61,7 @@ def _load(args):
     except AlgebraError as e:
         raise InputError(str(e))
     if args.flavor is not None:
-        args.flavor.triple_of(g)
+        g.triple(args.flavor.triple)
     return g
 
 
@@ -89,29 +89,41 @@ def _context(g, flavor, k):
     return cls(g, k=k)
 
 
-def _bracket_line(ctx, i, j, value):
-    fl = ctx.flavor
-    return "{%s%s %s %s%s} = %s" % (fl.prefix, ctx.gen_labels[i], fl.name,
-                                    fl.prefix, ctx.gen_labels[j], value.render())
+def _bracket_line(ctx, prefix, i, j, value):
+    return "{%s%s %s %s%s} = %s" % (prefix, ctx.gen_labels[i], ctx.flavor.name,
+                                    prefix, ctx.gen_labels[j], value.render())
+
+
+def _list_generators(args, g, ctx, prefix, alph, shown):
+    """Print generators: shown lists (generator, its value over alph)."""
+    lines, objs = [], []
+    for w, value in shown:
+        label = ctx.gen_labels[w.index]
+        lines.append("%s%s = %s   (weight %s)"
+                     % (prefix, label, value.render(), w.weight))
+        objs.append({"label": label, "weight": str(w.weight),
+                     "value": value.to_obj()})
+    doc = {"command": args.command, "algebra": g.name,
+           "alphabet": alph.to_obj(), "generators": objs}
+    _emit(args, doc, lines)
+    return 0
+
+
+def _list_table(args, g, ctx, prefix, table, **doc):
+    """Print a bracket table, one line per generator pair."""
+    lines = [_bracket_line(ctx, prefix, i, j, table.entry(i, j))
+             for (i, j) in sorted(table.entries)]
+    _emit(args, dict(doc, command=args.command, algebra=g.name,
+                     table=table.to_obj()), lines)
+    return 0
 
 
 def cmd_generators(args):
     """generators / susy-generators: W(g, F) or W(g, f) generators."""
     g = _load(args)
     ctx = _context(g, args.flavor, _parse_k(args.k))
-    gens = solve_all_generators(ctx)
-    lines, objs = [], []
-    for w in gens:
-        label = ctx.gen_labels[w.index]
-        shown = ctx.to_input(w.value)
-        lines.append("%s%s = %s   (weight %s)"
-                     % (ctx.flavor.prefix, label, shown.render(), w.weight))
-        objs.append({"label": label, "weight": str(w.weight),
-                     "value": shown.to_obj()})
-    doc = {"command": args.command, "algebra": g.name,
-           "alphabet": ctx.alph_in.to_obj(), "generators": objs}
-    _emit(args, doc, lines)
-    return 0
+    return _list_generators(args, g, ctx, ctx.flavor.prefix, ctx.alph_in, [
+        (w, ctx.to_input(w.value)) for w in solve_all_generators(ctx)])
 
 
 def cmd_bracket(args):
@@ -131,7 +143,7 @@ def cmd_bracket(args):
         doc["flavor"] = ctx.flavor.name
     else:
         doc["route"] = route
-    _emit(args, doc, [_bracket_line(ctx, i, j, value)])
+    _emit(args, doc, [_bracket_line(ctx, ctx.flavor.prefix, i, j, value)])
     return 0
 
 
@@ -139,13 +151,9 @@ def cmd_bracket_table(args):
     g = _load(args)
     ctx = _context(g, args.flavor, _parse_k(args.k))
     gens = {w.index: w for w in solve_all_generators(ctx)}
-    table = w_bracket_table(ctx, gens, route=args.route)
-    lines = [_bracket_line(ctx, i, j, table.entry(i, j))
-             for (i, j) in sorted(table.entries)]
-    doc = {"command": "bracket-table", "algebra": g.name, "route": args.route,
-           "table": table.to_obj()}
-    _emit(args, doc, lines)
-    return 0
+    return _list_table(args, g, ctx, ctx.flavor.prefix,
+                       w_bracket_table(ctx, gens, route=args.route),
+                       route=args.route)
 
 
 def cmd_brst_check(args):
@@ -166,18 +174,9 @@ def cmd_brst_generators(args):
     g = _load(args)
     ctx = _context(g, args.flavor, _parse_k(args.k))
     cplx = BRSTComplex(ctx)
-    diff = build_d(cplx, Scalar.imag())
-    gens = cohomology_generators(cplx, diff)
-    lines, objs = [], []
-    for e in gens:
-        lines.append("E_%s = %s   (weight %s)"
-                     % (ctx.gen_labels[e.index], e.value.render(), e.weight))
-        objs.append({"label": ctx.gen_labels[e.index], "weight": str(e.weight),
-                     "value": e.value.to_obj()})
-    doc = {"command": "brst-generators", "algebra": g.name,
-           "alphabet": cplx.alph.to_obj(), "generators": objs}
-    _emit(args, doc, lines)
-    return 0
+    gens = cohomology_generators(cplx, build_d(cplx, Scalar.imag()))
+    return _list_generators(args, g, ctx, "E_", cplx.alph,
+                            [(e, e.value) for e in gens])
 
 
 def cmd_brst_table(args):
@@ -186,15 +185,7 @@ def cmd_brst_table(args):
     cplx = BRSTComplex(ctx)
     diff = build_d(cplx, Scalar.imag())
     gens = {e.index: e for e in cohomology_generators(cplx, diff)}
-    table = brst_bracket_table(cplx, diff, gens)
-    lines = []
-    for (i, j) in sorted(table.entries):
-        lines.append("{E_%s chi E_%s} = %s"
-                     % (ctx.gen_labels[i], ctx.gen_labels[j],
-                        table.entry(i, j).render()))
-    doc = {"command": "brst-table", "algebra": g.name, "table": table.to_obj()}
-    _emit(args, doc, lines)
-    return 0
+    return _list_table(args, g, ctx, "E_", brst_bracket_table(cplx, diff, gens))
 
 
 def _suite_results(args, g, names):

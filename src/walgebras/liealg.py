@@ -221,6 +221,15 @@ class LieSuperalgebra:
         self.sl2, self.osp = sl2, osp
         self.gradings = self._compute_gradings() if sl2 is not None else None
 
+    def triple(self, attr):
+        """The sl2 triple (attr "sl2") or the osp(1|2) data ("osp") of the
+        algebra; an AlgebraError naming both when it carries none."""
+        found = getattr(self, attr)
+        if found is None:
+            raise AlgebraError("algebra %s carries no %s" % (
+                self.name, "sl2 triple" if attr == "sl2" else "osp(1|2) data"))
+        return found
+
     # -- element helpers -----------------------------------------------
     def zero_vec(self):
         return (GR_ZERO,) * self.dim
@@ -590,8 +599,9 @@ def dual_bases_F(g: LieSuperalgebra) -> DualBases:
     """Chain bases for the even reduction over g's sl2 triple (Lemma on dual
     bases, sl2 case): chains of length 2 alpha + 1,
     q_j^n = (-1)^n (ad E)^n q_j / (n!^2 C(2 alpha, n))."""
+    sl2 = g.triple("sl2")
     return _chain_bases(
-        g, "F", g.sl2.F, g.sl2.E, lambda alpha: int(2 * alpha) + 1,
+        g, "F", sl2.F, sl2.E, lambda alpha: int(2 * alpha) + 1,
         lambda n, two_alpha, _s: rat((-1) ** n,
                                      factorial(n) ** 2 * comb(two_alpha, n)))
 
@@ -608,7 +618,8 @@ def _susy_norm(n, two_alpha, sj):
 def dual_bases_f(g: LieSuperalgebra) -> DualBases:
     """Chain bases for the SUSY reduction over g's osp(1|2) data: chains of
     length 4 alpha + 1, r_j^n = C_{j,n} (ad e)^n r_j."""
-    return _chain_bases(g, "f", g.osp.f, g.osp.e,
+    osp = g.triple("osp")
+    return _chain_bases(g, "f", osp.f, osp.e,
                         lambda alpha: int(4 * alpha) + 1, _susy_norm)
 
 

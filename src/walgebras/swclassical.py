@@ -24,7 +24,7 @@ from .wclassical import (Flavor, ReductionContext, solve_all_generators,
 
 # the traced functions go through their module names, as in EVEN
 SUSY = Flavor(
-    name="chi", triple=("osp", "osp(1|2) data"), shift=HALF, bar=True,
+    name="chi", triple="osp", shift=HALF, bar=True,
     letter="r", prefix="t_", nilpotent="f", killed=lambda gr: gr > 0,
     dual_bases=lambda g: dual_bases_f(g),
     affine_table=susy_affine_table,

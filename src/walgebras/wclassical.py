@@ -11,8 +11,8 @@ module holds the engine and the EVEN flavor; swclassical holds SUSY.
 The reduction works in the chain-adapted coordinates: the algebra is
 rebased onto the dual-chain basis, in which the quotient map rho (kill
 g_{>=1}, resp. g_{>0}, up to pairing constants with F, resp. f) and the
-canonical-form projection pi (kill the [E, g_{<=-1/2}] variables) act
-variable by variable.
+projection onto generator symbols (keep the monomials in the chain heads
+q_j^0; on W, the canonical-form projection pi) act variable by variable.
 
 Generators are produced two ways and cross-checked: by the closed
 chain-sum formula (linear part) and by an exact linear solve of the
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .liealg import HALF, AlgebraError, dual_bases_F
+from .liealg import HALF, dual_bases_F
 from .pva import (BracketTable, LeftBracket, affine_table, bracket_oracle,
                   master_bracket)
 from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
@@ -43,8 +43,8 @@ class Flavor(namedtuple("Flavor", "name triple shift bar letter prefix "
     """What the even reduction W(g, F) and the SUSY one W(g, f) differ in.
 
     name            bracket variable ("lambda", "chi")
-    triple          the algebra attribute holding the triple, and its display
-                    name: ("sl2", "sl2 triple") or ("osp", "osp(1|2) data")
+    triple          the algebra attribute holding the triple ("sl2", "osp"),
+                    read through LieSuperalgebra.triple
     shift           a variable of grading j has conformal weight shift - j
     bar             variables are bar-variables: parity flipped, name + "~"
     letter, prefix  chain-member letter ("q", "r"), generator prefix ("w_", "t_")
@@ -61,21 +61,13 @@ class Flavor(namedtuple("Flavor", "name triple shift bar letter prefix "
 
     __slots__ = ()
 
-    def triple_of(self, g):
-        """g's triple of this flavor; an AlgebraError when g carries none."""
-        attr, shown = self.triple
-        triple = getattr(g, attr)
-        if triple is None:
-            raise AlgebraError("algebra %s carries no %s" % (g.name, shown))
-        return triple
-
 
 # The traced module-level functions (dual bases, master formula, oracle) are
 # called through their names, so that wrappers installed on those names by
 # the benchmark tracer (wbench/tracer.py) see the calls. The membership terms
 # of a solve apply one pva.LeftBracket per n instead, unseen by the tracer.
 EVEN = Flavor(
-    name="lambda", triple=("sl2", "sl2 triple"), shift=1, bar=False,
+    name="lambda", triple="sl2", shift=1, bar=False,
     letter="q", prefix="w_", nilpotent="F", killed=lambda gr: gr >= 1,
     dual_bases=lambda g: dual_bases_F(g),
     affine_table=affine_table,
@@ -115,7 +107,7 @@ class ReductionContext:
     def __init__(self, g, k=None):
         fl = self.flavor
         self.g = g
-        self.triple = fl.triple_of(g)
+        self.triple = g.triple(fl.triple)
         self.k = Scalar.k() if k is None else k
         self.db = db = fl.dual_bases(g)
         members = sorted(db.members(),
@@ -191,10 +183,18 @@ class ReductionContext:
         return type(value)(self.alph, {n: self.rho(p)
                                        for n, p in value.coeffs.items()})
 
-    def pi(self, poly: SuperPoly) -> SuperPoly:
-        """The canonical-form projection: it kills the [E, g_{<=-1/2}]
-        variables and fixes the others, so it drops the monomials with one."""
-        return _highe_degree_part(self, poly, 0)
+    def symbols(self, poly: SuperPoly, gen_alph) -> SuperPoly:
+        """The monomials of poly in the chain heads q_j^0 alone, with q_j^0
+        renamed to symbol j of gen_alph. poly is over alph or over an
+        alphabet that shares its indices (the BRST J-alphabet). A kept
+        variable that is not a head is an [E, g_{<=-1/2}] one, which the
+        canonical-form projection pi kills; so on W this is pi, renamed."""
+        images = {self.star_index[(j, 0)]: SuperPoly.variable(gen_alph, j)
+                  for j in range(self.db.count())}
+        return SuperPoly.from_coefficients(poly.alphabet, (
+            term for term in poly.coefficients()
+            if all(t in images for (t, _m), _e in term[0]))
+        ).substitute(images, gen_alph)
 
     def to_input(self, poly: SuperPoly) -> SuperPoly:
         """Express a chain-coordinate polynomial over the input basis."""
@@ -347,7 +347,8 @@ def solve_ansatz(alph, monos, kmax, terms, what, start):
     there. Only one case reads differently: one
     solution at D but several at kmax. Their difference would be a nonzero
     element of W built from ansatz monomials alone, each with a
-    [E, g_{<=-1/2}] variable; pi kills every such monomial, and pi is
+    [E, g_{<=-1/2}] variable; the canonical-form projection pi
+    (ReductionContext.symbols on W) kills every such monomial, and pi is
     injective on W (De Sole-Kac-Valeri, JEMS 2016; W is freely generated),
     so that case does not occur on a valid algebra.
     """
@@ -429,16 +430,9 @@ def solve_all_generators(ctx: ReductionContext):
 # -- generator coordinates and brackets --------------------------------------
 
 def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPoly:
-    """pi(A) with g^F variables renamed to generator symbols; verifies that
-    evaluating the result on the generators reproduces A exactly."""
-    projected = ctx.pi(A)
-    images = {}
-    for t, (j, n) in enumerate(ctx.members):
-        if n == 0:
-            images[t] = SuperPoly.variable(ctx.gen_alph, j)
-        else:
-            images[t] = SuperPoly.zero(ctx.gen_alph)
-    sym = projected.substitute(images, ctx.gen_alph)
+    """A in generator symbols (ctx.symbols); verifies that evaluating the
+    result on the generators reproduces A exactly."""
+    sym = ctx.symbols(A, ctx.gen_alph)
     back = sym.substitute({j: gens[j].value for j in range(ctx.db.count())},
                           ctx.alph)
     if back != A:

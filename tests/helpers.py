@@ -21,8 +21,8 @@ from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
 from walgebras.pva import affine_table
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
-from walgebras.brst import (BRSTComplex, _differential_terms, brst_rewrite,
-                            build_d, cohomology_generators)
+from walgebras.brst import (BRSTComplex, _differential_terms, build_d,
+                            cohomology_generators)
 from walgebras.wclassical import (GeneratorError, WGenerator,
                                   _membership_terms, ansatz_monomials,
                                   k_degree_bound, solve_ansatz)
@@ -519,10 +519,10 @@ def j_route_bracket_table(cplx, diff, gens):
             for p, poly in raw.coeffs.items():
                 if j_route_d0(diff, poly):
                     raise GeneratorError("bracket coefficient not d-closed")
-                sym = brst_rewrite(cplx, cplx.to_J(poly), gen_alph)
+                sym = ctx.symbols(cplx.to_J(poly), gen_alph)
                 back = sym.substitute(values, cplx.alph)
                 resid = poly - back
-                if brst_rewrite(cplx, cplx.to_J(resid), gen_alph):
+                if ctx.symbols(cplx.to_J(resid), gen_alph):
                     raise GeneratorError("representative not reduced")
                 if j_route_d0(diff, resid):
                     raise GeneratorError("residual not d-closed")
@@ -873,13 +873,15 @@ def _odd_members(ctx, chain):
     return sum(1 for j, _n in chain if ctx.g.parity_of_vec(ctx.db.lower[j]))
 
 
-def pi_by_substitution(ctx, poly):
-    """ReductionContext.pi as the substitution that sends each
-    [E, g_{<=-1/2}] variable to 0 and fixes the others."""
-    images = {t: SuperPoly.zero(ctx.alph) if t in ctx.highe_indices
-              else SuperPoly.variable(ctx.alph, t)
-              for t in range(len(ctx.members))}
-    return poly.substitute(images, ctx.alph)
+def symbols_by_substitution(ctx, poly, gen_alph):
+    """ReductionContext.symbols as the substitution that sends each chain
+    head q_j^0 to symbol j of gen_alph and every other variable of poly's
+    alphabet (the ghosts of a BRST J-alphabet too) to 0."""
+    images = {t: SuperPoly.zero(gen_alph) for t in range(len(poly.alphabet))}
+    for t, (j, n) in enumerate(ctx.members):
+        if n == 0:
+            images[t] = SuperPoly.variable(gen_alph, j)
+    return poly.substitute(images, gen_alph)
 
 
 def sharp_poly(ctx, vec):

@@ -14,6 +14,8 @@ from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import ChiPoly, susy_bracket_oracle, susy_master_bracket
 from walgebras.superpoly import SuperPoly, random_superpoly
 from walgebras.swclassical import SUSYReductionContext
+from walgebras.wclassical import (WGenerator, membership_defects,
+                                  solve_all_generators, w_bracket_table)
 
 OSP = ["osp12", "sl21"]
 HALF = Fraction(1, 2)
@@ -401,10 +403,9 @@ def test_bracket_with_exact_element_vanishes():
     X = diff.apply(Y)
     assert X and not diff.apply(X)
     raw = susy_master_bracket(gens[0].value, X, cplx.table)
-    from walgebras.brst import brst_rewrite
     for p, poly in raw.coeffs.items():
         assert not diff.apply(poly)
-        assert not brst_rewrite(cplx, cplx.to_J(poly), ctx.gen_alph)
+        assert not ctx.symbols(cplx.to_J(poly), ctx.gen_alph)
         assert exactness_witness(cplx, diff, cplx.to_J(poly))
 
 
@@ -424,3 +425,27 @@ def test_thm_5_9(name):
 
 def test_thm_5_9_at_k0():
     assert check_thm_5_9(helpers.algebra("osp12"), k=Scalar()) == []
+
+
+def test_thm_5_9_reports_a_generator_outside_W(monkeypatch):
+    """A twisted generator that is d-closed is in W, so the membership
+    report of compare_brst_reduction shows only with d_[0] made to vanish
+    on a twisted image off W. tau_0 + r0~ on osp12 is kept, of tau_0's
+    weight and not in W: rho{n chi .} has a chi^0 coefficient at r0^3 and
+    at r0^4. The report names the first two (n, chi power) pairs."""
+    ctx = SUSYReductionContext(helpers.algebra("osp12"))
+    taus = {w.index: w for w in solve_all_generators(ctx)}
+    table = w_bracket_table(ctx, taus)
+    value = taus[0].value + SuperPoly.variable(ctx.alph, ctx.star_index[(0, 0)])
+    assert membership_defects(ctx, value)
+    image = brst.twist_to_J(BRSTComplex(ctx), value)
+    apply_J = brst.BRSTDifferential.apply_J
+
+    def closed_on_image(self, A):
+        return SuperPoly.zero(A.alphabet) if A == image else apply_J(self, A)
+
+    monkeypatch.setattr(brst.BRSTDifferential, "apply_J", closed_on_image)
+    taus[0] = WGenerator(0, value, taus[0].weight)
+    report = brst.compare_brst_reduction(ctx, taus, table)
+    assert ("generator 0: coefficient correspondence fails: "
+            "[('r0^3', 0), ('r0^4', 0)]") in report

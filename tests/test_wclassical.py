@@ -9,7 +9,7 @@ import helpers
 from walgebras import brst, wclassical
 from walgebras.catalog import DATA_DIR, build_sl2
 from walgebras.liealg import (AlgebraError, LieSuperalgebra, SL2Triple,
-                              algebra_from_obj)
+                              algebra_from_obj, dual_bases_F, dual_bases_f)
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
 from walgebras.scalars import GR_ONE, Scalar, solve_linear
 from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
@@ -227,26 +227,32 @@ def test_empty_chain_bracket_sl3_minimal():
 @pytest.mark.parametrize("name", CLASSICAL + ["sl4-principal",
                                              "sl32-principal"])
 def test_pi_filter_matches_substitution(name):
-    """ReductionContext.pi drops the monomials with an [E, g_{<=-1/2}]
-    variable; the substitution that sends those variables to 0 is its
-    reference, over every context alphabet."""
+    """ReductionContext.symbols keeps the monomials in the chain heads
+    alone, renamed to generator symbols (on W, the canonical-form
+    projection pi renamed); the substitution that sends each head to its
+    symbol and every other variable to 0 is its reference, over every
+    context alphabet and over the J-alphabet of the BRST complex, whose
+    ghosts it drops too."""
     g = helpers.algebra(name)
-    ctxs = [ReductionContext(g)]
+    pairs = [(ReductionContext(g), None)]
     if g.osp is not None:
-        ctxs.append(SUSYReductionContext(g))
+        ctx = SUSYReductionContext(g)
+        pairs += [(ctx, None), (ctx, brst.BRSTComplex(ctx).jalph)]
     rng = random.Random(11)
-    for ctx in ctxs:
-        zero = SuperPoly.zero(ctx.alph)
-        line = sum((SuperPoly.variable(ctx.alph, t, n)
-                    for t in range(len(ctx.alph)) for n in (0, 1)), zero)
-        polys = [line, line * line, zero, SuperPoly.one(ctx.alph)]
-        polys += [random_superpoly(ctx.alph, rng, terms=6) for _ in range(8)]
-        changed = 0
+    for ctx, alph in pairs:
+        alph = alph or ctx.alph
+        zero = SuperPoly.zero(alph)
+        line = sum((SuperPoly.variable(alph, t, n)
+                    for t in range(len(alph)) for n in (0, 1)), zero)
+        polys = [line, line * line, zero, SuperPoly.one(alph)]
+        polys += [random_superpoly(alph, rng, terms=6) for _ in range(8)]
+        lost = kept = 0
         for A in polys:
-            got = ctx.pi(A)
-            assert got == helpers.pi_by_substitution(ctx, A)
-            changed += got != A
-        assert changed >= 3
+            got = ctx.symbols(A, ctx.gen_alph)
+            assert got == helpers.symbols_by_substitution(ctx, A, ctx.gen_alph)
+            lost += len(got.terms) < len(A.terms)
+            kept += bool(got)
+        assert lost >= 3 and kept >= 1
 
 
 def _top_k_power(poly):
@@ -409,12 +415,15 @@ def test_reduced_table_matches_rho_of_bracket(name, susy):
     (SUSYReductionContext, "osp(1|2) data"),
     (brst.build_complex, "osp(1|2) data"),
     (brst.check_thm_5_9, "osp(1|2) data"),
+    (dual_bases_F, "sl2 triple"),
+    (dual_bases_f, "osp(1|2) data"),
 ], ids=["ReductionContext", "SUSYReductionContext", "build_complex",
-        "check_thm_5_9"])
+        "check_thm_5_9", "dual_bases_F", "dual_bases_f"])
 def test_missing_triple_is_an_algebra_error(build, shown):
     """sl2.json without its sl2 entry carries neither triple: building a
-    context of either flavor raises the engine's AlgebraError, which names
-    the algebra and the triple (an input error, exit 2, in the cli)."""
+    context of either flavor, or the dual chain bases of either triple,
+    raises the engine's AlgebraError, which names the algebra and the
+    triple (an input error, exit 2, in the cli)."""
     with open(os.path.join(DATA_DIR, "sl2.json")) as fh:
         obj = json.load(fh)
     del obj["sl2"]
