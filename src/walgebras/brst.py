@@ -3,11 +3,11 @@
 The complex tensors the current algebra (I) over j-variables with the
 ghost algebra (II) over phi / phi* pairs for the positive part n and its
 dual.  The differential d^c is chi-bracketing with the cubic element d;
-H^0 is computed by an exact linear solve over the ghost-free part, with
-the filtration ordering the unknowns; that solve is the linear-ansatz
-solve of the reduction engine (wclassical).  The equivalence with the
-Hamiltonian reduction (imaginary-unit twist) is verified generator by
-generator and on whole bracket tables.
+H^0 is computed by the reduction engine's canonical-generator solve
+(wclassical.solve_canonical) over the ghost-free part, with d_[0] as the
+map that must vanish.  The equivalence with the Hamiltonian reduction
+(imaginary-unit twist) is verified generator by generator and on whole
+bracket tables.
 
 Coordinates.  The building blocks J_a replace the j-variables one for
 one, and from_J (J_a -> its j-expansion, ghosts fixed) is a
@@ -33,9 +33,8 @@ from .pva import LeftBracket, affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
 from .swclassical import SUSYReductionContext
-from .wclassical import (GeneratorError, WGenerator, ansatz_monomials,
-                         gamma_linear, k_degree, k_degree_bound,
-                         solve_all_generators, solve_ansatz, w_bracket_table)
+from .wclassical import (GeneratorError, WGenerator, gamma_linear,
+                         solve_all_generators, solve_canonical, w_bracket_table)
 
 
 def _twist(alph, parities):
@@ -118,12 +117,10 @@ class BRSTComplex:
         g = self.ctx.gstar
         table = affine_table(g, self.alph, self.ctx.k, SUSYBracketTable,
                              lambda x, y: g.parities[x] * (g.parities[y] + 1))
-        one = Scalar.one()
         for alpha in range(self.nn):
-            pb = self.phibar_index(alpha)
-            ph = self.phi_index(alpha)
-            table.set(pb, ph, ChiPoly.of(SuperPoly.const(self.alph, one)))
-            table.set(ph, pb, ChiPoly.of(SuperPoly.const(self.alph, one)))
+            pb, ph = self.phibar_index(alpha), self.phi_index(alpha)
+            table.set(pb, ph, ChiPoly.of(SuperPoly.one(self.alph)))
+            table.set(ph, pb, ChiPoly.of(SuperPoly.one(self.alph)))
         return table
 
     # -- J coordinates -----------------------------------------------------
@@ -239,37 +236,14 @@ def build_d(cplx: BRSTComplex, c: Scalar) -> BRSTDifferential:
 
 
 def cohomology_generators(cplx: BRSTComplex, diff: BRSTDifferential):
-    """One generator per basis element of g^f, solved at fixed weight.
-
-    The ansatz is the ghost-free part of S(R_-): monomials in the
-    building-block variables over g_{<=0}, each containing at least one
-    [e, g_{<=-1/2}] variable; unknowns are ordered by filtration level.
-    The solve starts at the top power of k of the linear part of the
-    reduction generator (wclassical.gamma_linear), as solve_generator does.
-    """
-    return [_solve_cohomology_generator(cplx, diff, j)
-            for j in range(cplx.ctx.db.count())]
-
-
-def _solve_cohomology_generator(cplx, diff, j) -> "CohomologyGenerator":
+    """One generator per basis element of g^f: the reduction's canonical
+    solve over the J-alphabet (the ghost-free part of S(R_-)), with d_[0]
+    in J-coordinates as the map that must vanish and c as a level too."""
     ctx = cplx.ctx
-    lead = ctx.star_index[(j, 0)]
-    weight = HALF + ctx.db.spins[j]
-    monos = ansatz_monomials(cplx.jalph, ctx.kept_indices, weight,
-                             cplx.jalph.parities[lead], ctx.highe_indices)
-
-    # order unknowns by decreasing filtration level of the monomial
-    def filt(mono):
-        return sum(ctx.gstar.gradings[v[0]] * e for v, e in mono)
-
-    monos = sorted(monos, key=lambda mono: (-filt(mono), mono))
-    lead_J = SuperPoly.variable(cplx.jalph, lead)
-    value_J = lead_J + solve_ansatz(
-        cplx.jalph, monos, k_degree_bound(weight, ctx.k, diff.c),
-        _differential_terms(diff, diff.apply_J(lead_J), monos),
-        "filtration correction for generator %d" % j,
-        start=k_degree(gamma_linear(ctx, j)))
-    return CohomologyGenerator(cplx, j, value_J, weight)
+    return [CohomologyGenerator(cplx, j, solve_canonical(
+        ctx, j, cplx.jalph, lambda A: {0: diff.apply_J(A)},
+        gamma_linear(ctx, j), "filtration correction for generator %d" % j,
+        diff.c), ctx.gen_alph.weights[j]) for j in range(ctx.db.count())]
 
 
 class CohomologyGenerator(WGenerator):
@@ -287,18 +261,6 @@ class CohomologyGenerator(WGenerator):
     @cached_property
     def value(self):
         return self._cplx.from_J(self.value_J)
-
-
-def _differential_terms(diff, known, monos):
-    """Ansatz terms of d_[0](sum x_M M) + known = 0 over J-coordinate
-    monomials M, read in J-coordinates."""
-    for mono, kp, cp, gr in known.coefficients():
-        yield None, mono, kp, cp, gr
-    one = Scalar.one()
-    for M in monos:
-        dm = diff.apply_J(SuperPoly(diff.cplx.jalph, {M: one}))
-        for mono, kp, cp, gr in dm.coefficients():
-            yield M, mono, kp, cp, gr
 
 
 def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
@@ -379,13 +341,12 @@ def compare_brst_reduction(ctx, taus, red_table):
         return report
     Es = cohomology_generators(cplx, diff)
     i_unit = Scalar.imag()
-    parities = [ctx.g.parity_of_vec(v) for v in ctx.db.lower]
     for j, tau in taus.items():
         image = twist_to_J(cplx, tau.value)
         if diff.apply_J(image):
             report.append("twisted generator %d not d-closed" % j)
             continue
-        expected = image.scalar_mul(i_unit) if parities[j] else image
+        expected = image.scalar_mul(i_unit) if ctx.gen_parities[j] else image
         if Es[j].value_J != expected:
             report.append("generator %d: BRST and twisted reduction "
                           "representatives differ" % j)
@@ -398,13 +359,13 @@ def compare_brst_reduction(ctx, taus, red_table):
     # bracket tables after the symbol twist
     brst_table = brst_bracket_table(cplx, diff, dict(enumerate(Es)))
     galph = brst_table.alphabet
-    sym_images = _twist(galph, parities)
+    sym_images = _twist(galph, ctx.gen_parities)
     n = ctx.db.count()
     for a in range(n):
         for b in range(n):
             red = red_table.entry(a, b)
             pref = Scalar.one()
-            for _ in range(parities[a] + parities[b]):
+            for _ in range(ctx.gen_parities[a] + ctx.gen_parities[b]):
                 pref = pref * i_unit
             twisted = ChiPoly(galph, {p: poly.substitute(sym_images, galph)
                                           .scalar_mul(pref)

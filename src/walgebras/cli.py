@@ -48,8 +48,8 @@ def _parse_k(text) -> Scalar:
 
 
 def _load(args):
-    """The algebra of --algebra, with the triple of the command's flavor
-    checked before --k is read: a missing triple is reported first."""
+    """The algebra of --algebra, with the command's triple present and every
+    triple valid, checked before --k is read and so reported first."""
     try:
         g = get_algebra(args.algebra)
     except (KeyError, FileNotFoundError):
@@ -62,7 +62,14 @@ def _load(args):
         raise InputError(str(e))
     if args.flavor is not None:
         g.triple(args.flavor.triple)
+        bad = g.validate_triples()
+        if bad:
+            raise InputError(_invalid(g, bad))
     return g
+
+
+def _invalid(g, report):
+    return "algebra %s is invalid: %s" % (g.name, report[0])
 
 
 def _emit(args, doc, text_lines):
@@ -409,12 +416,19 @@ def main(argv=None):
     except (InputError, AlgebraError) as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
-    except (GeneratorError, LinearSolveError) as e:
+    except Exception as e:  # the engine could not compute
+        try:  # on an invalid algebra the input is at fault
+            g = get_algebra(args.algebra)
+            bad = validate_algebra(g)
+        except Exception:  # not readable again: the engine failure stands
+            bad = None
+        if bad:
+            sys.stderr.write("input error: %s\n" % _invalid(g, bad))
+            return 2
+        if not isinstance(e, (GeneratorError, LinearSolveError)):  # a defect
+            e = "internal: %s: %s" % (type(e).__name__,
+                                      str(e).replace("\n", " "))
         sys.stderr.write("engine error: %s\n" % e)
-        return 3
-    except Exception as e:  # a defect of the engine, not a failed check
-        sys.stderr.write("engine error: internal: %s: %s\n"
-                         % (type(e).__name__, str(e).replace("\n", " ")))
         return 3
 
 

@@ -363,12 +363,13 @@ class LieSuperalgebra:
         if rank != dim:
             report.append("form degenerate (rank %d of %d)" % (rank, dim))
 
-        # the sl2 eigenbasis condition was checked when the gradings were made
-        if self.sl2 is not None:
-            report.extend(self._validate_sl2(self.sl2))
-        if self.osp is not None:
-            report.extend(self._validate_osp(self.osp))
-        return report
+        return report + self.validate_triples()
+
+    def validate_triples(self):
+        """The defining relations that the sl2 triple and the osp(1|2) data
+        fail (the sl2 eigenbasis condition is checked by the gradings)."""
+        return ((self._validate_sl2(self.sl2) if self.sl2 else [])
+                + (self._validate_osp(self.osp) if self.osp else []))
 
     def _validate_sl2(self, t, tag="sl2"):
         report = []

@@ -20,9 +20,10 @@ membership constraints (full generator, including higher-degree parts).
 Brackets likewise: closed chain-sum formula vs direct reduction. Both
 chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator,
 _chain_sum, which fills a path sum over the chain members from the top grade
-down instead of listing the chains. The linear-ansatz solve (solve_ansatz)
-also serves the BRST cohomology; it expands the unknowns in k only as far
-as the linear part's top power of k, and further only when that fails.
+down instead of listing the chains. The canonical-generator solve
+(solve_canonical) also serves the BRST cohomology, with d_[0] in place of
+the membership map; it expands the unknowns in k only as far as the
+linear part's top power of k, and further only when that fails.
 """
 
 from __future__ import annotations
@@ -145,10 +146,10 @@ class ReductionContext:
             else:
                 labels.append("%s%d" % (fl.letter, j))
         self.gen_labels = labels
+        self.gen_parities = tuple(g.parity_of_vec(q) for q in db.lower)
         self.gen_alph = Alphabet(
             fl.table.value.var.symbol, [fl.prefix + lb for lb in labels],
-            [(g.parity_of_vec(db.lower[j]) + fl.bar) % 2
-             for j in range(db.count())],
+            [(p + fl.bar) % 2 for p in self.gen_parities],
             [fl.shift + db.spins[j] for j in range(db.count())])
         self.alph_in = _alphabet(fl, g.names, g.parities, g.gradings)
         self._chain_constants = {}   # filled by chain_constants
@@ -245,10 +246,10 @@ def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
     is the signed sum over the chains that start at u, because every factor
     is linear in its tail. Returns the terms factor(head, y(u))[V(u)].
     """
-    db, g = ctx.db, ctx.g
+    db = ctx.db
     sums = []                      # (grade, v, V(v)), grades descending
     for t in reversed(range(len(ctx.members))):
-        (j, n), grade = ctx.members[t], db.grade_of(*ctx.members[t])
+        (j, n), grade = ctx.members[t], ctx.gstar.gradings[t]
         if not lo <= grade <= hi:
             continue
         x = ctx.star_index.get((j, n + 1))
@@ -258,7 +259,7 @@ def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
                 if grade_v < grade + db.step:
                     break
                 val = val + factor(ctx, ctx.chain_constants(x, v), val_v)
-        if ctx.flavor.signed_chains and g.parity_of_vec(db.lower[j]):
+        if ctx.flavor.signed_chains and ctx.gen_parities[j]:
             val = -val
         sums.append((grade, t, val))
     return [factor(ctx, ctx.chain_constants(head, v), val)
@@ -382,37 +383,49 @@ def solve_ansatz(alph, monos, kmax, terms, what, start):
             alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
 
 
-def solve_generator(ctx: ReductionContext, j) -> WGenerator:
-    """Exact linear solve for the canonical generator with leading term q_j,
-    starting at the top power of k of its linear part."""
-    weight = ctx.flavor.shift + ctx.db.spins[j]
+def ansatz_terms(image, lead: SuperPoly, monos):
+    """The terms, for solve_ansatz, of image(lead + sum x_M M) = 0: image
+    maps a polynomial linearly to {key: SuperPoly}, and each monomial of
+    each value is one condition."""
+    for M in [None, *monos]:
+        poly = lead if M is None else SuperPoly(lead.alphabet,
+                                                {M: Scalar.one()})
+        for key, value in image(poly).items():
+            for mono, kp, cp, gr in value.coefficients():
+                yield M, (key, mono), kp, cp, gr
+
+
+def solve_canonical(ctx: ReductionContext, j, alph, image, linear, what,
+                    *levels) -> SuperPoly:
+    """The lift q_j + sum x_M M that `image` maps to 0, over ctx.alph or
+    the BRST J-alphabet (which shares ctx.alph's first indices), M over
+    the kept monomials of symbol j's weight with an [E, g_{<=-1/2}] factor,
+    solved from k_degree(linear) up to k_degree_bound(weight, k, *levels)."""
+    weight = ctx.gen_alph.weights[j]
     lead = ctx.star_index[(j, 0)]
-    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
-                             ctx.alph.parities[lead], ctx.highe_indices)
-    lead_poly = SuperPoly.variable(ctx.alph, lead)
+    monos = ansatz_monomials(alph, ctx.kept_indices, weight,
+                             alph.parities[lead], ctx.highe_indices)
+    lead_poly = SuperPoly.variable(alph, lead)
+    return lead_poly + solve_ansatz(
+        alph, monos, k_degree_bound(weight, ctx.k, *levels),
+        ansatz_terms(image, lead_poly, monos), what, start=k_degree(linear))
+
+
+def solve_generator(ctx: ReductionContext, j) -> WGenerator:
+    """The canonical generator q_j + ... in W: rho{n_lambda w} = 0 for each
+    n of g_{>0}, the master formula over ctx.reduced_table through one
+    LeftBracket per n. Its linear part must be the chain formula's."""
+    brackets = [(t, LeftBracket(ctx.n_var(t), ctx.reduced_table))
+                for t in ctx.n_indices]
     linear = gamma_linear(ctx, j)
-    solution = solve_ansatz(ctx.alph, monos, k_degree_bound(weight, ctx.k),
-                            _membership_terms(ctx, lead_poly, monos),
-                            "generator solution", start=k_degree(linear))
-    value = lead_poly + solution
-    if _highe_degree_part(ctx, solution, 1) != linear:
+    value = solve_canonical(ctx, j, ctx.alph, lambda w: {
+        (t, lam): coeff for t, bracket in brackets
+        for lam, coeff in bracket(w).coeffs.items()}, linear,
+        "generator solution")
+    if _highe_degree_part(ctx, value, 1) != linear:
         raise GeneratorError("solver linear part disagrees with the chain "
                              "formula for generator %d" % j)
-    return WGenerator(j, value, weight)
-
-
-def _membership_terms(ctx, lead_poly, monos):
-    """rho{n_lambda lead + sum x_M M} = 0 for every n in g_{>0}; lead and
-    the monomials are in the kept variables, so each rho{n_lambda M} is the
-    master formula over ctx.reduced_table, through one LeftBracket per n."""
-    polys = [(None, lead_poly)] + [(M, SuperPoly(ctx.alph, {M: Scalar.one()}))
-                                   for M in monos]
-    for t in ctx.n_indices:
-        bracket = LeftBracket(ctx.n_var(t), ctx.reduced_table)
-        for M, poly in polys:
-            for lam, coeff in bracket(poly).coeffs.items():
-                for mono, kp, cp, gr in coeff.coefficients():
-                    yield M, (t, lam, mono), kp, cp, gr
+    return WGenerator(j, value, ctx.gen_alph.weights[j])
 
 
 def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
@@ -456,7 +469,7 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     (omega([x,y]^sharp) - k(x|y)(lambda+del)) and chain signs). SUSY: the
     same with chi, D and no chain signs, all times s(a).
     """
-    g, db, fl = ctx.g, ctx.db, ctx.flavor
+    db, fl = ctx.db, ctx.flavor
     value = fl.table.value
     ta, tb = ctx.star_index[(a, 0)], ctx.star_index[(b, 0)]
     out = value.zero(ctx.gen_alph)
@@ -472,12 +485,8 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
         lambda x: zero if x is None else
         _closed_factor(ctx, ctx.chain_constants(x, ta, False), one),
         _closed_factor), zero)
-    pa = g.parity_of_vec(db.lower[a])
-    pb = g.parity_of_vec(db.lower[b])
-    if (pa * pb) % 2:
-        out = out + total
-    else:
-        out = out - total
+    pa, pb = ctx.gen_parities[a], ctx.gen_parities[b]
+    out = out + total if pa and pb else out - total
     if fl.signed_head and pa:
         out = -out
     return out

@@ -18,14 +18,12 @@ from walgebras.scalars import GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
-from walgebras.pva import affine_table
+from walgebras.pva import LeftBracket, affine_table
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
-from walgebras.brst import (BRSTComplex, _differential_terms, build_d,
-                            cohomology_generators)
-from walgebras.wclassical import (GeneratorError, WGenerator,
-                                  _membership_terms, ansatz_monomials,
-                                  k_degree_bound, solve_ansatz)
+from walgebras.brst import BRSTComplex, build_d, cohomology_generators
+from walgebras.wclassical import (GeneratorError, WGenerator, ansatz_monomials,
+                                  ansatz_terms, k_degree_bound, solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -535,6 +533,16 @@ def j_route_bracket_table(cplx, diff, gens):
 # One solve at k_degree_bound, started there: the reference for the
 # growing k-degree of solve_ansatz, on the same terms as the engine.
 
+def membership_map(ctx):
+    """The map solve_generator's solve must send to zero: poly ->
+    {(n, lambda power): rho{n_lambda poly} there} over the n of g_{>0},
+    one LeftBracket over ctx.reduced_table per n."""
+    brackets = [(t, LeftBracket(ctx.n_var(t), ctx.reduced_table))
+                for t in ctx.n_indices]
+    return lambda poly: {(t, lam): coeff for t, bracket in brackets
+                         for lam, coeff in bracket(poly).coeffs.items()}
+
+
 def cap_generator_value(ctx, j):
     """The value of solve_generator(ctx, j), from its membership terms
     solved once at k_degree_bound."""
@@ -545,7 +553,8 @@ def cap_generator_value(ctx, j):
     lead_poly = SuperPoly.variable(ctx.alph, lead)
     kmax = k_degree_bound(weight, ctx.k)
     return lead_poly + solve_ansatz(
-        ctx.alph, monos, kmax, _membership_terms(ctx, lead_poly, monos),
+        ctx.alph, monos, kmax,
+        ansatz_terms(membership_map(ctx), lead_poly, monos),
         "generator solution", start=kmax)
 
 
@@ -557,7 +566,7 @@ def cap_cohomology_value_J(cplx, diff, j):
     kmax = k_degree_bound(weight, cplx.ctx.k, diff.c)
     return lead_J + solve_ansatz(
         cplx.jalph, monos, kmax,
-        _differential_terms(diff, diff.apply_J(lead_J), monos),
+        ansatz_terms(lambda A: {0: diff.apply_J(A)}, lead_J, monos),
         "filtration correction for generator %d" % j, start=kmax)
 
 

@@ -14,8 +14,9 @@ from walgebras.scalars import GR_ZERO, Scalar
 from walgebras.spva import ChiPoly, susy_bracket_oracle, susy_master_bracket
 from walgebras.superpoly import SuperPoly, random_superpoly
 from walgebras.swclassical import SUSYReductionContext
-from walgebras.wclassical import (WGenerator, membership_defects,
-                                  solve_all_generators, w_bracket_table)
+from walgebras.wclassical import (WGenerator, ansatz_monomials,
+                                  membership_defects, solve_all_generators,
+                                  w_bracket_table)
 
 OSP = ["osp12", "sl21"]
 HALF = Fraction(1, 2)
@@ -300,6 +301,30 @@ def test_J_route_matches_j_route(name, k):
     table = brst_bracket_table(cplx, diff, gens)
     assert table.entries
     assert table.entries == helpers.j_route_bracket_table(cplx, diff, want).entries
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("osp12", [4]), ("sl21", [11, 4]), ("sl32-principal", [390, 138, 45, 13])])
+def test_ansatz_is_the_same_over_both_alphabets(name, sizes):
+    """The canonical solve builds one ansatz over the reduction alphabet or
+    the J-alphabet, which shares its first indices: for every generator the
+    monomials over cplx.jalph are those over ctx.alph, and each has the
+    generator's weight in both alphabets."""
+    ctx = helpers.susy(name)[0]
+    cplx = BRSTComplex(ctx)
+    got = []
+    for j in range(ctx.db.count()):
+        lead, weight = ctx.star_index[(j, 0)], ctx.gen_alph.weights[j]
+        ansatz = []
+        for alph in (ctx.alph, cplx.jalph):
+            monos = ansatz_monomials(alph, ctx.kept_indices, weight,
+                                     alph.parities[lead], ctx.highe_indices)
+            assert {helpers.conformal_weight(SuperPoly(alph, {M: Scalar.one()}))
+                    for M in monos} == {weight}, (j, alph.names[0])
+            ansatz.append(monos)
+        assert ansatz[0] == ansatz[1], j
+        got.append(len(ansatz[0]))
+    assert got == sizes
 
 
 @pytest.mark.parametrize("name", OSP)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,74 @@ def test_sl2_triple_with_another_H_exits_2(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--algebra", str(p))
     assert (code, out, err) == (2, "", "input error: sl2 triple and osp(1|2) "
                                 "data have different H\n")
+
+
+def _catalog_obj(name):
+    import helpers
+    from walgebras.liealg import algebra_to_obj
+    return algebra_to_obj(helpers.algebra(name))
+
+
+def _doubled(obj, key):
+    """obj with every coefficient of its form ("form") or of its bracket
+    [x_0, x_1] (("brackets", 0, 1)) doubled."""
+    if key == "form":
+        obj["form"] = [[str(2 * Fraction(c)) for c in row]
+                       for row in obj["form"]]
+    for entry in obj["brackets"]:
+        if key == ("brackets", entry["i"], entry["j"]):
+            entry["coeffs"] = [[i, str(2 * Fraction(c))]
+                               for i, c in entry["coeffs"]]
+    return obj
+
+
+@pytest.mark.parametrize("name, edit, argv, shown", [
+    ("sl2", lambda obj: obj.update(brackets=[]) or obj, ["generators"],
+     "sl2: [H,E]=2E fails"),
+    ("sl2", lambda obj: obj.update(brackets=[]) or obj, ["verify"],
+     "sl2: [H,E]=2E fails"),
+    ("sl2", lambda obj: _doubled(obj, "form"), ["generators"],
+     "sl2: (E|F)=1 fails"),
+    ("osp12", lambda obj: obj["osp"].update(e=obj["osp"]["f"]) or obj,
+     ["generators"], "osp: [H,e]=e fails"),
+    ("osp12", lambda obj: obj["osp"].update(e=obj["osp"]["f"]) or obj,
+     ["brst-check"], "osp: [H,e]=e fails"),
+], ids=["no-brackets-generators", "no-brackets-verify",
+        "doubled-form-generators", "e-is-f-generators", "e-is-f-brst-check"])
+def test_invalid_triple_exits_2(tmp_path, capsys, name, edit, argv, shown):
+    """A command on an algebra whose sl2 triple or osp(1|2) data fails its
+    defining relations refuses it before --k is read: nothing on stdout,
+    one input-error line naming the first failed relation, exit 2. `walg
+    validate` still lists every violation and exits 1."""
+    p = tmp_path / ("invalid_%s.json" % name)
+    p.write_text(json.dumps(edit(_catalog_obj(name))))
+    code, out, err = run(capsys, *argv, "--algebra", str(p), "--k", "x/y")
+    assert (code, out, err) == (2, "", "input error: algebra %s is invalid: "
+                                "%s\n" % (name, shown))
+    code, out, _err = run(capsys, "validate", "--algebra", str(p))
+    assert code == 1 and "  violation: %s\n" % shown in out
+
+
+@pytest.mark.parametrize("argv, internal", [
+    (["generators", "--k", "1/2"], False), (["verify"], False),
+    (["bracket-table", "--k", "1/2"], False), (["generators"], True)],
+    ids=["generators", "verify", "bracket-table", "internal-error"])
+def test_engine_failure_on_invalid_algebra_exits_2(tmp_path, capsys,
+                                                   monkeypatch, argv,
+                                                   internal):
+    """sl3-minimal with its bracket [E12, E23] doubled keeps a valid sl2
+    triple but fails Jacobi, and its generator solve is inconsistent: that
+    engine failure is the input's, so the command prints one input-error
+    line naming the first violation and exits 2, not 3. So is an internal
+    engine error (an IndexError from the solve) on that algebra."""
+    if internal:
+        monkeypatch.setattr(cli, "solve_all_generators", lambda ctx: [][0])
+    p = tmp_path / "doubled_sl3_minimal.json"
+    p.write_text(json.dumps(_doubled(_catalog_obj("sl3-minimal"),
+                                     ("brackets", 0, 1))))
+    code, out, err = run(capsys, *argv, "--algebra", str(p))
+    assert (code, out, err) == (2, "", "input error: algebra sl3-minimal is "
+                                "invalid: Jacobi fails at (E12,E23,E21)\n")
 
 
 def test_algebra_path_is_a_directory_exits_2(tmp_path, capsys):

@@ -321,7 +321,7 @@ def test_solve_from_degree_zero_grows_to_the_generator(monkeypatch):
     attempts = _recording_solves(monkeypatch)
     got = wclassical.solve_ansatz(
         ctx.alph, monos, k_degree_bound(w.weight, ctx.k),
-        wclassical._membership_terms(ctx, lead_poly, monos),
+        wclassical.ansatz_terms(helpers.membership_map(ctx), lead_poly, monos),
         "generator solution", start=0)
     assert lead_poly + got == w.value
     assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
