@@ -21,6 +21,7 @@ from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
 from .scalars import LinearSolveError, Scalar, parse_rational
 from .pva import check_jacobi, check_skew, random_property_suite
 from .spva import reduce_to_pva
+from .superpoly import ExponentOverflowError
 from .wclassical import (EVEN, GeneratorError, ReductionContext,
                          compare_closed_direct, solve_all_generators,
                          w_bracket_direct, w_bracket_closed, w_bracket_table)
@@ -425,7 +426,8 @@ def main(argv=None):
         if bad:
             sys.stderr.write("input error: %s\n" % _invalid(g, bad))
             return 2
-        if not isinstance(e, (GeneratorError, LinearSolveError)):  # a defect
+        if not isinstance(e, (GeneratorError, LinearSolveError,
+                              ExponentOverflowError)):  # a defect
             e = "internal: %s: %s" % (type(e).__name__,
                                       str(e).replace("\n", " "))
         sys.stderr.write("engine error: %s\n" % e)

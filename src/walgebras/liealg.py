@@ -367,9 +367,15 @@ class LieSuperalgebra:
 
     def validate_triples(self):
         """The defining relations that the sl2 triple and the osp(1|2) data
-        fail (the sl2 eigenbasis condition is checked by the gradings)."""
-        return ((self._validate_sl2(self.sl2) if self.sl2 else [])
-                + (self._validate_osp(self.osp) if self.osp else []))
+        fail (the sl2 eigenbasis condition is checked by the gradings).
+        Each distinct triple is checked once: when the osp(1|2) data's
+        (E, H, F) is the sl2 triple, it adds only its own relations."""
+        report = self._validate_sl2(self.sl2) if self.sl2 else []
+        if self.osp:
+            t, s = self.osp, self.sl2
+            shared = s is not None and (t.E, t.H, t.F) == (s.E, s.H, s.F)
+            report += self._validate_osp(t, shared)
+        return report
 
     def _validate_sl2(self, t, tag="sl2"):
         report = []
@@ -390,8 +396,8 @@ class LieSuperalgebra:
                 report.append("%s: %s not even" % (tag, nm))
         return report
 
-    def _validate_osp(self, t):
-        report = self._validate_sl2(t.sl2(), tag="osp")
+    def _validate_osp(self, t, sl2_checked):
+        report = [] if sl2_checked else self._validate_sl2(t.sl2(), tag="osp")
         checks = [
             ("[H,e]=e", self.bracket(t.H, t.e), t.e),
             ("[H,f]=-f", self.bracket(t.H, t.f), _scaled(t.f, -1)),
@@ -489,6 +495,7 @@ class DualBases:
         self.chain_upper = chain_upper
         self.spins = spins
         self.step = GR_ONE if kind == "F" else HALF
+        self._upper_sparse = [_sparse(v) for v in upper]   # for upper_values
         # index sets: grade -> [(j, n)]
         self.index_sets = {}
         for j, alpha in enumerate(spins):
@@ -500,6 +507,12 @@ class DualBases:
 
     def count(self):
         return len(self.lower)
+
+    def upper_values(self, y):
+        """[(q^j | y) for each j], with y made sparse once and the q^j kept
+        sparse: g.form_value(upper[j], y) for every j, term for term."""
+        ys = _sparse(y)
+        return [self.g._form(u, ys) for u in self._upper_sparse]
 
     def grade_of(self, j, n):
         return -self.spins[j] + n * self.step

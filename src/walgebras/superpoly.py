@@ -19,34 +19,66 @@ u^(m+1) right after it, and that term vanishes when u^(m+1) is odd.
 
 No method changes a value's alphabet or terms after it is built. The one
 internal state is two first-use memos: ``parity_gradients`` keeps its
-result in a private slot, so that a polynomial bracketed many times (the
+result in a private attribute, so that a polynomial bracketed many times (the
 BRST element d, a generator value) is differentiated once, and ``terms``
 keeps the view described below. Each memo is a pure function of the terms,
 which never change, and equality and hashing do not read them. Two threads
-that fill one at once compute equal results, and the slot is set by one
-atomic store, so a reader sees either no memo or a complete one; any
+that fill one at once compute equal results, and the attribute is set by
+one atomic store, so a reader sees either no memo or a complete one; any
 operation may still run concurrently with any other.
 
-Storage. A polynomial is one flat dict ``{(monomial, k power, c power):
-GRat}`` with no zero values: the term g k^a c^b M is the entry
-``(M, a, b): g``, and a monomial whose coefficient in Q(i)[k, c] has n
-terms holds n entries. Every kernel loop (sum, product, derivation,
-partials, substitution, equality, hashing) runs on that dict, so a product
-term costs one GRat operation and one key, with no Scalar or coefficient
-dict built around it; at a numeric level every key has powers (0, 0). Only
-this module reads the layout. The public ``SuperPoly(alph, {M: Scalar})``
-still builds a polynomial, dropping zero coefficients; ``terms`` is a
-read-only ``{M: Scalar}`` view of it, built on first read (rendering and
-serialization read it); ``coefficients()`` yields ``(M, k power, c power,
-GRat)`` for the readers that take the coefficients apart, and
-``from_coefficients`` is its inverse. ``accumulate`` and
-``accumulate_product`` add a value, or a product, in place into a sum map
-(pva's dicts of bracket-value coefficients), and ``accumulated`` turns the
-map back into SuperPolys.
+Storage. A polynomial is one flat dict ``{key: GRat}`` with no zero
+values, one entry per term g k^a c^b M: a monomial whose coefficient in
+Q(i)[k, c] has n terms holds n entries. Every kernel loop (sum, product,
+derivation, partials, substitution, equality, hashing) runs on that dict,
+and only this module reads the key.
+
+- Key layout. The key packs (M, a, b) into one int of 8-bit fields, after
+  Monagan and Pearce's packed exponent vectors: bits 0-7 hold a, bits 8-15
+  hold b, and each variable has a field of its own above them. The top bit
+  of a field is its guard: no field holds more than 127, so the sum of two
+  keys carries into no other field and sets a guard bit exactly where a
+  power passes 127. A product of two terms is the sum of their keys, one
+  guard test and one test ``o1 & o2`` of their odd bits (the low bit of
+  each odd variable's field; an odd variable squares to zero), and a
+  monomial's parity is the bit count of its odd bits. The coefficient is
+  that of the canonical monomial, whose factors follow variable order: the
+  Koszul sign of a product counts the pairs of odd factors that pass each
+  other in that order, with bit masks over the odd variables' ranks.
+- Slot registry. A variable gets the next free field, its slot, when a
+  polynomial over its alphabet first uses it, so slot order is first-use
+  order, not variable order. The registry (slots, odd bits, guard bits and
+  ranks) is shared by every equal Alphabet value, so
+  ``Alphabet.from_obj(a.to_obj())`` packs as ``a`` does, and it lives as
+  long as some alphabet of that value. A slot once given never moves, and
+  no output reads one: ``SuperPoly(alph, {M: Scalar})``, ``terms`` (a
+  read-only ``{M: Scalar}`` view, unpacked on first read; rendering and
+  serialization read it), ``coefficients()`` (``(M, k power, c power,
+  GRat)``, for the readers that take coefficients apart) and its inverse
+  ``from_coefficients`` all take or give tuple monomials.
+- Overflow. A power of a variable, of k or of c past 127 raises
+  ExponentOverflowError (an engine error); it never wraps.
+- Thread safety. The registry gives out a slot under a lock and publishes
+  it last, so no key holds a slot that a reader cannot find, and a key's
+  meaning never changes: any operation may still run concurrently with any
+  other.
+- Derivative memo. A derivative reads the factors of each monomial in
+  variable order, and unpacking a key costs more than the rest of its
+  work. So the registry keeps the derivative of each monomial it has
+  derived, as one (key offset, integer factor) pair per factor (the pairs
+  are shared, one per variable and factor). The memos of all alphabets
+  together hold at most _MEMO_SIZE monomials, about 1.4 MB, and start over
+  when full; an entry is a pure function of the monomial and its slots.
+
+``accumulate`` and ``accumulate_product`` add a value, or a product, in
+place into a sum map (pva's dicts of bracket-value coefficients), and
+``accumulated`` turns the map back into SuperPolys.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock
+from _weakref import ref
 from types import MappingProxyType
 
 from .scalars import GR_ONE, GRat, Scalar, _times_int, join_signed, rat
@@ -56,15 +88,64 @@ FLAVOR_D = "D"     # odd derivation, variables u^[m]
 _HALF = rat(1, 2)  # the weight one D adds
 _new = object.__new__
 
+# the packed key (see the module docstring)
+_FIELD = 8                              # bits per field
+_MAX_EXP = (1 << (_FIELD - 1)) - 1      # 127; the top bit is the guard
+_FIELD_MASK = (1 << _FIELD) - 1
+_VAR_SHIFT = 2 * _FIELD                 # the k and c fields lie below
+_POWERS_MASK = (1 << _VAR_SHIFT) - 1
+_POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD)
+_MEMO_SIZE = 8192   # monomials in the memos of all layouts together
+
 
 class FlavorError(TypeError):
     pass
 
 
+class ExponentOverflowError(OverflowError):
+    """A power of a variable, of k or of c past what a packed field holds."""
+
+
+def _overflow():
+    raise ExponentOverflowError("a power of a variable, k or c exceeds %d"
+                                % _MAX_EXP)
+
+
+class _Layout:
+    """The slot registry of one alphabet value. units maps a variable to
+    its unit, 1 << (its field's offset); vars lists the variables by slot;
+    odd has the unit bit of every odd variable, guard the top bit of every
+    field; rank maps the unit of an odd variable to 1 << (its rank among
+    the odd variables in variable order). Slots are only added, under
+    _LOCK, and units is written last; rank is replaced whole. steps and
+    derivs hold the derivative memo (see the module docstring)."""
+
+    __slots__ = ("units", "vars", "odd", "guard", "rank", "steps", "derivs",
+                 "__weakref__")
+
+    def __init__(self):
+        self.units = {}
+        self.vars = []
+        self.odd = 0
+        self.guard = _POWERS_GUARD
+        self.rank = {}
+        # (unit of u^(m), n) -> (unit of u^(m+1) - unit of u^(m), n)
+        self.steps = {}
+        self.derivs = {}   # monomial -> _monomial_deriv of it
+
+
+# alphabet value -> a weak reference to its _Layout (threading and weakref
+# are not imported: a walg command loads neither)
+_LAYOUTS = {}
+_LOCK = allocate_lock()
+_memo_entries = 0   # taken by the memos since they last started over
+
+
 class Alphabet:
     """Ordered generator set for one polynomial algebra."""
 
-    __slots__ = ("flavor", "names", "parities", "weights", "deriv_parity")
+    __slots__ = ("flavor", "names", "parities", "weights", "deriv_parity",
+                 "_step", "_var_weights", "_layout")
 
     def __init__(self, flavor, names, parities, weights=None):
         if flavor not in (FLAVOR_DEL, FLAVOR_D):
@@ -80,6 +161,10 @@ class Alphabet:
             raise ValueError("names/parities length mismatch")
         if self.weights is not None and len(self.weights) != len(self.names):
             raise ValueError("names/weights length mismatch")
+        self._step = _HALF if flavor == FLAVOR_D else GR_ONE  # the weight of d
+        self._var_weights = {}   # var -> its weight, filled by var_weight
+        self._layout = _layout_of(
+            (self.flavor, self.names, self.parities, self.weights))
 
     def __len__(self):
         return len(self.names)
@@ -98,11 +183,13 @@ class Alphabet:
         return self.parities[i] ^ (m & self.deriv_parity)
 
     def var_weight(self, var) -> GRat:
-        if self.weights is None:
-            raise ValueError("alphabet carries no weights")
-        i, m = var
-        step = _HALF if self.flavor == FLAVOR_D else GR_ONE
-        return self.weights[i] + m * step
+        w = self._var_weights.get(var)
+        if w is None:
+            if self.weights is None:
+                raise ValueError("alphabet carries no weights")
+            i, m = var
+            w = self._var_weights[var] = self.weights[i] + m * self._step
+        return w
 
     def var_name(self, var) -> str:
         i, m = var
@@ -128,7 +215,88 @@ class Alphabet:
                         obj.get("weights"))
 
 
-def _mono_parity(alph, mono) -> int:
+def _layout_of(value):
+    """The slot registry of an alphabet value, made on first use; a new one
+    also drops the entries of layouts that no alphabet holds any more."""
+    with _LOCK:
+        found = _LAYOUTS.get(value)
+        layout = None if found is None else found()
+        if layout is None:
+            for key in [key for key, r in _LAYOUTS.items() if r() is None]:
+                del _LAYOUTS[key]
+            layout = _Layout()
+            _LAYOUTS[value] = ref(layout)
+    return layout
+
+
+def _unit(alph, var):
+    """The unit of var over alph, giving var the next slot on first use."""
+    layout = alph._layout
+    u = layout.units.get(var)
+    if u is not None:
+        return u
+    odd = alph.var_parity(var)
+    with _LOCK:
+        u = layout.units.get(var)
+        if u is None:
+            u = 1 << (_VAR_SHIFT + _FIELD * len(layout.vars))
+            layout.vars.append(var)
+            layout.guard |= u << (_FIELD - 1)
+            if odd:
+                layout.odd |= u
+                units = dict(layout.units)
+                units[var] = u
+                layout.rank = {units[v]: 1 << r for r, v in enumerate(
+                    sorted(v for v in layout.vars if alph.var_parity(v)))}
+            layout.units[var] = u
+    return u
+
+
+def _powers(kp, cp):
+    """The key of k^kp c^cp."""
+    if not (0 <= kp <= _MAX_EXP and 0 <= cp <= _MAX_EXP):
+        _overflow()
+    return kp | cp << _FIELD
+
+
+def _pack(alph, mono):
+    """The key of a canonical tuple monomial, with powers 0."""
+    layout = alph._layout
+    units = layout.units
+    key = 0
+    for v, e in mono:
+        u = units.get(v) or _unit(alph, v)
+        if e < 1 or (e > 1 and u & layout.odd):
+            raise ValueError("not a canonical monomial: %r" % (mono,))
+        if e > _MAX_EXP:
+            _overflow()
+        key += e * u
+    return key
+
+
+def _factors(vars_, m):
+    """(variable, exponent, unit) for each factor of m, a key shifted right
+    by _VAR_SHIFT, in variable order; vars_ lists the variables by slot."""
+    out = []
+    while m:
+        at = ((m & -m).bit_length() - 1) // _FIELD * _FIELD
+        e = (m >> at) & _FIELD_MASK
+        m ^= e << at
+        out.append((vars_[at // _FIELD], e, 1 << (at + _VAR_SHIFT)))
+    out.sort()
+    return out
+
+
+def _mono(vars_, m):
+    """The tuple monomial of m, a key shifted right by _VAR_SHIFT."""
+    return tuple([(v, e) for v, e, _u in _factors(vars_, m)])
+
+
+def _key_parity(key, odd) -> int:
+    return (key & odd).bit_count() & 1
+
+
+def _tuple_parity(alph, mono) -> int:
     par, dp = alph.parities, alph.deriv_parity
     p = 0
     for (i, m), e in mono:
@@ -136,53 +304,80 @@ def _mono_parity(alph, mono) -> int:
     return p & 1
 
 
-def _merge_monomials(par, dp, m1, m2):
-    """Supercommutative product of two canonical monomials over an alphabet
-    with parities par and deriv_parity dp.
+def _ranks(rank, o):
+    """The rank bits of the odd factors whose unit bits are o."""
+    r = rank.get(o)
+    if r is not None:   # one odd factor
+        return r
+    r = 0
+    while o:
+        low = o & -o
+        r |= rank[low]
+        o ^= low
+    return r
 
-    Returns (monomial, sign) or (None, 0) when an odd variable repeats.
-    One merge walk of the two sorted tuples; the sign counts, for each odd
-    factor of m1, the odd factors of m2 that must cross it, which are the
-    odd factors of m2 already taken.
-    """
-    if not m1:
-        return m2, 1
-    if not m2:
-        return m1, 1
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2, 1
+
+def _below(r):
+    """The xor, over the rank bits b of r, of the masks b - 1 of the ranks
+    below b: the odd factors of another monomial, with rank bits r2, pass
+    those with rank bits r in (_below(r) & r2).bit_count() pairs, mod 2."""
+    if not r & (r - 1):
+        return r - 1
+    x = 0
+    while r:
+        low = r & -r
+        x ^= low - 1
+        r ^= low
+    return x
+
+
+def _monomial_deriv(alph, m):
+    """The derivative of the monomial m (a key shifted right by _VAR_SHIFT)
+    as a tuple of pairs (delta, n), one per factor in variable order: that
+    factor's term is key + delta with n times key's coefficient. The
+    derivative of a factor takes its place (see the module docstring), so
+    the only sign is D passing the odd prefix. The pairs are shared through
+    layout.steps, one per variable and n."""
+    layout = alph._layout
+    par, dp = alph.parities, alph.deriv_parity
+    factors = _factors(layout.vars, m)
+    last = len(factors) - 1
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    sign = odd2 = 0
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        va, vb = a[0], b[0]
-        if va < vb:
-            if odd2 and par[va[0]] ^ (va[1] & dp):
-                sign += odd2
-            out.append(a)
-            i += 1
-        elif vb < va:
-            if par[vb[0]] ^ (vb[1] & dp):
-                odd2 += 1
-            out.append(b)
-            j += 1
-        else:
-            if par[va[0]] ^ (va[1] & dp):
-                return None, 0
-            out.append((va, a[1] + b[1]))
-            i += 1
-            j += 1
-    if i < n1:
-        if odd2:
-            for (g, m), _e in m1[i:]:
-                if par[g] ^ (m & dp):
-                    sign += odd2
-        out.extend(m1[i:])
-    else:
-        out.extend(m2[j:])
-    return tuple(out), -1 if sign & 1 else 1
+    odd_prefix = 0
+    for t, (v, e, u) in enumerate(factors):
+        g, order = v
+        vanishes = False
+        if t < last and factors[t + 1][0] == (g, order + 1):
+            # the odd derivative squares to zero
+            vanishes = par[g] ^ ((order + 1) & dp)
+            if not vanishes and factors[t + 1][1] == _MAX_EXP:
+                _overflow()
+        if not vanishes:
+            n = -e if odd_prefix else e
+            step = layout.steps.get((u, n))
+            if step is None:
+                step = layout.steps[u, n] = (_unit(alph, (g, order + 1)) - u, n)
+            out.append(step)
+        if dp:
+            odd_prefix ^= (par[g] ^ (order & 1)) & e
+    return tuple(out)
+
+
+def _remember(memo, m, value):
+    """memo[m] = value in the derivative memo of a _Layout; returns value.
+    Once the memos of all layouts have taken _MEMO_SIZE entries, they start
+    over."""
+    global _memo_entries
+    with _LOCK:
+        if _memo_entries >= _MEMO_SIZE:
+            for r in _LAYOUTS.values():
+                layout = r()
+                if layout is not None:
+                    layout.derivs.clear()
+            _memo_entries = 0
+        memo[m] = value
+        _memo_entries += 1
+    return value
 
 
 def _poly(alph, flat) -> "SuperPoly":
@@ -194,11 +389,6 @@ def _poly(alph, flat) -> "SuperPoly":
     p._terms = None
     p._gradients = None
     return p
-
-
-def _monomial_terms(mono, scalar):
-    """The flat terms of scalar * mono."""
-    return {(mono, kp, cp): g for (kp, cp), g in scalar.terms.items() if g}
 
 
 def _add_flat(out, flat, neg=0):
@@ -228,24 +418,50 @@ def _add_flat(out, flat, neg=0):
                     del out[key]
 
 
-def _mul_flat(out, flat1, flat2, par, dp, neg=0):
+def _mul_flat(out, flat1, flat2, layout, neg=0):
     """out += (-1)^neg flat1 * flat2 in place, keeping no zero values, over
-    an alphabet with parities par and deriv_parity dp."""
+    an alphabet with slot registry layout."""
     get = out.get
-    for (m1, k1, c1), g1 in flat1.items():
+    odd, guard = layout.odd, layout.guard
+    inner = None
+    for k1, g1 in flat1.items():
         if neg:
             g1 = -g1
-        for (m2, k2, c2), g2 in flat2.items():
-            mono, sign = _merge_monomials(par, dp, m1, m2)
-            if mono is None:
+        o1 = k1 & odd
+        if not o1:  # no factor of k1 is odd: no sign, no square
+            for k2, g2 in flat2.items():
+                key = k1 + k2
+                if key & guard:
+                    _overflow()
+                g = g1 * g2
+                s = get(key)
+                if s is None:
+                    out[key] = g
+                else:
+                    s = s + g
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            continue
+        if inner is None:   # flat2 with the rank bits of its odd factors
+            rank = layout.rank
+            inner = [(k2, g2, o2, _ranks(rank, o2) if o2 else 0)
+                     for k2, g2 in flat2.items() for o2 in (k2 & odd,)]
+        x1 = _below(_ranks(rank, o1))
+        for k2, g2, o2, r2 in inner:
+            if o1 & o2:
                 continue
-            key = (mono, k1 + k2, c1 + c2)
+            key = k1 + k2
+            if key & guard:
+                _overflow()
             g = g1 * g2
+            sign = (x1 & r2).bit_count() & 1
             s = get(key)
             if s is None:
-                out[key] = -g if sign < 0 else g
+                out[key] = -g if sign else g
             else:
-                s = s - g if sign < 0 else s + g
+                s = s - g if sign else s + g
                 if s:
                     out[key] = s
                 else:
@@ -262,8 +478,12 @@ class SuperPoly:
         """sum_M c_M M over terms {M: Scalar c_M} of canonical monomials M;
         zero coefficients drop out."""
         self.alphabet = alphabet
-        self._flat = {(mono, kp, cp): g for mono, c in (terms or {}).items()
-                      for (kp, cp), g in c.terms.items() if g}
+        flat = self._flat = {}
+        for mono, c in (terms or {}).items():
+            key = _pack(alphabet, mono)
+            for (kp, cp), g in c.terms.items():
+                if g:
+                    flat[key + _powers(kp, cp)] = g
         self._terms = None
         self._gradients = None
 
@@ -274,32 +494,38 @@ class SuperPoly:
 
     @staticmethod
     def const(alph, scalar: Scalar) -> "SuperPoly":
-        return _poly(alph, _monomial_terms((), scalar))
+        return _poly(alph, {_powers(kp, cp): g
+                            for (kp, cp), g in scalar.terms.items() if g})
 
     @staticmethod
     def one(alph) -> "SuperPoly":
-        return _poly(alph, {((), 0, 0): GR_ONE})
+        return _poly(alph, {0: GR_ONE})
 
     @staticmethod
     def variable(alph, gen, order=0, coeff=None) -> "SuperPoly":
-        mono = (((gen, order), 1),)
+        u = _unit(alph, (gen, order))
         if coeff is None:
-            return _poly(alph, {(mono, 0, 0): GR_ONE})
-        return _poly(alph, _monomial_terms(mono, coeff))
+            return _poly(alph, {u: GR_ONE})
+        return _poly(alph, {u + _powers(kp, cp): g
+                            for (kp, cp), g in coeff.terms.items() if g})
 
     @staticmethod
     def linear(alph, coeffs) -> "SuperPoly":
         """sum_t c_t u_t over (t, c_t) pairs with distinct t and GRat c_t (the
         coordinates of an algebra element); zeros drop out."""
-        return _poly(alph, {((((t, 0), 1),), 0, 0): c for t, c in coeffs if c})
+        return _poly(alph, {_unit(alph, (t, 0)): c for t, c in coeffs if c})
 
     @staticmethod
     def from_coefficients(alph, items) -> "SuperPoly":
         """sum g k^kpow c^cpow M over (M, kpow, cpow, g) items, M a canonical
         monomial and g a GRat; equal (M, kpow, cpow) add up, zeros drop out."""
         out = {}
+        packed = {}
         for mono, kp, cp, g in items:
-            key = (mono, kp, cp)
+            m = packed.get(mono)
+            if m is None:
+                m = packed[mono] = _pack(alph, mono)
+            key = m + _powers(kp, cp)
             s = out.get(key)
             s = g if s is None else s + g
             if s:
@@ -314,20 +540,30 @@ class SuperPoly:
         """A read-only {monomial: Scalar} view, built on first read."""
         view = self._terms
         if view is None:
-            by_mono = {}
-            for (mono, kp, cp), g in self._flat.items():
-                s = by_mono.get(mono)
+            by_key = {}
+            for key, g in self._flat.items():
+                powers = (key & _FIELD_MASK, (key >> _FIELD) & _FIELD_MASK)
+                s = by_key.get(key >> _VAR_SHIFT)
                 if s is None:
-                    by_mono[mono] = Scalar({(kp, cp): g})
+                    by_key[key >> _VAR_SHIFT] = Scalar({powers: g})
                 else:
-                    s.terms[(kp, cp)] = g
-            view = self._terms = MappingProxyType(by_mono)
+                    s.terms[powers] = g
+            vars_ = self.alphabet._layout.vars
+            view = self._terms = MappingProxyType(
+                {_mono(vars_, m): s for m, s in by_key.items()})
         return view
 
     def coefficients(self):
         """(M, kpow, cpow, g) for each nonzero term g k^kpow c^cpow M, g a
         GRat; a monomial appears once per power pair of its coefficient."""
-        return ((mono, kp, cp, g) for (mono, kp, cp), g in self._flat.items())
+        vars_ = self.alphabet._layout.vars
+        monos = {}
+        for key, g in self._flat.items():
+            m = key >> _VAR_SHIFT
+            mono = monos.get(m)
+            if mono is None:
+                mono = monos[m] = _mono(vars_, m)
+            yield mono, key & _FIELD_MASK, (key >> _FIELD) & _FIELD_MASK, g
 
     def __bool__(self):
         return bool(self._flat)
@@ -363,7 +599,7 @@ class SuperPoly:
         self._check(other)
         alph = self.alphabet
         out = {}
-        _mul_flat(out, self._flat, other._flat, alph.parities, alph.deriv_parity)
+        _mul_flat(out, self._flat, other._flat, alph._layout)
         return _poly(alph, out)
 
     def scalar_mul(self, scalar: Scalar) -> "SuperPoly":
@@ -373,8 +609,10 @@ class SuperPoly:
         ((k2, c2), g2), = st.items()
         # Q(i) has no zero divisors: no product vanishes
         if k2 or c2:
-            out = {(m, k + k2, c + c2): g * g2
-                   for (m, k, c), g in self._flat.items()}
+            shift = _powers(k2, c2)
+            out = {key + shift: g * g2 for key, g in self._flat.items()}
+            if any(key & _POWERS_GUARD for key in out):
+                _overflow()
         else:
             out = {key: g * g2 for key, g in self._flat.items()}
         return _poly(self.alphabet, out)
@@ -384,9 +622,10 @@ class SuperPoly:
 
     def parity(self):
         """0, 1, or None when the polynomial mixes parities."""
+        odd = self.alphabet._layout.odd
         p = None
-        for m, _kp, _cp in self._flat:
-            q = _mono_parity(self.alphabet, m)
+        for key in self._flat:
+            q = _key_parity(key, odd)
             if p is None:
                 p = q
             elif p != q:
@@ -394,9 +633,9 @@ class SuperPoly:
         return p
 
     def parity_part(self, p) -> "SuperPoly":
-        alph = self.alphabet
-        return _poly(alph, {key: g for key, g in self._flat.items()
-                            if _mono_parity(alph, key[0]) == p % 2})
+        odd = self.alphabet._layout.odd
+        return _poly(self.alphabet, {key: g for key, g in self._flat.items()
+                                     if _key_parity(key, odd) == p % 2})
 
     # -- derivations ----------------------------------------------------
     def deriv(self) -> "SuperPoly":
@@ -405,40 +644,26 @@ class SuperPoly:
         The derivative of factor t goes into place t (see the module
         docstring), so the only sign is D passing the odd prefix."""
         alph = self.alphabet
-        par, dp = alph.parities, alph.deriv_parity
+        memo = alph._layout.derivs
         out = {}
         get = out.get
-        for (mono, kp, cp), coeff in self._flat.items():
-            last = len(mono) - 1
-            odd_prefix = 0
-            for t, (v, e) in enumerate(mono):
-                g, m = v
-                dv = (g, m + 1)
-                if t < last and mono[t + 1][0] == dv:
-                    if par[g] ^ ((m + 1) & dp):
-                        mono_d = None   # the odd dv squares to zero
-                    else:
-                        e2 = mono[t + 1][1] + 1
-                        mono_d = mono[:t] + (((v, e - 1), (dv, e2)) if e > 1
-                                             else ((dv, e2),)) + mono[t + 2:]
+        for key, coeff in self._flat.items():
+            m = key >> _VAR_SHIFT
+            steps = memo.get(m)
+            if steps is None:
+                steps = _remember(memo, m, _monomial_deriv(alph, m))
+            for delta, n in steps:
+                key_d = key + delta
+                c = coeff if n == 1 else _times_int(coeff, n)
+                s = get(key_d)
+                if s is None:
+                    out[key_d] = c
                 else:
-                    mono_d = mono[:t] + (((v, e - 1), (dv, 1)) if e > 1
-                                         else ((dv, 1),)) + mono[t + 1:]
-                if mono_d is not None:
-                    c = coeff if e == 1 and not odd_prefix \
-                        else _times_int(coeff, -e if odd_prefix else e)
-                    key = (mono_d, kp, cp)
-                    s = get(key)
-                    if s is None:
-                        out[key] = c
+                    s = s + c
+                    if s:
+                        out[key_d] = s
                     else:
-                        s = s + c
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-                if dp:
-                    odd_prefix ^= (par[g] ^ (m & 1)) & e
+                        del out[key_d]
         return _poly(alph, out)
 
     def partial(self, var) -> "SuperPoly":
@@ -452,20 +677,17 @@ class SuperPoly:
         variable order, built in one pass over the terms."""
         alph = self.alphabet
         par, dp = alph.parities, alph.deriv_parity
+        vars_ = alph._layout.vars
         acc = {}
-        for (mono, kp, cp), coeff in self._flat.items():
+        for key, coeff in self._flat.items():
             prefix_parity = 0
-            for t, (v, e) in enumerate(mono):
+            for v, e, u in _factors(vars_, key >> _VAR_SHIFT):
                 pv = par[v[0]] ^ (v[1] & dp)
                 neg = pv and prefix_parity
                 c = coeff if e == 1 and not neg \
                     else _times_int(coeff, -e if neg else e)
-                if e > 1:
-                    rest = mono[:t] + ((v, e - 1),) + mono[t + 1:]
-                else:
-                    rest = mono[:t] + mono[t + 1:]
-                # mono is rest with one more v, so no two terms share a key
-                acc.setdefault(v, {})[(rest, kp, cp)] = c
+                # key is key - u with one more v, so no two terms share a key
+                acc.setdefault(v, {})[key - u] = c
                 prefix_parity ^= pv & e
         return {v: _poly(alph, acc[v]) for v in sorted(acc)}
 
@@ -475,9 +697,10 @@ class SuperPoly:
         first call and kept (see the module docstring)."""
         if self._gradients is None:
             alph = self.alphabet
+            odd = alph._layout.odd
             parts = ({}, {})
             for key, g in self._flat.items():
-                parts[_mono_parity(alph, key[0])][key] = g
+                parts[_key_parity(key, odd)][key] = g
             self._gradients = tuple(
                 (p, tuple(_poly(alph, part).gradient().items()))
                 for p, part in enumerate(parts) if part)
@@ -510,19 +733,21 @@ class SuperPoly:
                     cache[(gen, o)] = cur
             return cache[(gen, order)]
 
-        # each monomial's coefficient, with all its power pairs, is
-        # multiplied by the images of the monomial's factors in one pass
+        # each monomial's coefficient, with all its power pairs (a constant
+        # over the target), is multiplied by the images of the monomial's
+        # factors in one pass
         coeffs = {}
-        for (mono, kp, cp), g in self._flat.items():
-            coeffs.setdefault(mono, {})[((), kp, cp)] = g
-        par, dp = target.parities, target.deriv_parity
+        for key, g in self._flat.items():
+            coeffs.setdefault(key >> _VAR_SHIFT, {})[key & _POWERS_MASK] = g
+        vars_ = self.alphabet._layout.vars
+        layout = target._layout
         out = {}
-        for mono, term in coeffs.items():
-            for v, e in mono:
+        for m, term in coeffs.items():
+            for v, e, _u in _factors(vars_, m):
                 img = image_of(v)._flat
                 for _ in range(e):
                     prod = {}
-                    _mul_flat(prod, term, img, par, dp)
+                    _mul_flat(prod, term, img, layout)
                     term = prod
                 if not term:
                     break
@@ -602,8 +827,7 @@ def accumulate_product(out, key, a, b, neg=0):
         s = {}
     elif type(s) is not dict:
         s = dict(s._flat)
-    alph = a.alphabet
-    _mul_flat(s, a._flat, b._flat, alph.parities, alph.deriv_parity, neg)
+    _mul_flat(s, a._flat, b._flat, a.alphabet._layout, neg)
     if s:
         out[key] = s
     else:
@@ -634,7 +858,7 @@ def enumerate_monomials(alph, allowed_vars, weight, parity=None,
     def rec(idx, remaining, acc):
         if remaining == 0:
             mono = tuple(acc)
-            if parity is not None and _mono_parity(alph, mono) != parity % 2:
+            if parity is not None and _tuple_parity(alph, mono) != parity % 2:
                 return
             if require_one_of is not None and not any(v in require_one_of for v, _ in mono):
                 return

@@ -218,9 +218,7 @@ class ReductionContext:
             vx = db.chain_lower[j][n]
             j, n = self.members[y]
             vy = (db.chain_upper if y_upper else db.chain_lower)[j][n]
-            br = g.bracket(vx, vy)
-            sharp = [(j, g.form_value(db.upper[j], br))
-                     for j in range(db.count())]
+            sharp = list(enumerate(db.upper_values(g.bracket(vx, vy))))
             found = self._chain_constants[key] = (
                 SuperPoly.linear(self.alph, ((self.star_index[(j, 0)], c)
                                              for j, c in sharp)),

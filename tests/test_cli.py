@@ -13,7 +13,7 @@ from walgebras.cli import main
 from walgebras.pva import BracketTable
 from walgebras.scalars import LinearSolveError
 from walgebras.spva import SUSYBracketTable
-from walgebras.superpoly import Alphabet, SuperPoly
+from walgebras.superpoly import Alphabet, ExponentOverflowError, SuperPoly
 from walgebras.wclassical import GeneratorError
 
 COMMON = {"algebra", "format", "k"}
@@ -239,6 +239,27 @@ def test_invalid_triple_exits_2(tmp_path, capsys, name, edit, argv, shown):
                                 "%s\n" % (name, shown))
     code, out, _err = run(capsys, "validate", "--algebra", str(p))
     assert code == 1 and "  violation: %s\n" % shown in out
+
+
+def test_shared_triple_is_checked_once(tmp_path, capsys):
+    """osp12's sl2 triple is its osp(1|2) data's (E, H, F), so its relations
+    are checked once, as sl2's: with E doubled in both, `walg validate`
+    lists each failed sl2 relation once, then the osp(1|2) relations that
+    read E. A command with a flavor names the first failure as before."""
+    obj = _catalog_obj("osp12")
+    for block in ("sl2", "osp"):
+        obj[block]["E"] = [str(2 * Fraction(c)) for c in obj[block]["E"]]
+    p = tmp_path / "doubled_E_osp12.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", "--algebra", str(p))
+    assert (code, out, err) == (1, "osp12: INVALID\n"
+                                "  violation: sl2: [E,F]=H fails\n"
+                                "  violation: sl2: (E|F)=1 fails\n"
+                                "  violation: osp: [e,e]=2E fails\n"
+                                "  violation: osp: [E,f]=e fails\n", "")
+    code, out, err = run(capsys, "generators", "--algebra", str(p))
+    assert (code, out, err) == (2, "", "input error: algebra osp12 is "
+                                "invalid: sl2: [E,F]=H fails\n")
 
 
 @pytest.mark.parametrize("argv, internal", [
@@ -577,10 +598,12 @@ def test_susy_verify(capsys):
 
 @pytest.mark.parametrize("error", [
     GeneratorError("no generator solution: inconsistent"),
-    LinearSolveError("internal", "unreduced pivot row")])
+    LinearSolveError("internal", "unreduced pivot row"),
+    ExponentOverflowError("a power of a variable, k or c exceeds 127")])
 def test_engine_error_exits_3(monkeypatch, capsys, error):
-    """A failed solve is an engine error: one stderr line and exit 3, not a
-    traceback with exit 1 (which reads as a verification failure)."""
+    """A failed solve, or a power past what the polynomial kernel packs, is
+    an engine error: one stderr line and exit 3, not a traceback with exit
+    1 (which reads as a verification failure)."""
     def failing_solve(*args, **kwargs):
         raise error
 

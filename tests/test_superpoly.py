@@ -1,13 +1,16 @@
+import gc
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from walgebras.scalars import GRat, Scalar
-from walgebras.superpoly import (Alphabet, FLAVOR_D, FLAVOR_DEL, FlavorError,
-                                 SuperPoly, enumerate_monomials,
-                                 random_superpoly)
+from walgebras.superpoly import (Alphabet, ExponentOverflowError, FLAVOR_D,
+                                 FLAVOR_DEL, FlavorError, SuperPoly,
+                                 enumerate_monomials, random_superpoly)
 
 AFF = Alphabet(FLAVOR_DEL, ["E", "H", "F"], [0, 0, 0], [0, 1, 2])
 SUS = Alphabet(FLAVOR_D, ["x", "y", "z"], [1, 0, 1],
@@ -337,3 +340,166 @@ def test_terms_view_is_read_only():
     with pytest.raises(AttributeError):
         p.terms = {}
     assert p == var(AFF, 0).scalar_mul(k + Scalar.c()) + SuperPoly.one(AFF)
+
+
+# -- the packed storage ----------------------------------------------------
+# Each variable's field is given on first use, so the slot order of an
+# alphabet is the order in which its variables first appear, not the
+# variable order that canonical monomials and their signs follow. The tests
+# below use alphabets that no other test builds, so that their slots are
+# given here.
+
+def _fresh_alphabet(tag, flavor=FLAVOR_D, parities=(1, 1, 0, 1, 1, 0, 1, 1)):
+    return Alphabet(flavor, ["%s%d" % (tag, i) for i in range(len(parities))],
+                    parities)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_D, FLAVOR_DEL], ids=["D", "del"])
+def test_packed_kernel_equals_model_many_odd_generators(flavor):
+    """Products, the derivation, gradients, substitution and parities
+    against the factor-list model on an alphabet of eight generators, six
+    of them odd, with derivative orders up to 9 (the random property suites
+    reach 9): the slots are given in the random order in which the inputs
+    first use the variables, so the Koszul signs of products and partials
+    are counted over odd factors whose slot order and variable order
+    differ."""
+    alph = _fresh_alphabet("m" + flavor, flavor)
+    rng = random.Random(41)
+    for _ in range(30):
+        a = helpers.random_model_poly(alph, rng, terms=3, max_factors=4,
+                                      max_order=9)
+        b = helpers.random_model_poly(alph, rng, terms=3, max_factors=3,
+                                      max_order=9)
+        ab = a * b
+        assert ab == helpers.model_mul(a, b)
+        for p in (a, ab):
+            assert p.deriv() == helpers.model_deriv(p)
+            assert p.parity() == helpers.model_parity(p)
+            want = {v: helpers.model_partial(p, v) for v in variables(p)}
+            assert p.gradient() == {v: d for v, d in want.items() if d}
+    slots = alph._layout.vars
+    odd = [v for v in slots if alph.var_parity(v)]
+    assert max(m for _g, m in slots) >= 9 and odd != sorted(odd)
+    for _ in range(10):
+        a = helpers.random_model_poly(alph, rng, max_factors=3, max_order=4)
+        images = {i: helpers.model_parity_part(
+            helpers.random_model_poly(alph, rng, terms=2, max_factors=2,
+                                      max_order=3),
+            alph.parities[i]) for i in range(len(alph))}
+        assert a.substitute(images, alph) == \
+            helpers.model_substitute(a, images, alph)
+
+
+def test_equal_alphabets_pack_alike():
+    """An equal but distinct alphabet (read back from its serialized form)
+    shares the slots: the same polynomial built over either is equal, with
+    equal hashes, and the two mix in sums and products."""
+    alph = _fresh_alphabet("eq")
+    twin = Alphabet.from_obj(alph.to_obj())
+    assert twin is not alph and twin == alph and hash(twin) == hash(alph)
+    rng = random.Random(43)
+    for _ in range(20):
+        seed = rng.random()
+        p = helpers.random_model_poly(alph, random.Random(seed))
+        q = helpers.random_model_poly(twin, random.Random(seed))
+        assert p == q and hash(p) == hash(q)
+        assert p * q == helpers.model_mul(p, q) and not p - q
+
+
+def test_first_use_order_does_not_show():
+    """Two fresh equal alphabets whose variables are first used in opposite
+    orders give the same terms, rendering and serialization: the slot
+    registry of an alphabet value lives as long as some alphabet of that
+    value, so dropping the first one lets the second start afresh."""
+    names = ["f%d" % i for i in range(5)]
+    variables_ = [(g, m) for g in range(5) for m in range(3)]
+
+    def build(order):
+        alph = Alphabet(FLAVOR_D, names, [1, 0, 1, 1, 0])
+        for g, m in order:   # first use, in this order
+            var(alph, g, m)
+        rng = random.Random(47)
+        polys = [helpers.random_model_poly(alph, rng, terms=4) for _ in range(8)]
+        polys += [a * b for a in polys[:4] for b in polys[4:]]
+        polys += [p.deriv() for p in polys]
+        seen = ([dict(p.terms) for p in polys], [p.render() for p in polys],
+                [p.to_obj() for p in polys])
+        return seen, list(alph._layout.vars)
+
+    forward, slots = build(variables_)
+    gc.collect()
+    backward, slots_back = build(variables_[::-1])
+    assert slots[:15] == variables_ and slots_back[:15] == variables_[::-1]
+    assert forward == backward
+
+
+def test_power_past_a_field_is_loud():
+    """A power past 127 raises ExponentOverflowError (the CLI reports it as
+    an engine error, exit 3) and never wraps into another field."""
+    alph = _fresh_alphabet("ov", FLAVOR_DEL, (0, 0))
+    x = var(alph, 0)
+    for _ in range(6):
+        x = x * x
+    assert x.terms == {(((0, 0), 64),): Scalar.one()}
+    with pytest.raises(ExponentOverflowError):
+        x * x
+    top = SuperPoly(alph, {(((0, 0), 63), ((0, 1), 127)): Scalar.one()})
+    assert (top * var(alph, 0)).terms == {
+        (((0, 0), 64), ((0, 1), 127)): Scalar.one()}
+    with pytest.raises(ExponentOverflowError):
+        top.deriv()    # d u^63 gives u^62 (u')^128
+    with pytest.raises(ExponentOverflowError):
+        SuperPoly(alph, {(((1, 0), 128),): Scalar.one()})
+    k = Scalar.term(127, 0, GRat(1))
+    with pytest.raises(ExponentOverflowError):
+        var(alph, 1).scalar_mul(k).scalar_mul(Scalar.k())
+    with pytest.raises(ExponentOverflowError):
+        var(alph, 1).scalar_mul(k) * var(alph, 1).scalar_mul(Scalar.k())
+
+
+def test_threads_on_one_fresh_alphabet():
+    """Four threads (more than the cores of a small machine) that build
+    polynomials on one fresh alphabet, each first using its variables in
+    another order, get what one thread gets: the slot registry gives each
+    variable one slot however the threads interleave."""
+    names = ["t%d" % i for i in range(6)]
+    variables_ = [(g, m) for g in range(6) for m in range(6)]
+    orders = [variables_, variables_[::-1], variables_[1::2] + variables_[::2],
+              variables_[::2] + variables_[1::2]]
+
+    def work(alph, i):
+        out = []
+        rng = random.Random(i)
+        for g, m in orders[i]:
+            p = var(alph, g, m) * helpers.random_model_poly(alph, rng, terms=2)
+            out.append((p * p.deriv()).to_obj())
+        return out
+
+    alph = Alphabet(FLAVOR_D, names, [1, 1, 0, 1, 0, 1])
+    want = [work(alph, i) for i in range(len(orders))]
+    del alph
+    gc.collect()
+    alph = Alphabet(FLAVOR_D, names, [1, 1, 0, 1, 0, 1])
+    assert not alph._layout.vars   # a fresh registry
+    barrier = threading.Barrier(len(orders))
+    got = [None] * len(orders)
+
+    def run(i):
+        barrier.wait(timeout=60)
+        got[i] = work(alph, i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    slots = alph._layout.vars
+    assert len(slots) == len(set(slots)) == len(alph._layout.units)
