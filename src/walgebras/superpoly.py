@@ -55,7 +55,9 @@ and only this module reads the key.
   read-only ``{M: Scalar}`` view, unpacked on first read; rendering and
   serialization read it), ``coefficients()`` (``(M, k power, c power,
   GRat)``, for the readers that take coefficients apart) and its inverse
-  ``from_coefficients`` all take or give tuple monomials.
+  ``from_coefficients`` all take or give tuple monomials, and so do
+  copies and pickles: an alphabet or polynomial read back is packed in
+  the registry of the process that reads it.
 - Overflow. A power of a variable, of k or of c past 127 raises
   ExponentOverflowError (an engine error); it never wraps.
 - Thread safety. The registry gives out a slot under a lock and publishes
@@ -177,6 +179,10 @@ class Alphabet:
 
     def __hash__(self):
         return hash((self.flavor, self.names, self.parities, self.weights))
+
+    def __reduce__(self):
+        # a copy or an unpickled alphabet shares the registry of its value
+        return Alphabet, (self.flavor, self.names, self.parities, self.weights)
 
     def var_parity(self, var) -> int:
         i, m = var
@@ -575,6 +581,11 @@ class SuperPoly:
 
     def __hash__(self):
         return hash((self.alphabet, frozenset(self._flat.items())))
+
+    def __reduce__(self):
+        # slots are given per process: copies and pickles carry tuple
+        # monomials, packed again where they are read
+        return SuperPoly, (self.alphabet, dict(self.terms))
 
     def _check(self, other):
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:

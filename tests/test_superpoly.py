@@ -1,5 +1,9 @@
+import copy
 import gc
+import os
+import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -503,3 +507,36 @@ def test_threads_on_one_fresh_alphabet():
     assert got == want
     slots = alph._layout.vars
     assert len(slots) == len(set(slots)) == len(alph._layout.units)
+
+
+def test_pickles_and_copies_repack():
+    """A pickled polynomial carries tuple monomials, not keys: read in a
+    process whose registry gave the same alphabet's slots in another order,
+    it is the same polynomial; a copy of an alphabet shares its registry."""
+    alph = _fresh_alphabet("pk")
+    rng = random.Random(53)
+    p = helpers.random_model_poly(alph, rng, terms=4, max_order=3)
+    q = helpers.random_model_poly(alph, rng, terms=4, max_order=3)
+    twin = copy.deepcopy(alph)
+    assert twin._layout is alph._layout
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+    script = (
+        "import pickle, sys\n"
+        "from walgebras.superpoly import Alphabet, SuperPoly\n"
+        "p, q = pickle.loads(sys.stdin.buffer.read())\n"
+        "alph = Alphabet(p.alphabet.flavor, p.alphabet.names,\n"
+        "                p.alphabet.parities)\n"
+        "order = sorted({v for m in (p * q).terms for v, _e in m},\n"
+        "               reverse=True)\n"
+        "fresh = [SuperPoly.variable(alph, g, m) for g, m in order]\n"
+        "print(repr([(p * q).to_obj(), p.deriv().to_obj(),\n"
+        "            (p * fresh[0]).to_obj()]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script],
+                         input=pickle.dumps((p, q)), capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    first = max({v for m in (p * q).terms for v, _e in m})
+    want = [(p * q).to_obj(), p.deriv().to_obj(),
+            (p * var(alph, *first)).to_obj()]
+    assert out.stdout.decode() == repr(want) + "\n"
