@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .liealg import HALF
-from .scalars import GRat, Scalar
+from .scalars import GR_ONE, GRat, Scalar
 from .pva import LeftBracket, affine_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
@@ -60,6 +60,7 @@ class BRSTComplex:
         g, red = ctx.gstar, ctx.alph
         self.gdim = g.dim
         self.n_idx = n_idx = list(ctx.n_indices)
+        self._n_pos = {t: pos for pos, t in enumerate(n_idx)}
         self.nn = len(n_idx)
         ghosts = ["ph(%s)" % g.names[a] for a in n_idx] + [
             "ph*(%s)" % g.names[a] for a in n_idx]
@@ -79,8 +80,7 @@ class BRSTComplex:
         for beta, b in enumerate(self.n_idx):
             phibar = SuperPoly.variable(self.alph, self.phibar_index(beta))
             for t in range(g.dim):
-                term = phibar * self.phi_of_vector(
-                    g.bracket(g.basis_vec(b), g.basis_vec(t)))
+                term = phibar * self.phi_of_vector(g.struct.get((b, t), ()))
                 if term:
                     odd = g.parities[t] or g.parities[b]
                     blocks[t] = blocks[t] + term if odd else blocks[t] - term
@@ -107,9 +107,10 @@ class BRSTComplex:
         return self.gdim + self.nn + alpha
 
     def phi_of_vector(self, vec) -> SuperPoly:
-        """phi_x = phi_{pi_+ x}: expand the n-part of x over the phi ghosts."""
-        return SuperPoly.linear(self.alph, ((self.phi_index(pos), vec[t])
-                                            for pos, t in enumerate(self.n_idx)))
+        """phi_x = phi_{pi_+ x}: expand the n-part of the element x over the
+        phi ghosts."""
+        return SuperPoly.linear(self.alph, ((self.phi_index(self._n_pos[t]), c)
+                                            for t, c in vec if t in self._n_pos))
 
     def _build_table(self) -> SUSYBracketTable:
         """The affine chi-brackets of the j's, signed s(x, ybar), and
@@ -173,15 +174,14 @@ class BRSTDifferential:
         fvec = g.osp.f
         out = SuperPoly.zero(cplx.alph)
         for alpha, a in enumerate(cplx.n_idx):
-            coeff = g.form_value(fvec, g.basis_vec(a))
+            coeff = g.form_value(fvec, ((a, GR_ONE),))
             head = cplx.jvar(a) - SuperPoly.const(cplx.alph, self.c.scale(coeff))
             out = out + head * SuperPoly.variable(cplx.alph, cplx.phibar_index(alpha))
         for alpha, a in enumerate(cplx.n_idx):
             pa = g.parities[a]
             for beta, b in enumerate(cplx.n_idx):
                 pb = g.parities[b]
-                br = g.bracket(g.basis_vec(a), g.basis_vec(b))
-                phipart = cplx.phi_of_vector(br)
+                phipart = cplx.phi_of_vector(g.struct.get((a, b), ()))
                 if not phipart:
                     continue
                 term = (phipart

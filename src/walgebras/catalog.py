@@ -62,8 +62,8 @@ def _trace_pair(a, b, even_rows, scale=GR_ONE, super_tr=False):
 
 
 def _coords(mats, target):
-    """Coordinates of the matrix target in the basis mats, from one exact
-    solve; raises if target is not in their span."""
+    """The element whose coordinates in the basis mats give the matrix
+    target, from one exact solve; raises if target is not in their span."""
     n = len(target)
     eqs = [({b: m[i][j] for b, m in enumerate(mats) if m[i][j]},
             target[i][j]) for i in range(n) for j in range(n)]
@@ -73,29 +73,23 @@ def _coords(mats, target):
         if e.reason == "inconsistent":
             raise AlgebraError("matrix not in basis span")
         raise AlgebraError("basis matrices not independent (%s)" % e)
-    return tuple(coords.values())
+    return tuple((b, x) for b, x in coords.items() if x)
 
 
 def _build_matrix_algebra(name, names, mats, parities, even_rows,
                           form_scale=GR_ONE, super_tr=False,
                           sl2_mats=None, osp_mats=None):
     dim = len(mats)
-    struct = {}
-    for i in range(dim):
-        for j in range(dim):
-            br = _super_bracket(mats[i], parities[i], mats[j], parities[j])
-            vec = _coords(mats, br)
-            if any(vec):
-                struct[(i, j)] = vec
+    struct = {(i, j): _coords(mats, _super_bracket(mats[i], parities[i],
+                                                   mats[j], parities[j]))
+              for i in range(dim) for j in range(dim)}
     form = [[_trace_pair(mats[i], mats[j], even_rows, form_scale, super_tr)
              for j in range(dim)] for i in range(dim)]
     sl2 = osp = None
     if osp_mats is not None:
-        E, e, H, f, F = (_coords(mats, m) for m in osp_mats)
-        osp = OSPTriple(E, e, H, f, F)
+        osp = OSPTriple(*(_coords(mats, m) for m in osp_mats))
     elif sl2_mats is not None:
-        E, H, F = (_coords(mats, m) for m in sl2_mats)
-        sl2 = SL2Triple(E, H, F)
+        sl2 = SL2Triple(*(_coords(mats, m) for m in sl2_mats))
     return LieSuperalgebra(name, names, parities, struct, form, sl2=sl2, osp=osp)
 
 
@@ -139,10 +133,7 @@ def build_osp12() -> LieSuperalgebra:
     iE, ie, iH, if_, iF = range(5)
 
     def vec(**kw):
-        out = [GR_ZERO] * 5
-        for nm, c in kw.items():
-            out[names.index(nm)] = GRat(c)
-        return tuple(out)
+        return tuple((names.index(nm), GRat(c)) for nm, c in kw.items())
 
     struct = {
         (iH, iE): vec(E=2), (iH, iF): vec(F=-2), (iE, iF): vec(H=1),
@@ -154,8 +145,7 @@ def build_osp12() -> LieSuperalgebra:
     form[iE][iF] = form[iF][iE] = GR_ONE
     form[iH][iH] = GRat(2)
     form[ie][if_], form[if_][ie] = GRat(-2), GRat(2)
-    osp = OSPTriple(*(tuple(GR_ONE if i == j else GR_ZERO for i in range(5))
-                      for j in (iE, ie, iH, if_, iF)))
+    osp = OSPTriple(*(((j, GR_ONE),) for j in (iE, ie, iH, if_, iF)))
     return LieSuperalgebra("osp12", names, parities, struct, form, osp=osp)
 
 

@@ -6,20 +6,21 @@ osp(1|2) elements.  The basis must be an eigenbasis of ad H/2; the engine
 validates this and never diagonalizes.  Triples are inputs, not searched for.
 
 All of it lives in Q(i): the level k enters only in the affine table
-(pva.affine_table).  Elements are coefficient vectors (tuples of GRat) over
-the basis; structure constants, form entries and the values of ``bracket``
-and ``form_value`` are GRats.  Numbers are converted once, at the boundary:
-the file reader parses coefficients straight into GRats, and the
-constructor, the triples and ``rebase`` take ints, Fractions, GRats and
-constant Scalars, and raise AlgebraError on a k- or c-dependent Scalar.
+(pva.affine_table).  An element of g is one value everywhere, from the file
+reader to the chain bases: a tuple of (index, GRat) pairs in increasing
+index with no zero coefficient, so that it cannot change and == is value
+equality.  The zero element is ().  ``struct`` is the one store of the
+structure constants, {(i, j): element} with [x_i, x_j] that element, for
+the nonzero brackets only; ``bracket`` and ``validate`` read it directly,
+a few lookups per pair of nonzero coordinates.  The form stays a dense
+dim x dim matrix of GRats.
 
-Brackets run on sparse vectors.  At construction the algebra indexes its
-nonzero structure constants once, as {(i, j): ((l, c), ...)} with
-[x_i, x_j] = sum c x_l, and one private helper brackets two sparse vectors
-{index: GRat} through that index: the cost is a few lookups per pair of
-nonzero coordinates, not a pass over every structure constant.  The public
-``bracket`` converts dense tuples to and from this form; ``validate`` sums
-products of structure constants read from the index.
+Numbers are converted once, at the boundary: the file reader parses
+coefficients straight into GRats, and the constructor, the triples and
+``rebase`` take elements as (index, coefficient) pairs, with ints,
+Fractions, GRats and constant Scalars as coefficients.  They raise
+AlgebraError on a k- or c-dependent coefficient and on an index that is
+repeated or, among the nonzero coefficients, outside 0..dim-1.
 """
 
 from __future__ import annotations
@@ -52,21 +53,18 @@ def matrix_rank(rows) -> int:
     return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
-def nullspace(rows, ncols):
-    """Deterministic basis of the right nullspace of a GRat matrix: for each
-    free column in order, the kernel vector that is 1 there and 0 at the
-    other free columns. The free columns are those of the reduced row
-    echelon form (see scalars.row_echelon), and a kernel vector is fixed by
-    its free entries, so this is the basis read off the RREF."""
-    pivots = _echelon(rows, ncols)
+def _kernel(pivots, ncols):
+    """Deterministic basis of the right nullspace of a system with
+    row_echelon's pivots, as {col: GRat}: for each free column in order, the
+    kernel vector that is 1 there and 0 at the other free columns. The free
+    columns are those of the reduced row echelon form (see
+    scalars.row_echelon), and a kernel vector is fixed by its free entries,
+    so this is the basis read off the RREF, whatever the order of the rows."""
     pivot_cols = {col for col, _, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free:
-        x = back_substitute(pivots, {c: GR_ONE if c == fc else GR_ZERO
+    return [back_substitute(pivots, {c: GR_ONE if c == fc else GR_ZERO
                                      for c in free})
-        basis.append([x[c] for c in range(ncols)])
-    return basis
+            for fc in free]
 
 
 def matrix_inverse(rows):
@@ -88,18 +86,81 @@ def matrix_inverse(rows):
     return [[x[i] for x in cols] for i in range(n)]
 
 
-def _vector(vec, what, *args):
-    """vec as a tuple of GRats, from ints, Fractions, GRats and constant
-    Scalars; what % args names it in the error on a k- or c-dependent entry."""
-    out = tuple(vec)
-    if all(type(x) is GRat for x in out):
-        return out
-    for n, x in enumerate(out):
-        if isinstance(x, Scalar) and not x.is_constant():
-            raise AlgebraError("%s, entry %d: expected k-free scalar, got %s"
-                               % (what % args, n, x))
-    return tuple(x.constant_part() if isinstance(x, Scalar) else GRat(x)
-                 for x in out)
+def _grat(x, what, *args) -> GRat:
+    """x as a GRat, from an int, Fraction, GRat or constant Scalar; what %
+    args names it in the error on a k- or c-dependent Scalar."""
+    if type(x) is GRat:
+        return x
+    if isinstance(x, Scalar):
+        if not x.is_constant():
+            raise AlgebraError("%s: expected k-free scalar, got %s"
+                               % (what % args, x))
+        return x.constant_part()
+    return GRat(x)
+
+
+# ---------------------------------------------------------------------------
+# elements: tuples of (index, GRat) pairs in increasing index, no zeros
+# ---------------------------------------------------------------------------
+
+def _element(acc):
+    """The element with coordinates acc {index: GRat}, zeros dropped."""
+    return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
+
+
+def _accumulate(acc, vec, c):
+    """acc[i] += c x over the pairs (i, x) of the element vec."""
+    for i, x in vec:
+        s = acc.get(i)
+        acc[i] = c * x if s is None else s + c * x
+
+
+def _combination(terms):
+    """The element sum c v over the (c, v) of terms."""
+    acc = {}
+    for c, vec in terms:
+        _accumulate(acc, vec, c)
+    return _element(acc)
+
+
+def _vector(pairs, dim, what, *args):
+    """pairs as an element, coefficients read by _grat; what % args names it
+    in the error on a pair that is not (int index, coefficient), a repeated
+    index, and (unless dim is None) an index of a nonzero coefficient
+    outside 0..dim-1."""
+    acc = {}
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise AlgebraError("%s: %r is not an (index, coefficient) pair"
+                               % (what % args, pair))
+        i, x = pair
+        if type(i) is not int or i in acc:
+            raise AlgebraError("%s: index %r is %s" % (
+                what % args, i, "not an int" if type(i) is not int else "repeated"))
+        acc[i] = x if type(x) is GRat else _grat(x, "%s, entry %d",
+                                                 what % args, i)
+    vec = _element(acc)
+    if dim is not None and vec and (vec[0][0] < 0 or vec[-1][0] >= dim):
+        raise AlgebraError("%s: index %d out of range 0..%d" % (
+            what % args, vec[0][0] if vec[0][0] < 0 else vec[-1][0], dim - 1))
+    return vec
+
+
+def _scaled(vec, r):
+    """r vec, for r != 0."""
+    return tuple((i, x * r) for i, x in vec)
+
+
+def _swapped(vec, p, q):
+    """[x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j], for parities p, q of i, j."""
+    return vec if (p * q) % 2 else tuple((i, -x) for i, x in vec)
+
+
+def _common(values, vec):
+    """The value values[i] shared by every index i of vec; None when they
+    differ or vec is zero."""
+    seen = {values[i] for i, _x in vec}
+    return seen.pop() if len(seen) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -110,45 +171,21 @@ def _in_range(i, dim) -> bool:
     return type(i) is int and 0 <= i < dim
 
 
-def _sparse(vec):
-    """Dense coefficient vector -> sparse {index: GRat} of its nonzeros."""
-    return {i: c for i, c in enumerate(vec) if c}
-
-
-def _scaled(vec, r):
-    return tuple(x * r if x else x for x in vec)
-
-
-def _swapped(vec, p, q):
-    """[x_j, x_i] = -(-1)^{p_i p_j} [x_i, x_j], for parities p, q of i, j."""
-    return vec if (p * q) % 2 else tuple(-x if x else x for x in vec)
-
-
-def _common(values, vec):
-    """The value values[i] shared by every nonzero vec[i]; None when they
-    differ or vec is zero."""
-    seen = {values[i] for i, c in enumerate(vec) if c}
-    return seen.pop() if len(seen) == 1 else None
-
-
 def _add_products(out, pairs, rows, neg=False):
     """out[n] += (-1)^neg x y over (m, x) in pairs and (n, y) in rows[m]; for
     pairs from [u, v] and rows[m] from [x_m, w], that adds [[u, v], w]."""
     for m, x in pairs:
         row = rows.get(m)
         if row:
-            if neg:
-                x = -x
-            for n, y in row:
-                s = out.get(n)
-                out[n] = x * y if s is None else s + x * y
+            _accumulate(out, row, -x if neg else x)
 
 
 class SL2Triple:
-    """Vectors E, H, F with [H,E]=2E, [H,F]=-2F, [E,F]=H, (E|F)=(H|H)/2=1."""
+    """Elements E, H, F with [H,E]=2E, [H,F]=-2F, [E,F]=H, (E|F)=(H|H)/2=1.
+    A triple does not know dim: the algebra checks the index range."""
 
     def __init__(self, E, H, F):
-        self.E, self.H, self.F = (_vector(v, "sl2 vector %s", nm)
+        self.E, self.H, self.F = (_vector(v, None, "sl2 vector %s", nm)
                                   for v, nm in zip((E, H, F), "EHF"))
 
 
@@ -157,7 +194,7 @@ class OSPTriple:
 
     def __init__(self, E, e, H, f, F):
         self.E, self.e, self.H, self.f, self.F = (
-            _vector(v, "osp vector %s", nm)
+            _vector(v, None, "osp vector %s", nm)
             for v, nm in zip((E, e, H, f, F), "EeHfF"))
 
     def sl2(self) -> SL2Triple:
@@ -166,15 +203,17 @@ class OSPTriple:
 
 class LieSuperalgebra:
     def __init__(self, name, names, parities, struct, form, sl2=None, osp=None):
-        """struct: {(i, j): vector} for the nonzero brackets [x_i, x_j].
+        """struct: {(i, j): element} for the brackets [x_i, x_j]; the zero
+        ones may be left out.
 
         Missing (j, i) entries are completed by super-anticommutativity.
         With osp(1|2) data, sl2 defaults to its triple (E, H, F); a given
         sl2 must share its H, as g is graded once, by that H.
         Gradings are computed from ad H/2 when an sl2 triple is present.
-        A name or basis label that is not a string, a repeated label,
-        indices outside 0..dim-1, vectors of another length, a form that is
-        not dim x dim and a k- or c-dependent entry raise AlgebraError.
+        A name or basis label that is not a string, a repeated label, names
+        and parities of different lengths, bracket keys outside 0..dim-1,
+        an element with a repeated or out-of-range index, a form that is not
+        dim x dim and a k- or c-dependent entry raise AlgebraError.
         """
         if not isinstance(name, str):
             raise AlgebraError("algebra name %r is not a string" % (name,))
@@ -187,32 +226,29 @@ class LieSuperalgebra:
                 raise AlgebraError("basis label %r is repeated" % label)
         self.parities = tuple(int(p) % 2 for p in parities)
         self.dim = len(self.names)
+        if len(self.parities) != self.dim:
+            raise AlgebraError("names/parities length mismatch: %d names, %d "
+                               "parities" % (self.dim, len(self.parities)))
         full = {}
         for (i, j), vec in struct.items():
             if not (_in_range(i, self.dim) and _in_range(j, self.dim)):
                 raise AlgebraError("bracket index (%r, %r) out of range 0..%d"
                                    % (i, j, self.dim - 1))
-            vec = _vector(vec, "bracket (%d, %d)", i, j)
-            if len(vec) != self.dim:
-                raise AlgebraError("bracket (%d, %d) has %d coefficients, expected %d"
-                                   % (i, j, len(vec), self.dim))
-            if any(vec):
+            vec = _vector(vec, self.dim, "bracket (%d, %d)", i, j)
+            if vec:
                 full[(i, j)] = vec
         for (i, j), vec in list(full.items()):
             if (j, i) not in full:
                 full[(j, i)] = _swapped(vec, self.parities[i], self.parities[j])
         self.struct = full
-        self._index = {ij: tuple((l, c) for l, c in enumerate(vec) if c)
-                       for ij, vec in full.items()}
-        self.form = tuple(_vector(row, "form row %d", r)
+        self.form = tuple(tuple(_grat(x, "form row %d, entry %d", r, c)
+                                for c, x in enumerate(row))
                           for r, row in enumerate(form))
         if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
             raise AlgebraError("form is not %d x %d" % (self.dim, self.dim))
         for tag, triple in (("sl2", sl2), ("osp", osp)):
             for nm, vec in vars(triple).items() if triple is not None else ():
-                if len(vec) != self.dim:
-                    raise AlgebraError("%s vector %s has %d entries, expected %d"
-                                       % (tag, nm, len(vec), self.dim))
+                _vector(vec, self.dim, "%s vector %s", tag, nm)
         if osp is not None:
             if sl2 is None:
                 sl2 = osp.sl2()
@@ -230,43 +266,23 @@ class LieSuperalgebra:
                 self.name, "sl2 triple" if attr == "sl2" else "osp(1|2) data"))
         return found
 
-    # -- element helpers -----------------------------------------------
-    def zero_vec(self):
-        return (GR_ZERO,) * self.dim
+    # -- elements --------------------------------------------------------
+    def bracket(self, x, y):
+        """[x, y] of two elements, from the structure constants of the pairs
+        of their nonzero coordinates."""
+        struct = self.struct
+        return _combination((a * b, struct[(i, j)]) for i, a in x
+                            for j, b in y if (i, j) in struct)
 
-    def basis_vec(self, i):
-        return tuple(GR_ONE if j == i else GR_ZERO for j in range(self.dim))
-
-    def _br(self, u, v):
-        """[u, v] of sparse vectors {index: GRat}, zero entries dropped."""
-        index = self._index
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                entry = index.get((i, j))
-                if entry:
-                    ab = a * b
-                    for l, c in entry:
-                        s = out.get(l)
-                        out[l] = ab * c if s is None else s + ab * c
-        return {l: s for l, s in out.items() if s}
-
-    def _form(self, u, v) -> GRat:
-        """(u | v) of sparse vectors {index: GRat}."""
+    def form_value(self, x, y) -> GRat:
+        """(x | y) of two elements."""
         out = GR_ZERO
-        for i, a in u.items():
+        for i, a in x:
             row = self.form[i]
-            for j, b in v.items():
+            for j, b in y:
                 if row[j]:
                     out = out + a * b * row[j]
         return out
-
-    def bracket(self, x, y):
-        out = self._br(_sparse(x), _sparse(y))
-        return tuple(out.get(l, GR_ZERO) for l in range(self.dim))
-
-    def form_value(self, x, y) -> GRat:
-        return self._form(_sparse(x), _sparse(y))
 
     def parity_of_vec(self, vec):
         return _common(self.parities, vec)
@@ -276,15 +292,12 @@ class LieSuperalgebra:
 
     def _compute_gradings(self):
         """Eigenvalue of ad H/2 on every basis vector; raises if not diagonal."""
-        H = _sparse(self.sl2.H)
         grads = []
         for i in range(self.dim):
-            img = self._br(H, {i: GR_ONE})
             ev = GR_ZERO
-            for l in sorted(img):
+            for l, ev in self.bracket(self.sl2.H, ((i, GR_ONE),)):
                 if l != i:
                     raise AlgebraError("basis not ad-H/2 homogeneous (index %d)" % i)
-                ev = img[l]
                 if ev.b:
                     raise AlgebraError("non-rational ad-H eigenvalue")
             grads.append(ev / 2)
@@ -295,18 +308,18 @@ class LieSuperalgebra:
         """Report every violated axiom; an empty list means valid.
 
         Each check sums products of structure constants ([x_i, x_j] =
-        sum_m c_ij^m x_m) read from the index, one dict per pair or triple,
+        sum_m c_ij^m x_m) read from struct, one dict per pair or triple,
         with s = (-1)^{p_i p_j}: c_ij + s c_ji = 0; the Jacobiator of
         (i, j, l), sum_m c_jl^m c_im - c_ij^m c_ml - s c_il^m c_jm; and
         invariance, sum_m c_ij^m F_ml = sum_m F_im c_jl^m for every l.
         """
         report = []
         dim, p, names, form = self.dim, self.parities, self.names, self.form
-        index = self._index
+        struct = self.struct
         left = [{} for _ in range(dim)]    # left[i][m]: entries of [x_i, x_m]
         right = [{} for _ in range(dim)]   # right[l][m]: of [x_m, x_l]
         over = [{} for _ in range(dim)]    # over[j][m]: (l, c_jl^m) pairs
-        for (i, j), entry in index.items():
+        for (i, j), entry in struct.items():
             left[i][j] = right[j][i] = entry
             for m, c in entry:
                 over[i].setdefault(m, []).append((j, c))
@@ -315,11 +328,11 @@ class LieSuperalgebra:
 
         for i in range(dim):
             for j in range(dim):
-                bij = index.get((i, j), ())
+                bij = struct.get((i, j), ())
                 odd = p[i] * p[j]
                 # nonzero entries only, so c_ij = -s c_ji as dicts
                 if dict(bij) != {l: c if odd else -c
-                                 for l, c in index.get((j, i), ())}:
+                                 for l, c in struct.get((j, i), ())}:
                     report.append("super-anticommutativity fails at (%s,%s)"
                                   % (names[i], names[j]))
                 pb = {p[l] for l, _c in bij}
@@ -329,13 +342,13 @@ class LieSuperalgebra:
 
         for i in range(dim):
             for j in range(dim):
-                bij = index.get((i, j), ())
+                bij = struct.get((i, j), ())
                 odd = p[i] * p[j]
                 for l in range(dim):
                     out = {}
-                    _add_products(out, index.get((j, l), ()), left[i])
+                    _add_products(out, struct.get((j, l), ()), left[i])
                     _add_products(out, bij, right[l], neg=True)
-                    _add_products(out, index.get((i, l), ()), left[j], neg=not odd)
+                    _add_products(out, struct.get((i, l), ()), left[j], neg=not odd)
                     if any(out.values()):
                         report.append("Jacobi fails at (%s,%s,%s)"
                                       % (names[i], names[j], names[l]))
@@ -352,7 +365,7 @@ class LieSuperalgebra:
         for i in range(dim):
             for j in range(dim):
                 lhs, rhs = {}, {}
-                _add_products(lhs, index.get((i, j), ()), rows)
+                _add_products(lhs, struct.get((i, j), ()), rows)
                 _add_products(rhs, rows[i], over[j])
                 for l in range(dim):
                     if lhs.get(l, GR_ZERO) != rhs.get(l, GR_ZERO):
@@ -423,44 +436,43 @@ class LieSuperalgebra:
 
         With V the matrix whose columns are the new basis vectors, the
         coordinates of x are V^-1 x.  V is inverted once and the columns of
-        V^-1 are kept sparse, as [(r, V^-1[r][c]), ...] over the nonzeros,
-        so a sparse bracket [v_i, v_j] maps through the columns of its own
-        nonzero entries, not through a dense dim x dim product.  The
-        vectors are read as the constructor reads its inputs, so a k- or
-        c-dependent entry raises AlgebraError; the rest is GRat arithmetic.
+        V^-1 are kept as elements, so an element maps through the columns of
+        its own nonzero coordinates, not through a dense dim x dim product.
+        The vectors are read as the constructor reads its elements, so a k-
+        or c-dependent coefficient and a repeated or out-of-range index
+        raise AlgebraError; the rest is GRat arithmetic.
         """
-        vectors = [_vector(v, "rebase vector %d", n) for n, v in enumerate(vectors)]
         dim = self.dim
+        vectors = [_vector(v, dim, "rebase vector %d", n)
+                   for n, v in enumerate(vectors)]
         if len(vectors) != dim:
             raise AlgebraError("rebase needs %d vectors" % dim)
-        Vinv = matrix_inverse([[v[i] for v in vectors] for i in range(dim)])
-        inv_cols = [[(r, Vinv[r][c]) for r in range(dim) if Vinv[r][c]]
+        V = [[GR_ZERO] * dim for _ in range(dim)]
+        for c, v in enumerate(vectors):
+            for r, x in v:
+                V[r][c] = x
+        Vinv = matrix_inverse(V)
+        inv_cols = [_element({r: Vinv[r][c] for r in range(dim)})
                     for c in range(dim)]
 
         def coords(vec):
-            """New-basis coordinates of a sparse vector {index: GRat}."""
-            out = {}
-            for l, x in vec.items():
-                for r, m in inv_cols[l]:
-                    t = out.get(r)
-                    out[r] = m * x if t is None else t + m * x
-            return tuple(out.get(r, GR_ZERO) for r in range(dim))
+            """New-basis coordinates of an element."""
+            return _combination((x, inv_cols[l]) for l, x in vec)
 
         parities = [self.parity_of_vec(v) for v in vectors]
         if None in parities:
             raise AlgebraError("rebase vector not parity homogeneous")
         struct = {}
-        sparse = [_sparse(v) for v in vectors]
-        for i, u in enumerate(sparse):
-            for j, v in enumerate(sparse):
-                b = self._br(u, v)
+        for i, u in enumerate(vectors):
+            for j, v in enumerate(vectors):
+                b = self.bracket(u, v)
                 if b:
                     struct[(i, j)] = coords(b)
-        form = [tuple(self._form(u, v) for v in sparse) for u in sparse]
+        form = [tuple(self.form_value(u, v) for v in vectors) for u in vectors]
 
         def mapped(cls, triple):
             return None if triple is None else cls(
-                *(coords(_sparse(x)) for x in vars(triple).values()))
+                *(coords(x) for x in vars(triple).values()))
 
         return LieSuperalgebra(self.name + "*", names, parities, struct, form,
                                sl2=mapped(SL2Triple, self.sl2),
@@ -479,11 +491,15 @@ def validate_algebra(g: LieSuperalgebra):
 class DualBases:
     """Chain bases attached to an sl2 triple (kind 'F') or osp one (kind 'f').
 
+    Every vector is an element of g, (index, GRat) pairs (module docstring):
+
     lower[j]  : q_j (resp. r_j), basis of ker ad F (resp. ker ad f)
     upper[j]  : q^j (resp. r^j), dual basis of ker ad E (resp. ker ad e)
     chain_upper[j][m] : (ad F)^m q^j          (resp. (ad f)^m r^j)
     chain_lower[j][n] : normalized (ad E)^n q_j  (resp. C_{j,n} (ad e)^n r_j)
     spins[j]  : alpha_j with q_j in g(-alpha_j)
+
+    The coordinate of x on q_j in g = ker ad F + [E, g] is (q^j | x).
     """
 
     def __init__(self, g, kind, lower, upper, chain_lower, chain_upper, spins):
@@ -495,7 +511,6 @@ class DualBases:
         self.chain_upper = chain_upper
         self.spins = spins
         self.step = GR_ONE if kind == "F" else HALF
-        self._upper_sparse = [_sparse(v) for v in upper]   # for upper_values
         # index sets: grade -> [(j, n)]
         self.index_sets = {}
         for j, alpha in enumerate(spins):
@@ -508,22 +523,12 @@ class DualBases:
     def count(self):
         return len(self.lower)
 
-    def upper_values(self, y):
-        """[(q^j | y) for each j], with y made sparse once and the q^j kept
-        sparse: g.form_value(upper[j], y) for every j, term for term."""
-        ys = _sparse(y)
-        return [self.g._form(u, ys) for u in self._upper_sparse]
-
     def grade_of(self, j, n):
         return -self.spins[j] + n * self.step
 
     def chain_lower_or_zero(self, j, n):
         chain = self.chain_lower[j]
-        return chain[n] if n < len(chain) else self.g.zero_vec()
-
-    def chain_upper_or_zero(self, j, n):
-        chain = self.chain_upper[j]
-        return chain[n] if n < len(chain) else self.g.zero_vec()
+        return chain[n] if n < len(chain) else ()
 
     def members(self):
         return [(j, n) for j in range(len(self.lower))
@@ -531,21 +536,24 @@ class DualBases:
 
 
 def _graded_kernel_basis(g, ad_vec):
-    """Kernel of ad(ad_vec), split into homogeneous pieces, sorted by grading."""
-    dim = g.dim
-    cols = [g.bracket(ad_vec, g.basis_vec(i)) for i in range(dim)]
+    """Kernel of ad(ad_vec), split into homogeneous pieces, sorted by
+    grading: (grading, parity, element) for each kernel vector of each block
+    of basis vectors of one grading and parity."""
     groups = {}
-    for i in range(dim):
+    for i in range(g.dim):
         groups.setdefault((g.gradings[i], g.parities[i]), []).append(i)
     members = []
-    for (grade, par) in sorted(groups):
-        idxs = groups[(grade, par)]
-        rows = [[cols[i][r] for i in idxs] for r in range(dim)]
-        for nv in nullspace(rows, len(idxs)):
-            coords = dict(zip(idxs, nv))
-            members.append((grade, par, tuple(coords.get(i, GR_ZERO)
-                                              for i in range(dim))))
-    members.sort(key=lambda t: (t[0], t[1]))
+    for key in sorted(groups):
+        idxs = groups[key]
+        rows = {}   # rows[r][pos]: coordinate r of [ad_vec, x_idxs[pos]]
+        for pos, i in enumerate(idxs):
+            for r, c in g.bracket(ad_vec, ((i, GR_ONE),)):
+                rows.setdefault(r, {})[pos] = c
+        pivots = row_echelon([(row, GR_ZERO) for row in rows.values()],
+                             range(len(idxs)))
+        for x in _kernel(pivots, len(idxs)):
+            members.append((*key, _element({idxs[pos]: c
+                                            for pos, c in x.items()})))
     return members
 
 
@@ -569,9 +577,7 @@ def _pair_dual(g, lows, ups):
         except AlgebraError:
             raise AlgebraError("bases not dual (singular pairing at grade %s)" % (key,))
         lower.extend(lvs)
-        for row in inv:
-            upper.append(tuple(sum((u[t] * c for u, c in zip(uvs, row) if c and u[t]),
-                                   GR_ZERO) for t in range(g.dim)))
+        upper.extend(_combination(zip(row, uvs)) for row in inv)
     return lower, upper
 
 
@@ -592,7 +598,7 @@ def _chain_bases(g, kind, lowering, raising, length, norm) -> DualBases:
         up_chain = [up]
         for _ in range(size):
             up_chain.append(g.bracket(lowering, up_chain[-1]))
-        if not any(up_chain[size - 1]) or any(up_chain[size]):
+        if not up_chain[size - 1] or up_chain[size]:
             raise AlgebraError("%schain length does not match spin %s"
                                % ("SUSY " if kind == "f" else "", alpha))
         sign = -1 if g.parity_of_vec(q) else 1
@@ -639,12 +645,11 @@ def dual_bases_f(g: LieSuperalgebra) -> DualBases:
 
 def _verify_chain_pairings(db: DualBases):
     g = db.g
-    lows = [[_sparse(v) for v in chain] for chain in db.chain_lower]
     for i, chain in enumerate(db.chain_upper):
-        for m, up in enumerate(map(_sparse, chain)):
-            for j, los in enumerate(lows):
+        for m, up in enumerate(chain):
+            for j, los in enumerate(db.chain_lower):
                 for n, lo in enumerate(los):
-                    val = g._form(up, lo)
+                    val = g.form_value(up, lo)
                     if val != (GR_ONE if (i == j and m == n) else GR_ZERO):
                         raise AlgebraError(
                             "bases not dual: (chain_up[%d][%d]|chain_lo[%d][%d]) = %s"
@@ -655,15 +660,11 @@ def _verify_chain_pairings(db: DualBases):
 # tensor identities (exact checks on the dual bases)
 # ---------------------------------------------------------------------------
 
-def _tensor_sum(g, pairs):
-    """Sum of outer products sum c * x (x) y as a dim x dim GRat matrix."""
-    out = [[GR_ZERO] * g.dim for _ in range(g.dim)]
-    for sign, x, y in pairs:
-        ys = _sparse(y)
-        for a, xa in _sparse(x).items():
-            for b, yb in ys.items():
-                out[a][b] = out[a][b] + (xa * yb if sign > 0 else -(xa * yb))
-    return out
+def _tensor_sum(pairs):
+    """sum s x (x) y over the (s, x, y) of pairs, s = +-1, as an element of
+    g (x) g: ((a, b), GRat) pairs in increasing (a, b), no zeros."""
+    return _combination((xa if s > 0 else -xa, [((a, b), yb) for b, yb in y])
+                        for s, x, y in pairs for a, xa in x)
 
 
 def check_tensor_identity(db: DualBases):
@@ -678,12 +679,12 @@ def check_tensor_identity(db: DualBases):
         left_pairs = []
         for (j, n) in db.index_sets.get(-t, []):
             sj = -1 if db.kind == "F" and g.parity_of_vec(db.lower[j]) else 1
-            left_pairs.append((sj, db.chain_upper_or_zero(j, n),
+            left_pairs.append((sj, db.chain_upper[j][n],
                                db.chain_lower_or_zero(j, n + 1)))
         right_pairs = [(-1, db.chain_lower_or_zero(i, m + 1),
-                        db.chain_upper_or_zero(i, m))
+                        db.chain_upper[i][m])
                        for (i, m) in db.index_sets.get(t - step, [])]
-        if _tensor_sum(g, left_pairs) != _tensor_sum(g, right_pairs):
+        if _tensor_sum(left_pairs) != _tensor_sum(right_pairs):
             bad.append(t)
     return bad
 
@@ -714,12 +715,16 @@ def algebra_to_obj(g: LieSuperalgebra):
         if i > j and (j, i) in g.struct and vec == _swapped(
                 g.struct[(j, i)], g.parities[i], g.parities[j]):
             continue
-        coeffs = [[l, coeff_str(s)] for l, s in enumerate(vec) if s]
+        coeffs = [[l, coeff_str(s)] for l, s in vec]
         obj["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
     for tag in ("sl2", "osp"):
-        if getattr(g, tag) is not None:
-            obj[tag] = {nm: [coeff_str(s) for s in vec]
-                        for nm, vec in vars(getattr(g, tag)).items()}
+        triple = getattr(g, tag)
+        if triple is not None:
+            obj[tag] = {}
+            for nm, vec in vars(triple).items():
+                coeffs = dict(vec)   # the file writes a triple's vectors dense
+                obj[tag][nm] = [coeff_str(coeffs.get(l, GR_ZERO))
+                                for l in range(g.dim)]
     return obj
 
 
@@ -754,7 +759,7 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
         dim = len(names)
         struct = {}
         for ent in obj["brackets"]:
-            vec = [GR_ZERO] * dim
+            vec = []
             where = "bracket (%r, %r)" % (ent["i"], ent["j"])
             for pair in _file_list(ent["coeffs"], where + " coeffs"):
                 if not (isinstance(pair, list) and len(pair) == 2):
@@ -764,16 +769,21 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
                 if not _in_range(l, dim):
                     raise AlgebraError("%s: coefficient index %r out of range 0..%d"
                                        % (where, l, dim - 1))
-                vec[l] = _file_coeff(cs, where)
-            struct[(ent["i"], ent["j"])] = tuple(vec)
+                vec.append((l, _file_coeff(cs, where)))
+            struct[(ent["i"], ent["j"])] = vec
         form = [[_file_coeff(cs, "form row %d" % r)
                  for cs in _file_list(row, "form row %d" % r)]
                 for r, row in enumerate(_file_list(obj["form"], "form"))]
 
         def vec_of(tag, triple, name):
+            """A triple's vector, which the file writes dense."""
             where = "%s vector %s" % (tag, name)
-            return tuple(_file_coeff(cs, where)
-                         for cs in _file_list(triple[name], where))
+            coeffs = [_file_coeff(cs, where)
+                      for cs in _file_list(triple[name], where)]
+            if len(coeffs) != dim:
+                raise AlgebraError("%s has %d entries, expected %d"
+                                   % (where, len(coeffs), dim))
+            return enumerate(coeffs)
 
         sl2 = osp = None
         if "osp" in obj and obj["osp"]:

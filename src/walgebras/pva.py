@@ -312,7 +312,7 @@ def affine_table(g, alphabet, k: Scalar, table_cls=BracketTable,
             br = g.struct.get((i, j))
             if br is not None:
                 coeffs[0] = SuperPoly.linear(
-                    alphabet, ((l, -s if neg else s) for l, s in enumerate(br)))
+                    alphabet, ((l, -s if neg else s) for l, s in br))
             fv = g.form[i][j]
             if fv:
                 coeffs[1] = SuperPoly.const(alphabet, k.scale(-fv if neg else fv))

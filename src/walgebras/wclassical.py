@@ -137,15 +137,10 @@ class ReductionContext:
                     self.alph, [((), 0, 0, c)])
             else:
                 self._rho_images[t] = SuperPoly.variable(self.alph, t)
-        labels = []
-        for j in range(db.count()):
-            vec = db.lower[j]
-            hits = [(i, c) for i, c in enumerate(vec) if c]
-            if len(hits) == 1 and hits[0][1] == GR_ONE:
-                labels.append(g.names[hits[0][0]])
-            else:
-                labels.append("%s%d" % (fl.letter, j))
-        self.gen_labels = labels
+        # q_j is labelled by the basis vector it is, if it is one
+        self.gen_labels = labels = [
+            g.names[q[0][0]] if len(q) == 1 and q[0][1] == GR_ONE
+            else "%s%d" % (fl.letter, j) for j, q in enumerate(db.lower)]
         self.gen_parities = tuple(g.parity_of_vec(q) for q in db.lower)
         self.gen_alph = Alphabet(
             fl.table.value.var.symbol, [fl.prefix + lb for lb in labels],
@@ -199,17 +194,17 @@ class ReductionContext:
 
     def to_input(self, poly: SuperPoly) -> SuperPoly:
         """Express a chain-coordinate polynomial over the input basis."""
-        images = {}
-        for t, (j, n) in enumerate(self.members):
-            images[t] = SuperPoly.linear(self.alph_in,
-                                         enumerate(self.db.chain_lower[j][n]))
+        images = {t: SuperPoly.linear(self.alph_in, self.db.chain_lower[j][n])
+                  for t, (j, n) in enumerate(self.members)}
         return poly.substitute(images, self.alph_in)
 
     def chain_constants(self, x, y, y_upper=True):
         """([x, y]^sharp in chain coordinates and in generator symbols,
         (x|y)) for x the chain_lower vector of member x and y the
         chain_upper (or chain_lower) vector of member y, members given by
-        star index; computed on first use and kept."""
+        star index; computed on first use and kept. The coordinate of
+        [x, y]^sharp on q_j is (q^j | [x, y]), one form_value of the element
+        [x, y] against each upper vector of the dual bases."""
         key = (x, y, y_upper)
         found = self._chain_constants.get(key)
         if found is None:
@@ -218,7 +213,8 @@ class ReductionContext:
             vx = db.chain_lower[j][n]
             j, n = self.members[y]
             vy = (db.chain_upper if y_upper else db.chain_lower)[j][n]
-            sharp = list(enumerate(db.upper_values(g.bracket(vx, vy))))
+            br = g.bracket(vx, vy)
+            sharp = [(j, g.form_value(up, br)) for j, up in enumerate(db.upper)]
             found = self._chain_constants[key] = (
                 SuperPoly.linear(self.alph, ((self.star_index[(j, 0)], c)
                                              for j, c in sharp)),

@@ -379,7 +379,7 @@ def phibar_of_vector(cplx, vec) -> SuperPoly:
     g = cplx.ctx.gstar
     # coefficient of u^alpha in pi_-(x) is (x | u_alpha)
     return SuperPoly.linear(cplx.alph, (
-        (cplx.phibar_index(alpha), g.form_value(vec, g.basis_vec(a)))
+        (cplx.phibar_index(alpha), g.form_value(vec, unit(a)))
         for alpha, a in enumerate(cplx.n_idx)))
 
 
@@ -388,25 +388,25 @@ def dual_vectors(cplx):
     (u^alpha | u_beta) = delta, from the inverse of the Gram matrix."""
     g = cplx.ctx.gstar
     minus = [t for t, gr in enumerate(g.gradings) if gr < 0]
-    gram = [[g.form_value(g.basis_vec(a), g.basis_vec(b)) for b in cplx.n_idx]
+    gram = [[g.form_value(unit(a), unit(b)) for b in cplx.n_idx]
             for a in minus]
     inv = dense_inverse(gram)
-    return [tuple(inv[alpha][minus.index(t)] if t in minus else GR_ZERO
-                  for t in range(g.dim))
+    return [_pairs(inv[alpha][minus.index(t)] if t in minus else GR_ZERO
+                   for t in range(g.dim))
             for alpha in range(cplx.nn)]
 
 
 def sharp(db, vec):
     """Projection onto ker ad F (resp. ker ad f) along [E,g] (resp. [e,g])."""
-    out = db.g.zero_vec()
+    out = [GR_ZERO] * db.g.dim
     for up, low in zip(db.upper, db.lower):
         c = db.g.form_value(up, vec)
-        out = tuple(a + b * c for a, b in zip(out, low))
-    return out
+        out = [a + b * c for a, b in zip(out, _dense(db.g, low))]
+    return _pairs(out)
 
 
 def j_of_vector(cplx, vec) -> SuperPoly:
-    return SuperPoly.linear(cplx.alph, enumerate(vec))
+    return SuperPoly.linear(cplx.alph, vec)
 
 
 def bigrade_mono(cplx, mono):
@@ -669,22 +669,50 @@ def dense_inverse(rows):
 
 # Dense reference for liealg, in GRat arithmetic: the bracket as a loop over
 # every structure constant of g.struct, the form as a double loop over
-# coordinates, and the validation loops on dense basis vectors, written
-# without the sparse structure-constant index.
+# coordinates, and the validation loops on dense basis vectors. Elements of
+# g, (index, GRat) pairs, are made dense where they enter (_dense) and
+# turned back where they leave (_pairs); inside, a vector is the tuple of
+# its dim coordinates.
 
-def dense_bracket(g, x, y):
+def unit(i, c=1):
+    """The element c x_i."""
+    return ((i, GRat(c)),)
+
+
+def _dense(g, vec):
+    out = [GR_ZERO] * g.dim
+    for i, x in vec:
+        out[i] = x
+    return tuple(out)
+
+
+def _pairs(coords):
+    return tuple((i, x) for i, x in enumerate(coords) if x)
+
+
+def _dense_bracket(g, x, y):
     out = [GR_ZERO] * g.dim
     for (i, j), vec in g.struct.items():
         if not (x[i] and y[j]):
             continue
         c = x[i] * y[j]
-        for l, s in enumerate(vec):
+        for l, s in enumerate(_dense(g, vec)):
             if s:
                 out[l] = out[l] + c * s
     return tuple(out)
 
 
+def dense_bracket(g, x, y):
+    """LieSuperalgebra.bracket of two elements."""
+    return _pairs(_dense_bracket(g, _dense(g, x), _dense(g, y)))
+
+
 def dense_form_value(g, x, y):
+    """LieSuperalgebra.form_value of two elements."""
+    return _dense_form_value(g, _dense(g, x), _dense(g, y))
+
+
+def _dense_form_value(g, x, y):
     out = GR_ZERO
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
@@ -704,17 +732,18 @@ def _dense_scaled(vec, r):
 
 def _dense_sl2_report(g, t, tag):
     report = []
-    br = lambda x, y: dense_bracket(g, x, y)
-    for label, got, want in (("[H,E]=2E", br(t.H, t.E), _dense_scaled(t.E, 2)),
-                             ("[H,F]=-2F", br(t.H, t.F), _dense_scaled(t.F, -2)),
-                             ("[E,F]=H", br(t.E, t.F), t.H)):
+    E, H, F = (_dense(g, v) for v in (t.E, t.H, t.F))
+    br = lambda x, y: _dense_bracket(g, x, y)
+    for label, got, want in (("[H,E]=2E", br(H, E), _dense_scaled(E, 2)),
+                             ("[H,F]=-2F", br(H, F), _dense_scaled(F, -2)),
+                             ("[E,F]=H", br(E, F), H)):
         if got != want:
             report.append("%s: %s fails" % (tag, label))
-    if dense_form_value(g, t.E, t.F) != GR_ONE:
+    if _dense_form_value(g, E, F) != GR_ONE:
         report.append("%s: (E|F)=1 fails" % tag)
-    if dense_form_value(g, t.H, t.H) != GRat(2):
+    if _dense_form_value(g, H, H) != GRat(2):
         report.append("%s: (H|H)=2 fails" % tag)
-    for v, nm in ((t.E, "E"), (t.H, "H"), (t.F, "F")):
+    for v, nm in ((E, "E"), (H, "H"), (F, "F")):
         if _dense_parity(g, v) not in (0, None):
             report.append("%s: %s not even" % (tag, nm))
     return report
@@ -726,27 +755,34 @@ def _dense_osp_report(g, t):
     s = g.sl2
     shared = s is not None and [t.E, t.H, t.F] == [s.E, s.H, s.F]
     report = [] if shared else _dense_sl2_report(g, t.sl2(), "osp")
-    br = lambda x, y: dense_bracket(g, x, y)
-    for label, got, want in (("[H,e]=e", br(t.H, t.e), t.e),
-                             ("[H,f]=-f", br(t.H, t.f), _dense_scaled(t.f, -1)),
-                             ("[e,e]=2E", br(t.e, t.e), _dense_scaled(t.E, 2)),
-                             ("[f,f]=-2F", br(t.f, t.f), _dense_scaled(t.F, -2)),
-                             ("[e,f]=-H", br(t.e, t.f), _dense_scaled(t.H, -1)),
-                             ("[F,e]=f", br(t.F, t.e), t.f),
-                             ("[E,f]=e", br(t.E, t.f), t.e)):
+    E, e, H, f, F = (_dense(g, v) for v in (t.E, t.e, t.H, t.f, t.F))
+    br = lambda x, y: _dense_bracket(g, x, y)
+    for label, got, want in (("[H,e]=e", br(H, e), e),
+                             ("[H,f]=-f", br(H, f), _dense_scaled(f, -1)),
+                             ("[e,e]=2E", br(e, e), _dense_scaled(E, 2)),
+                             ("[f,f]=-2F", br(f, f), _dense_scaled(F, -2)),
+                             ("[e,f]=-H", br(e, f), _dense_scaled(H, -1)),
+                             ("[F,e]=f", br(F, e), f),
+                             ("[E,f]=e", br(E, f), e)):
         if got != want:
             report.append("osp: %s fails" % label)
-    if dense_form_value(g, t.e, t.f) != GRat(-2):
+    if _dense_form_value(g, e, f) != GRat(-2):
         report.append("osp: (e|f)=-2 fails")
-    for v, nm in ((t.e, "e"), (t.f, "f")):
+    for v, nm in ((e, "e"), (f, "f")):
         if _dense_parity(g, v) not in (1, None):
             report.append("osp: %s not odd" % nm)
     return report
 
 
+def _dense_basis(g):
+    return [tuple(GR_ONE if j == i else GR_ZERO for j in range(g.dim))
+            for i in range(g.dim)]
+
+
 def _dense_eigenbasis_error(g):
-    for i in range(g.dim):
-        img = dense_bracket(g, g.sl2.H, g.basis_vec(i))
+    H = _dense(g, g.sl2.H)
+    for i, x in enumerate(_dense_basis(g)):
+        img = _dense_bracket(g, H, x)
         for l, s in enumerate(img):
             if s:
                 if l != i:
@@ -760,9 +796,9 @@ def dense_validate(g):
     """The report of LieSuperalgebra.validate, from dense brackets."""
     report = []
     n, p, dim = g.names, g.parities, g.dim
-    basis = [g.basis_vec(i) for i in range(dim)]
+    basis = _dense_basis(g)
     zero = (GR_ZERO,) * dim
-    br = lambda x, y: dense_bracket(g, x, y)
+    br = lambda x, y: _dense_bracket(g, x, y)
     pair = [[br(x, y) for y in basis] for x in basis]
     for i in range(dim):
         for j in range(dim):
@@ -792,8 +828,8 @@ def dense_validate(g):
     for i in range(dim):
         for j in range(dim):
             for l in range(dim):
-                if dense_form_value(g, pair[i][j], basis[l]) != \
-                        dense_form_value(g, basis[i], pair[j][l]):
+                if _dense_form_value(g, pair[i][j], basis[l]) != \
+                        _dense_form_value(g, basis[i], pair[j][l]):
                     report.append("form not invariant at (%s,%s,%s)" % (n[i], n[j], n[l]))
     if dense_rank(g.form) != dim:
         report.append("form degenerate (rank %d of %d)" % (dense_rank(g.form), dim))
@@ -807,31 +843,33 @@ def dense_validate(g):
     return report
 
 
-def _dense_grats(vec):
-    """vec as a tuple of GRats; a Scalar entry must be constant."""
-    out = []
-    for x in vec:
+def _dense_grats(g, vec):
+    """The element vec, given as (index, coefficient) pairs, as a dense
+    tuple of GRats; a Scalar coefficient must be constant."""
+    out = [GR_ZERO] * g.dim
+    for i, x in vec:
         if isinstance(x, Scalar):
             if any(e != (0, 0) for e in x.terms):
                 raise AlgebraError("expected k-free scalar, got %s" % x)
             x = x.terms.get((0, 0), GR_ZERO)
-        out.append(GRat(x))
+        out[i] = GRat(x)
     return tuple(out)
 
 
 def dense_rebase(g, vectors, names):
     """LieSuperalgebra.rebase from dense brackets and forms: coordinates in
     the new basis as the full product V^-1 x of each dense vector. The
-    vectors may hold ints, Fractions, GRats or constant Scalars."""
-    vectors = [_dense_grats(v) for v in vectors]
+    vectors are elements whose coefficients may be ints, Fractions, GRats
+    or constant Scalars."""
+    vectors = [_dense_grats(g, v) for v in vectors]
     if len(vectors) != g.dim:
         raise AlgebraError("rebase needs %d vectors" % g.dim)
     Vinv = dense_inverse([[vectors[j][i] for j in range(g.dim)]
                           for i in range(g.dim)])
 
     def coords(x):
-        return tuple(sum((Vinv[r][c] * x[c] for c in range(g.dim)), GR_ZERO)
-                     for r in range(g.dim))
+        return _pairs(sum((Vinv[r][c] * x[c] for c in range(g.dim)), GR_ZERO)
+                      for r in range(g.dim))
 
     parities = []
     for v in vectors:
@@ -842,16 +880,17 @@ def dense_rebase(g, vectors, names):
     struct = {}
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
-            b = dense_bracket(g, vi, vj)
+            b = _dense_bracket(g, vi, vj)
             if any(b):
                 struct[(i, j)] = coords(b)
-    form = [tuple(dense_form_value(g, vi, vj) for vj in vectors) for vi in vectors]
+    form = [tuple(_dense_form_value(g, vi, vj) for vj in vectors) for vi in vectors]
     sl2 = osp = None
     if g.sl2 is not None:
-        sl2 = SL2Triple(*(coords(x) for x in (g.sl2.E, g.sl2.H, g.sl2.F)))
+        t = g.sl2
+        sl2 = SL2Triple(*(coords(_dense(g, x)) for x in (t.E, t.H, t.F)))
     if g.osp is not None:
         t = g.osp
-        osp = OSPTriple(*(coords(x) for x in (t.E, t.e, t.H, t.f, t.F)))
+        osp = OSPTriple(*(coords(_dense(g, x)) for x in (t.E, t.e, t.H, t.f, t.F)))
     return LieSuperalgebra(g.name + "*", names, parities,
                            struct, form, sl2=sl2, osp=osp)
 

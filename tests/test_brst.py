@@ -10,7 +10,7 @@ from walgebras.brst import (BRSTComplex, build_complex, build_d,
                             check_thm_5_9, brst_bracket_table,
                             cohomology_generators)
 from walgebras.pva import LeftBracket, check_jacobi, check_skew
-from walgebras.scalars import GR_ZERO, Scalar
+from walgebras.scalars import Scalar
 from walgebras.spva import ChiPoly, susy_bracket_oracle, susy_master_bracket
 from walgebras.superpoly import SuperPoly, random_superpoly
 from walgebras.swclassical import SUSYReductionContext
@@ -30,8 +30,9 @@ def sgnp(p):
 def star_f(ctx):
     """f in chain coordinates, read off the dual pairing with the upper
     chain vectors; it must be the f of the rebased triple."""
-    fstar = tuple(ctx.g.form_value(ctx.db.chain_upper[j][n], ctx.triple.f)
-                  for (j, n) in ctx.members)
+    fstar = tuple((t, c) for t, (j, n) in enumerate(ctx.members)
+                  for c in (ctx.g.form_value(ctx.db.chain_upper[j][n],
+                                             ctx.triple.f),) if c)
     assert fstar == ctx.gstar.osp.f
     return fstar
 
@@ -158,12 +159,12 @@ def test_d_action_displays():
         expect = ChiPoly.zero(alph)
         for al, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(b), gstar.basis_vec(a))
+            br = gstar.bracket(helpers.unit(b), helpers.unit(a))
             t1 = phibar(al) * helpers.j_of_vector(cplx, br)
             if (pb * pa + pb) % 2:
                 t1 = -t1
             expect = expect + ChiPoly.of(t1)
-            fv = gstar.form_value(gstar.basis_vec(b), gstar.basis_vec(a))
+            fv = gstar.form_value(helpers.unit(b), helpers.unit(a))
             if fv:
                 term = ChiPoly.of(phibar(al)).apply_plus_d().scalar_mul(K.scale(fv))
                 if pb % 2 == 0:
@@ -176,10 +177,10 @@ def test_d_action_displays():
         pa = gstar.parities[a]
         expect = SuperPoly.variable(cplx.alph, a, 0, Scalar.rational(-sgnp(pa)))
         expect = expect - SuperPoly.const(
-            alph, c.scale(gstar.form_value(fstar, gstar.basis_vec(a))))
+            alph, c.scale(gstar.form_value(fstar, helpers.unit(a))))
         for bt, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(b), gstar.basis_vec(a))
+            br = gstar.bracket(helpers.unit(b), helpers.unit(a))
             t = phibar(bt) * cplx.phi_of_vector(br)
             if (pa * pb + pb) % 2:
                 t = -t
@@ -193,7 +194,7 @@ def test_d_action_displays():
         expect = SuperPoly.zero(alph)
         for bt, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(b), duals[al])
+            br = gstar.bracket(helpers.unit(b), duals[al])
             t = phibar(bt) * helpers.phibar_of_vector(cplx, br)
             if (pa * pb + pb) % 2:
                 t = -t
@@ -221,15 +222,14 @@ def test_building_block_bracket_identity(name):
             got = susy_master_bracket(cplx.building_block(a),
                                       cplx.building_block(b), cplx.table)
             pa, pb = gstar.parities[a], gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(a), gstar.basis_vec(b))
+            br = gstar.bracket(helpers.unit(a), helpers.unit(b))
             Jbr = SuperPoly.zero(alph)
-            for l, s_ in enumerate(br):
-                if s_:
-                    Jbr = Jbr + cplx.building_block(l).scale(s_)
+            for l, s_ in br:
+                Jbr = Jbr + cplx.building_block(l).scale(s_)
             if (pa * pb + pa) % 2:
                 Jbr = -Jbr
             expect = ChiPoly.of(Jbr) if Jbr else ChiPoly.zero(alph)
-            fv = gstar.form_value(gstar.basis_vec(a), gstar.basis_vec(b))
+            fv = gstar.form_value(helpers.unit(a), helpers.unit(b))
             if fv:
                 expect = expect + ChiPoly(alph, {1: SuperPoly.const(alph, K.scale(fv))})
             assert got == expect
@@ -256,19 +256,17 @@ def test_d_on_building_blocks_display(name):
         expect = ChiPoly.zero(alph)
         for al, b in enumerate(cplx.n_idx):
             pb = gstar.parities[b]
-            br = gstar.bracket(gstar.basis_vec(b), gstar.basis_vec(a))
-            br_le0 = tuple(x if gstar.gradings[l] <= 0 else GR_ZERO
-                           for l, x in enumerate(br))
+            br = gstar.bracket(helpers.unit(b), helpers.unit(a))
             Jpart = SuperPoly.zero(alph)
-            for l, s_ in enumerate(br_le0):
-                if s_:
+            for l, s_ in br:
+                if gstar.gradings[l] <= 0:
                     Jpart = Jpart + cplx.building_block(l).scale(s_)
             inner = Jpart + SuperPoly.const(alph, c.scale(gstar.form_value(fstar, br)))
             t1 = phibar(al) * inner
             if (pa * pb + pb) % 2:
                 t1 = -t1
             expect = expect + ChiPoly.of(t1)
-            fv = gstar.form_value(gstar.basis_vec(b), gstar.basis_vec(a))
+            fv = gstar.form_value(helpers.unit(b), helpers.unit(a))
             if fv:
                 t2 = ChiPoly.of(phibar(al)).apply_plus_d().scalar_mul(K.scale(fv))
                 if pb % 2 == 0:

@@ -89,6 +89,8 @@ def _append(key, item):
      "bracket index (0, -1) out of range 0..2"),
     (lambda obj: obj["brackets"][0]["coeffs"].append([-1, "1"]),
      "coefficient index -1 out of range 0..2"),
+    (lambda obj: obj["brackets"][0]["coeffs"].append([0, "1"]),
+     "bracket (0, 1): index 0 is repeated"),
     (lambda obj: obj["form"][1].pop(), "form is not 3 x 3"),
     (lambda obj: obj["form"][1].append("0"), "form is not 3 x 3"),
     (lambda obj: obj["sl2"]["H"].pop(), "sl2 vector H has 2 entries, expected 3"),
@@ -100,7 +102,7 @@ def _append(key, item):
      "form row 1: coefficient '1/0' is not a number"),
     (lambda obj: obj["sl2"]["H"].__setitem__(1, "2/0"),
      "sl2 vector H: coefficient '2/0' is not a number"),
-], ids=["i", "j", "l", "form-short-row", "form-long-row", "triple-vector", "parity",
+], ids=["i", "j", "l", "l-repeated", "form-short-row", "form-long-row", "triple-vector", "parity",
         "bracket-coeff", "form-coeff", "triple-coeff"])
 def test_malformed_indices_exit_2(tmp_path, capsys, edit, message):
     obj = _sl2_obj()
@@ -185,9 +187,9 @@ def test_sl2_triple_with_another_H_exits_2(tmp_path, capsys, command):
     from walgebras.liealg import algebra_to_obj
     g = helpers.algebra("sl21")
     obj = algebra_to_obj(g)
-    obj["sl2"] = {"E": [str(x) for x in g.sl2.F],
-                  "H": [str(-x) for x in g.sl2.H],
-                  "F": [str(x) for x in g.sl2.E]}
+    t = obj["sl2"]
+    obj["sl2"] = {"E": t["F"], "H": [str(-int(c)) for c in t["H"]],
+                  "F": t["E"]}
     p = tmp_path / "flipped_sl21.json"
     p.write_text(json.dumps(obj))
     code, out, err = run(capsys, command, "--algebra", str(p))

@@ -12,8 +12,8 @@ from walgebras.liealg import (AlgebraError, DualBases, LieSuperalgebra,
                               OSPTriple, SL2Triple, algebra_from_obj,
                               algebra_to_obj, check_tensor_identity,
                               _pair_dual, dual_bases_F, dual_bases_f,
-                              load_algebra, matrix_inverse, matrix_rank,
-                              nullspace, save_algebra, validate_algebra)
+                              _echelon, _kernel, load_algebra, matrix_inverse,
+                              matrix_rank, save_algebra, validate_algebra)
 from walgebras.scalars import GRat, GR_ONE, GR_ZERO, Scalar
 from walgebras.swclassical import SUSYReductionContext
 from walgebras.wclassical import ReductionContext
@@ -24,7 +24,7 @@ OSP = ["osp12", "sl21"]
 
 
 def sc(vec, r):
-    return tuple(x * r for x in vec)
+    return tuple((i, x * r) for i, x in vec)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -70,8 +70,8 @@ def test_flipped_sl2_reports_triple_violation():
     g = build_sl2()
     struct = dict(g.struct)
     iE, iH, iF = 0, 1, 2
-    struct[(iE, iF)] = sc(g.basis_vec(iH), -1)
-    struct[(iF, iE)] = g.basis_vec(iH)
+    struct[(iE, iF)] = helpers.unit(iH, -1)
+    struct[(iF, iE)] = helpers.unit(iH)
     bad = LieSuperalgebra("sl2-flipped", g.names, g.parities, struct, g.form,
                           sl2=g.sl2)
     report = validate_algebra(bad)
@@ -114,12 +114,57 @@ def test_sl2_triple_must_share_the_osp_H():
     assert str(err.value) == "sl2 triple and osp(1|2) data have different H"
 
 
+def test_names_and_parities_of_different_lengths_rejected():
+    """A parity list shorter than the basis is refused when the algebra is
+    built, naming both lengths, not by an IndexError in validate."""
+    with pytest.raises(AlgebraError, match=r"^names/parities length mismatch: "
+                       r"2 names, 1 parities$"):
+        LieSuperalgebra("x", ["a", "b"], [0], {}, [[1, 0], [0, 1]])
+
+
+def test_rebase_with_wrong_number_of_names_rejected():
+    g = helpers.algebra("sl2")
+    vecs = [helpers.unit(i) for i in range(3)]
+    with pytest.raises(AlgebraError, match=r"^names/parities length mismatch: "
+                       r"2 names, 3 parities$"):
+        g.rebase(vecs, ["u", "v"])
+
+
+@pytest.mark.parametrize("where,bend,message", [
+    ("struct", lambda g, v: _copy(g, "s", struct={**g.struct, (0, 2): v}),
+     "bracket (0, 2)"),
+    ("sl2", lambda g, v: _copy(g, "t", triple=(
+        SL2Triple(g.osp.E, g.osp.H, v), g.osp)), "sl2 vector F"),
+    ("osp", lambda g, v: _copy(g, "t", triple=(
+        None, OSPTriple(v, *list(vars(g.osp).values())[1:]))), "osp vector E"),
+    ("rebase", lambda g, v: g.rebase([helpers.unit(i) for i in range(4)] + [v],
+                                     ["v%d" % i for i in range(5)]),
+     "rebase vector 4")], ids=["struct", "sl2", "osp", "rebase"])
+@pytest.mark.parametrize("vec,fault", [
+    (((2, 1), (2, -1)), "index 2 is repeated"),
+    (((0, 1), (5, 1)), "index 5 out of range 0..4"),
+    (((-1, 1),), "index -1 out of range 0..4"),
+    ((GR_ONE,) + (GR_ZERO,) * 4, ": 1 is not an (index, coefficient) pair"),
+    ((("1", 1),), "index '1' is not an int")],
+    ids=["repeated", "above", "negative", "dense", "not-int"])
+def test_bad_element_index_rejected(where, bend, message, vec, fault):
+    """A struct, triple or rebase vector with a repeated index, an index of
+    a nonzero coefficient outside 0..dim-1, or pairs that are not (int,
+    coefficient) raises AlgebraError naming that vector; a dense tuple of
+    coefficients is not an element. A triple does not know dim: its range
+    is checked when an algebra receives it."""
+    g = helpers.algebra("osp12")
+    with pytest.raises(AlgebraError) as err:
+        bend(g, vec)
+    assert str(err.value).startswith(message + ": ")
+    assert fault in str(err.value)
+
+
 def test_non_eigenbasis_rejected():
     # rotate the sl2 basis so H-action is no longer diagonal
     g = build_sl2()
-    E, H, F = (g.basis_vec(i) for i in range(3))
-    vecs = [tuple(a + b for a, b in zip(E, F)), H,
-            tuple(a - b for a, b in zip(E, F))]
+    E, H, F = (helpers.unit(i) for i in range(3))
+    vecs = [_add(E, F), H, _add(E, sc(F, -1))]
     with pytest.raises(AlgebraError, match="ad-H"):
         g.rebase(vecs, ["u", "H", "v"])
 
@@ -159,14 +204,14 @@ def test_rebase_matches_dense_oracle(monkeypatch, name, context):
 
 
 @pytest.mark.parametrize("name,bend,message", [
-    ("sl2", lambda E, H, F: [tuple(Scalar.term(1, 0, x) for x in E), H, F],
+    ("sl2", lambda E, H, F: [tuple((i, Scalar.term(1, 0, x)) for i, x in E),
+                             H, F],
      "expected k-free scalar"),
-    ("osp12", lambda E, e, H, f, F: [tuple(a + b for a, b in zip(E, e)),
-                                     e, H, f, F],
+    ("osp12", lambda E, e, H, f, F: [_add(E, e), e, H, f, F],
      "rebase vector not parity homogeneous")])
 def test_rebase_rejects_bad_vectors(name, bend, message):
     g = helpers.algebra(name)
-    vecs = bend(*(g.basis_vec(i) for i in range(g.dim)))
+    vecs = bend(*(helpers.unit(i) for i in range(g.dim)))
     names = ["v%d" % i for i in range(g.dim)]
     for rebase in (g.rebase, lambda *a: helpers.dense_rebase(g, *a)):
         with pytest.raises(AlgebraError, match=message):
@@ -176,13 +221,13 @@ def test_rebase_rejects_bad_vectors(name, bend, message):
 def test_dual_bases_sl2():
     g = helpers.algebra("sl2")
     db = dual_bases_F(g)
-    E, H, F = (g.basis_vec(i) for i in range(3))
+    E, H, F = (helpers.unit(i) for i in range(3))
     assert db.spins == [1]
     assert db.chain_upper[0] == [E, sc(H, -1), sc(F, -2)]
     assert db.chain_lower[0] == [F, sc(H, -HALF), sc(E, -HALF)]
     # (q^0_1 | q_0^1) = (-H | -H/2) = 1
     assert g.form_value(db.chain_upper[0][1], db.chain_lower[0][1]) == GR_ONE
-    assert not any(helpers.sharp(db, H))
+    assert not helpers.sharp(db, H)
     assert helpers.sharp(db, F) == F
 
 
@@ -196,7 +241,7 @@ def test_dual_bases_sl3_principal():
 def test_dual_bases_osp():
     g = helpers.algebra("osp12")
     db = dual_bases_f(g)
-    E, e, H, f, F = (g.basis_vec(i) for i in range(5))
+    E, e, H, f, F = (helpers.unit(i) for i in range(5))
     assert [v for v in db.lower] == [F]
     assert [v for v in db.upper] == [E]
     assert db.chain_upper[0] == [E, sc(e, -1), H, f, sc(F, -2)]
@@ -205,7 +250,7 @@ def test_dual_bases_osp():
     # C_{0,1} = -1/2 realized on the chain: r_0^1 = -1/2 [e, F] = f/2
     assert db.chain_lower[0][1] == sc(g.bracket(e, F), Fraction(-1, 2))
     assert g.form_value(db.chain_upper[0][2], db.chain_lower[0][2]) == GR_ONE
-    assert not any(helpers.sharp(db, H)) and not any(helpers.sharp(db, f))
+    assert not helpers.sharp(db, H) and not helpers.sharp(db, f)
     assert helpers.sharp(db, F) == F
 
 
@@ -227,7 +272,7 @@ def test_sharp_idempotent(name):
     g = helpers.algebra(name)
     db = dual_bases_F(g)
     for i in range(g.dim):
-        v = g.basis_vec(i)
+        v = helpers.unit(i)
         s = helpers.sharp(db, v)
         assert helpers.sharp(db, s) == s
     for q in db.lower:
@@ -249,7 +294,7 @@ def test_singular_gram_block_names_singular_pairing():
     # two copies of F against two copies of E: the Gram block [[1, 1], [1, 1]]
     # at grade -1 is nonzero and singular
     g = helpers.algebra("sl2")
-    E, _H, F = (g.basis_vec(i) for i in range(3))
+    E, _H, F = (helpers.unit(i) for i in range(3))
     with pytest.raises(AlgebraError, match=r"bases not dual \(singular "
                        r"pairing at grade \(-1, 0\)\)"):
         _pair_dual(g, [(-1, 0, F), (-1, 0, F)], [(1, 0, E), (1, 0, E)])
@@ -288,7 +333,7 @@ def test_rank_and_nullspace_match_dense_reference():
         a = _random_matrix(rng, m, n)
         rank = matrix_rank(a)
         assert rank == helpers.dense_rank(a)
-        basis = nullspace(a, n)
+        basis = [[x[c] for c in range(n)] for x in _kernel(_echelon(a, n), n)]
         assert basis == helpers.dense_nullspace(a, n)
         assert len(basis) == n - rank
         assert all(not any(_times(a, v)) for v in basis)
@@ -381,12 +426,12 @@ def test_sl4_principal_fixture():
 
 # -- the validator against the dense reference in helpers --------------------
 
-def _unit(g, m, r=1):
-    return tuple(GRat(r) if l == m else GR_ZERO for l in range(g.dim))
-
-
 def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    """The element x + y."""
+    acc = dict(x)
+    for i, c in y:
+        acc[i] = acc.get(i, GR_ZERO) + c
+    return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
 
 
 def _copy(g, tag, struct=None, form=None, parities=None, triple=None):
@@ -403,7 +448,7 @@ def corrupted_copies(g, form_cases=True):
     algebra).  Brackets and triples are changed away from the support of H,
     so that the basis stays an ad-H/2 eigenbasis and the copy constructs."""
     p, gr, dim = g.parities, g.gradings, g.dim
-    supp_h = {l for l, c in enumerate(g.sl2.H) if c}
+    supp_h = {l for l, _c in g.sl2.H}
     i, j = next((i, j) for (i, j) in sorted(g.struct)
                 if i < j and not {i, j} & supp_h)
     sgn = (-1) ** (p[i] * p[j])
@@ -413,7 +458,7 @@ def corrupted_copies(g, form_cases=True):
     m = next(m for m in range(dim)
              if p[m] == (p[i] + p[j]) % 2 and gr[m] != gr[i] + gr[j])
     struct = dict(g.struct)
-    struct[(i, j)] = _add(g.struct[(i, j)], _unit(g, m))
+    struct[(i, j)] = _add(g.struct[(i, j)], helpers.unit(m))
     struct[(j, i)] = sc(struct[(i, j)], -sgn)
     out.append(("jacobi", "Jacobi fails", _copy(g, "jacobi", struct=struct)))
 
@@ -434,8 +479,8 @@ def corrupted_copies(g, form_cases=True):
     wrong = [m for m in range(dim) if p[m] != (p[i] + p[j]) % 2]
     if wrong:
         for tag, vec, fragment in (
-                ("parity-bracket", _unit(g, wrong[0]), "bracket parity fails"),
-                ("parity-mixed", _add(g.struct[(i, j)], _unit(g, wrong[0])),
+                ("parity-bracket", helpers.unit(wrong[0]), "bracket parity fails"),
+                ("parity-mixed", _add(g.struct[(i, j)], helpers.unit(wrong[0])),
                  "Jacobi fails")):
             struct = dict(g.struct)
             struct[(i, j)] = vec
@@ -521,14 +566,27 @@ def _random_gaussian(rng):
     return GRat(q(), q() if r > 0.7 else 0)
 
 
+def _random_element(rng, dim):
+    """An element of g: the nonzero draws of one Gaussian rational per
+    basis index, as (index, GRat) pairs."""
+    return tuple((i, c) for i in range(dim)
+                 for c in (_random_gaussian(rng),) if c)
+
+
 @pytest.mark.parametrize("name", ALL + ["sl4-principal"])
 def test_bracket_and_form_match_dense_reference(name):
+    """On random elements, bracket and form_value equal the dense loops over
+    every structure constant, and every bracket is an element: strictly
+    increasing indices, no zero coefficient."""
     rng = random.Random("liealg-" + name)
     g = helpers.algebra(name)
     for _ in range(40):
-        x = tuple(_random_gaussian(rng) for _ in range(g.dim))
-        y = tuple(_random_gaussian(rng) for _ in range(g.dim))
-        assert g.bracket(x, y) == helpers.dense_bracket(g, x, y)
+        x = _random_element(rng, g.dim)
+        y = _random_element(rng, g.dim)
+        br = g.bracket(x, y)
+        assert br == helpers.dense_bracket(g, x, y)
+        assert all(c for _i, c in br)
+        assert all(a < b for (a, _), (b, _) in zip(br, br[1:]))
         assert g.form_value(x, y) == helpers.dense_form_value(g, x, y)
 
 
@@ -543,25 +601,23 @@ def test_k_dependent_entries_rejected_at_the_boundary():
                        r"k-free scalar, got 2 \+ k$"):
         _copy(g, "form-k", form=form)
     struct = dict(g.struct)
-    struct[(0, 3)] = (Scalar(), Scalar.c()) + g.struct[(0, 3)][2:]
+    struct[(0, 3)] = ((0, Scalar()), (1, Scalar.c()))
     with pytest.raises(AlgebraError, match=r"^bracket \(0, 3\), entry 1: "
                        r"expected k-free scalar, got c$"):
         _copy(g, "struct-c", struct=struct)
     with pytest.raises(AlgebraError, match=r"^osp vector f, entry 3: expected "
                        r"k-free scalar, got k$"):
-        OSPTriple(g.osp.E, g.osp.e, g.osp.H, _unit(g, 3, 0)[:3]
-                  + (Scalar.k(), GR_ZERO), g.osp.F)
+        OSPTriple(g.osp.E, g.osp.e, g.osp.H, ((3, Scalar.k()),), g.osp.F)
     with pytest.raises(AlgebraError, match=r"^rebase vector 4, entry 4: "
                        r"expected k-free scalar, got k$"):
-        g.rebase([g.basis_vec(i) for i in range(4)] + [_unit(g, 0, 0)[:4]
-                                                       + (Scalar.k(),)],
+        g.rebase([helpers.unit(i) for i in range(4)] + [((4, Scalar.k()),)],
                  ["v%d" % i for i in range(5)])
     lifted = LieSuperalgebra(
         g.name, g.names, g.parities,
-        {ij: tuple(Scalar.term(0, 0, x) for x in vec)
+        {ij: tuple((i, Scalar.term(0, 0, x)) for i, x in vec)
          for ij, vec in g.struct.items()},
         [[Fraction(x.a, x.d) if x.d > 1 else x.a for x in row] for row in g.form],
-        sl2=g.sl2, osp=OSPTriple(*(tuple(Scalar.term(0, 0, x) for x in v)
+        sl2=g.sl2, osp=OSPTriple(*(tuple((i, Scalar.term(0, 0, x)) for i, x in v)
                                    for v in vars(g.osp).values())))
     _same_algebra(lifted, g)
     assert all(type(x) is GRat for row in lifted.form for x in row)

@@ -8,7 +8,7 @@ import pytest
 import helpers
 from walgebras import brst, wclassical
 from walgebras.catalog import DATA_DIR, build_sl2
-from walgebras.liealg import (AlgebraError, LieSuperalgebra, SL2Triple,
+from walgebras.liealg import (AlgebraError, LieSuperalgebra,
                               algebra_from_obj, dual_bases_F, dual_bases_f)
 from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
 from walgebras.scalars import GR_ONE, Scalar, solve_linear
@@ -145,14 +145,10 @@ def test_center_like_generator_is_bare():
     g = build_sl2()
     names = list(g.names) + ["z"]
     parities = list(g.parities) + [0]
-    struct = {}
-    for (i, j), vec in g.struct.items():
-        struct[(i, j)] = tuple(vec) + (Scalar(),)
     form = [list(row) + [Scalar()] for row in g.form]
     form.append([Scalar()] * 3 + [Scalar.one()])
-    sl2 = SL2Triple(g.sl2.E + (Scalar(),), g.sl2.H + (Scalar(),),
-                    g.sl2.F + (Scalar(),))
-    gz = LieSuperalgebra("sl2+center", names, parities, struct, form, sl2=sl2)
+    gz = LieSuperalgebra("sl2+center", names, parities, dict(g.struct), form,
+                         sl2=g.sl2)
     assert gz.validate() == []
     ctx = ReductionContext(gz)
     gens = solve_all_generators(ctx)
