@@ -10,9 +10,11 @@ All of it lives in Q(i): the level k enters only in the affine table
 reader to the chain bases: a tuple of (index, GRat) pairs in increasing
 index with no zero coefficient, so that it cannot change and == is value
 equality.  The zero element is ().  ``struct`` is the one store of the
-structure constants, {(i, j): element} with [x_i, x_j] that element, for
-the nonzero brackets only; ``bracket`` and ``validate`` read it directly,
-a few lookups per pair of nonzero coordinates.  The form stays a dense
+structure constants, a read-only {(i, j): element} mapping with [x_i, x_j]
+that element, for the nonzero brackets only; ``bracket`` and ``validate``
+read it directly, a few lookups per pair of nonzero coordinates.  An
+algebra, once validated, cannot be changed through it, nor through the
+chain bases, whose containers are tuples.  The form stays a dense
 dim x dim matrix of GRats.
 
 Numbers are converted once, at the boundary: the file reader parses
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 from math import comb, factorial
+from types import MappingProxyType
 
 from .scalars import (GR_ZERO, GR_ONE, GRat, Scalar, back_substitute,
                       parse_coeff, rat, row_echelon)
@@ -240,7 +243,7 @@ class LieSuperalgebra:
         for (i, j), vec in list(full.items()):
             if (j, i) not in full:
                 full[(j, i)] = _swapped(vec, self.parities[i], self.parities[j])
-        self.struct = full
+        self.struct = MappingProxyType(full)
         self.form = tuple(tuple(_grat(x, "form row %d, entry %d", r, c)
                                 for c, x in enumerate(row))
                           for r, row in enumerate(form))
@@ -256,6 +259,13 @@ class LieSuperalgebra:
                 raise AlgebraError("sl2 triple and osp(1|2) data have different H")
         self.sl2, self.osp = sl2, osp
         self.gradings = self._compute_gradings() if sl2 is not None else None
+
+    def __reduce__(self):
+        # pickle cannot write the read-only struct: a copy or a pickle is
+        # the algebra built again from its data
+        return LieSuperalgebra, (self.name, self.names, self.parities,
+                                 dict(self.struct), self.form, self.sl2,
+                                 self.osp)
 
     def triple(self, attr):
         """The sl2 triple (attr "sl2") or the osp(1|2) data ("osp") of the
@@ -491,7 +501,8 @@ def validate_algebra(g: LieSuperalgebra):
 class DualBases:
     """Chain bases attached to an sl2 triple (kind 'F') or osp one (kind 'f').
 
-    Every vector is an element of g, (index, GRat) pairs (module docstring):
+    Every vector is an element of g, (index, GRat) pairs (module docstring),
+    and every container below is a tuple:
 
     lower[j]  : q_j (resp. r_j), basis of ker ad F (resp. ker ad f)
     upper[j]  : q^j (resp. r^j), dual basis of ker ad E (resp. ker ad e)
@@ -505,11 +516,11 @@ class DualBases:
     def __init__(self, g, kind, lower, upper, chain_lower, chain_upper, spins):
         self.g = g
         self.kind = kind
-        self.lower = lower
-        self.upper = upper
-        self.chain_lower = chain_lower
-        self.chain_upper = chain_upper
-        self.spins = spins
+        self.lower = tuple(lower)
+        self.upper = tuple(upper)
+        self.chain_lower = tuple(map(tuple, chain_lower))
+        self.chain_upper = tuple(map(tuple, chain_upper))
+        self.spins = tuple(spins)
         self.step = GR_ONE if kind == "F" else HALF
         # index sets: grade -> [(j, n)]
         self.index_sets = {}

@@ -8,9 +8,16 @@ silently moving to a rational-function field.
 
 A Gaussian rational is fraction-free: integer numerators of its real and
 imaginary parts over one positive denominator, in lowest terms.  Adding
-values over equal denominators needs no cross-multiplication, multiplying
-real values no imaginary products, and scaling by an int (as ``deriv``
-and ``partial`` do) one gcd at most.
+values over equal denominators needs no cross-multiplication, and
+multiplying real values no imaginary products.
+
+GRat and Scalar are the boundary and solver types.  A polynomial does not
+store them: ``superpoly`` keeps integer numerators over one denominator
+per polynomial, with i as a field of the term key, and builds GRats and
+Scalars only where a value leaves it (``terms``, ``coefficients()``) and
+reads them where one enters (its constructors).  The linear solver, the
+algebra data (structure constants, forms, gradings, spins and weights)
+and the scalars of the reduction stay GRats and Scalars.
 
 Also provides the sparse exact linear solver used by the generator and
 cohomology solvers.
@@ -407,6 +414,8 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         out = dict(self.terms)
         for e, g in other.terms.items():
             s = out.get(e, GR_ZERO) + g
@@ -420,6 +429,8 @@ class Scalar:
         return Scalar({e: -g for e, g in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         out = dict(self.terms)
         for e, g in other.terms.items():
             s = out.get(e)

@@ -27,24 +27,38 @@ that fill one at once compute equal results, and the attribute is set by
 one atomic store, so a reader sees either no memo or a complete one; any
 operation may still run concurrently with any other.
 
-Storage. A polynomial is one flat dict ``{key: GRat}`` with no zero
-values, one entry per term g k^a c^b M: a monomial whose coefficient in
-Q(i)[k, c] has n terms holds n entries. Every kernel loop (sum, product,
-derivation, partials, substitution, equality, hashing) runs on that dict,
-and only this module reads the key.
+Storage. A polynomial is one flat dict ``{key: int}`` of integer
+numerators with no zero values, over one positive denominator ``_den``:
+the value is sum n_key key / _den. A term n i^e k^a c^b M (e = 0 or 1) is
+one entry, so a monomial whose coefficient in Q(i)[k, c] has n terms, with
+real and imaginary parts, holds up to 2n entries, and every sum and
+product of two terms is a sum and a product of Python ints. Every kernel
+loop (sum, product, derivation, partials, substitution, equality, hashing)
+runs on that dict, and only this module reads the key.
 
-- Key layout. The key packs (M, a, b) into one int of 8-bit fields, after
-  Monagan and Pearce's packed exponent vectors: bits 0-7 hold a, bits 8-15
-  hold b, and each variable has a field of its own above them. The top bit
-  of a field is its guard: no field holds more than 127, so the sum of two
-  keys carries into no other field and sets a guard bit exactly where a
-  power passes 127. A product of two terms is the sum of their keys, one
-  guard test and one test ``o1 & o2`` of their odd bits (the low bit of
-  each odd variable's field; an odd variable squares to zero), and a
-  monomial's parity is the bit count of its odd bits. The coefficient is
-  that of the canonical monomial, whose factors follow variable order: the
-  Koszul sign of a product counts the pairs of odd factors that pass each
-  other in that order, with bit masks over the odd variables' ranks.
+- Normal form. Each built polynomial has gcd(numerators, _den) = 1, and
+  zero is the empty dict over 1, so equal values have equal fields and
+  equal hashes. The kernel loops do not cancel: a sum aligns the two
+  denominators by their lcm, a product multiplies them, ``deriv`` and the
+  partials multiply numerators by ints, and ``scale(p/q)`` multiplies the
+  numerators by p and the denominator by q. The content is cancelled once,
+  when the result is built (_poly); with a denominator of 1 there is
+  nothing to cancel.
+- Key layout. The key packs (M, e, a, b) into one int of 8-bit fields,
+  after Monagan and Pearce's packed exponent vectors: bits 0-7 hold a,
+  bits 8-15 hold b, bits 16-23 the power e of i, and each variable has a
+  field of its own above them. The top bit of a field is its guard: no
+  field holds more than 127, so the sum of two keys carries into no other
+  field and sets a guard bit exactly where a power passes 127. Bit 1 of
+  the i field (i^2 reached) is a guard bit too: the rare branch that a
+  guard bit takes turns i^2 into a sign, and raises only on a power past
+  127. A product of two terms is the sum of their keys, one guard test and
+  one test ``o1 & o2`` of their odd bits (the low bit of each odd
+  variable's field; an odd variable squares to zero), and a monomial's
+  parity is the bit count of its odd bits. The coefficient is that of the
+  canonical monomial, whose factors follow variable order: the Koszul sign
+  of a product counts the pairs of odd factors that pass each other in
+  that order, with bit masks over the odd variables' ranks.
 - Slot registry. A variable gets the next free field, its slot, when a
   polynomial over its alphabet first uses it, so slot order is first-use
   order, not variable order. The registry (slots, odd bits, guard bits and
@@ -57,7 +71,10 @@ and only this module reads the key.
   GRat)``, for the readers that take coefficients apart) and its inverse
   ``from_coefficients`` all take or give tuple monomials, and so do
   copies and pickles: an alphabet or polynomial read back is packed in
-  the registry of the process that reads it.
+  the registry of the process that reads it. These boundaries also take
+  and give GRat coefficients, (a + b i)/d in lowest terms: ``_ints``
+  brings GRats over their lcm, and ``_grats`` joins the real and
+  imaginary entries of a term and cancels each coefficient alone.
 - Overflow. A power of a variable, of k or of c past 127 raises
   ExponentOverflowError (an engine error); it never wraps.
 - Thread safety. The registry gives out a slot under a lock and publishes
@@ -74,16 +91,20 @@ and only this module reads the key.
 
 ``accumulate`` and ``accumulate_product`` add a value, or a product, in
 place into a sum map (pva's dicts of bracket-value coefficients), and
-``accumulated`` turns the map back into SuperPolys.
+``accumulated`` turns the map back into SuperPolys. A private entry of a
+sum map is a list [numerators, running denominator]: an addition over
+another denominator brings the entry to their lcm first, and only
+``accumulated`` cancels.
 """
 
 from __future__ import annotations
 
 from _thread import allocate_lock
 from _weakref import ref
+from math import gcd
 from types import MappingProxyType
 
-from .scalars import GR_ONE, GRat, Scalar, _times_int, join_signed, rat
+from .scalars import GR_ONE, GRat, Scalar, _mk, _norm, join_signed, rat
 
 FLAVOR_DEL = "d"   # even derivation, variables u^(m)
 FLAVOR_D = "D"     # odd derivation, variables u^[m]
@@ -94,9 +115,11 @@ _new = object.__new__
 _FIELD = 8                              # bits per field
 _MAX_EXP = (1 << (_FIELD - 1)) - 1      # 127; the top bit is the guard
 _FIELD_MASK = (1 << _FIELD) - 1
-_VAR_SHIFT = 2 * _FIELD                 # the k and c fields lie below
+_I = 1 << (2 * _FIELD)                  # the i field: 0 or 1 in a term
+_I_SQ = _I << 1                         # i^2 reached: a guard bit
+_VAR_SHIFT = 3 * _FIELD                 # the k, c and i fields lie below
 _POWERS_MASK = (1 << _VAR_SHIFT) - 1
-_POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD)
+_POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD) | _I_SQ
 _MEMO_SIZE = 8192   # monomials in the memos of all layouts together
 
 
@@ -111,6 +134,17 @@ class ExponentOverflowError(OverflowError):
 def _overflow():
     raise ExponentOverflowError("a power of a variable, k or c exceeds %d"
                                 % _MAX_EXP)
+
+
+def _fold(key, g, guard):
+    """(key, g) for a sum of two keys that sets a bit of guard: i^2 = -1
+    when the i field reached 2, which leaves no guard bit set; an
+    overflow otherwise."""
+    if key & _I_SQ:
+        key -= _I_SQ
+        if not key & guard:
+            return key, -g
+    _overflow()
 
 
 class _Layout:
@@ -386,65 +420,112 @@ def _remember(memo, m, value):
     return value
 
 
-def _poly(alph, flat) -> "SuperPoly":
-    """A SuperPoly over alph that takes over flat, a term dict in the
-    storage layout with no zero values."""
+def _poly(alph, flat, den=1) -> "SuperPoly":
+    """A SuperPoly over alph that takes over flat, numerators in the
+    storage layout with no zero values, over den > 0: the one place where
+    gcd(numerators, den) is cancelled."""
+    if den != 1:
+        g = den
+        for n in flat.values():
+            g = gcd(g, n)
+            if g == 1:
+                break
+        else:   # g divides den and every numerator (all of den for zero)
+            den //= g
+            flat = {key: n // g for key, n in flat.items()}
     p = _new(SuperPoly)
     p.alphabet = alph
     p._flat = flat
+    p._den = den
     p._terms = None
     p._gradients = None
     return p
 
 
-def _add_flat(out, flat, neg=0):
-    """out += (-1)^neg flat in place, keeping no zero values."""
+def _ints(pairs):
+    """(numerators, denominator) in normal form of sum g key over (key,
+    GRat g) pairs with distinct keys and clear i fields: each g over the
+    lcm of the denominators, its imaginary part at key + _I. Every g is in
+    lowest terms, so nothing cancels."""
+    den = 1
+    for _key, g in pairs:
+        d = g.d
+        if den % d:
+            den = den // gcd(den, d) * d
+    flat = {}
+    for key, g in pairs:
+        f = den // g.d
+        if g.a:
+            flat[key] = g.a * f
+        if g.b:
+            flat[key | _I] = g.b * f
+    return flat, den
+
+
+def _grat(a, b, den) -> GRat:
+    return _mk(a, b, 1) if den == 1 else _norm(a, b, den)
+
+
+def _grats(flat, den):
+    """(key with its i field clear, GRat) for each coefficient of
+    numerators flat over den, the real and imaginary entries of a term
+    joined: the inverse of _ints."""
+    for key, a in flat.items():
+        if not key & _I:
+            yield key, _grat(a, flat.get(key | _I, 0), den)
+        elif key ^ _I not in flat:
+            yield key ^ _I, _grat(0, a, den)
+
+
+def _add_flat(out, flat, n=1):
+    """out += n flat in place for a nonzero int n, keeping no zero values."""
     get = out.get
-    if neg:
+    if n != 1:
         for key, g in flat.items():
-            s = get(key)
-            if s is None:
-                out[key] = -g
-            else:
-                s = s - g
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    else:
-        for key, g in flat.items():
+            g *= n
             s = get(key)
             if s is None:
                 out[key] = g
             else:
-                s = s + g
+                s += g
                 if s:
                     out[key] = s
                 else:
                     del out[key]
+        return
+    for key, g in flat.items():
+        s = get(key)
+        if s is None:
+            out[key] = g
+        else:
+            s += g
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
-def _mul_flat(out, flat1, flat2, layout, neg=0):
-    """out += (-1)^neg flat1 * flat2 in place, keeping no zero values, over
-    an alphabet with slot registry layout."""
+def _mul_flat(out, flat1, flat2, layout, n=1):
+    """out += n flat1 * flat2 in place for a nonzero int n, keeping no zero
+    values, over an alphabet with slot registry layout."""
     get = out.get
     odd, guard = layout.odd, layout.guard
     inner = None
     for k1, g1 in flat1.items():
-        if neg:
-            g1 = -g1
+        if n != 1:
+            g1 *= n
         o1 = k1 & odd
         if not o1:  # no factor of k1 is odd: no sign, no square
             for k2, g2 in flat2.items():
                 key = k1 + k2
-                if key & guard:
-                    _overflow()
                 g = g1 * g2
+                if key & guard:
+                    key, g = _fold(key, g, guard)
                 s = get(key)
                 if s is None:
                     out[key] = g
                 else:
-                    s = s + g
+                    s += g
                     if s:
                         out[key] = s
                     else:
@@ -459,37 +540,53 @@ def _mul_flat(out, flat1, flat2, layout, neg=0):
             if o1 & o2:
                 continue
             key = k1 + k2
-            if key & guard:
-                _overflow()
             g = g1 * g2
-            sign = (x1 & r2).bit_count() & 1
+            if key & guard:
+                key, g = _fold(key, g, guard)
+            if (x1 & r2).bit_count() & 1:
+                g = -g
             s = get(key)
             if s is None:
-                out[key] = -g if sign else g
+                out[key] = g
             else:
-                s = s - g if sign else s + g
+                s += g
                 if s:
                     out[key] = s
                 else:
                     del out[key]
 
 
+def _align(entry, den):
+    """Bring entry, a private sum-map entry [numerators, denominator], to a
+    denominator that den divides, and return what a numerator over den is
+    multiplied by to join it."""
+    d = entry[1]
+    if d % den:
+        f = den // gcd(d, den)
+        flat = entry[0]
+        for key, g in flat.items():
+            flat[key] = g * f
+        d = entry[1] = d * f
+    return d // den
+
+
 class SuperPoly:
     """Sparse supercommutative polynomial with Scalar coefficients, stored
     flat (see the module docstring)."""
 
-    __slots__ = ("alphabet", "_flat", "_terms", "_gradients")
+    __slots__ = ("alphabet", "_flat", "_den", "_terms", "_gradients")
 
     def __init__(self, alphabet, terms=None):
         """sum_M c_M M over terms {M: Scalar c_M} of canonical monomials M;
         zero coefficients drop out."""
         self.alphabet = alphabet
-        flat = self._flat = {}
+        pairs = []
         for mono, c in (terms or {}).items():
             key = _pack(alphabet, mono)
             for (kp, cp), g in c.terms.items():
                 if g:
-                    flat[key + _powers(kp, cp)] = g
+                    pairs.append((key + _powers(kp, cp), g))
+        self._flat, self._den = _ints(pairs)
         self._terms = None
         self._gradients = None
 
@@ -500,26 +597,27 @@ class SuperPoly:
 
     @staticmethod
     def const(alph, scalar: Scalar) -> "SuperPoly":
-        return _poly(alph, {_powers(kp, cp): g
-                            for (kp, cp), g in scalar.terms.items() if g})
+        return _poly(alph, *_ints([(_powers(kp, cp), g)
+                                   for (kp, cp), g in scalar.terms.items() if g]))
 
     @staticmethod
     def one(alph) -> "SuperPoly":
-        return _poly(alph, {0: GR_ONE})
+        return _poly(alph, {0: 1})
 
     @staticmethod
     def variable(alph, gen, order=0, coeff=None) -> "SuperPoly":
         u = _unit(alph, (gen, order))
         if coeff is None:
-            return _poly(alph, {u: GR_ONE})
-        return _poly(alph, {u + _powers(kp, cp): g
-                            for (kp, cp), g in coeff.terms.items() if g})
+            return _poly(alph, {u: 1})
+        return _poly(alph, *_ints([(u + _powers(kp, cp), g)
+                                   for (kp, cp), g in coeff.terms.items() if g]))
 
     @staticmethod
     def linear(alph, coeffs) -> "SuperPoly":
         """sum_t c_t u_t over (t, c_t) pairs with distinct t and GRat c_t (the
         coordinates of an algebra element); zeros drop out."""
-        return _poly(alph, {_unit(alph, (t, 0)): c for t, c in coeffs if c})
+        return _poly(alph, *_ints([(_unit(alph, (t, 0)), c)
+                                   for t, c in coeffs if c]))
 
     @staticmethod
     def from_coefficients(alph, items) -> "SuperPoly":
@@ -538,7 +636,7 @@ class SuperPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return _poly(alph, out)
+        return _poly(alph, *_ints(list(out.items())))
 
     # -- basics --------------------------------------------------------
     @property
@@ -547,7 +645,7 @@ class SuperPoly:
         view = self._terms
         if view is None:
             by_key = {}
-            for key, g in self._flat.items():
+            for key, g in _grats(self._flat, self._den):
                 powers = (key & _FIELD_MASK, (key >> _FIELD) & _FIELD_MASK)
                 s = by_key.get(key >> _VAR_SHIFT)
                 if s is None:
@@ -564,7 +662,7 @@ class SuperPoly:
         GRat; a monomial appears once per power pair of its coefficient."""
         vars_ = self.alphabet._layout.vars
         monos = {}
-        for key, g in self._flat.items():
+        for key, g in _grats(self._flat, self._den):
             m = key >> _VAR_SHIFT
             mono = monos.get(m)
             if mono is None:
@@ -577,10 +675,11 @@ class SuperPoly:
     def __eq__(self, other):
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._flat == other._flat
+        return (self.alphabet == other.alphabet and self._den == other._den
+                and self._flat == other._flat)
 
     def __hash__(self):
-        return hash((self.alphabet, frozenset(self._flat.items())))
+        return hash((self.alphabet, self._den, frozenset(self._flat.items())))
 
     def __reduce__(self):
         # slots are given per process: copies and pickles carry tuple
@@ -591,42 +690,60 @@ class SuperPoly:
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise FlavorError("polynomials over different alphabets")
 
-    def __add__(self, other):
+    def _plus(self, other, n):
+        """self + n other for n = 1 or -1."""
         self._check(other)
-        out = dict(self._flat)
-        _add_flat(out, other._flat)
-        return _poly(self.alphabet, out)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out = dict(self._flat)
+            _add_flat(out, other._flat, n)
+            return _poly(self.alphabet, out, d1)
+        den = d1 // gcd(d1, d2) * d2
+        f = den // d1
+        out = {key: g * f for key, g in self._flat.items()}
+        _add_flat(out, other._flat, n * (den // d2))
+        return _poly(self.alphabet, out, den)
+
+    def __add__(self, other):
+        if not isinstance(other, SuperPoly):
+            return NotImplemented
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return _poly(self.alphabet, {key: -g for key, g in self._flat.items()})
+        return _poly(self.alphabet, {key: -g for key, g in self._flat.items()},
+                     self._den)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self._flat)
-        _add_flat(out, other._flat, 1)
-        return _poly(self.alphabet, out)
+        if not isinstance(other, SuperPoly):
+            return NotImplemented
+        return self._plus(other, -1)
 
     def __mul__(self, other):
+        if not isinstance(other, SuperPoly):
+            return NotImplemented
         self._check(other)
         alph = self.alphabet
         out = {}
         _mul_flat(out, self._flat, other._flat, alph._layout)
-        return _poly(alph, out)
+        return _poly(alph, out, self._den * other._den)
 
     def scalar_mul(self, scalar: Scalar) -> "SuperPoly":
         st = scalar.terms
         if len(st) != 1:
             return self * SuperPoly.const(self.alphabet, scalar)
         ((k2, c2), g2), = st.items()
+        if g2.b:   # a real and an imaginary part: two terms
+            return self * SuperPoly.const(self.alphabet, scalar)
         # Q(i) has no zero divisors: no product vanishes
+        a2 = g2.a
         if k2 or c2:
             shift = _powers(k2, c2)
-            out = {key + shift: g * g2 for key, g in self._flat.items()}
+            out = {key + shift: g * a2 for key, g in self._flat.items()}
             if any(key & _POWERS_GUARD for key in out):
                 _overflow()
         else:
-            out = {key: g * g2 for key, g in self._flat.items()}
-        return _poly(self.alphabet, out)
+            out = {key: g * a2 for key, g in self._flat.items()}
+        return _poly(self.alphabet, out, self._den * g2.d)
 
     def scale(self, rat) -> "SuperPoly":
         return self.scalar_mul(Scalar.rational(rat))
@@ -646,7 +763,8 @@ class SuperPoly:
     def parity_part(self, p) -> "SuperPoly":
         odd = self.alphabet._layout.odd
         return _poly(self.alphabet, {key: g for key, g in self._flat.items()
-                                     if _key_parity(key, odd) == p % 2})
+                                     if _key_parity(key, odd) == p % 2},
+                     self._den)
 
     # -- derivations ----------------------------------------------------
     def deriv(self) -> "SuperPoly":
@@ -665,17 +783,17 @@ class SuperPoly:
                 steps = _remember(memo, m, _monomial_deriv(alph, m))
             for delta, n in steps:
                 key_d = key + delta
-                c = coeff if n == 1 else _times_int(coeff, n)
+                c = coeff * n
                 s = get(key_d)
                 if s is None:
                     out[key_d] = c
                 else:
-                    s = s + c
+                    s += c
                     if s:
                         out[key_d] = s
                     else:
                         del out[key_d]
-        return _poly(alph, out)
+        return _poly(alph, out, self._den)
 
     def partial(self, var) -> "SuperPoly":
         """Signed partial derivative with respect to variable (gen, order):
@@ -694,13 +812,11 @@ class SuperPoly:
             prefix_parity = 0
             for v, e, u in _factors(vars_, key >> _VAR_SHIFT):
                 pv = par[v[0]] ^ (v[1] & dp)
-                neg = pv and prefix_parity
-                c = coeff if e == 1 and not neg \
-                    else _times_int(coeff, -e if neg else e)
                 # key is key - u with one more v, so no two terms share a key
-                acc.setdefault(v, {})[key - u] = c
+                acc.setdefault(v, {})[key - u] = \
+                    coeff * (-e if pv and prefix_parity else e)
                 prefix_parity ^= pv & e
-        return {v: _poly(alph, acc[v]) for v in sorted(acc)}
+        return {v: _poly(alph, acc[v], self._den) for v in sorted(acc)}
 
     def parity_gradients(self):
         """(p, the gradient of the parity-p part as a tuple of (var,
@@ -713,7 +829,7 @@ class SuperPoly:
             for key, g in self._flat.items():
                 parts[_key_parity(key, odd)][key] = g
             self._gradients = tuple(
-                (p, tuple(_poly(alph, part).gradient().items()))
+                (p, tuple(_poly(alph, part, self._den).gradient().items()))
                 for p, part in enumerate(parts) if part)
         return self._gradients
 
@@ -746,24 +862,27 @@ class SuperPoly:
 
         # each monomial's coefficient, with all its power pairs (a constant
         # over the target), is multiplied by the images of the monomial's
-        # factors in one pass
+        # factors in one pass, and added into one sum-map entry
         coeffs = {}
         for key, g in self._flat.items():
             coeffs.setdefault(key >> _VAR_SHIFT, {})[key & _POWERS_MASK] = g
         vars_ = self.alphabet._layout.vars
         layout = target._layout
-        out = {}
+        out = [{}, 1]
         for m, term in coeffs.items():
+            den = self._den
             for v, e, _u in _factors(vars_, m):
-                img = image_of(v)._flat
+                img = image_of(v)
                 for _ in range(e):
                     prod = {}
-                    _mul_flat(prod, term, img, layout)
+                    _mul_flat(prod, term, img._flat, layout)
                     term = prod
+                    den *= img._den
                 if not term:
                     break
-            _add_flat(out, term)
-        return _poly(target, out)
+            if term:
+                _add_flat(out[0], term, _align(out, den))
+        return _poly(target, *out)
 
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
@@ -809,23 +928,25 @@ def accumulate(out, key, poly, neg=0):
     """out[key] += (-1)^neg poly in a sum map, keeping no zero entries.
 
     An entry of a sum map is the caller's SuperPoly until its second
-    addition; from then on it is a private term dict that later additions
-    add into, or subtract from, in place (the first addition with neg set
-    starts one at once). Only accumulated turns the entries back into
-    SuperPolys, so a private dict never leaves the function that owns out,
-    and no caller's value changes.
+    addition; from then on it is a private entry [numerators, running
+    denominator] that later additions add into, or subtract from, in place
+    (the first addition with neg set starts one at once). Only accumulated
+    turns the entries back into SuperPolys, so a private entry never leaves
+    the function that owns out, and no caller's value changes.
     """
     flat = poly._flat
     if not flat:
         return
     s = out.get(key)
     if s is None:
-        out[key] = {k: -g for k, g in flat.items()} if neg else poly
+        out[key] = [{k: -g for k, g in flat.items()}, poly._den] if neg else poly
         return
-    if type(s) is not dict:
-        s = out[key] = dict(s._flat)
-    _add_flat(s, flat, neg)
-    if not s:
+    if type(s) is not list:
+        s = out[key] = [dict(s._flat), s._den]
+    den = poly._den
+    n = 1 if s[1] == den else _align(s, den)
+    _add_flat(s[0], flat, -n if neg else n)
+    if not s[0]:
         del out[key]
 
 
@@ -833,13 +954,16 @@ def accumulate_product(out, key, a, b, neg=0):
     """out[key] += (-1)^neg a * b in a sum map (see accumulate), with no
     SuperPoly built for the product."""
     a._check(b)
+    den = a._den * b._den
     s = out.get(key)
     if s is None:
-        s = {}
-    elif type(s) is not dict:
-        s = dict(s._flat)
-    _mul_flat(s, a._flat, b._flat, a.alphabet._layout, neg)
-    if s:
+        s, n = [{}, den], 1
+    else:
+        if type(s) is not list:
+            s = [dict(s._flat), s._den]
+        n = 1 if s[1] == den else _align(s, den)
+    _mul_flat(s[0], a._flat, b._flat, a.alphabet._layout, -n if neg else n)
+    if s[0]:
         out[key] = s
     else:
         out.pop(key, None)
@@ -847,7 +971,7 @@ def accumulate_product(out, key, a, b, neg=0):
 
 def accumulated(alph, out):
     """The entries of a sum map as SuperPolys over alph; out is spent."""
-    return {key: _poly(alph, p) if type(p) is dict else p
+    return {key: _poly(alph, *p) if type(p) is list else p
             for key, p in out.items()}
 
 

@@ -190,6 +190,13 @@ def model_poly(alph, terms):
     return SuperPoly(alph, {m: c for m, c in out.items() if c})
 
 
+def model_add(a, b, sign=1):
+    """a + sign * b, summed term by term as Scalars."""
+    return model_poly(a.alphabet, [(model_factors(m), c) for m, c in a.terms.items()]
+                      + [(model_factors(m), c if sign > 0 else -c)
+                         for m, c in b.terms.items()])
+
+
 def model_mul(a, b):
     return model_poly(a.alphabet, [(model_factors(m1) + model_factors(m2), c1 * c2)
                                    for m1, c1 in a.terms.items()
@@ -260,23 +267,32 @@ def model_substitute(a, images, target):
     return model_poly(target, terms)
 
 
-def random_scalar(rng):
-    """One or two terms r k^a c^b with r in {-3..3}/{1, 2} and a, b <= 2,
-    such as (1/2 + 3k)c; zero terms drop out."""
+def random_scalar(rng, gaussian=False):
+    """One or two terms r k^a c^b with a, b <= 2, such as (1/2 + 3k)c: r in
+    {-3..3}/{1, 2}, or with gaussian r = (x + y i)/d with x, y in {-3..3}
+    and d in 1..6, such as (1/5 - (2/5)i)k; zero terms drop out."""
     s = Scalar()
     for _ in range(rng.randint(1, 2)):
-        s = s + Scalar.term(rng.randint(0, 2), rng.randint(0, 2), GRat(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        kp, cp = rng.randint(0, 2), rng.randint(0, 2)
+        if gaussian:
+            d = rng.randint(1, 6)
+            r = GRat(Fraction(rng.randint(-3, 3), d),
+                     Fraction(rng.randint(-3, 3), d))
+        else:
+            r = GRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        s = s + Scalar.term(kp, cp, r)
     return s
 
 
-def random_model_poly(alph, rng, terms=3, max_factors=4, max_order=2):
+def random_model_poly(alph, rng, terms=3, max_factors=4, max_order=2,
+                      gaussian=False):
     """Seeded random polynomial built by the model, with repeated and
     neighbouring variables (u^(m), u^(m+1)) common and coefficients in
-    Q[k, c] (random_scalar)."""
+    Q[k, c], or with gaussian in Q(i)[k, c] (random_scalar)."""
     return model_poly(alph, [
         ([(rng.randrange(len(alph)), rng.randint(0, max_order))
-          for _ in range(rng.randint(0, max_factors))], random_scalar(rng))
+          for _ in range(rng.randint(0, max_factors))],
+         random_scalar(rng, gaussian))
         for _ in range(terms)])
 
 

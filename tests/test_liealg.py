@@ -1,6 +1,9 @@
+import copy
 import importlib.resources
+import pickle
 import random
 from fractions import Fraction
+from operator import delitem, setitem
 
 import pytest
 
@@ -54,6 +57,47 @@ def test_file_roundtrip(tmp_path):
         assert g2.names == g.names and g2.struct == g.struct
         assert g2.form == g.form and g2.parities == g.parities
         assert validate_algebra(g2) == []
+
+
+@pytest.mark.parametrize("change", [
+    lambda g, db: setitem(g.struct, (0, 2), ((1, GRat(3)),)),
+    lambda g, db: delitem(g.struct, (0, 2)),
+    lambda g, db: setitem(db.lower, 0, ()),
+    lambda g, db: setitem(db.upper, 0, ()),
+    lambda g, db: setitem(db.chain_lower[0], 0, ()),
+    lambda g, db: setitem(db.chain_upper[0], 0, ()),
+    lambda g, db: setitem(db.spins, 0, GRat(2))],
+    ids=["struct-set", "struct-del", "lower", "upper", "chain-lower",
+         "chain-upper", "spins"])
+def test_algebra_and_chain_bases_are_read_only(change):
+    """An algebra and its chain bases cannot be changed after they are
+    built and validated: assigning into struct or into the containers of
+    DualBases, or deleting from struct, raises TypeError, and [E, F] stays
+    H."""
+    g = helpers.algebra("sl2")
+    db = dual_bases_F(g)
+    with pytest.raises(TypeError):
+        change(g, db)
+    E, H, F = (helpers.unit(i) for i in range(3))
+    assert g.bracket(E, F) == H
+    assert db.spins == (1,) and validate_algebra(g) == []
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_algebra_copies_and_pickles(name):
+    """A copy or a pickle of an algebra is the same algebra, with a
+    read-only struct of its own."""
+    g = helpers.algebra(name)
+    for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert (h.name, h.names, h.parities) == (g.name, g.names, g.parities)
+        assert h.struct == g.struct and h.form == g.form
+        assert h.gradings == g.gradings
+        for t in ("sl2", "osp"):
+            a, b = getattr(h, t), getattr(g, t)
+            assert (a is None) == (b is None)
+            assert a is None or vars(a) == vars(b)
+        with pytest.raises(TypeError):
+            setitem(h.struct, (0, 1), ())
 
 
 def test_parse_error_names_location(tmp_path):
@@ -222,9 +266,9 @@ def test_dual_bases_sl2():
     g = helpers.algebra("sl2")
     db = dual_bases_F(g)
     E, H, F = (helpers.unit(i) for i in range(3))
-    assert db.spins == [1]
-    assert db.chain_upper[0] == [E, sc(H, -1), sc(F, -2)]
-    assert db.chain_lower[0] == [F, sc(H, -HALF), sc(E, -HALF)]
+    assert db.spins == (1,)
+    assert db.chain_upper[0] == (E, sc(H, -1), sc(F, -2))
+    assert db.chain_lower[0] == (F, sc(H, -HALF), sc(E, -HALF))
     # (q^0_1 | q_0^1) = (-H | -H/2) = 1
     assert g.form_value(db.chain_upper[0][1], db.chain_lower[0][1]) == GR_ONE
     assert not helpers.sharp(db, H)
@@ -244,9 +288,9 @@ def test_dual_bases_osp():
     E, e, H, f, F = (helpers.unit(i) for i in range(5))
     assert [v for v in db.lower] == [F]
     assert [v for v in db.upper] == [E]
-    assert db.chain_upper[0] == [E, sc(e, -1), H, f, sc(F, -2)]
-    assert db.chain_lower[0] == [F, sc(f, HALF), sc(H, HALF), sc(e, HALF),
-                                 sc(E, -HALF)]
+    assert db.chain_upper[0] == (E, sc(e, -1), H, f, sc(F, -2))
+    assert db.chain_lower[0] == (F, sc(f, HALF), sc(H, HALF), sc(e, HALF),
+                                 sc(E, -HALF))
     # C_{0,1} = -1/2 realized on the chain: r_0^1 = -1/2 [e, F] = f/2
     assert db.chain_lower[0][1] == sc(g.bracket(e, F), Fraction(-1, 2))
     assert g.form_value(db.chain_upper[0][2], db.chain_lower[0][2]) == GR_ONE

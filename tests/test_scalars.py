@@ -64,6 +64,17 @@ def test_sub_equals_add_negated():
         (1, 0): GRat(1), (0, 2): GRat(0, -1)}
 
 
+@pytest.mark.parametrize("op", [
+    lambda s: s + 1, lambda s: s - 1, lambda s: s * 2,
+    lambda s: 1 + s, lambda s: 1 - s, lambda s: s + GRat(1)],
+    ids=["add", "sub", "mul", "radd", "rsub", "add-grat"])
+def test_scalar_foreign_operand_is_a_type_error(op):
+    """A Scalar meets only a Scalar in + - *: any other operand gives
+    NotImplemented, so Python raises TypeError (scale takes numbers)."""
+    with pytest.raises(TypeError):
+        op(Scalar.one())
+
+
 def test_gaussian_arithmetic():
     i = Scalar.imag()
     assert i * i == Scalar.rational(-1)

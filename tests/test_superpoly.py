@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ import helpers
 from walgebras.scalars import GRat, Scalar
 from walgebras.superpoly import (Alphabet, ExponentOverflowError, FLAVOR_D,
                                  FLAVOR_DEL, FlavorError, SuperPoly,
+                                 accumulate, accumulate_product, accumulated,
                                  enumerate_monomials, random_superpoly)
 
 AFF = Alphabet(FLAVOR_DEL, ["E", "H", "F"], [0, 0, 0], [0, 1, 2])
@@ -90,6 +92,23 @@ def test_derivation_property_randomized():
 
 MODEL_ALPHABETS = [Alphabet(FLAVOR_DEL, ["u", "v", "w"], [0, 1, 0]),
                    Alphabet(FLAVOR_D, ["u", "v"], [1, 0])]
+# (alphabet, gaussian): coefficients in Q[k, c] over {1, 2}, or in
+# Q(i)[k, c] over 1..6 (helpers.random_scalar)
+MODEL_CASES = [pytest.param(MODEL_ALPHABETS[0], False, id="del"),
+               pytest.param(MODEL_ALPHABETS[1], False, id="D"),
+               pytest.param(MODEL_ALPHABETS[0], True, id="del-gaussian"),
+               pytest.param(MODEL_ALPHABETS[1], True, id="D-gaussian")]
+
+
+def _imaginary(p):
+    """Whether some coefficient of p has an imaginary part."""
+    return any(g.b for _m, _kp, _cp, g in p.coefficients())
+
+
+def _lcm_aligned(a, b):
+    """Whether neither denominator of a and b divides the other, so that
+    their sum is aligned by a true lcm."""
+    return a._den % b._den and b._den % a._den
 
 
 def _powers(p):
@@ -99,21 +118,29 @@ def _powers(p):
     return pairs, sum(len(c.terms) > 1 for c in p.terms.values())
 
 
-@pytest.mark.parametrize("alph", MODEL_ALPHABETS, ids=["del", "D"])
-def test_kernel_equals_factor_list_model(alph):
+@pytest.mark.parametrize("alph, gaussian", MODEL_CASES)
+def test_kernel_equals_factor_list_model(alph, gaussian):
     """Products, the derivation, partials, gradients and parities against
     the factor-list model of tests/helpers.py on seeded inputs with
     repeated and neighbouring variables, so that the derivation's merge and
     vanish paths run, and with coefficients in Q[k, c] of one and two
-    terms, so that the (k power, c power) bookkeeping runs."""
+    terms, so that the (k power, c power) bookkeeping runs. The gaussian
+    cases draw coefficients in Q(i)[k, c] over denominators 1..6, so that
+    products meet i*i = -1 (and so do the derivatives and partials of such
+    products), and sums and differences align denominators by their lcm."""
     rng = random.Random(23)
-    merged = vanished = multi = 0
+    merged = vanished = multi = squares = aligned = 0
     pairs = set()
     for _ in range(60):
-        a = helpers.random_model_poly(alph, rng)
-        b = helpers.random_model_poly(alph, rng)
+        a = helpers.random_model_poly(alph, rng, gaussian=gaussian)
+        b = helpers.random_model_poly(alph, rng, gaussian=gaussian)
         ab = a * b
         assert ab == helpers.model_mul(a, b)
+        if gaussian:
+            assert a + b == helpers.model_add(a, b)
+            assert a - b == helpers.model_add(a, b, -1)
+            squares += _imaginary(a) and _imaginary(b)
+            aligned += bool(_lcm_aligned(a, b))
         for p in (a, ab):
             dp = p.deriv()
             assert dp == helpers.model_deriv(p)
@@ -137,24 +164,34 @@ def test_kernel_equals_factor_list_model(alph):
                             merged += 1
     assert merged and vanished and multi
     assert {(0, 0), (2, 2), (4, 4)} <= pairs
+    if gaussian:
+        assert squares >= 20 and aligned >= 10
 
 
-@pytest.mark.parametrize("alph", MODEL_ALPHABETS, ids=["del", "D"])
-def test_substitute_equals_model(alph):
+@pytest.mark.parametrize("alph, gaussian", MODEL_CASES)
+def test_substitute_equals_model(alph, gaussian):
     """substitute against the model on seeded polynomials and images with
-    coefficients in Q[k, c]; the image of each generator is homogeneous of
-    its parity, and its derivatives are the model's."""
+    coefficients in Q[k, c], or in Q(i)[k, c] over denominators 1..6 (the
+    images' derivatives and the products of a coefficient with the images
+    then meet i*i = -1, and the terms of the result come over different
+    denominators); the image of each generator is homogeneous of its
+    parity, and its derivatives are the model's."""
     rng = random.Random(31)
-    multi = 0
+    multi = squares = 0
     for _ in range(25):
-        a = helpers.random_model_poly(alph, rng, max_factors=3)
+        a = helpers.random_model_poly(alph, rng, max_factors=3,
+                                      gaussian=gaussian)
         images = {i: helpers.model_parity_part(
-            helpers.random_model_poly(alph, rng, terms=2, max_factors=2),
+            helpers.random_model_poly(alph, rng, terms=2, max_factors=2,
+                                      gaussian=gaussian),
             alph.parities[i]) for i in range(len(alph))}
         got = a.substitute(images, alph)
         assert got == helpers.model_substitute(a, images, alph)
         multi += _powers(got)[1]
+        squares += _imaginary(a) and any(map(_imaginary, images.values()))
     assert multi
+    if gaussian:
+        assert squares >= 10
 
 
 def test_deriv_merges_into_the_next_order():
@@ -358,22 +395,27 @@ def _fresh_alphabet(tag, flavor=FLAVOR_D, parities=(1, 1, 0, 1, 1, 0, 1, 1)):
                     parities)
 
 
-@pytest.mark.parametrize("flavor", [FLAVOR_D, FLAVOR_DEL], ids=["D", "del"])
-def test_packed_kernel_equals_model_many_odd_generators(flavor):
+@pytest.mark.parametrize("flavor, gaussian", [
+    pytest.param(FLAVOR_D, False, id="D"),
+    pytest.param(FLAVOR_DEL, False, id="del"),
+    pytest.param(FLAVOR_D, True, id="D-gaussian"),
+    pytest.param(FLAVOR_DEL, True, id="del-gaussian")])
+def test_packed_kernel_equals_model_many_odd_generators(flavor, gaussian):
     """Products, the derivation, gradients, substitution and parities
     against the factor-list model on an alphabet of eight generators, six
     of them odd, with derivative orders up to 9 (the random property suites
     reach 9): the slots are given in the random order in which the inputs
     first use the variables, so the Koszul signs of products and partials
     are counted over odd factors whose slot order and variable order
-    differ."""
-    alph = _fresh_alphabet("m" + flavor, flavor)
+    differ. The gaussian cases draw coefficients in Q(i)[k, c] over
+    denominators 1..6."""
+    alph = _fresh_alphabet(("g" if gaussian else "m") + flavor, flavor)
     rng = random.Random(41)
     for _ in range(30):
         a = helpers.random_model_poly(alph, rng, terms=3, max_factors=4,
-                                      max_order=9)
+                                      max_order=9, gaussian=gaussian)
         b = helpers.random_model_poly(alph, rng, terms=3, max_factors=3,
-                                      max_order=9)
+                                      max_order=9, gaussian=gaussian)
         ab = a * b
         assert ab == helpers.model_mul(a, b)
         for p in (a, ab):
@@ -385,10 +427,11 @@ def test_packed_kernel_equals_model_many_odd_generators(flavor):
     odd = [v for v in slots if alph.var_parity(v)]
     assert max(m for _g, m in slots) >= 9 and odd != sorted(odd)
     for _ in range(10):
-        a = helpers.random_model_poly(alph, rng, max_factors=3, max_order=4)
+        a = helpers.random_model_poly(alph, rng, max_factors=3, max_order=4,
+                                      gaussian=gaussian)
         images = {i: helpers.model_parity_part(
             helpers.random_model_poly(alph, rng, terms=2, max_factors=2,
-                                      max_order=3),
+                                      max_order=3, gaussian=gaussian),
             alph.parities[i]) for i in range(len(alph))}
         assert a.substitute(images, alph) == \
             helpers.model_substitute(a, images, alph)
@@ -540,3 +583,81 @@ def test_pickles_and_copies_repack():
     want = [(p * q).to_obj(), p.deriv().to_obj(),
             (p * var(alph, *first)).to_obj()]
     assert out.stdout.decode() == repr(want) + "\n"
+
+
+def _reduced_grats(p):
+    """Whether every coefficient that p gives out is a GRat in lowest terms
+    with a positive denominator."""
+    return all(type(g) is GRat and g.d > 0 and gcd(g.a, g.b, g.d) == 1
+               for _m, _kp, _cp, g in p.coefficients())
+
+
+def test_normal_form_across_build_routes():
+    """The same value built by different routes is one value: ==, hash,
+    rendering and the reduced GRats of coefficients() agree, and so do its
+    copies and pickles. Each route leaves a common factor between the
+    numerators and the denominator until the result is built: halves that
+    add up to a whole, a scale and its inverse, a sum map over thirds and
+    halves that cancels to integers, a derivative whose factor 2 meets the
+    1/2, and a product whose i*i = -1."""
+    u, du = var(AFF, 0), var(AFF, 0, 1)
+    x, y = var(AFF, 1), var(AFF, 2)
+    i = Scalar.imag()
+    out = {}
+    accumulate(out, 0, x.scale(Fraction(1, 3)))
+    accumulate_product(out, 0, x.scale(Fraction(1, 2)), y)
+    accumulate(out, 0, x.scale(Fraction(2, 3)))
+    accumulate_product(out, 0, x, y.scale(Fraction(1, 2)))
+    routes = [
+        (x, x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2))),
+        (x, x.scale(Fraction(1, 3)).scale(3)),
+        (x + x * y, accumulated(AFF, out)[0]),
+        (u * du, (u * u).scale(Fraction(1, 2)).deriv()),
+        (-(x * y), x.scalar_mul(i) * y.scalar_mul(i)),
+        (x.scalar_mul(i).scale(Fraction(1, 6)),
+         x.scalar_mul(i).scale(Fraction(1, 2)) - x.scalar_mul(i).scale(Fraction(1, 3))),
+    ]
+    for want, got in routes:
+        assert got == want and hash(got) == hash(want)
+        assert got.render() == want.render()
+        assert list(got.coefficients()) == list(want.coefficients())
+        assert _reduced_grats(got)
+        for copied in (copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert copied == want and hash(copied) == hash(want)
+            assert copied.render() == want.render() and _reduced_grats(copied)
+    assert routes[-1][1].render() == "(1/6)i*H"
+
+
+def test_power_past_a_field_is_loud_with_i():
+    """i*i = -1 folds a product's i field without touching its other
+    fields: a power of a variable or of k past 127 still raises
+    ExponentOverflowError when the two factors also carry i."""
+    alph = _fresh_alphabet("oi", FLAVOR_DEL, (0, 0))
+    i = Scalar.imag()
+    x = var(alph, 0)
+    for _ in range(6):
+        x = x * x
+    ix = x.scalar_mul(i)                  # i u^64
+    assert (ix * var(alph, 0).scalar_mul(i)).terms == {
+        (((0, 0), 65),): -Scalar.one()}
+    with pytest.raises(ExponentOverflowError):
+        ix * ix
+    k = Scalar.term(127, 0, GRat(0, 1))   # i k^127
+    with pytest.raises(ExponentOverflowError):
+        var(alph, 1).scalar_mul(k) * var(alph, 1).scalar_mul(Scalar.k() * i)
+    assert (var(alph, 1).scalar_mul(k) * var(alph, 0).scalar_mul(i)).terms == {
+        (((0, 0), 1), ((1, 0), 1)): -Scalar.term(127, 0, GRat(1))}
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p + 1, lambda p: p - 1, lambda p: p * 2,
+    lambda p: 1 + p, lambda p: 1 - p, lambda p: 2 * p,
+    lambda p: p + Scalar.one(), lambda p: p * Scalar.k()],
+    ids=["add", "sub", "mul", "radd", "rsub", "rmul", "add-scalar",
+         "mul-scalar"])
+def test_foreign_operand_is_a_type_error(op):
+    """A SuperPoly meets only a SuperPoly in + - *: any other operand gives
+    NotImplemented, so Python raises TypeError (scale and scalar_mul take
+    numbers and Scalars)."""
+    with pytest.raises(TypeError):
+        op(var(AFF, 0))
