@@ -1,15 +1,16 @@
 """Built-in algebra catalog: sl2, sl3 (principal and minimal nilpotent),
 osp(1|2), and sl(2|1) with its principal osp(1|2) embedding.
 
-Each entry is shipped as a JSON algebra file (the stable external schema);
-the builders below construct the same algebras from matrix realizations and
-are used to regenerate the data files and to cross-check them in tests.
-
-The shipped files are read by path, from the ``data`` directory next to
-this module, so the package runs from a directory (an install or a source
-checkout), not from a zip.  ``importlib.resources`` would also serve a zip,
-but importing it pulls in tempfile, shutil, pathlib and zipfile, about half
-the import time of ``walgebras.cli``, which every ``walg`` command pays.
+The builders below construct each algebra from a matrix realization.
+``python -m walgebras.catalog`` writes what they build twice, in the
+algebra-file schema (the stable external one): as the JSON files of the
+``data`` directory, the documented examples of that schema, and as the
+Python literals of the generated module ``_catalog_data``, from which
+``get_algebra`` reads a catalog name through the same ``algebra_from_obj``
+as a file.  A catalog command thus imports no ``json`` (nor the ``re`` and
+``enum`` modules that ``json`` pulls in), and no ``importlib.resources``
+(with tempfile, shutil, pathlib and zipfile); tests check that both
+written forms match the builders byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import os
 
 from .liealg import (AlgebraError, LieSuperalgebra, OSPTriple, SL2Triple,
-                     load_algebra, save_algebra)
+                     algebra_from_obj, algebra_to_obj, load_algebra,
+                     save_algebra)
 from .scalars import (GRat, GR_ONE, GR_ZERO, LinearSolveError, rat,
                       solve_linear)
 
@@ -183,11 +185,14 @@ CATALOG = {
 }
 
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+HERE = os.path.dirname(__file__)
+DATA_DIR = os.path.join(HERE, "data")
+DATA_MODULE = os.path.join(HERE, "_catalog_data.py")
 
 
 def load_catalog_algebra(name) -> LieSuperalgebra:
-    return load_algebra(os.path.join(DATA_DIR, CATALOG[name].file))
+    from ._catalog_data import ALGEBRAS   # a command on a file reads none
+    return algebra_from_obj(ALGEBRAS[name])
 
 
 def get_algebra(name_or_path) -> LieSuperalgebra:
@@ -197,12 +202,45 @@ def get_algebra(name_or_path) -> LieSuperalgebra:
     return load_algebra(name_or_path)
 
 
-def regenerate_data(dirpath):
-    for entry in CATALOG.values():
-        save_algebra(entry.builder(), os.path.join(dirpath, entry.file))
+def _data_module(objs):
+    """Python source binding ALGEBRAS to {name: file object}: each top-level
+    field on a line of its own, and each item of a list or dict field too."""
+    lines = ['"""The catalog algebras in the algebra-file schema, as Python '
+             'literals.', "",
+             "Written by ``python -m walgebras.catalog`` from the builders "
+             "in ``catalog``;", "do not edit.", '"""', "", "ALGEBRAS = {"]
+    for name, obj in objs.items():
+        lines.append("    %r: {" % name)
+        for key, value in obj.items():
+            if isinstance(value, list):
+                lines.append("        %r: [" % key)
+                lines += ["            %r," % item for item in value]
+                lines.append("        ],")
+            elif isinstance(value, dict):
+                lines.append("        %r: {" % key)
+                lines += ["            %r: %r," % item for item in value.items()]
+                lines.append("        },")
+            else:
+                lines.append("        %r: %r," % (key, value))
+        lines.append("    },")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
-if __name__ == "__main__":  # regenerate the shipped data files
+def regenerate_data(dirpath, module_path):
+    """Write each catalog algebra, built from its matrices, as a JSON file
+    in dirpath and as a literal of the module at module_path."""
+    objs = {}
+    for name, entry in CATALOG.items():
+        g = entry.builder()
+        save_algebra(g, os.path.join(dirpath, entry.file))
+        objs[name] = algebra_to_obj(g)
+    with open(module_path, "w") as fh:
+        fh.write(_data_module(objs))
+
+
+if __name__ == "__main__":  # regenerate the shipped data
     os.makedirs(DATA_DIR, exist_ok=True)
-    regenerate_data(DATA_DIR)
-    print("wrote %d algebra files to %s" % (len(CATALOG), DATA_DIR))
+    regenerate_data(DATA_DIR, DATA_MODULE)
+    print("wrote %d algebra files to %s and %s"
+          % (len(CATALOG), DATA_DIR, DATA_MODULE))

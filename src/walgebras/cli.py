@@ -5,15 +5,20 @@ Exit codes: 0 all checks passed, 1 verification failure, 2 input error,
 unexpected internal error, reported as ``engine error: internal: ...``),
 141 (128 + SIGPIPE) stdout was closed by its reader, with nothing printed.
 Identical inputs and seed produce byte-identical output.
+
+The command line is stated once, in the table COMMANDS. A command line in
+canonical form (exact names, each option once) is read from it by
+_recognize, without argparse; build_parser() hands the same table to
+argparse, which is imported only for every other command line and alone
+writes help, usage and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .catalog import CATALOG, get_algebra
 from .liealg import (AlgebraError, check_tensor_identity, dual_bases_F,
@@ -73,21 +78,26 @@ def _invalid(g, report):
     return "algebra %s is invalid: %s" % (g.name, report[0])
 
 
-def _emit(args, doc, text_lines):
+def _emit(args, doc, lines):
+    """Print the command's output: the text lines, or under --format
+    structured the document. doc and lines are functions of no arguments,
+    and only the one the format asks for is called, so a command builds
+    its lines or its document, never both."""
     if args.format == "structured":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        import json   # structured output alone reads json
+        sys.stdout.write(json.dumps(doc(), sort_keys=True, indent=1) + "\n")
     else:
-        for line in text_lines:
+        for line in lines():
             sys.stdout.write(line + "\n")
 
 
 def cmd_validate(args):
     g = _load(args)
     report = validate_algebra(g)
-    doc = {"command": "validate", "algebra": g.name, "violations": report}
-    lines = ["%s: %s" % (g.name, "valid" if not report else "INVALID")]
-    lines += ["  violation: %s" % r for r in report]
-    _emit(args, doc, lines)
+    _emit(args, lambda: {"command": "validate", "algebra": g.name,
+                         "violations": report},
+          lambda: ["%s: %s" % (g.name, "valid" if not report else "INVALID")]
+          + ["  violation: %s" % r for r in report])
     return 0 if not report else 1
 
 
@@ -104,25 +114,25 @@ def _bracket_line(ctx, prefix, i, j, value):
 
 def _list_generators(args, g, ctx, prefix, alph, shown):
     """Print generators: shown lists (generator, its value over alph)."""
-    lines, objs = [], []
-    for w, value in shown:
-        label = ctx.gen_labels[w.index]
-        lines.append("%s%s = %s   (weight %s)"
-                     % (prefix, label, value.render(), w.weight))
-        objs.append({"label": label, "weight": str(w.weight),
-                     "value": value.to_obj()})
-    doc = {"command": args.command, "algebra": g.name,
-           "alphabet": alph.to_obj(), "generators": objs}
-    _emit(args, doc, lines)
+    def doc():
+        return {"command": args.command, "algebra": g.name,
+                "alphabet": alph.to_obj(), "generators": [
+                    {"label": ctx.gen_labels[w.index], "weight": str(w.weight),
+                     "value": value.to_obj()} for w, value in shown]}
+
+    _emit(args, doc, lambda: ["%s%s = %s   (weight %s)"
+                              % (prefix, ctx.gen_labels[w.index],
+                                 value.render(), w.weight)
+                              for w, value in shown])
     return 0
 
 
 def _list_table(args, g, ctx, prefix, table, **doc):
     """Print a bracket table, one line per generator pair."""
-    lines = [_bracket_line(ctx, prefix, i, j, table.entry(i, j))
-             for (i, j) in sorted(table.entries)]
-    _emit(args, dict(doc, command=args.command, algebra=g.name,
-                     table=table.to_obj()), lines)
+    _emit(args, lambda: dict(doc, command=args.command, algebra=g.name,
+                             table=table.to_obj()),
+          lambda: [_bracket_line(ctx, prefix, i, j, table.entry(i, j))
+                   for (i, j) in sorted(table.entries)])
     return 0
 
 
@@ -134,33 +144,45 @@ def cmd_generators(args):
         (w, ctx.to_input(w.value)) for w in solve_all_generators(ctx)])
 
 
+def _generators_of(ctx, route):
+    """The solved generators by index, which the direct route reads; the
+    closed route reads none, so it solves none."""
+    if route == "closed":
+        return None
+    return {w.index: w for w in solve_all_generators(ctx)}
+
+
 def cmd_bracket(args):
     """bracket / susy-bracket: one bracket of two generators."""
     g = _load(args)
     ctx = _context(g, args.flavor, _parse_k(args.k))
-    gens = {w.index: w for w in solve_all_generators(ctx)}
-    i, j = args.i, args.j
-    if not (0 <= i < len(gens) and 0 <= j < len(gens)):
-        raise InputError("generator index out of range (have %d)" % len(gens))
+    i, j, n = args.i, args.j, ctx.db.count()
+    if not (0 <= i < n and 0 <= j < n):
+        raise InputError("generator index out of range (have %d)" % n)
     route = getattr(args, "route", None)   # susy-bracket: direct route only
     value = (w_bracket_closed if route == "closed" else w_bracket_direct)(
-        ctx, gens, i, j)
-    doc = {"command": args.command, "algebra": g.name, "i": i, "j": j,
-           "alphabet": ctx.gen_alph.to_obj(), "value": value.to_obj()}
-    if route is None:
-        doc["flavor"] = ctx.flavor.name
-    else:
-        doc["route"] = route
-    _emit(args, doc, [_bracket_line(ctx, ctx.flavor.prefix, i, j, value)])
+        ctx, _generators_of(ctx, route), i, j)
+
+    def doc():
+        doc = {"command": args.command, "algebra": g.name, "i": i, "j": j,
+               "alphabet": ctx.gen_alph.to_obj(), "value": value.to_obj()}
+        if route is None:
+            doc["flavor"] = ctx.flavor.name
+        else:
+            doc["route"] = route
+        return doc
+
+    _emit(args, doc, lambda: [_bracket_line(ctx, ctx.flavor.prefix, i, j,
+                                            value)])
     return 0
 
 
 def cmd_bracket_table(args):
     g = _load(args)
     ctx = _context(g, args.flavor, _parse_k(args.k))
-    gens = {w.index: w for w in solve_all_generators(ctx)}
-    return _list_table(args, g, ctx, ctx.flavor.prefix,
-                       w_bracket_table(ctx, gens, route=args.route),
+    table = w_bracket_table(ctx, _generators_of(ctx, args.route),
+                            route=args.route)
+    return _list_table(args, g, ctx, ctx.flavor.prefix, table,
                        route=args.route)
 
 
@@ -170,11 +192,10 @@ def cmd_brst_check(args):
     diff = build_d(BRSTComplex(ctx), Scalar.c())
     report = diff.verify()
     ok = not report
-    lines = ["%s {d_chi d}=0 (symbolic c)" % ("PASS" if ok else "FAIL")]
-    lines += ["  %s" % r for r in report]
-    doc = {"command": "brst-check", "algebra": g.name, "passed": ok,
-           "violations": report}
-    _emit(args, doc, lines)
+    _emit(args, lambda: {"command": "brst-check", "algebra": g.name,
+                         "passed": ok, "violations": report},
+          lambda: ["%s {d_chi d}=0 (symbolic c)" % ("PASS" if ok else "FAIL")]
+          + ["  %s" % r for r in report])
     return 0 if ok else 1
 
 
@@ -277,7 +298,7 @@ def _report_suites(args, g, names, doc):
     doc.update(results=results, passed=not failed)
     if skipped:
         doc["skipped"] = skipped
-    _emit(args, doc, lines)
+    _emit(args, lambda: doc, lambda: lines)
     return 1 if failed else 0
 
 
@@ -314,96 +335,155 @@ def _terminal_columns():
     return columns or 80
 
 
-class _HelpFormatter(argparse.HelpFormatter):
+def _options(k=True, seed=False):
+    """The options of a command that every command shares, in help order."""
+    options = [("--algebra", str, None, "catalog name (%s) or algebra file"
+                % ", ".join(sorted(CATALOG))),
+               ("--format", ("text", "structured"), "text", None)]
+    if k:
+        options.append(("--k", str, "symbolic",
+                        "level: a rational or 'symbolic'"))
+    if seed:   # the jacobi suite's random inputs
+        options.append(("--seed", int, 2024, None))
+    return options
+
+
+_ROUTE = ("--route", ("direct", "closed"), "direct", None)
+
+# The command line, one entry per command: (name, help, function, flavor,
+# options, positionals). An option is (flag, kind, default, help); its kind
+# is str (any value), int, a tuple of choices, or bool (a flag that is given
+# or not), and an option without a default is required. Each positional is
+# an int. build_parser() hands this table to argparse, and _recognize()
+# reads its canonical spelling without argparse.
+COMMANDS = (
+    ("validate", "check all algebra axioms", cmd_validate, None,
+     _options(k=False), ()),
+    ("generators", "classical W generators", cmd_generators, EVEN,
+     _options(), ()),
+    ("bracket", "classical W bracket of two generators", cmd_bracket, EVEN,
+     _options() + [_ROUTE], ("i", "j")),
+    ("bracket-table", "full classical W table", cmd_bracket_table, EVEN,
+     _options() + [_ROUTE], ()),
+    ("verify", "run verification suites", cmd_verify, EVEN,
+     _options(seed=True) + [("--suite", str, "all",
+                             "one of %s or 'all'" % (SUITES,))], ()),
+    ("brst-check", "d^2 = 0 with symbolic c", cmd_brst_check, SUSY,
+     _options(), ()),
+    ("brst-generators", "H^0 generators (c = i)", cmd_brst_generators, SUSY,
+     _options(), ()),
+    ("brst-table", "bracket table on H^0 (c = i)", cmd_brst_table, SUSY,
+     _options(), ()),
+    ("susy-generators", "SUSY W generators", cmd_generators, SUSY,
+     _options(), ()),
+    ("susy-bracket", "SUSY W bracket of two generators", cmd_bracket, SUSY,
+     _options(), ("i", "j")),
+    ("susy-verify", "SUSY verification suites", cmd_susy_verify, SUSY,
+     _options(seed=True) + [("--cross-brst", bool, False, "also verify the "
+                             "BRST route and the equivalence")], ()),
+)
+
+
+def _recognize(argv):
+    """The namespace that build_parser() parses from argv, read without
+    argparse when argv is in canonical form: an exact command name, then
+    exact long options, each at most once, as --opt=value (a non-empty
+    value) or --opt value (a value not starting with -), choices among
+    theirs, ints and positionals in ASCII digits, positionals in their
+    exact number, and every required option given. Anything else gives
+    None, and argparse decides: help, usage, every error and every other
+    spelling are argparse's alone."""
+    entry = next((e for e in COMMANDS if argv and e[0] == argv[0]), None)
+    if entry is None:
+        return None
+    name, _summary, fn, flavor, options, positionals = entry
+    kinds = {flag: kind for flag, kind, _default, _text in options}
+    given, ints = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if not (arg.isascii() and arg.isdigit()):
+                return None
+            ints.append(int(arg))
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in kinds or flag in given:
+            return None
+        kind = kinds[flag]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(rest, "")
+            if not value or (not eq and value.startswith("-")):
+                return None
+            if kind is int:
+                if not (value.isascii() and value.isdigit()):
+                    return None
+                value = int(value)
+            elif kind is not str and value not in kind:
+                return None
+        given[flag] = value
+    if len(ints) != len(positionals):
+        return None
+    args = {"command": name, "fn": fn, "flavor": flavor}
+    for flag, _kind, default, _text in options:
+        if default is None and flag not in given:
+            return None
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    args.update(zip(positionals, ints))
+    return SimpleNamespace(**args)
+
+
+@functools.cache
+def _help_formatter():
     """argparse's help formatter at its own default width. The stock one
     reads the width through shutil, whose import (with bz2, lzma, zlib and
-    fnmatch) every ``walg`` command would pay on its first add_argument."""
+    fnmatch) would cost every parser that argparse builds."""
+    import argparse
 
-    def __init__(self, prog, indent_increment=2, max_help_position=24,
-                 width=None):
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
+    class HelpFormatter(argparse.HelpFormatter):
+        def __init__(self, prog, indent_increment=2, max_help_position=24,
+                     width=None):
+            if width is None:
+                width = _terminal_columns() - 2
+            super().__init__(prog, indent_increment, max_help_position,
+                             width)
+    return HelpFormatter
 
 
 def build_parser():
+    """The argparse parser of COMMANDS: the one reader of a command line
+    that _recognize() does not read."""
+    import argparse   # only for a command line in no canonical form
+    formatter = _help_formatter()
     p = argparse.ArgumentParser(
-        prog="walg", formatter_class=_HelpFormatter,
+        prog="walg", formatter_class=formatter,
         description="Exact engine for classical and SUSY W-algebra structures")
     sub = p.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
-
-    def common(sp, k=True, seed=False, flavor=EVEN):
-        sp.set_defaults(flavor=flavor)
-        sp.add_argument("--algebra", required=True,
-                        help="catalog name (%s) or algebra file"
-                        % ", ".join(sorted(CATALOG)))
-        sp.add_argument("--format", choices=("text", "structured"),
-                        default="text")
-        if k:
-            sp.add_argument("--k", default="symbolic",
-                            help="level: a rational or 'symbolic'")
-        if seed:   # the jacobi suite's random inputs
-            sp.add_argument("--seed", type=int, default=2024)
-
-    sp = add_parser("validate", help="check all algebra axioms")
-    common(sp, k=False, flavor=None)
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = add_parser("generators", help="classical W generators")
-    common(sp)
-    sp.set_defaults(fn=cmd_generators)
-
-    sp = add_parser("bracket", help="classical W bracket of two generators")
-    common(sp)
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
-    sp.add_argument("--route", choices=("direct", "closed"), default="direct")
-    sp.set_defaults(fn=cmd_bracket)
-
-    sp = add_parser("bracket-table", help="full classical W table")
-    common(sp)
-    sp.add_argument("--route", choices=("direct", "closed"), default="direct")
-    sp.set_defaults(fn=cmd_bracket_table)
-
-    sp = add_parser("verify", help="run verification suites")
-    common(sp, seed=True)
-    sp.add_argument("--suite", default="all", help="one of %s or 'all'" % (SUITES,))
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = add_parser("brst-check", help="d^2 = 0 with symbolic c")
-    common(sp, flavor=SUSY)
-    sp.set_defaults(fn=cmd_brst_check)
-
-    sp = add_parser("brst-generators", help="H^0 generators (c = i)")
-    common(sp, flavor=SUSY)
-    sp.set_defaults(fn=cmd_brst_generators)
-
-    sp = add_parser("brst-table", help="bracket table on H^0 (c = i)")
-    common(sp, flavor=SUSY)
-    sp.set_defaults(fn=cmd_brst_table)
-
-    sp = add_parser("susy-generators", help="SUSY W generators")
-    common(sp, flavor=SUSY)
-    sp.set_defaults(fn=cmd_generators)
-
-    sp = add_parser("susy-bracket", help="SUSY W bracket of two generators")
-    common(sp, flavor=SUSY)
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
-    sp.set_defaults(fn=cmd_bracket)
-
-    sp = add_parser("susy-verify", help="SUSY verification suites")
-    common(sp, seed=True, flavor=SUSY)
-    sp.add_argument("--cross-brst", action="store_true",
-                    help="also verify the BRST route and the equivalence")
-    sp.set_defaults(fn=cmd_susy_verify)
+    for name, summary, fn, flavor, options, positionals in COMMANDS:
+        sp = sub.add_parser(name, help=summary, formatter_class=formatter)
+        sp.set_defaults(fn=fn, flavor=flavor)
+        for flag, kind, default, text in options:
+            if kind is bool:
+                sp.add_argument(flag, action="store_true", help=text)
+            else:
+                sp.add_argument(
+                    flag, required=default is None, default=default,
+                    help=text, type=int if kind is int else None,
+                    choices=kind if isinstance(kind, tuple) else None)
+        for dest in positionals:
+            sp.add_argument(dest, type=int)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _recognize(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -27,7 +27,6 @@ repeated or, among the nonzero coefficients, outside 0..dim-1.
 
 from __future__ import annotations
 
-import json
 from math import comb, factorial
 from types import MappingProxyType
 
@@ -808,12 +807,17 @@ def algebra_from_obj(obj) -> LieSuperalgebra:
 
 
 def save_algebra(g: LieSuperalgebra, path):
+    import json
     with open(path, "w") as fh:
         json.dump(algebra_to_obj(g), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_algebra(path) -> LieSuperalgebra:
+    # json loads with the first file read: the catalog algebras are read
+    # from Python literals (catalog.get_algebra), so a catalog command
+    # imports neither json nor the re and enum modules that it pulls in
+    import json
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

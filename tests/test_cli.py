@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import pytest
 
 from walgebras import cli, wclassical
 from walgebras.cli import main
-from walgebras.pva import BracketTable
-from walgebras.scalars import LinearSolveError
+from walgebras.pva import BracketTable, LambdaPoly
+from walgebras.scalars import LinearSolveError, Scalar
 from walgebras.spva import SUSYBracketTable
 from walgebras.superpoly import Alphabet, ExponentOverflowError, SuperPoly
 from walgebras.wclassical import GeneratorError
@@ -477,6 +478,88 @@ def test_bracket_index_range(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("route", ["direct", "closed"])
+def test_bracket_index_range_before_any_solve(monkeypatch, capsys, route):
+    """An index out of range is an input error before any generator solve."""
+    def no_solve(ctx):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve_all_generators", no_solve)
+    for argv in (["bracket", "--algebra", "sl3-minimal", "4", "0"],
+                 ["susy-bracket", "--algebra", "sl21", "0", "2"]):
+        if argv[0] == "bracket":
+            argv += ["--route", route]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "input error: generator index out of range (have %s)\n" \
+            % ("4" if argv[0] == "bracket" else "2")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_closed_route_solves_no_generators(monkeypatch, capsys, fmt):
+    """The closed route reads no generator value, so bracket and
+    bracket-table on it solve none, and print what the direct route
+    prints."""
+    direct = {}
+    for argv in (["bracket", "--algebra", "sl21", "2", "3"],
+                 ["bracket-table", "--algebra", "sl3-principal", "--k=1/2"]):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        direct[argv[0]] = out.replace('"route": "direct"', '"route": "closed"')
+
+    def no_solve(ctx):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "solve_all_generators", no_solve)
+    for argv in (["bracket", "--algebra", "sl21", "2", "3"],
+                 ["bracket-table", "--algebra", "sl3-principal", "--k=1/2"]):
+        assert run(capsys, *argv, "--format", fmt, "--route", "closed") == \
+            (0, direct[argv[0]], "")
+
+
+TEXT_COMMANDS = [
+    ["validate", "--algebra", "sl21"],
+    ["generators", "--algebra", "sl3-minimal"],
+    ["bracket", "--algebra", "sl21", "1", "2"],
+    ["bracket", "--algebra", "sl2", "0", "0", "--route", "closed"],
+    ["bracket-table", "--algebra", "osp12"],
+    ["bracket-table", "--algebra", "osp12", "--route", "closed"],
+    ["brst-check", "--algebra", "osp12"],
+    ["brst-generators", "--algebra", "osp12"],
+    ["brst-table", "--algebra", "osp12"],
+    ["susy-generators", "--algebra", "sl21"],
+    ["susy-bracket", "--algebra", "sl21", "0", "1"],
+    ["verify", "--algebra", "osp12", "--suite", "thm-6-5"],
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_COMMANDS, ids=lambda a: " ".join(a[::2]))
+def test_output_builds_one_form(monkeypatch, capsys, argv):
+    """Text output builds no structured document (no to_obj), and the
+    structured document renders no text line (no render)."""
+    def refused(*args, **kwargs):
+        raise AssertionError("built the other form")
+
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, doc, err = run(capsys, *argv, "--format", "structured")
+    assert (code, err) == (0, "")
+    with monkeypatch.context() as m:
+        for cls in (Alphabet, SuperPoly, Scalar, LambdaPoly, BracketTable):
+            m.setattr(cls, "to_obj", refused)
+        assert run(capsys, *argv) == (0, text, "")
+    with monkeypatch.context() as m:
+        for cls in (SuperPoly, LambdaPoly):
+            m.setattr(cls, "render", refused)
+        assert run(capsys, *argv, "--format", "structured") == (0, doc, "")
+    with monkeypatch.context() as m:   # the patches reach the command
+        m.setattr(SuperPoly, "to_obj", refused)
+        m.setattr(SuperPoly, "render", refused)
+        if "validate" not in argv and "brst-check" not in argv \
+                and "verify" not in argv:
+            assert run(capsys, *argv)[0] == 3
+
+
 def test_numeric_k(capsys):
     code, out, _ = run(capsys, "generators", "--algebra", "sl2", "--k", "0")
     assert code == 0
@@ -498,7 +581,7 @@ def test_k_spellings(capsys):
 def _parser_pair(monkeypatch):
     """walg's parser, and the same parser on argparse's stock formatter."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        m.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
         stock = cli.build_parser()
     return cli.build_parser(), stock
 
@@ -529,6 +612,140 @@ def test_help_matches_stock_formatter(monkeypatch, capsys, columns):
         errors.append((exit_.value.code, capsys.readouterr().err))
     assert errors[0] == errors[1] and errors[0][0] == 2
     assert errors[0][1].startswith("usage: walg bracket")
+
+
+def _parsed(parser, argv):
+    """vars() of argparse's namespace for argv, or None where it exits
+    (a usage error, or help)."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _spellings(flag, kind, value):
+    if kind is bool:
+        return [[flag], [flag + "=1"]]
+    return [[flag, value], [flag + "=" + value]]
+
+
+def _try_values(kind):
+    """Values to spell each option with: valid and invalid ones."""
+    if kind is bool:
+        return [None]
+    if kind is int:
+        return ["7", "007", "-3", "x", "", "\u0663", "\u00b2", "1_0", "+1",
+                "1x", "1 "]
+    if isinstance(kind, tuple):
+        return list(kind) + ["bogus", ""]
+    return ["sl2", "1/2", "-1/2", "", "a=b", "a b", "--format"]
+
+
+def _canonical_argvs(entry):
+    """The command with every option given, in every order of the options,
+    positionals at the front, split or at the end, with space or = forms."""
+    name, _, _, _, options, positionals = entry
+    ints = ["0", "12"][:len(positionals)]
+    out = []
+    for form in (0, 1):
+        groups = [[flag] if kind is bool else _spellings(
+            flag, kind, "sl2" if kind is str else "7" if kind is int
+            else kind[-1])[form] for flag, kind, _, _ in options]
+        for order in itertools.permutations(groups):
+            rest = [arg for group in order for arg in group]
+            out.append([name] + ints + rest)
+            out.append([name] + ints[:1] + rest + ints[1:])
+            out.append([name] + rest + ints)
+    return out
+
+
+def _command_lines(entry):
+    """Command lines around one command: each option alone with each try
+    value in both spellings, positionals of every kind, and the spellings
+    that only argparse reads (help, abbreviations, --, repeats)."""
+    name, _, _, _, options, positionals = entry
+    ints = ["0", "1"][:len(positionals)]
+    base = ["--algebra", "sl2"]
+    out = []
+    for flag, kind, _, _ in options:
+        for value in _try_values(kind):
+            for spelled in _spellings(flag, kind, value):
+                rest = spelled if flag == "--algebra" else base + spelled
+                out.append([name] + rest + ints)
+                out.append([name] + ints + rest)
+    for pos in ([], ["0"], ["0", "1"], ["0", "1", "2"], ["x", "0"],
+                ["-1", "0"], ["0", "-1"], ["\u0663", "0"], ["00", "12"],
+                ["1_0", "0"], ["+1", "0"], ["", "0"], [" 1", "0"],
+                ["\u00b2", "0"], ["1x", "0"], ["0", "1 "]):
+        out.append([name] + base + pos)
+    for extra in (["--alg", "sl2"], ["--algebra"], ["-h"], ["--help"],
+                  ["--"], ["--", "--algebra", "sl2"], ["--bogus"], ["-x"],
+                  ["--algebra", "sl2"], ["--format", "text"],
+                  ["--format=text", "--format", "text"], ["--k", "1/2"],
+                  ["--k=-1/2"], ["--k", "-1/2"], ["--k="], ["--cross-brst"],
+                  ["--cross-brst", "--cross-brst"], ["--route", "closed"],
+                  ["--seed", "5"], ["--suite", "skew"], ["sl2"]):
+        out.append([name] + base + ints + extra)
+        out.append([name] + extra + ints)
+    out.append([name] + ints)   # no --algebra
+    out.append(["--algebra", "sl2", name] + ints)
+    return out
+
+
+@pytest.mark.parametrize("entry", cli.COMMANDS, ids=lambda e: e[0])
+def test_recognizer_agrees_with_argparse(capsys, entry):
+    """_recognize gives None or the namespace argparse gives, and None on
+    every command line argparse refuses; every option order and both
+    spellings of a command line in canonical form are recognized."""
+    parser = cli.build_parser()
+    canonical = _canonical_argvs(entry)
+    recognized = 0
+    for argv in canonical + _command_lines(entry):
+        ours, theirs = cli._recognize(argv), _parsed(parser, argv)
+        if argv in canonical:
+            assert ours is not None, argv
+        if ours is not None:
+            recognized += 1
+            assert vars(ours) == theirs, argv
+    capsys.readouterr()
+    assert recognized > len(canonical)
+    for argv in ([], ["-h"], ["--help"], ["nosuch"], [entry[0].upper()]):
+        assert cli._recognize(argv) is None
+
+
+def test_benchmark_commands_take_the_fast_path(capsys):
+    """Every command of the benchmark's cli workload, at each of its
+    levels, is read without argparse, to the namespace argparse reads."""
+    bench = os.path.join(ROOT, "wbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    parser = cli.build_parser()
+    argvs = [argv for level in workloads.LEVELS
+             for _, argv in workloads.cli_commands(level)]
+    assert len(argvs) == 400
+    for argv in argvs:
+        ours = cli._recognize(argv)
+        assert ours is not None and vars(ours) == _parsed(parser, argv), argv
+
+
+def test_main_reads_argparse_only_off_the_fast_path(monkeypatch, capsys):
+    """main builds the argparse parser only for a command line that the
+    recognizer does not read, and then argparse's answer stands."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    assert run(capsys, "validate", "--algebra", "sl2") == (0, "sl2: valid\n", "")
+    assert built == []
+    assert run(capsys, "validate", "--alg", "sl2") == (0, "sl2: valid\n", "")
+    assert built == [1]
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--algebra", "sl2", "--format", "xml"])
+    assert exc.value.code == 2 and built == [1, 1]
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 def test_byte_identical_runs(capsys):
@@ -629,7 +846,8 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "engine error: internal: IndexError: list index out of range\n"
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 # stdlib modules that importlib.resources and random pull in; a walg command
 # uses none of them, so none may load at start-up
 COLD_START_UNUSED = ("importlib.resources", "tempfile", "shutil", "pathlib",
@@ -672,6 +890,52 @@ def test_commands_start_without_shutil_or_fractions(tmp_path, argv):
     assert done.returncode == 0, done.stderr
     output, loaded = done.stdout.rsplit("\n", 1)
     assert output and loaded == ""
+
+
+# never loaded by a text-mode command on a catalog algebra, given in
+# canonical form: argparse (with gettext and locale) reads only the other
+# command lines, and json (with re and enum) only files and structured output
+FAST_PATH_UNUSED = ("argparse", "json", "re", "enum", "gettext", "locale")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--algebra", "sl2"],
+    ["generators", "--algebra", "sl3-minimal", "--k", "1/2"],
+    ["bracket", "--algebra", "sl3-minimal", "--k=-1/2", "1", "2"],
+    ["bracket-table", "--algebra", "sl2", "--route=closed"],
+    ["verify", "--algebra", "sl2", "--suite", "lemma-3-4", "--seed=5"],
+    ["brst-check", "--algebra", "osp12", "--k", "3/2"],
+    ["brst-generators", "--algebra", "osp12"],
+    ["brst-table", "--algebra", "osp12", "--k=1/2"],
+    ["susy-generators", "--algebra", "sl21", "--format", "text", "--k=5/2"],
+    ["susy-bracket", "--algebra", "osp12", "0", "0"],
+    ["susy-verify", "--algebra", "osp12", "--cross-brst", "--k=1/2"],
+], ids=lambda argv: argv[0])
+def test_text_commands_start_without_argparse_or_json(tmp_path, argv):
+    done = _python("import sys; from walgebras.cli import main; "
+                   "code = main(sys.argv[1:]); "
+                   "sys.stdout.write(' '.join(m for m in %r if m in sys.modules)); "
+                   "sys.exit(code)" % (FAST_PATH_UNUSED + STARTUP_UNUSED,),
+                   tmp_path, *argv)
+    assert done.returncode == 0, done.stderr
+    output, loaded = done.stdout.rsplit("\n", 1)
+    assert output and loaded == ""
+
+
+def test_module_run_imports_none_of_them(tmp_path):
+    """As the benchmark runs it: python -S -m walgebras.cli, every import
+    listed by -X importtime."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "walgebras.cli",
+         "bracket", "--algebra", "sl3-minimal", "--k=-1/2", "1", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("{w_"), done.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "walgebras.catalog" in imported
+    assert imported.isdisjoint(FAST_PATH_UNUSED + STARTUP_UNUSED)
 
 
 @pytest.mark.parametrize("buffered", [False, True],

@@ -10,7 +10,7 @@ import pytest
 import helpers
 from walgebras.catalog import (CATALOG, build_osp12, build_sl2, build_sl21,
                                build_sl3_minimal, build_sl3_principal,
-                               regenerate_data)
+                               get_algebra, regenerate_data)
 from walgebras.liealg import (AlgebraError, DualBases, LieSuperalgebra,
                               OSPTriple, SL2Triple, algebra_from_obj,
                               algebra_to_obj, check_tensor_identity,
@@ -595,11 +595,26 @@ def test_file_roundtrip_keeps_violations(name):
 
 
 def test_saved_files_match_shipped_data(tmp_path):
-    regenerate_data(tmp_path)
-    data = importlib.resources.files("walgebras").joinpath("data")
+    """The builders write the shipped JSON files and the generated module
+    of catalog literals byte for byte."""
+    regenerate_data(tmp_path, tmp_path / "_catalog_data.py")
+    package = importlib.resources.files("walgebras")
+    data = package.joinpath("data")
     for name, entry in CATALOG.items():
         assert (tmp_path / entry.file).read_bytes() == \
             data.joinpath(entry.file).read_bytes(), name
+    assert (tmp_path / "_catalog_data.py").read_bytes() == \
+        package.joinpath("_catalog_data.py").read_bytes()
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_catalog_name_reads_as_its_file(name):
+    """A catalog name, read from the generated literals, gives the algebra
+    that its shipped JSON file gives."""
+    path = importlib.resources.files("walgebras").joinpath(
+        "data", CATALOG[name].file)
+    assert algebra_to_obj(get_algebra(name)) == \
+        algebra_to_obj(load_algebra(str(path)))
 
 
 def _random_gaussian(rng):
