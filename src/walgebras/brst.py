@@ -148,8 +148,9 @@ class BRSTComplex:
         table = SUSYBracketTable(self.jalph)
         images = [self._from_J_images[t] for t in range(len(self.jalph))]
         for s, a in enumerate(images):
+            row = LeftBracket(a, self.table)
             for t, b in enumerate(images):
-                value = susy_master_bracket(a, b, self.table)
+                value = susy_master_bracket(row, b, self.table)
                 table.set(s, t, ChiPoly(self.jalph, {
                     n: self.to_J(p) for n, p in value.coeffs.items()}))
         return table
@@ -281,8 +282,9 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
     n = ctx.db.count()
     values = {j: gens[j].value_J for j in range(n)}
     for i in range(n):
+        row = LeftBracket(values[i], cplx.jtable)
         for j in range(n):
-            raw = susy_master_bracket(values[i], values[j], cplx.jtable)
+            raw = susy_master_bracket(row, values[j], cplx.jtable)
             coeffs = {}
             for p, poly in raw.coeffs.items():
                 if diff.apply_J(poly):

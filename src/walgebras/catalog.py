@@ -2,15 +2,17 @@
 osp(1|2), and sl(2|1) with its principal osp(1|2) embedding.
 
 The builders below construct each algebra from a matrix realization.
-``python -m walgebras.catalog`` writes what they build twice, in the
+``python -m walgebras.make_catalog`` writes what they build twice, in the
 algebra-file schema (the stable external one): as the JSON files of the
 ``data`` directory, the documented examples of that schema, and as the
-Python literals of the generated module ``_catalog_data``, from which
-``get_algebra`` reads a catalog name through the same ``algebra_from_obj``
-as a file.  A catalog command thus imports no ``json`` (nor the ``re`` and
-``enum`` modules that ``json`` pulls in), and no ``importlib.resources``
-(with tempfile, shutil, pathlib and zipfile); tests check that both
-written forms match the builders byte for byte.
+Python literals of the generated module ``_catalog_data``, one function
+per algebra, from which ``get_algebra`` reads a catalog name through the
+same ``algebra_from_obj`` as a file.  A catalog command thus imports no
+``json`` (nor the ``re`` and ``enum`` modules that ``json`` pulls in), and
+no ``importlib.resources`` (with tempfile, shutil, pathlib and zipfile);
+tests check that both written forms match the builders byte for byte.
+Each function builds its literal when called, so no literal outlives the
+read of its algebra.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ DATA_MODULE = os.path.join(HERE, "_catalog_data.py")
 
 def load_catalog_algebra(name) -> LieSuperalgebra:
     from ._catalog_data import ALGEBRAS   # a command on a file reads none
-    return algebra_from_obj(ALGEBRAS[name])
+    return algebra_from_obj(ALGEBRAS[name]())
 
 
 def get_algebra(name_or_path) -> LieSuperalgebra:
@@ -203,14 +205,21 @@ def get_algebra(name_or_path) -> LieSuperalgebra:
 
 
 def _data_module(objs):
-    """Python source binding ALGEBRAS to {name: file object}: each top-level
-    field on a line of its own, and each item of a list or dict field too."""
+    """Python source binding ALGEBRAS to {name: function}: each function
+    returns its algebra's file object, built when called, with each
+    top-level field on a line of its own, and each item of a list or dict
+    field too."""
     lines = ['"""The catalog algebras in the algebra-file schema, as Python '
              'literals.', "",
-             "Written by ``python -m walgebras.catalog`` from the builders "
-             "in ``catalog``;", "do not edit.", '"""', "", "ALGEBRAS = {"]
+             "Written by ``python -m walgebras.make_catalog`` from the "
+             "builders in", "``catalog``; do not edit. Each function builds "
+             "its algebra's literal when", "called, so that no literal "
+             "outlives the read of its algebra.", '"""']
+    functions = {}
     for name, obj in objs.items():
-        lines.append("    %r: {" % name)
+        functions[name] = "_" + "".join(ch if ch.isalnum() else "_"
+                                        for ch in name)
+        lines += ["", "", "def %s():" % functions[name], "    return {"]
         for key, value in obj.items():
             if isinstance(value, list):
                 lines.append("        %r: [" % key)
@@ -222,7 +231,9 @@ def _data_module(objs):
                 lines.append("        },")
             else:
                 lines.append("        %r: %r," % (key, value))
-        lines.append("    },")
+        lines.append("    }")
+    lines += ["", "", "ALGEBRAS = {"]
+    lines += ["    %r: %s," % item for item in functions.items()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -237,10 +248,3 @@ def regenerate_data(dirpath, module_path):
         objs[name] = algebra_to_obj(g)
     with open(module_path, "w") as fh:
         fh.write(_data_module(objs))
-
-
-if __name__ == "__main__":  # regenerate the shipped data
-    os.makedirs(DATA_DIR, exist_ok=True)
-    regenerate_data(DATA_DIR, DATA_MODULE)
-    print("wrote %d algebra files to %s and %s"
-          % (len(CATALOG), DATA_DIR, DATA_MODULE))

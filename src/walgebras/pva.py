@@ -15,8 +15,11 @@ polynomials from a generator table, through an operator (LeftBracket)
 that keeps what its left argument contributes; the axioms-driven evaluator
 (sesquilinearity, right Leibniz, skew) is its independent oracle.
 Skew-symmetry, Leibniz rules and sesquilinearity are checked exactly, and
-the Jacobi identity in two independent indeterminates. This module holds
-the lambda record and names; spva holds chi.
+the Jacobi identity in two independent indeterminates. Each check hands
+its evaluator one operator for every left argument that it brackets more
+than once, and drops it when it returns (see LeftBracket); the Jacobi
+check folds the parity parts of its first argument (see jacobi_defect).
+This module holds the lambda record and names; spva holds chi.
 """
 
 from __future__ import annotations
@@ -321,8 +324,14 @@ def affine_table(g, alphabet, k: Scalar, table_cls=BracketTable,
 
 
 def _parts(poly: SuperPoly):
-    """The nonzero parity parts of poly, as (parity, part)."""
-    return [(p, h) for p in (0, 1) for h in (poly.parity_part(p),) if h]
+    """The nonzero parity parts of poly, as (parity, part): poly itself
+    when it has one parity, so that it keeps its memos; none for zero."""
+    if not poly:
+        return ()
+    p = poly.parity()
+    if p is not None:
+        return ((p, poly),)
+    return ((0, poly.parity_part(0)), (1, poly.parity_part(1)))
 
 
 class LeftBracket:
@@ -351,9 +360,23 @@ class LeftBracket:
     at_zero(g) keeps the d-powers of the x^0 coefficient of each B. The
     memos are private: f and the table are read, never changed, and every
     value handed out is new. The table must not change while the operator
-    is in use."""
+    is in use.
+
+    Who shares an operator, and for how long. master_bracket and
+    spva.susy_master_bracket take an operator over the same table in place
+    of f, and the oracles read its f, so a caller that brackets one left
+    argument many times builds one operator and hands it to its evaluator.
+    The axiom checks (skew_defect, jacobi_defect, leibniz_defects,
+    sesquilinearity_defects) build one per left argument that they bracket
+    more than once, and drop it when the call returns; so do
+    brst.BRSTComplex.jtable, brst.brst_bracket_table and the direct route
+    of wclassical.w_bracket_table for each row of their table. Only
+    brst.BRSTDifferential keeps its operators, as first-use attributes: d
+    is fixed for the differential's life. No operator is cached across
+    calls."""
 
     def __init__(self, f: SuperPoly, table: BracketTable):
+        self.f = f
         self.table = table
         self._partials = [(pf, i, m, dfi) for pf, grad in f.parity_gradients()
                           for (i, m), dfi in grad]
@@ -422,17 +445,30 @@ class LeftBracket:
         return _built(alph, out).get(0, SuperPoly.zero(alph))
 
 
-def master_bracket(f: SuperPoly, g: SuperPoly, table: BracketTable) -> LambdaPoly:
-    """Master-formula evaluation of {f_lambda g} over the table."""
-    return LeftBracket(f, table)(g)
+def _operator(f, table: BracketTable) -> LeftBracket:
+    """f itself when it is an operator (over table), else a new one."""
+    if type(f) is not LeftBracket:
+        return LeftBracket(f, table)
+    if f.table is not table:
+        raise ValueError("operator built over another table")
+    return f
 
 
-def _oracle(a: SuperPoly, b: SuperPoly, table: BracketTable):
+def master_bracket(f, g: SuperPoly, table: BracketTable) -> LambdaPoly:
+    """Master-formula evaluation of {f_lambda g} over the table; f is a
+    SuperPoly or a LeftBracket of it over the same table."""
+    return _operator(f, table)(g)
+
+
+def _oracle(a, b: SuperPoly, table: BracketTable):
     """Axioms-driven evaluation: the implementation of bracket_oracle and
-    spva.susy_bracket_oracle. It never calls a master formula. The bracket
+    spva.susy_bracket_oracle. It never calls a master formula: given a
+    LeftBracket for a, it reads only the operator's polynomial. The bracket
     is bilinear over Q(i)[k, c], so each pair of monomials is bracketed
     once, with coefficient 1, and taken with the product of the two
     coefficients of every pair of terms."""
+    if type(a) is LeftBracket:
+        a = a.f
     alph = table.alphabet
     out = {}
     units = {}
@@ -487,21 +523,25 @@ def _oracle_mono(mono_a, mono_b, table):
     return _signed(val.apply_plus_d(n), var.d_right(alph.var_parity((i, m))) * n)
 
 
-def bracket_oracle(a: SuperPoly, b: SuperPoly, table: BracketTable) -> LambdaPoly:
+def bracket_oracle(a, b: SuperPoly, table: BracketTable) -> LambdaPoly:
     """Axioms-driven evaluation (sesquilinearity, right Leibniz, skew);
-    the independent oracle for the master formula."""
+    the independent oracle for the master formula. a is a SuperPoly or a
+    LeftBracket of it, as for master_bracket."""
     return _oracle(a, b, table)
 
 
 def skew_defect(f: SuperPoly, g: SuperPoly, table: BracketTable,
                 evaluator=master_bracket) -> LambdaPoly:
-    """[f_x g] - (-1)^skew s(f,g)[g_{-x-d} f]; zero iff skew holds."""
+    """[f_x g] - (-1)^skew s(f,g)[g_{-x-d} f]; zero iff skew holds. Each
+    parity part of g brackets the parts of f through one operator."""
     skew = table.value.var.skew
     out = {}
     _acc_value(out, evaluator(f, g, table))
-    for pf, fh in _parts(f):
-        for pg, gh in _parts(g):
-            _acc_value(out, evaluator(gh, fh, table).flip(), 1 + skew + pf * pg)
+    f_parts = _parts(f)
+    for pg, gh in _parts(g):
+        left = LeftBracket(gh, table)
+        for pf, fh in f_parts:
+            _acc_value(out, evaluator(left, fh, table).flip(), 1 + skew + pf * pg)
     return _value(table.value, table.alphabet, out)
 
 
@@ -541,36 +581,70 @@ class Lambda2Poly:
     __str__ = render
 
 
+def _slope(rule, *rest):
+    """The slope e of a Jacobi sign rule in p(a), at the given arguments:
+    rule(p(a), *rest) = rule(0, *rest) + e p(a) mod 2."""
+    return (rule(1, *rest) - rule(0, *rest)) & 1
+
+
 def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
                   table: BracketTable, evaluator=master_bracket) -> Lambda2Poly:
     """[a_x [b_y c]] - [[a_x b]_{x+y} c] - s(a,b)[b_y [a_x c]] for lambda,
     [a_x [b_y c]] + s(a)[[a_x b]_{x+y} c] + s(a,b)s(a)s(b)[b_y [a_x c]]
-    for chi (x = chi, y = gamma), exactly; zero iff Jacobi holds."""
+    for chi (x = chi, y = gamma), exactly; zero iff Jacobi holds.
+
+    The parity fold. Each term sums, over the parity parts a_p of a,
+    brackets with a_p on the left, each signed by a rule of var.jacobi.
+    Every rule is affine in p = p(a) mod 2, rule(p, ...) = rule(0, ...)
+    + e p, and its slope e reads
+    - in the first term only the inner power i (lambda: 0, chi: i);
+    - in the second term nothing (lambda: 0, chi: 1);
+    - in the third term only p(b) (lambda: p(b), chi: 1 + p(b)).
+    So e never reads the outer power o, which the bracket with a_p gives.
+    The bracket is linear in its left argument, so a term's sum over p is
+    sum_p (-1)^{e p} {a_p ...} = {a^e ...}, signed by the rule at p = 0,
+    where a^0 = a and a^1 = a_0 - a_1 is the parity twist of a. For a
+    mixed-parity a that halves the brackets of the second and third
+    terms, and of the first for chi. a and its twist get one operator
+    each (the twist of a one-parity a is +-a, through a's operator), and
+    so does each parity part of b. tests/test_master_signs.py pins the
+    slopes of both records."""
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
     out = {}   # a sum map (i, j) -> f_ij
     a_parts = _parts(a)
-    # the first two signs read the parity of a only, the lambda ones none
-    a_split = a_parts if var.parity else [(0, a)]
-    bc = evaluator(b, c, table).coeffs
-    for pa, ah in a_split:          # [a_x [b_y c]]
-        for i, p in bc.items():
-            for o, q in evaluator(ah, p, table).coeffs.items():
-                _acc(out, (o, i), q, sign1(pa, i, o) & 1)
-    for pa, ah in a_split:          # [[a_x b]_{x+y} c]
-        for i, p in evaluator(ah, b, table).coeffs.items():
-            for o, q in evaluator(p, c, table).coeffs.items():
-                neg = sign2(pa, i, o) & 1
-                for (t, u), coeff in var.binomial(o).items():
-                    _acc(out, (i + t, u), q if coeff == 1 else q.scale(coeff),
-                         neg)
-    b_parts = _parts(b)
-    for pa, ah in a_parts:          # [b_y [a_x c]]
-        ac = evaluator(ah, c, table).coeffs
-        for pb, bh in b_parts:
-            for i, p in ac.items():
-                for o, q in evaluator(bh, p, table).coeffs.items():
-                    _acc(out, (i, o), q, sign3(pa, pb, i, o) & 1)
+    folded = [(LeftBracket(a, table), 0), None]
+
+    def fold(e):
+        """The operator of a^e and its sign; the twist is built on first use."""
+        if folded[e] is None:
+            folded[1] = ((LeftBracket(a_parts[0][1] - a_parts[1][1], table), 0)
+                         if len(a_parts) == 2 else
+                         (folded[0][0], a_parts[0][0] if a_parts else 0))
+        return folded[e]
+
+    # the second term first: its outer brackets, each through an operator
+    # of its own, are the largest, and meet a's operator still small
+    left, neg = fold(_slope(sign2, 0, 0))   # [[a_x b]_{x+y} c]
+    for i, p in evaluator(left, b, table).coeffs.items():
+        for o, q in evaluator(p, c, table).coeffs.items():
+            e = (sign2(0, i, o) + neg) & 1
+            for (t, u), coeff in var.binomial(o).items():
+                _acc(out, (i + t, u), q if coeff == 1 else q.scale(coeff), e)
+    b_ops = [(pb, LeftBracket(bh, table)) for pb, bh in _parts(b)]
+    bc = evaluator(b_ops[0][1] if len(b_ops) == 1 else b, c, table).coeffs
+    for i, p in bc.items():          # [a_x [b_y c]]
+        left, neg = fold(_slope(sign1, i, 0))
+        for o, q in evaluator(left, p, table).coeffs.items():
+            _acc(out, (o, i), q, (sign1(0, i, o) + neg) & 1)
+    ac = {}   # operator of a^e -> the coefficients of [a^e_x c]
+    for pb, op_b in b_ops:           # [b_y [a_x c]]
+        left, neg = fold(_slope(sign3, pb, 0, 0))
+        if left not in ac:
+            ac[left] = evaluator(left, c, table).coeffs
+        for i, p in ac[left].items():
+            for o, q in evaluator(op_b, p, table).coeffs.items():
+                _acc(out, (i, o), q, (sign3(0, pb, i, o) + neg) & 1)
     return Lambda2Poly(table.alphabet, var, _built(table.alphabet, out))
 
 
@@ -585,20 +659,28 @@ def check_jacobi(table: BracketTable, evaluator=master_bracket):
 
 def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
     """Right: {a_x bc} - {a_x b}c - s(b,c){a_x c}b.
-    Left: {ab_x c} - s(b,c){a_{x+d}c}_->b - s(a,bc){b_{x+d}c}_->a."""
+    Left: {ab_x c} - s(b,c){a_{x+d}c}_->b - s(a,bc){b_{x+d}c}_->a.
+    a, its parity parts and those of b each bracket through one operator;
+    a one-parity a is its own part."""
     alph = table.alphabet
+    a_parts, b_parts, c_parts = _parts(a), _parts(b), _parts(c)
+    a_ops = [(pa, LeftBracket(ah, table)) for pa, ah in a_parts]
+    op_a = a_ops[0][1] if len(a_ops) == 1 else LeftBracket(a, table)
     # {a_x b}c takes no sign
     right = {}
-    _acc_value(right, evaluator(a, b * c, table))
-    _acc_value(right, evaluator(a, b, table).mul_right(c), 1)
+    _acc_value(right, evaluator(op_a, b * c, table))
+    _acc_value(right, evaluator(op_a, b, table).mul_right(c), 1)
     left = {}
     _acc_value(left, evaluator(a * b, c, table))
-    a_parts, b_parts, c_parts = _parts(a), _parts(b), _parts(c)
-    bc = {(pb, pc): evaluator(bh, ch, table)
-          for pb, bh in b_parts for pc, ch in c_parts}
-    for pa, ah in a_parts:
+    bc = {}
+    for pb, bh in b_parts:
+        op_b = LeftBracket(bh, table)
         for pc, ch in c_parts:
-            ac = evaluator(ah, ch, table)
+            bc[pb, pc] = evaluator(op_b, ch, table)
+    for pa, op in a_ops:
+        ah = op.f
+        for pc, ch in c_parts:
+            ac = evaluator(op, ch, table)
             for pb, bh in b_parts:
                 _acc_value(right, ac.mul_right(bh), 1 + pb * pc)
                 _acc_value(left, arrow_apply(ac, table.value.of(bh), pa + pc),
@@ -612,15 +694,18 @@ def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket)
     """[da_x b] - (-1)^d_left x[a_x b] and
     [a_x db] - sum_q (-1)^d_right(q) (x+d)[a_q x b] over the parity parts
     a_q of a: ([da_l b] + l[a_l b], [a_l db] - (l+d)[a_l b]) for lambda,
-    ([Da_chi b] - chi[a_chi b], [a_chi Db] + s(a)(D+chi)[a_chi b]) for chi."""
+    ([Da_chi b] - chi[a_chi b], [a_chi Db] + s(a)(D+chi)[a_chi b]) for chi.
+    a brackets b and db through one operator."""
     var = table.value.var
+    op_a = LeftBracket(a, table)
     d1 = evaluator(a.deriv(), b, table)
-    base = evaluator(a, b, table)
+    base = evaluator(op_a, b, table)
     d1 = d1 + base.shift() if var.d_left % 2 else d1 - base.shift()
-    d2 = evaluator(a, b.deriv(), table)
-    # a lambda-bracket needs no split by the parity of a
-    parts = ([(pa, evaluator(ah, b, table)) for pa, ah in _parts(a)]
-             if var.parity else [(0, base)])
+    d2 = evaluator(op_a, b.deriv(), table)
+    # a lambda-bracket needs no split by the parity of a, and a one-parity
+    # a is its own part
+    parts = ([(pa, base if ah is a else evaluator(ah, b, table))
+              for pa, ah in _parts(a)] if var.parity else [(0, base)])
     for pa, value in parts:
         plus_d = value.apply_plus_d()
         d2 = d2 + plus_d if var.d_right(pa) % 2 else d2 - plus_d

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .pva import (BracketTable, Indeterminate, LambdaPoly, LeftBracket,
+from .pva import (BracketTable, Indeterminate, LambdaPoly, _operator,
                   _oracle, affine_table, jacobi_defect, leibniz_defects,
                   sesquilinearity_defects, skew_defect)
 from .scalars import rat
@@ -71,16 +71,16 @@ def susy_affine_table(g, alphabet, k) -> SUSYBracketTable:
 # benchmark tracer (wbench/tracer.py) tells the two master formulas and the
 # two oracles apart by their names. Evaluations through a pva.LeftBracket
 # (membership terms, brst's differential) go unseen.
-def susy_master_bracket(a: SuperPoly, b: SuperPoly,
-                        table: SUSYBracketTable) -> ChiPoly:
-    """Closed master-formula evaluation of {a_chi b}."""
-    return LeftBracket(a, table)(b)
+def susy_master_bracket(a, b: SuperPoly, table: SUSYBracketTable) -> ChiPoly:
+    """Closed master-formula evaluation of {a_chi b}; a is a SuperPoly or
+    a pva.LeftBracket of it over the same table."""
+    return _operator(a, table)(b)
 
 
-def susy_bracket_oracle(a: SuperPoly, b: SuperPoly,
-                        table: SUSYBracketTable) -> ChiPoly:
+def susy_bracket_oracle(a, b: SuperPoly, table: SUSYBracketTable) -> ChiPoly:
     """Axioms-driven evaluation (sesquilinearity, right Leibniz, skew);
-    independent of the closed master formula."""
+    independent of the closed master formula. a is a SuperPoly or a
+    pva.LeftBracket of it, whose polynomial alone it reads."""
     return _oracle(a, b, table)
 
 

@@ -450,8 +450,11 @@ def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPol
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators;
     the generators are in the kept variables, so the reduced bracket is
-    the master formula over ctx.reduced_table."""
-    red = ctx.flavor.master(gens[i].value, gens[j].value, ctx.reduced_table)
+    the master formula over ctx.reduced_table. i is a generator index, or
+    a LeftBracket of that generator's value over ctx.reduced_table, which
+    w_bracket_table passes for every pair of a row."""
+    left = i if isinstance(i, LeftBracket) else gens[i].value
+    red = ctx.flavor.master(left, gens[j].value, ctx.reduced_table)
     return type(red)(ctx.gen_alph, {n: rewrite_in_generators(ctx, gens, p)
                                     for n, p in red.coeffs.items()})
 
@@ -498,12 +501,18 @@ def _closed_factor(ctx, constants, tail):
 
 
 def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
-    bracket = w_bracket_direct if route == "direct" else w_bracket_closed
+    """The W table by either route; the direct route brackets each row
+    through one LeftBracket of its generator over ctx.reduced_table."""
     table = ctx.flavor.table(ctx.gen_alph)
     n = ctx.db.count()
     for i in range(n):
-        for j in range(n):
-            table.set(i, j, bracket(ctx, gens, i, j))
+        if route == "direct":
+            row = LeftBracket(gens[i].value, ctx.reduced_table)
+            for j in range(n):
+                table.set(i, j, w_bracket_direct(ctx, gens, row, j))
+        else:
+            for j in range(n):
+                table.set(i, j, w_bracket_closed(ctx, gens, i, j))
     return table
 
 

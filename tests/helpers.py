@@ -18,7 +18,7 @@ from walgebras.scalars import GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
-from walgebras.pva import LeftBracket, affine_table
+from walgebras.pva import Lambda2Poly, LeftBracket, affine_table, arrow_apply
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import BRSTComplex, build_d, cohomology_generators
@@ -148,6 +148,114 @@ def brst(name, c=None):
         gens = {e.index: e for e in cohomology_generators(cplx, diff)}
         _brst[key] = (cplx, diff, gens)
     return _brst[key]
+
+
+# -- the axiom checks, bracket by bracket -----------------------------------
+# The skew, Jacobi, Leibniz and sesquilinearity defects as pva wrote them
+# before its checks shared operators and folded the Jacobi signs: every
+# bracket through a fresh master-formula operator, every argument split
+# into its parity parts wherever a sign reads a parity (the Jacobi signs
+# at each p(a), not folded), and the sums taken as bracket values.
+
+def fresh_bracket(f, g, table):
+    """{f_x g} through an operator of its own."""
+    return LeftBracket(f, table)(g)
+
+
+def parity_parts(poly):
+    """The nonzero parity parts of poly, each a new polynomial."""
+    return [(p, h) for p in (0, 1) for h in (poly.parity_part(p),) if h]
+
+
+def _minus(x, y, e):
+    """x - (-1)^e y."""
+    return x + y if e % 2 else x - y
+
+
+def reference_skew_defect(f, g, table):
+    skew = table.value.var.skew
+    out = fresh_bracket(f, g, table)
+    for pf, fh in parity_parts(f):
+        for pg, gh in parity_parts(g):
+            out = _minus(out, fresh_bracket(gh, fh, table).flip(),
+                         skew + pf * pg)
+    return out
+
+
+def reference_jacobi_defect(a, b, c, table):
+    """The Jacobi defect as a Lambda2Poly; each term summed over the
+    parity parts of a (the lambda terms 1 and 2 read no parity)."""
+    var = table.value.var
+    sign1, sign2, sign3 = var.jacobi
+    out = {}
+
+    def add(ij, q, e):
+        q = -q if e % 2 else q
+        out[ij] = out[ij] + q if ij in out else q
+
+    a_split = parity_parts(a) if var.parity else [(0, a)]
+    bc = fresh_bracket(b, c, table).coeffs
+    for pa, ah in a_split:
+        for i, p in bc.items():
+            for o, q in fresh_bracket(ah, p, table).coeffs.items():
+                add((o, i), q, sign1(pa, i, o))
+    for pa, ah in a_split:
+        for i, p in fresh_bracket(ah, b, table).coeffs.items():
+            for o, q in fresh_bracket(p, c, table).coeffs.items():
+                for (t, u), coeff in var.binomial(o).items():
+                    add((i + t, u), q.scale(coeff), sign2(pa, i, o))
+    for pa, ah in parity_parts(a):
+        ac = fresh_bracket(ah, c, table).coeffs
+        for pb, bh in parity_parts(b):
+            for i, p in ac.items():
+                for o, q in fresh_bracket(bh, p, table).coeffs.items():
+                    add((i, o), q, sign3(pa, pb, i, o))
+    return Lambda2Poly(table.alphabet, var, out)
+
+
+def reference_leibniz_defects(a, b, c, table):
+    right = (fresh_bracket(a, b * c, table)
+             - fresh_bracket(a, b, table).mul_right(c))
+    left = fresh_bracket(a * b, c, table)
+    for pa, ah in parity_parts(a):
+        for pc, ch in parity_parts(c):
+            ac = fresh_bracket(ah, ch, table)
+            for pb, bh in parity_parts(b):
+                bc = fresh_bracket(bh, ch, table)
+                right = _minus(right, ac.mul_right(bh), pb * pc)
+                left = _minus(left, arrow_apply(ac, table.value.of(bh),
+                                                pa + pc), pb * pc)
+                left = _minus(left, arrow_apply(bc, table.value.of(ah),
+                                                pb + pc), pa * (pb + pc))
+    return right, left
+
+
+def reference_sesquilinearity_defects(a, b, table):
+    var = table.value.var
+    base = fresh_bracket(a, b, table)
+    d1 = _minus(fresh_bracket(a.deriv(), b, table), base.shift(), var.d_left)
+    d2 = fresh_bracket(a, b.deriv(), table)
+    parts = ([(pa, fresh_bracket(ah, b, table)) for pa, ah in parity_parts(a)]
+             if var.parity else [(0, base)])
+    for pa, value in parts:
+        d2 = _minus(d2, value.apply_plus_d(), var.d_right(pa))
+    return d1, d2
+
+
+def reference_check_skew(table):
+    alph = table.alphabet
+    gens = [SuperPoly.variable(alph, i) for i in range(len(alph))]
+    return [(alph.names[a], alph.names[b]) for a in range(len(alph))
+            for b in range(len(alph))
+            if reference_skew_defect(gens[a], gens[b], table)]
+
+
+def reference_check_jacobi(table):
+    alph = table.alphabet
+    n, gens = len(alph), [SuperPoly.variable(alph, i) for i in range(len(alph))]
+    return [(alph.names[a], alph.names[b], alph.names[c])
+            for a in range(n) for b in range(n) for c in range(n)
+            if reference_jacobi_defect(gens[a], gens[b], gens[c], table)]
 
 
 # -- factor-list model of the SuperPoly kernel ----------------------------

@@ -1,7 +1,12 @@
 import copy
 import importlib.resources
+import os
+import pathlib
 import pickle
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from operator import delitem, setitem
 
@@ -605,6 +610,41 @@ def test_saved_files_match_shipped_data(tmp_path):
             data.joinpath(entry.file).read_bytes(), name
     assert (tmp_path / "_catalog_data.py").read_bytes() == \
         package.joinpath("_catalog_data.py").read_bytes()
+
+
+def test_make_catalog_runs_once_without_warnings(tmp_path):
+    """python -m walgebras.make_catalog, on a copy of the package whose
+    data files are removed, under -W error: no warning, its body runs once
+    (one line on stdout), and it writes the shipped files byte for byte."""
+    import walgebras
+    package = pathlib.Path(walgebras.__file__).parent
+    copied = tmp_path / "walgebras"
+    shutil.copytree(package, copied,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    written = sorted(p.relative_to(package)
+                     for p in package.joinpath("data").glob("*.json"))
+    written.append(pathlib.Path("_catalog_data.py"))
+    for rel in written:
+        (copied / rel).unlink()
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "walgebras.make_catalog"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("\n") == 1 and done.stdout.startswith("wrote 5 ")
+    for rel in written:
+        assert (copied / rel).read_bytes() == (package / rel).read_bytes(), rel
+
+
+def test_catalog_literals_are_built_per_read():
+    """Each catalog algebra's literal is built when read: two reads give
+    equal objects that share no list or dict."""
+    from walgebras._catalog_data import ALGEBRAS
+    assert list(ALGEBRAS) == list(CATALOG)
+    for name, literal in ALGEBRAS.items():
+        first, second = literal(), literal()
+        assert first == second and first["name"] == name
+        assert first is not second and first["basis"] is not second["basis"]
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -5,18 +5,19 @@ formula and by the axioms-driven oracle: on sl2 every pair of degree <= 2,
 elsewhere degree 1 against degree <= 2 in both orders; lambda tables of all
 catalog algebras and chi tables of the osp(1|2) ones. At derivative order
 2, polynomials that hold one generator at several orders pin the grouping
-of the master formula by (j, n mod 2).
+of the master formula by (j, n mod 2). The Jacobi sign rules are pinned
+as affine in p(a), with the slopes that pva.jacobi_defect folds by.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 import helpers
 from walgebras.catalog import CATALOG
-from walgebras.pva import bracket_oracle, master_bracket
+from walgebras.pva import LAMBDA, _slope, bracket_oracle, master_bracket
 from walgebras.scalars import Scalar
-from walgebras.spva import susy_bracket_oracle, susy_master_bracket
+from walgebras.spva import CHI, susy_bracket_oracle, susy_master_bracket
 from walgebras.superpoly import SuperPoly
 
 
@@ -97,3 +98,29 @@ def test_master_equals_oracle_at_order_2(name, susy):
     polys = _order2_polys(alph)
     assert [(a.render(), b.render()) for a in polys for b in polys
             if master(a, b, t) != oracle(a, b, t)] == []
+
+
+# The slope e of each Jacobi sign rule in p(a), by term, as functions of
+# the inner power i and p(b) (pva.jacobi_defect's docstring).
+JACOBI_SLOPES = {
+    "lambda": (LAMBDA, lambda i: 0, 0, lambda pb: pb),
+    "chi": (CHI, lambda i: i, 1, lambda pb: 1 + pb),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(JACOBI_SLOPES))
+def test_jacobi_signs_separate_in_pa(flavor):
+    """Each sign rule minus its value at p(a) = 0 is p(a) e mod 2, with e
+    reading only i (first term), nothing (second) or p(b) (third), over
+    p(a), p(b) in {0, 1} and inner and outer powers 0..6."""
+    var, e1, e2, e3 = JACOBI_SLOPES[flavor]
+    sign1, sign2, sign3 = var.jacobi
+    for pa, pb, i, o in product((0, 1), (0, 1), range(7), range(7)):
+        assert (sign1(pa, i, o) - sign1(0, i, o)) % 2 == pa * e1(i) % 2
+        assert (sign2(pa, i, o) - sign2(0, i, o)) % 2 == pa * e2 % 2
+        assert (sign3(pa, pb, i, o) - sign3(0, pb, i, o)) % 2 \
+            == pa * e3(pb) % 2
+        # the slopes as jacobi_defect reads them, at o = 0 (and i = 0)
+        assert _slope(sign1, i, 0) == e1(i) % 2
+        assert _slope(sign2, 0, 0) == e2
+        assert _slope(sign3, pb, 0, 0) == e3(pb) % 2

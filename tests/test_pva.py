@@ -11,7 +11,7 @@ from walgebras.pva import (BracketTable, LambdaPoly, LeftBracket,
                            random_property_suite, sesquilinearity_defects,
                            skew_defect)
 from walgebras.scalars import Scalar
-from walgebras.spva import susy_bracket_oracle
+from walgebras.spva import susy_bracket_oracle, susy_master_bracket
 from walgebras.superpoly import SuperPoly, random_superpoly
 
 ALL = sorted(CATALOG)
@@ -215,3 +215,99 @@ def test_defects_leave_inputs_unchanged(name, susy):
         assert not jac and not any(values)
         for v in values + [jac, bc]:
             assert all(type(p) is SuperPoly for p in v.coeffs.values())
+
+
+@pytest.mark.parametrize("name, susy", [("sl21", False), ("sl21", True)])
+def test_evaluators_take_an_operator_for_the_left_argument(name, susy):
+    """The master formulas take a LeftBracket over the same table in place
+    of the left polynomial and give its bracket; the oracles read its
+    polynomial; an operator over another table is refused."""
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    master, oracle = ((susy_master_bracket, susy_bracket_oracle) if susy
+                      else (master_bracket, bracket_oracle))
+    rng = random.Random(5)
+    a, b, c = (random_superpoly(alph, rng, terms=2, max_factors=2)
+               for _ in range(3))
+    left = LeftBracket(a, t)
+    for right in (b, c):
+        assert master(left, right, t) == master(a, right, t)
+        assert oracle(left, right, t) == oracle(a, right, t)
+    other = (helpers.susy_affine if susy else helpers.affine)(name)[2]
+    with pytest.raises(ValueError):
+        master(left, b, other)
+
+
+# -- the shared-operator checks against the fresh-operator reference --------
+
+FLAVORED = [("sl2", False), ("osp12", False), ("sl21", False),
+            ("osp12", True), ("sl21", True)]
+
+
+def _flavored_table(name, susy, corrupted):
+    """A lambda (or chi) affine table, with one entry tripled if corrupted;
+    the entry is the first one that pairs an odd generator, if any."""
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)(name)
+    keys = sorted(t.entries)
+    i, j = next((k for k in keys if alph.parities[k[0]] or alph.parities[k[1]]),
+                keys[0])
+    if corrupted:
+        t.set(i, j, t.entry(i, j).scalar_mul(Scalar.rational(3)))
+    return alph, t, (i, j)
+
+
+def _axiom_inputs(alph, rng, i, j):
+    """Mixed-parity, one-parity and zero inputs; the corrupted entry's
+    generators enter the first two."""
+    drawn = [random_superpoly(alph, rng, terms=3, max_factors=2)
+             for _ in range(40)]
+    mixed = [p for p in drawn if p.parity() is None][:2]
+    single = [p for p in drawn if p and p.parity() is not None][:2]
+    vi, vj = SuperPoly.variable(alph, i), SuperPoly.variable(alph, j, 1)
+    if any(alph.parities):
+        assert len(mixed) == 2 and (vi + mixed[0]).parity() is None
+    else:
+        mixed = single
+    assert len(single) == 2
+    zero = SuperPoly.zero(alph)
+    m0, m1, s0, s1 = vi + mixed[0], vj + mixed[1], single[0], single[1]
+    return [(m0, m1, s0), (m1, m0, m0), (s0, m0, m1), (s1, s0, m0),
+            (m0, s1, s1), (zero, m0, m1), (m0, zero, s0), (m1, s0, zero),
+            (vi, vj, m0)]
+
+
+@pytest.mark.parametrize("corrupted", [False, True], ids=["valid", "corrupted"])
+@pytest.mark.parametrize("name, susy", FLAVORED,
+                         ids=["%s-%s" % (n, "chi" if s else "lambda")
+                              for n, s in FLAVORED])
+def test_checks_equal_fresh_operator_reference(name, susy, corrupted):
+    """The four defect values, through operators shared inside a call and
+    the folded Jacobi signs, equal the reference that brackets term by term
+    with a fresh operator, on mixed-parity, one-parity and zero inputs."""
+    alph, t, (i, j) = _flavored_table(name, susy, corrupted)
+    rng = random.Random("%s:%d:%d" % (name, susy, corrupted))
+    nonzero = 0
+    for a, b, c in _axiom_inputs(alph, rng, i, j):
+        skew = skew_defect(a, b, t)
+        jac = jacobi_defect(a, b, c, t)
+        leib = leibniz_defects(a, b, c, t)
+        sesq = sesquilinearity_defects(a, b, t)
+        assert skew == helpers.reference_skew_defect(a, b, t)
+        assert jac.coeffs == helpers.reference_jacobi_defect(a, b, c, t).coeffs
+        assert leib == helpers.reference_leibniz_defects(a, b, c, t)
+        assert sesq == helpers.reference_sesquilinearity_defects(a, b, t)
+        nonzero += bool(skew) + bool(jac) + any(leib) + any(sesq)
+    assert bool(nonzero) == corrupted
+
+
+@pytest.mark.parametrize("name, susy", FLAVORED,
+                         ids=["%s-%s" % (n, "chi" if s else "lambda")
+                              for n, s in FLAVORED])
+def test_checks_report_the_reference_pairs_and_triples(name, susy):
+    """On a table with one corrupted entry, check_skew and check_jacobi
+    report the pairs and triples of the fresh-operator reference."""
+    alph, t, _ij = _flavored_table(name, susy, True)
+    skew = check_skew(t)
+    jac = check_jacobi(t)
+    assert skew and jac
+    assert skew == helpers.reference_check_skew(t)
+    assert jac == helpers.reference_check_jacobi(t)
