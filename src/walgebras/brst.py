@@ -29,12 +29,13 @@ from functools import cached_property
 
 from .liealg import HALF
 from .scalars import GR_ONE, GRat, Scalar
-from .pva import LeftBracket, affine_table
+from .pva import LeftBracket, affine_table, bracket_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
 from .swclassical import SUSYReductionContext
 from .wclassical import (GeneratorError, WGenerator, gamma_linear,
-                         solve_all_generators, solve_canonical, w_bracket_table)
+                         membership_defects, solve_all_generators,
+                         solve_canonical, w_bracket_table)
 
 
 def _twist(alph, parities):
@@ -116,13 +117,14 @@ class BRSTComplex:
         """The affine chi-brackets of the j's, signed s(x, ybar), and
         [ph*_a chi ph_a] = [ph_a chi ph*_a] = 1 for the ghost pairs."""
         g = self.ctx.gstar
-        table = affine_table(g, self.alph, self.ctx.k, SUSYBracketTable,
-                             lambda x, y: g.parities[x] * (g.parities[y] + 1))
+        entries = dict(affine_table(
+            g, self.alph, self.ctx.k, SUSYBracketTable,
+            lambda x, y: g.parities[x] * (g.parities[y] + 1)).entries)
+        one = ChiPoly.of(SuperPoly.one(self.alph))
         for alpha in range(self.nn):
             pb, ph = self.phibar_index(alpha), self.phi_index(alpha)
-            table.set(pb, ph, ChiPoly.of(SuperPoly.one(self.alph)))
-            table.set(ph, pb, ChiPoly.of(SuperPoly.one(self.alph)))
-        return table
+            entries[pb, ph] = entries[ph, pb] = one
+        return SUSYBracketTable(self.alph, entries)
 
     # -- J coordinates -----------------------------------------------------
     def building_block(self, t) -> SuperPoly:
@@ -145,15 +147,9 @@ class BRSTComplex:
         so the master formula over this table, applied to J-coordinate
         polynomials A and B, is to_J{from_J(A) chi from_J(B)}.
         """
-        table = SUSYBracketTable(self.jalph)
-        images = [self._from_J_images[t] for t in range(len(self.jalph))]
-        for s, a in enumerate(images):
-            row = LeftBracket(a, self.table)
-            for t, b in enumerate(images):
-                value = susy_master_bracket(row, b, self.table)
-                table.set(s, t, ChiPoly(self.jalph, {
-                    n: self.to_J(p) for n, p in value.coeffs.items()}))
-        return table
+        return bracket_table(
+            [self._from_J_images[t] for t in range(len(self.jalph))],
+            self.table, self.jalph, self.to_J, susy_master_bracket)
 
 
 def build_complex(g, k=None) -> BRSTComplex:
@@ -278,28 +274,21 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
     ctx = cplx.ctx
     gen_alph = Alphabet(FLAVOR_D, ["E_" + lb for lb in ctx.gen_labels],
                         ctx.gen_alph.parities, ctx.gen_alph.weights)
-    table = SUSYBracketTable(gen_alph)
-    n = ctx.db.count()
-    values = {j: gens[j].value_J for j in range(n)}
-    for i in range(n):
-        row = LeftBracket(values[i], cplx.jtable)
-        for j in range(n):
-            raw = susy_master_bracket(row, values[j], cplx.jtable)
-            coeffs = {}
-            for p, poly in raw.coeffs.items():
-                if diff.apply_J(poly):
-                    raise GeneratorError("bracket coefficient not d-closed")
-                sym = ctx.symbols(poly, gen_alph)
-                back = sym.substitute(values, cplx.jalph)
-                resid = poly - back
-                if ctx.symbols(resid, gen_alph):
-                    raise GeneratorError("representative not reduced")
-                if diff.apply_J(resid):
-                    raise GeneratorError("residual not d-closed")
-                if sym:
-                    coeffs[p] = sym
-            table.set(i, j, ChiPoly(gen_alph, coeffs))
-    return table
+    values = {j: gens[j].value_J for j in range(ctx.db.count())}
+
+    def reduced(poly):
+        if diff.apply_J(poly):
+            raise GeneratorError("bracket coefficient not d-closed")
+        sym = ctx.symbols(poly, gen_alph)
+        resid = poly - sym.substitute(values, cplx.jalph)
+        if ctx.symbols(resid, gen_alph):
+            raise GeneratorError("representative not reduced")
+        if diff.apply_J(resid):
+            raise GeneratorError("residual not d-closed")
+        return sym
+
+    return bracket_table(list(values.values()), cplx.jtable, gen_alph,
+                         reduced, susy_master_bracket)
 
 
 def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
@@ -352,9 +341,8 @@ def compare_brst_reduction(ctx, taus, red_table):
         if Es[j].value_J != expected:
             report.append("generator %d: BRST and twisted reduction "
                           "representatives differ" % j)
-        bad = [(ctx.gstar.names[t], m) for t in ctx.n_indices
-               for m in sorted(ctx.rho_bracket(
-                   ctx.bracket(ctx.n_var(t), tau.value)).coeffs)]
+        bad = [(name, m) for name, value in membership_defects(ctx, tau.value)
+               for m in sorted(value.coeffs)]
         if bad:
             report.append("generator %d: coefficient correspondence fails: %s"
                           % (j, bad[:2]))

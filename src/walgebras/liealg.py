@@ -521,14 +521,14 @@ class DualBases:
         self.chain_upper = tuple(map(tuple, chain_upper))
         self.spins = tuple(spins)
         self.step = GR_ONE if kind == "F" else HALF
-        # index sets: grade -> [(j, n)]
-        self.index_sets = {}
+        # index sets: grade -> ((j, n), ...), sorted
+        index_sets = {}
         for j, alpha in enumerate(spins):
             for n in range(len(chain_lower[j])):
                 grade = -alpha + n * self.step
-                self.index_sets.setdefault(grade, []).append((j, n))
-        for v in self.index_sets.values():
-            v.sort()
+                index_sets.setdefault(grade, []).append((j, n))
+        self.index_sets = {grade: tuple(sorted(v))
+                           for grade, v in index_sets.items()}
 
     def count(self):
         return len(self.lower)
@@ -687,13 +687,13 @@ def check_tensor_identity(db: DualBases):
     bad = []
     for t in ts:
         left_pairs = []
-        for (j, n) in db.index_sets.get(-t, []):
+        for (j, n) in db.index_sets.get(-t, ()):
             sj = -1 if db.kind == "F" and g.parity_of_vec(db.lower[j]) else 1
             left_pairs.append((sj, db.chain_upper[j][n],
                                db.chain_lower_or_zero(j, n + 1)))
         right_pairs = [(-1, db.chain_lower_or_zero(i, m + 1),
                         db.chain_upper[i][m])
-                       for (i, m) in db.index_sets.get(t - step, [])]
+                       for (i, m) in db.index_sets.get(t - step, ())]
         if _tensor_sum(left_pairs) != _tensor_sum(right_pairs):
             bad.append(t)
     return bad

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
+from types import MappingProxyType
 
 from .scalars import Scalar, join_signed
 from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, SuperPoly,
@@ -263,9 +264,10 @@ def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
 
 
 class BracketTable:
-    """Brackets of all ordered generator pairs (missing entries are zero);
-    the class's `value` is the bracket-value class, ChiPoly in the
-    subclass spva.SUSYBracketTable."""
+    """Brackets of all ordered generator pairs (missing entries are zero),
+    fixed when the table is built and read through the read-only mapping
+    `entries`; the class's `value` is the bracket-value class, ChiPoly in
+    the subclass spva.SUSYBracketTable."""
 
     value = LambdaPoly
 
@@ -275,16 +277,21 @@ class BracketTable:
             raise TypeError("%s requires the %s flavor"
                             % (type(self).__name__, ("del", "D")[var.parity]))
         self.alphabet = alphabet
-        self.entries = {key: v for key, v in (entries or {}).items() if v}
+        self.entries = MappingProxyType(
+            {key: v for key, v in (entries or {}).items() if v})
+
+    def __reduce__(self):
+        # pickle cannot write the read-only entries: a copy or a pickle is
+        # the table built again from them
+        return type(self), (self.alphabet, dict(self.entries))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.entries == other.entries
 
     def entry(self, i, j) -> LambdaPoly:
         return self.entries.get((i, j), self.value.zero(self.alphabet))
-
-    def set(self, i, j, value: LambdaPoly):
-        if value:
-            self.entries[(i, j)] = value
-        else:
-            self.entries.pop((i, j), None)
 
     def to_obj(self):
         obj = {"alphabet": self.alphabet.to_obj()}
@@ -297,17 +304,15 @@ class BracketTable:
     @classmethod
     def from_obj(cls, obj):
         alph = Alphabet.from_obj(obj["alphabet"])
-        t = cls(alph)
-        for i, j, v in obj["entries"]:
-            t.set(i, j, cls.value.from_obj(alph, v))
-        return t
+        return cls(alph, {(i, j): cls.value.from_obj(alph, v)
+                          for i, j, v in obj["entries"]})
 
 
 def affine_table(g, alphabet, k: Scalar, table_cls=BracketTable,
                  sign=lambda i, j: 0) -> BracketTable:
     """{x_i x x_j} = (-1)^sign(i,j) ([x_i, x_j] + k x (x_i|x_j)) over g's
     basis, in a new table of class table_cls."""
-    table = table_cls(alphabet)
+    entries = {}
     for i in range(g.dim):
         for j in range(g.dim):
             neg = sign(i, j) % 2
@@ -319,8 +324,8 @@ def affine_table(g, alphabet, k: Scalar, table_cls=BracketTable,
             fv = g.form[i][j]
             if fv:
                 coeffs[1] = SuperPoly.const(alphabet, k.scale(-fv if neg else fv))
-            table.set(i, j, table.value(alphabet, coeffs))
-    return table
+            entries[i, j] = table_cls.value(alphabet, coeffs)
+    return table_cls(alphabet, entries)
 
 
 def _parts(poly: SuperPoly):
@@ -332,6 +337,16 @@ def _parts(poly: SuperPoly):
     if p is not None:
         return ((p, poly),)
     return ((0, poly.parity_part(0)), (1, poly.parity_part(1)))
+
+
+def _twisted(poly: SuperPoly, e):
+    """poly^e as (polynomial, sign exponent): poly^0 = poly, and poly^1 =
+    poly_0 - poly_1 is its parity twist, which for a one-parity poly of
+    parity p is poly itself with the exponent p, so that it keeps its memos."""
+    parts = _parts(poly) if e else ()
+    if len(parts) == 2:
+        return parts[0][1] - parts[1][1], 0
+    return poly, parts[0][0] if parts else 0
 
 
 class LeftBracket:
@@ -358,22 +373,16 @@ class LeftBracket:
     A call multiplies each dg/du_j^(n) of g into (x+d)^n B_{p(g),j,nu}, so
     an operator applied to many right arguments builds each of these once;
     at_zero(g) keeps the d-powers of the x^0 coefficient of each B. The
-    memos are private: f and the table are read, never changed, and every
-    value handed out is new. The table must not change while the operator
-    is in use.
+    memos are private: f and the table (fixed when built) are only read,
+    and every value handed out is new.
 
     Who shares an operator, and for how long. master_bracket and
     spva.susy_master_bracket take an operator over the same table in place
-    of f, and the oracles read its f, so a caller that brackets one left
-    argument many times builds one operator and hands it to its evaluator.
-    The axiom checks (skew_defect, jacobi_defect, leibniz_defects,
-    sesquilinearity_defects) build one per left argument that they bracket
-    more than once, and drop it when the call returns; so do
-    brst.BRSTComplex.jtable, brst.brst_bracket_table and the direct route
-    of wclassical.w_bracket_table for each row of their table. Only
-    brst.BRSTDifferential keeps its operators, as first-use attributes: d
-    is fixed for the differential's life. No operator is cached across
-    calls."""
+    of f, and the oracles read its f. The axiom checks build one per left
+    argument that they bracket more than once, bracket_table one per row
+    and wclassical.solve_generator one per n, each dropped when the call
+    returns. Only brst.BRSTDifferential keeps its operators, as first-use
+    attributes: d is fixed for the differential's life."""
 
     def __init__(self, f: SuperPoly, table: BracketTable):
         self.f = f
@@ -460,6 +469,22 @@ def master_bracket(f, g: SuperPoly, table: BracketTable) -> LambdaPoly:
     return _operator(f, table)(g)
 
 
+def bracket_table(values, over: BracketTable, alphabet, rewrite,
+                  evaluator=master_bracket) -> BracketTable:
+    """The table, of the class of `over`, whose entry (i, j) is the bracket
+    of values[i] and values[j] over `over` by `evaluator`, each coefficient
+    mapped through `rewrite` into `alphabet`; one LeftBracket per row."""
+    cls = type(over)
+    entries = {}
+    for i, a in enumerate(values):
+        row = LeftBracket(a, over)
+        for j, b in enumerate(values):
+            value = evaluator(row, b, over)
+            entries[i, j] = cls.value(alphabet, {n: rewrite(p) for n, p
+                                                 in value.coeffs.items()})
+    return cls(alphabet, entries)
+
+
 def _oracle(a, b: SuperPoly, table: BracketTable):
     """Axioms-driven evaluation: the implementation of bracket_oracle and
     spva.susy_bracket_oracle. It never calls a master formula: given a
@@ -532,16 +557,17 @@ def bracket_oracle(a, b: SuperPoly, table: BracketTable) -> LambdaPoly:
 
 def skew_defect(f: SuperPoly, g: SuperPoly, table: BracketTable,
                 evaluator=master_bracket) -> LambdaPoly:
-    """[f_x g] - (-1)^skew s(f,g)[g_{-x-d} f]; zero iff skew holds. Each
-    parity part of g brackets the parts of f through one operator."""
+    """[f_x g] - (-1)^skew s(f,g)[g_{-x-d} f]; zero iff skew holds. The
+    sign over the parity parts f_p of f and g_q of g is affine in p, with
+    slope q, and the bracket is linear in its right argument, so each part
+    g_q brackets f^q once (see _twisted): sum_p (-1)^{pq} [g_q f_p] =
+    [g_q f^q]."""
     skew = table.value.var.skew
     out = {}
     _acc_value(out, evaluator(f, g, table))
-    f_parts = _parts(f)
     for pg, gh in _parts(g):
-        left = LeftBracket(gh, table)
-        for pf, fh in f_parts:
-            _acc_value(out, evaluator(left, fh, table).flip(), 1 + skew + pf * pg)
+        fe, neg = _twisted(f, pg)
+        _acc_value(out, evaluator(gh, fe, table).flip(), 1 + skew + neg)
     return _value(table.value, table.alphabet, out)
 
 
@@ -603,24 +629,23 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     So e never reads the outer power o, which the bracket with a_p gives.
     The bracket is linear in its left argument, so a term's sum over p is
     sum_p (-1)^{e p} {a_p ...} = {a^e ...}, signed by the rule at p = 0,
-    where a^0 = a and a^1 = a_0 - a_1 is the parity twist of a. For a
-    mixed-parity a that halves the brackets of the second and third
-    terms, and of the first for chi. a and its twist get one operator
-    each (the twist of a one-parity a is +-a, through a's operator), and
-    so does each parity part of b. tests/test_master_signs.py pins the
-    slopes of both records."""
+    where a^0 = a and a^1 = a_0 - a_1 is the parity twist of a (see
+    _twisted). For a mixed-parity a that halves the brackets of the second
+    and third terms, and of the first for chi. a and its twist get one
+    operator each (the twist of a one-parity a is +-a, through a's
+    operator), and so does each parity part of b.
+    tests/test_master_signs.py pins the slopes of both records."""
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
     out = {}   # a sum map (i, j) -> f_ij
-    a_parts = _parts(a)
-    folded = [(LeftBracket(a, table), 0), None]
+    op_a = LeftBracket(a, table)
+    folded = {}
 
     def fold(e):
         """The operator of a^e and its sign; the twist is built on first use."""
-        if folded[e] is None:
-            folded[1] = ((LeftBracket(a_parts[0][1] - a_parts[1][1], table), 0)
-                         if len(a_parts) == 2 else
-                         (folded[0][0], a_parts[0][0] if a_parts else 0))
+        if e not in folded:
+            poly, neg = _twisted(a, e)
+            folded[e] = (op_a if poly is a else LeftBracket(poly, table), neg)
         return folded[e]
 
     # the second term first: its outer brackets, each through an operator
@@ -695,20 +720,17 @@ def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket)
     [a_x db] - sum_q (-1)^d_right(q) (x+d)[a_q x b] over the parity parts
     a_q of a: ([da_l b] + l[a_l b], [a_l db] - (l+d)[a_l b]) for lambda,
     ([Da_chi b] - chi[a_chi b], [a_chi Db] + s(a)(D+chi)[a_chi b]) for chi.
-    a brackets b and db through one operator."""
+    a brackets b and db through one operator; d_right is affine in q, so
+    the sum over q is one bracket of a^e, e its slope (see _twisted)."""
     var = table.value.var
     op_a = LeftBracket(a, table)
     d1 = evaluator(a.deriv(), b, table)
     base = evaluator(op_a, b, table)
     d1 = d1 + base.shift() if var.d_left % 2 else d1 - base.shift()
     d2 = evaluator(op_a, b.deriv(), table)
-    # a lambda-bracket needs no split by the parity of a, and a one-parity
-    # a is its own part
-    parts = ([(pa, base if ah is a else evaluator(ah, b, table))
-              for pa, ah in _parts(a)] if var.parity else [(0, base)])
-    for pa, value in parts:
-        plus_d = value.apply_plus_d()
-        d2 = d2 + plus_d if var.d_right(pa) % 2 else d2 - plus_d
+    ae, neg = _twisted(a, _slope(var.d_right))
+    plus_d = (base if ae is a else evaluator(ae, b, table)).apply_plus_d()
+    d2 = d2 + plus_d if (var.d_right(0) + neg) % 2 else d2 - plus_d
     return d1, d2
 
 

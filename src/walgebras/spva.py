@@ -153,7 +153,7 @@ def reduce_to_pva(table: SUSYBracketTable):
     """Lambda-bracket table over the doubled generator set {u_i, Du_i}."""
     alph = table.alphabet
     target = doubled_alphabet(alph)
-    out = BracketTable(target)
+    entries = {}
     for i in range(len(alph)):
         for j in range(len(alph)):
             for e1 in (0, 1):
@@ -165,6 +165,5 @@ def reduce_to_pva(table: SUSYBracketTable):
                         cp = cp.apply_plus_d()
                         if (alph.parities[i] + e1) % 2 == 0:
                             cp = -cp
-                    lp = reduce_chipoly(cp, target)
-                    out.set(2 * i + e1, 2 * j + e2, lp)
-    return out
+                    entries[2 * i + e1, 2 * j + e2] = reduce_chipoly(cp, target)
+    return BracketTable(target, entries)

@@ -841,24 +841,21 @@ class SuperPoly:
         the target alphabet; u^(m) goes to the m-th derivative of the image.
         Parity mismatches raise FlavorError.
         """
-        cache = {}
+        derivs = {}   # generator -> [its image, the image's derivative, ...]
 
         def image_of(var):
             gen, order = var
-            if (gen, order) not in cache:
-                if (gen, 0) not in cache:
-                    base = images[gen]
-                    bp = base.parity()
-                    if base and bp is not None and bp != self.alphabet.parities[gen]:
-                        raise FlavorError("parity mismatch for generator %s"
-                                          % self.alphabet.names[gen])
-                    cache[(gen, 0)] = base
-                m = max(o for g, o in cache if g == gen)
-                cur = cache[(gen, m)]
-                for o in range(m + 1, order + 1):
-                    cur = cur.deriv()
-                    cache[(gen, o)] = cur
-            return cache[(gen, order)]
+            chain = derivs.get(gen)
+            if chain is None:
+                base = images[gen]
+                bp = base.parity()
+                if base and bp is not None and bp != self.alphabet.parities[gen]:
+                    raise FlavorError("parity mismatch for generator %s"
+                                      % self.alphabet.names[gen])
+                chain = derivs[gen] = [base]
+            while len(chain) <= order:
+                chain.append(chain[-1].deriv())
+            return chain[order]
 
         # each monomial's coefficient, with all its power pairs (a constant
         # over the target), is multiplied by the images of the monomial's

@@ -33,7 +33,7 @@ from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
 from .pva import (BracketTable, LeftBracket, affine_table, bracket_oracle,
-                  master_bracket)
+                  bracket_table, master_bracket)
 from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
@@ -166,10 +166,9 @@ class ReductionContext:
         any other input use rho_bracket(bracket(a, b)). A first-use memo:
         it reads `table` when first asked for and is not rebuilt after.
         """
-        reduced = self.flavor.table(self.alph)
-        for (i, j), value in self.table.entries.items():
-            reduced.set(i, j, self.rho_bracket(value))
-        return reduced
+        return self.flavor.table(self.alph, {
+            key: self.rho_bracket(value)
+            for key, value in self.table.entries.items()})
 
     def rho(self, poly: SuperPoly) -> SuperPoly:
         return poly.substitute(self._rho_images, self.alph)
@@ -282,13 +281,14 @@ def _chain_factor(ctx, constants, tail: SuperPoly) -> SuperPoly:
 
 
 def membership_defects(ctx: ReductionContext, w: SuperPoly):
-    """rho{n_lambda w} for every basis element n of g_{>0}; all must vanish.
-    w may be any polynomial, so rho is applied to each bracket value."""
+    """(name of n in g, rho{n_lambda w}) for every basis element n of
+    g_{>0} where that is not zero; w is in W iff there is none. w may be
+    any polynomial, so rho is applied to each bracket value."""
     out = []
     for t in ctx.n_indices:
         value = ctx.rho_bracket(ctx.bracket(ctx.n_var(t), w))
         if value:
-            out.append((ctx.alph.names[t], value))
+            out.append((ctx.gstar.names[t], value))
     return out
 
 
@@ -450,11 +450,8 @@ def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPol
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators;
     the generators are in the kept variables, so the reduced bracket is
-    the master formula over ctx.reduced_table. i is a generator index, or
-    a LeftBracket of that generator's value over ctx.reduced_table, which
-    w_bracket_table passes for every pair of a row."""
-    left = i if isinstance(i, LeftBracket) else gens[i].value
-    red = ctx.flavor.master(left, gens[j].value, ctx.reduced_table)
+    the master formula over ctx.reduced_table."""
+    red = ctx.flavor.master(gens[i].value, gens[j].value, ctx.reduced_table)
     return type(red)(ctx.gen_alph, {n: rewrite_in_generators(ctx, gens, p)
                                     for n, p in red.coeffs.items()})
 
@@ -501,30 +498,24 @@ def _closed_factor(ctx, constants, tail):
 
 
 def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
-    """The W table by either route; the direct route brackets each row
-    through one LeftBracket of its generator over ctx.reduced_table."""
-    table = ctx.flavor.table(ctx.gen_alph)
+    """The W table by either route: the direct one is w_bracket_direct of
+    every pair, through pva.bracket_table over ctx.reduced_table."""
     n = ctx.db.count()
-    for i in range(n):
-        if route == "direct":
-            row = LeftBracket(gens[i].value, ctx.reduced_table)
-            for j in range(n):
-                table.set(i, j, w_bracket_direct(ctx, gens, row, j))
-        else:
-            for j in range(n):
-                table.set(i, j, w_bracket_closed(ctx, gens, i, j))
-    return table
+    if route == "direct":
+        return bracket_table(
+            [gens[i].value for i in range(n)], ctx.reduced_table,
+            ctx.gen_alph, lambda p: rewrite_in_generators(ctx, gens, p),
+            ctx.flavor.master)
+    return ctx.flavor.table(ctx.gen_alph, {
+        (i, j): w_bracket_closed(ctx, gens, i, j)
+        for i in range(n) for j in range(n)})
 
 
 def compare_closed_direct(ctx: ReductionContext, gens, direct):
-    """Per-pair report of closed-formula brackets against `direct`, the
+    """Per-pair report of the closed-route W table against `direct`, the
     W table by the direct route (w_bracket_table(ctx, gens))."""
-    mismatches = []
+    closed = w_bracket_table(ctx, gens, "closed")
     n = ctx.db.count()
-    for i in range(n):
-        for j in range(n):
-            d = direct.entry(i, j)
-            c = w_bracket_closed(ctx, gens, i, j)
-            if d != c:
-                mismatches.append((ctx.gen_labels[i], ctx.gen_labels[j], d, c))
-    return mismatches
+    return [(ctx.gen_labels[i], ctx.gen_labels[j], direct.entry(i, j),
+             closed.entry(i, j)) for i in range(n) for j in range(n)
+            if direct.entry(i, j) != closed.entry(i, j)]

@@ -631,7 +631,7 @@ def j_route_bracket_table(cplx, diff, gens):
     ctx = cplx.ctx
     gen_alph = Alphabet(FLAVOR_D, ["E_" + lb for lb in ctx.gen_labels],
                         ctx.gen_alph.parities, ctx.gen_alph.weights)
-    table = SUSYBracketTable(gen_alph)
+    entries = {}
     n = ctx.db.count()
     values = {j: gens[j].value for j in range(n)}
     for i in range(n):
@@ -650,8 +650,8 @@ def j_route_bracket_table(cplx, diff, gens):
                     raise GeneratorError("residual not d-closed")
                 if sym:
                     coeffs[p] = sym
-            table.set(i, j, ChiPoly(gen_alph, coeffs))
-    return table
+            entries[i, j] = ChiPoly(gen_alph, coeffs)
+    return SUSYBracketTable(gen_alph, entries)
 
 
 # One solve at k_degree_bound, started there: the reference for the

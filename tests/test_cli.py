@@ -390,20 +390,26 @@ def test_verify_all_brackets_each_pair_once(monkeypatch, capsys, algebra,
     """thm-3-6, thm-6-5 and thm-5-9 read the run's direct W table: each
     generator pair goes through the direct route once per flavor, and each
     generator is solved once per flavor, so n generators make n^2 direct
-    brackets and n solves."""
-    direct, solve = wclassical.w_bracket_direct, wclassical.solve_generator
+    brackets and n solves. The direct route brackets through the shared
+    table routine, which wclassical calls for nothing else; the hook counts
+    the evaluator calls of that routine, one per pair."""
+    table, solve = wclassical.bracket_table, wclassical.solve_generator
     calls = {"lambda": 0, "chi": 0}
     solved = {"lambda": 0, "chi": 0}
 
-    def counting(ctx, *args):
-        calls[ctx.flavor.name] += 1
-        return direct(ctx, *args)
+    def counting(values, over, alphabet, rewrite, evaluator):
+        flavor = "chi" if over.value.var.parity else "lambda"
+
+        def evaluating(*args):
+            calls[flavor] += 1
+            return evaluator(*args)
+        return table(values, over, alphabet, rewrite, evaluating)
 
     def counting_solve(ctx, j):
         solved[ctx.flavor.name] += 1
         return solve(ctx, j)
 
-    monkeypatch.setattr(wclassical, "w_bracket_direct", counting)
+    monkeypatch.setattr(wclassical, "bracket_table", counting)
     monkeypatch.setattr(wclassical, "solve_generator", counting_solve)
     code, _, err = run(capsys, "verify", "--algebra", algebra, "--suite",
                        "all", *extra)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -55,11 +57,11 @@ def test_affine_skew_jacobi(name):
 def test_corrupted_table_detected():
     g, alph, t = helpers.affine("sl2")
     H = SuperPoly.variable(alph, 1)
-    t.set(0, 2, LambdaPoly(alph, {0: H, 1: SuperPoly.const(alph, K.scale(2))}))
-    bad = check_skew(t)
+    bad = check_skew(BracketTable(alph, {**t.entries, (0, 2): LambdaPoly(
+        alph, {0: H, 1: SuperPoly.const(alph, K.scale(2))})}))
     assert ("E", "F") in bad
-    g, alph, t2 = helpers.affine("sl2")
-    t2.set(1, 0, t2.entry(1, 0).scalar_mul(Scalar.rational(3)))
+    t2 = BracketTable(alph, {**t.entries, (1, 0): t.entry(1, 0).scalar_mul(
+        Scalar.rational(3))})
     assert check_jacobi(t2) != []
 
 
@@ -174,6 +176,24 @@ def test_lambda_poly_machinery():
     assert BracketTable.from_obj(t.to_obj()).entries == t.entries
 
 
+@pytest.mark.parametrize("susy", [False, True], ids=["lambda", "chi"])
+def test_tables_are_fixed_values(susy):
+    """A table keeps the entries it was built with: copies and pickles
+    are equal tables of the same class, item assignment on `entries`
+    raises TypeError, and there is no mutator."""
+    g, alph, t = (helpers.susy_affine if susy else helpers.affine)("osp12")
+    for other in (copy.copy(t), copy.deepcopy(t),
+                  pickle.loads(pickle.dumps(t))):
+        assert type(other) is type(t) and other is not t
+        assert other == t and other.entries == t.entries
+    key = min(t.entries)
+    tripled = t.entries[key].scalar_mul(Scalar.rational(3))
+    assert type(t)(alph, {**t.entries, key: tripled}) != t
+    with pytest.raises(TypeError):
+        t.entries[key] = tripled
+    assert not hasattr(t, "set")
+
+
 def _contents(poly):
     """poly's terms down to the term dicts of its Scalars."""
     return {m: dict(c.terms) for m, c in poly.terms.items()}
@@ -251,7 +271,8 @@ def _flavored_table(name, susy, corrupted):
     i, j = next((k for k in keys if alph.parities[k[0]] or alph.parities[k[1]]),
                 keys[0])
     if corrupted:
-        t.set(i, j, t.entry(i, j).scalar_mul(Scalar.rational(3)))
+        t = type(t)(alph, {**t.entries,
+                           (i, j): t.entry(i, j).scalar_mul(Scalar.rational(3))})
     return alph, t, (i, j)
 
 

@@ -91,8 +91,8 @@ def test_master_equals_oracle_on_w_table(name):
 
 def test_corrupted_susy_entry_detected():
     g, alph, t = helpers.susy_affine("osp12")
-    bad = SUSYBracketTable(alph, dict(t.entries))
-    bad.set(1, 3, t.entry(1, 3).scalar_mul(Scalar.rational(-1)))
+    bad = SUSYBracketTable(alph, {**t.entries, (1, 3): t.entry(1, 3).scalar_mul(
+        Scalar.rational(-1))})
     assert check_skew(bad, susy_master_bracket) != []
     assert check_jacobi(bad, susy_master_bracket) != []
 
