@@ -33,9 +33,9 @@ from .pva import LeftBracket, affine_table, bracket_table
 from .spva import ChiPoly, SUSYBracketTable, susy_master_bracket
 from .superpoly import Alphabet, FLAVOR_D, SuperPoly
 from .swclassical import SUSYReductionContext
-from .wclassical import (GeneratorError, WGenerator, gamma_linear,
-                         membership_defects, solve_all_generators,
-                         solve_canonical, w_bracket_table)
+from .wclassical import (GeneratorError, WGenerator, membership_defects,
+                         solve_all_generators, solve_canonical,
+                         w_bracket_table)
 
 
 def _twist(alph, parities):
@@ -235,12 +235,12 @@ def build_d(cplx: BRSTComplex, c: Scalar) -> BRSTDifferential:
 def cohomology_generators(cplx: BRSTComplex, diff: BRSTDifferential):
     """One generator per basis element of g^f: the reduction's canonical
     solve over the J-alphabet (the ghost-free part of S(R_-)), with d_[0]
-    in J-coordinates as the map that must vanish and c as a level too."""
+    in J-coordinates as the map that must vanish."""
     ctx = cplx.ctx
     return [CohomologyGenerator(cplx, j, solve_canonical(
         ctx, j, cplx.jalph, lambda A: {0: diff.apply_J(A)},
-        gamma_linear(ctx, j), "filtration correction for generator %d" % j,
-        diff.c), ctx.gen_alph.weights[j]) for j in range(ctx.db.count())]
+        "filtration correction for generator %d" % j),
+        ctx.gen_alph.weights[j]) for j in range(ctx.db.count())]
 
 
 class CohomologyGenerator(WGenerator):

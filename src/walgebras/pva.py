@@ -211,9 +211,6 @@ class LambdaPoly:
             _acc_value(out, self.of(p).apply_plus_d(n), n)
         return _value(type(self), self.alphabet, out)
 
-    def max_power(self):
-        return max(self.coeffs, default=-1)
-
     def render(self):
         if not self.coeffs:
             return "0"

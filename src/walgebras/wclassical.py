@@ -22,8 +22,9 @@ chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator,
 _chain_sum, which fills a path sum over the chain members from the top grade
 down instead of listing the chains. The canonical-generator solve
 (solve_canonical) also serves the BRST cohomology, with d_[0] in place of
-the membership map; it expands the unknowns in k only as far as the
-linear part's top power of k, and further only when that fails.
+the membership map; at a symbolic level each unknown is one multiple of
+the power of k that its monomial's derivative count fixes (k counts as a
+derivative, so every generator is homogeneous).
 """
 
 from __future__ import annotations
@@ -307,24 +308,11 @@ def ansatz_monomials(alph, indices, weight, parity, required=None):
     return enumerate_monomials(alph, slots, weight, parity, require_one_of=need)
 
 
-def k_degree_bound(weight, *levels) -> int:
-    """The cap on the powers of k in an ansatz coefficient: corrections are
-    polynomial in a symbolic level, and constant levels need no expansion.
-    A heuristic; solve_ansatz solves at the cap only when its start reaches
-    it, when no lower degree gives a consistent system, or to report several
-    solutions."""
-    if all(level.is_constant() for level in levels):
-        return 0
-    return int(2 * weight) + 3
-
-
-def k_degree(poly: SuperPoly) -> int:
-    """The top power of k in poly (0 for zero)."""
-    return max((kp for _mono, kp, _cp, _gr in poly.coefficients()), default=0)
-
-
-def solve_ansatz(alph, monos, kmax, terms, what, start):
-    """Solve for the coefficients x_{M,d} of the ansatz sum k^d M, d <= kmax.
+def solve_ansatz(alph, monos, terms, what, degree):
+    """Solve for the coefficients x_M of the homogeneous ansatz
+    sum_M x_M k^(n(M) - degree) M, with n(M) the number of derivatives
+    (del or D) in M; a monomial with n(M) < degree has no column. At a
+    constant level `degree` is None and every power of k is 0.
 
     `terms` yields (M, key, kp, cp, gr): the GRat gr is the coefficient of
     k^kp c^cp in what the monomial M adds to the linear condition `key`, or
@@ -332,49 +320,42 @@ def solve_ansatz(alph, monos, kmax, terms, what, start):
     condition is one equation. Returns the solved polynomial over alph. No
     solution, or several, raises GeneratorError naming `what`.
 
-    The trial degree D starts at min(start, kmax) and grows,
-    D -> min(2D + 1, kmax), while the system truncated to d <= D is
-    inconsistent. Every column at D is a column at any larger D, and a
-    solution at D is one at D' > D with zeros in the new columns. So a
-    consistent D stays consistent, two solutions at D stay two, and when
-    the solve at kmax has one solution the first consistent D returns it.
-    An underdetermined D is solved again at kmax, so the error reads as
-    there. Only one case reads differently: one
-    solution at D but several at kmax. Their difference would be a nonzero
-    element of W built from ansatz monomials alone, each with a
-    [E, g_{<=-1/2}] variable; the canonical-form projection pi
-    (ReductionContext.symbols on W) kills every such monomial, and pi is
-    injective on W (De Sole-Kac-Valeri, JEMS 2016; W is freely generated),
-    so that case does not occur on a valid algebra.
+    One power of k per monomial suffices. Give del, D, lambda and chi
+    degree 1, k degree -1, and variables and constants (c and the 1 of rho
+    included) degree 0. The affine bracket [a, b] + k lambda (a|b) (chi in
+    the SUSY flavor) has degree 0. The master formula keeps degree: the
+    partial derivative by u^(m) lowers it by m, and (lambda + del)^m raises
+    it by m. rho is homogeneous, and so is d_[0]: J, phibar and c have
+    degree 0, and chi = 0 keeps the part of degree 0. So the map that must
+    vanish keeps degree, and the part of degree `degree` of a solution is
+    a solution on its own. The lead q_j of solve_canonical has degree 0,
+    and its lift is unique: pi (ReductionContext.symbols on W) kills every
+    ansatz monomial and is injective on W (De Sole-Kac-Valeri, JEMS 2016;
+    W is freely generated). So the lift equals its part of degree 0: x_M
+    is a multiple of k^n(M). An inhomogeneous known part has no
+    homogeneous solution and reads as inconsistent.
     """
-    known, cells = {}, {}
+    power = {}
+    for M in monos:
+        p = 0 if degree is None else sum(m * e for (_t, m), e in M) - degree
+        if p >= 0:
+            power[M] = p
+    rows = {}
     for M, key, kp, cp, gr in terms:
         if M is None:
-            known[key, kp, cp] = known.get((key, kp, cp), GR_ZERO) - gr
-        else:
-            cells[key, kp, cp, M] = cells.get((key, kp, cp, M), GR_ZERO) + gr
-    cells = {cell: gr for cell, gr in cells.items() if gr}
-    degree = min(start, kmax)
-    while True:
-        rows = {row: ({}, rhs) for row, rhs in known.items()}
-        for (key, kp, cp, M), gr in cells.items():
-            for d in range(degree + 1):
-                row = rows.get((key, kp + d, cp))
-                if row is None:
-                    row = rows[key, kp + d, cp] = ({}, GR_ZERO)
-                row[0][M, d] = gr
-        try:
-            sol = solve_linear(list(rows.values()), [
-                (M, d) for M in monos for d in range(degree + 1)])
-        except LinearSolveError as e:
-            under = e.reason == "underdetermined"
-            if degree < kmax and (under or e.reason == "inconsistent"):
-                degree = kmax if under else min(2 * degree + 1, kmax)
-                continue
-            raise GeneratorError("%s %s: %s" % ("non-unique" if under else "no",
-                                                what, e))
-        return SuperPoly.from_coefficients(
-            alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
+            row = rows.setdefault((key, kp, cp), [{}, GR_ZERO])
+            row[1] = row[1] - gr
+        elif M in power:
+            col = M, power[M]
+            cells = rows.setdefault((key, kp + col[1], cp), [{}, GR_ZERO])[0]
+            cells[col] = cells.get(col, GR_ZERO) + gr
+    try:
+        sol = solve_linear(list(rows.values()), list(power.items()))
+    except LinearSolveError as e:
+        raise GeneratorError("%s %s: %s" % (
+            "non-unique" if e.reason == "underdetermined" else "no", what, e))
+    return SuperPoly.from_coefficients(
+        alph, ((M, p, 0, gr) for (M, p), gr in sol.items()))
 
 
 def ansatz_terms(image, lead: SuperPoly, monos):
@@ -389,20 +370,19 @@ def ansatz_terms(image, lead: SuperPoly, monos):
                 yield M, (key, mono), kp, cp, gr
 
 
-def solve_canonical(ctx: ReductionContext, j, alph, image, linear, what,
-                    *levels) -> SuperPoly:
+def solve_canonical(ctx: ReductionContext, j, alph, image, what) -> SuperPoly:
     """The lift q_j + sum x_M M that `image` maps to 0, over ctx.alph or
     the BRST J-alphabet (which shares ctx.alph's first indices), M over
     the kept monomials of symbol j's weight with an [E, g_{<=-1/2}] factor,
-    solved from k_degree(linear) up to k_degree_bound(weight, k, *levels)."""
+    homogeneous of q_j's degree 0 in k and the derivatives (solve_ansatz)."""
     weight = ctx.gen_alph.weights[j]
     lead = ctx.star_index[(j, 0)]
     monos = ansatz_monomials(alph, ctx.kept_indices, weight,
                              alph.parities[lead], ctx.highe_indices)
     lead_poly = SuperPoly.variable(alph, lead)
     return lead_poly + solve_ansatz(
-        alph, monos, k_degree_bound(weight, ctx.k, *levels),
-        ansatz_terms(image, lead_poly, monos), what, start=k_degree(linear))
+        alph, monos, ansatz_terms(image, lead_poly, monos), what,
+        None if ctx.k.is_constant() else 0)
 
 
 def solve_generator(ctx: ReductionContext, j) -> WGenerator:
@@ -411,12 +391,10 @@ def solve_generator(ctx: ReductionContext, j) -> WGenerator:
     LeftBracket per n. Its linear part must be the chain formula's."""
     brackets = [(t, LeftBracket(ctx.n_var(t), ctx.reduced_table))
                 for t in ctx.n_indices]
-    linear = gamma_linear(ctx, j)
     value = solve_canonical(ctx, j, ctx.alph, lambda w: {
         (t, lam): coeff for t, bracket in brackets
-        for lam, coeff in bracket(w).coeffs.items()}, linear,
-        "generator solution")
-    if _highe_degree_part(ctx, value, 1) != linear:
+        for lam, coeff in bracket(w).coeffs.items()}, "generator solution")
+    if _highe_degree_part(ctx, value, 1) != gamma_linear(ctx, j):
         raise GeneratorError("solver linear part disagrees with the chain "
                              "formula for generator %d" % j)
     return WGenerator(j, value, ctx.gen_alph.weights[j])

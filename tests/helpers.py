@@ -1,7 +1,8 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, the BRST solve and bracket table in j-coordinates,
-generator solves at the k-degree cap, the conformal weight of a
+generator solves over the wide k-ansatz, the k-grading oracle, a
+symbolic level set to a rational, the conformal weight of a
 polynomial (the criterion-8 oracle), exactness witnesses, a dense
 reference for the Lie superalgebra bracket, form, validation and rebase, a
 chain-enumerating reference for the closed chain sums, and Gauss-Jordan
@@ -14,16 +15,18 @@ from functools import reduce
 from walgebras.catalog import _build_matrix_algebra, _e, _mat, _mat_add, get_algebra
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra, OSPTriple,
                               SL2Triple)
-from walgebras.scalars import GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar
+from walgebras.scalars import (GR_ONE, GR_ZERO, GRat, LinearSolveError, Scalar,
+                               solve_linear)
 from walgebras.spva import (ChiPoly, SUSYBracketTable, susy_affine_table,
                             susy_master_bracket)
 from walgebras.superpoly import Alphabet, FLAVOR_D, FLAVOR_DEL, SuperPoly
-from walgebras.pva import Lambda2Poly, LeftBracket, affine_table, arrow_apply
+from walgebras.pva import (BracketTable, Lambda2Poly, LeftBracket, affine_table,
+                           arrow_apply)
 from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import BRSTComplex, build_d, cohomology_generators
 from walgebras.wclassical import (GeneratorError, WGenerator, ansatz_monomials,
-                                  ansatz_terms, k_degree_bound, solve_ansatz)
+                                  ansatz_terms, solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -614,11 +617,11 @@ def j_route_cohomology_generators(cplx, diff):
     for j in range(ctx.db.count()):
         lead, weight, monos = cohomology_ansatz(cplx, j)
         known = j_route_d0(diff, cplx.building_block(lead))
-        kmax = k_degree_bound(weight, ctx.k, diff.c)
         value_J = SuperPoly.variable(cplx.jalph, lead) + solve_ansatz(
-            cplx.jalph, monos, kmax,
+            cplx.jalph, monos,
             j_route_differential_terms(cplx, diff, known, monos),
-            "filtration correction for generator %d" % j, start=kmax)
+            "filtration correction for generator %d" % j,
+            None if ctx.k.is_constant() else 0)
         gen = WGenerator(j, cplx.from_J(value_J), weight)
         gen.value_J = value_J
         out[j] = gen
@@ -654,8 +657,32 @@ def j_route_bracket_table(cplx, diff, gens):
     return SUSYBracketTable(gen_alph, entries)
 
 
-# One solve at k_degree_bound, started there: the reference for the
-# growing k-degree of solve_ansatz, on the same terms as the engine.
+# The ansatz sum_{d <= 2 Delta + 3} k^d M over every monomial M, solved
+# with solve_linear directly: the reference for solve_ansatz's one power
+# of k per monomial, on the same terms as the engine.
+
+def wide_ansatz_solve(alph, monos, terms, weight, what):
+    """The solution of `terms` (solve_ansatz's format) over the columns
+    (M, d) for every monomial M and every d <= 2 weight + 3."""
+    degrees = range(int(2 * weight) + 4)
+    known, cells = {}, {}
+    for M, key, kp, cp, gr in terms:
+        if M is None:
+            known[key, kp, cp] = known.get((key, kp, cp), GR_ZERO) - gr
+            continue
+        for d in degrees:
+            row = cells.setdefault((key, kp + d, cp), {})
+            row[M, d] = row.get((M, d), GR_ZERO) + gr
+    try:
+        sol = solve_linear(
+            [({col: gr for col, gr in cells.get(row, {}).items() if gr},
+              known.get(row, GR_ZERO)) for row in {**known, **cells}],
+            [(M, d) for M in monos for d in degrees])
+    except LinearSolveError as e:
+        raise GeneratorError("no %s: %s" % (what, e))
+    return SuperPoly.from_coefficients(
+        alph, ((M, d, 0, gr) for (M, d), gr in sol.items()))
+
 
 def membership_map(ctx):
     """The map solve_generator's solve must send to zero: poly ->
@@ -667,31 +694,66 @@ def membership_map(ctx):
                          for lam, coeff in bracket(poly).coeffs.items()}
 
 
-def cap_generator_value(ctx, j):
+def wide_generator_value(ctx, j):
     """The value of solve_generator(ctx, j), from its membership terms
-    solved once at k_degree_bound."""
+    solved over the wide ansatz."""
     weight = ctx.flavor.shift + ctx.db.spins[j]
     lead = ctx.star_index[(j, 0)]
     monos = ansatz_monomials(ctx.alph, ctx.kept_indices, weight,
                              ctx.alph.parities[lead], ctx.highe_indices)
     lead_poly = SuperPoly.variable(ctx.alph, lead)
-    kmax = k_degree_bound(weight, ctx.k)
-    return lead_poly + solve_ansatz(
-        ctx.alph, monos, kmax,
-        ansatz_terms(membership_map(ctx), lead_poly, monos),
-        "generator solution", start=kmax)
+    return lead_poly + wide_ansatz_solve(
+        ctx.alph, monos,
+        ansatz_terms(membership_map(ctx), lead_poly, monos), weight,
+        "generator solution")
 
 
-def cap_cohomology_value_J(cplx, diff, j):
+def wide_cohomology_value_J(cplx, diff, j):
     """The value_J of H^0 generator j, from the J-coordinate terms of the
-    engine solved once at k_degree_bound."""
+    engine solved over the wide ansatz."""
     lead, weight, monos = cohomology_ansatz(cplx, j)
     lead_J = SuperPoly.variable(cplx.jalph, lead)
-    kmax = k_degree_bound(weight, cplx.ctx.k, diff.c)
-    return lead_J + solve_ansatz(
-        cplx.jalph, monos, kmax,
-        ansatz_terms(lambda A: {0: diff.apply_J(A)}, lead_J, monos),
-        "filtration correction for generator %d" % j, start=kmax)
+    return lead_J + wide_ansatz_solve(
+        cplx.jalph, monos,
+        ansatz_terms(lambda A: {0: diff.apply_J(A)}, lead_J, monos), weight,
+        "filtration correction for generator %d" % j)
+
+
+# k counts as a derivative: del, D, lambda and chi have degree 1, k degree
+# -1, and every table entry and generator has degree 0.
+
+def derivative_count(mono):
+    return sum(m * e for (_t, m), e in mono)
+
+
+def inhomogeneous_term(value):
+    """The first term of value (a SuperPoly, a bracket value or a bracket
+    table) whose power of k is not its power of lambda or chi plus its
+    derivative count, as (table key, power of lambda or chi, monomial,
+    k power, c power, coefficient); None when there is none."""
+    if isinstance(value, SuperPoly):
+        items = [(None, 0, value)]
+    elif isinstance(value, BracketTable):
+        items = [(key, n, p) for key, v in sorted(value.entries.items())
+                 for n, p in sorted(v.coeffs.items())]
+    else:
+        items = [(None, n, p) for n, p in sorted(value.coeffs.items())]
+    for key, n, poly in items:
+        for mono, kp, cp, gr in poly.coefficients():
+            if kp != n + derivative_count(mono):
+                return key, n, mono, kp, cp, gr
+    return None
+
+
+def top_k_power(poly):
+    return max(kp for _mono, kp, _cp, _gr in poly.coefficients())
+
+
+def at_level(poly, level: Fraction):
+    """poly with the symbolic level k set to the rational `level`."""
+    return SuperPoly.from_coefficients(poly.alphabet, (
+        (mono, 0, cp, gr * GRat(level ** kp))
+        for mono, kp, cp, gr in poly.coefficients()))
 
 
 def conformal_weight(poly):
@@ -718,13 +780,21 @@ def exactness_witness(cplx, diff, X: SuperPoly):
     par = X.parity()
     monos = ansatz_monomials(cplx.jalph, ctx.kept_indices + ghosts, w,
                              None if par is None else (par + 1) % 2)
-    kmax = max((kp for s in X.terms.values() for (kp, cp) in s.terms), default=0) + 2
+    # d_[0] keeps the k-grading, so Y has the degree of X
+    degrees = {derivative_count(mono) - kp
+               for mono, kp, _cp, _gr in X.coefficients()}
+    if ctx.k.is_constant():
+        degree = None
+    elif len(degrees) == 1:
+        (degree,) = degrees
+    else:
+        raise GeneratorError("exactness check needs an input homogeneous in k")
     # exactness solves may be underdetermined (many witnesses); consistency
     # of the system is what matters
     try:
-        solve_ansatz(cplx.jalph, monos, kmax,
+        solve_ansatz(cplx.jalph, monos,
                      j_route_differential_terms(cplx, diff, -X, monos, in_J=True),
-                     "exactness witness", start=kmax)
+                     "exactness witness", degree)
     except GeneratorError as e:
         return str(e).startswith("non-unique ")
     return True

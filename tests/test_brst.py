@@ -325,14 +325,36 @@ def test_ansatz_is_the_same_over_both_alphabets(name, sizes):
     assert got == sizes
 
 
-@pytest.mark.parametrize("name", OSP)
+@pytest.mark.parametrize("name", OSP + ["sl32-principal"])
 def test_adaptive_H0_solve_matches_cap_solve(name):
-    """Each H^0 generator, solved from the top power of k of the reduction
-    generator's linear part up, equals the one solved once at
-    k_degree_bound from the same J-coordinate terms."""
+    """Each H^0 generator, solved with one power of k per ansatz monomial,
+    equals the one solved over the wide ansatz (every power of k up to
+    2 weight + 3 for every monomial) from the same J-coordinate terms."""
     cplx, diff, gens = helpers.brst(name)
     for j, E in gens.items():
-        assert E.value_J == helpers.cap_cohomology_value_J(cplx, diff, j), j
+        assert E.value_J == helpers.wide_cohomology_value_J(cplx, diff, j), j
+
+
+@pytest.mark.parametrize("name", OSP + ["sl32-principal"])
+def test_H0_generators_count_k_as_a_derivative(name):
+    """At symbolic k every term of an H^0 generator in J-coordinates has a
+    power of k equal to its derivative count, up to k^(2w - 1) at weight w,
+    as on the SUSY reduction side."""
+    for E in helpers.brst(name)[2].values():
+        assert helpers.inhomogeneous_term(E.value_J) is None, E.index
+        assert helpers.top_k_power(E.value_J) == 2 * E.weight - 1, E.index
+
+
+@pytest.mark.parametrize("name", OSP)
+def test_symbolic_H0_generators_at_half_equal_the_half_solve(name):
+    """The H^0 generators solved at symbolic k, with k set to 1/2, are those
+    solved at k = 1/2, an independent linear system."""
+    gens = helpers.brst(name)[2]
+    cplx = BRSTComplex(SUSYReductionContext(helpers.algebra(name),
+                                            k=Scalar.rational(Fraction(1, 2))))
+    for E in cohomology_generators(cplx, build_d(cplx, Scalar.imag())):
+        assert helpers.at_level(gens[E.index].value_J, Fraction(1, 2)) == \
+            E.value_J, E.index
 
 
 def test_cohomology_value_is_built_on_first_read(monkeypatch):

@@ -3,19 +3,24 @@
 The digests were taken from the code before the even and SUSY reductions
 were merged into one engine; any change to a rendered value, its term order
 or the structured document shows up here. Re-take them only for a change
-that is meant to alter the output.
+that is meant to alter the output. The sl3-principal and sl4-principal
+`generators` digests were taken from the code that searched the powers of
+k of each unknown, before each ansatz monomial got one power of k.
 """
 
 import hashlib
 
 import pytest
 
+import helpers
 from walgebras.cli import main
+from walgebras.liealg import save_algebra
 
 COMMANDS = (
     "generators --algebra sl2",
     "bracket-table --algebra sl2 --route direct",
     "bracket-table --algebra sl2 --route closed",
+    "generators --algebra sl3-principal",
     "generators --algebra sl3-minimal",
     "bracket-table --algebra sl3-minimal --route direct",
     "bracket-table --algebra sl3-minimal --route closed",
@@ -43,6 +48,8 @@ DIGESTS = {
             "58f38141550ac6d910b0d7b1fa5a746710d2dfa394f107c278f0630bdb5a9faa",
         "bracket-table --algebra sl2 --route closed":
             "58f38141550ac6d910b0d7b1fa5a746710d2dfa394f107c278f0630bdb5a9faa",
+        "generators --algebra sl3-principal":
+            "bfe493a3977153744bbff300ea425916aadf06274f3cdec0073da390ad3317dd",
         "generators --algebra sl3-minimal":
             "c6a554c2570c16b5e3d2b7c001f149e70017195d5a65966b1d14f25c4261ff54",
         "bracket-table --algebra sl3-minimal --route direct":
@@ -85,6 +92,8 @@ DIGESTS = {
             "a3a0c7dce80e460e06d51441d6cfe705a6cdb433b858e6362efdb5d51628b445",
         "bracket-table --algebra sl2 --route closed":
             "7beb469ab77990b9605f211f6debaa995bf00b29ad369456b65a4294519a02cf",
+        "generators --algebra sl3-principal":
+            "9cf9ff48288544319feabffd68942cd877614c81d56fdd80f437ddf9c04e7554",
         "generators --algebra sl3-minimal":
             "f8e0fe372a3e50723548b5a28cb8e909f50ccce7190ede471ec74bac3c9cdd41",
         "bracket-table --algebra sl3-minimal --route direct":
@@ -133,3 +142,22 @@ def test_golden_cli_outputs(capsys, fmt):
         if code != 0 or digest != DIGESTS[fmt][cmd]:
             changed.append("%s (exit %d)" % (cmd, code))
     assert changed == []
+
+
+# `walg generators` on the sl4-principal file (weights 2, 3 and 4, the
+# weight-4 generator up to k^3), written from helpers.sl4_principal
+SL4_DIGESTS = {
+    "text": "dd29b79145738d5f6775f9593a72515bd6a32a75bc359eb4a02ad75e5ae63aee",
+    "structured":
+        "b2dba4a6ad81b2fd4aff89a03001534de6b56ccc3e01832a52927a4c14bdb2fa",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_golden_sl4_generators(capsys, tmp_path, fmt):
+    path = tmp_path / "sl4_principal.json"
+    save_algebra(helpers.sl4_principal(), str(path))
+    code = main(["generators", "--algebra", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        (0, SL4_DIGESTS[fmt])

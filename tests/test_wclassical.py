@@ -8,15 +8,15 @@ import pytest
 import helpers
 from walgebras import brst, wclassical
 from walgebras.catalog import DATA_DIR, build_sl2
-from walgebras.liealg import (AlgebraError, LieSuperalgebra,
+from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra,
                               algebra_from_obj, dual_bases_F, dual_bases_f)
-from walgebras.pva import LambdaPoly, check_jacobi, check_skew, master_bracket
+from walgebras.pva import (BracketTable, LambdaPoly, check_jacobi, check_skew,
+                           master_bracket)
 from walgebras.scalars import GR_ONE, Scalar, solve_linear
 from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   ansatz_monomials, compare_closed_direct,
-                                  gamma_linear, k_degree,
-                                  k_degree_bound, membership_defects,
+                                  gamma_linear, membership_defects,
                                   rewrite_in_generators,
                                   solve_all_generators, solve_generator,
                                   w_bracket_closed, w_bracket_direct,
@@ -252,111 +252,111 @@ def test_pi_filter_matches_substitution(name):
         assert lost >= 3 and kept >= 1
 
 
-def _top_k_power(poly):
-    return max(kp for c in poly.terms.values() for kp, _cp in c.terms)
-
-
-@pytest.mark.parametrize("name, susy", [
-    ("sl4-principal", False), ("sl32-principal", False),
-    ("osp12", True), ("sl21", True), ("sl32-principal", True)])
-def test_k_degree_bound_leaves_room(name, susy):
-    """At symbolic k every solved generator uses powers of k strictly below
-    the ansatz bound, so the bound never cuts a solution short, and its top
-    power is that of its linear part, where its solve starts (sl4: the
-    weights 4, 3, 2 use k^3, k^2, k against the bounds 11, 9, 7; sl(3|2):
-    the even weights 3 down to 1 use k^2, k^2, k^2, k, k, k, k, k^0 against
-    the bounds 9 down to 5, the SUSY weights 5/2 down to 1 use k^4, k^3,
-    k^2, k). The weight-1 even generator of sl(3|2) is k-free, so there
-    the top power may be 0."""
-    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
-    for w in gens.values():
-        top = _top_k_power(w.value)
-        assert top < k_degree_bound(w.weight, ctx.k), w.weight
-        assert top > 0 or (not susy and w.weight == 1), w.weight
-        # the solve starts at the linear part's top power and needs no more
-        assert top == k_degree(gamma_linear(ctx, w.index)), w.weight
-    if susy and name in ("osp12", "sl21"):
-        # so does the BRST H^0 solve, which starts at the same power
-        for j, E in helpers.brst(name)[2].items():
-            assert _top_k_power(E.value_J) == k_degree(gamma_linear(ctx, j))
-
-
 @pytest.mark.parametrize("name, susy", [
     ("sl4-principal", False), ("sl32-principal", False),
     ("sl32-principal", True)])
 def test_adaptive_solve_matches_cap_solve(name, susy):
-    """Each generator, solved from the top power of k of its linear part
-    up, equals the one solved once at k_degree_bound from the same terms."""
+    """Each generator, solved with one power of k per ansatz monomial,
+    equals the one solved over the wide ansatz: every power of k up to
+    2 weight + 3 for every monomial, from the same terms."""
     ctx, gens = (helpers.susy if susy else helpers.classical)(name)
     for j, w in gens.items():
-        assert w.value == helpers.cap_generator_value(ctx, j), j
+        assert w.value == helpers.wide_generator_value(ctx, j), j
 
 
-def _recording_solves(monkeypatch):
-    """(trial degree, outcome) of every linear solve of solve_ansatz."""
-    attempts = []
+def test_solve_on_a_hand_built_system(monkeypatch):
+    """The ansatz x_u u + x_u' u' + x_u'' u'' completes a known part of
+    degree 1: u' gets k^0, u'' gets k^1 and u, with fewer derivatives than
+    the degree, no column. An inhomogeneous known part is inconsistent, u
+    and u^2 on one condition are non-unique, and at a constant level every
+    power is 0."""
+    alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
+    u, u1, u2 = ((((0, m), 1),) for m in range(3))
+    one = GR_ONE
+    columns = []
 
     def recording(equations, unknowns):
-        outcome = helpers.solve_outcome(solve_linear, equations, unknowns)[0]
-        attempts.append((max(d for _M, d in unknowns), outcome))
+        columns.append(unknowns)
         return solve_linear(equations, unknowns)
 
     monkeypatch.setattr(wclassical, "solve_linear", recording)
-    return attempts
-
-
-def test_solve_from_degree_zero_grows_to_the_generator(monkeypatch):
-    """sl4's weight-4 generator uses k^3. Solved from degree 0, its system
-    is inconsistent at 0 and 1 and solved at 3, with the same generator."""
-    ctx, gens = helpers.classical("sl4-principal")
-    (w,) = [w for w in gens.values() if w.weight == 4]
-    assert _top_k_power(w.value) == 3
-    lead = ctx.star_index[(w.index, 0)]
-    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, w.weight,
-                             ctx.alph.parities[lead], ctx.highe_indices)
-    lead_poly = SuperPoly.variable(ctx.alph, lead)
-    attempts = _recording_solves(monkeypatch)
-    got = wclassical.solve_ansatz(
-        ctx.alph, monos, k_degree_bound(w.weight, ctx.k),
-        wclassical.ansatz_terms(helpers.membership_map(ctx), lead_poly, monos),
-        "generator solution", start=0)
-    assert lead_poly + got == w.value
-    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
-                        (3, "solved")]
-
-
-def test_solve_schedule_on_a_hand_built_system(monkeypatch):
-    """Conditions x_u(k) = k^4 and x_u(k) + x_uu(k) = 1 on the ansatz
-    x_u u + x_uu u^2: the first is inconsistent below degree 4, so it is
-    tried at 0, 1, 3 and the cap, and raises only there; the second is
-    underdetermined, and raises non-unique with the cap solve's message."""
-    alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
-    u, uu = (((0, 0), 1),), (((0, 0), 2),)
-    one = GR_ONE
-    needs_k4 = [(None, "a", 4, 0, -one), (u, "a", 0, 0, one)]
-    attempts = _recording_solves(monkeypatch)
-    got = wclassical.solve_ansatz(alph, [u], 5, needs_k4, "test", start=0)
-    assert got == SuperPoly(alph, {u: Scalar.term(4, 0, one)})
-    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
-                        (3, "inconsistent"), (5, "solved")]
-    del attempts[:]
+    terms = [(None, "a", 0, 0, -2 * one), (None, "b", 1, 0, -3 * one),
+             (u, "a", 0, 0, one), (u1, "a", 0, 0, one), (u2, "b", 0, 0, one)]
+    got = wclassical.solve_ansatz(alph, [u, u1, u2], terms, "test", 1)
+    assert got == SuperPoly(alph, {u1: Scalar.rational(2),
+                                   u2: Scalar.term(1, 0, 3 * one)})
+    assert columns == [[(u1, 0), (u2, 1)]]
+    mixed = [(None, "a", 0, 0, -one), (None, "a", 1, 0, -one),
+             (u, "a", 0, 0, one)]
     with pytest.raises(GeneratorError, match=r"^no test: inconsistent$"):
-        wclassical.solve_ansatz(alph, [u], 3, needs_k4, "test", start=0)
-    assert attempts == [(0, "inconsistent"), (1, "inconsistent"),
-                        (3, "inconsistent")]
+        wclassical.solve_ansatz(alph, [u], mixed, "test", 0)
+    uu = (((0, 0), 2),)
     free = [(None, "a", 0, 0, -one), (u, "a", 0, 0, one), (uu, "a", 0, 0, one)]
-    with pytest.raises(GeneratorError) as at_cap:
-        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test", start=3)
-    del attempts[:]
-    with pytest.raises(GeneratorError) as grown:
-        wclassical.solve_ansatz(alph, [u, uu], 3, free, "test", start=0)
-    assert str(grown.value) == str(at_cap.value)
-    assert str(grown.value).startswith("non-unique test: underdetermined")
-    assert attempts == [(0, "underdetermined"), (3, "underdetermined")]
+    with pytest.raises(GeneratorError) as free_error:
+        wclassical.solve_ansatz(alph, [u, uu], free, "test", 0)
+    assert str(free_error.value).startswith("non-unique test: underdetermined")
+    del columns[:]
+    constant = [(None, "a", 0, 0, -2 * one), (u, "a", 0, 0, one),
+                (u1, "b", 0, 0, one)]
+    got = wclassical.solve_ansatz(alph, [u, u1], constant, "test", None)
+    assert got == SuperPoly(alph, {u: Scalar.rational(2)})
+    assert columns == [[(u, 0), (u1, 0)]]
 
 
 SOLVED = [(name, False) for name in CLASSICAL + ["sl4-principal"]] + [
     ("osp12", True), ("sl21", True)]
+
+
+@pytest.mark.parametrize("name, susy", SOLVED + [
+    ("sl32-principal", False), ("sl32-principal", True)])
+def test_k_counts_as_a_derivative(name, susy):
+    """At symbolic k every term of the affine table, of the W table by both
+    routes and of every generator has a power of k equal to its power of
+    lambda (chi) plus its derivative count. A generator of weight w tops
+    out at k^floor(w - 1/2) in the even flavor and k^(2w - 1) in the SUSY
+    one."""
+    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
+    affine = (helpers.susy_affine if susy else helpers.affine)(name)[2]
+    assert helpers.inhomogeneous_term(affine) is None
+    assert helpers.inhomogeneous_term(ctx.reduced_table) is None
+    for w in gens.values():
+        assert helpers.inhomogeneous_term(w.value) is None, w.index
+        top = 2 * w.weight - 1 if susy else (w.weight - HALF) // 1
+        assert helpers.top_k_power(w.value) == top, w.weight
+    for route in ("direct", "closed"):
+        table = w_bracket_table(ctx, gens, route)
+        assert table.entries
+        assert helpers.inhomogeneous_term(table) is None, route
+
+
+def test_homogeneity_oracle_names_a_mutated_term():
+    """One term of one affine-table entry given an extra power of k is the
+    term the oracle reports."""
+    table = helpers.affine("sl3-principal")[2]
+    key = sorted(table.entries)[5]
+    entry = table.entries[key]
+    n = min(entry.coeffs)
+    mono, kp, cp, gr = next(entry.coeffs[n].coefficients())
+    extra = SuperPoly.from_coefficients(table.alphabet,
+                                        [(mono, kp + 1, cp, gr)])
+    coeffs = dict(entry.coeffs)
+    coeffs[n] = coeffs[n] + extra
+    mutated = BracketTable(table.alphabet,
+                           {**table.entries, key: LambdaPoly(table.alphabet,
+                                                             coeffs)})
+    assert helpers.inhomogeneous_term(mutated) == (key, n, mono, kp + 1, cp, gr)
+
+
+@pytest.mark.parametrize("name, susy", SOLVED)
+def test_symbolic_generators_at_half_equal_the_half_solve(name, susy):
+    """The generators solved at symbolic k, with k set to 1/2, are those
+    solved at k = 1/2, an independent linear system."""
+    ctx, gens = (helpers.susy if susy else helpers.classical)(name)
+    half = type(ctx)(helpers.algebra(name), k=Scalar.rational(HALF))
+    solve = solve_all_susy_generators if susy else solve_all_generators
+    for w in solve(half):
+        assert helpers.at_level(gens[w.index].value, Fraction(1, 2)) == \
+            w.value, w.index
 
 
 @pytest.mark.parametrize("name, susy", [p for p in SOLVED
