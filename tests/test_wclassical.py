@@ -264,6 +264,18 @@ def test_adaptive_solve_matches_cap_solve(name, susy):
         assert w.value == helpers.wide_generator_value(ctx, j), j
 
 
+def _recording_columns(monkeypatch):
+    """The unknowns of every linear solve of solve_ansatz."""
+    columns = []
+
+    def recording(equations, unknowns):
+        columns.append(unknowns)
+        return solve_linear(equations, unknowns)
+
+    monkeypatch.setattr(wclassical, "solve_linear", recording)
+    return columns
+
+
 def test_solve_on_a_hand_built_system(monkeypatch):
     """The ansatz x_u u + x_u' u' + x_u'' u'' completes a known part of
     degree 1: u' gets k^0, u'' gets k^1 and u, with fewer derivatives than
@@ -273,13 +285,7 @@ def test_solve_on_a_hand_built_system(monkeypatch):
     alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
     u, u1, u2 = ((((0, m), 1),) for m in range(3))
     one = GR_ONE
-    columns = []
-
-    def recording(equations, unknowns):
-        columns.append(unknowns)
-        return solve_linear(equations, unknowns)
-
-    monkeypatch.setattr(wclassical, "solve_linear", recording)
+    columns = _recording_columns(monkeypatch)
     terms = [(None, "a", 0, 0, -2 * one), (None, "b", 1, 0, -3 * one),
              (u, "a", 0, 0, one), (u1, "a", 0, 0, one), (u2, "b", 0, 0, one)]
     got = wclassical.solve_ansatz(alph, [u, u1, u2], terms, "test", 1)
@@ -301,6 +307,55 @@ def test_solve_on_a_hand_built_system(monkeypatch):
     got = wclassical.solve_ansatz(alph, [u, u1], constant, "test", None)
     assert got == SuperPoly(alph, {u: Scalar.rational(2)})
     assert columns == [[(u, 0), (u1, 0)]]
+
+
+def test_solve_from_degree_zero_grows_to_the_generator(monkeypatch):
+    """sl4's weight-4 generator uses k^3. Its lead has degree 0, so one
+    solve gives every ansatz monomial M the column k^n(M), which grows
+    from k^0 to k^3 with the derivative count, and yields the generator."""
+    ctx, gens = helpers.classical("sl4-principal")
+    (w,) = [w for w in gens.values() if w.weight == 4]
+    assert helpers.top_k_power(w.value) == 3
+    lead = ctx.star_index[(w.index, 0)]
+    monos = ansatz_monomials(ctx.alph, ctx.kept_indices, w.weight,
+                             ctx.alph.parities[lead], ctx.highe_indices)
+    lead_poly = SuperPoly.variable(ctx.alph, lead)
+    columns = _recording_columns(monkeypatch)
+    got = wclassical.solve_ansatz(
+        ctx.alph, monos,
+        wclassical.ansatz_terms(helpers.membership_map(ctx), lead_poly, monos),
+        "generator solution", 0)
+    assert lead_poly + got == w.value
+    derivatives = [(M, sum(m * e for (_t, m), e in M)) for M in monos]
+    assert columns == [derivatives]
+    assert {p for _M, p in derivatives} == {0, 1, 2, 3}
+
+
+def test_solve_schedule_on_a_hand_built_system(monkeypatch):
+    """On the ansatz x_u u + x_u' u' + x_u'' u'' the power of k of each
+    column falls by one per degree of the known part, and a monomial drops
+    out below 0; each degree makes one linear solve. The condition
+    x_u(k) = k^4 is inconsistent at degree 0, where u gets k^0, and solved
+    at degree -4, where u gets k^4."""
+    alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
+    u, u1, u2 = ((((0, m), 1),) for m in range(3))
+    one = GR_ONE
+    own_rows = [(u, "a", 0, 0, one), (u1, "b", 0, 0, one),
+                (u2, "c", 0, 0, one)]
+    columns = _recording_columns(monkeypatch)
+    for degree in range(4):
+        got = wclassical.solve_ansatz(alph, [u, u1, u2], own_rows, "test",
+                                      degree)
+        assert got == SuperPoly(alph, {})
+    assert columns == [[(u, 0), (u1, 1), (u2, 2)], [(u1, 0), (u2, 1)],
+                       [(u2, 0)], []]
+    needs_k4 = [(None, "a", 4, 0, -one), (u, "a", 0, 0, one)]
+    del columns[:]
+    with pytest.raises(GeneratorError, match=r"^no test: inconsistent$"):
+        wclassical.solve_ansatz(alph, [u], needs_k4, "test", 0)
+    got = wclassical.solve_ansatz(alph, [u], needs_k4, "test", -4)
+    assert got == SuperPoly(alph, {u: Scalar.term(4, 0, one)})
+    assert columns == [[(u, 0)], [(u, 4)]]
 
 
 SOLVED = [(name, False) for name in CLASSICAL + ["sl4-principal"]] + [
