@@ -75,6 +75,17 @@ runs on that dict, and only this module reads the key.
   and give GRat coefficients, (a + b i)/d in lowest terms: ``_ints``
   brings GRats over their lcm, and ``_grats`` joins the real and
   imaginary entries of a term and cancels each coefficient alone.
+- Packed readers. Three internal readers take packed keys and give
+  nothing that depends on slots: ``packed_coefficients`` (an int for
+  each monomial, which the generator solve uses only to group its
+  equations, so that no tuple is built for them), ``degree_part`` (the
+  terms of a given degree in some generators, kept by their keys) and
+  ``rename`` (generators to generators of another alphabet, others to
+  0; the W-bracket rewrite). ``rename`` maps each slot once to its image
+  slot and each monomial once to its image key, and takes its Koszul
+  sign from the variable order of the two alphabets, never from the slot
+  order; the caller keeps its memo per pair of alphabet values, and the
+  memo holds both registries, so its keys keep their meaning.
 - Overflow. A power of a variable, of k or of c past 127 raises
   ExponentOverflowError (an engine error); it never wraps.
 - Thread safety. The registry gives out a slot under a lock and publishes
@@ -101,7 +112,7 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from _weakref import ref
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .scalars import GR_ONE, GRat, Scalar, _mk, _norm, join_signed, rat
@@ -336,14 +347,6 @@ def _key_parity(key, odd) -> int:
     return (key & odd).bit_count() & 1
 
 
-def _tuple_parity(alph, mono) -> int:
-    par, dp = alph.parities, alph.deriv_parity
-    p = 0
-    for (i, m), e in mono:
-        p += (par[i] ^ (m & dp)) * e
-    return p & 1
-
-
 def _ranks(rank, o):
     """The rank bits of the odd factors whose unit bits are o."""
     r = rank.get(o)
@@ -418,6 +421,43 @@ def _remember(memo, m, value):
         memo[m] = value
         _memo_entries += 1
     return value
+
+
+def _renamed(alph, heads, target, slots, m):
+    """(key over target, sign) of the monomial m (a key shifted right by
+    _VAR_SHIFT) renamed by heads (see SuperPoly.rename); (0, 0) when a
+    factor's generator is not in heads. slots maps the unit of a variable
+    of alph to its image, (its unit over target, the image variable when
+    it is odd, else None), or to (0, None) when it is dropped; it is filled
+    here on first use. The factors of both canonical monomials follow the
+    variable order of their alphabet, so the sign counts the pairs of odd
+    factors that the renaming puts in the other order; slot order plays no
+    part."""
+    key = 0
+    odd = []   # the images of the odd factors, in variable order over alph
+    for v, e, u in _factors(alph._layout.vars, m):
+        image = slots.get(u)
+        if image is None:
+            j = heads.get(v[0])
+            if j is None:
+                image = 0, None
+            else:
+                w = j, v[1]
+                p = alph.var_parity(v)
+                if p != target.var_parity(w) or \
+                        alph.deriv_parity != target.deriv_parity:
+                    raise FlavorError("parity mismatch for generator %s"
+                                      % alph.names[v[0]])
+                image = _unit(target, w), (w if p else None)
+            slots[u] = image
+        unit, w = image
+        if not unit:
+            return 0, 0
+        key += e * unit
+        if w is not None:
+            odd.append(w)
+    crossings = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return key, -1 if crossings & 1 else 1
 
 
 def _poly(alph, flat, den=1) -> "SuperPoly":
@@ -669,6 +709,15 @@ class SuperPoly:
                 mono = monos[m] = _mono(vars_, m)
             yield mono, key & _FIELD_MASK, (key >> _FIELD) & _FIELD_MASK, g
 
+    def packed_coefficients(self):
+        """(m, kpow, cpow, g) as coefficients() gives them, with m the
+        monomial's packed key in place of its tuple: equal monomials over
+        one alphabet value have equal keys in one process, and no output
+        may read one (see the module docstring)."""
+        for key, g in _grats(self._flat, self._den):
+            yield (key >> _VAR_SHIFT, key & _FIELD_MASK,
+                   (key >> _FIELD) & _FIELD_MASK, g)
+
     def __bool__(self):
         return bool(self._flat)
 
@@ -765,6 +814,17 @@ class SuperPoly:
         return _poly(self.alphabet, {key: g for key, g in self._flat.items()
                                      if _key_parity(key, odd) == p % 2},
                      self._den)
+
+    def degree_part(self, gens, degree) -> "SuperPoly":
+        """The terms whose factors from the generators gens (a set of
+        indices) have exponents summing to degree: each term is kept or
+        dropped by its key, and no monomial is packed again."""
+        alph = self.alphabet
+        vars_ = alph._layout.vars
+        return _poly(alph, {
+            key: n for key, n in self._flat.items()
+            if sum(e for (t, _m), e, _u in _factors(vars_, key >> _VAR_SHIFT)
+                   if t in gens) == degree}, self._den)
 
     # -- derivations ----------------------------------------------------
     def deriv(self) -> "SuperPoly":
@@ -881,6 +941,34 @@ class SuperPoly:
                 _add_flat(out[0], term, _align(out, den))
         return _poly(target, *out)
 
+    def rename(self, heads, target, memos) -> "SuperPoly":
+        """The substitution that sends generator t to generator heads[t] of
+        target and every generator not in heads to 0 (u^(m) to the m-th
+        derivative of its image, a variable), on packed keys. heads maps
+        distinct generators to distinct ones of the same parity over an
+        alphabet of the same flavor. memos is the caller's dict, kept
+        across calls with the same heads: per pair of alphabet values it
+        maps each variable's slot to its image's slot, and each source
+        monomial to its key over target and its Koszul sign (0 when it is
+        dropped), so a monomial is unpacked only the first time."""
+        alph = self.alphabet
+        layouts = alph._layout, target._layout
+        memo = memos.get(layouts)
+        if memo is None:
+            # the key holds both layouts, so their slots outlive the memo
+            memo = memos[layouts] = {}, {}
+        monos, slots = memo
+        out = {}
+        for key, n in self._flat.items():
+            m = key >> _VAR_SHIFT
+            found = monos.get(m)
+            if found is None:
+                found = monos[m] = _renamed(alph, heads, target, slots, m)
+            to, sign = found
+            if sign:
+                out[to | (key & _POWERS_MASK)] = n if sign > 0 else -n
+        return _poly(target, out, self._den)
+
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
         terms = self.terms
@@ -974,42 +1062,44 @@ def accumulated(alph, out):
 
 def enumerate_monomials(alph, allowed_vars, weight, parity=None,
                         require_one_of=None):
-    """All canonical monomials of the given conformal weight.
+    """All canonical monomials of the given conformal weight, sorted.
 
     allowed_vars: list of (gen, order) variables (weights must be > 0).
     require_one_of: optional set of variables; keep only monomials using
     at least one of them (counted with multiplicity >= 1).
+    The search runs on integers: each weight, and the target, times the
+    lcm of their denominators.
     """
     target = GRat(weight)
     vars_sorted = sorted(allowed_vars)
     weights = [alph.var_weight(v) for v in vars_sorted]
     if any(w <= 0 for w in weights):
         raise ValueError("enumeration requires positive-weight variables")
+    scale = lcm(target.d, *(w.d for w in weights))
+    steps = [(v, w.a * (scale // w.d), alph.var_parity(v),
+              require_one_of is None or v in require_one_of)
+             for v, w in zip(vars_sorted, weights)]
+    last = len(steps)
+    want = None if parity is None else parity % 2
     out = []
+    acc = []
 
-    def rec(idx, remaining, acc):
+    def rec(idx, remaining, p, hit):
         if remaining == 0:
-            mono = tuple(acc)
-            if parity is not None and _tuple_parity(alph, mono) != parity % 2:
-                return
-            if require_one_of is not None and not any(v in require_one_of for v, _ in mono):
-                return
-            out.append(mono)
+            if hit and (want is None or p == want):
+                out.append(tuple(acc))
             return
-        if idx == len(vars_sorted):
+        if idx == last:
             return
-        v, w = vars_sorted[idx], weights[idx]
-        max_e = int(remaining // w)
-        if alph.var_parity(v):
-            max_e = min(max_e, 1)
-        for e in range(max_e, -1, -1):
-            if e:
-                acc.append((v, e))
-            rec(idx + 1, remaining - w * e, acc)
-            if e:
-                acc.pop()
+        v, w, odd, needed = steps[idx]
+        top = remaining // w
+        for e in range(1 if odd and top else top, 0, -1):
+            acc.append((v, e))
+            rec(idx + 1, remaining - w * e, p ^ (odd & e), hit or needed)
+            acc.pop()
+        rec(idx + 1, remaining, p, hit)
 
-    rec(0, target, [])
+    rec(0, target.a * (scale // target.d), 0, require_one_of is None)
     return sorted(out)
 
 

@@ -149,6 +149,8 @@ class ReductionContext:
             [fl.shift + db.spins[j] for j in range(db.count())])
         self.alph_in = _alphabet(fl, g.names, g.parities, g.gradings)
         self._chain_constants = {}   # filled by chain_constants
+        self._heads = {self.star_index[(j, 0)]: j for j in range(db.count())}
+        self._renames = {}   # the memos of symbols, filled on first use
 
     # -- maps ------------------------------------------------------------
     def bracket(self, a: SuperPoly, b: SuperPoly):
@@ -184,13 +186,12 @@ class ReductionContext:
         renamed to symbol j of gen_alph. poly is over alph or over an
         alphabet that shares its indices (the BRST J-alphabet). A kept
         variable that is not a head is an [E, g_{<=-1/2}] one, which the
-        canonical-form projection pi kills; so on W this is pi, renamed."""
-        images = {self.star_index[(j, 0)]: SuperPoly.variable(gen_alph, j)
-                  for j in range(self.db.count())}
-        return SuperPoly.from_coefficients(poly.alphabet, (
-            term for term in poly.coefficients()
-            if all(t in images for (t, _m), _e in term[0]))
-        ).substitute(images, gen_alph)
+        canonical-form projection pi kills; so on W this is pi, renamed.
+
+        A rename on packed keys (SuperPoly.rename): the context keeps, per
+        source and target alphabet value, each monomial's image key and
+        Koszul sign, so a monomial seen before is not unpacked again."""
+        return poly.rename(self._heads, gen_alph, self._renames)
 
     def to_input(self, poly: SuperPoly) -> SuperPoly:
         """Express a chain-coordinate polynomial over the input basis."""
@@ -318,7 +319,8 @@ def solve_ansatz(alph, monos, terms, what, degree):
     k^kp c^cp in what the monomial M adds to the linear condition `key`, or
     for M None in the known part of it; each power of k and c in a
     condition is one equation. Returns the solved polynomial over alph. No
-    solution, or several, raises GeneratorError naming `what`.
+    solution, or several, raises GeneratorError naming `what` and the
+    system's shape, rows x columns.
 
     One power of k per monomial suffices. Give del, D, lambda and chi
     degree 1, k degree -1, and variables and constants (c and the 1 of rho
@@ -352,8 +354,9 @@ def solve_ansatz(alph, monos, terms, what, degree):
     try:
         sol = solve_linear(list(rows.values()), list(power.items()))
     except LinearSolveError as e:
-        raise GeneratorError("%s %s: %s" % (
-            "non-unique" if e.reason == "underdetermined" else "no", what, e))
+        raise GeneratorError("%s %s: %s (%d x %d system)" % (
+            "non-unique" if e.reason == "underdetermined" else "no", what, e,
+            len(rows), len(power)))
     return SuperPoly.from_coefficients(
         alph, ((M, p, 0, gr) for (M, p), gr in sol.items()))
 
@@ -361,13 +364,15 @@ def solve_ansatz(alph, monos, terms, what, degree):
 def ansatz_terms(image, lead: SuperPoly, monos):
     """The terms, for solve_ansatz, of image(lead + sum x_M M) = 0: image
     maps a polynomial linearly to {key: SuperPoly}, and each monomial of
-    each value is one condition."""
+    each value is one condition, keyed by (key, the monomial's packed key;
+    see SuperPoly.packed_coefficients). The conditions only group the
+    equations, so no tuple monomial is built for them."""
     for M in [None, *monos]:
         poly = lead if M is None else SuperPoly(lead.alphabet,
                                                 {M: Scalar.one()})
         for key, value in image(poly).items():
-            for mono, kp, cp, gr in value.coefficients():
-                yield M, (key, mono), kp, cp, gr
+            for m, kp, cp, gr in value.packed_coefficients():
+                yield M, (key, m), kp, cp, gr
 
 
 def solve_canonical(ctx: ReductionContext, j, alph, image, what) -> SuperPoly:
@@ -402,10 +407,7 @@ def solve_generator(ctx: ReductionContext, j) -> WGenerator:
 
 def _highe_degree_part(ctx, poly: SuperPoly, degree) -> SuperPoly:
     """The terms of poly of degree `degree` in the [E, g_{<=-1/2}] variables."""
-    highe = set(ctx.highe_indices)
-    return SuperPoly.from_coefficients(ctx.alph, (
-        term for term in poly.coefficients()
-        if sum(e for (t, _m), e in term[0] if t in highe) == degree))
+    return poly.degree_part(set(ctx.highe_indices), degree)
 
 
 def solve_all_generators(ctx: ReductionContext):

@@ -26,7 +26,7 @@ from walgebras.wclassical import ReductionContext, solve_all_generators
 from walgebras.swclassical import SUSYReductionContext, solve_all_susy_generators
 from walgebras.brst import BRSTComplex, build_d, cohomology_generators
 from walgebras.wclassical import (GeneratorError, WGenerator, ansatz_monomials,
-                                  ansatz_terms, solve_ansatz)
+                                  solve_ansatz)
 
 _algebras = {}
 _classical = {}
@@ -659,7 +659,20 @@ def j_route_bracket_table(cplx, diff, gens):
 
 # The ansatz sum_{d <= 2 Delta + 3} k^d M over every monomial M, solved
 # with solve_linear directly: the reference for solve_ansatz's one power
-# of k per monomial, on the same terms as the engine.
+# of k per monomial. Its rows are read from the tuple monomials of
+# coefficients(), not from the packed keys that wclassical.ansatz_terms
+# reads, so the engine's rows are checked against a path they do not share.
+
+def tuple_ansatz_terms(image, lead, monos):
+    """wclassical.ansatz_terms with each condition keyed by the tuple
+    monomial of the image's term (coefficients())."""
+    for M in [None, *monos]:
+        poly = lead if M is None else SuperPoly(lead.alphabet,
+                                                {M: Scalar.one()})
+        for key, value in image(poly).items():
+            for mono, kp, cp, gr in value.coefficients():
+                yield M, (key, mono), kp, cp, gr
+
 
 def wide_ansatz_solve(alph, monos, terms, weight, what):
     """The solution of `terms` (solve_ansatz's format) over the columns
@@ -704,7 +717,7 @@ def wide_generator_value(ctx, j):
     lead_poly = SuperPoly.variable(ctx.alph, lead)
     return lead_poly + wide_ansatz_solve(
         ctx.alph, monos,
-        ansatz_terms(membership_map(ctx), lead_poly, monos), weight,
+        tuple_ansatz_terms(membership_map(ctx), lead_poly, monos), weight,
         "generator solution")
 
 
@@ -715,7 +728,8 @@ def wide_cohomology_value_J(cplx, diff, j):
     lead_J = SuperPoly.variable(cplx.jalph, lead)
     return lead_J + wide_ansatz_solve(
         cplx.jalph, monos,
-        ansatz_terms(lambda A: {0: diff.apply_J(A)}, lead_J, monos), weight,
+        tuple_ansatz_terms(lambda A: {0: diff.apply_J(A)}, lead_J, monos),
+        weight,
         "filtration correction for generator %d" % j)
 
 

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import os
 import pickle
 import random
@@ -330,6 +331,117 @@ def test_enumerate_monomials():
     for m in monos:
         assert sum(SUS.var_parity(v) * e for v, e in m) % 2 == 1
         assert sum(SUS.var_weight(v) * e for v, e in m) == 1
+
+
+def _brute_force_monomials(alph, allowed, weight):
+    """(monomial, parity) for every canonical monomial of the given weight
+    in the allowed variables, sorted, found by trying every exponent
+    vector: 0 to the weight over the variable's weight, at most 1 for an
+    odd variable."""
+    allowed = sorted(allowed)
+    weights = [Fraction(str(alph.var_weight(v))) for v in allowed]
+    ranges = [range(min(int(weight / w), 1) + 1 if alph.var_parity(v)
+                    else int(weight / w) + 1)
+              for v, w in zip(allowed, weights)]
+    out = []
+    for exps in itertools.product(*ranges):
+        if sum(e * w for e, w in zip(exps, weights)) == weight:
+            mono = tuple((v, e) for v, e in zip(allowed, exps) if e)
+            out.append((mono, sum(alph.var_parity(v) * e
+                                  for v, e in mono) % 2))
+    return sorted(out)
+
+
+def test_enumerate_monomials_matches_brute_force():
+    """The integer search gives the sorted list that trying every bounded
+    exponent vector gives, on an even and a SUSY alphabet with
+    half-integer weights, with and without the parity and required-variable
+    filters; a variable of weight 0 or below is refused."""
+    even = Alphabet(FLAVOR_DEL, ["a", "b", "c"], [0, 1, 0],
+                    [Fraction(1, 2), Fraction(3, 2), 1])
+    cases = [(even, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]),
+             (SUS, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
+                    (2, 0), (2, 1)])]
+    found = 0
+    for alph, allowed in cases:
+        for twice in range(8):
+            weight = Fraction(twice, 2)
+            every = _brute_force_monomials(alph, allowed, weight)
+            for parity in (None, 0, 1, 3):
+                for required in (None, set(allowed[1:3]), {allowed[-1]}):
+                    got = enumerate_monomials(alph, allowed, weight, parity,
+                                              required)
+                    assert got == [
+                        mono for mono, p in every
+                        if (parity is None or p == parity % 2) and
+                        (required is None or
+                         any(v in required for v, _e in mono))], \
+                        (alph.flavor, weight, parity, required)
+                    found += len(got)
+    assert found > 500
+    low = Alphabet(FLAVOR_DEL, ["a", "b", "c"], [0, 0, 0],
+                   [1, Fraction(-1, 2), 0])
+    for allowed in ([(0, 0), (1, 0)], [(0, 0), (2, 0)]):
+        with pytest.raises(ValueError):
+            enumerate_monomials(low, allowed, 2)
+    assert enumerate_monomials(low, [(0, 0), (1, 1)], 1) == \
+        [(((0, 0), 1),), (((1, 1), 2),)]
+
+
+def test_degree_part_matches_tuple_filter():
+    """degree_part keeps the terms whose factors from the given generators
+    have exponents summing to the degree, as filtering the tuple
+    monomials of coefficients() does."""
+    rng = random.Random(5)
+    for alph in (AFF, SUS):
+        for _ in range(20):
+            p = random_superpoly(alph, rng, max_factors=4, terms=6)
+            for gens in ({0}, {1, 2}, set()):
+                for degree in range(4):
+                    assert p.degree_part(gens, degree) == \
+                        SuperPoly.from_coefficients(alph, (
+                            term for term in p.coefficients()
+                            if sum(e for (t, _m), e in term[0] if t in gens)
+                            == degree))
+
+
+def test_rename_sign_follows_variable_order(monkeypatch):
+    """A rename whose generator order differs from the heads' order: x
+    and y (odd) go to w1 and w0, so x*y turns into -w0*w1, an even b^2
+    stays, and a monomial with a factor of the dropped a vanishes. The
+    slots are given in the order opposite to both, so only the variable
+    order can give the sign. In the SUSY flavor D(y) is odd and crosses x
+    the same way. A second rename unpacks nothing."""
+    from walgebras import superpoly
+    renamed = superpoly._renamed
+    for flavor, yo in ((FLAVOR_DEL, 0), (FLAVOR_D, 1)):
+        src = Alphabet(flavor, ["rn_a", "rn_x", "rn_y", "rn_b"],
+                       [0, 1, 1 - yo, 0])
+        tgt = Alphabet(flavor, ["rn_w0", "rn_w1", "rn_w2"], [1 - yo, 1, 0])
+        # first use: y, b, x over src; w2, w1, w0 over tgt
+        y, b, x, a = (var(src, 2, yo), var(src, 3), var(src, 1), var(src, 0))
+        w2, w1, w0 = var(tgt, 2), var(tgt, 1), var(tgt, 0, yo)
+        heads = {1: 1, 2: 0, 3: 2}
+        two = Scalar.rational(2)
+        poly = x * y + (b * b).scalar_mul(two) + a * x + y * b * x
+        memos = {}
+        got = poly.rename(heads, tgt, memos)
+        odd_pair = (((0, yo), 1), ((1, 0), 1))   # w0^(yo) w1, canonical
+        assert got == SuperPoly(tgt, {
+            odd_pair: -Scalar.one(), (((2, 0), 2),): two,
+            (*odd_pair, ((2, 0), 1)): Scalar.one()})
+        assert got == w1 * w0 + (w2 * w2).scalar_mul(two) + w0 * w2 * w1
+        assert got == poly.substitute(
+            {0: SuperPoly.zero(tgt), 1: var(tgt, 1), 2: var(tgt, 0),
+             3: w2}, tgt)
+        unpacked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(superpoly, "_renamed",
+                          lambda *a: unpacked.append(a) or renamed(*a))
+            assert poly.rename(heads, tgt, memos) == got
+        assert not unpacked
+        with pytest.raises(FlavorError):
+            x.rename({1: 2}, tgt, {})
 
 
 def test_render_deterministic_and_obj_roundtrip():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ import helpers
 from walgebras import brst, wclassical
 from walgebras.catalog import DATA_DIR, build_sl2
 from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra,
-                              algebra_from_obj, dual_bases_F, dual_bases_f)
+                              algebra_from_obj, dual_bases_F, dual_bases_f,
+                              load_algebra)
 from walgebras.pva import (BracketTable, LambdaPoly, check_jacobi, check_skew,
                            master_bracket)
-from walgebras.scalars import GR_ONE, Scalar, solve_linear
+from walgebras.scalars import GR_ONE, GR_ZERO, Scalar, solve_linear
 from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   ansatz_monomials, compare_closed_direct,
@@ -221,35 +223,60 @@ def test_empty_chain_bracket_sl3_minimal():
     assert lp == w_bracket_direct(ctx, gens, j0, j0)
 
 
+SL4_FILE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "wbench", "data", "sl4_principal.json")
+
+
 @pytest.mark.parametrize("name", CLASSICAL + ["sl4-principal",
                                              "sl32-principal"])
-def test_pi_filter_matches_substitution(name):
+def test_pi_filter_matches_substitution(monkeypatch, name):
     """ReductionContext.symbols keeps the monomials in the chain heads
     alone, renamed to generator symbols (on W, the canonical-form
     projection pi renamed); the substitution that sends each head to its
-    symbol and every other variable to 0 is its reference, over every
-    context alphabet and over the J-alphabet of the BRST complex, whose
-    ghosts it drops too."""
-    g = helpers.algebra(name)
+    symbol and every other variable to 0 is its reference, in both flavors
+    where the algebra carries both triples, over every context alphabet
+    and over the J-alphabet of the BRST complex, whose ghosts it drops
+    too. sl4-principal is read from the benchmark's file. A second call on
+    the same polynomial unpacks no monomial."""
+    from walgebras import superpoly
+    g = load_algebra(SL4_FILE) if name == "sl4-principal" else \
+        helpers.algebra(name)
     pairs = [(ReductionContext(g), None)]
     if g.osp is not None:
         ctx = SUSYReductionContext(g)
-        pairs += [(ctx, None), (ctx, brst.BRSTComplex(ctx).jalph)]
+        cplx = brst.BRSTComplex(ctx)
+        pairs += [(ctx, None), (ctx, cplx.jalph)]
     rng = random.Random(11)
+    unpacked = []
+    renamed = superpoly._renamed
+    monkeypatch.setattr(superpoly, "_renamed",
+                        lambda *a: unpacked.append(a) or renamed(*a))
     for ctx, alph in pairs:
         alph = alph or ctx.alph
+        heads = [ctx.star_index[(j, 0)] for j in range(ctx.db.count())]
         zero = SuperPoly.zero(alph)
         line = sum((SuperPoly.variable(alph, t, n)
                     for t in range(len(alph)) for n in (0, 1)), zero)
-        polys = [line, line * line, zero, SuperPoly.one(alph)]
+        head_line = sum((SuperPoly.variable(alph, t, n)
+                         for t in heads for n in (0, 1, 2)), zero)
+        polys = [line, line * line, head_line * head_line * head_line,
+                 zero, SuperPoly.one(alph)]
         polys += [random_superpoly(alph, rng, terms=6) for _ in range(8)]
-        lost = kept = 0
+        polys += [random_superpoly(alph, rng, max_factors=4,
+                                   allowed_gens=heads, terms=6)
+                  for _ in range(4)]
+        lost = kept = first = 0
         for A in polys:
+            del unpacked[:]
             got = ctx.symbols(A, ctx.gen_alph)
+            first += len(unpacked)
             assert got == helpers.symbols_by_substitution(ctx, A, ctx.gen_alph)
             lost += len(got.terms) < len(A.terms)
             kept += bool(got)
-        assert lost >= 3 and kept >= 1
+            del unpacked[:]
+            assert ctx.symbols(A, ctx.gen_alph) == got
+            assert not unpacked
+        assert lost >= 3 and kept >= 1 and first >= 1
 
 
 @pytest.mark.parametrize("name, susy", [
@@ -262,6 +289,50 @@ def test_adaptive_solve_matches_cap_solve(name, susy):
     ctx, gens = (helpers.susy if susy else helpers.classical)(name)
     for j, w in gens.items():
         assert w.value == helpers.wide_generator_value(ctx, j), j
+
+
+def _rows(terms):
+    """The equations that solve_ansatz reads from `terms`, as a multiset
+    of (image key, k power, c power, {M: summed coefficient}): the
+    monomial that names a condition, a packed key or a tuple, is left out,
+    so two conditions that share a name show as one row."""
+    rows = {}
+    for M, (key, mono), kp, cp, gr in terms:
+        cells = rows.setdefault((key, mono, kp, cp), {})
+        cells[M] = cells.get(M, GR_ZERO) + gr
+    return Counter((key, kp, cp, frozenset(cells.items()))
+                   for (key, _mono, kp, cp), cells in rows.items())
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("sl3-minimal", "even"), ("sl4-principal", "even"), ("sl21", "even"),
+    ("osp12", "susy"), ("sl21", "susy"), ("osp12", "brst"),
+    ("sl21", "brst")])
+def test_packed_rows_match_tuple_rows(name, kind):
+    """ansatz_terms, whose conditions are keyed by packed monomial keys,
+    gives every generator solve the rows that keying them by the tuple
+    monomials of coefficients() gives (helpers.tuple_ansatz_terms)."""
+    if kind == "brst":
+        cplx, diff, gens = helpers.brst(name)
+        ansatz = [(cplx.jalph, *helpers.cohomology_ansatz(cplx, j))
+                  for j in gens]
+        image = lambda A: {0: diff.apply_J(A)}
+    else:
+        ctx, gens = (helpers.susy if kind == "susy" else
+                     helpers.classical)(name)
+        image = helpers.membership_map(ctx)
+        ansatz = []
+        for j, w in gens.items():
+            lead = ctx.star_index[(j, 0)]
+            ansatz.append((ctx.alph, lead, w.weight, ansatz_monomials(
+                ctx.alph, ctx.kept_indices, w.weight, ctx.alph.parities[lead],
+                ctx.highe_indices)))
+    for alph, lead, _weight, monos in ansatz:
+        lead_poly = SuperPoly.variable(alph, lead)
+        packed = _rows(wclassical.ansatz_terms(image, lead_poly, monos))
+        assert packed == _rows(helpers.tuple_ansatz_terms(image, lead_poly,
+                                                          monos)), lead
+        assert sum(packed.values()) > len(monos)
 
 
 def _recording_columns(monkeypatch):
@@ -281,7 +352,7 @@ def test_solve_on_a_hand_built_system(monkeypatch):
     degree 1: u' gets k^0, u'' gets k^1 and u, with fewer derivatives than
     the degree, no column. An inhomogeneous known part is inconsistent, u
     and u^2 on one condition are non-unique, and at a constant level every
-    power is 0."""
+    power is 0. A failed solve names the system's rows x columns."""
     alph = Alphabet(FLAVOR_DEL, ["u"], [0], [1])
     u, u1, u2 = ((((0, m), 1),) for m in range(3))
     one = GR_ONE
@@ -294,13 +365,16 @@ def test_solve_on_a_hand_built_system(monkeypatch):
     assert columns == [[(u1, 0), (u2, 1)]]
     mixed = [(None, "a", 0, 0, -one), (None, "a", 1, 0, -one),
              (u, "a", 0, 0, one)]
-    with pytest.raises(GeneratorError, match=r"^no test: inconsistent$"):
+    with pytest.raises(GeneratorError,
+                       match=r"^no test: inconsistent \(2 x 1 system\)$"):
         wclassical.solve_ansatz(alph, [u], mixed, "test", 0)
     uu = (((0, 0), 2),)
     free = [(None, "a", 0, 0, -one), (u, "a", 0, 0, one), (uu, "a", 0, 0, one)]
     with pytest.raises(GeneratorError) as free_error:
         wclassical.solve_ansatz(alph, [u, uu], free, "test", 0)
-    assert str(free_error.value).startswith("non-unique test: underdetermined")
+    assert str(free_error.value).startswith(
+        "non-unique test: underdetermined: free columns ")
+    assert str(free_error.value).endswith(" (1 x 2 system)")
     del columns[:]
     constant = [(None, "a", 0, 0, -2 * one), (u, "a", 0, 0, one),
                 (u1, "b", 0, 0, one)]
@@ -351,7 +425,8 @@ def test_solve_schedule_on_a_hand_built_system(monkeypatch):
                        [(u2, 0)], []]
     needs_k4 = [(None, "a", 4, 0, -one), (u, "a", 0, 0, one)]
     del columns[:]
-    with pytest.raises(GeneratorError, match=r"^no test: inconsistent$"):
+    with pytest.raises(GeneratorError,
+                       match=r"^no test: inconsistent \(2 x 1 system\)$"):
         wclassical.solve_ansatz(alph, [u], needs_k4, "test", 0)
     got = wclassical.solve_ansatz(alph, [u], needs_k4, "test", -4)
     assert got == SuperPoly(alph, {u: Scalar.term(4, 0, one)})
