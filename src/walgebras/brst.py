@@ -38,12 +38,11 @@ from .wclassical import (GeneratorError, WGenerator, membership_defects,
                          w_bracket_table)
 
 
-def _twist(alph, parities):
-    """Images of the i-twist abar -> i^{-p(a)} abar over alph, for the
-    parities p(a) of its first variables."""
-    minus_i = Scalar.rational(GRat(0, -1))
-    return {t: SuperPoly.variable(alph, t, 0, minus_i if p % 2 else None)
-            for t, p in enumerate(parities)}
+def _i_twist(parities):
+    """The i-twist abar -> i^{-p(a)} abar, for the parities p(a) of the
+    first variables, as SuperPoly.rename reads it."""
+    minus_i = GRat(0, -1)
+    return lambda var: (var, minus_i if parities[var[0]] % 2 else GR_ONE)
 
 
 class BRSTComplex:
@@ -77,7 +76,7 @@ class BRSTComplex:
                               parities, weights)
         # the building blocks J_t (building_block): s(a,beta)s(a)s(beta) is
         # -1 unless a and u_beta are both even
-        blocks = [self.jvar(t) for t in range(g.dim)]
+        blocks = [self.jvar(t) for t in range(len(self.alph))]
         for beta, b in enumerate(self.n_idx):
             phibar = SuperPoly.variable(self.alph, self.phibar_index(beta))
             for t in range(g.dim):
@@ -85,17 +84,13 @@ class BRSTComplex:
                 if term:
                     odd = g.parities[t] or g.parities[b]
                     blocks[t] = blocks[t] + term if odd else blocks[t] - term
-        # j_t -> J_t and back, and the twist abar -> i^{-p(a)} J_abar; the
-        # ghosts map to themselves, and j_t maps to J_t + (j_t - J_t)
-        self._twist_images = _twist(self.jalph, g.parities)
+        # j_t -> J_t and back; the ghosts map to themselves, and j_t maps
+        # to J_t + (j_t - J_t), whose ghost terms a rename carries over
         self._from_J_images = dict(enumerate(blocks))
         self._to_J_images = {
-            t: SuperPoly(self.jalph, {**SuperPoly.variable(self.jalph, t).terms,
-                                      **(self.jvar(t) - J).terms})
+            t: SuperPoly.variable(self.jalph, t) + (self.jvar(t) - J).rename(
+                lambda v: (v, GR_ONE), self.jalph, {})
             for t, J in enumerate(blocks)}
-        for t in range(g.dim, len(self.alph)):
-            self._from_J_images[t] = SuperPoly.variable(self.alph, t)
-            self._to_J_images[t] = SuperPoly.variable(self.jalph, t)
 
     # -- variable helpers ------------------------------------------------
     def jvar(self, t):
@@ -294,8 +289,8 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
 def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
     """Reduction-side polynomial (bar variables over g_{<=0}) mapped to the
     J-coordinates of the complex: abar -> i^{-p(a)} J_abar (the i^a twist
-    of the equivalence theorem)."""
-    return poly.substitute(cplx._twist_images, cplx.jalph)
+    of the equivalence theorem), one SuperPoly.rename."""
+    return poly.rename(_i_twist(cplx.ctx.gstar.parities), cplx.jalph, {})
 
 
 def check_thm_5_9(g, k=None):
@@ -349,7 +344,7 @@ def compare_brst_reduction(ctx, taus, red_table):
     # bracket tables after the symbol twist
     brst_table = brst_bracket_table(cplx, diff, dict(enumerate(Es)))
     galph = brst_table.alphabet
-    sym_images = _twist(galph, ctx.gen_parities)
+    twist, memos = _i_twist(ctx.gen_parities), {}
     n = ctx.db.count()
     for a in range(n):
         for b in range(n):
@@ -357,7 +352,7 @@ def compare_brst_reduction(ctx, taus, red_table):
             pref = Scalar.one()
             for _ in range(ctx.gen_parities[a] + ctx.gen_parities[b]):
                 pref = pref * i_unit
-            twisted = ChiPoly(galph, {p: poly.substitute(sym_images, galph)
+            twisted = ChiPoly(galph, {p: poly.rename(twist, galph, memos)
                                           .scalar_mul(pref)
                                       for p, poly in red.coeffs.items()})
             if twisted != brst_table.entry(a, b):

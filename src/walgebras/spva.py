@@ -13,12 +13,13 @@ them.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from .pva import (BracketTable, Indeterminate, LambdaPoly, _operator,
                   _oracle, affine_table, jacobi_defect, leibniz_defects,
                   sesquilinearity_defects, skew_defect)
-from .scalars import rat
+from .scalars import GR_ONE, rat
 from .superpoly import FLAVOR_DEL, Alphabet, SuperPoly
 
 
@@ -125,45 +126,38 @@ def doubled_alphabet(alph):
                     None if alph.weights is None else weights)
 
 
-def to_doubled(poly: SuperPoly, target) -> SuperPoly:
-    """Rewrite a D-flavored polynomial over generators {u, Du} with del=D^2."""
-    out = SuperPoly.zero(target)
-    for mono, kp, cp, gr in poly.coefficients():
-        term = SuperPoly.from_coefficients(target, [((), kp, cp, gr)])
-        for (i, m), e in mono:
-            img = SuperPoly.variable(target, 2 * i + (m % 2), m // 2)
-            for _ in range(e):
-                term = term * img
-        out = out + term
-    return out
+def _doubled(var):
+    """D^m u_i -> del^(m // 2) of u_i (m even) or of Du_i (m odd)."""
+    i, m = var
+    return (2 * i + m % 2, m // 2), GR_ONE
 
 
-def reduce_chipoly(cp: ChiPoly, target):
-    """Odd chi-powers with the (-1)^n twist, as a LambdaPoly over target."""
+def reduce_chipoly(cp: ChiPoly, target, memos):
+    """Odd chi-powers with the (-1)^n twist, as a LambdaPoly over target,
+    each coefficient doubled by a SuperPoly.rename with the caller's memos."""
     out = {}
     for p, poly in cp.coeffs.items():
         if p % 2:
             n = (p - 1) // 2
-            q = to_doubled(poly, target)
+            q = poly.rename(_doubled, target, memos)
             out[n] = -q if n % 2 else q
     return LambdaPoly(target, out)
 
 
 def reduce_to_pva(table: SUSYBracketTable):
-    """Lambda-bracket table over the doubled generator set {u_i, Du_i}."""
+    """Lambda-bracket table over the doubled generator set {u_i, Du_i}
+    (Prop 4.3), through one rename memo for the whole table."""
     alph = table.alphabet
     target = doubled_alphabet(alph)
-    entries = {}
-    for i in range(len(alph)):
-        for j in range(len(alph)):
-            for e1 in (0, 1):
-                for e2 in (0, 1):
-                    cp = table.entry(i, j)
-                    if e1:
-                        cp = cp.shift()
-                    if e2:
-                        cp = cp.apply_plus_d()
-                        if (alph.parities[i] + e1) % 2 == 0:
-                            cp = -cp
-                    entries[2 * i + e1, 2 * j + e2] = reduce_chipoly(cp, target)
+    memos, entries = {}, {}
+    n = len(alph)
+    for i, j, e1, e2 in product(range(n), range(n), (0, 1), (0, 1)):
+        cp = table.entry(i, j)
+        if e1:
+            cp = cp.shift()
+        if e2:
+            cp = cp.apply_plus_d()
+            if (alph.parities[i] + e1) % 2 == 0:
+                cp = -cp
+        entries[2 * i + e1, 2 * j + e2] = reduce_chipoly(cp, target, memos)
     return BracketTable(target, entries)

@@ -80,12 +80,12 @@ runs on that dict, and only this module reads the key.
   each monomial, which the generator solve uses only to group its
   equations, so that no tuple is built for them), ``degree_part`` (the
   terms of a given degree in some generators, kept by their keys) and
-  ``rename`` (generators to generators of another alphabet, others to
-  0; the W-bracket rewrite). ``rename`` maps each slot once to its image
-  slot and each monomial once to its image key, and takes its Koszul
-  sign from the variable order of the two alphabets, never from the slot
-  order; the caller keeps its memo per pair of alphabet values, and the
-  memo holds both registries, so its keys keep their meaning.
+  ``rename``, the one map that sends each variable to a multiple of a
+  variable, to a constant or to 0 (rho, the generator symbols, the
+  i-twists, the doubling, the BRST J-images). It maps each monomial once,
+  through the caller's memo per map and pair of alphabet values (the
+  memo holds both registries, so its keys keep their meaning), and takes
+  its Koszul sign from variable order, never from slot order.
 - Overflow. A power of a variable, of k or of c past 127 raises
   ExponentOverflowError (an engine error); it never wraps.
 - Thread safety. The registry gives out a slot under a lock and publishes
@@ -423,41 +423,30 @@ def _remember(memo, m, value):
     return value
 
 
-def _renamed(alph, heads, target, slots, m):
-    """(key over target, sign) of the monomial m (a key shifted right by
-    _VAR_SHIFT) renamed by heads (see SuperPoly.rename); (0, 0) when a
-    factor's generator is not in heads. slots maps the unit of a variable
-    of alph to its image, (its unit over target, the image variable when
-    it is odd, else None), or to (0, None) when it is dropped; it is filled
-    here on first use. The factors of both canonical monomials follow the
-    variable order of their alphabet, so the sign counts the pairs of odd
-    factors that the renaming puts in the other order; slot order plays no
-    part."""
-    key = 0
-    odd = []   # the images of the odd factors, in variable order over alph
-    for v, e, u in _factors(alph._layout.vars, m):
-        image = slots.get(u)
-        if image is None:
-            j = heads.get(v[0])
-            if j is None:
-                image = 0, None
-            else:
-                w = j, v[1]
-                p = alph.var_parity(v)
-                if p != target.var_parity(w) or \
-                        alph.deriv_parity != target.deriv_parity:
-                    raise FlavorError("parity mismatch for generator %s"
-                                      % alph.names[v[0]])
-                image = _unit(target, w), (w if p else None)
-            slots[u] = image
-        unit, w = image
-        if not unit:
+def _renamed(alph, image, target, m):
+    """(key over target, factor) of the monomial m (a key shifted right by
+    _VAR_SHIFT) under image (see SuperPoly.rename): factor 0 when m goes
+    to 0, an int when it is one, else the fields (a, b, d) of (a + b i)/d.
+    Its sign counts the pairs of odd factors put out of variable order."""
+    key, factor, odd = 0, GR_ONE, []
+    for v, e, _u in _factors(alph._layout.vars, m):
+        w, f = image(v) or (None, 0)
+        if not f:
             return 0, 0
-        key += e * unit
+        p = alph.var_parity(v)
+        if p != (w is not None and target.var_parity(w)):
+            raise FlavorError("parity mismatch for generator %s"
+                              % alph.names[v[0]])
         if w is not None:
-            odd.append(w)
-    crossings = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
-    return key, -1 if crossings & 1 else 1
+            key += e * _unit(target, w)
+            if p:
+                odd.append(w)
+        for _ in range(e):
+            factor = factor * f
+    if sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:]) & 1:
+        factor = -factor
+    return key, (factor.a, factor.b, factor.d) if factor.b or factor.d != 1 \
+        else factor.a
 
 
 def _poly(alph, flat, den=1) -> "SuperPoly":
@@ -543,6 +532,15 @@ def _add_flat(out, flat, n=1):
                 out[key] = s
             else:
                 del out[key]
+
+
+def _add(out, key, n):
+    """out[key] += n in place, keeping no zero values."""
+    n += out.get(key, 0)
+    if n:
+        out[key] = n
+    else:
+        out.pop(key, None)
 
 
 def _mul_flat(out, flat1, flat2, layout, n=1):
@@ -645,12 +643,8 @@ class SuperPoly:
         return _poly(alph, {0: 1})
 
     @staticmethod
-    def variable(alph, gen, order=0, coeff=None) -> "SuperPoly":
-        u = _unit(alph, (gen, order))
-        if coeff is None:
-            return _poly(alph, {u: 1})
-        return _poly(alph, *_ints([(u + _powers(kp, cp), g)
-                                   for (kp, cp), g in coeff.terms.items() if g]))
+    def variable(alph, gen, order=0) -> "SuperPoly":
+        return _poly(alph, {_unit(alph, (gen, order)): 1})
 
     @staticmethod
     def linear(alph, coeffs) -> "SuperPoly":
@@ -899,7 +893,7 @@ class SuperPoly:
 
         images maps every generator index that occurs to a SuperPoly over
         the target alphabet; u^(m) goes to the m-th derivative of the image.
-        Parity mismatches raise FlavorError.
+        Any nonzero image not of its generator's parity raises FlavorError.
         """
         derivs = {}   # generator -> [its image, the image's derivative, ...]
 
@@ -908,8 +902,7 @@ class SuperPoly:
             chain = derivs.get(gen)
             if chain is None:
                 base = images[gen]
-                bp = base.parity()
-                if base and bp is not None and bp != self.alphabet.parities[gen]:
+                if base and base.parity() != self.alphabet.parities[gen]:
                     raise FlavorError("parity mismatch for generator %s"
                                       % self.alphabet.names[gen])
                 chain = derivs[gen] = [base]
@@ -941,33 +934,48 @@ class SuperPoly:
                 _add_flat(out[0], term, _align(out, den))
         return _poly(target, *out)
 
-    def rename(self, heads, target, memos) -> "SuperPoly":
-        """The substitution that sends generator t to generator heads[t] of
-        target and every generator not in heads to 0 (u^(m) to the m-th
-        derivative of its image, a variable), on packed keys. heads maps
-        distinct generators to distinct ones of the same parity over an
-        alphabet of the same flavor. memos is the caller's dict, kept
-        across calls with the same heads: per pair of alphabet values it
-        maps each variable's slot to its image's slot, and each source
-        monomial to its key over target and its Koszul sign (0 when it is
-        dropped), so a monomial is unpacked only the first time."""
+    def rename(self, image, target, memos) -> "SuperPoly":
+        """The algebra map into target that sends each variable v as
+        image(v) says: None (to 0), (w, f) (to f times the variable w of
+        target) or (None, c) (to the constant c), for GRats f and c (a zero
+        one sends v to 0). Distinct variables must go to distinct ones; a
+        parity mismatch (an odd v sent to a nonzero c too) raises
+        FlavorError. Monomials may meet (rho sends q*u and q to q for a
+        killed u of constant 1), so terms add up. memos is the caller's
+        dict for this image: per pair of alphabet values it keeps each
+        monomial's key over target and its factor (Koszul sign times
+        factors), so a monomial is unpacked once. An int factor multiplies
+        the numerators alone; the others go over the lcm of denominators."""
         alph = self.alphabet
         layouts = alph._layout, target._layout
-        memo = memos.get(layouts)
-        if memo is None:
-            # the key holds both layouts, so their slots outlive the memo
-            memo = memos[layouts] = {}, {}
-        monos, slots = memo
+        monos = memos.get(layouts)
+        if monos is None:   # its key holds both registries
+            monos = memos[layouts] = {}
         out = {}
+        rest = []   # (key over target, numerator, (a, b, d)) of the others
         for key, n in self._flat.items():
             m = key >> _VAR_SHIFT
             found = monos.get(m)
             if found is None:
-                found = monos[m] = _renamed(alph, heads, target, slots, m)
-            to, sign = found
-            if sign:
-                out[to | (key & _POWERS_MASK)] = n if sign > 0 else -n
-        return _poly(target, out, self._den)
+                found = monos[m] = _renamed(alph, image, target, m)
+            to, f = found
+            if f.__class__ is not int:
+                rest.append((to | (key & _POWERS_MASK), n, f))
+            elif f:
+                to |= key & _POWERS_MASK
+                if to in out:   # two monomials meet
+                    _add(out, to, n * f)
+                else:
+                    out[to] = n * f
+        scale = lcm(*[f[2] for _to, _n, f in rest])
+        if scale != 1:
+            out = {to: n * scale for to, n in out.items()}
+        for to, n, (a, b, d) in rest:
+            n *= scale // d
+            _add(out, to, n * a)
+            i_key = to ^ _I   # n b i times i^e is -n b at e = 1
+            _add(out, i_key, n * b if i_key & _I else -n * b)
+        return _poly(target, out, self._den * scale)
 
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:

@@ -130,14 +130,9 @@ class ReductionContext:
                               if n >= 1 and not fl.killed(grads[t])]
         # rho: x -> pi_kept(x) + (F|x), variable-diagonal in this basis
         nilpotent = getattr(self.triple, fl.nilpotent)
-        self._rho_images = {}
-        for t, (j, n) in enumerate(members):
-            if fl.killed(grads[t]):
-                c = g.form_value(nilpotent, db.chain_lower[j][n])
-                self._rho_images[t] = SuperPoly.from_coefficients(
-                    self.alph, [((), 0, 0, c)])
-            else:
-                self._rho_images[t] = SuperPoly.variable(self.alph, t)
+        self._killed = {t: g.form_value(nilpotent, db.chain_lower[j][n])
+                        for t, (j, n) in enumerate(members)
+                        if fl.killed(grads[t])}
         # q_j is labelled by the basis vector it is, if it is one
         self.gen_labels = labels = [
             g.names[q[0][0]] if len(q) == 1 and q[0][1] == GR_ONE
@@ -150,7 +145,7 @@ class ReductionContext:
         self.alph_in = _alphabet(fl, g.names, g.parities, g.gradings)
         self._chain_constants = {}   # filled by chain_constants
         self._heads = {self.star_index[(j, 0)]: j for j in range(db.count())}
-        self._renames = {}   # the memos of symbols, filled on first use
+        self._rho_memos, self._symbol_memos = {}, {}   # rename memos
 
     # -- maps ------------------------------------------------------------
     def bracket(self, a: SuperPoly, b: SuperPoly):
@@ -174,7 +169,13 @@ class ReductionContext:
             for key, value in self.table.entries.items()})
 
     def rho(self, poly: SuperPoly) -> SuperPoly:
-        return poly.substitute(self._rho_images, self.alph)
+        """Each kept variable to itself, each killed one u to its constant
+        (F|u), resp. (f|u), and its derivatives to 0: a SuperPoly.rename."""
+        return poly.rename(self._rho_of, self.alph, self._rho_memos)
+
+    def _rho_of(self, var):
+        c = self._killed.get(var[0])
+        return (var, GR_ONE) if c is None else None if var[1] else (None, c)
 
     def rho_bracket(self, value):
         """rho applied to every coefficient of a bracket value."""
@@ -187,11 +188,13 @@ class ReductionContext:
         alphabet that shares its indices (the BRST J-alphabet). A kept
         variable that is not a head is an [E, g_{<=-1/2}] one, which the
         canonical-form projection pi kills; so on W this is pi, renamed.
+        A SuperPoly.rename, whose memo the context keeps, so a monomial
+        seen before is not unpacked again."""
+        return poly.rename(self._symbol_of, gen_alph, self._symbol_memos)
 
-        A rename on packed keys (SuperPoly.rename): the context keeps, per
-        source and target alphabet value, each monomial's image key and
-        Koszul sign, so a monomial seen before is not unpacked again."""
-        return poly.rename(self._heads, gen_alph, self._renames)
+    def _symbol_of(self, var):
+        j = self._heads.get(var[0])
+        return None if j is None else ((j, var[1]), GR_ONE)
 
     def to_input(self, poly: SuperPoly) -> SuperPoly:
         """Express a chain-coordinate polynomial over the input basis."""

@@ -1144,6 +1144,60 @@ def symbols_by_substitution(ctx, poly, gen_alph):
     return poly.substitute(images, gen_alph)
 
 
+def rho_by_substitution(ctx, poly):
+    """ReductionContext.rho as the substitution that sends each kept
+    variable to itself and each killed one to its constant (F|x), resp.
+    (f|x), built as one SuperPoly image per generator."""
+    fl, g, db = ctx.flavor, ctx.g, ctx.db
+    grads = ctx.gstar.gradings
+    nilpotent = getattr(ctx.triple, fl.nilpotent)
+    images = {}
+    for t, (j, n) in enumerate(ctx.members):
+        if fl.killed(grads[t]):
+            c = g.form_value(nilpotent, db.chain_lower[j][n])
+            images[t] = SuperPoly.from_coefficients(
+                ctx.alph, [((), 0, 0, c)])
+        else:
+            images[t] = SuperPoly.variable(ctx.alph, t)
+    return poly.substitute(images, ctx.alph)
+
+
+def twist_by_substitution(poly, alph, parities):
+    """The i-twist abar -> i^{-p(a)} abar into alph, for the parities p(a)
+    of its first variables, as the substitution of one SuperPoly image per
+    generator (brst.twist_to_J into the J-alphabet, and the symbol twist
+    of compare_brst_reduction)."""
+    minus_i = Scalar.rational(GRat(0, -1))
+    images = {t: SuperPoly.variable(alph, t).scalar_mul(minus_i) if p % 2
+              else SuperPoly.variable(alph, t)
+              for t, p in enumerate(parities)}
+    return poly.substitute(images, alph)
+
+
+def to_J_image_by_terms(cplx, t):
+    """The J-coordinate image of j_t, J_t + (j_t - J_t), by merging the
+    tuple terms of J_t over the J-alphabet with those of j_t - J_t (the
+    ghost terms, whose indices the two alphabets share)."""
+    J = cplx.building_block(t)
+    return SuperPoly(cplx.jalph, {**SuperPoly.variable(cplx.jalph, t).terms,
+                                  **(cplx.jvar(t) - J).terms})
+
+
+def doubled_by_walk(poly, target):
+    """A D-flavored polynomial over generators {u, Du} with del = D^2, term
+    by term: D^m u_i goes to del^(m // 2) of u_i or of Du_i, and each term
+    is rebuilt from its coefficient and multiplied out over target."""
+    out = SuperPoly.zero(target)
+    for mono, kp, cp, gr in poly.coefficients():
+        term = SuperPoly.from_coefficients(target, [((), kp, cp, gr)])
+        for (i, m), e in mono:
+            img = SuperPoly.variable(target, 2 * i + (m % 2), m // 2)
+            for _ in range(e):
+                term = term * img
+        out = out + term
+    return out
+
+
 def sharp_poly(ctx, vec):
     """g^F projection of an algebra vector, as a degree-1 polynomial in the
     chain coordinates of ctx."""

@@ -175,7 +175,8 @@ def test_d_action_displays():
     for al, a in enumerate(cplx.n_idx):
         got = diff.d_chi(phi(al))
         pa = gstar.parities[a]
-        expect = SuperPoly.variable(cplx.alph, a, 0, Scalar.rational(-sgnp(pa)))
+        expect = SuperPoly.variable(cplx.alph, a).scalar_mul(
+            Scalar.rational(-sgnp(pa)))
         expect = expect - SuperPoly.const(
             alph, c.scale(gstar.form_value(fstar, helpers.unit(a))))
         for bt, b in enumerate(cplx.n_idx):

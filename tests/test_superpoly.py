@@ -300,6 +300,17 @@ def test_substitution_homomorphism():
                                SUS)
 
 
+def test_substitution_rejects_mixed_parity_image():
+    """An image of mixed parity is of neither parity: over x (even) and
+    y, z (odd), y -> x + z once made (y*z) -> x*z with no complaint. The
+    error names the generator; a zero image of an odd generator stays."""
+    alph = Alphabet(FLAVOR_DEL, ["x", "y", "z"], [0, 1, 1])
+    x, y, z = var(alph, 0), var(alph, 1), var(alph, 2)
+    with pytest.raises(FlavorError, match="generator y$"):
+        (y * z).substitute({1: x + z, 2: z}, alph)
+    assert not (y * z).substitute({1: SuperPoly.zero(alph), 2: z}, alph)
+
+
 def test_substitution_respects_derivation():
     rng = random.Random(3)
     imgs = {0: var(SUS, 2), 1: var(SUS, 1) + var(SUS, 0) * var(SUS, 2),
@@ -405,6 +416,13 @@ def test_degree_part_matches_tuple_filter():
                             == degree))
 
 
+def heads_image(heads):
+    """The rename image that sends generator t to generator heads[t] (each
+    derivative to the same derivative) and every other variable to 0."""
+    one = GRat(1)
+    return lambda v: ((heads[v[0]], v[1]), one) if v[0] in heads else None
+
+
 def test_rename_sign_follows_variable_order(monkeypatch):
     """A rename whose generator order differs from the heads' order: x
     and y (odd) go to w1 and w0, so x*y turns into -w0*w1, an even b^2
@@ -421,11 +439,11 @@ def test_rename_sign_follows_variable_order(monkeypatch):
         # first use: y, b, x over src; w2, w1, w0 over tgt
         y, b, x, a = (var(src, 2, yo), var(src, 3), var(src, 1), var(src, 0))
         w2, w1, w0 = var(tgt, 2), var(tgt, 1), var(tgt, 0, yo)
-        heads = {1: 1, 2: 0, 3: 2}
+        image = heads_image({1: 1, 2: 0, 3: 2})
         two = Scalar.rational(2)
         poly = x * y + (b * b).scalar_mul(two) + a * x + y * b * x
         memos = {}
-        got = poly.rename(heads, tgt, memos)
+        got = poly.rename(image, tgt, memos)
         odd_pair = (((0, yo), 1), ((1, 0), 1))   # w0^(yo) w1, canonical
         assert got == SuperPoly(tgt, {
             odd_pair: -Scalar.one(), (((2, 0), 2),): two,
@@ -438,10 +456,87 @@ def test_rename_sign_follows_variable_order(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(superpoly, "_renamed",
                           lambda *a: unpacked.append(a) or renamed(*a))
-            assert poly.rename(heads, tgt, memos) == got
+            assert poly.rename(image, tgt, memos) == got
         assert not unpacked
         with pytest.raises(FlavorError):
-            x.rename({1: 2}, tgt, {})
+            x.rename(heads_image({1: 2}), tgt, {})
+
+
+def test_rename_factors_constants_and_cancellation():
+    """rename with factors and constant images, against substitute: rho
+    sends q*u and q to q for a killed u of constant 1, so q*u - q goes to
+    0, and with a constant c, q*u - c*q does too (c = 2 on the int path;
+    1/2, i and (1 - i)/3 on the path over the lcm of the denominators,
+    where i*i folds to -1). u' goes to 0 as the derivative of a constant,
+    an odd variable with a nonzero constant raises FlavorError, and with
+    the constant 0 it goes to 0."""
+    alph = Alphabet(FLAVOR_DEL, ["rc_q", "rc_u", "rc_x"], [0, 0, 1])
+    q, u, x = var(alph, 0), var(alph, 1), var(alph, 2)
+    i = Scalar.rational(GRat(0, 1))
+    for c in (GRat(1), GRat(2), GRat(1, 2), GRat(0, 1), GRat(1, -1) / 3):
+        def image(v, c=c):
+            if v[0] != 1:
+                return v, GRat(1)
+            return None if v[1] else (None, c)
+        memos = {}
+        scalar = Scalar.rational(c)
+        assert (q * u - q.scalar_mul(scalar)).rename(image, alph, memos) == \
+            SuperPoly.zero(alph)
+        poly = (q * u * u * x).scalar_mul(i) + u.deriv() * q + x + u
+        got = poly.rename(image, alph, memos)
+        assert got == poly.substitute(
+            {0: q, 1: SuperPoly.const(alph, scalar), 2: x}, alph)
+        assert got == (q * x).scalar_mul(i * scalar * scalar) + x + \
+            SuperPoly.const(alph, scalar)
+    with pytest.raises(FlavorError):
+        x.rename(lambda v: (None, GRat(1)), alph, {})
+    assert not (x * q).rename(lambda v: (None, GRat(0)) if v[0] == 2
+                              else (v, GRat(1)), alph, {})
+
+
+def test_rename_twist_factors():
+    """A twist x -> -i x on the odd generators, y -> y on the even ones,
+    on random polynomials with Gaussian coefficients, against the
+    substitution of the same images."""
+    rng = random.Random(9)
+    minus_i = GRat(0, -1)
+    for alph in (AFF, SUS):
+        images = {t: var(alph, t).scalar_mul(Scalar.rational(minus_i)) if p
+                  else var(alph, t) for t, p in enumerate(alph.parities)}
+        memos = {}
+        for _ in range(20):
+            p = random_superpoly(alph, rng, terms=5).scalar_mul(
+                Scalar.rational(GRat(1, 2) - minus_i))
+            assert p.rename(lambda v: (v, minus_i if alph.parities[v[0]]
+                                       else GRat(1)), alph, memos) == \
+                p.substitute(images, alph)
+
+
+def test_rename_ignores_slot_order():
+    """The same polynomial over two copies of one alphabet, whose variables
+    were first used in opposite orders, renamed into two copies of one
+    target whose variables were too, gives the same coefficients: the
+    sign and the factors follow variable order alone."""
+    for flavor in (FLAVOR_DEL, FLAVOR_D):
+        got = []
+        for tag, order in (("so1", 1), ("so2", -1)):
+            src = Alphabet(flavor, [tag + n for n in "abcd"], [1, 1, 0, 1])
+            tgt = Alphabet(flavor, [tag + n for n in "wxyz"], [0, 1, 1, 1])
+            for alph in (src, tgt):
+                for t in range(4)[::order]:
+                    for m in range(3)[::order]:
+                        var(alph, t, m)
+            image = {0: (1, GRat(0, 1)), 1: (3, GRat(-2)), 3: (2, GRat(1, 3))}
+            image_of = lambda v: None if v[0] == 2 and v[1] else (
+                (None, GRat(5)) if v[0] == 2 else
+                ((image[v[0]][0], v[1]), image[v[0]][1]))
+            rng = random.Random(4)
+            polys = [random_superpoly(src, rng, max_factors=4, terms=6)
+                     for _ in range(10)]
+            got.append([sorted(p.rename(image_of, tgt, {}).coefficients())
+                         for p in polys])
+        assert got[0] == got[1]
+        assert any(got[0])
 
 
 def test_render_deterministic_and_obj_roundtrip():

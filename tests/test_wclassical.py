@@ -15,6 +15,7 @@ from walgebras.liealg import (HALF, AlgebraError, LieSuperalgebra,
 from walgebras.pva import (BracketTable, LambdaPoly, check_jacobi, check_skew,
                            master_bracket)
 from walgebras.scalars import GR_ONE, GR_ZERO, Scalar, solve_linear
+from walgebras.spva import ChiPoly, doubled_alphabet, reduce_chipoly
 from walgebras.superpoly import FLAVOR_DEL, Alphabet, SuperPoly, random_superpoly
 from walgebras.wclassical import (GeneratorError, ReductionContext,
                                   ansatz_monomials, compare_closed_direct,
@@ -277,6 +278,74 @@ def test_pi_filter_matches_substitution(monkeypatch, name):
             assert ctx.symbols(A, ctx.gen_alph) == got
             assert not unpacked
         assert lost >= 3 and kept >= 1 and first >= 1
+
+
+@pytest.mark.parametrize("name", CLASSICAL + ["sl4-principal",
+                                             "sl32-principal"])
+def test_variable_maps_match_substitution(name):
+    """rho, the i-twist into the BRST J-alphabet (twist_to_J), the symbol
+    twist of compare_brst_reduction, the J-images of the complex and the
+    Prop 4.3 doubling are each one SuperPoly.rename; their references are
+    the substitutions of one SuperPoly image per generator (and the merge
+    of tuple terms, and the walk over coefficients()) in helpers. Seeded
+    random polynomials in every variable, and in the killed ones (orders
+    0 to 3) with two kept ones, over every context alphabet in both
+    flavors where the algebra carries both triples; the doubling also on
+    every entry of the SUSY affine table."""
+    g = load_algebra(SL4_FILE) if name == "sl4-principal" else \
+        helpers.algebra(name)
+    rng = random.Random(23)
+    contexts = [ReductionContext(g)]
+    if g.osp is not None:
+        contexts.append(SUSYReductionContext(g))
+    for ctx in contexts:
+        alph = ctx.alph
+        grads = ctx.gstar.gradings
+        killed = [t for t in range(len(alph)) if ctx.flavor.killed(grads[t])]
+        kept = [t for t in range(len(alph)) if t not in killed]
+        assert killed and kept
+        q = SuperPoly.variable(alph, kept[0])
+        polys = [random_superpoly(alph, rng, max_order=3, terms=6)
+                 for _ in range(8)]
+        polys += [random_superpoly(alph, rng, max_factors=4, max_order=3,
+                                   allowed_gens=killed + kept[:2], terms=6)
+                  for _ in range(6)]
+        polys += [q * SuperPoly.variable(alph, t, m) + SuperPoly.variable(
+            alph, t, m) for t in killed for m in (0, 1)]
+        for A in polys:
+            assert ctx.rho(A) == helpers.rho_by_substitution(ctx, A)
+        if not ctx.flavor.bar:
+            continue
+        cplx = brst.BRSTComplex(ctx)
+        for A in polys:
+            assert brst.twist_to_J(cplx, A) == helpers.twist_by_substitution(
+                A, cplx.jalph, ctx.gstar.parities)
+        for t in range(ctx.gstar.dim):
+            assert cplx.to_J(cplx.jvar(t)) == \
+                helpers.to_J_image_by_terms(cplx, t)
+        galph = ctx.gen_alph
+        twist, memos = brst._i_twist(ctx.gen_parities), {}
+        for _ in range(8):
+            A = random_superpoly(galph, rng, max_factors=4, max_order=3,
+                                 terms=6)
+            assert A.rename(twist, galph, memos) == \
+                helpers.twist_by_substitution(A, galph, ctx.gen_parities)
+        memos = {}
+        for alph in (ctx.alph, galph):
+            target = doubled_alphabet(alph)
+            for _ in range(6):
+                A = random_superpoly(alph, rng, max_factors=4, max_order=5,
+                                     terms=6)
+                assert reduce_chipoly(ChiPoly(alph, {1: A, 3: A}), target,
+                                      memos) == \
+                    LambdaPoly(target, {0: helpers.doubled_by_walk(A, target),
+                                        1: -helpers.doubled_by_walk(A, target)})
+        target = doubled_alphabet(ctx.alph)
+        for cp in ctx.table.entries.values():
+            assert reduce_chipoly(cp, target, memos) == LambdaPoly(target, {
+                (p - 1) // 2: helpers.doubled_by_walk(v, target).scale(
+                    -1 if p % 4 == 3 else 1)
+                for p, v in cp.coeffs.items() if p % 2})
 
 
 @pytest.mark.parametrize("name, susy", [
