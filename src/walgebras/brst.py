@@ -283,7 +283,9 @@ def brst_bracket_table(cplx: BRSTComplex, diff: BRSTDifferential,
         return sym
 
     return bracket_table(list(values.values()), cplx.jtable, gen_alph,
-                         reduced, susy_master_bracket)
+                         lambda v: ChiPoly(gen_alph, {
+                             n: reduced(p) for n, p in v.coeffs.items()}),
+                         susy_master_bracket)
 
 
 def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
@@ -296,18 +298,22 @@ def twist_to_J(cplx: BRSTComplex, poly: SuperPoly) -> SuperPoly:
 def check_thm_5_9(g, k=None):
     """Equivalence of the reduction and BRST(c = i) constructions for the
     algebra g at level k (symbolic when None); see compare_brst_reduction,
-    to which it passes a new SUSY context, its generator solve and its W
-    bracket table. Returns a report list (empty = verified)."""
+    to which it passes the complex over a new SUSY context, the context's
+    generator solve and its W bracket table. Returns a report list (empty =
+    verified)."""
     ctx = SUSYReductionContext(g, k=k)
     taus = {w.index: w for w in solve_all_generators(ctx)}
-    return compare_brst_reduction(ctx, taus, w_bracket_table(ctx, taus))
+    return compare_brst_reduction(BRSTComplex(ctx), taus,
+                                  w_bracket_table(ctx, taus))
 
 
-def compare_brst_reduction(ctx, taus, red_table):
+def compare_brst_reduction(cplx: BRSTComplex, taus, red_table):
     """Equivalence of the reduction and BRST(c = i) constructions.
 
-    ctx is a SUSY reduction context, taus its generators {j: WGenerator}
-    and red_table their W bracket table. Verifies, generator by generator:
+    cplx is the complex over a SUSY reduction context ctx (cplx.ctx), which
+    a caller may share with other checks (walg verify builds one per run),
+    taus the context's generators {j: WGenerator} and red_table their W
+    bracket table. Verifies, generator by generator:
     d-closure of the twisted reduction generators, equality with the
     canonical cohomology generators, and membership in W of each generator
     whose image is d-closed; then equality of the two bracket tables after
@@ -320,7 +326,7 @@ def compare_brst_reduction(ctx, taus, red_table):
     nonzero chi^m coefficients of rho{n chi tau}, which are reported.
     """
     report = []
-    cplx = BRSTComplex(ctx)
+    ctx = cplx.ctx
     diff = build_d(cplx, Scalar.imag())
     if diff.verify():
         report.append("BRST differential fails d^2 = 0")

@@ -219,7 +219,8 @@ def cmd_brst_table(args):
 
 def _suite_results(args, g, names):
     """Run the named suites; every suite of one run reads the same context,
-    generator solve and W table of each flavor, each built on first use."""
+    generator solve and W table of each flavor, and the same BRST complex,
+    each built on first use."""
     k = _parse_k(args.k)
 
     @functools.cache
@@ -233,6 +234,10 @@ def _suite_results(args, g, names):
     @functools.cache
     def table(flavor):
         return w_bracket_table(context(flavor), gens(flavor))
+
+    @functools.cache
+    def brst_complex():
+        return BRSTComplex(context(SUSY))
 
     flavors = [EVEN] + ([SUSY] if g.osp is not None else [])
     results = {}
@@ -258,10 +263,9 @@ def _suite_results(args, g, names):
                              compare_closed_direct(context(flavor),
                                                    gens(flavor), table(flavor))]
         elif name == "d-squared":
-            cplx = BRSTComplex(context(SUSY))
-            results[name] = build_d(cplx, Scalar.c()).verify()
+            results[name] = build_d(brst_complex(), Scalar.c()).verify()
         elif name == "thm-5-9":
-            results[name] = compare_brst_reduction(context(SUSY), gens(SUSY),
+            results[name] = compare_brst_reduction(brst_complex(), gens(SUSY),
                                                    table(SUSY))
         elif name == "prop-4-3":
             bad = []

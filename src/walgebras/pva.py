@@ -20,18 +20,37 @@ its evaluator one operator for every left argument that it brackets more
 than once, and drops it when it returns (see LeftBracket); the Jacobi
 check folds the parity parts of its first argument (see jacobi_defect).
 This module holds the lambda record and names; spva holds chi.
+
+Packed values. A bracket value is stored as a SuperPoly is: one flat dict
+of integer numerators over one denominator, the power n of x in each key's
+x field (see superpoly), and its content cancelled once, when the value is
+built. Every step of the master formula runs on whole values: one product
+multiplies a partial by all of (x+d)^n B, one pass over the dict applies
+x + d, and the sums go into one running sum per value. The chi signs come
+from the x field's low bit, an odd bit over a D alphabet: (-1)^{pqn} of a
+polynomial passing chi^n from the Koszul sign of the product, (-1)^n of
+(chi + D) from the pass. The Jacobi defect keeps x^i y^j f_ij the same way,
+j in the y field. A power of x or y past 127 raises ExponentOverflowError.
+`coeffs` is a read-only view {n: SuperPoly} built on first read, for
+rendering, serialization and the readers that take a value apart; copies
+and pickles go through it, as slots are given per process.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 
 from .scalars import Scalar, join_signed
-from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, SuperPoly,
-                        accumulate_product, random_superpoly)
-from .superpoly import accumulate as _acc, accumulated as _built
+from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, FlavorError,
+                        SuperPoly, random_superpoly)
+from .superpoly import (_MAX_EXP, _X, _X_FIELD, _X_GUARD, _X_SHIFT,
+                        _XY_FIELDS, _Y, _add_flat, _add_into, _align, _cancel,
+                        _groups, _mul_flat, _mul_into, _overflow,
+                        _plus_d, _poly, _scaled, _sum)
+
+_new = object.__new__
 
 
 class Indeterminate(namedtuple("Indeterminate", "parity glyphs left tag labels "
@@ -84,30 +103,56 @@ def _signed(value, e):
     return -value if e % 2 else value
 
 
-def _acc_value(out, value, e=0):
-    """out += (-1)^e value for a bracket value; out is a sum map."""
-    neg = e & 1
-    for n, p in value.coeffs.items():
-        _acc(out, n, p, neg)
+def _xy(i, j=0):
+    """The key offset of x^i y^j; a power past 127 (or below 0) raises
+    ExponentOverflowError."""
+    if not (0 <= i <= _MAX_EXP and 0 <= j <= _MAX_EXP):
+        _overflow()
+    return i * _X + j * _Y
 
 
-def _value(cls, alph, out):
-    """The bracket value of class cls summed in the sum map out."""
-    return cls(alph, _built(alph, out))
+def _packed(alph, items):
+    """(numerators, denominator) of the sum of x^i y^j f over (offset of
+    x^i y^j, SuperPoly f) items with distinct offsets, each f over alph
+    brought to the lcm of the denominators. Each f is in normal form, so
+    the sum is too: the gcd over f of lcm / den(f) is 1."""
+    den = lcm(*[f._den for _off, f in items])
+    flat = {}
+    for off, f in items:
+        if f.alphabet is not alph and f.alphabet != alph:
+            raise FlavorError("coefficient over another alphabet")
+        m = den // f._den
+        for key, g in f._flat.items():
+            flat[key + off] = g * m
+    return flat, den
 
 
-def _mul_into(out, poly, q, value, neg=0):
-    """out += (-1)^neg poly * value for poly of parity q: the x^n term
-    takes (-1)^{pqn}, p the parity of x (q is read only for an odd x)."""
-    odd = q & value.var.parity
-    for n, p in value.coeffs.items():
-        accumulate_product(out, n, poly, p, neg ^ (odd & n))
+def _check_flavor(alph, var):
+    if alph.flavor != var.symbol:
+        raise FlavorError("a %s value needs an alphabet of flavor %s"
+                          % (var.glyphs[0], var.symbol))
 
 
-def _left_parts(poly, var):
-    """poly as (parity, part) pairs for _mul_into: its parity parts when x
-    is odd, poly itself when x is even."""
-    return _parts(poly) if var.parity else ((0, poly),)
+def _value(cls, alph, flat, den):
+    """A bracket value of class cls over alph that takes over flat over
+    den, in normal form already."""
+    v = _new(cls)
+    v.alphabet = alph
+    v._flat = flat
+    v._den = den
+    v._coeffs = None
+    return v
+
+
+def _built(cls, alph, entry):
+    """The bracket value of class cls summed in entry, a running sum
+    [numerators, denominator]: its content is cancelled here, once."""
+    return _value(cls, alph, *_cancel(*entry))
+
+
+def _add_value(out, value, e=0):
+    """out += (-1)^e value for a bracket value; out is a running sum."""
+    _add_into(out, value._flat, value._den, -1 if e & 1 else 1)
 
 
 def _power(glyph, n):
@@ -124,18 +169,27 @@ def _render_term(powers, body, left):
 
 
 class LambdaPoly:
-    """Bracket value sum_n x^n f_n: a finite map n -> SuperPoly.
+    """Bracket value sum_n x^n f_n, stored packed: one flat dict of integer
+    numerators over one denominator, as a SuperPoly is, whose keys carry n
+    in their x field (see the module docstring). A power of x past 127
+    raises ExponentOverflowError.
 
     The class's `var` is the indeterminate: lambda here, chi in the
-    subclass spva.ChiPoly. No value changes after it is built.
+    subclass spva.ChiPoly, whose alphabet must have the matching flavor.
+    `coeffs` is a read-only view {n: f_n} with SuperPoly f_n, built on first
+    read; `LambdaPoly(alphabet, {n: f_n})` builds a value from one. No value
+    changes after it is built.
     """
 
-    __slots__ = ("alphabet", "coeffs")
+    __slots__ = ("alphabet", "_flat", "_den", "_coeffs")
     var = LAMBDA
 
     def __init__(self, alphabet, coeffs=None):
+        _check_flavor(alphabet, self.var)
         self.alphabet = alphabet
-        self.coeffs = {n: p for n, p in (coeffs or {}).items() if p}
+        self._flat, self._den = _packed(alphabet, [
+            (_xy(n), p) for n, p in (coeffs or {}).items() if p])
+        self._coeffs = None
 
     @classmethod
     def zero(cls, alph):
@@ -143,81 +197,145 @@ class LambdaPoly:
 
     @classmethod
     def of(cls, poly: SuperPoly):
-        return cls(poly.alphabet, {0: poly})
+        """poly at x^0, or the value whose whole form (_whole) poly is; the
+        value shares poly's numerators, which neither changes."""
+        _check_flavor(poly.alphabet, cls.var)
+        return _value(cls, poly.alphabet, poly._flat, poly._den)
+
+    def _whole(self):
+        """self as one SuperPoly whose keys keep their x fields, for the
+        maps that carry every bit below the variables over (rename,
+        substitute, packed_coefficients); never handed out, as its terms
+        would drop the powers of x."""
+        return _poly(self.alphabet, self._flat, self._den)
+
+    @property
+    def coeffs(self):
+        """A read-only {n: f_n} view, built on first read."""
+        view = self._coeffs
+        if view is None:
+            view = self._coeffs = MappingProxyType(self._split())
+        return view
+
+    def _split(self):
+        """{n: f_n} by ascending n, each f_n in its own normal form; not
+        kept, so that an intermediate value holds one form."""
+        alph, den = self.alphabet, self._den
+        return {bits >> _X_SHIFT: _poly(alph, flat, den) for bits, flat
+                in sorted(_groups(self._flat, _X_FIELD).items())}
+
+    def __reduce__(self):
+        # slots are given per process: copies and pickles carry the view
+        return type(self), (self.alphabet, dict(self.coeffs))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._flat)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.coeffs == other.coeffs
+        return (self.alphabet == other.alphabet and self._den == other._den
+                and self._flat == other._flat)
 
     def get(self, n) -> SuperPoly:
         return self.coeffs.get(n, SuperPoly.zero(self.alphabet))
 
-    def _plus(self, other, neg):
-        out = dict(self.coeffs)
-        _acc_value(out, other, neg)
-        return _value(type(self), self.alphabet, out)
+    def _check(self, other):
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
+            raise FlavorError("bracket values over different alphabets")
+
+    def _plus(self, other, n):
+        self._check(other)
+        return _built(type(self), self.alphabet,
+                      _sum(self._flat, self._den, other._flat, other._den, n))
 
     def __add__(self, other):
-        return self._plus(other, 0)
-
-    def __sub__(self, other):
         return self._plus(other, 1)
 
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
     def __neg__(self):
-        return type(self)(self.alphabet, {n: -p for n, p in self.coeffs.items()})
+        return _value(type(self), self.alphabet,
+                      {key: -g for key, g in self._flat.items()}, self._den)
 
     def scalar_mul(self, s: Scalar):
-        return type(self)(self.alphabet, {n: p.scalar_mul(s)
-                                          for n, p in self.coeffs.items()})
+        return _built(type(self), self.alphabet,
+                      _scaled(self.alphabet, self._flat, self._den, s))
 
     def mul_left(self, poly: SuperPoly):
-        """poly * self: a part of parity q passes x^n at the cost (-1)^{pqn}."""
+        """poly * self: a term of parity q passes x^n at the cost (-1)^{pqn},
+        the sign of chi's odd bit (see superpoly._mul_flat)."""
+        self._check(poly)
         out = {}
-        for q, part in _left_parts(poly, self.var):
-            _mul_into(out, part, q, self)
-        return _value(type(self), self.alphabet, out)
+        _mul_flat(out, poly._flat, self._flat, self.alphabet._layout)
+        return _built(type(self), self.alphabet, (out, poly._den * self._den))
 
     def mul_right(self, poly: SuperPoly):
-        return type(self)(self.alphabet, {n: p * poly
-                                          for n, p in self.coeffs.items()})
+        self._check(poly)
+        out = {}
+        _mul_flat(out, self._flat, poly._flat, self.alphabet._layout)
+        return _built(type(self), self.alphabet, (out, self._den * poly._den))
 
     def shift(self, a=1):
         """Left multiplication by x^a."""
-        return type(self)(self.alphabet, {n + a: p for n, p in self.coeffs.items()})
+        d = _xy(a)
+        flat = {key + d: g for key, g in self._flat.items()}
+        if any(key & _X_GUARD for key in flat):
+            _overflow()
+        return _value(type(self), self.alphabet, flat, self._den)
 
     def apply_plus_d(self, times=1):
-        """(x + d)^times applied to self."""
+        """(x + d)^times applied to self, one pass over the terms per power."""
         if not times:
             return self
-        alph, odd = self.alphabet, self.var.parity
-        cur = self.coeffs
+        alph, flat = self.alphabet, self._flat
         for _ in range(times):
-            out = {}
-            for n, p in cur.items():
-                neg = odd & n
-                _acc(out, n + 1, p, neg)
-                _acc(out, n, p.deriv(), neg)
-            cur = _built(alph, out)
-        return type(self)(alph, cur)
+            flat = _plus_d(alph, flat)
+        return _built(type(self), alph, (flat, self._den))
 
     def flip(self):
-        """sum_n (-x-d)^n f_n: the skew-symmetry substitution."""
-        out = {}
-        for n, p in self.coeffs.items():
-            _acc_value(out, self.of(p).apply_plus_d(n), n)
-        return _value(type(self), self.alphabet, out)
+        """sum_n (-x-d)^n f_n, the skew-symmetry substitution, by Horner's
+        rule: u_N = (-1)^N f_N, u_n = (x+d) u_(n+1) + (-1)^n f_n, and the
+        flip is u_0, so each (x+d) is one pass over a whole value."""
+        parts = _groups(self._flat, _X_FIELD)
+        top = max(parts, default=0) >> _X_SHIFT
+        if not top:
+            return self
+        alph = self.alphabet
+        cur = parts[top * _X]
+        if top & 1:
+            cur = {key: -g for key, g in cur.items()}
+        for n in range(top - 1, -1, -1):
+            cur = _plus_d(alph, cur)
+            f = parts.get(n * _X)
+            if f is not None:
+                _add_flat(cur, f, -1 if n & 1 else 1)
+        return _built(type(self), alph, (cur, self._den))
+
+    def rename(self, image, target, memos):
+        """SuperPoly.rename of every coefficient, in one rename of the whole
+        value: the map keeps the x field, and an even map commutes with x."""
+        return self.of(self._whole().rename(image, target, memos))
+
+    def substitute(self, images, target):
+        """SuperPoly.substitute of every coefficient, in one substitution of
+        the whole value (an even homomorphism commutes with x)."""
+        return self.of(self._whole().substitute(images, target))
+
+    def packed_coefficients(self):
+        """SuperPoly.packed_coefficients of the whole value: its m tells
+        the powers of x apart."""
+        return self._whole().packed_coefficients()
 
     def render(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         glyph, left = self.var.glyphs[0], self.var.left
         return join_signed([_render_term([_power(glyph, n)] if n else [],
-                                         self.coeffs[n].render(), left)
-                            for n in sorted(self.coeffs)])
+                                         coeffs[n].render(), left)
+                            for n in sorted(coeffs)])
 
     __str__ = render
     __repr__ = render
@@ -240,14 +358,17 @@ def _plus_d_power(powers, n):
 
 def _arrow(bracket: LambdaPoly, powers, q) -> LambdaPoly:
     """The arrow sum of arrow_apply, with the tail given as its list of
-    (x + d)-powers, which callers reuse across brackets."""
-    var = bracket.var
-    out = {}
-    for n, coeff in bracket.coeffs.items():
+    (x + d)-powers, which callers reuse across brackets: one product of
+    each coefficient of bracket with a whole power of the tail."""
+    var, alph = bracket.var, bracket.alphabet
+    layout, den = alph._layout, bracket._den
+    out = [{}, 1]
+    for bits, coeff in _groups(bracket._flat, _X_FIELD).items():
+        n = bits >> _X_SHIFT
         tail = _plus_d_power(powers, n)
-        for pc, part in _left_parts(coeff, var):
-            _mul_into(out, part, pc, tail, var.arrow(q, n) & 1)
-    return _value(type(bracket), bracket.alphabet, out)
+        _mul_into(out, coeff, den, tail._flat, tail._den, layout,
+                  -1 if var.arrow(q, n) & 1 else 1)
+    return _built(type(bracket), alph, out)
 
 
 def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
@@ -257,6 +378,7 @@ def arrow_apply(bracket: LambdaPoly, tail: LambdaPoly, q=0) -> LambdaPoly:
     reproduces table entries at every chi power (pinned by the oracle;
     only powers >= 2 are sensitive to it). The master formula evaluates
     the same sum through _arrow, sharing the powers of its tail."""
+    bracket._check(tail)
     return _arrow(bracket, [tail], q)
 
 
@@ -400,7 +522,7 @@ class LeftBracket:
         alph, cls = table.alphabet, table.value
         sign = cls.var.master
         pj, pjn = alph.parities[j], alph.var_parity((j, nu))
-        acc = {}
+        acc = [{}, 1]
         for t, (pf, i, m, dfi) in enumerate(self._partials):
             ent = table.entries.get((i, j))
             if ent is None:
@@ -412,43 +534,56 @@ class LeftBracket:
                 if inner is None:
                     inner = self._inner[t] = [cls.of(dfi).apply_plus_d(m)]
                 arrow = self._arrows[t, j] = _arrow(ent, inner, pi + pj)
-            _acc_value(acc, arrow, sign(pf, pg, pi, pj, m, nu,
+            _add_value(acc, arrow, sign(pf, pg, pi, pj, m, nu,
                                         alph.var_parity((i, m)), pjn))
-        sums = self._sums[key] = ([_value(cls, alph, acc)], []) if acc else None
+        sums = self._sums[key] = ([_built(cls, alph, acc)], []) if acc[0] \
+            else None
         return sums
 
     def _partials_of(self, g):
-        """(dg/du_j^(n), its parity, n, the powers of B) for each partial of
-        g with a nonzero B: the one loop over g of both evaluations."""
+        """(dg/du_j^(n), n, the powers of B) for each partial of g with a
+        nonzero B: the one loop over g of both evaluations."""
         alph = self.table.alphabet
+        if g.alphabet is not alph and g.alphabet != alph:
+            raise FlavorError("polynomials over different alphabets")
         odd_x = self.table.value.var.parity
         for pg, grad in g.parity_gradients():
             nu_mask = odd_x & (pg ^ 1)
             for (j, n), dgj in grad:
                 sums = self._sum_powers(pg, j, n & nu_mask)
                 if sums is not None:
-                    yield dgj, pg ^ alph.var_parity((j, n)), n, sums
+                    yield dgj, n, sums
 
     def __call__(self, g: SuperPoly) -> LambdaPoly:
-        out = {}
-        for dgj, q, n, (powers, _zeros) in self._partials_of(g):
-            _mul_into(out, dgj, q, _plus_d_power(powers, n))
-        return _value(self.table.value, self.table.alphabet, out)
+        """One product of each partial of g with a whole (x+d)^n B; chi's
+        odd bit signs each term that passes chi^n."""
+        alph = self.table.alphabet
+        layout = alph._layout
+        out = [{}, 1]
+        for dgj, n, (powers, _zeros) in self._partials_of(g):
+            tail = _plus_d_power(powers, n)
+            _mul_into(out, dgj._flat, dgj._den, tail._flat, tail._den, layout)
+        return _built(self.table.value, alph, out)
 
     def at_zero(self, g: SuperPoly) -> SuperPoly:
         """The x^0 coefficient of {f_x g}. x + d never lowers the power of
         x, so that of (x+d)^n B is d^n B_0, B_0 the x^0 coefficient of B,
-        and it takes no sign from passing dg/du_j^(n)."""
+        and it takes no sign from passing dg/du_j^(n). B_0 is read from B
+        once, and each of its derivatives built once."""
         alph = self.table.alphabet
-        out = {}
-        for dgj, _q, n, (powers, zeros) in self._partials_of(g):
+        layout = alph._layout
+        out = [{}, 1]
+        for dgj, n, (powers, zeros) in self._partials_of(g):
             if not zeros:
-                zeros.append(powers[0].get(0))
+                b = powers[0]
+                zeros.append(_poly(alph, {key: v for key, v in b._flat.items()
+                                          if not key & _X_FIELD}, b._den))
             while len(zeros) <= n:
                 zeros.append(zeros[-1].deriv())
-            if zeros[n]:
-                accumulate_product(out, 0, dgj, zeros[n])
-        return _built(alph, out).get(0, SuperPoly.zero(alph))
+            z = zeros[n]
+            if z:
+                _mul_into(out, dgj._flat, dgj._den, z._flat, z._den, layout)
+        return _poly(alph, *out)
 
 
 def _operator(f, table: BracketTable) -> LeftBracket:
@@ -469,17 +604,15 @@ def master_bracket(f, g: SuperPoly, table: BracketTable) -> LambdaPoly:
 def bracket_table(values, over: BracketTable, alphabet, rewrite,
                   evaluator=master_bracket) -> BracketTable:
     """The table, of the class of `over`, whose entry (i, j) is the bracket
-    of values[i] and values[j] over `over` by `evaluator`, each coefficient
-    mapped through `rewrite` into `alphabet`; one LeftBracket per row."""
-    cls = type(over)
+    of values[i] and values[j] over `over` by `evaluator`, mapped whole
+    through `rewrite` into a value over `alphabet`; one LeftBracket per
+    row."""
     entries = {}
     for i, a in enumerate(values):
         row = LeftBracket(a, over)
         for j, b in enumerate(values):
-            value = evaluator(row, b, over)
-            entries[i, j] = cls.value(alphabet, {n: rewrite(p) for n, p
-                                                 in value.coeffs.items()})
-    return cls(alphabet, entries)
+            entries[i, j] = rewrite(evaluator(row, b, over))
+    return type(over)(alphabet, entries)
 
 
 def _oracle(a, b: SuperPoly, table: BracketTable):
@@ -492,7 +625,7 @@ def _oracle(a, b: SuperPoly, table: BracketTable):
     if type(a) is LeftBracket:
         a = a.f
     alph = table.alphabet
-    out = {}
+    out = [{}, 1]
     units = {}
     for mono_a, ka, ca, ga in a.coefficients():
         for mono_b, kb, cb, gb in b.coefficients():
@@ -500,9 +633,9 @@ def _oracle(a, b: SuperPoly, table: BracketTable):
             if unit is None:
                 unit = units[mono_a, mono_b] = _oracle_mono(mono_a, mono_b,
                                                             table)
-            _acc_value(out, unit.scalar_mul(Scalar.term(ka + kb, ca + cb,
+            _add_value(out, unit.scalar_mul(Scalar.term(ka + kb, ca + cb,
                                                         ga * gb)))
-    return _value(table.value, alph, out)
+    return _built(table.value, alph, out)
 
 
 def _factors(mono):
@@ -560,12 +693,12 @@ def skew_defect(f: SuperPoly, g: SuperPoly, table: BracketTable,
     g_q brackets f^q once (see _twisted): sum_p (-1)^{pq} [g_q f_p] =
     [g_q f^q]."""
     skew = table.value.var.skew
-    out = {}
-    _acc_value(out, evaluator(f, g, table))
+    out = [{}, 1]
+    _add_value(out, evaluator(f, g, table))
     for pg, gh in _parts(g):
         fe, neg = _twisted(f, pg)
-        _acc_value(out, evaluator(gh, fe, table).flip(), 1 + skew + neg)
-    return _value(table.value, table.alphabet, out)
+        _add_value(out, evaluator(gh, fe, table).flip(), 1 + skew + neg)
+    return _built(table.value, table.alphabet, out)
 
 
 def check_skew(table: BracketTable, evaluator=master_bracket):
@@ -578,27 +711,51 @@ def check_skew(table: BracketTable, evaluator=master_bracket):
 
 class Lambda2Poly:
     """Normal form sum x^i y^j f_ij in two indeterminates of one parity:
-    lambda and mu, or the anticommuting chi and gamma; coeffs maps (i, j)
-    to f_ij."""
+    lambda and mu, or the anticommuting chi and gamma, stored packed as a
+    LambdaPoly is, with j in the y field; a power past 127 raises
+    ExponentOverflowError. coeffs is a read-only view {(i, j): f_ij},
+    built on first read."""
 
-    __slots__ = ("alphabet", "var", "coeffs")
+    __slots__ = ("alphabet", "var", "_flat", "_den", "_coeffs")
 
     def __init__(self, alphabet, var, coeffs=None):
         self.alphabet = alphabet
         self.var = var
-        self.coeffs = {ij: p for ij, p in (coeffs or {}).items() if p}
+        self._flat, self._den = _packed(alphabet, [
+            (_xy(i, j), p) for (i, j), p in (coeffs or {}).items() if p])
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        view = self._coeffs
+        if view is None:
+            alph, den = self.alphabet, self._den
+            view = self._coeffs = MappingProxyType(dict(sorted(
+                (((bits & _X_FIELD) // _X, bits // _Y), _poly(alph, flat, den))
+                for bits, flat in _groups(self._flat, _XY_FIELDS).items())))
+        return view
+
+    def __reduce__(self):
+        return Lambda2Poly, (self.alphabet, self.var, dict(self.coeffs))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._flat)
+
+    def __eq__(self, other):
+        if type(other) is not Lambda2Poly:
+            return NotImplemented
+        return (self.var == other.var and self.alphabet == other.alphabet
+                and self._den == other._den and self._flat == other._flat)
 
     def render(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         (gx, gy), left = self.var.glyphs, self.var.left
         parts = []
-        for (i, j) in sorted(self.coeffs):
+        for (i, j) in sorted(coeffs):
             powers = ([_power(gx, i)] if i else []) + ([_power(gy, j)] if j else [])
-            parts.append(_render_term(powers, self.coeffs[(i, j)].render(), left))
+            parts.append(_render_term(powers, coeffs[(i, j)].render(), left))
         return join_signed(parts)
 
     __str__ = render
@@ -608,6 +765,34 @@ def _slope(rule, *rest):
     """The slope e of a Jacobi sign rule in p(a), at the given arguments:
     rule(p(a), *rest) = rule(0, *rest) + e p(a) mod 2."""
     return (rule(1, *rest) - rule(0, *rest)) & 1
+
+
+def _place(out, value, moves):
+    """out += each term x^o f of the bracket value put at x^i y^j f times s,
+    for each (offset of x^i y^j, s) in moves(o); out is a running sum.
+    moves is read once per power o."""
+    den = value._den
+    m = 1 if out[1] == den else _align(out, den)
+    acc = out[0]
+    get = acc.get
+    found = {}
+    for key, g in value._flat.items():
+        bits = key & _X_FIELD
+        steps = found.get(bits)
+        if steps is None:
+            steps = found[bits] = [(off - bits, s * m)
+                                   for off, s in moves(bits >> _X_SHIFT)]
+        for delta, s in steps:
+            to = key + delta
+            v = get(to)
+            if v is None:
+                acc[to] = g * s
+            else:
+                v += g * s
+                if v:
+                    acc[to] = v
+                else:
+                    del acc[to]
 
 
 def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
@@ -630,11 +815,13 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
     _twisted). For a mixed-parity a that halves the brackets of the second
     and third terms, and of the first for chi. a and its twist get one
     operator each (the twist of a one-parity a is +-a, through a's
-    operator), and so does each parity part of b.
+    operator), and so does each parity part of b. Each outer bracket goes
+    whole into one packed (x, y) sum (_place), its x^o terms moved to
+    their x and y powers with their signs.
     tests/test_master_signs.py pins the slopes of both records."""
     var = table.value.var
     sign1, sign2, sign3 = var.jacobi
-    out = {}   # a sum map (i, j) -> f_ij
+    out = [{}, 1]
     op_a = LeftBracket(a, table)
     folded = {}
 
@@ -645,29 +832,35 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
             folded[e] = (op_a if poly is a else LeftBracket(poly, table), neg)
         return folded[e]
 
+    def signed(e, n=1):
+        return -n if e & 1 else n
+
     # the second term first: its outer brackets, each through an operator
     # of its own, are the largest, and meet a's operator still small
     left, neg = fold(_slope(sign2, 0, 0))   # [[a_x b]_{x+y} c]
-    for i, p in evaluator(left, b, table).coeffs.items():
-        for o, q in evaluator(p, c, table).coeffs.items():
-            e = (sign2(0, i, o) + neg) & 1
-            for (t, u), coeff in var.binomial(o).items():
-                _acc(out, (i + t, u), q if coeff == 1 else q.scale(coeff), e)
+    for i, p in evaluator(left, b, table)._split().items():
+        _place(out, evaluator(p, c, table), lambda o, i=i: [
+            (_xy(i + t, u), signed(sign2(0, i, o) + neg, coeff))
+            for (t, u), coeff in var.binomial(o).items()])
     b_ops = [(pb, LeftBracket(bh, table)) for pb, bh in _parts(b)]
-    bc = evaluator(b_ops[0][1] if len(b_ops) == 1 else b, c, table).coeffs
+    bc = evaluator(b_ops[0][1] if len(b_ops) == 1 else b, c, table)._split()
     for i, p in bc.items():          # [a_x [b_y c]]
         left, neg = fold(_slope(sign1, i, 0))
-        for o, q in evaluator(left, p, table).coeffs.items():
-            _acc(out, (o, i), q, (sign1(0, i, o) + neg) & 1)
+        _place(out, evaluator(left, p, table), lambda o, i=i, neg=neg: [
+            (_xy(o, i), signed(sign1(0, i, o) + neg))])
     ac = {}   # operator of a^e -> the coefficients of [a^e_x c]
     for pb, op_b in b_ops:           # [b_y [a_x c]]
         left, neg = fold(_slope(sign3, pb, 0, 0))
         if left not in ac:
-            ac[left] = evaluator(left, c, table).coeffs
+            ac[left] = evaluator(left, c, table)._split()
         for i, p in ac[left].items():
-            for o, q in evaluator(op_b, p, table).coeffs.items():
-                _acc(out, (i, o), q, (sign3(0, pb, i, o) + neg) & 1)
-    return Lambda2Poly(table.alphabet, var, _built(table.alphabet, out))
+            _place(out, evaluator(op_b, p, table),
+                   lambda o, i=i, pb=pb, neg=neg: [
+                       (_xy(i, o), signed(sign3(0, pb, i, o) + neg))])
+    v = _new(Lambda2Poly)
+    v.alphabet, v.var, v._coeffs = table.alphabet, var, None
+    v._flat, v._den = _cancel(*out)
+    return v
 
 
 def check_jacobi(table: BracketTable, evaluator=master_bracket):
@@ -689,11 +882,11 @@ def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
     a_ops = [(pa, LeftBracket(ah, table)) for pa, ah in a_parts]
     op_a = a_ops[0][1] if len(a_ops) == 1 else LeftBracket(a, table)
     # {a_x b}c takes no sign
-    right = {}
-    _acc_value(right, evaluator(op_a, b * c, table))
-    _acc_value(right, evaluator(op_a, b, table).mul_right(c), 1)
-    left = {}
-    _acc_value(left, evaluator(a * b, c, table))
+    right = [{}, 1]
+    _add_value(right, evaluator(op_a, b * c, table))
+    _add_value(right, evaluator(op_a, b, table).mul_right(c), 1)
+    left = [{}, 1]
+    _add_value(left, evaluator(a * b, c, table))
     bc = {}
     for pb, bh in b_parts:
         op_b = LeftBracket(bh, table)
@@ -704,12 +897,12 @@ def leibniz_defects(a, b, c, table: BracketTable, evaluator=master_bracket):
         for pc, ch in c_parts:
             ac = evaluator(op, ch, table)
             for pb, bh in b_parts:
-                _acc_value(right, ac.mul_right(bh), 1 + pb * pc)
-                _acc_value(left, arrow_apply(ac, table.value.of(bh), pa + pc),
+                _add_value(right, ac.mul_right(bh), 1 + pb * pc)
+                _add_value(left, arrow_apply(ac, table.value.of(bh), pa + pc),
                            1 + pb * pc)
-                _acc_value(left, arrow_apply(bc[pb, pc], table.value.of(ah),
+                _add_value(left, arrow_apply(bc[pb, pc], table.value.of(ah),
                                              pb + pc), 1 + pa * (pb + pc))
-    return _value(table.value, alph, right), _value(table.value, alph, left)
+    return _built(table.value, alph, right), _built(table.value, alph, left)
 
 
 def sesquilinearity_defects(a, b, table: BracketTable, evaluator=master_bracket):

@@ -34,7 +34,8 @@ one entry, so a monomial whose coefficient in Q(i)[k, c] has n terms, with
 real and imaginary parts, holds up to 2n entries, and every sum and
 product of two terms is a sum and a product of Python ints. Every kernel
 loop (sum, product, derivation, partials, substitution, equality, hashing)
-runs on that dict, and only this module reads the key.
+runs on that dict, and only this module and pva (for the x and y
+fields of bracket values) read the key.
 
 - Normal form. Each built polynomial has gcd(numerators, _den) = 1, and
   zero is the empty dict over 1, so equal values have equal fields and
@@ -46,19 +47,33 @@ runs on that dict, and only this module reads the key.
   nothing to cancel.
 - Key layout. The key packs (M, e, a, b) into one int of 8-bit fields,
   after Monagan and Pearce's packed exponent vectors: bits 0-7 hold a,
-  bits 8-15 hold b, bits 16-23 the power e of i, and each variable has a
-  field of its own above them. The top bit of a field is its guard: no
-  field holds more than 127, so the sum of two keys carries into no other
-  field and sets a guard bit exactly where a power passes 127. Bit 1 of
-  the i field (i^2 reached) is a guard bit too: the rare branch that a
-  guard bit takes turns i^2 into a sign, and raises only on a power past
-  127. A product of two terms is the sum of their keys, one guard test and
-  one test ``o1 & o2`` of their odd bits (the low bit of each odd
+  bits 8-15 hold b, bits 16-23 the power e of i, bits 24-31 the x field
+  and bits 32-39 the y field, and each variable has a field of its own
+  above them (from bit 40, _VAR_SHIFT). The top bit of a field is its
+  guard: no field holds more than 127, so the sum of two keys carries into
+  no other field and sets a guard bit exactly where a power passes 127.
+  Bit 1 of the i field (i^2 reached) is a guard bit too: the rare branch
+  that a guard bit takes turns i^2 into a sign, and raises only on a power
+  past 127. A product of two terms is the sum of their keys, one guard
+  test and one test ``o1 & o2`` of their odd bits (the low bit of each odd
   variable's field; an odd variable squares to zero), and a monomial's
   parity is the bit count of its odd bits. The coefficient is that of the
   canonical monomial, whose factors follow variable order: the Koszul sign
   of a product counts the pairs of odd factors that pass each other in
   that order, with bit masks over the odd variables' ranks.
+- The x and y fields. A polynomial keeps both at 0. A bracket value of
+  pva (sum_n x^n f_n, x = lambda or chi) is stored as the numerators of
+  all its coefficients in one flat dict, over one denominator, with n in
+  the x field; a Jacobi defect (sum x^i y^j f_ij, y = mu or gamma) puts j
+  in the y field. So one product (_mul_flat) multiplies a polynomial by a
+  whole value, and one pass (_plus_d) applies x + d to one. Over a D
+  alphabet the x field's low bit is an odd bit of rank 0, below every
+  variable: chi is odd and written left of its coefficient, so the Koszul
+  sign of a product gives the sign (-1)^(qn) of a term of parity q passing
+  chi^n, and _plus_d reads the sign (-1)^n of (chi + D) from that bit.
+  rename and substitute carry every bit below the variables over, so they
+  map a whole value at once. Nothing reads y's parity: the Jacobi defect
+  places its terms with their signs (pva._place).
 - Slot registry. A variable gets the next free field, its slot, when a
   polynomial over its alphabet first uses it, so slot order is first-use
   order, not variable order. The registry (slots, odd bits, guard bits and
@@ -86,8 +101,10 @@ runs on that dict, and only this module reads the key.
   through the caller's memo per map and pair of alphabet values (the
   memo holds both registries, so its keys keep their meaning), and takes
   its Koszul sign from variable order, never from slot order.
-- Overflow. A power of a variable, of k or of c past 127 raises
-  ExponentOverflowError (an engine error); it never wraps.
+- Overflow. A power of a variable, of k, of c, of x or of y past 127
+  raises ExponentOverflowError (an engine error); it never wraps. The
+  powers of x that the brackets of this engine reach stay near twice the
+  largest conformal weight.
 - Thread safety. The registry gives out a slot under a lock and publishes
   it last, so no key holds a slot that a reader cannot find, and a key's
   meaning never changes: any operation may still run concurrently with any
@@ -98,14 +115,15 @@ runs on that dict, and only this module reads the key.
   derived, as one (key offset, integer factor) pair per factor (the pairs
   are shared, one per variable and factor). The memos of all alphabets
   together hold at most _MEMO_SIZE monomials, about 1.4 MB, and start over
-  when full; an entry is a pure function of the monomial and its slots.
+  when full; an entry is a pure function of the monomial and its slots. A
+  rename memo holds at most _MEMO_SIZE monomials per pair of alphabets,
+  and starts over the same way.
 
-``accumulate`` and ``accumulate_product`` add a value, or a product, in
-place into a sum map (pva's dicts of bracket-value coefficients), and
-``accumulated`` turns the map back into SuperPolys. A private entry of a
-sum map is a list [numerators, running denominator]: an addition over
-another denominator brings the entry to their lcm first, and only
-``accumulated`` cancels.
+Running sums. ``_add_into`` and ``_mul_into`` add a value, or a product, in
+place into a running sum [numerators, denominator] that the caller owns
+(pva's sums of bracket values): an addition over another denominator
+brings the sum to their lcm first, and nothing is cancelled until the
+caller builds its value (``_cancel``).
 """
 
 from __future__ import annotations
@@ -128,9 +146,15 @@ _MAX_EXP = (1 << (_FIELD - 1)) - 1      # 127; the top bit is the guard
 _FIELD_MASK = (1 << _FIELD) - 1
 _I = 1 << (2 * _FIELD)                  # the i field: 0 or 1 in a term
 _I_SQ = _I << 1                         # i^2 reached: a guard bit
-_VAR_SHIFT = 3 * _FIELD                 # the k, c and i fields lie below
+_X_SHIFT = 3 * _FIELD                   # the x field of a bracket value
+_X = 1 << _X_SHIFT                      # x^1: lambda or chi
+_Y = _X << _FIELD                       # y^1: mu or gamma (Jacobi)
+_X_FIELD = _FIELD_MASK * _X
+_XY_FIELDS = _X_FIELD | _FIELD_MASK * _Y
+_VAR_SHIFT = 5 * _FIELD                 # the k, c, i, x and y fields lie below
 _POWERS_MASK = (1 << _VAR_SHIFT) - 1
-_POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD) | _I_SQ
+_POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD | _X | _Y) | _I_SQ
+_X_GUARD = (_MAX_EXP + 1) * _X
 _MEMO_SIZE = 8192   # monomials in the memos of all layouts together
 
 
@@ -139,12 +163,13 @@ class FlavorError(TypeError):
 
 
 class ExponentOverflowError(OverflowError):
-    """A power of a variable, of k or of c past what a packed field holds."""
+    """A power of a variable, of k, of c or of a bracket value's x or y past
+    what a packed field holds."""
 
 
 def _overflow():
-    raise ExponentOverflowError("a power of a variable, k or c exceeds %d"
-                                % _MAX_EXP)
+    raise ExponentOverflowError("a power of a variable, k, c, x or y exceeds "
+                                "%d" % _MAX_EXP)
 
 
 def _fold(key, g, guard):
@@ -163,19 +188,21 @@ class _Layout:
     its unit, 1 << (its field's offset); vars lists the variables by slot;
     odd has the unit bit of every odd variable, guard the top bit of every
     field; rank maps the unit of an odd variable to 1 << (its rank among
-    the odd variables in variable order). Slots are only added, under
-    _LOCK, and units is written last; rank is replaced whole. steps and
-    derivs hold the derivative memo (see the module docstring)."""
+    the odd variables in variable order). Over a D alphabet the x field's
+    low bit (_X) is odd too, of rank 0, below every variable: chi is odd and
+    written left of its coefficient. Slots are only added, under _LOCK, and
+    units is written last; rank is replaced whole. steps and derivs hold
+    the derivative memo (see the module docstring)."""
 
     __slots__ = ("units", "vars", "odd", "guard", "rank", "steps", "derivs",
                  "__weakref__")
 
-    def __init__(self):
+    def __init__(self, odd_x):
         self.units = {}
         self.vars = []
-        self.odd = 0
+        self.odd = _X if odd_x else 0
         self.guard = _POWERS_GUARD
-        self.rank = {}
+        self.rank = {_X: 1} if odd_x else {}
         # (unit of u^(m), n) -> (unit of u^(m+1) - unit of u^(m), n)
         self.steps = {}
         self.derivs = {}   # monomial -> _monomial_deriv of it
@@ -275,7 +302,7 @@ def _layout_of(value):
         if layout is None:
             for key in [key for key, r in _LAYOUTS.items() if r() is None]:
                 del _LAYOUTS[key]
-            layout = _Layout()
+            layout = _Layout(value[0] == FLAVOR_D)
             _LAYOUTS[value] = ref(layout)
     return layout
 
@@ -297,8 +324,13 @@ def _unit(alph, var):
                 layout.odd |= u
                 units = dict(layout.units)
                 units[var] = u
-                layout.rank = {units[v]: 1 << r for r, v in enumerate(
-                    sorted(v for v in layout.vars if alph.var_parity(v)))}
+                chi = layout.odd & _X   # chi takes rank 0
+                rank = {_X: 1} if chi else {}
+                for r, v in enumerate(sorted(v for v in layout.vars
+                                             if alph.var_parity(v)),
+                                      1 if chi else 0):
+                    rank[units[v]] = 1 << r
+                layout.rank = rank
             layout.units[var] = u
     return u
 
@@ -449,10 +481,10 @@ def _renamed(alph, image, target, m):
         else factor.a
 
 
-def _poly(alph, flat, den=1) -> "SuperPoly":
-    """A SuperPoly over alph that takes over flat, numerators in the
-    storage layout with no zero values, over den > 0: the one place where
-    gcd(numerators, den) is cancelled."""
+def _cancel(flat, den):
+    """(numerators, denominator) of flat over den > 0 with their gcd
+    cancelled: the one place where content is cancelled, for polynomials
+    (_poly) and for bracket values (pva) alike."""
     if den != 1:
         g = den
         for n in flat.values():
@@ -462,6 +494,14 @@ def _poly(alph, flat, den=1) -> "SuperPoly":
         else:   # g divides den and every numerator (all of den for zero)
             den //= g
             flat = {key: n // g for key, n in flat.items()}
+    return flat, den
+
+
+def _poly(alph, flat, den=1) -> "SuperPoly":
+    """A SuperPoly over alph that takes over flat, numerators in the
+    storage layout with no zero values, over den > 0, content cancelled."""
+    if den != 1:
+        flat, den = _cancel(flat, den)
     p = _new(SuperPoly)
     p.alphabet = alph
     p._flat = flat
@@ -545,7 +585,11 @@ def _add(out, key, n):
 
 def _mul_flat(out, flat1, flat2, layout, n=1):
     """out += n flat1 * flat2 in place for a nonzero int n, keeping no zero
-    values, over an alphabet with slot registry layout."""
+    values, over an alphabet with slot registry layout. One factor may be a
+    bracket value (pva), whose keys carry the power of x, and the other a
+    polynomial: over a D alphabet chi's odd bit of rank 0 then gives the
+    sign (-1)^(qn) of a term of parity q passing chi^n, and no sign when
+    chi^n is on the left."""
     get = out.get
     odd, guard = layout.odd, layout.guard
     inner = None
@@ -595,7 +639,7 @@ def _mul_flat(out, flat1, flat2, layout, n=1):
 
 
 def _align(entry, den):
-    """Bring entry, a private sum-map entry [numerators, denominator], to a
+    """Bring entry, a running sum [numerators, denominator], to a
     denominator that den divides, and return what a numerator over den is
     multiplied by to join it."""
     d = entry[1]
@@ -707,9 +751,11 @@ class SuperPoly:
         """(m, kpow, cpow, g) as coefficients() gives them, with m the
         monomial's packed key in place of its tuple: equal monomials over
         one alphabet value have equal keys in one process, and no output
-        may read one (see the module docstring)."""
+        may read one (see the module docstring). m keeps the x and y
+        fields, so a bracket value read whole (pva) gives one m per power
+        of x and monomial."""
         for key, g in _grats(self._flat, self._den):
-            yield (key >> _VAR_SHIFT, key & _FIELD_MASK,
+            yield (key >> _X_SHIFT, key & _FIELD_MASK,
                    (key >> _FIELD) & _FIELD_MASK, g)
 
     def __bool__(self):
@@ -736,16 +782,8 @@ class SuperPoly:
     def _plus(self, other, n):
         """self + n other for n = 1 or -1."""
         self._check(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            out = dict(self._flat)
-            _add_flat(out, other._flat, n)
-            return _poly(self.alphabet, out, d1)
-        den = d1 // gcd(d1, d2) * d2
-        f = den // d1
-        out = {key: g * f for key, g in self._flat.items()}
-        _add_flat(out, other._flat, n * (den // d2))
-        return _poly(self.alphabet, out, den)
+        return _poly(self.alphabet, *_sum(self._flat, self._den, other._flat,
+                                          other._den, n))
 
     def __add__(self, other):
         if not isinstance(other, SuperPoly):
@@ -771,22 +809,8 @@ class SuperPoly:
         return _poly(alph, out, self._den * other._den)
 
     def scalar_mul(self, scalar: Scalar) -> "SuperPoly":
-        st = scalar.terms
-        if len(st) != 1:
-            return self * SuperPoly.const(self.alphabet, scalar)
-        ((k2, c2), g2), = st.items()
-        if g2.b:   # a real and an imaginary part: two terms
-            return self * SuperPoly.const(self.alphabet, scalar)
-        # Q(i) has no zero divisors: no product vanishes
-        a2 = g2.a
-        if k2 or c2:
-            shift = _powers(k2, c2)
-            out = {key + shift: g * a2 for key, g in self._flat.items()}
-            if any(key & _POWERS_GUARD for key in out):
-                _overflow()
-        else:
-            out = {key: g * a2 for key, g in self._flat.items()}
-        return _poly(self.alphabet, out, self._den * g2.d)
+        return _poly(self.alphabet,
+                     *_scaled(self.alphabet, self._flat, self._den, scalar))
 
     def scale(self, rat) -> "SuperPoly":
         return self.scalar_mul(Scalar.rational(rat))
@@ -912,7 +936,7 @@ class SuperPoly:
 
         # each monomial's coefficient, with all its power pairs (a constant
         # over the target), is multiplied by the images of the monomial's
-        # factors in one pass, and added into one sum-map entry
+        # factors in one pass, and added into one running sum
         coeffs = {}
         for key, g in self._flat.items():
             coeffs.setdefault(key >> _VAR_SHIFT, {})[key & _POWERS_MASK] = g
@@ -931,7 +955,7 @@ class SuperPoly:
                 if not term:
                     break
             if term:
-                _add_flat(out[0], term, _align(out, den))
+                _add_into(out, term, den)
         return _poly(target, *out)
 
     def rename(self, image, target, memos) -> "SuperPoly":
@@ -944,8 +968,11 @@ class SuperPoly:
         killed u of constant 1), so terms add up. memos is the caller's
         dict for this image: per pair of alphabet values it keeps each
         monomial's key over target and its factor (Koszul sign times
-        factors), so a monomial is unpacked once. An int factor multiplies
-        the numerators alone; the others go over the lcm of denominators."""
+        factors), so a monomial is unpacked once, up to _MEMO_SIZE
+        monomials per pair, after which it starts over. An int factor
+        multiplies the numerators alone; the others go over the lcm of
+        denominators. Every bit below the variables (the powers of k, c
+        and i, and a bracket value's x and y fields) is carried over."""
         alph = self.alphabet
         layouts = alph._layout, target._layout
         monos = memos.get(layouts)
@@ -957,6 +984,8 @@ class SuperPoly:
             m = key >> _VAR_SHIFT
             found = monos.get(m)
             if found is None:
+                if len(monos) >= _MEMO_SIZE:   # start over when full
+                    monos.clear()
                 found = monos[m] = _renamed(alph, image, target, m)
             to, f = found
             if f.__class__ is not int:
@@ -1017,55 +1046,114 @@ class SuperPoly:
                                 Scalar.from_obj(c_obj) for mono_obj, c_obj in obj})
 
 
-def accumulate(out, key, poly, neg=0):
-    """out[key] += (-1)^neg poly in a sum map, keeping no zero entries.
-
-    An entry of a sum map is the caller's SuperPoly until its second
-    addition; from then on it is a private entry [numerators, running
-    denominator] that later additions add into, or subtract from, in place
-    (the first addition with neg set starts one at once). Only accumulated
-    turns the entries back into SuperPolys, so a private entry never leaves
-    the function that owns out, and no caller's value changes.
-    """
-    flat = poly._flat
-    if not flat:
-        return
-    s = out.get(key)
-    if s is None:
-        out[key] = [{k: -g for k, g in flat.items()}, poly._den] if neg else poly
-        return
-    if type(s) is not list:
-        s = out[key] = [dict(s._flat), s._den]
-    den = poly._den
-    n = 1 if s[1] == den else _align(s, den)
-    _add_flat(s[0], flat, -n if neg else n)
-    if not s[0]:
-        del out[key]
+def _sum(flat1, d1, flat2, d2, n):
+    """(numerators, denominator) of flat1/d1 + n flat2/d2, n = 1 or -1,
+    over the lcm of the denominators, not cancelled."""
+    if d1 == d2:
+        out = dict(flat1)
+        _add_flat(out, flat2, n)
+        return out, d1
+    den = d1 // gcd(d1, d2) * d2
+    f = den // d1
+    out = {key: g * f for key, g in flat1.items()}
+    _add_flat(out, flat2, n * (den // d2))
+    return out, den
 
 
-def accumulate_product(out, key, a, b, neg=0):
-    """out[key] += (-1)^neg a * b in a sum map (see accumulate), with no
-    SuperPoly built for the product."""
-    a._check(b)
-    den = a._den * b._den
-    s = out.get(key)
-    if s is None:
-        s, n = [{}, den], 1
-    else:
-        if type(s) is not list:
-            s = [dict(s._flat), s._den]
-        n = 1 if s[1] == den else _align(s, den)
-    _mul_flat(s[0], a._flat, b._flat, a.alphabet._layout, -n if neg else n)
-    if s[0]:
-        out[key] = s
-    else:
-        out.pop(key, None)
+def _scaled(alph, flat, den, scalar):
+    """(numerators, denominator) of flat/den times the Scalar scalar, over
+    alph, not cancelled: a one-term real scalar shifts the keys and scales
+    the numerators, any other multiplies by the constant."""
+    st = scalar.terms
+    if len(st) == 1:
+        ((k2, c2), g2), = st.items()
+        if not g2.b:   # one real term; Q(i) has no zero divisors
+            a2 = g2.a
+            if k2 or c2:
+                shift = _powers(k2, c2)
+                out = {key + shift: g * a2 for key, g in flat.items()}
+                if any(key & _POWERS_GUARD for key in out):
+                    _overflow()
+            else:
+                out = {key: g * a2 for key, g in flat.items()}
+            return out, den * g2.d
+    const = SuperPoly.const(alph, scalar)
+    out = {}
+    _mul_flat(out, flat, const._flat, alph._layout)
+    return out, den * const._den
 
 
-def accumulated(alph, out):
-    """The entries of a sum map as SuperPolys over alph; out is spent."""
-    return {key: _poly(alph, *p) if type(p) is list else p
-            for key, p in out.items()}
+def _add_into(entry, flat, den, n=1):
+    """entry += n flat/den for a nonzero int n, entry a running sum
+    [numerators, denominator] (see _align); nothing is cancelled."""
+    _add_flat(entry[0], flat, n if entry[1] == den else n * _align(entry, den))
+
+
+def _mul_into(entry, flat1, den1, flat2, den2, layout, n=1):
+    """entry += n (flat1/den1)(flat2/den2) for a nonzero int n, entry a
+    running sum (see _add_into), over an alphabet with slot registry
+    layout; nothing is cancelled."""
+    den = den1 * den2
+    _mul_flat(entry[0], flat1, flat2, layout,
+              n if entry[1] == den else n * _align(entry, den))
+
+
+def _plus_d(alph, flat):
+    """The numerators of (x + d) applied to the numerators flat of a bracket
+    value over alph, over the same denominator: x^n f goes to
+    x^(n+1) f + x^n df, both times (-1)^n when x is odd (chi: the x
+    field's low bit is an odd bit over a D alphabet)."""
+    layout = alph._layout
+    odd_x = layout.odd & _X
+    memo = layout.derivs
+    out = {}
+    get = out.get
+    for key, coeff in flat.items():
+        if key & odd_x:
+            coeff = -coeff
+        up = key + _X
+        if up & _X_GUARD:
+            _overflow()
+        s = get(up)
+        if s is None:
+            out[up] = coeff
+        else:
+            s += coeff
+            if s:
+                out[up] = s
+            else:
+                del out[up]
+        m = key >> _VAR_SHIFT
+        steps = memo.get(m)
+        if steps is None:
+            steps = _remember(memo, m, _monomial_deriv(alph, m))
+        for delta, n in steps:
+            key_d = key + delta
+            c = coeff * n
+            s = get(key_d)
+            if s is None:
+                out[key_d] = c
+            else:
+                s += c
+                if s:
+                    out[key_d] = s
+                else:
+                    del out[key_d]
+    return out
+
+
+def _groups(flat, mask):
+    """{bits: the terms of flat whose keys have those bits under mask, with
+    them cleared}: a bracket value's coefficients by their powers of x
+    (mask _X_FIELD), or of x and y (_XY_FIELDS)."""
+    out = {}
+    for key, g in flat.items():
+        bits = key & mask
+        part = out.get(bits)
+        if part is None:
+            part = out[bits] = {}
+        part[key ^ bits] = g
+    return out
 
 
 def enumerate_monomials(alph, allowed_vars, weight, parity=None,

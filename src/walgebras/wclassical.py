@@ -178,9 +178,9 @@ class ReductionContext:
         return (var, GR_ONE) if c is None else None if var[1] else (None, c)
 
     def rho_bracket(self, value):
-        """rho applied to every coefficient of a bracket value."""
-        return type(value)(self.alph, {n: self.rho(p)
-                                       for n, p in value.coeffs.items()})
+        """rho applied to every coefficient of a bracket value, in one
+        rename of the whole value (LambdaPoly.rename)."""
+        return value.rename(self._rho_of, self.alph, self._rho_memos)
 
     def symbols(self, poly: SuperPoly, gen_alph) -> SuperPoly:
         """The monomials of poly in the chain heads q_j^0 alone, with q_j^0
@@ -366,9 +366,10 @@ def solve_ansatz(alph, monos, terms, what, degree):
 
 def ansatz_terms(image, lead: SuperPoly, monos):
     """The terms, for solve_ansatz, of image(lead + sum x_M M) = 0: image
-    maps a polynomial linearly to {key: SuperPoly}, and each monomial of
-    each value is one condition, keyed by (key, the monomial's packed key;
-    see SuperPoly.packed_coefficients). The conditions only group the
+    maps a polynomial linearly to {key: SuperPoly or bracket value}, and
+    each monomial (with its power of x, for a value read whole) of each
+    value is one condition, keyed by (key, its packed key; see
+    SuperPoly.packed_coefficients). The conditions only group the
     equations, so no tuple monomial is built for them."""
     for M in [None, *monos]:
         poly = lead if M is None else SuperPoly(lead.alphabet,
@@ -400,8 +401,7 @@ def solve_generator(ctx: ReductionContext, j) -> WGenerator:
     brackets = [(t, LeftBracket(ctx.n_var(t), ctx.reduced_table))
                 for t in ctx.n_indices]
     value = solve_canonical(ctx, j, ctx.alph, lambda w: {
-        (t, lam): coeff for t, bracket in brackets
-        for lam, coeff in bracket(w).coeffs.items()}, "generator solution")
+        t: bracket(w) for t, bracket in brackets}, "generator solution")
     if _highe_degree_part(ctx, value, 1) != gamma_linear(ctx, j):
         raise GeneratorError("solver linear part disagrees with the chain "
                              "formula for generator %d" % j)
@@ -419,9 +419,10 @@ def solve_all_generators(ctx: ReductionContext):
 
 # -- generator coordinates and brackets --------------------------------------
 
-def rewrite_in_generators(ctx: ReductionContext, gens, A: SuperPoly) -> SuperPoly:
+def rewrite_in_generators(ctx: ReductionContext, gens, A):
     """A in generator symbols (ctx.symbols); verifies that evaluating the
-    result on the generators reproduces A exactly."""
+    result on the generators reproduces A exactly. A is a SuperPoly, or a
+    bracket value, which is read whole (its rename and substitute)."""
     sym = ctx.symbols(A, ctx.gen_alph)
     back = sym.substitute({j: gens[j].value for j in range(ctx.db.count())},
                           ctx.alph)
@@ -434,9 +435,8 @@ def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators;
     the generators are in the kept variables, so the reduced bracket is
     the master formula over ctx.reduced_table."""
-    red = ctx.flavor.master(gens[i].value, gens[j].value, ctx.reduced_table)
-    return type(red)(ctx.gen_alph, {n: rewrite_in_generators(ctx, gens, p)
-                                    for n, p in red.coeffs.items()})
+    return rewrite_in_generators(ctx, gens, ctx.flavor.master(
+        gens[i].value, gens[j].value, ctx.reduced_table))
 
 
 def w_bracket_closed(ctx: ReductionContext, gens, a, b):

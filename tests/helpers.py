@@ -216,6 +216,171 @@ def reference_jacobi_defect(a, b, c, table):
     return Lambda2Poly(table.alphabet, var, out)
 
 
+# -- bracket values as dicts {n: SuperPoly} ---------------------------------
+# The bracket-value operations as pva wrote them before values were packed
+# into one flat dict: a value is a map n -> SuperPoly, and every operation
+# works coefficient by coefficient through SuperPoly's public arithmetic.
+# They and the axioms-driven oracle built on them are the independent
+# reference for the packed values.
+
+def _dict_acc(out, n, p, e=0):
+    """out[n] += (-1)^e p in a dict of coefficients."""
+    if p:
+        p = -p if e % 2 else p
+        out[n] = out[n] + p if n in out else p
+
+
+class DictValue:
+    """sum_n x^n f_n as a dict {n: SuperPoly}; var is pva.LAMBDA or
+    spva.CHI."""
+
+    def __init__(self, alphabet, var, coeffs=None):
+        self.alphabet = alphabet
+        self.var = var
+        self.coeffs = {n: p for n, p in (coeffs or {}).items() if p}
+
+    @classmethod
+    def of(cls, value):
+        """The dict form of a packed value."""
+        return cls(value.alphabet, value.var, dict(value.coeffs))
+
+    def _new(self, coeffs):
+        return DictValue(self.alphabet, self.var, coeffs)
+
+    def _plus(self, other, e):
+        out = dict(self.coeffs)
+        for n, p in other.coeffs.items():
+            _dict_acc(out, n, p, e)
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._plus(other, 0)
+
+    def __sub__(self, other):
+        return self._plus(other, 1)
+
+    def __neg__(self):
+        return self._new({n: -p for n, p in self.coeffs.items()})
+
+    def scalar_mul(self, s):
+        return self._new({n: p.scalar_mul(s) for n, p in self.coeffs.items()})
+
+    def mul_left(self, poly):
+        """poly * self: a part of parity q passes x^n at the cost (-1)^{pqn}."""
+        out = {}
+        parts = parity_parts(poly) if self.var.parity else [(0, poly)]
+        for q, part in parts:
+            for n, p in self.coeffs.items():
+                _dict_acc(out, n, part * p, q * n * self.var.parity)
+        return self._new(out)
+
+    def mul_right(self, poly):
+        return self._new({n: p * poly for n, p in self.coeffs.items()})
+
+    def shift(self, a=1):
+        return self._new({n + a: p for n, p in self.coeffs.items()})
+
+    def apply_plus_d(self, times=1):
+        """(x + d)(x^n f) = (-1)^{pn} (x^{n+1} f + x^n df), times times."""
+        cur = self.coeffs
+        for _ in range(times):
+            out = {}
+            for n, p in cur.items():
+                neg = self.var.parity & n
+                _dict_acc(out, n + 1, p, neg)
+                _dict_acc(out, n, p.deriv(), neg)
+            cur = out
+        return self._new(cur)
+
+    def flip(self):
+        """sum_n (-x-d)^n f_n."""
+        out = {}
+        for n, p in self.coeffs.items():
+            for m, q in self._new({0: p}).apply_plus_d(n).coeffs.items():
+                _dict_acc(out, m, q, n)
+        return self._new(out)
+
+
+def dict_arrow_apply(bracket: DictValue, tail: DictValue, q=0) -> DictValue:
+    """sum_n (-1)^arrow(q,n) (a_(n)b) (x+d)^n tail."""
+    out = DictValue(bracket.alphabet, bracket.var)
+    for n, coeff in bracket.coeffs.items():
+        term = tail.apply_plus_d(n).mul_left(coeff)
+        out = out - term if bracket.var.arrow(q, n) % 2 else out + term
+    return out
+
+
+def dict_oracle(a, b, table) -> DictValue:
+    """The axioms-driven bracket of pva (sesquilinearity, right Leibniz,
+    skew), on dict values and the table's entries in dict form."""
+    out = DictValue(table.alphabet, table.value.var)
+    units = {}
+    for mono_a, ka, ca, ga in a.coefficients():
+        for mono_b, kb, cb, gb in b.coefficients():
+            unit = units.get((mono_a, mono_b))
+            if unit is None:
+                unit = units[mono_a, mono_b] = _dict_oracle_mono(
+                    mono_a, mono_b, table)
+            out = out + unit.scalar_mul(Scalar.term(ka + kb, ca + cb, ga * gb))
+    return out
+
+
+def _dict_oracle_mono(mono_a, mono_b, table):
+    alph, var = table.alphabet, table.value.var
+    fac_a = [v for v, e in mono_a for _ in range(e)]
+    fac_b = [v for v, e in mono_b for _ in range(e)]
+    if not fac_a or not fac_b:
+        return DictValue(alph, var)
+    if len(fac_b) > 1:
+        w = fac_b[0]
+        (v, e), rest_t = mono_b[0], mono_b[1:]
+        rest_mono = ((v, e - 1),) + rest_t if e > 1 else rest_t
+        rest = SuperPoly(alph, {rest_mono: Scalar.one()})
+        t1 = _dict_oracle_mono(mono_a, ((w, 1),), table).mul_right(rest)
+        t2 = _dict_oracle_mono(mono_a, rest_mono, table).mul_right(
+            SuperPoly.variable(alph, w[0], w[1]))
+        prest = sum(alph.var_parity(u) for u, e in rest_mono for _ in range(e))
+        return t1 - t2 if alph.var_parity(w) * prest % 2 else t1 + t2
+    if len(fac_a) > 1:
+        pa = sum(alph.var_parity(v) for v in fac_a)
+        pb = sum(alph.var_parity(v) for v in fac_b)
+        rev = _dict_oracle_mono(mono_b, mono_a, table).flip()
+        return -rev if (var.skew + pa * pb) % 2 else rev
+    (i, m), = fac_a
+    (j, n), = fac_b
+    val = DictValue.of(table.entry(i, j)).shift(m)
+    val = -val if var.d_left * m % 2 else val
+    val = val.apply_plus_d(n)
+    return -val if var.d_right(alph.var_parity((i, m))) * n % 2 else val
+
+
+def dict_jacobi_defect(a, b, c, table):
+    """The Jacobi defect as a dict {(i, j): SuperPoly}, each term summed over
+    the parity parts of a (and of b in the third), every bracket by
+    dict_oracle."""
+    var = table.value.var
+    sign1, sign2, sign3 = var.jacobi
+    out = {}
+    a_split = parity_parts(a) if var.parity else [(0, a)]
+    bc = dict_oracle(b, c, table).coeffs
+    for pa, ah in a_split:
+        for i, p in bc.items():
+            for o, q in dict_oracle(ah, p, table).coeffs.items():
+                _dict_acc(out, (o, i), q, sign1(pa, i, o))
+    for pa, ah in a_split:
+        for i, p in dict_oracle(ah, b, table).coeffs.items():
+            for o, q in dict_oracle(p, c, table).coeffs.items():
+                for (t, u), coeff in var.binomial(o).items():
+                    _dict_acc(out, (i + t, u), q.scale(coeff), sign2(pa, i, o))
+    for pa, ah in parity_parts(a):
+        ac = dict_oracle(ah, c, table).coeffs
+        for pb, bh in parity_parts(b):
+            for i, p in ac.items():
+                for o, q in dict_oracle(bh, p, table).coeffs.items():
+                    _dict_acc(out, (i, o), q, sign3(pa, pb, i, o))
+    return {ij: q for ij, q in out.items() if q}
+
+
 def reference_leibniz_defects(a, b, c, table):
     right = (fresh_bracket(a, b * c, table)
              - fresh_bracket(a, b, table).mul_right(c))

@@ -492,6 +492,6 @@ def test_thm_5_9_reports_a_generator_outside_W(monkeypatch):
 
     monkeypatch.setattr(brst.BRSTDifferential, "apply_J", closed_on_image)
     taus[0] = WGenerator(0, value, taus[0].weight)
-    report = brst.compare_brst_reduction(ctx, taus, table)
+    report = brst.compare_brst_reduction(BRSTComplex(ctx), taus, table)
     assert ("generator 0: coefficient correspondence fails: "
             "[('r0^3', 0), ('r0^4', 0)]") in report

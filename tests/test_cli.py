@@ -382,6 +382,28 @@ def test_verify_all_builds_each_piece_once(monkeypatch, capsys):
         for flavor in ("lambda", "chi"))
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all"],
+                                  ["susy-verify", "--cross-brst"]],
+                         ids=["verify-all", "susy-verify-cross-brst"])
+def test_verify_builds_one_brst_complex(monkeypatch, capsys, argv):
+    """The d-squared and thm-5-9 suites of one run share one BRST complex
+    over the run's SUSY context: the hook counts every complex built."""
+    from walgebras import brst
+    built = []
+    init = brst.BRSTComplex.__init__
+
+    def counting(self, ctx):
+        built.append(ctx)
+        init(self, ctx)
+
+    monkeypatch.setattr(brst.BRSTComplex, "__init__", counting)
+    code, out, err = run(capsys, argv[0], "--algebra", "osp12", *argv[1:],
+                         "--k", "1/2")
+    assert (code, err) == (0, "")
+    assert "PASS d-squared" in out and "PASS thm-5-9" in out
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("algebra,extra,counts", [
     ("osp12", [], {"lambda": 4, "chi": 1}),
     ("sl21", ["--k", "1/2"], {"lambda": 16, "chi": 4})])

@@ -16,8 +16,8 @@ import helpers
 from walgebras.scalars import GRat, Scalar
 from walgebras.superpoly import (Alphabet, ExponentOverflowError, FLAVOR_D,
                                  FLAVOR_DEL, FlavorError, SuperPoly,
-                                 accumulate, accumulate_product, accumulated,
                                  enumerate_monomials, random_superpoly)
+from walgebras.pva import LambdaPoly
 
 AFF = Alphabet(FLAVOR_DEL, ["E", "H", "F"], [0, 0, 0], [0, 1, 2])
 SUS = Alphabet(FLAVOR_D, ["x", "y", "z"], [1, 0, 1],
@@ -804,21 +804,20 @@ def test_normal_form_across_build_routes():
     rendering and the reduced GRats of coefficients() agree, and so do its
     copies and pickles. Each route leaves a common factor between the
     numerators and the denominator until the result is built: halves that
-    add up to a whole, a scale and its inverse, a sum map over thirds and
-    halves that cancels to integers, a derivative whose factor 2 meets the
-    1/2, and a product whose i*i = -1."""
+    add up to a whole, a scale and its inverse, a bracket-value sum over
+    thirds and halves that cancels to integers, a derivative whose factor 2
+    meets the 1/2, and a product whose i*i = -1."""
     u, du = var(AFF, 0), var(AFF, 0, 1)
     x, y = var(AFF, 1), var(AFF, 2)
     i = Scalar.imag()
-    out = {}
-    accumulate(out, 0, x.scale(Fraction(1, 3)))
-    accumulate_product(out, 0, x.scale(Fraction(1, 2)), y)
-    accumulate(out, 0, x.scale(Fraction(2, 3)))
-    accumulate_product(out, 0, x, y.scale(Fraction(1, 2)))
+    summed = (LambdaPoly.of(x.scale(Fraction(1, 3)))
+              + LambdaPoly.of(x.scale(Fraction(1, 2))).mul_right(y)
+              + LambdaPoly.of(x.scale(Fraction(2, 3)))
+              + LambdaPoly.of(x).mul_right(y.scale(Fraction(1, 2))))
     routes = [
         (x, x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2))),
         (x, x.scale(Fraction(1, 3)).scale(3)),
-        (x + x * y, accumulated(AFF, out)[0]),
+        (x + x * y, summed.get(0)),
         (u * du, (u * u).scale(Fraction(1, 2)).deriv()),
         (-(x * y), x.scalar_mul(i) * y.scalar_mul(i)),
         (x.scalar_mul(i).scale(Fraction(1, 6)),

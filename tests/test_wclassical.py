@@ -685,3 +685,31 @@ def test_missing_triple_is_an_algebra_error(build, shown):
     with pytest.raises(AlgebraError) as exc:
         build(g)
     assert str(exc.value) == "algebra sl2 carries no %s" % shown
+
+
+@pytest.mark.parametrize("name, susy", [("sl3-principal", False),
+                                        ("osp12", True)])
+def test_rename_memos_start_over_when_full(monkeypatch, name, susy):
+    """The context's rho and symbol memos keep at most _MEMO_SIZE monomials
+    per pair of alphabets, starting over when full, and rho and the symbol
+    projection give after a start-over what a context whose memos never
+    filled gives, on polynomials and on bracket values read whole."""
+    from walgebras import superpoly
+    make = SUSYReductionContext if susy else ReductionContext
+    g = helpers.algebra(name)
+    rng = random.Random(name)
+    ref = make(g)
+    polys = [random_superpoly(ref.alph, rng, max_factors=3, terms=4)
+             for _ in range(12)]
+    values = [ref.bracket(a, b) for a, b in zip(polys, polys[1:4])]
+    want = [(ref.rho(p), ref.symbols(p, ref.gen_alph)) for p in polys]
+    want_values = [ref.rho_bracket(v) for v in values]
+    assert max(map(len, ref._rho_memos.values())) > 8
+    monkeypatch.setattr(superpoly, "_MEMO_SIZE", 8)
+    ctx = make(g)
+    for _ in range(2):
+        assert [(ctx.rho(p), ctx.symbols(p, ctx.gen_alph))
+                for p in polys] == want
+        assert [ctx.rho_bracket(v) for v in values] == want_values
+        memos = list(ctx._rho_memos.values()) + list(ctx._symbol_memos.values())
+        assert memos and all(len(m) <= 8 for m in memos)
