@@ -358,9 +358,7 @@ def compare_brst_reduction(cplx: BRSTComplex, taus, red_table):
             pref = Scalar.one()
             for _ in range(ctx.gen_parities[a] + ctx.gen_parities[b]):
                 pref = pref * i_unit
-            twisted = ChiPoly(galph, {p: poly.rename(twist, galph, memos)
-                                          .scalar_mul(pref)
-                                      for p, poly in red.coeffs.items()})
+            twisted = red.rename(twist, galph, memos).scalar_mul(pref)
             if twisted != brst_table.entry(a, b):
                 report.append("bracket (%d,%d): tables differ after twist"
                               % (a, b))

@@ -24,9 +24,12 @@ This module holds the lambda record and names; spva holds chi.
 Packed values. A bracket value is stored as a SuperPoly is: one flat dict
 of integer numerators over one denominator, the power n of x in each key's
 x field (see superpoly), and its content cancelled once, when the value is
-built. Every step of the master formula runs on whole values: one product
-multiplies a partial by all of (x+d)^n B, one pass over the dict applies
-x + d, and the sums go into one running sum per value. The chi signs come
+built. LambdaPoly and Lambda2Poly are subclasses of superpoly._Packed, so
+equality, hashing, sums, negation, scalar_mul, rename and
+packed_coefficients run the polynomial's code on the whole value. Every
+step of the master formula runs on whole values: one product multiplies a
+partial by all of (x+d)^n B, one pass over the dict applies x + d, and
+the sums go into one running sum per value. The chi signs come
 from the x field's low bit, an odd bit over a D alphabet: (-1)^{pqn} of a
 polynomial passing chi^n from the Koszul sign of the product, (-1)^n of
 (chi + D) from the pass. The Jacobi defect keeps x^i y^j f_ij the same way,
@@ -46,9 +49,9 @@ from .scalars import Scalar, join_signed
 from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, FlavorError,
                         SuperPoly, random_superpoly)
 from .superpoly import (_MAX_EXP, _X, _X_FIELD, _X_GUARD, _X_SHIFT,
-                        _XY_FIELDS, _Y, _add_flat, _add_into, _align, _cancel,
-                        _groups, _mul_flat, _mul_into, _overflow,
-                        _plus_d, _poly, _scaled, _sum)
+                        _XY_FIELDS, _Y, _Packed, _add_flat, _add_into, _align,
+                        _cancel, _groups, _mul_flat, _mul_into, _overflow,
+                        _plus_d, _poly)
 
 _new = object.__new__
 
@@ -155,24 +158,31 @@ def _add_value(out, value, e=0):
     _add_into(out, value._flat, value._den, -1 if e & 1 else 1)
 
 
-def _power(glyph, n):
-    return glyph if n == 1 else "%s^%d" % (glyph, n)
+def _render(value):
+    """The render of a LambdaPoly or a Lambda2Poly: each coefficient with
+    the powers of x (and y) of its key, bracketed when compound."""
+    coeffs = value.coeffs
+    if not coeffs:
+        return "0"
+    glyphs, left = value.var.glyphs, value.var.left
+    parts = []
+    for key in sorted(coeffs):
+        body = coeffs[key].render()
+        powers = [g if e == 1 else "%s^%d" % (g, e) for g, e in
+                  zip(glyphs, key if type(key) is tuple else (key,)) if e]
+        if powers:
+            if ("+" in body) or (" - " in body) or body.startswith("-"):
+                body = "(%s)" % body
+            body = "*".join(powers + [body] if left else [body] + powers)
+        parts.append(body)
+    return join_signed(parts)
 
 
-def _render_term(powers, body, left):
-    """A coefficient times indeterminate powers, bracketed when compound."""
-    if not powers:
-        return body
-    if ("+" in body) or (" - " in body) or body.startswith("-"):
-        body = "(%s)" % body
-    return "*".join(powers + [body] if left else [body] + powers)
-
-
-class LambdaPoly:
-    """Bracket value sum_n x^n f_n, stored packed: one flat dict of integer
-    numerators over one denominator, as a SuperPoly is, whose keys carry n
-    in their x field (see the module docstring). A power of x past 127
-    raises ExponentOverflowError.
+class LambdaPoly(_Packed):
+    """Bracket value sum_n x^n f_n, stored packed as a SuperPoly is, in a
+    superpoly._Packed whose keys carry n in their x field (see the module
+    docstring); a sum with another class raises TypeError. A power of x
+    past 127 raises ExponentOverflowError.
 
     The class's `var` is the indeterminate: lambda here, chi in the
     subclass spva.ChiPoly, whose alphabet must have the matching flavor.
@@ -181,7 +191,7 @@ class LambdaPoly:
     changes after it is built.
     """
 
-    __slots__ = ("alphabet", "_flat", "_den", "_coeffs")
+    __slots__ = ("_coeffs",)
     var = LAMBDA
 
     def __init__(self, alphabet, coeffs=None):
@@ -203,11 +213,15 @@ class LambdaPoly:
         return _value(cls, poly.alphabet, poly._flat, poly._den)
 
     def _whole(self):
-        """self as one SuperPoly whose keys keep their x fields, for the
-        maps that carry every bit below the variables over (rename,
-        substitute, packed_coefficients); never handed out, as its terms
-        would drop the powers of x."""
+        """self as one SuperPoly whose keys keep their x fields, for
+        SuperPoly.substitute, which carries every bit below the variables
+        over; never handed out, as its terms would drop the powers of x."""
         return _poly(self.alphabet, self._flat, self._den)
+
+    def _like(self, alph, flat, den):
+        if alph is not self.alphabet:
+            _check_flavor(alph, self.var)
+        return _value(type(self), alph, *_cancel(flat, den))
 
     @property
     def coeffs(self):
@@ -228,40 +242,8 @@ class LambdaPoly:
         # slots are given per process: copies and pickles carry the view
         return type(self), (self.alphabet, dict(self.coeffs))
 
-    def __bool__(self):
-        return bool(self._flat)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self._den == other._den
-                and self._flat == other._flat)
-
     def get(self, n) -> SuperPoly:
         return self.coeffs.get(n, SuperPoly.zero(self.alphabet))
-
-    def _check(self, other):
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise FlavorError("bracket values over different alphabets")
-
-    def _plus(self, other, n):
-        self._check(other)
-        return _built(type(self), self.alphabet,
-                      _sum(self._flat, self._den, other._flat, other._den, n))
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __neg__(self):
-        return _value(type(self), self.alphabet,
-                      {key: -g for key, g in self._flat.items()}, self._den)
-
-    def scalar_mul(self, s: Scalar):
-        return _built(type(self), self.alphabet,
-                      _scaled(self.alphabet, self._flat, self._den, s))
 
     def mul_left(self, poly: SuperPoly):
         """poly * self: a term of parity q passes x^n at the cost (-1)^{pqn},
@@ -269,13 +251,13 @@ class LambdaPoly:
         self._check(poly)
         out = {}
         _mul_flat(out, poly._flat, self._flat, self.alphabet._layout)
-        return _built(type(self), self.alphabet, (out, poly._den * self._den))
+        return self._like(self.alphabet, out, poly._den * self._den)
 
     def mul_right(self, poly: SuperPoly):
         self._check(poly)
         out = {}
         _mul_flat(out, self._flat, poly._flat, self.alphabet._layout)
-        return _built(type(self), self.alphabet, (out, self._den * poly._den))
+        return self._like(self.alphabet, out, self._den * poly._den)
 
     def shift(self, a=1):
         """Left multiplication by x^a."""
@@ -292,7 +274,7 @@ class LambdaPoly:
         alph, flat = self.alphabet, self._flat
         for _ in range(times):
             flat = _plus_d(alph, flat)
-        return _built(type(self), alph, (flat, self._den))
+        return self._like(alph, flat, self._den)
 
     def flip(self):
         """sum_n (-x-d)^n f_n, the skew-symmetry substitution, by Horner's
@@ -311,32 +293,14 @@ class LambdaPoly:
             f = parts.get(n * _X)
             if f is not None:
                 _add_flat(cur, f, -1 if n & 1 else 1)
-        return _built(type(self), alph, (cur, self._den))
-
-    def rename(self, image, target, memos):
-        """SuperPoly.rename of every coefficient, in one rename of the whole
-        value: the map keeps the x field, and an even map commutes with x."""
-        return self.of(self._whole().rename(image, target, memos))
+        return self._like(alph, cur, self._den)
 
     def substitute(self, images, target):
         """SuperPoly.substitute of every coefficient, in one substitution of
         the whole value (an even homomorphism commutes with x)."""
         return self.of(self._whole().substitute(images, target))
 
-    def packed_coefficients(self):
-        """SuperPoly.packed_coefficients of the whole value: its m tells
-        the powers of x apart."""
-        return self._whole().packed_coefficients()
-
-    def render(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        glyph, left = self.var.glyphs[0], self.var.left
-        return join_signed([_render_term([_power(glyph, n)] if n else [],
-                                         coeffs[n].render(), left)
-                            for n in sorted(coeffs)])
-
+    render = _render
     __str__ = render
     __repr__ = render
 
@@ -709,21 +673,30 @@ def check_skew(table: BracketTable, evaluator=master_bracket):
             if skew_defect(gens[a], gens[b], table, evaluator)]
 
 
-class Lambda2Poly:
+class Lambda2Poly(_Packed):
     """Normal form sum x^i y^j f_ij in two indeterminates of one parity:
     lambda and mu, or the anticommuting chi and gamma, stored packed as a
     LambdaPoly is, with j in the y field; a power past 127 raises
-    ExponentOverflowError. coeffs is a read-only view {(i, j): f_ij},
-    built on first read."""
+    ExponentOverflowError. The alphabet has var's flavor, so it fixes var,
+    and equality need not read var. coeffs is a read-only view
+    {(i, j): f_ij}, built on first read."""
 
-    __slots__ = ("alphabet", "var", "_flat", "_den", "_coeffs")
+    __slots__ = ("var", "_coeffs")
 
     def __init__(self, alphabet, var, coeffs=None):
+        _check_flavor(alphabet, var)
         self.alphabet = alphabet
         self.var = var
         self._flat, self._den = _packed(alphabet, [
             (_xy(i, j), p) for (i, j), p in (coeffs or {}).items() if p])
         self._coeffs = None
+
+    def _like(self, alph, flat, den):
+        if alph is not self.alphabet:
+            _check_flavor(alph, self.var)
+        v = _value(Lambda2Poly, alph, *_cancel(flat, den))
+        v.var = self.var
+        return v
 
     @property
     def coeffs(self):
@@ -738,26 +711,7 @@ class Lambda2Poly:
     def __reduce__(self):
         return Lambda2Poly, (self.alphabet, self.var, dict(self.coeffs))
 
-    def __bool__(self):
-        return bool(self._flat)
-
-    def __eq__(self, other):
-        if type(other) is not Lambda2Poly:
-            return NotImplemented
-        return (self.var == other.var and self.alphabet == other.alphabet
-                and self._den == other._den and self._flat == other._flat)
-
-    def render(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        (gx, gy), left = self.var.glyphs, self.var.left
-        parts = []
-        for (i, j) in sorted(coeffs):
-            powers = ([_power(gx, i)] if i else []) + ([_power(gy, j)] if j else [])
-            parts.append(_render_term(powers, coeffs[(i, j)].render(), left))
-        return join_signed(parts)
-
+    render = _render
     __str__ = render
 
 
@@ -857,9 +811,8 @@ def jacobi_defect(a: SuperPoly, b: SuperPoly, c: SuperPoly,
             _place(out, evaluator(op_b, p, table),
                    lambda o, i=i, pb=pb, neg=neg: [
                        (_xy(i, o), signed(sign3(0, pb, i, o) + neg))])
-    v = _new(Lambda2Poly)
-    v.alphabet, v.var, v._coeffs = table.alphabet, var, None
-    v._flat, v._den = _cancel(*out)
+    v = _value(Lambda2Poly, table.alphabet, *_cancel(*out))
+    v.var = var
     return v
 
 

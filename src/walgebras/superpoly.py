@@ -35,7 +35,14 @@ real and imaginary parts, holds up to 2n entries, and every sum and
 product of two terms is a sum and a product of Python ints. Every kernel
 loop (sum, product, derivation, partials, substitution, equality, hashing)
 runs on that dict, and only this module and pva (for the x and y
-fields of bracket values) read the key.
+fields of bracket values) read the key. A bracket value of pva is stored
+the same way, so the storage (alphabet, _flat, _den) and every operation
+that reads it alone (equality, hashing, sums, negation, scalar_mul, rename,
+packed_coefficients) are one private base class, _Packed, of SuperPoly and
+of pva's value classes, each of which supplies its constructor _like.
+SuperPoly defines its own __add__, __mul__, deriv, partial and
+substitute: the benchmark's tracer wraps a method only where it sits in
+its class's own namespace.
 
 - Normal form. Each built polynomial has gcd(numerators, _den) = 1, and
   zero is the empty dict over 1, so equal values have equal fields and
@@ -652,11 +659,151 @@ def _align(entry, den):
     return d // den
 
 
-class SuperPoly:
-    """Sparse supercommutative polynomial with Scalar coefficients, stored
-    flat (see the module docstring)."""
+class _Packed:
+    """The packed storage of a polynomial or a bracket value (pva): the
+    alphabet, the numerators _flat and the denominator _den (see the module
+    docstring), with every operation that reads that storage alone. A
+    subclass supplies _like(alph, flat, den): the value of its own class
+    over alph that takes over numerators flat over den > 0, their content
+    cancelled. An operand of another class gives NotImplemented, so a sum
+    of two classes (or of a value and a number) raises TypeError."""
 
-    __slots__ = ("alphabet", "_flat", "_den", "_terms", "_gradients")
+    __slots__ = ("alphabet", "_flat", "_den")
+
+    def __bool__(self):
+        return bool(self._flat)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self._den == other._den
+                and self._flat == other._flat)
+
+    def __hash__(self):
+        return hash((self.alphabet, self._den, frozenset(self._flat.items())))
+
+    def _check(self, other):
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
+            raise FlavorError("operands over different alphabets")
+
+    def _plus(self, other, n):
+        """self + n other for n = 1 or -1, over the lcm of the denominators;
+        NotImplemented for an operand of another class."""
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        den, d2 = self._den, other._den
+        if den == d2:
+            out = dict(self._flat)
+        else:
+            den = den // gcd(den, d2) * d2
+            f = den // self._den
+            out = {key: g * f for key, g in self._flat.items()}
+            n *= den // d2
+        _add_flat(out, other._flat, n)
+        return self._like(self.alphabet, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._like(self.alphabet,
+                          {key: -g for key, g in self._flat.items()}, self._den)
+
+    def scalar_mul(self, scalar: Scalar):
+        """self times scalar: a one-term real scalar shifts the keys and
+        scales the numerators, any other multiplies by the constant."""
+        alph, flat, den = self.alphabet, self._flat, self._den
+        st = scalar.terms
+        if len(st) == 1:
+            ((k2, c2), g2), = st.items()
+            if not g2.b:   # one real term; Q(i) has no zero divisors
+                a2 = g2.a
+                if k2 or c2:
+                    shift = _powers(k2, c2)
+                    out = {key + shift: g * a2 for key, g in flat.items()}
+                    if any(key & _POWERS_GUARD for key in out):
+                        _overflow()
+                else:
+                    out = {key: g * a2 for key, g in flat.items()}
+                return self._like(alph, out, den * g2.d)
+        const = SuperPoly.const(alph, scalar)
+        out = {}
+        _mul_flat(out, flat, const._flat, alph._layout)
+        return self._like(alph, out, den * const._den)
+
+    def rename(self, image, target, memos):
+        """The algebra map into target that sends each variable v as
+        image(v) says: None (to 0), (w, f) (to f times the variable w of
+        target) or (None, c) (to the constant c), for GRats f and c (a zero
+        one sends v to 0). Distinct variables must go to distinct ones; a
+        parity mismatch (an odd v sent to a nonzero c too) raises
+        FlavorError. Monomials may meet (rho sends q*u and q to q for a
+        killed u of constant 1), so terms add up. memos is the caller's
+        dict for this image: per pair of alphabet values it keeps each
+        monomial's key over target and its factor (Koszul sign times
+        factors), so a monomial is unpacked once, up to _MEMO_SIZE
+        monomials per pair, after which it starts over. An int factor
+        multiplies the numerators alone; the others go over the lcm of
+        denominators. Every bit below the variables (the powers of k, c
+        and i, and a bracket value's x and y fields) is carried over, and
+        the map keeps parities, so it commutes with x: a bracket value is
+        mapped whole, as each of its coefficients would be."""
+        alph = self.alphabet
+        layouts = alph._layout, target._layout
+        monos = memos.get(layouts)
+        if monos is None:   # its key holds both registries
+            monos = memos[layouts] = {}
+        out = {}
+        rest = []   # (key over target, numerator, (a, b, d)) of the others
+        for key, n in self._flat.items():
+            m = key >> _VAR_SHIFT
+            found = monos.get(m)
+            if found is None:
+                if len(monos) >= _MEMO_SIZE:   # start over when full
+                    monos.clear()
+                found = monos[m] = _renamed(alph, image, target, m)
+            to, f = found
+            if f.__class__ is not int:
+                rest.append((to | (key & _POWERS_MASK), n, f))
+            elif f:
+                to |= key & _POWERS_MASK
+                if to in out:   # two monomials meet
+                    _add(out, to, n * f)
+                else:
+                    out[to] = n * f
+        scale = lcm(*[f[2] for _to, _n, f in rest])
+        if scale != 1:
+            out = {to: n * scale for to, n in out.items()}
+        for to, n, (a, b, d) in rest:
+            n *= scale // d
+            _add(out, to, n * a)
+            i_key = to ^ _I   # n b i times i^e is -n b at e = 1
+            _add(out, i_key, n * b if i_key & _I else -n * b)
+        return self._like(target, out, self._den * scale)
+
+    def packed_coefficients(self):
+        """(m, kpow, cpow, g) as coefficients() gives them, with m the
+        monomial's packed key in place of its tuple: equal monomials over
+        one alphabet value have equal keys in one process, and no output
+        may read one (see the module docstring). m keeps the x and y
+        fields, so a bracket value read whole (pva) gives one m per power
+        of x and monomial."""
+        for key, g in _grats(self._flat, self._den):
+            yield (key >> _X_SHIFT, key & _FIELD_MASK,
+                   (key >> _FIELD) & _FIELD_MASK, g)
+
+
+class SuperPoly(_Packed):
+    """Sparse supercommutative polynomial with Scalar coefficients, stored
+    flat (see the module docstring). __add__ is _Packed's, written here
+    again: the benchmark's tracer counts it only in this class's own
+    namespace, as it does __mul__, deriv, partial and substitute."""
+
+    __slots__ = ("_terms", "_gradients")
 
     def __init__(self, alphabet, terms=None):
         """sum_M c_M M over terms {M: Scalar c_M} of canonical monomials M;
@@ -747,57 +894,15 @@ class SuperPoly:
                 mono = monos[m] = _mono(vars_, m)
             yield mono, key & _FIELD_MASK, (key >> _FIELD) & _FIELD_MASK, g
 
-    def packed_coefficients(self):
-        """(m, kpow, cpow, g) as coefficients() gives them, with m the
-        monomial's packed key in place of its tuple: equal monomials over
-        one alphabet value have equal keys in one process, and no output
-        may read one (see the module docstring). m keeps the x and y
-        fields, so a bracket value read whole (pva) gives one m per power
-        of x and monomial."""
-        for key, g in _grats(self._flat, self._den):
-            yield (key >> _X_SHIFT, key & _FIELD_MASK,
-                   (key >> _FIELD) & _FIELD_MASK, g)
-
-    def __bool__(self):
-        return bool(self._flat)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self._den == other._den
-                and self._flat == other._flat)
-
-    def __hash__(self):
-        return hash((self.alphabet, self._den, frozenset(self._flat.items())))
-
     def __reduce__(self):
         # slots are given per process: copies and pickles carry tuple
         # monomials, packed again where they are read
         return SuperPoly, (self.alphabet, dict(self.terms))
 
-    def _check(self, other):
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise FlavorError("polynomials over different alphabets")
-
-    def _plus(self, other, n):
-        """self + n other for n = 1 or -1."""
-        self._check(other)
-        return _poly(self.alphabet, *_sum(self._flat, self._den, other._flat,
-                                          other._den, n))
+    _like = staticmethod(_poly)
 
     def __add__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
         return self._plus(other, 1)
-
-    def __neg__(self):
-        return _poly(self.alphabet, {key: -g for key, g in self._flat.items()},
-                     self._den)
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self._plus(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
@@ -807,10 +912,6 @@ class SuperPoly:
         out = {}
         _mul_flat(out, self._flat, other._flat, alph._layout)
         return _poly(alph, out, self._den * other._den)
-
-    def scalar_mul(self, scalar: Scalar) -> "SuperPoly":
-        return _poly(self.alphabet,
-                     *_scaled(self.alphabet, self._flat, self._den, scalar))
 
     def scale(self, rat) -> "SuperPoly":
         return self.scalar_mul(Scalar.rational(rat))
@@ -958,54 +1059,6 @@ class SuperPoly:
                 _add_into(out, term, den)
         return _poly(target, *out)
 
-    def rename(self, image, target, memos) -> "SuperPoly":
-        """The algebra map into target that sends each variable v as
-        image(v) says: None (to 0), (w, f) (to f times the variable w of
-        target) or (None, c) (to the constant c), for GRats f and c (a zero
-        one sends v to 0). Distinct variables must go to distinct ones; a
-        parity mismatch (an odd v sent to a nonzero c too) raises
-        FlavorError. Monomials may meet (rho sends q*u and q to q for a
-        killed u of constant 1), so terms add up. memos is the caller's
-        dict for this image: per pair of alphabet values it keeps each
-        monomial's key over target and its factor (Koszul sign times
-        factors), so a monomial is unpacked once, up to _MEMO_SIZE
-        monomials per pair, after which it starts over. An int factor
-        multiplies the numerators alone; the others go over the lcm of
-        denominators. Every bit below the variables (the powers of k, c
-        and i, and a bracket value's x and y fields) is carried over."""
-        alph = self.alphabet
-        layouts = alph._layout, target._layout
-        monos = memos.get(layouts)
-        if monos is None:   # its key holds both registries
-            monos = memos[layouts] = {}
-        out = {}
-        rest = []   # (key over target, numerator, (a, b, d)) of the others
-        for key, n in self._flat.items():
-            m = key >> _VAR_SHIFT
-            found = monos.get(m)
-            if found is None:
-                if len(monos) >= _MEMO_SIZE:   # start over when full
-                    monos.clear()
-                found = monos[m] = _renamed(alph, image, target, m)
-            to, f = found
-            if f.__class__ is not int:
-                rest.append((to | (key & _POWERS_MASK), n, f))
-            elif f:
-                to |= key & _POWERS_MASK
-                if to in out:   # two monomials meet
-                    _add(out, to, n * f)
-                else:
-                    out[to] = n * f
-        scale = lcm(*[f[2] for _to, _n, f in rest])
-        if scale != 1:
-            out = {to: n * scale for to, n in out.items()}
-        for to, n, (a, b, d) in rest:
-            n *= scale // d
-            _add(out, to, n * a)
-            i_key = to ^ _I   # n b i times i^e is -n b at e = 1
-            _add(out, i_key, n * b if i_key & _I else -n * b)
-        return _poly(target, out, self._den * scale)
-
     # -- rendering / serialization -----------------------------------------
     def render(self) -> str:
         terms = self.terms
@@ -1044,43 +1097,6 @@ class SuperPoly:
     def from_obj(alph, obj) -> "SuperPoly":
         return SuperPoly(alph, {tuple(((g, m), e) for g, m, e in mono_obj):
                                 Scalar.from_obj(c_obj) for mono_obj, c_obj in obj})
-
-
-def _sum(flat1, d1, flat2, d2, n):
-    """(numerators, denominator) of flat1/d1 + n flat2/d2, n = 1 or -1,
-    over the lcm of the denominators, not cancelled."""
-    if d1 == d2:
-        out = dict(flat1)
-        _add_flat(out, flat2, n)
-        return out, d1
-    den = d1 // gcd(d1, d2) * d2
-    f = den // d1
-    out = {key: g * f for key, g in flat1.items()}
-    _add_flat(out, flat2, n * (den // d2))
-    return out, den
-
-
-def _scaled(alph, flat, den, scalar):
-    """(numerators, denominator) of flat/den times the Scalar scalar, over
-    alph, not cancelled: a one-term real scalar shifts the keys and scales
-    the numerators, any other multiplies by the constant."""
-    st = scalar.terms
-    if len(st) == 1:
-        ((k2, c2), g2), = st.items()
-        if not g2.b:   # one real term; Q(i) has no zero divisors
-            a2 = g2.a
-            if k2 or c2:
-                shift = _powers(k2, c2)
-                out = {key + shift: g * a2 for key, g in flat.items()}
-                if any(key & _POWERS_GUARD for key in out):
-                    _overflow()
-            else:
-                out = {key: g * a2 for key, g in flat.items()}
-            return out, den * g2.d
-    const = SuperPoly.const(alph, scalar)
-    out = {}
-    _mul_flat(out, flat, const._flat, alph._layout)
-    return out, den * const._den
 
 
 def _add_into(entry, flat, den, n=1):

@@ -161,26 +161,23 @@ class ReductionContext:
         this table whenever every partial derivative of a and of b is fixed
         by rho: for a and b in the kept variables, and for a single variable
         a (an n of g_{>0}, killed or not) with b in the kept variables. For
-        any other input use rho_bracket(bracket(a, b)). A first-use memo:
+        any other input use rho(bracket(a, b)). A first-use memo:
         it reads `table` when first asked for and is not rebuilt after.
         """
         return self.flavor.table(self.alph, {
-            key: self.rho_bracket(value)
+            key: self.rho(value)
             for key, value in self.table.entries.items()})
 
-    def rho(self, poly: SuperPoly) -> SuperPoly:
+    def rho(self, value):
         """Each kept variable to itself, each killed one u to its constant
-        (F|u), resp. (f|u), and its derivatives to 0: a SuperPoly.rename."""
-        return poly.rename(self._rho_of, self.alph, self._rho_memos)
+        (F|u), resp. (f|u), and its derivatives to 0, in a polynomial or in
+        every coefficient of a bracket value at once: one rename of the
+        whole value (superpoly._Packed.rename)."""
+        return value.rename(self._rho_of, self.alph, self._rho_memos)
 
     def _rho_of(self, var):
         c = self._killed.get(var[0])
         return (var, GR_ONE) if c is None else None if var[1] else (None, c)
-
-    def rho_bracket(self, value):
-        """rho applied to every coefficient of a bracket value, in one
-        rename of the whole value (LambdaPoly.rename)."""
-        return value.rename(self._rho_of, self.alph, self._rho_memos)
 
     def symbols(self, poly: SuperPoly, gen_alph) -> SuperPoly:
         """The monomials of poly in the chain heads q_j^0 alone, with q_j^0
@@ -291,7 +288,7 @@ def membership_defects(ctx: ReductionContext, w: SuperPoly):
     any polynomial, so rho is applied to each bracket value."""
     out = []
     for t in ctx.n_indices:
-        value = ctx.rho_bracket(ctx.bracket(ctx.n_var(t), w))
+        value = ctx.rho(ctx.bracket(ctx.n_var(t), w))
         if value:
             out.append((ctx.gstar.names[t], value))
     return out

@@ -46,7 +46,7 @@ def test_criterion_1_virasoro_reproduction():
     assert w_bracket_direct(ctx, gens, 0, 0) == golden_b
     # independent oracle: the golden bracket from the axioms-driven evaluator
     raw = bracket_oracle(gens[0].value, gens[0].value, ctx.table)
-    red = ctx.rho_bracket(raw)
+    red = ctx.rho(raw)
     from walgebras.wclassical import rewrite_in_generators
     assert LambdaPoly(ga, {n: rewrite_in_generators(ctx, gens, p)
                            for n, p in red.coeffs.items()}) == golden_b

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import itertools
 import json
 import math
@@ -757,6 +758,33 @@ def test_benchmark_commands_take_the_fast_path(capsys):
     for argv in argvs:
         ours = cli._recognize(argv)
         assert ours is not None and vars(ours) == _parsed(parser, argv), argv
+
+
+def test_benchmark_trace_targets_sit_in_their_owners():
+    """Every target of the benchmark's tracer sits in its owner's own
+    namespace, where the tracer wraps it: a method in vars() of its class,
+    a class with an __init__ of its own (which the tracer times), a
+    function as an attribute of its module. The tracer finds an inherited
+    method by getattr but wraps nothing, and reports no target missing, so
+    its counter would read 0."""
+    bench = os.path.join(ROOT, "wbench")
+    sys.path.insert(0, bench)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(bench)
+    targets = list(tracer.SPAN_TARGETS) + [t for t, _c in tracer.COUNT_TARGETS]
+    for target in targets:
+        modname, _, qual = target.partition(".")
+        owner = importlib.import_module("walgebras." + modname)
+        *path, attr = qual.split(".")
+        for part in path:
+            owner = vars(owner)[part]
+        assert attr in vars(owner), target
+        obj = vars(owner)[attr]
+        if isinstance(obj, type):
+            assert "__init__" in vars(obj), target
+        assert callable(obj), target
 
 
 def test_main_reads_argparse_only_off_the_fast_path(monkeypatch, capsys):

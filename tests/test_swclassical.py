@@ -129,7 +129,7 @@ def test_lemma_6_2_case_table():
             for (j, n) in db.members():
                 t = db.grade_of(j, n)
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
-                got = ctx.rho_bracket(susy_master_bracket(up_poly, lo, ctx.table))
+                got = ctx.rho(susy_master_bracket(up_poly, lo, ctx.table))
                 if t - h > HALF:
                     assert not got
                 elif t - h == HALF:

@@ -9,7 +9,9 @@ seeded inputs over the lambda tables of the five catalog algebras and of
 sl4-principal, and the chi tables of osp12 and sl21. A result must equal
 the reference both coefficient by coefficient (its read-only `coeffs`
 view) and as a value, against the value built from the reference's
-coefficients, which holds only when its content was cancelled.
+coefficients, which holds only when its content was cancelled. The maps
+that read a value whole (rename, packed_coefficients) are compared with
+the same map applied to each coefficient.
 """
 
 import copy
@@ -20,14 +22,16 @@ import pytest
 
 import helpers
 from helpers import DictValue
+from walgebras import brst
 from walgebras.catalog import get_algebra
 from walgebras.pva import (BracketTable, Lambda2Poly, LambdaPoly, LeftBracket,
                            arrow_apply, bracket_oracle, jacobi_defect,
                            master_bracket)
 from walgebras.scalars import GRat, Scalar
-from walgebras.spva import ChiPoly
+from walgebras.spva import CHI, ChiPoly
 from walgebras.superpoly import (ExponentOverflowError, FlavorError,
                                  SuperPoly, random_superpoly)
+from walgebras.swclassical import SUSYReductionContext
 from walgebras.wclassical import ReductionContext
 
 TABLES = [(name, False) for name in ("sl2", "sl3-principal", "sl3-minimal",
@@ -252,3 +256,96 @@ def test_values_refuse_foreign_alphabets():
     with pytest.raises(FlavorError):
         LambdaPoly.of(SuperPoly.one(alph)).mul_left(
             SuperPoly.one(helpers.affine("sl2")[1]))
+
+
+def test_sums_refuse_other_classes_and_equal_values_hash_equal():
+    """A sum or a difference of a bracket value and an operand of another
+    class (a polynomial, a Jacobi defect, a number, a value in the other
+    indeterminate) raises TypeError from either side, and does not read
+    the operand's numerators as a value's; equal values hash equal."""
+    ctx = ReductionContext(get_algebra("sl2"))
+    entry = ctx.table.entry(0, 2)
+    one = SuperPoly.one(ctx.alph)
+    two = Lambda2Poly(ctx.alph, LambdaPoly.var, {(1, 2): one})
+    g, salph, st = helpers.susy_affine("osp12")
+    chi = ChiPoly(salph, {1: SuperPoly.one(salph)})
+    for a, b in [(entry, one), (entry, two), (entry, 1), (entry, chi),
+                 (one, two), (one, 1), (two, 1)]:
+        for x, y in ((a, b), (b, a)):
+            for op in (lambda: x + y, lambda: x - y):
+                with pytest.raises(TypeError) as err:
+                    op()
+                assert type(err.value) is TypeError   # not a FlavorError
+    twin = ReductionContext(get_algebra("sl2")).table.entry(0, 2)
+    assert twin == entry and hash(twin) == hash(entry)
+    assert {entry: 1}[pickle.loads(pickle.dumps(entry))] == 1
+    rng = random.Random("hash")
+    for v in (_random_value(LambdaPoly, ctx.alph, rng),
+              _random_value(ChiPoly, salph, rng), two,
+              LambdaPoly.zero(ctx.alph), chi):
+        w = v + v - v
+        assert w == v and w is not v and hash(w) == hash(v)
+        assert hash(copy.deepcopy(v)) == hash(v)
+    assert len({entry, twin, -entry, -(-entry)}) == 2
+
+
+def test_lambda2poly_refuses_an_alphabet_of_the_other_flavor():
+    """A Jacobi-defect value, like a LambdaPoly or a ChiPoly, needs an
+    alphabet of its indeterminate's flavor; so the alphabet fixes the
+    indeterminate, and equality need not read it."""
+    alph = ReductionContext(get_algebra("sl2")).alph
+    g, salph, st = helpers.susy_affine("osp12")
+    with pytest.raises(FlavorError):
+        Lambda2Poly(alph, CHI, {(1, 1): SuperPoly.one(alph)})
+    with pytest.raises(FlavorError):
+        Lambda2Poly(alph, CHI)
+    with pytest.raises(FlavorError):
+        Lambda2Poly(salph, LambdaPoly.var, {(0, 1): SuperPoly.one(salph)})
+    assert Lambda2Poly(salph, CHI, {(1, 1): SuperPoly.one(salph)}).render() \
+        == "χ*γ*1"
+
+
+def _per_coefficient(value, alph, f):
+    """The value over alph whose coefficients are f of those of value."""
+    return type(value)(alph, {n: f(p) for n, p in value.coeffs.items()})
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3-principal", "sl3-minimal",
+                                  "osp12", "sl21"])
+def test_whole_value_maps_match_each_coefficient(name):
+    """rename and packed_coefficients of a whole bracket value, in both
+    flavors where the algebra carries both triples, equal the same map on
+    each coefficient: rho, the symbols projection and the i-twist against
+    their substitution references (helpers), and packed_coefficients
+    against those of each coefficient, whose m gains n in the x field (the
+    low byte of m). On every entry of the context's affine table and on
+    seeded values; each result equals the reference coefficient by
+    coefficient and as a value."""
+    g = get_algebra(name)
+    contexts = [ReductionContext(g)]
+    if g.osp is not None:
+        contexts.append(SUSYReductionContext(g))
+    rng = random.Random("whole:" + name)
+    for ctx in contexts:
+        alph, cls = ctx.alph, ctx.table.value
+        parities = ctx.gstar.parities
+        twist, memos = brst._i_twist(parities), {}
+        values = list(ctx.table.entries.values())
+        values += [_random_value(cls, alph, rng) for _ in range(4)]
+        for v in values:
+            for got, want in [
+                    (ctx.rho(v), _per_coefficient(
+                        v, alph, lambda p: helpers.rho_by_substitution(ctx, p))),
+                    (ctx.symbols(v, ctx.gen_alph), _per_coefficient(
+                        v, ctx.gen_alph, lambda p: helpers.symbols_by_substitution(
+                            ctx, p, ctx.gen_alph))),
+                    (v.rename(twist, alph, memos), _per_coefficient(
+                        v, alph, lambda p: helpers.twist_by_substitution(
+                            p, alph, parities)))]:
+                assert type(got) is cls and got.coeffs == want.coeffs
+                assert got == want
+            whole = {(m, kp, cp): c for m, kp, cp, c in v.packed_coefficients()}
+            assert len(whole) == sum(1 for _ in v.packed_coefficients())
+            assert whole == {(m + n, kp, cp): c
+                             for n, p in v.coeffs.items()
+                             for m, kp, cp, c in p.packed_coefficients()}

@@ -184,7 +184,7 @@ def test_lemma_3_2_case_table():
             for (j, n) in db.members():
                 t2 = db.grade_of(j, n)
                 lo = SuperPoly.variable(ctx.alph, ctx.star_index[(j, n)])
-                got = ctx.rho_bracket(master_bracket(up_poly, lo, ctx.table))
+                got = ctx.rho(master_bracket(up_poly, lo, ctx.table))
                 if t2 - t1 > 1:
                     assert not got
                 elif t2 - t1 == 1:
@@ -589,7 +589,7 @@ def test_reduced_table_matches_rho_of_bracket(name, susy):
     master = ctx.flavor.master
 
     def check(a, b):
-        want = ctx.rho_bracket(ctx.bracket(a, b))
+        want = ctx.rho(ctx.bracket(a, b))
         assert master(a, b, ctx.reduced_table) == want
 
     for w in gens.values():
@@ -703,13 +703,13 @@ def test_rename_memos_start_over_when_full(monkeypatch, name, susy):
              for _ in range(12)]
     values = [ref.bracket(a, b) for a, b in zip(polys, polys[1:4])]
     want = [(ref.rho(p), ref.symbols(p, ref.gen_alph)) for p in polys]
-    want_values = [ref.rho_bracket(v) for v in values]
+    want_values = [ref.rho(v) for v in values]
     assert max(map(len, ref._rho_memos.values())) > 8
     monkeypatch.setattr(superpoly, "_MEMO_SIZE", 8)
     ctx = make(g)
     for _ in range(2):
         assert [(ctx.rho(p), ctx.symbols(p, ctx.gen_alph))
                 for p in polys] == want
-        assert [ctx.rho_bracket(v) for v in values] == want_values
+        assert [ctx.rho(v) for v in values] == want_values
         memos = list(ctx._rho_memos.values()) + list(ctx._symbol_memos.values())
         assert memos and all(len(m) <= 8 for m in memos)
