@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb, lcm
+from operator import methodcaller
 from types import MappingProxyType
 
 from .scalars import Scalar, join_signed
@@ -312,12 +313,24 @@ class LambdaPoly(_Packed):
         return cls(alph, {n: SuperPoly.from_obj(alph, p) for n, p in obj})
 
 
+_PLUS_D, _DERIV = methodcaller("apply_plus_d"), methodcaller("deriv")
+
+
+def _grown(seq, n, step):
+    """seq[n], where seq[p + 1] = step(seq[p]); seq is extended as far as n
+    on demand. Each entry is stored at its own index, never appended, so
+    threads that extend one shared list at once store equal values at the
+    same place instead of one after another."""
+    while len(seq) <= n:
+        k = len(seq)
+        seq[k:k + 1] = [step(seq[k - 1])]
+    return seq[n]
+
+
 def _plus_d_power(powers, n):
     """(x + d)^n powers[0], where powers lists (x + d)^p powers[0] for
     p = 0, 1, ...; it is extended as far as n on demand."""
-    while len(powers) <= n:
-        powers.append(powers[-1].apply_plus_d())
-    return powers[n]
+    return _grown(powers, n, _PLUS_D)
 
 
 def _arrow(bracket: LambdaPoly, powers, q) -> LambdaPoly:
@@ -457,15 +470,23 @@ class LeftBracket:
     an operator applied to many right arguments builds each of these once;
     at_zero(g) keeps the d-powers of the x^0 coefficient of each B. The
     memos are private: f and the table (fixed when built) are only read,
-    and every value handed out is new.
+    and every value handed out is new. Threads may share an operator: a
+    memo entry is stored whole, so two threads that build one at once
+    store equal values, and a list of powers is extended at each index
+    (_grown), never appended to.
 
     Who shares an operator, and for how long. master_bracket and
     spva.susy_master_bracket take an operator over the same table in place
     of f, and the oracles read its f. The axiom checks build one per left
-    argument that they bracket more than once, bracket_table one per row
-    and wclassical.solve_generator one per n, each dropped when the call
-    returns. Only brst.BRSTDifferential keeps its operators, as first-use
-    attributes: d is fixed for the differential's life."""
+    argument that they bracket more than once and wclassical.solve_generator
+    one per n, each dropped when the call returns; bracket_table builds one
+    per row that it is given as a polynomial, dropped when the row is done.
+    Two owners keep theirs: brst.BRSTDifferential as first-use attributes
+    (d is fixed for the differential's life), and a reduction context one
+    per left value of the W brackets (ReductionContext.left_bracket in
+    wclassical), which every bracket of that row and the context's direct
+    W tables share, until the context holds one per generator and starts
+    over."""
 
     def __init__(self, f: SuperPoly, table: BracketTable):
         self.f = f
@@ -540,11 +561,9 @@ class LeftBracket:
         for dgj, n, (powers, zeros) in self._partials_of(g):
             if not zeros:
                 b = powers[0]
-                zeros.append(_poly(alph, {key: v for key, v in b._flat.items()
-                                          if not key & _X_FIELD}, b._den))
-            while len(zeros) <= n:
-                zeros.append(zeros[-1].deriv())
-            z = zeros[n]
+                zeros[:1] = [_poly(alph, {key: v for key, v in b._flat.items()
+                                          if not key & _X_FIELD}, b._den)]
+            z = _grown(zeros, n, _DERIV)
             if z:
                 _mul_into(out, dgj._flat, dgj._den, z._flat, z._den, layout)
         return _poly(alph, *out)
@@ -570,11 +589,15 @@ def bracket_table(values, over: BracketTable, alphabet, rewrite,
     """The table, of the class of `over`, whose entry (i, j) is the bracket
     of values[i] and values[j] over `over` by `evaluator`, mapped whole
     through `rewrite` into a value over `alphabet`; one LeftBracket per
-    row."""
+    row. A value may be given as a LeftBracket of it over `over`, which
+    then serves its row (as the W table's rows are the reduction context's
+    operators); a row given as a polynomial gets an operator that is
+    dropped when the row is done."""
+    polys = [a.f if type(a) is LeftBracket else a for a in values]
     entries = {}
     for i, a in enumerate(values):
-        row = LeftBracket(a, over)
-        for j, b in enumerate(values):
+        row = _operator(a, over)
+        for j, b in enumerate(polys):
             entries[i, j] = rewrite(evaluator(row, b, over))
     return type(over)(alphabet, entries)
 

@@ -18,9 +18,13 @@ Generators are produced two ways and cross-checked: by the closed
 chain-sum formula (linear part) and by an exact linear solve of the
 membership constraints (full generator, including higher-degree parts).
 Brackets likewise: closed chain-sum formula vs direct reduction. Both
-chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator,
-_chain_sum, which fills a path sum over the chain members from the top grade
-down instead of listing the chains. The canonical-generator solve
+chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator
+in two steps: _chain_values fills a path sum over the chain members from
+the top grade down instead of listing the chains, and _chain_heads takes
+the head factor. A context keeps, per row a of the W brackets, what reads
+a alone: the master-formula operator of w_a on the direct route, the path
+sums of row a on the closed one, each built on first use and read by
+every later bracket of the row. The canonical-generator solve
 (solve_canonical) also serves the BRST cohomology, with d_[0] in place of
 the membership map; at a symbolic level each unknown is one multiple of
 the power of k that its monomial's derivative count fixes (k counts as a
@@ -29,6 +33,7 @@ derivative, so every generator is homogeneous).
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import namedtuple
 from functools import cached_property
 
@@ -76,6 +81,9 @@ EVEN = Flavor(
     master=lambda a, b, table: master_bracket(a, b, table),
     oracle=lambda a, b, table: bracket_oracle(a, b, table),
     table=BracketTable, signed_chains=True, signed_head=False)
+
+
+_FIRST_USE = allocate_lock()   # taken by ReductionContext.reduced_table
 
 
 class GeneratorError(RuntimeError):
@@ -146,6 +154,11 @@ class ReductionContext:
         self._chain_constants = {}   # filled by chain_constants
         self._heads = {self.star_index[(j, 0)]: j for j in range(db.count())}
         self._rho_memos, self._symbol_memos = {}, {}   # rename memos
+        # the row state of the W brackets, filled on first use: a master-
+        # formula operator per left value (direct route) and the path-sum
+        # values per row index (closed route); separate, so that each route
+        # stays an oracle of the other
+        self._left_brackets, self._closed_rows = {}, {}
 
     # -- maps ------------------------------------------------------------
     def bracket(self, a: SuperPoly, b: SuperPoly):
@@ -163,10 +176,33 @@ class ReductionContext:
         a (an n of g_{>0}, killed or not) with b in the kept variables. For
         any other input use rho(bracket(a, b)). A first-use memo:
         it reads `table` when first asked for and is not rebuilt after.
+        Threads that ask at once get one table, since the operators kept
+        per row (left_bracket) are checked against it by identity: it is
+        built and stored under a lock, as cached_property takes none from
+        Python 3.12 on.
         """
-        return self.flavor.table(self.alph, {
-            key: self.rho(value)
-            for key, value in self.table.entries.items()})
+        with _FIRST_USE:
+            table = self.__dict__.get("reduced_table")
+            if table is None:
+                table = self.__dict__["reduced_table"] = self.flavor.table(
+                    self.alph, {key: self.rho(value)
+                                for key, value in self.table.entries.items()})
+        return table
+
+    def left_bracket(self, value: SuperPoly) -> LeftBracket:
+        """The operator {value_x .} over reduced_table, kept per left value:
+        the part of a direct W bracket that reads its left generator alone
+        (the partials of value, the arrow sums, the sums B_j and their
+        (x+d)-powers) is built once for the row. Keyed by the value, so
+        other polynomials get operators of their own; the memo starts over
+        once it holds as many operators as there are generators."""
+        ops = self._left_brackets
+        op = ops.get(value)
+        if op is None:
+            if len(ops) >= self.db.count():
+                ops.clear()
+            op = ops[value] = LeftBracket(value, self.reduced_table)
+        return op
 
     def rho(self, value):
         """Each kept variable to itself, each killed one u to its constant
@@ -226,20 +262,28 @@ class ReductionContext:
         return SuperPoly.variable(self.alph, t)
 
 
-def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
-    """Sum over the admissible chains u_0 < ... < u_p of members graded in
-    [lo, hi], consecutive grades at least db.step apart, of
-    factor(head, y_0)[factor(x_0, y_1)[... factor(x_{p-1}, y_p)[last(u_p)]]],
-    times s(u_0)...s(u_p) when the flavor signs chains; x_t, y_t are the
-    successor chain_lower and the chain_upper vector of u_t. Members are
-    star indices: head names a chain_lower vector, last gets the successor
-    of u_p (None for x_p = 0), and a factor gets ctx.chain_constants of its
-    two members. Where x_t = 0 the factors vanish and are skipped.
+def _chain_values(ctx: ReductionContext, lo, hi, last, factor):
+    """The path sums of a chain sum, the first of its two steps.
 
-    Evaluated as a path sum, never listing chains: from the top grade down,
-    V(u) = s(u) (last(u) + sum_{grade v >= grade u + step} factor(x(u), y(v))[V(v)])
-    is the signed sum over the chains that start at u, because every factor
-    is linear in its tail. Returns the terms factor(head, y(u))[V(u)].
+    The chain sum is the sum over the admissible chains u_0 < ... < u_p of
+    members graded in [lo, hi], consecutive grades at least db.step apart,
+    of factor(head, y_0)[factor(x_0, y_1)[...
+    factor(x_{p-1}, y_p)[last(u_p)]]], times s(u_0)...s(u_p) when the
+    flavor signs chains; x_t, y_t are the successor chain_lower and the
+    chain_upper vector of u_t. Members are star indices: head names a
+    chain_lower vector, last gets the successor of u_p (None for x_p = 0),
+    and a factor gets ctx.chain_constants of its two members. Where
+    x_t = 0 the factors vanish and are skipped.
+
+    It is evaluated as a path sum, never listing chains: from the top grade
+    down, V(u) = s(u) (last(u) + sum_{grade v >= grade u + step}
+    factor(x(u), y(v))[V(v)]) is the signed sum over the chains that start
+    at u, because every factor is linear in its tail. Returns the list of
+    (grade, u, V(u)) over the members graded in [lo, hi], grades
+    descending. V(u) reads only hi, last and the members above u, not lo
+    or head: a caller may keep the values for a lower lo and hand them to
+    _chain_heads with a higher one (the closed bracket keeps one list per
+    row, down to the lowest grade).
     """
     db = ctx.db
     sums = []                      # (grade, v, V(v)), grades descending
@@ -257,18 +301,29 @@ def _chain_sum(ctx: ReductionContext, lo, hi, head, last, factor):
         if ctx.flavor.signed_chains and ctx.gen_parities[j]:
             val = -val
         sums.append((grade, t, val))
-    return [factor(ctx, ctx.chain_constants(head, v), val)
-            for _grade, v, val in sums]
+    return sums
+
+
+def _chain_heads(ctx: ReductionContext, values, lo, head, factor):
+    """The second step of a chain sum: its terms factor(head, y(u))[V(u)]
+    over the members u graded at least lo, from the _chain_values list."""
+    out = []
+    for grade, v, val in values:
+        if grade < lo:
+            break
+        out.append(factor(ctx, ctx.chain_constants(head, v), val))
+    return out
 
 
 def gamma_linear(ctx: ReductionContext, j) -> SuperPoly:
     """Closed chain-sum formula for the part of the generator that is
     linear in the [E, g_{<=-1/2}] variables."""
-    db = ctx.db
-    terms = _chain_sum(
-        ctx, -db.spins[j], -HALF, ctx.star_index[(j, 0)],
-        lambda x: SuperPoly.variable(ctx.alph, x),
-        _chain_factor)
+    lo = -ctx.db.spins[j]
+    values = _chain_values(ctx, lo, -HALF,
+                           lambda x: SuperPoly.variable(ctx.alph, x),
+                           _chain_factor)
+    terms = _chain_heads(ctx, values, lo, ctx.star_index[(j, 0)],
+                         _chain_factor)
     return sum(terms, SuperPoly.zero(ctx.alph))
 
 
@@ -431,9 +486,11 @@ def rewrite_in_generators(ctx: ReductionContext, gens, A):
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators;
     the generators are in the kept variables, so the reduced bracket is
-    the master formula over ctx.reduced_table."""
+    the master formula over ctx.reduced_table, applied through the
+    context's operator of the left value (ReductionContext.left_bracket),
+    which every bracket of the row shares."""
     return rewrite_in_generators(ctx, gens, ctx.flavor.master(
-        gens[i].value, gens[j].value, ctx.reduced_table))
+        ctx.left_bracket(gens[i].value), gens[j].value, ctx.reduced_table))
 
 
 def w_bracket_closed(ctx: ReductionContext, gens, a, b):
@@ -453,17 +510,35 @@ def w_bracket_closed(ctx: ReductionContext, gens, a, b):
     if fv:
         out = out + value(ctx.gen_alph,
                           {1: SuperPoly.const(ctx.gen_alph, ctx.k.scale(fv))})
-    one, zero = value.of(SuperPoly.one(ctx.gen_alph)), value.zero(ctx.gen_alph)
-    total = sum(_chain_sum(
-        ctx, -db.spins[b], db.spins[a] - fl.shift, tb,
-        lambda x: zero if x is None else
-        _closed_factor(ctx, ctx.chain_constants(x, ta, False), one),
-        _closed_factor), zero)
+    zero = value.zero(ctx.gen_alph)
+    total = sum(_chain_heads(ctx, _closed_row(ctx, a), -db.spins[b], tb,
+                             _closed_factor), zero)
     pa, pb = ctx.gen_parities[a], ctx.gen_parities[b]
     out = out + total if pa and pb else out - total
     if fl.signed_head and pa:
         out = -out
     return out
+
+
+def _closed_row(ctx: ReductionContext, a):
+    """The path sums V(u) of row a of the closed bracket (_chain_values),
+    down to the lowest grade, so that they serve every column b: they read
+    spins[a] and t_a, and b only picks the members graded at least
+    -spins[b] and the head factor. Built on first use and kept per row;
+    a row built twice at once is stored twice, equal."""
+    values = ctx._closed_rows.get(a)
+    if values is None:
+        db, fl = ctx.db, ctx.flavor
+        value = fl.table.value
+        one = value.of(SuperPoly.one(ctx.gen_alph))
+        zero = value.zero(ctx.gen_alph)
+        ta = ctx.star_index[(a, 0)]
+        values = ctx._closed_rows[a] = _chain_values(
+            ctx, -max(db.spins), db.spins[a] - fl.shift,
+            lambda x: zero if x is None else
+            _closed_factor(ctx, ctx.chain_constants(x, ta, False), one),
+            _closed_factor)
+    return values
 
 
 def _closed_factor(ctx, constants, tail):
@@ -479,13 +554,16 @@ def _closed_factor(ctx, constants, tail):
 
 def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
     """The W table by either route: the direct one is w_bracket_direct of
-    every pair, through pva.bracket_table over ctx.reduced_table."""
+    every pair, through pva.bracket_table over ctx.reduced_table with the
+    context's operators as its rows, and the closed one w_bracket_closed
+    of every pair; so a table and pairwise calls on one context share the
+    context's row state on either route."""
     n = ctx.db.count()
     if route == "direct":
         return bracket_table(
-            [gens[i].value for i in range(n)], ctx.reduced_table,
-            ctx.gen_alph, lambda p: rewrite_in_generators(ctx, gens, p),
-            ctx.flavor.master)
+            [ctx.left_bracket(gens[i].value) for i in range(n)],
+            ctx.reduced_table, ctx.gen_alph,
+            lambda p: rewrite_in_generators(ctx, gens, p), ctx.flavor.master)
     return ctx.flavor.table(ctx.gen_alph, {
         (i, j): w_bracket_closed(ctx, gens, i, j)
         for i in range(n) for j in range(n)})

@@ -1,6 +1,7 @@
-"""The closed chain sums of Thm 3.6 / Thm 6.5 (wclassical._chain_sum, a path
-sum over chain members) against the chain-enumerating reference in helpers,
-and the closed bracket route against the direct one beyond the catalog."""
+"""The closed chain sums of Thm 3.6 / Thm 6.5 (wclassical._chain_values and
+_chain_heads, a path sum over chain members) against the chain-enumerating
+reference in helpers, and the closed bracket route against the direct one
+beyond the catalog."""
 
 from fractions import Fraction
 

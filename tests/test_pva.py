@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,58 @@ def test_evaluators_take_an_operator_for_the_left_argument(name, susy):
     other = (helpers.susy_affine if susy else helpers.affine)(name)[2]
     with pytest.raises(ValueError):
         master(left, b, other)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["powers", "zeros"])
+def test_shared_operator_records_each_power_once(monkeypatch, zero):
+    """Two threads that extend one operator's (x+d)-powers of a sum B (or
+    the d-powers of its x^0 coefficient, for at_zero) at once both store
+    the next power at its own index: patched to meet at a barrier before
+    storing, they leave the list [B, (x+d)B, ...] that one thread leaves,
+    and the next power read is a fresh operator's."""
+    g, alph, t = helpers.affine("sl2")
+    u0, u1, u2 = (SuperPoly.variable(alph, i) for i in range(3))
+    du2, ddu2 = SuperPoly.variable(alph, 2, 1), SuperPoly.variable(alph, 2, 2)
+    op = LeftBracket(u0 * u1, t)
+    call = op.at_zero if zero else op
+    call(u2)
+    du2.parity_gradients()   # its partials are read before the race
+    cls, name = (SuperPoly, "deriv") if zero else (LambdaPoly, "apply_plus_d")
+    step = getattr(cls, name)
+    barrier = threading.Barrier(2)
+    met = set()
+
+    def meeting(self, *args):
+        out = step(self, *args)
+        me = threading.get_ident()
+        if me not in met:   # the first step of each thread waits
+            met.add(me)
+            barrier.wait(timeout=60)
+        return out
+
+    monkeypatch.setattr(cls, name, meeting)
+    errors = []
+
+    def run():
+        try:
+            call(du2)
+        except Exception as e:   # reported below, in the main thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    monkeypatch.undo()
+    assert errors == [] and not any(th.is_alive() for th in threads)
+    assert len(met) == 2
+    for powers, zeros in op._sums.values():
+        memo = zeros if zero else powers
+        assert memo and all(memo[p] == step(memo[p - 1])
+                            for p in range(1, len(memo)))
+    fresh = LeftBracket(u0 * u1, t)
+    assert call(ddu2) == (fresh.at_zero if zero else fresh)(ddu2)
 
 
 # -- the shared-operator checks against the fresh-operator reference --------

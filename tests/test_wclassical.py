@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -713,3 +714,122 @@ def test_rename_memos_start_over_when_full(monkeypatch, name, susy):
         assert [ctx.rho(v) for v in values] == want_values
         memos = list(ctx._rho_memos.values()) + list(ctx._symbol_memos.values())
         assert memos and all(len(m) <= 8 for m in memos)
+
+
+# -- the row state of the W brackets ------------------------------------------
+
+ROW_STATE = [("sl21", False), ("sl21", True), ("sl4-principal", False)]
+
+
+def _solved_context(name, susy):
+    """A fresh context at symbolic k and its solved generators; the
+    sl4-principal algebra is read from the benchmark's file."""
+    g = load_algebra(SL4_FILE) if name == "sl4-principal" else \
+        helpers.algebra(name)
+    ctx = (SUSYReductionContext if susy else ReductionContext)(g)
+    return ctx, {w.index: w for w in solve_all_generators(ctx)}
+
+
+ROUTES = {"direct": w_bracket_direct, "closed": w_bracket_closed}
+
+
+@pytest.mark.parametrize("name, susy", ROW_STATE)
+def test_row_state_serves_every_pair_in_any_order(name, susy):
+    """Every pair on both routes, called on one context in a seeded
+    shuffled order, so that the routes and rows interleave, equals the
+    table of its route built on a context of its own."""
+    ctx, gens = _solved_context(name, susy)
+    n = ctx.db.count()
+    calls = [(route, i, j) for route in ROUTES for i in range(n)
+             for j in range(n)]
+    random.Random(name).shuffle(calls)
+    got = {call: ROUTES[call[0]](ctx, gens, *call[1:]) for call in calls}
+    for route in ROUTES:
+        fresh, fresh_gens = _solved_context(name, susy)
+        want = w_bracket_table(fresh, fresh_gens, route)
+        assert {(i, j): got[route, i, j] for i in range(n)
+                for j in range(n)} == {(i, j): want.entry(i, j)
+                                       for i in range(n) for j in range(n)}
+    assert len(ctx._left_brackets) == len(ctx._closed_rows) == n
+
+
+def _outcome(ctx, gens, i, j):
+    try:
+        return w_bracket_direct(ctx, gens, i, j)
+    except GeneratorError as e:
+        return "GeneratorError: %s" % e
+
+
+@pytest.mark.parametrize("name, susy", ROW_STATE)
+def test_row_state_reads_no_stale_operator(name, susy):
+    """After the brackets of the solved generators, a generator whose value
+    is corrupted (scaled, or plus a kept variable that is not in W) gives on
+    that context, in its row and in its column, what it gives on a fresh
+    context: no operator kept for the solved value is read for it. The
+    operators kept stay at most one per generator."""
+    ctx, gens = _solved_context(name, susy)
+    n = ctx.db.count()
+    w_bracket_table(ctx, gens)
+    a = n - 1
+    stray = SuperPoly.variable(ctx.alph, ctx.highe_indices[0])
+    for value in (gens[a].value.scale(2), gens[a].value + stray):
+        bad = {**gens, a: wclassical.WGenerator(a, value, gens[a].weight)}
+        fresh, _ = _solved_context(name, susy)
+        pairs = [(a, j) for j in range(n)] + [(i, a) for i in range(n)]
+        got = [_outcome(ctx, bad, i, j) for i, j in pairs]
+        assert got == [_outcome(fresh, bad, i, j) for i, j in pairs]
+        assert got != [_outcome(fresh, gens, i, j) for i, j in pairs]
+        assert len(ctx._left_brackets) <= n
+
+
+@pytest.mark.parametrize("name, susy", ROW_STATE)
+def test_row_columns_from_low_spin_to_high(name, susy):
+    """A row whose columns are bracketed from the lowest spin up (the closed
+    row is then built for a column that reads the fewest members) gives,
+    on both routes, what the columns from the highest spin down give."""
+    up, gens = _solved_context(name, susy)
+    down, _ = _solved_context(name, susy)
+    n = up.db.count()
+    order = sorted(range(n), key=lambda b: (up.db.spins[b], b))
+    assert up.db.spins[order[0]] < up.db.spins[order[-1]]
+    for route, bracket in ROUTES.items():
+        for a in range(n):
+            low = [bracket(up, gens, a, b) for b in order]
+            high = [bracket(down, gens, a, b) for b in reversed(order)]
+            assert low == high[::-1], (route, a)
+
+
+def test_threads_that_build_the_reduced_table_at_once_get_one(monkeypatch):
+    """Two threads that build a context's reduced table at the same time
+    get the same table object, as the operators kept per row are checked
+    against it by identity. The build is entered directly, as
+    functools.cached_property does without a lock from Python 3.12 on;
+    rho is patched so that a second builder could catch up with the first."""
+    ctx = ReductionContext(helpers.algebra("sl21"))
+    rho = ReductionContext.rho
+    barrier = threading.Barrier(2)
+    met = set()
+
+    def meeting(self, value):
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            try:
+                barrier.wait(timeout=1)
+            except threading.BrokenBarrierError:
+                pass   # the other thread waits for the first build
+        return rho(self, value)
+
+    monkeypatch.setattr(ReductionContext, "rho", meeting)
+    build = ReductionContext.reduced_table.func
+    got = [None, None]
+
+    def run(i):
+        got[i] = build(ctx)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert got[0] is not None and got[0] is got[1]
+    assert ctx.reduced_table is got[0]
