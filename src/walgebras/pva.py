@@ -34,6 +34,14 @@ from the x field's low bit, an odd bit over a D alphabet: (-1)^{pqn} of a
 polynomial passing chi^n from the Koszul sign of the product, (-1)^n of
 (chi + D) from the pass. The Jacobi defect keeps x^i y^j f_ij the same way,
 j in the y field. A power of x or y past 127 raises ExponentOverflowError.
+Families. The y field also holds a tag: _tag packs up to 128 polynomials
+or bracket values, member c at y^c, into one value, which a linear map
+that carries the field (a LeftBracket call, at_zero, rename, substitute)
+maps whole, and _untag splits the image by the field. bracket_table
+brackets the columns of a row this way, and the generator solve
+(wclassical.ansatz_terms) and the d_[0]^2 check (brst) their monomials
+and variables; the oracle, which reads tuple monomials, takes a family
+member by member.
 `coeffs` is a read-only view {n: SuperPoly} built on first read, for
 rendering, serialization and the readers that take a value apart; copies
 and pickles go through it, as slots are given per process.
@@ -50,9 +58,9 @@ from .scalars import Scalar, join_signed
 from .superpoly import (FLAVOR_D, FLAVOR_DEL, Alphabet, FlavorError,
                         SuperPoly, random_superpoly)
 from .superpoly import (_MAX_EXP, _X, _X_FIELD, _X_GUARD, _X_SHIFT,
-                        _XY_FIELDS, _Y, _Packed, _add_flat, _add_into, _align,
-                        _cancel, _groups, _mul_flat, _mul_into, _overflow,
-                        _plus_d, _poly)
+                        _XY_FIELDS, _Y, _Y_FIELD, _Packed, _add_flat,
+                        _add_into, _align, _cancel, _groups, _mul_flat,
+                        _mul_into, _overflow, _plus_d, _poly)
 
 _new = object.__new__
 
@@ -584,21 +592,85 @@ def master_bracket(f, g: SuperPoly, table: BracketTable) -> LambdaPoly:
     return _operator(f, table)(g)
 
 
+_FAMILY = _MAX_EXP + 1   # the members of one family: tags 0 to 127
+
+
+def _tag(members):
+    """One value of the members' class holding member c at y^c, all over
+    the lcm of their denominators: a family, which a linear map that
+    carries the y field (see superpoly, "The x and y fields") maps whole.
+    At most _FAMILY members, of one class and alphabet, each with its y
+    field clear: a Lambda2Poly (its power of y is in that field) or a
+    member already tagged raises FlavorError. Each member is in normal
+    form, so the family is too (see _packed)."""
+    if len(members) > _FAMILY:
+        raise ValueError("a family holds at most %d members" % _FAMILY)
+    first = members[0]
+    cls = type(first)
+    if cls is Lambda2Poly:
+        raise FlavorError("a Lambda2Poly cannot be a family member")
+    den = lcm(*[p._den for p in members])
+    flat = {}
+    for c, p in enumerate(members):
+        if type(p) is not cls:
+            raise FlavorError("family members of different classes")
+        first._check(p)
+        m, off = den // p._den, c * _Y
+        for key, g in p._flat.items():
+            if key & _Y_FIELD:
+                raise FlavorError("a family member already tagged")
+            flat[key + off] = g * m
+    return first._like(first.alphabet, flat, den)
+
+
+def _families(members):
+    """(s, _tag(members[s:s + _FAMILY])) for s = 0, _FAMILY, ...: the
+    members of a list in as few families as hold them."""
+    return [(s, _tag(members[s:s + _FAMILY]))
+            for s in range(0, len(members), _FAMILY)]
+
+
+def _untag(value):
+    """{c: member c} of the image of a _tag family, each member with its y
+    field cleared and in its own normal form; zero members are absent."""
+    alph, den = value.alphabet, value._den
+    return {bits // _Y: value._like(alph, part, den)
+            for bits, part in _groups(value._flat, _Y_FIELD).items()}
+
+
+# y^1 and the y field in a key of packed_coefficients
+_TAG, _TAG_FIELD = _Y >> _X_SHIFT, _Y_FIELD >> _X_SHIFT
+
+
+def _tagged_coefficients(value):
+    """(c, m, kpow, cpow, g) for each term of the image of a _tag family:
+    member c's packed_coefficients, c read from the y field of m and
+    cleared there, with no member built apart."""
+    for m, kp, cp, g in value.packed_coefficients():
+        yield (m & _TAG_FIELD) // _TAG, m & ~_TAG_FIELD, kp, cp, g
+
+
 def bracket_table(values, over: BracketTable, alphabet, rewrite,
                   evaluator=master_bracket) -> BracketTable:
     """The table, of the class of `over`, whose entry (i, j) is the bracket
-    of values[i] and values[j] over `over` by `evaluator`, mapped whole
-    through `rewrite` into a value over `alphabet`; one LeftBracket per
-    row. A value may be given as a LeftBracket of it over `over`, which
-    then serves its row (as the W table's rows are the reduction context's
-    operators); a row given as a polynomial gets an operator that is
-    dropped when the row is done."""
+    of values[i] and values[j] over `over` by `evaluator`, mapped through
+    `rewrite` into a value over `alphabet`; one LeftBracket per row. The
+    columns go as one family (_tag, _FAMILY at a time), so a row is one
+    evaluator call and one rewrite, whose result _untag splits into the
+    row's entries: the evaluator and rewrite must be linear in the right
+    argument and carry the y field (the master formula, rename,
+    substitute, and a LeftBracket's at_zero do). A value may be given as a
+    LeftBracket of it over `over`, which then serves its row (as the W
+    table's rows are the reduction context's operators); a row given as a
+    polynomial gets an operator that is dropped when the row is done."""
     polys = [a.f if type(a) is LeftBracket else a for a in values]
     entries = {}
+    families = _families(polys)
     for i, a in enumerate(values):
         row = _operator(a, over)
-        for j, b in enumerate(polys):
-            entries[i, j] = rewrite(evaluator(row, b, over))
+        for s, family in families:
+            for c, v in _untag(rewrite(evaluator(row, family, over))).items():
+                entries[i, s + c] = v
     return type(over)(alphabet, entries)
 
 
@@ -608,10 +680,17 @@ def _oracle(a, b: SuperPoly, table: BracketTable):
     LeftBracket for a, it reads only the operator's polynomial. The bracket
     is bilinear over Q(i)[k, c], so each pair of monomials is bracketed
     once, with coefficient 1, and taken with the product of the two
-    coefficients of every pair of terms."""
+    coefficients of every pair of terms. The tuple monomials it reads drop
+    the y field, so a family b (_tag) is bracketed member by member and
+    the results tagged back."""
     if type(a) is LeftBracket:
         a = a.f
     alph = table.alphabet
+    if any(key & _Y_FIELD for key in b._flat):
+        parts = _untag(b)
+        zero = table.value.zero(alph)
+        return _tag([_oracle(a, parts[c], table) if c in parts else zero
+                     for c in range(max(parts) + 1)])
     out = [{}, 1]
     units = {}
     for mono_a, ka, ca, ga in a.coefficients():

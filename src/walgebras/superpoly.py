@@ -73,7 +73,15 @@ its class's own namespace.
   all its coefficients in one flat dict, over one denominator, with n in
   the x field; a Jacobi defect (sum x^i y^j f_ij, y = mu or gamma) puts j
   in the y field. So one product (_mul_flat) multiplies a polynomial by a
-  whole value, and one pass (_plus_d) applies x + d to one. Over a D
+  whole value, and one pass (_plus_d) applies x + d to one. A family
+  (pva._tag) uses the y field too: member c of a list of polynomials or
+  bracket values sits at y^c, over one denominator. pva builds families
+  of the columns of a bracket-table row, of ansatz monomials (in
+  wclassical) and of the variables of the BRST d_[0]^2 check; a member
+  must arrive with its y field clear. The product adds the field, and
+  _plus_d, gradient, rename and substitute keep it, so every linear map
+  built from them maps a whole family in one pass, and pva._untag splits
+  the result by the field. Over a D
   alphabet the x field's low bit is an odd bit of rank 0, below every
   variable: chi is odd and written left of its coefficient, so the Koszul
   sign of a product gives the sign (-1)^(qn) of a term of parity q passing
@@ -157,7 +165,8 @@ _X_SHIFT = 3 * _FIELD                   # the x field of a bracket value
 _X = 1 << _X_SHIFT                      # x^1: lambda or chi
 _Y = _X << _FIELD                       # y^1: mu or gamma (Jacobi)
 _X_FIELD = _FIELD_MASK * _X
-_XY_FIELDS = _X_FIELD | _FIELD_MASK * _Y
+_Y_FIELD = _FIELD_MASK * _Y
+_XY_FIELDS = _X_FIELD | _Y_FIELD
 _VAR_SHIFT = 5 * _FIELD                 # the k, c, i, x and y fields lie below
 _POWERS_MASK = (1 << _VAR_SHIFT) - 1
 _POWERS_GUARD = (_MAX_EXP + 1) * (1 | 1 << _FIELD | _X | _Y) | _I_SQ

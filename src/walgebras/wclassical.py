@@ -38,8 +38,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
-from .pva import (BracketTable, LeftBracket, affine_table, bracket_oracle,
-                  bracket_table, master_bracket)
+from .pva import (BracketTable, LeftBracket, _families, _tagged_coefficients,
+                  affine_table, bracket_oracle, bracket_table, master_bracket)
 from .scalars import GR_ONE, GR_ZERO, LinearSolveError, Scalar, solve_linear
 from .superpoly import Alphabet, SuperPoly, enumerate_monomials
 
@@ -373,9 +373,11 @@ def solve_ansatz(alph, monos, terms, what, degree):
     `terms` yields (M, key, kp, cp, gr): the GRat gr is the coefficient of
     k^kp c^cp in what the monomial M adds to the linear condition `key`, or
     for M None in the known part of it; each power of k and c in a
-    condition is one equation. Returns the solved polynomial over alph. No
-    solution, or several, raises GeneratorError naming `what` and the
-    system's shape, rows x columns.
+    condition is one equation. The terms may come in any order (those of
+    ansatz_terms come family by family, not monomial by monomial): the
+    solution is unique, so the order moves neither it nor the shape. Returns
+    the solved polynomial over alph. No solution, or several, raises
+    GeneratorError naming `what` and the system's shape, rows x columns.
 
     One power of k per monomial suffices. Give del, D, lambda and chi
     degree 1, k degree -1, and variables and constants (c and the 1 of rho
@@ -421,14 +423,23 @@ def ansatz_terms(image, lead: SuperPoly, monos):
     maps a polynomial linearly to {key: SuperPoly or bracket value}, and
     each monomial (with its power of x, for a value read whole) of each
     value is one condition, keyed by (key, its packed key; see
-    SuperPoly.packed_coefficients). The conditions only group the
-    equations, so no tuple monomial is built for them."""
-    for M in [None, *monos]:
-        poly = lead if M is None else SuperPoly(lead.alphabet,
-                                                {M: Scalar.one()})
-        for key, value in image(poly).items():
-            for m, kp, cp, gr in value.packed_coefficients():
-                yield M, (key, m), kp, cp, gr
+    SuperPoly.packed_coefficients). image is applied once to the lead and
+    once per family of up to 128 monomials (pva._families), each with
+    coefficient 1 at its own power of y, so it must carry the y field
+    (LeftBracket calls and at_zero do). A term's column is read from the
+    y field of its packed key and its condition from the rest
+    (pva._tagged_coefficients), so no member is built apart; the
+    conditions only group the equations, so no tuple monomial is built
+    for them."""
+    for key, value in image(lead).items():
+        for m, kp, cp, gr in value.packed_coefficients():
+            yield None, (key, m), kp, cp, gr
+    one = Scalar.one()
+    for s, family in _families([SuperPoly(lead.alphabet, {M: one})
+                                for M in monos]):
+        for key, value in image(family).items():
+            for c, m, kp, cp, gr in _tagged_coefficients(value):
+                yield monos[s + c], (key, m), kp, cp, gr
 
 
 def solve_canonical(ctx: ReductionContext, j, alph, image, what) -> SuperPoly:
@@ -449,7 +460,8 @@ def solve_canonical(ctx: ReductionContext, j, alph, image, what) -> SuperPoly:
 def solve_generator(ctx: ReductionContext, j) -> WGenerator:
     """The canonical generator q_j + ... in W: rho{n_lambda w} = 0 for each
     n of g_{>0}, the master formula over ctx.reduced_table through one
-    LeftBracket per n. Its linear part must be the chain formula's."""
+    LeftBracket per n, applied to the lead and to each family of ansatz
+    monomials (ansatz_terms). Its linear part must be the chain formula's."""
     brackets = [(t, LeftBracket(ctx.n_var(t), ctx.reduced_table))
                 for t in ctx.n_indices]
     value = solve_canonical(ctx, j, ctx.alph, lambda w: {

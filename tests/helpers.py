@@ -1,6 +1,8 @@
 """Shared, lazily cached setups so expensive solves run once per session,
 and the test-only oracles: a factor-list model of the SuperPoly kernel,
 chi/D operator words, the BRST solve and bracket table in j-coordinates,
+the per-pair bracket table, per-monomial ansatz terms and per-variable
+d_[0]^2 check that families tagged in the y field replaced,
 generator solves over the wide k-ansatz, the k-grading oracle, a
 symbolic level set to a rational, the conformal weight of a
 polynomial (the criterion-8 oracle), exactness witnesses, a dense
@@ -820,6 +822,48 @@ def j_route_bracket_table(cplx, diff, gens):
                     coeffs[p] = sym
             entries[i, j] = ChiPoly(gen_alph, coeffs)
     return SUSYBracketTable(gen_alph, entries)
+
+
+# The routes that pva.bracket_table, wclassical.ansatz_terms and
+# BRSTDifferential.verify replaced by one evaluation of a family tagged in
+# the y field: one evaluator call and one rewrite per pair, one image per
+# ansatz monomial, two d_[0] per variable. The batched routes are checked
+# against them for exact equality.
+
+def pairwise_bracket_table(values, over, alphabet, rewrite, evaluator):
+    """pva.bracket_table with one evaluator call and one rewrite per
+    pair, through one LeftBracket per row."""
+    polys = [a.f if type(a) is LeftBracket else a for a in values]
+    entries = {}
+    for i, a in enumerate(values):
+        row = a if type(a) is LeftBracket else LeftBracket(a, over)
+        for j, b in enumerate(polys):
+            entries[i, j] = rewrite(evaluator(row, b, over))
+    return type(over)(alphabet, entries)
+
+
+def monomial_ansatz_terms(image, lead, monos):
+    """wclassical.ansatz_terms with image applied to each ansatz monomial
+    alone, with coefficient 1."""
+    for M in [None, *monos]:
+        poly = lead if M is None else SuperPoly(lead.alphabet,
+                                                {M: Scalar.one()})
+        for key, value in image(poly).items():
+            for m, kp, cp, gr in value.packed_coefficients():
+                yield M, (key, m), kp, cp, gr
+
+
+def variablewise_d_squared_report(diff):
+    """BRSTDifferential.verify with d_[0]^2 applied to each variable of the
+    complex alone."""
+    report = []
+    if diff.d_squared_defect():
+        report.append("{d_chi d} != 0")
+    for t in range(len(diff.cplx.alph)):
+        v = SuperPoly.variable(diff.cplx.alph, t)
+        if diff.apply(diff.apply(v)):
+            report.append("d_[0]^2 != 0 on %s" % diff.cplx.alph.names[t])
+    return report
 
 
 # The ansatz sum_{d <= 2 Delta + 3} k^d M over every monomial M, solved

@@ -2,7 +2,6 @@ import argparse
 import importlib
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -406,16 +405,17 @@ def test_verify_builds_one_brst_complex(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("algebra,extra,counts", [
-    ("osp12", [], {"lambda": 4, "chi": 1}),
-    ("sl21", ["--k", "1/2"], {"lambda": 16, "chi": 4})])
+    ("osp12", [], {"lambda": 2, "chi": 1}),
+    ("sl21", ["--k", "1/2"], {"lambda": 4, "chi": 2})])
 def test_verify_all_brackets_each_pair_once(monkeypatch, capsys, algebra,
                                             extra, counts):
     """thm-3-6, thm-6-5 and thm-5-9 read the run's direct W table: each
     generator pair goes through the direct route once per flavor, and each
-    generator is solved once per flavor, so n generators make n^2 direct
-    brackets and n solves. The direct route brackets through the shared
-    table routine, which wclassical calls for nothing else; the hook counts
-    the evaluator calls of that routine, one per pair."""
+    generator is solved once per flavor. The direct route brackets through
+    the shared table routine, which wclassical calls for nothing else and
+    which makes one evaluator call per row, its columns tagged as one
+    family; so n generators make n evaluator calls and n solves per
+    flavor, and a W table built twice would make 2n calls."""
     table, solve = wclassical.bracket_table, wclassical.solve_generator
     calls = {"lambda": 0, "chi": 0}
     solved = {"lambda": 0, "chi": 0}
@@ -438,7 +438,7 @@ def test_verify_all_brackets_each_pair_once(monkeypatch, capsys, algebra,
                        "all", *extra)
     assert (code, err) == (0, "")
     assert calls == counts
-    assert solved == {flavor: math.isqrt(n) for flavor, n in counts.items()}
+    assert solved == counts
 
 
 @pytest.mark.parametrize("suite", ["thm-5-9", "all"])
