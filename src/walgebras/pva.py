@@ -40,8 +40,7 @@ that carries the field (a LeftBracket call, at_zero, rename, substitute)
 maps whole, and _untag splits the image by the field. bracket_table
 brackets the columns of a row this way, and the generator solve
 (wclassical.ansatz_terms) and the d_[0]^2 check (brst) their monomials
-and variables; the oracle, which reads tuple monomials, takes a family
-member by member.
+and variables; the oracle, which reads tuple monomials, refuses a family.
 `coeffs` is a read-only view {n: SuperPoly} built on first read, for
 rendering, serialization and the readers that take a value apart; copies
 and pickles go through it, as slots are given per process.
@@ -125,8 +124,9 @@ def _xy(i, j=0):
 
 def _packed(alph, items):
     """(numerators, denominator) of the sum of x^i y^j f over (offset of
-    x^i y^j, SuperPoly f) items with distinct offsets, each f over alph
-    brought to the lcm of the denominators. Each f is in normal form, so
+    x^i y^j, f) items with distinct offsets, each f over alph brought to
+    the lcm of the denominators; f is a SuperPoly, or for _tag a member
+    whose y field the offset y^c finds clear. Each f is in normal form, so
     the sum is too: the gcd over f of lcm / den(f) is 1."""
     den = lcm(*[f._den for _off, f in items])
     flat = {}
@@ -486,15 +486,13 @@ class LeftBracket:
     Who shares an operator, and for how long. master_bracket and
     spva.susy_master_bracket take an operator over the same table in place
     of f, and the oracles read its f. The axiom checks build one per left
-    argument that they bracket more than once and wclassical.solve_generator
-    one per n, each dropped when the call returns; bracket_table builds one
-    per row that it is given as a polynomial, dropped when the row is done.
-    Two owners keep theirs: brst.BRSTDifferential as first-use attributes
-    (d is fixed for the differential's life), and a reduction context one
-    per left value of the W brackets (ReductionContext.left_bracket in
-    wclassical), which every bracket of that row and the context's direct
-    W tables share, until the context holds one per generator and starts
-    over."""
+    argument that they bracket more than once, wclassical.solve_generator
+    one per n and bracket_table one per row, each dropped when the call
+    returns. Two owners keep theirs: brst.BRSTDifferential as first-use
+    attributes (d is fixed for the differential's life), and a reduction
+    context one per row of its pairwise W brackets (w_bracket_direct in
+    wclassical), kept under the row index while the row's value stays the
+    same."""
 
     def __init__(self, f: SuperPoly, table: BracketTable):
         self.f = f
@@ -597,30 +595,25 @@ _FAMILY = _MAX_EXP + 1   # the members of one family: tags 0 to 127
 
 def _tag(members):
     """One value of the members' class holding member c at y^c, all over
-    the lcm of their denominators: a family, which a linear map that
-    carries the y field (see superpoly, "The x and y fields") maps whole.
-    At most _FAMILY members, of one class and alphabet, each with its y
-    field clear: a Lambda2Poly (its power of y is in that field) or a
-    member already tagged raises FlavorError. Each member is in normal
-    form, so the family is too (see _packed)."""
+    the lcm of their denominators (_packed): a family, which a linear map
+    that carries the y field (see superpoly, "The x and y fields") maps
+    whole. At most _FAMILY members, of one class and alphabet, each with
+    its y field clear: a Lambda2Poly (its power of y is in that field) or
+    a member already tagged raises FlavorError."""
     if len(members) > _FAMILY:
         raise ValueError("a family holds at most %d members" % _FAMILY)
     first = members[0]
     cls = type(first)
     if cls is Lambda2Poly:
         raise FlavorError("a Lambda2Poly cannot be a family member")
-    den = lcm(*[p._den for p in members])
-    flat = {}
-    for c, p in enumerate(members):
+    for p in members:
         if type(p) is not cls:
             raise FlavorError("family members of different classes")
-        first._check(p)
-        m, off = den // p._den, c * _Y
-        for key, g in p._flat.items():
-            if key & _Y_FIELD:
-                raise FlavorError("a family member already tagged")
-            flat[key + off] = g * m
-    return first._like(first.alphabet, flat, den)
+        if any(key & _Y_FIELD for key in p._flat):
+            raise FlavorError("a family member already tagged")
+    alph = first.alphabet
+    return first._like(alph, *_packed(alph, [(c * _Y, p)
+                                             for c, p in enumerate(members)]))
 
 
 def _families(members):
@@ -651,23 +644,21 @@ def _tagged_coefficients(value):
 
 
 def bracket_table(values, over: BracketTable, alphabet, rewrite,
-                  evaluator=master_bracket) -> BracketTable:
+                  evaluator) -> BracketTable:
     """The table, of the class of `over`, whose entry (i, j) is the bracket
-    of values[i] and values[j] over `over` by `evaluator`, mapped through
-    `rewrite` into a value over `alphabet`; one LeftBracket per row. The
-    columns go as one family (_tag, _FAMILY at a time), so a row is one
-    evaluator call and one rewrite, whose result _untag splits into the
-    row's entries: the evaluator and rewrite must be linear in the right
+    of the polynomials values[i] and values[j] over `over` by `evaluator`
+    (a master formula, passed by name so that the benchmark tracer sees
+    its calls), mapped through `rewrite` into a value over `alphabet`;
+    one LeftBracket per row, dropped when the row is done. The columns go
+    as one family (_tag, _FAMILY at a time), so a row is one evaluator
+    call and one rewrite, whose result _untag splits into the row's
+    entries: the evaluator and rewrite must be linear in the right
     argument and carry the y field (the master formula, rename,
-    substitute, and a LeftBracket's at_zero do). A value may be given as a
-    LeftBracket of it over `over`, which then serves its row (as the W
-    table's rows are the reduction context's operators); a row given as a
-    polynomial gets an operator that is dropped when the row is done."""
-    polys = [a.f if type(a) is LeftBracket else a for a in values]
+    substitute, and a LeftBracket's at_zero do; the oracle does not)."""
     entries = {}
-    families = _families(polys)
+    families = _families(values)
     for i, a in enumerate(values):
-        row = _operator(a, over)
+        row = LeftBracket(a, over)
         for s, family in families:
             for c, v in _untag(rewrite(evaluator(row, family, over))).items():
                 entries[i, s + c] = v
@@ -681,16 +672,12 @@ def _oracle(a, b: SuperPoly, table: BracketTable):
     is bilinear over Q(i)[k, c], so each pair of monomials is bracketed
     once, with coefficient 1, and taken with the product of the two
     coefficients of every pair of terms. The tuple monomials it reads drop
-    the y field, so a family b (_tag) is bracketed member by member and
-    the results tagged back."""
+    the y field, so a family b (_tag) raises FlavorError."""
     if type(a) is LeftBracket:
         a = a.f
-    alph = table.alphabet
     if any(key & _Y_FIELD for key in b._flat):
-        parts = _untag(b)
-        zero = table.value.zero(alph)
-        return _tag([_oracle(a, parts[c], table) if c in parts else zero
-                     for c in range(max(parts) + 1)])
+        raise FlavorError("the oracle brackets no family")
+    alph = table.alphabet
     out = [{}, 1]
     units = {}
     for mono_a, ka, ca, ga in a.coefficients():

@@ -21,10 +21,13 @@ Brackets likewise: closed chain-sum formula vs direct reduction. Both
 chain sums (Thm 3.6 and its SUSY mirror Thm 6.5) go through one evaluator
 in two steps: _chain_values fills a path sum over the chain members from
 the top grade down instead of listing the chains, and _chain_heads takes
-the head factor. A context keeps, per row a of the W brackets, what reads
-a alone: the master-formula operator of w_a on the direct route, the path
-sums of row a on the closed one, each built on first use and read by
-every later bracket of the row. The canonical-generator solve
+the head factor. A context builds rho of its affine table when it is
+built, and keeps, per row a of the W brackets, what reads a alone: on the
+direct route one master-formula operator of w_a, kept under a and
+rebuilt when the row's value changes, on the closed one the path sums of
+row a; each is built on first use and read by every later pairwise
+bracket of the row. A direct table builds one operator per row of its
+own (pva.bracket_table). The canonical-generator solve
 (solve_canonical) also serves the BRST cohomology, with d_[0] in place of
 the membership map; at a symbolic level each unknown is one multiple of
 the power of k that its monomial's derivative count fixes (k counts as a
@@ -33,9 +36,7 @@ derivative, so every generator is homogeneous).
 
 from __future__ import annotations
 
-from _thread import allocate_lock
 from collections import namedtuple
-from functools import cached_property
 
 from .liealg import HALF, dual_bases_F
 from .pva import (BracketTable, LeftBracket, _families, _tagged_coefficients,
@@ -81,9 +82,6 @@ EVEN = Flavor(
     master=lambda a, b, table: master_bracket(a, b, table),
     oracle=lambda a, b, table: bracket_oracle(a, b, table),
     table=BracketTable, signed_chains=True, signed_head=False)
-
-
-_FIRST_USE = allocate_lock()   # taken by ReductionContext.reduced_table
 
 
 class GeneratorError(RuntimeError):
@@ -154,9 +152,18 @@ class ReductionContext:
         self._chain_constants = {}   # filled by chain_constants
         self._heads = {self.star_index[(j, 0)]: j for j in range(db.count())}
         self._rho_memos, self._symbol_memos = {}, {}   # rename memos
-        # the row state of the W brackets, filled on first use: a master-
-        # formula operator per left value (direct route) and the path-sum
-        # values per row index (closed route); separate, so that each route
+        # rho of every affine-table entry. rho is a differential-algebra
+        # homomorphism that fixes the kept variables, so rho{a_lambda b} is
+        # the master formula of a and b over this table whenever every
+        # partial derivative of a and of b is fixed by rho: for a and b in
+        # the kept variables, and for a single variable a (an n of g_{>0},
+        # killed or not) with b in the kept variables. For any other input
+        # use rho(bracket(a, b)).
+        self.reduced_table = fl.table(self.alph, {
+            key: self.rho(value) for key, value in self.table.entries.items()})
+        # the row state of the pairwise W brackets, filled on first use and
+        # keyed by row index: a master-formula operator (direct route) and
+        # the path-sum values (closed route); separate, so that each route
         # stays an oracle of the other
         self._left_brackets, self._closed_rows = {}, {}
 
@@ -164,45 +171,6 @@ class ReductionContext:
     def bracket(self, a: SuperPoly, b: SuperPoly):
         """{a_lambda b} (resp. {a_chi b}) in the affine algebra."""
         return self.flavor.master(a, b, self.table)
-
-    @cached_property
-    def reduced_table(self):
-        """rho of every entry of the affine table, built on first use.
-
-        rho is a differential-algebra homomorphism that fixes the kept
-        variables, so rho{a_lambda b} is the master formula of a and b over
-        this table whenever every partial derivative of a and of b is fixed
-        by rho: for a and b in the kept variables, and for a single variable
-        a (an n of g_{>0}, killed or not) with b in the kept variables. For
-        any other input use rho(bracket(a, b)). A first-use memo:
-        it reads `table` when first asked for and is not rebuilt after.
-        Threads that ask at once get one table, since the operators kept
-        per row (left_bracket) are checked against it by identity: it is
-        built and stored under a lock, as cached_property takes none from
-        Python 3.12 on.
-        """
-        with _FIRST_USE:
-            table = self.__dict__.get("reduced_table")
-            if table is None:
-                table = self.__dict__["reduced_table"] = self.flavor.table(
-                    self.alph, {key: self.rho(value)
-                                for key, value in self.table.entries.items()})
-        return table
-
-    def left_bracket(self, value: SuperPoly) -> LeftBracket:
-        """The operator {value_x .} over reduced_table, kept per left value:
-        the part of a direct W bracket that reads its left generator alone
-        (the partials of value, the arrow sums, the sums B_j and their
-        (x+d)-powers) is built once for the row. Keyed by the value, so
-        other polynomials get operators of their own; the memo starts over
-        once it holds as many operators as there are generators."""
-        ops = self._left_brackets
-        op = ops.get(value)
-        if op is None:
-            if len(ops) >= self.db.count():
-                ops.clear()
-            op = ops[value] = LeftBracket(value, self.reduced_table)
-        return op
 
     def rho(self, value):
         """Each kept variable to itself, each killed one u to its constant
@@ -498,11 +466,16 @@ def rewrite_in_generators(ctx: ReductionContext, gens, A):
 def w_bracket_direct(ctx: ReductionContext, gens, i, j):
     """Master bracket in P(g), reduced mod I_F, rewritten in generators;
     the generators are in the kept variables, so the reduced bracket is
-    the master formula over ctx.reduced_table, applied through the
-    context's operator of the left value (ReductionContext.left_bracket),
-    which every bracket of the row shares."""
+    the master formula over ctx.reduced_table. It is applied through the
+    operator the context keeps for row i, which every pairwise bracket of
+    the row shares while the row's value is gens[i].value; another value
+    gets a new operator in its place."""
+    value = gens[i].value
+    op = ctx._left_brackets.get(i)
+    if op is None or op.f is not value and op.f != value:
+        op = ctx._left_brackets[i] = LeftBracket(value, ctx.reduced_table)
     return rewrite_in_generators(ctx, gens, ctx.flavor.master(
-        ctx.left_bracket(gens[i].value), gens[j].value, ctx.reduced_table))
+        op, gens[j].value, ctx.reduced_table))
 
 
 def w_bracket_closed(ctx: ReductionContext, gens, a, b):
@@ -566,15 +539,13 @@ def _closed_factor(ctx, constants, tail):
 
 def w_bracket_table(ctx: ReductionContext, gens, route="direct"):
     """The W table by either route: the direct one is w_bracket_direct of
-    every pair, through pva.bracket_table over ctx.reduced_table with the
-    context's operators as its rows, and the closed one w_bracket_closed
-    of every pair; so a table and pairwise calls on one context share the
-    context's row state on either route."""
+    every pair, through pva.bracket_table over ctx.reduced_table, which
+    builds one operator per row of its own, and the closed one
+    w_bracket_closed of every pair, through the context's path sums."""
     n = ctx.db.count()
     if route == "direct":
         return bracket_table(
-            [ctx.left_bracket(gens[i].value) for i in range(n)],
-            ctx.reduced_table, ctx.gen_alph,
+            [gens[i].value for i in range(n)], ctx.reduced_table, ctx.gen_alph,
             lambda p: rewrite_in_generators(ctx, gens, p), ctx.flavor.master)
     return ctx.flavor.table(ctx.gen_alph, {
         (i, j): w_bracket_closed(ctx, gens, i, j)

@@ -833,11 +833,10 @@ def j_route_bracket_table(cplx, diff, gens):
 def pairwise_bracket_table(values, over, alphabet, rewrite, evaluator):
     """pva.bracket_table with one evaluator call and one rewrite per
     pair, through one LeftBracket per row."""
-    polys = [a.f if type(a) is LeftBracket else a for a in values]
     entries = {}
     for i, a in enumerate(values):
-        row = a if type(a) is LeftBracket else LeftBracket(a, over)
-        for j, b in enumerate(polys):
+        row = LeftBracket(a, over)
+        for j, b in enumerate(values):
             entries[i, j] = rewrite(evaluator(row, b, over))
     return type(over)(alphabet, entries)
 

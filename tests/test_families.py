@@ -129,11 +129,10 @@ def test_corrupted_generator_raises_from_a_batched_row(monkeypatch, make):
 
 
 @pytest.mark.parametrize("susy", [False, True], ids=["lambda", "chi"])
-def test_oracle_brackets_a_family_member_by_member(susy):
-    """The oracle reads tuple monomials, which drop the y field: on a
-    family it brackets each member alone and tags the results back, so
-    bracket_table gives the per-pair oracle table, and both equal the
-    master formula's."""
+def test_oracle_refuses_a_family(susy):
+    """The oracle reads tuple monomials, which drop the y field, so it
+    refuses a family (a right argument tagged in the y field); the
+    master formula's family table equals the per-pair oracle table."""
     import random
     rng = random.Random(7)
     if susy:
@@ -148,13 +147,11 @@ def test_oracle_brackets_a_family_member_by_member(susy):
     values.append(SuperPoly.variable(alph, 1, 1))
     want = helpers.pairwise_bracket_table(values, table, alph,
                                           lambda v: v, oracle)
-    assert bracket_table(values, table, alph, lambda v: v, oracle) == want
     assert bracket_table(values, table, alph, lambda v: v, master) == want
-    family = _tag(values)
-    got = _untag(oracle(values[0], family, table))
-    assert got == {c: v for c, v in enumerate(want.entry(0, j)
-                                              for j in range(len(values)))
-                   if v}
+    with pytest.raises(FlavorError):
+        oracle(values[0], _tag(values), table)
+    with pytest.raises(FlavorError):
+        bracket_table(values, table, alph, lambda v: v, oracle)
 
 
 def test_tag_refuses_what_a_family_cannot_hold():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -162,13 +163,16 @@ def test_center_like_generator_is_bare():
 
 
 def test_solver_detects_corrupted_context():
-    # an inconsistent bracket table must not produce a generator silently
+    # an inconsistent bracket table must not produce a generator silently;
+    # the solve reads the reduced table, whose (top, lead) entry is rho(1)
     ctx = ReductionContext(helpers.algebra("sl2"))
     top = ctx.star_index[(0, 2)]
     lead = ctx.star_index[(0, 0)]
-    ctx.table = type(ctx.table)(ctx.alph, {
-        **ctx.table.entries, (top, lead): LambdaPoly.of(SuperPoly.one(ctx.alph))})
-    with pytest.raises(GeneratorError):
+    ctx.reduced_table = type(ctx.reduced_table)(ctx.alph, {
+        **ctx.reduced_table.entries,
+        (top, lead): LambdaPoly.of(SuperPoly.one(ctx.alph))})
+    with pytest.raises(GeneratorError, match=r"^no generator solution: "
+                       r"inconsistent \(3 x 2 system\)$"):
         solve_generator(ctx, 0)
 
 
@@ -799,37 +803,60 @@ def test_row_columns_from_low_spin_to_high(name, susy):
             assert low == high[::-1], (route, a)
 
 
-def test_threads_that_build_the_reduced_table_at_once_get_one(monkeypatch):
-    """Two threads that build a context's reduced table at the same time
-    get the same table object, as the operators kept per row are checked
-    against it by identity. The build is entered directly, as
-    functools.cached_property does without a lock from Python 3.12 on;
-    rho is patched so that a second builder could catch up with the first."""
-    ctx = ReductionContext(helpers.algebra("sl21"))
-    rho = ReductionContext.rho
-    barrier = threading.Barrier(2)
-    met = set()
+@pytest.mark.parametrize("susy", [False, True], ids=["lambda", "chi"])
+def test_w_brackets_hash_no_value(monkeypatch, susy):
+    """The pairwise direct brackets (every pair, twice) and the direct table
+    find the operator of a row without hashing a polynomial or a bracket
+    value."""
+    from walgebras import superpoly
+    ctx, gens = _solved_context("sl21", susy)
+    n = ctx.db.count()
 
-    def meeting(self, value):
-        if threading.get_ident() not in met:
-            met.add(threading.get_ident())
-            try:
-                barrier.wait(timeout=1)
-            except threading.BrokenBarrierError:
-                pass   # the other thread waits for the first build
-        return rho(self, value)
+    def refuse(self):
+        raise AssertionError("a value was hashed")
 
-    monkeypatch.setattr(ReductionContext, "rho", meeting)
-    build = ReductionContext.reduced_table.func
-    got = [None, None]
+    monkeypatch.setattr(superpoly._Packed, "__hash__", refuse)
+    for _ in range(2):
+        for i in range(n):
+            for j in range(n):
+                w_bracket_direct(ctx, gens, i, j)
+    w_bracket_table(ctx, gens)
 
-    def run(i):
-        got[i] = build(ctx)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
-    assert got[0] is not None and got[0] is got[1]
-    assert ctx.reduced_table is got[0]
+@pytest.mark.parametrize("susy", [False, True], ids=["lambda", "chi"])
+def test_threads_that_share_a_context_get_its_tables(susy):
+    """Four threads that share one fresh context, switching every
+    microsecond, together bracket every pair on both routes and each build
+    the direct table; every value equals the one-thread table of a context
+    of its own."""
+    ref, ref_gens = _solved_context("sl21", susy)
+    want = {route: w_bracket_table(ref, ref_gens, route) for route in ROUTES}
+    ctx, gens = _solved_context("sl21", susy)
+    n = ctx.db.count()
+    calls = [(route, i, j) for i in range(n) for route in ROUTES
+             for j in range(n)]
+    barrier, got, tables, errors = threading.Barrier(4), {}, [], []
+
+    def run(t):
+        try:
+            barrier.wait(timeout=60)
+            for route, i, j in calls[t::4]:
+                got[route, i, j] = ROUTES[route](ctx, gens, i, j)
+            tables.append(w_bracket_table(ctx, gens))
+        except Exception as e:   # reported below, with the thread's values
+            errors.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert [c for c in calls
+            if got.get(c) != want[c[0]].entry(*c[1:])] == []
+    assert len(tables) == 4 and all(t == want["direct"] for t in tables)
